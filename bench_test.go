@@ -401,11 +401,10 @@ func mustPattern(name string) *Pattern {
 	return p
 }
 
-// --- bytecode VM vs tree-walking interpreter ---
+// --- bytecode VM ---
 
-func benchInterp5Motif(b *testing.B, interp Interpreter) {
-	b.Helper()
-	s := benchSystem(b, "ee", Options{CostModel: CostLocality, Interpreter: interp})
+func BenchmarkVM_5Motif_ee(b *testing.B) {
+	s := benchSystem(b, "ee", Options{CostModel: CostLocality})
 	warm(b, func() error { _, err := s.TotalMotifCount(5); return err })
 	for i := 0; i < b.N; i++ {
 		if _, err := s.TotalMotifCount(5); err != nil {
@@ -414,11 +413,7 @@ func benchInterp5Motif(b *testing.B, interp Interpreter) {
 	}
 }
 
-func BenchmarkVM_5Motif_ee(b *testing.B)       { benchInterp5Motif(b, InterpreterVM) }
-func BenchmarkTreeWalk_5Motif_ee(b *testing.B) { benchInterp5Motif(b, InterpreterTree) }
-
-func benchEngineInterpTriangle(b *testing.B, interp engine.Interp) {
-	b.Helper()
+func BenchmarkEngineVM_Triangle_wk(b *testing.B) {
 	g := graph.MustDataset("wk")
 	st := cost.StatsOf(g)
 	best, _, err := core.Search(pattern.Clique(3), core.SearchOptions{
@@ -430,18 +425,10 @@ func benchEngineInterpTriangle(b *testing.B, interp engine.Interp) {
 	code := best.Plan.Lowered()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Run(g, best.Plan.Prog, engine.Options{Interpreter: interp, Code: code}); err != nil {
+		if _, err := engine.Run(g, best.Plan.Prog, engine.Options{Code: code}); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkEngineVM_Triangle_wk(b *testing.B) {
-	benchEngineInterpTriangle(b, engine.InterpVM)
-}
-
-func BenchmarkEngineTreeWalk_Triangle_wk(b *testing.B) {
-	benchEngineInterpTriangle(b, engine.InterpTree)
 }
 
 // --- engine micro-benchmarks ---
@@ -538,15 +525,13 @@ func BenchmarkReuse_Separate4Motifs_ee(b *testing.B) {
 	}
 }
 
-// --- scheduler load balance: steal vs chunk driver on a skewed R-MAT ---
+// --- scheduler load balance on a skewed R-MAT ---
 
-// benchStealBalance runs a 5-vertex motif count on a power-law R-MAT
-// graph and reports the worst max/mean WorkPerThread imbalance observed
-// (per-worker executed instructions). The work-stealing driver should
-// hold this near 1.0; the legacy chunk driver strands hub-vertex
-// subtrees on single workers and lands far higher.
-func benchStealBalance(b *testing.B, sched engine.Sched) {
-	b.Helper()
+// BenchmarkSteal_RMAT_5Motif runs a 5-vertex motif count on a power-law
+// R-MAT graph and reports the worst max/mean WorkPerThread imbalance
+// observed (per-worker executed instructions). The work-stealing driver
+// should hold this near 1.0.
+func BenchmarkSteal_RMAT_5Motif(b *testing.B) {
 	g := graph.RMATParams(11, 8, 0.7, 0.1, 0.1, 777)
 	st := cost.StatsOf(g)
 	best, _, err := core.Search(pattern.House(), core.SearchOptions{
@@ -557,13 +542,9 @@ func benchStealBalance(b *testing.B, sched engine.Sched) {
 	}
 	code := best.Plan.Lowered()
 	const threads = 4
-	opts := engine.Options{Threads: threads, Code: code, Sched: sched}
-	if sched == engine.SchedSteal {
-		pool := engine.NewPool(threads)
-		defer pool.Close()
-		opts.Pool = pool
-		opts.Prepared = engine.Prepare(g, code)
-	}
+	pool := engine.NewPool(threads)
+	defer pool.Close()
+	opts := engine.Options{Threads: threads, Code: code, Pool: pool, Prepared: engine.Prepare(g, code)}
 	var worst float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -584,6 +565,3 @@ func benchStealBalance(b *testing.B, sched engine.Sched) {
 	}
 	b.ReportMetric(worst, "max/mean-work")
 }
-
-func BenchmarkSteal_RMAT_5Motif(b *testing.B) { benchStealBalance(b, engine.SchedSteal) }
-func BenchmarkChunk_RMAT_5Motif(b *testing.B) { benchStealBalance(b, engine.SchedChunk) }

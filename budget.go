@@ -14,24 +14,22 @@ import (
 // expires. The experiment harness uses them to reproduce the paper's
 // "T" (timeout) table cells without letting a slow baseline run forever.
 
-// runBudget executes a plan, aborting when budget elapses (budget <= 0
-// means unlimited).
-func (s *System) runBudget(plan *core.Plan, budget time.Duration) (int64, bool, error) {
-	var cancel *atomic.Bool
-	var timer *time.Timer
-	if budget > 0 {
-		cancel = &atomic.Bool{}
-		timer = time.AfterFunc(budget, func() { cancel.Store(true) })
-		defer timer.Stop()
+// cancelAfter returns a flag that flips once budget elapses, plus the
+// function releasing its timer; budget <= 0 means unlimited (nil flag).
+func cancelAfter(budget time.Duration) (*atomic.Bool, func()) {
+	if budget <= 0 {
+		return nil, func() {}
 	}
-	opts := s.execOptions(plan)
-	opts.Cancel = cancel
-	res, err := engine.Run(s.graph.g, plan.Prog, opts)
-	if err != nil {
-		return 0, false, err
-	}
-	s.noteExecStats(res)
-	count, err := plan.ExtractCount(res.Globals, nil)
+	cancel := &atomic.Bool{}
+	timer := time.AfterFunc(budget, func() { cancel.Store(true) })
+	return cancel, func() { timer.Stop() }
+}
+
+// countWithin executes a counting plan, aborting when budget elapses.
+func (s *System) countWithin(plan *core.Plan, budget time.Duration) (int64, bool, error) {
+	cancel, stop := cancelAfter(budget)
+	defer stop()
+	count, res, _, err := s.runStats(plan, engine.Options{Cancel: cancel}, nil)
 	if err != nil {
 		return 0, false, err
 	}
@@ -44,7 +42,7 @@ func (s *System) GetPatternCountWithin(p *Pattern, budget time.Duration) (int64,
 	if err != nil {
 		return 0, false, err
 	}
-	return s.runBudget(plan, budget)
+	return s.countWithin(plan, budget)
 }
 
 // MotifCountsWithin is MotifCounts with a total wall-clock budget across
@@ -65,7 +63,7 @@ func (s *System) MotifCountsWithin(k int, budget time.Duration) ([]MotifCount, b
 		if err != nil {
 			return nil, false, err
 		}
-		c, canceled, err := s.runBudget(plan, remaining)
+		c, canceled, err := s.countWithin(plan, remaining)
 		if err != nil {
 			return nil, false, err
 		}
@@ -161,7 +159,7 @@ func (s *System) vertexInducedWithin(p *pattern.Pattern, budget time.Duration) (
 		if err != nil {
 			return 0, false, err
 		}
-		c, canceled, err := s.runBudget(plan, remaining)
+		c, canceled, err := s.countWithin(plan, remaining)
 		if err != nil || canceled {
 			return 0, canceled, err
 		}
@@ -176,20 +174,18 @@ func (s *System) FSMWithin(minSupport int64, maxEdges int, budget time.Duration)
 	return s.fsm(minSupport, maxEdges, budget)
 }
 
-// WorkDistribution executes p's plan and returns the work each worker
-// performed — bytecode instructions under the VM, outer-loop iterations
-// under the tree-walker — the load-balance signal behind the
-// scalability experiment (Figure 16).
+// WorkDistribution executes p's plan and returns the bytecode
+// instructions each worker executed — the load-balance signal behind
+// the scalability experiment (Figure 16).
 func (s *System) WorkDistribution(p *Pattern) ([]int64, error) {
 	plan, err := s.plan(p.p, core.ModeCount, false)
 	if err != nil {
 		return nil, err
 	}
-	res, err := engine.Run(s.graph.g, plan.Prog, s.execOptions(plan))
+	res, _, err := s.exec(plan, true, engine.Options{})
 	if err != nil {
 		return nil, err
 	}
-	s.noteExecStats(res)
 	return res.WorkPerThread, nil
 }
 
@@ -214,7 +210,7 @@ func (s *System) CompileAndExecuteMotifs(k int, budget time.Duration) (compile, 
 			}
 		}
 		t1 := time.Now()
-		_, canceled, rerr := s.runBudget(best.Plan, remaining)
+		_, canceled, rerr := s.countWithin(best.Plan, remaining)
 		exec += time.Since(t1)
 		if rerr != nil {
 			return compile, exec, false, rerr

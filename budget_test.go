@@ -111,7 +111,7 @@ func TestWorkDistributionShape(t *testing.T) {
 	if len(work) != 3 {
 		t.Fatalf("work slots %d, want 3", len(work))
 	}
-	// WorkPerThread reports executed instructions under the VM; the run
+	// WorkPerThread reports executed instructions; the run
 	// certainly executes at least one instruction per vertex.
 	var total int64
 	for _, w := range work {

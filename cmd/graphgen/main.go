@@ -17,30 +17,41 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"decomine"
 )
 
 func main() {
-	out := flag.String("out", "", "output edge-list path (required)")
-	kind := flag.String("kind", "rmat", "generator: rmat, gnp, smallworld")
-	dataset := flag.String("dataset", "", "dump a builtin dataset instead of generating")
-	scale := flag.Int("scale", 16, "rmat: log2(|V|)")
-	edgeFactor := flag.Int("edgefactor", 8, "rmat: edges per vertex")
-	n := flag.Int("n", 10000, "gnp/smallworld: vertex count")
-	p := flag.Float64("p", 0.001, "gnp: edge probability")
-	k := flag.Int("k", 8, "smallworld: neighbors per side")
-	beta := flag.Float64("beta", 0.1, "smallworld: rewiring probability")
-	labels := flag.Int("labels", 0, "attach this many random vertex labels (0 = unlabeled)")
-	seed := flag.Int64("seed", 42, "random seed")
-	format := flag.String("format", "edgelist", "output format: edgelist (text) or slab (binary, mmap-loadable)")
-	slabs := flag.Int("slabs", 0, "slab format: partition count (0 = automatic)")
-	flag.Parse()
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "graphgen:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("graphgen", flag.ExitOnError)
+	out := fs.String("out", "", "output edge-list path (required)")
+	kind := fs.String("kind", "rmat", "generator: rmat, gnp, smallworld")
+	dataset := fs.String("dataset", "", "dump a builtin dataset instead of generating")
+	scale := fs.Int("scale", 16, "rmat: log2(|V|)")
+	edgeFactor := fs.Int("edgefactor", 8, "rmat: edges per vertex")
+	n := fs.Int("n", 10000, "gnp/smallworld: vertex count")
+	p := fs.Float64("p", 0.001, "gnp: edge probability")
+	k := fs.Int("k", 8, "smallworld: neighbors per side")
+	beta := fs.Float64("beta", 0.1, "smallworld: rewiring probability")
+	labels := fs.Int("labels", 0, "attach this many random vertex labels (0 = unlabeled)")
+	seed := fs.Int64("seed", 42, "random seed")
+	format := fs.String("format", "edgelist", "output format: edgelist (text) or slab (binary, mmap-loadable)")
+	slabs := fs.Int("slabs", 0, "slab format: partition count (0 = automatic)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *out == "" {
-		fmt.Fprintln(os.Stderr, "graphgen: -out is required")
-		os.Exit(2)
+		fs.Usage()
+		return fmt.Errorf("-out is required")
 	}
 	var g *decomine.Graph
 	var err error
@@ -52,11 +63,13 @@ func main() {
 	case *kind == "gnp":
 		g = decomine.GenerateGNP(*n, *p, *seed)
 	case *kind == "smallworld":
-		g, err = smallWorld(*n, *k, *beta, *seed)
+		g = decomine.GenerateSmallWorld(*n, *k, *beta, *seed)
 	default:
 		err = fmt.Errorf("unknown kind %q", *kind)
 	}
-	fatalIf(err)
+	if err != nil {
+		return err
+	}
 	if *labels > 0 {
 		g = g.WithRandomLabels(*labels, *seed+1)
 	}
@@ -66,41 +79,45 @@ func main() {
 		if *slabs != 0 {
 			g = g.Reslab(*slabs)
 		}
-		fatalIf(g.WriteSlabFile(*out))
+		if err := g.WriteSlabFile(*out); err != nil {
+			return err
+		}
 		fmt.Fprintf(os.Stderr, "wrote %s (%d slabs): %s\n", *out, g.NumSlabs(), g)
-		return
+		return nil
 	case "edgelist":
 		// fall through to the text writer below
 	default:
-		fatalIf(fmt.Errorf("unknown format %q (want edgelist or slab)", *format))
+		return fmt.Errorf("unknown format %q (want edgelist or slab)", *format)
 	}
-	f, err := os.Create(*out)
-	fatalIf(err)
-	defer f.Close()
-	fatalIf(g.WriteEdgeList(f))
+	if err := writeFile(*out, g.WriteEdgeList); err != nil {
+		return err
+	}
 	if g.Labeled() {
-		lf, err := os.Create(*out + ".labels")
-		fatalIf(err)
-		defer lf.Close()
-		w := bufio.NewWriter(lf)
-		for v := 0; v < g.NumVertices(); v++ {
-			fmt.Fprintln(w, g.Label(uint32(v)))
+		err := writeFile(*out+".labels", func(w io.Writer) error {
+			bw := bufio.NewWriter(w)
+			for v := 0; v < g.NumVertices(); v++ {
+				fmt.Fprintln(bw, g.Label(uint32(v)))
+			}
+			return bw.Flush()
+		})
+		if err != nil {
+			return err
 		}
-		fatalIf(w.Flush())
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s: %s\n", *out, g)
+	return nil
 }
 
-func smallWorld(n, k int, beta float64, seed int64) (*decomine.Graph, error) {
-	// The library exposes small-world generation through the dataset
-	// analogues; for graphgen we reuse the GNP+rewire equivalent via the
-	// internal generator re-exported here.
-	return decomine.GenerateSmallWorld(n, k, beta, seed), nil
-}
-
-func fatalIf(err error) {
+// writeFile creates path, fills it with write, and reports the first
+// error of create, write and close.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "graphgen:", err)
-		os.Exit(1)
+		return err
 	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -25,19 +25,6 @@ var (
 	obsCacheNegative = obs.Default.Counter("plancache.negative")
 )
 
-// Interpreter selects the in-process execution engine.
-type Interpreter string
-
-const (
-	// InterpreterVM executes plans on the flat bytecode VM (the
-	// default): the optimized AST is lowered once per plan and executed
-	// by a non-recursive dispatch loop with arena-backed set buffers.
-	InterpreterVM Interpreter = "vm"
-	// InterpreterTree executes plans on the recursive tree-walking
-	// interpreter, kept as an escape hatch and for differential testing.
-	InterpreterTree Interpreter = "tree"
-)
-
 // CostModelKind selects the cost model used by the algorithm search
 // (paper §6).
 type CostModelKind string
@@ -91,11 +78,8 @@ type Options struct {
 	DisableAuxGraphs bool
 	// Seed fixes all randomized choices.
 	Seed int64
-	// Interpreter selects the execution engine (InterpreterVM when
-	// empty).
-	Interpreter Interpreter
-	// Profile arms the in-VM sampling profiler for every plan execution
-	// (VM only): each query's Result.Stats.Exec.Profile then carries its
+	// Profile arms the in-VM sampling profiler for every plan
+	// execution: each query's Result.Stats.Exec.Profile then carries its
 	// wall-time attribution by (opcode × loop depth × kernel path), and
 	// runs accumulate into the process-wide profile served at
 	// /debug/profile. Off by default; profiling adds a clock read per
@@ -106,8 +90,8 @@ type Options struct {
 	// Systems (one per loaded graph in a server) share one set of worker
 	// goroutines. System.Close never closes a shared pool — the owner
 	// does, via Pool.Close. Ignored for sequential configurations
-	// (Threads == 1) and the tree-walking interpreter; when set, the
-	// pool's size overrides Threads for parallel runs.
+	// (Threads == 1); when set, the pool's size overrides Threads for
+	// parallel runs.
 	SharedPool *Pool
 }
 
@@ -178,13 +162,6 @@ type System struct {
 	// search+generation (Figure 18).
 	LastCompileTime time.Duration
 
-	lastOpCounts     []int64
-	lastKernelCounts []int64
-	lastSteals       int64
-	lastSplits       int64
-	lastSlabHits     int64
-	lastSlabMisses   int64
-
 	// Plan-cache counters (see CacheStats). Kept as atomics so the hot
 	// cache-hit path does not lengthen its critical section.
 	cacheHits        atomic.Int64
@@ -236,14 +213,13 @@ func (s *System) Close() {
 }
 
 // enginePool returns the shared worker pool, starting it on first use.
-// Sequential configurations (Threads == 1) and the tree-walking
-// interpreter never start a pool.
+// Sequential configurations (Threads == 1) never start a pool.
 func (s *System) enginePool() *engine.Pool {
 	n := s.opts.Threads
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	if n == 1 || s.opts.Interpreter == InterpreterTree {
+	if n == 1 {
 		return nil
 	}
 	if s.opts.SharedPool != nil {
@@ -279,22 +255,6 @@ func (s *System) prepared(code *ast.Lowered) *engine.Prepared {
 		s.prepCache[code] = p
 	}
 	return p
-}
-
-// execOptions assembles the engine options every plan execution shares:
-// thread count, interpreter, cached bytecode, the persistent pool and
-// the per-plan prepared state.
-func (s *System) execOptions(plan *core.Plan) engine.Options {
-	code := s.planCode(plan)
-	return engine.Options{
-		Threads:     s.opts.Threads,
-		Interpreter: s.engineInterp(),
-		Code:        code,
-		Pool:        s.enginePool(),
-		Prepared:    s.prepared(code),
-		DisableHub:  s.opts.DisableHubIndex,
-		Profile:     s.opts.Profile,
-	}
 }
 
 // Model returns (building lazily) the configured cost model. The
@@ -469,34 +429,6 @@ func (s *System) plan(p *pattern.Pattern, mode core.Mode, induced bool) (*core.P
 	return e.plan, nil
 }
 
-// engineInterp maps the public Interpreter option to the engine's enum.
-func (s *System) engineInterp() engine.Interp {
-	if s.opts.Interpreter == InterpreterTree {
-		return engine.InterpTree
-	}
-	return engine.InterpVM
-}
-
-// planCode returns the plan's cached bytecode when the VM is selected,
-// nil otherwise.
-func (s *System) planCode(plan *core.Plan) *ast.Lowered {
-	if s.opts.Interpreter == InterpreterTree {
-		return nil
-	}
-	return plan.Lowered()
-}
-
-func (s *System) noteExecStats(res *engine.Result) {
-	s.mu.Lock()
-	s.lastOpCounts = res.OpCounts
-	s.lastKernelCounts = res.KernelCounts
-	s.lastSteals = res.Steals
-	s.lastSplits = res.Splits
-	s.lastSlabHits = res.SlabHits
-	s.lastSlabMisses = res.SlabMisses
-	s.mu.Unlock()
-}
-
 // ExecStats reports bytecode execution counters from an engine run.
 type ExecStats struct {
 	// Instructions is the total number of bytecode instructions executed.
@@ -512,7 +444,7 @@ type ExecStats struct {
 	// Steals counts loop ranges taken from another worker's deque by the
 	// work-stealing scheduler, and Splits counts depth-1 subranges shed
 	// by workers executing heavy outer iterations. Zero for sequential
-	// runs and under the tree-walker.
+	// runs.
 	Steals int64
 	Splits int64
 	// SlabHits/SlabMisses score the scheduler's slab-affinity victim
@@ -523,74 +455,62 @@ type ExecStats struct {
 	SlabHits   int64
 	SlabMisses int64
 	// Profile is the run's sampling-profiler attribution, present only
-	// when the System runs with Options.Profile under the VM.
+	// when the System runs with Options.Profile.
 	Profile *ExecutionProfile
 }
 
-// LastExecStats returns the per-opcode execution counters of the most
-// recent *completed* engine run this System started (updated atomically
-// under the System mutex when a run finishes). Under InterpreterTree
-// the counters are empty (the tree-walker does not track them).
-//
-// Deprecated: concurrent queries on a shared System overwrite each
-// other's snapshot, so under load this tells you about *some* recent
-// run, not yours. Use CountPattern and read Result.Stats for per-run
-// counters; this shim is kept for existing callers.
-func (s *System) LastExecStats() ExecStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := ExecStats{PerOp: map[string]int64{}}
-	for op, c := range s.lastOpCounts {
-		if c != 0 {
-			st.PerOp[ast.OpCode(op).String()] = c
-			st.Instructions += c
-		}
+// lowerable is what exec runs: a compiled plan or a merged plan, each
+// lowering its program to bytecode once.
+type lowerable interface{ Lowered() *ast.Lowered }
+
+// exec is the System's one entry into the engine. run carries the
+// per-run wiring its caller chose (consumer, cancel, progress, fuel,
+// pins, a Threads: 1 override); exec adds what every execution on this
+// System shares — thread count, the lowered bytecode, the persistent
+// pool, the hub and profiler switches — and, when reuse is set, the
+// program's cached execution state. reuse is for plan-cache residents;
+// a one-shot program (merged or pinned plan) would only grow prepCache.
+// The returned duration is how long assembling that state took: the
+// bytecode lowering + arena planning on a plan's first run, ~0 after.
+func (s *System) exec(p lowerable, reuse bool, run engine.Options) (*engine.Result, time.Duration, error) {
+	setupStart := time.Now()
+	run.Code = p.Lowered()
+	if run.Threads == 0 {
+		run.Threads = s.opts.Threads
 	}
-	for k, c := range s.lastKernelCounts {
-		if c != 0 {
-			if st.Kernels == nil {
-				st.Kernels = map[string]int64{}
-			}
-			st.Kernels[engine.KernelNames[k]] = c
-		}
+	if run.Threads != 1 {
+		run.Pool = s.enginePool()
 	}
-	st.Steals = s.lastSteals
-	st.Splits = s.lastSplits
-	st.SlabHits = s.lastSlabHits
-	st.SlabMisses = s.lastSlabMisses
-	return st
+	if reuse {
+		run.Prepared = s.prepared(run.Code)
+	}
+	run.DisableHub = s.opts.DisableHubIndex
+	run.Profile = s.opts.Profile
+	setup := time.Since(setupStart)
+	res, err := engine.Run(s.graph.g, run.Code.Prog, run)
+	return res, setup, err
 }
 
-func (s *System) run(plan *core.Plan, newConsumer func(worker int) engine.Consumer) (int64, error) {
-	count, _, _, err := s.runStats(plan, newConsumer, nil, nil, nil, nil)
-	return count, err
-}
-
-// runStats executes plan and returns the count, the engine result (for
-// per-run stats) and how long assembling the execution state took —
-// which is the bytecode lowering + arena planning on a plan's first
-// run, and ~0 afterwards. cancel, progress and fuel (all optional) are
-// threaded through to the engine run. resolve supplies standalone
-// counts for externalized shrinkages (batch-compiled plans only; plans
-// without externals ignore it).
-func (s *System) runStats(plan *core.Plan, newConsumer func(worker int) engine.Consumer, cancel *atomic.Bool, progress *engine.ProgressTracker, fuel *atomic.Int64, resolve func(pattern.Code) (int64, bool)) (int64, *engine.Result, time.Duration, error) {
-	lowerStart := time.Now()
-	opts := s.execOptions(plan)
-	lowerDur := time.Since(lowerStart)
-	opts.NewConsumer = newConsumer
-	opts.Cancel = cancel
-	opts.Progress = progress
-	opts.Fuel = fuel
-	res, err := engine.Run(s.graph.g, plan.Prog, opts)
+// runStats executes a counting plan and returns the count, the engine
+// result (for per-run stats) and exec's setup duration. run is the
+// per-run wiring (see exec); resolve supplies standalone counts for
+// externalized shrinkages (batch-compiled plans only; plans without
+// externals ignore it).
+func (s *System) runStats(plan *core.Plan, run engine.Options, resolve func(pattern.Code) (int64, bool)) (int64, *engine.Result, time.Duration, error) {
+	res, setup, err := s.exec(plan, true, run)
 	if err != nil {
-		return 0, nil, lowerDur, err
+		return 0, nil, setup, err
 	}
-	s.noteExecStats(res)
 	count, err := plan.ExtractCount(res.Globals, resolve)
 	if err != nil {
-		return 0, nil, lowerDur, err
+		return 0, nil, setup, err
 	}
-	return count, res, lowerDur, nil
+	return count, res, setup, nil
+}
+
+func (s *System) run(plan *core.Plan) (int64, error) {
+	count, _, _, err := s.runStats(plan, engine.Options{}, nil)
+	return count, err
 }
 
 // GetPatternCount returns the number of edge-induced embeddings of p —
@@ -630,11 +550,11 @@ func (s *System) GetPatternCountVertexInduced(p *Pattern) (int64, error) {
 	case errDirect != nil && errIndirect != nil:
 		return 0, fmt.Errorf("decomine: no vertex-induced plan for %s: %v / %v", p, errDirect, errIndirect)
 	case errIndirect != nil || (errDirect == nil && direct.Cost <= indirectCost):
-		return s.run(direct.Plan, nil)
+		return s.run(direct.Plan)
 	}
 	ei := map[pattern.Code]int64{}
 	for i, q := range plan2 {
-		c, err := s.run(indirect[i], nil)
+		c, err := s.run(indirect[i])
 		if err != nil {
 			return 0, err
 		}
@@ -655,7 +575,7 @@ func (s *System) CountWithConstraints(p *Pattern, cons []LabelConstraint) (int64
 	if err != nil {
 		return 0, err
 	}
-	return s.run(e.plan, nil)
+	return s.run(e.plan)
 }
 
 // constraintFlavor serializes a constraint list into a plan-cache key

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"decomine/internal/core"
 	"decomine/internal/pattern"
 )
 
@@ -104,6 +105,11 @@ func (s *System) fsm(minSupport int64, maxEdges int, budget time.Duration) ([]Fr
 		freqLabels[key[0]] = true
 		freqLabels[key[1]] = true
 	}
+	// The frontier's order decides which spelling of each later candidate
+	// reaches the compiler (so which plan it gets): put the map walk's
+	// output in canonical-code order, as every later level already is, so
+	// two Systems on one graph mine identically.
+	sort.Slice(frontier, func(i, j int) bool { return frontier[i].Canonical() < frontier[j].Canonical() })
 	labels := make([]uint32, 0, len(freqLabels))
 	for l := range freqLabels {
 		labels = append(labels, l)
@@ -152,8 +158,21 @@ func (s *System) fsm(minSupport int64, maxEdges int, budget time.Duration) ([]Fr
 		sem := make(chan struct{}, par)
 		var wg sync.WaitGroup
 		for idx, code := range codes {
+			if expired.Load() {
+				break
+			}
 			seen[code] = true
 			idx, q := idx, candidates[code]
+			// Compile here, in canonical order, and only execute
+			// concurrently: the cost model profiles labeled patterns on
+			// demand from one shared random stream, so concurrent searches
+			// would make estimates — and plan choices — follow goroutine
+			// timing.
+			plan, info, err := s.emitPlan(q)
+			if err != nil {
+				errs[idx] = err
+				break
+			}
 			wg.Add(1)
 			sem <- struct{}{}
 			go func() {
@@ -167,7 +186,7 @@ func (s *System) fsm(minSupport int64, maxEdges int, budget time.Duration) ([]Fr
 					expired.Store(true)
 					return
 				}
-				sup, canceled, err := s.patternSupport(q, rem)
+				sup, canceled, err := s.patternSupport(plan, info, q.NumVertices(), rem)
 				if err != nil {
 					errs[idx] = err
 					return
@@ -216,13 +235,13 @@ func sortFrequentPatterns(results []FrequentPattern) {
 	})
 }
 
-// patternSupport computes MNI support via the partial-embedding API.
-func (s *System) patternSupport(p *pattern.Pattern, budget time.Duration) (int64, bool, error) {
+// patternSupport computes the MNI support of a k-vertex pattern from
+// the partial embeddings its emission plan delivers.
+func (s *System) patternSupport(plan *core.Plan, info []subInfo, k int, budget time.Duration) (int64, bool, error) {
 	n := s.graph.NumVertices()
-	k := p.NumVertices()
 	type state struct{ domains []*bitset }
 	var workers []*state
-	canceled, err := s.processPartialEmbeddings(&Pattern{p}, func(worker int) UDF {
+	canceled, err := s.runEmitPlan(plan, info, func(worker int) UDF {
 		st := &state{domains: make([]*bitset, k)}
 		for i := range st.domains {
 			st.domains[i] = newBitset(n)

@@ -348,8 +348,8 @@ func setReads(ins *Instr, dst []int32) []int32 {
 // else — absorbs that definition into a fused ICount, walking the chain
 // upward. Intersections, trims and removals feeding only a count are
 // thereby evaluated by counting kernels without materializing any
-// intermediate set. The tree-walking interpreter cannot express this:
-// it is a property of the flat instruction encoding.
+// intermediate set. The AST has no node for this: it is a property of
+// the flat instruction encoding.
 func (l *Lowered) fuseCounts() {
 	uses := make(map[int32]int)
 	var scratch []int32

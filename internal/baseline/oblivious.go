@@ -135,12 +135,19 @@ func ObliviousPatternCount(g *graph.Graph, p *pattern.Pattern) (int64, error) {
 }
 
 // ObliviousEdgeInducedCount derives the edge-induced count of p from the
-// vertex-induced census via cnt_ei(p) = Σ_q SpanningSubCount(p,q)·cnt_vi(q).
+// vertex-induced census at p's size.
 func ObliviousEdgeInducedCount(g *graph.Graph, p *pattern.Pattern) (int64, error) {
 	if !p.Connected() {
 		return 0, fmt.Errorf("baseline: pattern %s is not connected", p)
 	}
-	census := ObliviousMotifCensus(g, p.NumVertices())
+	return EdgeInducedFromCensus(ObliviousMotifCensus(g, p.NumVertices()), p), nil
+}
+
+// EdgeInducedFromCensus reads the edge-induced count of connected
+// pattern p off a vertex-induced census of p's size (as returned by
+// ObliviousMotifCensus) via cnt_ei(p) = Σ_q SpanningSubCount(p,q)·cnt_vi(q),
+// so one census serves every pattern of that size.
+func EdgeInducedFromCensus(census map[pattern.Code]int64, p *pattern.Pattern) int64 {
 	var total int64
 	seen := map[pattern.Code]bool{}
 	for _, q := range pattern.Supergraphs(p) {
@@ -153,5 +160,5 @@ func ObliviousEdgeInducedCount(g *graph.Graph, p *pattern.Pattern) (int64, error
 			total += pattern.SpanningSubCount(p, q) * c
 		}
 	}
-	return total, nil
+	return total
 }

@@ -10,7 +10,6 @@ import (
 	"decomine/internal/ast"
 	"decomine/internal/graph"
 	"decomine/internal/obs"
-	"decomine/internal/vset"
 )
 
 // Engine-level feeds into the shared metrics registry. Every counter is
@@ -118,36 +117,6 @@ func (f ConsumerFunc) Process(sub int, verts []uint32, count int64) bool {
 	return f(sub, verts, count)
 }
 
-// Interp selects the execution engine for a run.
-type Interp uint8
-
-const (
-	// InterpVM executes programs on the flat bytecode VM (default): the
-	// optimized AST is lowered once per run (or reused via Options.Code)
-	// and each worker runs a non-recursive dispatch loop over the
-	// instruction stream with arena-backed set buffers.
-	InterpVM Interp = iota
-	// InterpTree executes programs on the original recursive
-	// tree-walking interpreter; kept for differential testing.
-	InterpTree
-)
-
-// Sched selects the parallel execution driver.
-type Sched uint8
-
-const (
-	// SchedSteal (default) runs loop segments on a persistent
-	// work-stealing pool: idle workers steal half of a victim's
-	// remaining outer range, and heavy outer iterations shed stealable
-	// subranges of their depth-1 loop (paper §7.4's fine-grained work
-	// stealing).
-	SchedSteal Sched = iota
-	// SchedChunk is the legacy per-run fork-join driver that
-	// self-schedules fixed-size chunks of the outermost loop only; kept
-	// for load-balance comparison benchmarks.
-	SchedChunk
-)
-
 // Options configures a run.
 type Options struct {
 	// Threads is the number of workers; 0 means GOMAXPROCS. When Pool is
@@ -161,36 +130,31 @@ type Options struct {
 	// program was built with pinned variables.
 	Pins []uint32
 	// Cancel, when non-nil and set, aborts the run; cancellation is
-	// observed at steal points, outer-loop chunk boundaries, and — under
-	// the VM — inside the dispatch loop every cancelCheckInterval
-	// instructions, so even one huge iteration cannot overrun a budget
-	// by much. The Result reports Canceled=true.
+	// observed at steal points, outer-loop chunk boundaries, and inside
+	// the dispatch loop every cancelCheckInterval instructions, so even
+	// one huge iteration cannot overrun a budget by much. The Result
+	// reports Canceled=true.
 	Cancel *atomic.Bool
-	// Interpreter selects the execution engine (bytecode VM by default).
-	Interpreter Interp
 	// Code optionally supplies a pre-lowered bytecode program for prog
 	// (e.g. a cached Plan.Lowered()), skipping the lowering pass. It is
-	// ignored when it was lowered from a different Program or when the
-	// tree-walker is selected.
+	// ignored when it was lowered from a different Program.
 	Code *ast.Lowered
 	// Pool, when non-nil, executes the run on a persistent worker pool
 	// shared across runs (and across concurrently submitting
-	// goroutines) instead of spawning per-run goroutines. Ignored when
-	// Threads == 1 or Sched == SchedChunk.
+	// goroutines) instead of starting a pool for this run alone.
+	// Ignored when Threads == 1.
 	Pool *Pool
 	// Prepared optionally supplies reusable per-program state (arena
 	// plan, split analysis, recycled frames) built by Prepare. Ignored
 	// when it does not match the graph and bytecode of this run.
 	Prepared *Prepared
-	// Sched selects the parallel driver (SchedSteal by default).
-	Sched Sched
 	// DisableHub keeps the VM's intersect/subtract dispatch off the
 	// graph's hub bitmap index even when one exists, forcing the sorted
 	// array kernels. Used for differential testing and for measuring the
 	// hybrid data plane's speedup; plans and instruction counts are
 	// unaffected (the cost model does not consult this option).
 	DisableHub bool
-	// Profile arms the in-VM sampling profiler for this run (VM only):
+	// Profile arms the in-VM sampling profiler for this run:
 	// Result.Profile then carries the wall-time attribution by
 	// (opcode × loop depth × kernel path) plus the exactly timed kernel
 	// subsample, and the run is folded into obs.GlobalProfile. Off by
@@ -200,49 +164,46 @@ type Options struct {
 	// Progress, when non-nil, receives this run's root-range completion
 	// accounting; Progress.Fraction may be polled concurrently.
 	Progress *ProgressTracker
-	// Fuel, when non-nil, is a shared instruction budget for this run
-	// (VM only). Each worker debits cancelCheckInterval instructions at
+	// Fuel, when non-nil, is a shared instruction budget for this run.
+	// Each worker debits cancelCheckInterval instructions at
 	// its fuel-check window; once the counter goes negative the run
 	// aborts through the cancellation plumbing and the Result reports
 	// Canceled=true. The overshoot is therefore bounded by roughly
 	// cancelCheckInterval × workers instructions. Several runs may share
-	// one counter to enforce a joint budget. Ignored by the tree-walker,
-	// whose instruction accounting has no dispatch window.
+	// one counter to enforce a joint budget.
 	Fuel *atomic.Int64
 }
 
 // Result carries the merged global accumulators and execution metadata.
 type Result struct {
 	Globals []int64
-	// WorkPerThread reports the work each worker executed: bytecode
-	// instructions under the VM, outer-loop iterations under the
-	// tree-walker. The scalability experiment uses max/mean of this
-	// slice as its load-balance signal.
+	// WorkPerThread reports the bytecode instructions each worker
+	// executed. The scalability experiment uses max/mean of this slice
+	// as its load-balance signal.
 	WorkPerThread []int64
 	// Canceled reports that Options.Cancel aborted the run; Globals are
 	// then partial.
 	Canceled bool
 	// OpCounts[op] counts executed bytecode instructions per ast.OpCode,
-	// merged across workers. Nil under the tree-walking interpreter.
+	// merged across workers.
 	OpCounts []int64
 	// KernelCounts[k] counts intersect/subtract dispatches per
 	// kernel path (see KernelMerge..KernelBitmapCount and KernelNames),
-	// merged across workers and independent of the steal schedule. Nil
-	// under the tree-walking interpreter.
+	// merged across workers and independent of the steal schedule.
 	KernelCounts []int64
 	// KernelElems[k] counts the elements processed by kernel path k
 	// (merge: both operand lengths, gallop: probes × search depth,
 	// bitmap: probed array length, bitmap-count: bitmap words), merged
-	// across workers and schedule-invariant like KernelCounts. Nil under
-	// the tree-walking interpreter.
+	// across workers and schedule-invariant like KernelCounts.
 	KernelElems []int64
 	// Profile is the run's sampling profile; nil unless Options.Profile
-	// was set (and the VM interpreter ran).
+	// was set.
 	Profile *obs.Profile
 	// Steals counts loop ranges taken from another worker's deque, and
 	// Splits counts depth-1 subranges shed as stealable tasks by
-	// workers executing heavy outer iterations. Both are zero under
-	// SchedChunk and sequential runs.
+	// workers executing heavy outer iterations. Both are zero for runs
+	// that stayed on the submitting goroutine (Threads == 1, or no
+	// top-level loop with at least two iterations).
 	Steals int64
 	Splits int64
 	// SlabHits/SlabMisses score the scheduler's slab-affinity victim
@@ -255,7 +216,8 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// InstructionsExecuted sums OpCounts; 0 under the tree-walker.
+// InstructionsExecuted sums OpCounts: the bytecode instructions the run
+// executed across all workers.
 func (r *Result) InstructionsExecuted() int64 {
 	var total int64
 	for _, c := range r.OpCounts {
@@ -264,59 +226,11 @@ func (r *Result) InstructionsExecuted() int64 {
 	return total
 }
 
-// runner abstracts one interpreter's per-worker state behind the shared
-// parallel driver: the program is a sequence of top-level statements, of
-// which loops are the parallelizable units (the driver binds the loop
-// variable per chunk via execChunk).
-type runner interface {
-	pin(pins []uint32)
-	numTop() int
-	// topLoop returns the iteration set of top-level statement i, or
-	// (nil, false) when it is not a loop.
-	topLoop(i int) ([]uint32, bool)
-	// execTop runs top-level statement i whole on this frame.
-	execTop(i int) bool
-	// execChunk runs loop statement i's body over an explicit element
-	// slice; false means a consumer stopped the run.
-	execChunk(i int, elems []uint32) bool
-	fork() runner
-	// forkWorker returns a worker frame for the persistent pool,
-	// recycled across runs when the interpreter supports it; retire
-	// returns such a frame (or the master itself) to the recycle pool,
-	// and syncFrom re-copies the master's root-level register state into
-	// a worker at a segment boundary.
-	forkWorker() runner
-	retire(w runner)
-	syncFrom(m runner)
-	setConsumer(c Consumer)
-	// setCancel arms in-flight cancellation polling; canceled
-	// distinguishes an exec aborted by Options.Cancel from a consumer
-	// stop.
-	setCancel(c *atomic.Bool)
-	canceled() bool
-	// instrCount reports bytecode instructions this frame executed
-	// (always 0 for the tree-walker).
-	instrCount() int64
-	// mergeFrom folds a worker's accumulators into this (master) frame.
-	mergeFrom(w runner)
-	// finish publishes the master frame's accumulators into res.
-	finish(res *Result)
-}
-
-// Legacy chunk-driver granularity (SchedChunk). Aiming for roughly
-// chunksPerThread chunks per worker keeps self-scheduling overhead (one
-// atomic add per chunk) negligible, but on small-but-skewed outer loops
-// the quotient degenerates into a handful of huge chunks whose heaviest
-// vertex dominates the run, so chunk size is additionally capped at
-// maxChunk: smaller chunks mean more scheduling operations, larger
-// chunks mean a single hub vertex can strand its whole chunk on one
-// worker.
-const (
-	chunksPerThread = 16
-	maxChunk        = 256
-)
-
-// Run executes a program against g and returns the merged globals.
+// Run executes a program against g and returns the merged globals. The
+// submitting goroutine's master frame executes root-level statements
+// and, when Threads == 1 or a loop has fewer than two iterations, the
+// loop itself; every other top-level loop is one job on the
+// work-stealing pool.
 func Run(g *graph.Graph, prog *ast.Program, opts Options) (*Result, error) {
 	runStart := time.Now()
 	if err := prog.Validate(); err != nil {
@@ -331,23 +245,14 @@ func Run(g *graph.Graph, prog *ast.Program, opts Options) (*Result, error) {
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
-	useVM := opts.Interpreter != InterpTree
-	sched := opts.Sched
-	if !useVM {
-		// The tree-walker is a differential-testing baseline and is not
-		// routed through the steal pool: it runs sequentially or under
-		// the legacy chunk driver only.
-		sched = SchedChunk
-	}
 	var pool *Pool
-	if threads > 1 && sched == SchedSteal {
+	if threads > 1 {
 		if opts.Pool != nil {
 			pool = opts.Pool
 			threads = pool.size
 		} else {
 			// Correctness fallback for callers that did not wire a
-			// persistent pool; pays per-run goroutine spawn like the old
-			// driver did.
+			// persistent pool; pays goroutine spawn per run.
 			pool = NewPool(threads)
 			defer pool.Close()
 		}
@@ -362,37 +267,31 @@ func Run(g *graph.Graph, prog *ast.Program, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("engine: program emits partial embeddings but no consumer factory given")
 	}
 
-	// The master frame executes root-level statements; each top-level
-	// loop is run by the parallel driver.
-	var master runner
-	if useVM {
-		var sh *vmShared
-		if opts.Prepared.matches(g, prog, opts.DisableHub) {
-			sh = opts.Prepared.sh
-		} else {
-			bc := opts.Code
-			if bc == nil || bc.Prog != prog {
-				bc = ast.Lower(prog)
-			}
-			hub := g.HubIndex()
-			if opts.DisableHub {
-				hub = nil
-			}
-			sh = newVMShared(g, bc, hub)
-		}
-		master = sh.getFrame()
-		mf := master.(*vmFrame)
-		if opts.Profile {
-			mf.prof = &profAgg{}
-		}
-		mf.progress = opts.Progress
-		mf.fuelBudget = opts.Fuel
+	var sh *vmShared
+	if opts.Prepared.matches(g, prog, opts.DisableHub) {
+		sh = opts.Prepared.sh
 	} else {
-		master = newFrame(g, prog, nil)
+		bc := opts.Code
+		if bc == nil || bc.Prog != prog {
+			bc = ast.Lower(prog)
+		}
+		hub := g.HubIndex()
+		if opts.DisableHub {
+			hub = nil
+		}
+		sh = newVMShared(g, bc, hub)
 	}
-	master.pin(opts.Pins)
+	master := sh.getFrame()
+	if opts.Profile {
+		master.prof = &profAgg{}
+	}
+	master.progress = opts.Progress
+	master.fuelBudget = opts.Fuel
+	master.cancel = opts.Cancel
+	copy(master.vars, opts.Pins)
+	numTop := len(sh.bc.Segments)
 	if opts.Progress != nil {
-		opts.Progress.setTotal(master.numTop())
+		opts.Progress.setTotal(numTop)
 	}
 	res := &Result{
 		Globals:       make([]int64, prog.NumGlobals),
@@ -409,15 +308,14 @@ func Run(g *graph.Graph, prog *ast.Program, opts Options) (*Result, error) {
 		}
 		return consumers[t]
 	}
+	master.consumer = getConsumer(0)
 
-	master.setConsumer(getConsumer(0))
-	master.setCancel(opts.Cancel)
 	stopped := false
 	// mergedInstr tracks worker instructions already folded into the
 	// master's op counters, so the master's own share can be attributed
 	// to worker slot 0 at the end.
 	var mergedInstr int64
-	for i := 0; i < master.numTop() && !stopped; i++ {
+	for i := 0; i < numTop && !stopped; i++ {
 		over, isLoop := master.topLoop(i)
 		if !isLoop {
 			// Root-level statements (defs, and emissions of fully pinned
@@ -425,18 +323,16 @@ func Run(g *graph.Graph, prog *ast.Program, opts Options) (*Result, error) {
 			// run here too.
 			if !master.execTop(i) {
 				stopped = true
-				if master.canceled() {
-					res.Canceled = true
-				}
+				res.Canceled = master.cancelHit
 			} else if opts.Progress != nil {
 				opts.Progress.add(segUnits)
 			}
 			continue
 		}
 		if threads == 1 || len(over) < 2 {
-			// Sequential fast path (also used by bounded materialization),
-			// chunked so cancellation is observed even between the VM's
-			// amortized in-flight polls.
+			// In-line degenerate case (also used by bounded
+			// materialization), chunked so cancellation is observed even
+			// between the VM's amortized in-flight polls.
 			const seqChunk = 64
 			for start := 0; start < len(over); start += seqChunk {
 				if opts.Cancel != nil && opts.Cancel.Load() {
@@ -450,127 +346,48 @@ func Run(g *graph.Graph, prog *ast.Program, opts Options) (*Result, error) {
 				}
 				if !master.execChunk(i, over[start:end]) {
 					stopped = true
-					if master.canceled() {
-						res.Canceled = true
-					}
+					res.Canceled = master.cancelHit
 					break
 				}
 				if opts.Progress != nil {
 					opts.Progress.add(segSpan(len(over), start, end))
 				}
-				if !useVM {
-					res.WorkPerThread[0] += int64(end - start)
-				}
 			}
 			continue
 		}
-		if pool != nil {
-			// Work-stealing driver: the whole outer range is submitted as
-			// one task; idle workers steal half of a victim's remainder,
-			// and heavy outer iterations shed depth-1 subranges (§7.4).
-			j := newJob(master.(*vmFrame), i, over, opts.Cancel, pool.size, getConsumer)
-			pool.runJob(j)
-			res.Steals += j.steals.Load()
-			res.Splits += j.splits.Load()
-			res.SlabHits += j.slabHits.Load()
-			res.SlabMisses += j.slabMisses.Load()
-			for t := range j.frames {
-				obsWorkerSteal.Observe(j.stealsBy[t].Load())
-				obsWorkerSplit.Observe(j.splitsBy[t].Load())
-			}
-			for t, wf := range j.frames {
-				wc := wf.instrCount()
-				res.WorkPerThread[t] += wc
-				mergedInstr += wc
-				master.mergeFrom(wf)
-				master.retire(wf)
-			}
-			switch j.stop.Load() {
-			case stopConsumer:
-				stopped = true
-			case stopCanceled:
-				stopped = true
-				res.Canceled = true
-			}
-			continue
-		}
-		// Legacy fork-join driver (SchedChunk): per-run goroutines
-		// self-schedule fixed-size chunks of the outermost loop only.
-		chunk := len(over) / (threads * chunksPerThread)
-		if chunk > maxChunk {
-			chunk = maxChunk
-		}
-		if chunk < 1 {
-			chunk = 1
-		}
-		var next int64
-		var stopFlag int64
-		var wg sync.WaitGroup
-		workers := make([]runner, threads)
-		for t := 0; t < threads; t++ {
-			wg.Add(1)
-			w := master.fork()
-			w.setConsumer(getConsumer(t))
-			w.setCancel(opts.Cancel)
-			workers[t] = w
-			go func(t int, w runner) {
-				defer wg.Done()
-				for {
-					if opts.Cancel != nil && opts.Cancel.Load() {
-						atomic.StoreInt64(&stopFlag, 2)
-						return
-					}
-					start := int(atomic.AddInt64(&next, int64(chunk))) - chunk
-					if start >= len(over) {
-						return
-					}
-					end := start + chunk
-					if end > len(over) {
-						end = len(over)
-					}
-					if !useVM {
-						res.WorkPerThread[t] += int64(end - start)
-					}
-					if !w.execChunk(i, over[start:end]) {
-						if w.canceled() {
-							atomic.StoreInt64(&stopFlag, 2)
-						} else {
-							atomic.StoreInt64(&stopFlag, 1)
-						}
-						atomic.StoreInt64(&next, int64(len(over))) // drain
-						return
-					}
-					if opts.Progress != nil {
-						opts.Progress.add(segSpan(len(over), start, end))
-					}
-				}
-			}(t, w)
-		}
-		wg.Wait()
-		if f := atomic.LoadInt64(&stopFlag); f != 0 {
-			stopped = true
-			if f == 2 {
-				res.Canceled = true
-			}
-		}
+		// Work-stealing driver: the whole outer range is submitted as one
+		// task; idle workers steal half of a victim's remainder, and
+		// heavy outer iterations shed depth-1 subranges (§7.4).
+		j := newJob(master, i, over, opts.Cancel, pool.size, getConsumer)
+		pool.runJob(j)
+		res.Steals += j.steals.Load()
+		res.Splits += j.splits.Load()
+		res.SlabHits += j.slabHits.Load()
+		res.SlabMisses += j.slabMisses.Load()
 		// Privatized accumulators: merge per-worker globals under no
 		// contention (associative + commutative updates, §7.1).
-		for t, w := range workers {
-			if useVM {
-				wc := w.instrCount()
-				res.WorkPerThread[t] += wc
-				mergedInstr += wc
-			}
-			master.mergeFrom(w)
+		for t, wf := range j.frames {
+			obsWorkerSteal.Observe(j.stealsBy[t].Load())
+			obsWorkerSplit.Observe(j.splitsBy[t].Load())
+			wc := wf.instrCount()
+			res.WorkPerThread[t] += wc
+			mergedInstr += wc
+			master.mergeFrom(wf)
+			sh.framePool.Put(wf)
+		}
+		switch j.stop.Load() {
+		case stopConsumer:
+			stopped = true
+		case stopCanceled:
+			stopped = true
+			res.Canceled = true
 		}
 	}
-	if useVM {
-		// Whatever the master executed itself (root statements, the
-		// sequential path) is worker 0's share.
-		res.WorkPerThread[0] += master.instrCount() - mergedInstr
-	}
+	// Whatever the master executed itself (root statements, the in-line
+	// path) is worker 0's share.
+	res.WorkPerThread[0] += master.instrCount() - mergedInstr
 	master.finish(res)
-	master.retire(master)
+	sh.framePool.Put(master)
 	res.Elapsed = time.Since(runStart)
 	if opts.Progress != nil && !res.Canceled {
 		opts.Progress.markDone()
@@ -584,298 +401,25 @@ func Run(g *graph.Graph, prog *ast.Program, opts Options) (*Result, error) {
 	if res.Canceled {
 		obsCanceled.Inc()
 	}
-	if useVM {
-		obsInstr.Add(res.InstructionsExecuted())
-		for k, c := range res.KernelCounts {
-			if c != 0 {
-				obsKernels[k].Add(c)
-			}
+	obsInstr.Add(res.InstructionsExecuted())
+	for k, c := range res.KernelCounts {
+		if c != 0 {
+			obsKernels[k].Add(c)
 		}
-		for k, c := range res.KernelElems {
-			if c != 0 {
-				obsKernelElems[k].Add(c)
-			}
+	}
+	for k, c := range res.KernelElems {
+		if c != 0 {
+			obsKernelElems[k].Add(c)
 		}
-		for t, w := range res.WorkPerThread {
-			obsWorkerInstr.Observe(w)
-			workerInstrCounter(t).Add(w)
-		}
-		if res.Profile != nil {
-			obs.AccumulateProfile(res.Profile)
-			obsProfNS.Add(res.Profile.TotalNS)
-			obsProfSamples.Add(res.Profile.Samples)
-		}
+	}
+	for t, w := range res.WorkPerThread {
+		obsWorkerInstr.Observe(w)
+		workerInstrCounter(t).Add(w)
+	}
+	if res.Profile != nil {
+		obs.AccumulateProfile(res.Profile)
+		obsProfNS.Add(res.Profile.TotalNS)
+		obsProfSamples.Add(res.Profile.Samples)
 	}
 	return res, nil
-}
-
-// frame is a per-worker register file.
-type frame struct {
-	g        *graph.Graph
-	prog     *ast.Program
-	vars     []uint32
-	sets     [][]uint32 // current value per set register
-	bufs     [][]uint32 // backing storage per set register
-	scalars  []int64
-	globals  []int64
-	tables   []*HashTable
-	keyBuf   []uint32
-	consumer Consumer
-	labelOf  func(uint32) uint32
-
-	// cancel is polled every treeCancelInterval loop iterations (at any
-	// depth); cancelHit records that a loop was aborted by it rather
-	// than by a consumer stop. checkCtr amortizes the atomic load.
-	cancel    *atomic.Bool
-	cancelHit bool
-	checkCtr  int
-}
-
-// treeCancelInterval bounds how many loop iterations the tree-walker
-// executes between Options.Cancel polls.
-const treeCancelInterval = 64
-
-func newFrame(g *graph.Graph, prog *ast.Program, parent *frame) *frame {
-	f := &frame{
-		g:       g,
-		prog:    prog,
-		vars:    make([]uint32, prog.NumVars),
-		sets:    make([][]uint32, prog.NumSets),
-		bufs:    make([][]uint32, prog.NumSets),
-		scalars: make([]int64, prog.NumScalars),
-		globals: make([]int64, prog.NumGlobals),
-		keyBuf:  make([]uint32, 0, prog.MaxKey+4),
-	}
-	f.labelOf = g.Label
-	f.tables = make([]*HashTable, prog.NumTables)
-	for i := range f.tables {
-		width := 1
-		if i < len(prog.TableWidths) && prog.TableWidths[i] > 0 {
-			width = prog.TableWidths[i]
-		}
-		f.tables[i] = NewHashTable(width)
-	}
-	if parent != nil {
-		copy(f.vars, parent.vars)
-		copy(f.scalars, parent.scalars)
-		// Set registers defined at root level are SSA and read-only
-		// within loops, so workers may alias the master's slices.
-		copy(f.sets, parent.sets)
-	}
-	return f
-}
-
-// --- runner interface (shared parallel driver) ---
-
-func (f *frame) pin(pins []uint32) { copy(f.vars, pins) }
-
-func (f *frame) numTop() int { return len(f.prog.Root.Body) }
-
-func (f *frame) topLoop(i int) ([]uint32, bool) {
-	n := f.prog.Root.Body[i]
-	if n.Kind != ast.KLoop {
-		return nil, false
-	}
-	return f.sets[n.Over], true
-}
-
-func (f *frame) execTop(i int) bool { return f.execOK(f.prog.Root.Body[i]) }
-
-func (f *frame) execChunk(i int, elems []uint32) bool {
-	return f.loopRange(f.prog.Root.Body[i], elems)
-}
-
-// fork creates a worker frame sharing the master's root-level set values.
-func (f *frame) fork() runner { return newFrame(f.g, f.prog, f) }
-
-// The tree-walker is never routed through the steal pool, but it still
-// satisfies the pool-facing runner methods so the driver code stays
-// interpreter-agnostic: forkWorker degenerates to fork, retire is a
-// no-op (frames are not recycled), and syncFrom mirrors the fork copy.
-func (f *frame) forkWorker() runner { return f.fork() }
-
-func (f *frame) retire(w runner) {}
-
-func (f *frame) syncFrom(m runner) {
-	mf := m.(*frame)
-	copy(f.vars, mf.vars)
-	copy(f.scalars, mf.scalars)
-	copy(f.sets, mf.sets)
-}
-
-func (f *frame) setConsumer(c Consumer) { f.consumer = c }
-
-func (f *frame) setCancel(c *atomic.Bool) { f.cancel = c }
-
-func (f *frame) canceled() bool { return f.cancelHit }
-
-func (f *frame) instrCount() int64 { return 0 }
-
-func (f *frame) mergeFrom(w runner) {
-	wf := w.(*frame)
-	for i, v := range wf.globals {
-		f.globals[i] += v
-	}
-}
-
-func (f *frame) finish(res *Result) { copy(res.Globals, f.globals) }
-
-// loopRange executes a loop node over an explicit element slice,
-// returning false if a consumer requested early termination.
-func (f *frame) loopRange(n *ast.Node, over []uint32) bool {
-	for _, v := range over {
-		if f.cancel != nil {
-			f.checkCtr++
-			if f.checkCtr >= treeCancelInterval {
-				f.checkCtr = 0
-				if f.cancel.Load() {
-					f.cancelHit = true
-					return false
-				}
-			}
-		}
-		f.vars[n.Var] = v
-		for _, c := range n.Body {
-			if !f.execOK(c) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// execOK interprets one node; false means "stop everything".
-func (f *frame) execOK(n *ast.Node) bool {
-	switch n.Kind {
-	case ast.KRoot:
-		for _, c := range n.Body {
-			if !f.execOK(c) {
-				return false
-			}
-		}
-	case ast.KLoop:
-		return f.loopRange(n, f.sets[n.Over])
-	case ast.KSetDef:
-		f.evalSet(n)
-	case ast.KScalarDef:
-		f.scalars[n.Dst] = f.evalScalar(n)
-	case ast.KScalarReset:
-		f.scalars[n.Dst] = n.Imm
-	case ast.KScalarAccum:
-		f.scalars[n.Dst] += n.Imm * f.scalars[n.SA]
-	case ast.KGlobalAdd:
-		f.globals[n.Dst] += n.Imm * f.scalars[n.SA]
-	case ast.KHashClear:
-		f.tables[n.Table].Clear()
-	case ast.KHashInc:
-		f.tables[n.Table].Add(f.key(n.Keys), n.Imm)
-	case ast.KHashGet:
-		f.scalars[n.Dst] = f.tables[n.Table].Get(f.key(n.Keys))
-	case ast.KCondPos:
-		if f.scalars[n.SA] > 0 {
-			for _, c := range n.Body {
-				if !f.execOK(c) {
-					return false
-				}
-			}
-		}
-	case ast.KEmit:
-		return f.consumer.Process(n.Sub, f.key(n.Keys), f.scalars[n.SA])
-	default:
-		panic(fmt.Sprintf("engine: unknown node kind %d", n.Kind))
-	}
-	return true
-}
-
-func (f *frame) key(vars []int) []uint32 {
-	f.keyBuf = f.keyBuf[:len(vars)]
-	for i, v := range vars {
-		f.keyBuf[i] = f.vars[v]
-	}
-	return f.keyBuf
-}
-
-func (f *frame) evalSet(n *ast.Node) {
-	dst := f.bufs[n.Dst]
-	switch n.Op {
-	case ast.OpAll:
-		nv := f.g.NumVertices()
-		if cap(dst) < nv {
-			dst = make([]uint32, nv)
-			for i := range dst {
-				dst[i] = uint32(i)
-			}
-		}
-		f.bufs[n.Dst] = dst[:nv]
-		f.sets[n.Dst] = dst[:nv]
-		return
-	case ast.OpNeighbors:
-		// Alias the CSR adjacency directly: zero copies.
-		f.sets[n.Dst] = f.g.Neighbors(f.vars[n.V])
-		return
-	case ast.OpIntersect:
-		dst = vset.Intersect(dst, f.sets[n.A], f.sets[n.B])
-	case ast.OpSubtract:
-		dst = vset.Subtract(dst, f.sets[n.A], f.sets[n.B])
-	case ast.OpRemove:
-		dst = vset.Remove(dst, f.sets[n.A], f.vars[n.V])
-	case ast.OpTrimAbove:
-		dst = vset.TrimAbove(dst, f.sets[n.A], f.vars[n.V])
-	case ast.OpTrimBelow:
-		dst = vset.TrimBelow(dst, f.sets[n.A], f.vars[n.V])
-	case ast.OpCopy:
-		dst = vset.Copy(dst, f.sets[n.A])
-	case ast.OpFilterLabel:
-		dst = dst[:0]
-		want := uint32(n.Imm)
-		for _, x := range f.sets[n.A] {
-			if f.labelOf(x) == want {
-				dst = append(dst, x)
-			}
-		}
-	case ast.OpFilterLabelOfVar:
-		dst = dst[:0]
-		want := f.labelOf(f.vars[n.V])
-		for _, x := range f.sets[n.A] {
-			if f.labelOf(x) == want {
-				dst = append(dst, x)
-			}
-		}
-	case ast.OpFilterLabelNotOfVar:
-		dst = dst[:0]
-		avoid := f.labelOf(f.vars[n.V])
-		for _, x := range f.sets[n.A] {
-			if f.labelOf(x) != avoid {
-				dst = append(dst, x)
-			}
-		}
-	}
-	f.bufs[n.Dst] = dst
-	f.sets[n.Dst] = dst
-}
-
-func (f *frame) evalScalar(n *ast.Node) int64 {
-	switch n.SOp {
-	case ast.SSize:
-		return int64(len(f.sets[n.A]))
-	case ast.SConst:
-		return n.Imm
-	case ast.SMul:
-		return f.scalars[n.SA] * f.scalars[n.SB]
-	case ast.SDiv:
-		d := f.scalars[n.SB]
-		if d == 0 {
-			return 0
-		}
-		return f.scalars[n.SA] / d
-	case ast.SSub:
-		return f.scalars[n.SA] - f.scalars[n.SB]
-	case ast.SAdd:
-		return f.scalars[n.SA] + f.scalars[n.SB]
-	case ast.SCountAbove:
-		return vset.CountAbove(f.sets[n.A], f.vars[n.V])
-	case ast.SCountBelow:
-		return vset.CountBelow(f.sets[n.A], f.vars[n.V])
-	}
-	panic(fmt.Sprintf("engine: unknown scalar op %d", n.SOp))
 }

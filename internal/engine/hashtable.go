@@ -1,7 +1,7 @@
 // Package engine executes compiled DecoMine programs against an input
-// graph: a register-machine interpreter over the AST IR (the moral
-// equivalent of the paper's generated C++), a dynamically load-balanced
-// parallel driver for the outermost loop, and the epoch-validated hash
+// graph: a register-machine bytecode VM over the lowered AST IR (the
+// moral equivalent of the paper's generated C++), a work-stealing
+// parallel driver for the outermost loops, and the epoch-validated hash
 // table of paper §5 whose clear operation is O(1).
 package engine
 

@@ -68,8 +68,8 @@ func kernelTotal(res *Result, ks ...int) int64 {
 	return n
 }
 
-// TestHubDifferential runs hub-routed, hub-disabled, and tree-walker
-// executions of several programs on the same hub-indexed graph: the
+// TestHubDifferential runs hub-routed, hub-disabled, and evalTree
+// reference executions of several programs on the same hub-indexed graph: the
 // counts must be bit-identical, the instruction streams identical, and
 // only the hub run may dispatch bitmap kernels.
 func TestHubDifferential(t *testing.T) {
@@ -88,13 +88,10 @@ func TestHubDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree, err := Run(g, prog, Options{Threads: 1, Interpreter: InterpTree})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hub.Globals[0] != noHub.Globals[0] || hub.Globals[0] != tree.Globals[0] {
+		tree := evalTree(g, prog, nil, nil)
+		if hub.Globals[0] != noHub.Globals[0] || hub.Globals[0] != tree[0] {
 			t.Fatalf("%s: counts diverge: hub=%d nohub=%d tree=%d",
-				name, hub.Globals[0], noHub.Globals[0], tree.Globals[0])
+				name, hub.Globals[0], noHub.Globals[0], tree[0])
 		}
 		if hub.InstructionsExecuted() != noHub.InstructionsExecuted() {
 			t.Fatalf("%s: instruction counts diverge: hub=%d nohub=%d",
@@ -117,8 +114,8 @@ func TestHubDifferential(t *testing.T) {
 }
 
 // TestKernelCountsScheduleInvariant checks that the merged kernel-path
-// counters do not depend on thread count, scheduler, or the
-// steal/split schedule (thief prefix replays are muted).
+// counters do not depend on thread count or the steal/split schedule
+// (thief prefix replays are muted): Threads: 1 is the reference.
 func TestKernelCountsScheduleInvariant(t *testing.T) {
 	g := hubGraph(t)
 	prog := buildTriangleProgram()
@@ -133,7 +130,6 @@ func TestKernelCountsScheduleInvariant(t *testing.T) {
 		{Threads: 2},
 		{Threads: 4},
 		{Threads: 8},
-		{Threads: 4, Sched: SchedChunk},
 	}
 	for _, opts := range cases {
 		res, err := Run(g, prog, opts)
@@ -141,12 +137,12 @@ func TestKernelCountsScheduleInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.Globals[0] != base.Globals[0] {
-			t.Fatalf("threads=%d sched=%d: count %d != %d", opts.Threads, opts.Sched, res.Globals[0], base.Globals[0])
+			t.Fatalf("threads=%d: count %d != %d", opts.Threads, res.Globals[0], base.Globals[0])
 		}
 		for k := range base.KernelCounts {
 			if res.KernelCounts[k] != base.KernelCounts[k] {
-				t.Fatalf("threads=%d sched=%d: kernel %s count %d != %d",
-					opts.Threads, opts.Sched, KernelNames[k], res.KernelCounts[k], base.KernelCounts[k])
+				t.Fatalf("threads=%d: kernel %s count %d != %d",
+					opts.Threads, KernelNames[k], res.KernelCounts[k], base.KernelCounts[k])
 			}
 		}
 	}

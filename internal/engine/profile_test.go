@@ -202,22 +202,6 @@ func TestProgressMonotonicAndCompletes(t *testing.T) {
 	}
 }
 
-func TestProgressUnderChunkSched(t *testing.T) {
-	g := graph.GNP(300, 0.05, 7)
-	prog := buildTriangleProgram()
-	tracker := &ProgressTracker{}
-	res, err := Run(g, prog, Options{Threads: 4, Sched: SchedChunk, Progress: tracker})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Canceled {
-		t.Fatal("unexpected cancel")
-	}
-	if f := tracker.Fraction(); f != 1.0 {
-		t.Fatalf("final fraction %v, want 1.0", f)
-	}
-}
-
 // TestProgressConcurrentQueries runs several tracked queries at once on
 // a shared pool — each tracker must end at exactly 1.0 and stay
 // monotone (exercised under -race in CI).

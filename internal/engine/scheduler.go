@@ -1,6 +1,6 @@
 package engine
 
-// The persistent work-stealing scheduler (SchedSteal). A Pool owns a
+// The persistent work-stealing scheduler. A Pool owns a
 // fixed set of worker goroutines, each with a deque of tasks; a task is
 // a contiguous range of loop iterations — of a top-level loop, or of
 // one outer iteration's depth-1 candidate set. Owners carve small
@@ -147,8 +147,8 @@ func newJob(master *vmFrame, seg int, over []uint32, cancel *atomic.Bool, slots 
 	for t := range j.frames {
 		wf := master.sh.getFrame()
 		wf.syncFrom(master)
-		wf.setConsumer(getConsumer(t))
-		wf.setCancel(cancel)
+		wf.consumer = getConsumer(t)
+		wf.cancel = cancel
 		wf.fuelBudget = master.fuelBudget
 		wf.stopFlag = &j.stop
 		// Workers inherit the master's profiling/progress arming; their
@@ -482,7 +482,7 @@ func (p *Pool) runPiece(id int, pc piece) {
 		}
 	}
 	if !ok {
-		if f.canceled() {
+		if f.cancelHit {
 			j.stop.CompareAndSwap(stopRun, stopCanceled)
 		} else {
 			j.stop.CompareAndSwap(stopRun, stopConsumer)

@@ -197,8 +197,8 @@ func TestPoolConcurrentJobs(t *testing.T) {
 }
 
 // TestOpCountsScheduleInvariant checks that the merged per-opcode
-// execution counts do not depend on the thread count, the scheduler, or
-// the steal/split schedule.
+// execution counts do not depend on the thread count or the steal/split
+// schedule: Threads: 1 is the reference.
 func TestOpCountsScheduleInvariant(t *testing.T) {
 	g := graph.RMAT(9, 8, 21)
 	prog := buildTriangleProgram()
@@ -210,7 +210,6 @@ func TestOpCountsScheduleInvariant(t *testing.T) {
 		{Threads: 2},
 		{Threads: 4},
 		{Threads: 8},
-		{Threads: 4, Sched: SchedChunk},
 	}
 	for _, opts := range cases {
 		res, err := Run(g, prog, opts)
@@ -218,14 +217,81 @@ func TestOpCountsScheduleInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.Globals[0] != base.Globals[0] {
-			t.Fatalf("threads=%d sched=%d: count %d != %d", opts.Threads, opts.Sched, res.Globals[0], base.Globals[0])
+			t.Fatalf("threads=%d: count %d != %d", opts.Threads, res.Globals[0], base.Globals[0])
 		}
 		for op := range base.OpCounts {
 			if res.OpCounts[op] != base.OpCounts[op] {
-				t.Fatalf("threads=%d sched=%d: op %s count %d != %d",
-					opts.Threads, opts.Sched, ast.OpCode(op), res.OpCounts[op], base.OpCounts[op])
+				t.Fatalf("threads=%d: op %s count %d != %d",
+					opts.Threads, ast.OpCode(op), res.OpCounts[op], base.OpCounts[op])
 			}
 		}
+	}
+}
+
+// buildFourMotifProgram counts two 4-vertex motifs in one pass, as
+// ordered tuples: 4-cliques (global 0) through a three-deep loop nest of
+// chained intersections, and diamonds (global 1) in closed form from
+// each edge's common-neighbor count.
+func buildFourMotifProgram() *ast.Program {
+	b := ast.NewBuilder(0)
+	all := b.All()
+	cliques, diamonds := b.NewGlobal(), b.NewGlobal()
+	v0 := b.BeginLoop(all, nil)
+	n0 := b.Neighbors(v0)
+	v1 := b.BeginLoop(n0, nil)
+	common := b.Intersect(n0, b.Neighbors(v1))
+	c := b.Size(common)
+	b.GlobalAdd(diamonds, b.Mul(c, b.Sub(c, b.Const(1))), 1)
+	v2 := b.BeginLoop(common, nil)
+	b.GlobalAdd(cliques, b.Size(b.Intersect(common, b.Neighbors(v2))), 1)
+	b.EndLoop()
+	b.EndLoop()
+	b.EndLoop()
+	return b.Finish()
+}
+
+// TestPoolBitIdenticalToSequential pins the one-driver contract: the
+// in-line Threads: 1 case and a 4-worker stealing pool are the same
+// execution, so every schedule-invariant output — globals, per-opcode
+// counts, kernel dispatches and kernel element work — is bit-identical
+// (and both agree with the evalTree reference).
+func TestPoolBitIdenticalToSequential(t *testing.T) {
+	g := graph.RMAT(10, 8, 33)
+	if g.BuildHubIndex(32) == nil {
+		t.Fatal("no hubs at threshold 32")
+	}
+	prog := buildFourMotifProgram()
+	seq, err := Run(g, prog, Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewPool(4)
+	defer pool.Close()
+	par, err := Run(g, prog, Options{Threads: 4, Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if par.Steals == 0 {
+		t.Fatal("pool run never stole: the comparison exercised no schedule")
+	}
+	same := func(what string, a, b []int64) {
+		t.Helper()
+		if len(a) != len(b) {
+			t.Fatalf("%s: length %d != %d", what, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%s[%d]: sequential %d, pool %d", what, i, a[i], b[i])
+			}
+		}
+	}
+	same("Globals", seq.Globals, par.Globals)
+	same("OpCounts", seq.OpCounts, par.OpCounts)
+	same("KernelCounts", seq.KernelCounts, par.KernelCounts)
+	same("KernelElems", seq.KernelElems, par.KernelElems)
+	same("Globals vs evalTree", seq.Globals, evalTree(g, prog, nil, nil))
+	if seq.Globals[0] == 0 || seq.Globals[1] == 0 {
+		t.Fatalf("graph too sparse to exercise the program: %v", seq.Globals)
 	}
 }
 
@@ -244,13 +310,13 @@ func TestStealCountersOnSkewedGraph(t *testing.T) {
 	if res.Splits < 0 {
 		t.Fatal("negative splits")
 	}
-	// SchedChunk never steals or splits.
-	cres, err := Run(g, prog, Options{Threads: 4, Sched: SchedChunk})
+	// The in-line Threads: 1 case never touches a deque.
+	seq, err := Run(g, prog, Options{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cres.Steals != 0 || cres.Splits != 0 {
-		t.Fatalf("chunk driver reported steals=%d splits=%d", cres.Steals, cres.Splits)
+	if seq.Steals != 0 || seq.Splits != 0 {
+		t.Fatalf("sequential run reported steals=%d splits=%d", seq.Steals, seq.Splits)
 	}
 }
 

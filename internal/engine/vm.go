@@ -1,12 +1,11 @@
 package engine
 
 // The bytecode VM: a single non-recursive dispatch loop per worker over
-// the flat instruction stream produced by ast.Lower. Compared to the
-// tree-walking interpreter it removes the per-node interface dispatch,
-// Body slice traversal and execOK recursion from the inner mining loops,
-// and it preallocates all set buffers in one per-worker arena sized from
-// a static bound analysis of the instruction stream, so steady-state
-// execution performs no allocations at all.
+// the flat instruction stream produced by ast.Lower. There is no
+// per-node interface dispatch, Body slice traversal or recursion in the
+// inner mining loops, and all set buffers are preallocated in one
+// per-worker arena sized from a static bound analysis of the instruction
+// stream, so steady-state execution performs no allocations at all.
 
 import (
 	"fmt"
@@ -220,7 +219,7 @@ func (sh *vmShared) getFrame() *vmFrame {
 		f.resetForJob()
 		return f
 	}
-	return newVMFrame(sh, nil)
+	return newVMFrame(sh)
 }
 
 // vmFrame is a per-worker register file plus loop iteration state. Set
@@ -306,7 +305,7 @@ type vmFrame struct {
 // vertex's subtree) overruns a budget by at most ~2^14 instructions.
 const cancelCheckInterval = 1 << 14
 
-func newVMFrame(sh *vmShared, parent *vmFrame) *vmFrame {
+func newVMFrame(sh *vmShared) *vmFrame {
 	prog := sh.bc.Prog
 	f := &vmFrame{
 		sh:       sh,
@@ -341,14 +340,6 @@ func newVMFrame(sh *vmShared, parent *vmFrame) *vmFrame {
 			width = prog.TableWidths[i]
 		}
 		f.tables[i] = NewHashTable(width)
-	}
-	if parent != nil {
-		copy(f.vars, parent.vars)
-		copy(f.scalars, parent.scalars)
-		// Root-level set registers are SSA and read-only within loops,
-		// so workers may alias the master's slices.
-		copy(f.sets, parent.sets)
-		f.fuelBudget = parent.fuelBudget
 	}
 	return f
 }
@@ -1029,12 +1020,10 @@ func (f *vmFrame) execD1(i int, v uint32, lo, hi int, elemUnits int64, sched d1S
 // splittable reports whether loop segment i supports depth-1 splitting.
 func (f *vmFrame) splittable(i int) bool { return f.sh.d1[i].ok }
 
-// --- runner interface (shared parallel driver) ---
+// --- per-frame half of the parallel driver (Run, Pool.runPiece) ---
 
-func (f *vmFrame) pin(pins []uint32) { copy(f.vars, pins) }
-
-func (f *vmFrame) numTop() int { return len(f.sh.bc.Segments) }
-
+// topLoop returns the iteration set of top-level segment i, or
+// (nil, false) when it is not a loop.
 func (f *vmFrame) topLoop(i int) ([]uint32, bool) {
 	seg := &f.sh.bc.Segments[i]
 	if !seg.Loop {
@@ -1043,6 +1032,7 @@ func (f *vmFrame) topLoop(i int) ([]uint32, bool) {
 	return f.sets[seg.Over], true
 }
 
+// execTop runs top-level segment i whole on this frame.
 func (f *vmFrame) execTop(i int) bool {
 	seg := &f.sh.bc.Segments[i]
 	if f.prof != nil {
@@ -1052,6 +1042,9 @@ func (f *vmFrame) execTop(i int) bool {
 	return f.exec(seg.Start, seg.End)
 }
 
+// execChunk runs loop segment i's body over an explicit element slice;
+// false means a consumer or cancellation stopped the run (f.cancelHit
+// tells which).
 func (f *vmFrame) execChunk(i int, elems []uint32) bool {
 	seg := &f.sh.bc.Segments[i]
 	if f.prof != nil {
@@ -1069,26 +1062,15 @@ func (f *vmFrame) execChunk(i int, elems []uint32) bool {
 	return true
 }
 
-func (f *vmFrame) fork() runner { return newVMFrame(f.sh, f) }
-
-// forkWorker returns a worker frame for the persistent pool, recycling
-// register files and arenas across runs; the caller re-syncs root state
-// via syncFrom.
-func (f *vmFrame) forkWorker() runner { return f.sh.getFrame() }
-
-// retire returns a worker frame to the shared recycle pool.
-func (f *vmFrame) retire(w runner) { f.sh.framePool.Put(w.(*vmFrame)) }
-
 // syncFrom re-copies the master's register state (pins, root-level set
 // and scalar definitions) into this worker frame at a segment boundary.
-func (f *vmFrame) syncFrom(m runner) {
-	mf := m.(*vmFrame)
-	copy(f.vars, mf.vars)
-	copy(f.scalars, mf.scalars)
+func (f *vmFrame) syncFrom(m *vmFrame) {
+	copy(f.vars, m.vars)
+	copy(f.scalars, m.scalars)
 	// Root-level set registers are SSA and read-only within loops, so
 	// workers may alias the master's slices; in-loop registers are
 	// redefined before any read.
-	copy(f.sets, mf.sets)
+	copy(f.sets, m.sets)
 }
 
 // resetForJob clears run-scoped accumulators on a recycled frame.
@@ -1122,10 +1104,7 @@ func (f *vmFrame) resetForJob() {
 	f.progress = nil
 }
 
-func (f *vmFrame) setCancel(c *atomic.Bool) { f.cancel = c }
-
-func (f *vmFrame) canceled() bool { return f.cancelHit }
-
+// instrCount reports the bytecode instructions this frame executed.
 func (f *vmFrame) instrCount() int64 {
 	var n int64
 	for _, c := range f.opCounts {
@@ -1134,27 +1113,26 @@ func (f *vmFrame) instrCount() int64 {
 	return n
 }
 
-func (f *vmFrame) setConsumer(c Consumer) { f.consumer = c }
-
-func (f *vmFrame) mergeFrom(w runner) {
-	wf := w.(*vmFrame)
-	for i, v := range wf.globalsV {
+// mergeFrom folds a worker's accumulators into this (master) frame.
+func (f *vmFrame) mergeFrom(w *vmFrame) {
+	for i, v := range w.globalsV {
 		f.globalsV[i] += v
 	}
-	for i, c := range wf.opCounts {
+	for i, c := range w.opCounts {
 		f.opCounts[i] += c
 	}
-	for i, c := range wf.kernelCounts {
+	for i, c := range w.kernelCounts {
 		f.kernelCounts[i] += c
 	}
-	for i, c := range wf.kernelElems {
+	for i, c := range w.kernelElems {
 		f.kernelElems[i] += c
 	}
-	if f.prof != nil && wf.prof != nil {
-		f.prof.merge(wf.prof)
+	if f.prof != nil && w.prof != nil {
+		f.prof.merge(w.prof)
 	}
 }
 
+// finish publishes the master frame's accumulators into res.
 func (f *vmFrame) finish(res *Result) {
 	copy(res.Globals, f.globalsV)
 	res.OpCounts = make([]int64, ast.NumOpcodes)

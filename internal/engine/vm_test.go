@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"decomine/internal/ast"
@@ -9,7 +8,7 @@ import (
 )
 
 // vmTestPrograms collects programs covering every opcode class so the
-// interpreters can be compared head to head.
+// VM can be compared against the evalTree reference.
 func vmTestPrograms() map[string]*ast.Program {
 	progs := map[string]*ast.Program{
 		"triangle": buildTriangleProgram(),
@@ -72,38 +71,33 @@ func vmTestPrograms() map[string]*ast.Program {
 	return progs
 }
 
-// runBoth executes prog under both interpreters with the same settings.
-func runBoth(t *testing.T, g *graph.Graph, prog *ast.Program, opts Options) (vm, tree *Result) {
+// runBoth executes prog on the VM with opts and on the sequential
+// evalTree reference, returning the VM result and the reference globals.
+func runBoth(t *testing.T, g *graph.Graph, prog *ast.Program, opts Options) (vm *Result, tree []int64) {
 	t.Helper()
-	opts.Interpreter = InterpVM
 	vm, err := Run(g, prog, opts)
 	if err != nil {
 		t.Fatalf("vm: %v", err)
 	}
-	opts.Interpreter = InterpTree
-	tree, err = Run(g, prog, opts)
-	if err != nil {
-		t.Fatalf("tree: %v", err)
-	}
-	return vm, tree
+	return vm, evalTree(g, prog, opts.Pins, nil)
 }
 
-func TestVMMatchesTreeWalker(t *testing.T) {
+func TestVMMatchesTreeReference(t *testing.T) {
 	g := graph.GNP(150, 0.08, 99)
 	for name, prog := range vmTestPrograms() {
 		for _, threads := range []int{1, 4} {
 			vm, tree := runBoth(t, g, prog, Options{Threads: threads})
 			for i := range vm.Globals {
-				if vm.Globals[i] != tree.Globals[i] {
+				if vm.Globals[i] != tree[i] {
 					t.Errorf("%s threads=%d global %d: vm %d, tree %d",
-						name, threads, i, vm.Globals[i], tree.Globals[i])
+						name, threads, i, vm.Globals[i], tree[i])
 				}
 			}
 		}
 	}
 }
 
-func TestVMMatchesTreeWalkerLabeled(t *testing.T) {
+func TestVMMatchesTreeReferenceLabeled(t *testing.T) {
 	bld := graph.NewBuilder(60)
 	for i := 0; i < 59; i++ {
 		bld.AddEdge(uint32(i), uint32(i+1))
@@ -137,8 +131,8 @@ func TestVMMatchesTreeWalkerLabeled(t *testing.T) {
 	prog := b.Finish()
 
 	vm, tree := runBoth(t, g, prog, Options{Threads: 2})
-	if vm.Globals[0] != tree.Globals[0] {
-		t.Fatalf("labeled: vm %d, tree %d", vm.Globals[0], tree.Globals[0])
+	if vm.Globals[0] != tree[0] {
+		t.Fatalf("labeled: vm %d, tree %d", vm.Globals[0], tree[0])
 	}
 }
 
@@ -172,17 +166,6 @@ func TestVMOpCountsPopulated(t *testing.T) {
 			t.Fatalf("op %s: parallel %d, sequential %d",
 				ast.OpCode(op), res.OpCounts[op], seq.OpCounts[op])
 		}
-	}
-
-	tree, err := Run(g, prog, Options{Threads: 2, Interpreter: InterpTree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tree.OpCounts != nil {
-		t.Fatal("tree-walker should not report OpCounts")
-	}
-	if tree.InstructionsExecuted() != 0 {
-		t.Fatal("tree-walker InstructionsExecuted should be 0")
 	}
 }
 
@@ -228,56 +211,35 @@ func TestVMEmitAndEarlyStop(t *testing.T) {
 	prog := b.Finish()
 	g := graph.GNP(100, 0.1, 31)
 
-	for _, interp := range []Interp{InterpVM, InterpTree} {
-		var edges int64
-		_, err := Run(g, prog, Options{
-			Threads:     1,
-			Interpreter: interp,
-			NewConsumer: func(w int) Consumer {
-				return ConsumerFunc(func(sub int, verts []uint32, count int64) bool {
-					edges += count
-					return true
-				})
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if edges != g.NumEdges() {
-			t.Fatalf("interp %d emitted %d, want %d", interp, edges, g.NumEdges())
-		}
-
-		seen := 0
-		_, err = Run(g, prog, Options{
-			Threads:     1,
-			Interpreter: interp,
-			NewConsumer: func(w int) Consumer {
-				return ConsumerFunc(func(sub int, verts []uint32, count int64) bool {
-					seen++
-					return seen < 7
-				})
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seen != 7 {
-			t.Fatalf("interp %d early stop saw %d emits", interp, seen)
-		}
+	// The sequential VM must deliver exactly the reference's emission
+	// sequence, and a consumer stop must cut both at the same point.
+	type emit struct {
+		v0, v1 uint32
+		count  int64
 	}
-}
-
-func TestVMCancelParity(t *testing.T) {
-	g := graph.GNP(300, 0.05, 2)
-	for _, interp := range []Interp{InterpVM, InterpTree} {
-		var cancel atomic.Bool
-		cancel.Store(true)
-		res, err := Run(g, slowProgram(), Options{Threads: 4, Cancel: &cancel, Interpreter: interp})
-		if err != nil {
+	for _, limit := range []int{0, 7} { // 0 = never stop
+		collect := func(out *[]emit) Consumer {
+			return ConsumerFunc(func(sub int, verts []uint32, count int64) bool {
+				*out = append(*out, emit{verts[0], verts[1], count})
+				return len(*out) != limit
+			})
+		}
+		var got, want []emit
+		if _, err := Run(g, prog, Options{Threads: 1, NewConsumer: func(int) Consumer { return collect(&got) }}); err != nil {
 			t.Fatal(err)
 		}
-		if !res.Canceled {
-			t.Fatalf("interp %d: cancel not observed", interp)
+		evalTree(g, prog, nil, collect(&want))
+		wantLen := limit
+		if limit == 0 {
+			wantLen = int(g.NumEdges())
+		}
+		if len(got) != wantLen || len(want) != wantLen {
+			t.Fatalf("limit %d: vm emitted %d, tree %d, want %d", limit, len(got), len(want), wantLen)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("limit %d: emission %d: vm %v, tree %v", limit, i, got[i], want[i])
+			}
 		}
 	}
 }
@@ -328,8 +290,8 @@ func TestVMArenaBoundsAreRespected(t *testing.T) {
 
 	g := graph.GNP(120, 0.15, 3)
 	vm, tree := runBoth(t, g, prog, Options{Threads: 2})
-	if vm.Globals[0] != tree.Globals[0] {
-		t.Fatalf("deep intersect chain: vm %d, tree %d", vm.Globals[0], tree.Globals[0])
+	if vm.Globals[0] != tree[0] {
+		t.Fatalf("deep intersect chain: vm %d, tree %d", vm.Globals[0], tree[0])
 	}
 	if vm.Globals[0] == 0 {
 		t.Fatal("test graph too sparse to exercise intersect chain")

@@ -15,7 +15,13 @@ import (
 // dropped. Vertex IDs must be non-negative integers; they are used as-is
 // (dense renumbering is the caller's job if wanted).
 func LoadEdgeList(r io.Reader, name string) (*Graph, error) {
-	b := NewBuilder(0)
+	return loadEdgeList(r, name, 0)
+}
+
+// loadEdgeList is LoadEdgeList for a graph with at least minVertices
+// vertices: IDs in [0, minVertices) that no edge names are isolated.
+func loadEdgeList(r io.Reader, name string, minVertices int) (*Graph, error) {
+	b := NewBuilder(minVertices)
 	b.SetName(name)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -48,36 +54,47 @@ func LoadEdgeList(r io.Reader, name string) (*Graph, error) {
 
 // LoadEdgeListFile opens path and calls LoadEdgeList. An optional labels
 // file (path + ".labels", one integer label per vertex per line) is
-// attached if present.
+// attached if present. An edge list cannot name an isolated vertex, so
+// the labels file is authoritative for |V|: vertices it labels beyond
+// the largest ID any edge names are loaded as isolated vertices (what
+// graphgen -labels writes when a generator leaves its top IDs
+// isolated). A labels file shorter than the edge list's vertex range is
+// an error.
 func LoadEdgeListFile(path string) (*Graph, error) {
+	labels, err := loadLabelsFile(path + ".labels")
+	if err != nil {
+		return nil, err
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	g, err := LoadEdgeList(f, path)
+	g, err := loadEdgeList(f, path, len(labels))
 	if err != nil {
 		return nil, err
 	}
-	lf, err := os.Open(path + ".labels")
-	if err != nil {
-		if os.IsNotExist(err) {
-			return g, nil
+	if labels != nil {
+		if len(labels) != g.NumVertices() {
+			return nil, fmt.Errorf("graph: %d labels for %d vertices", len(labels), g.NumVertices())
 		}
-		return nil, err
+		g.setLabels(labels)
 	}
-	defer lf.Close()
-	labels, err := loadLabels(lf, g.NumVertices())
-	if err != nil {
-		return nil, err
-	}
-	g.setLabels(labels)
 	return g, nil
 }
 
-func loadLabels(r io.Reader, n int) ([]uint32, error) {
-	labels := make([]uint32, 0, n)
-	sc := bufio.NewScanner(r)
+// loadLabelsFile reads one label per line; a missing file is (nil, nil).
+func loadLabelsFile(path string) ([]uint32, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, nil
+		}
+		return nil, err
+	}
+	defer f.Close()
+	labels := []uint32{} // non-nil: an empty file is a (too short) labels file
+	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || line[0] == '#' {
@@ -91,9 +108,6 @@ func loadLabels(r io.Reader, n int) ([]uint32, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
-	}
-	if len(labels) != n {
-		return nil, fmt.Errorf("graph: %d labels for %d vertices", len(labels), n)
 	}
 	return labels, nil
 }

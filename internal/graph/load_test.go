@@ -79,12 +79,14 @@ func TestLoadEdgeListFileBadLabels(t *testing.T) {
 	if err := os.WriteFile(path, []byte("0 1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Wrong number of labels.
-	if err := os.WriteFile(path+".labels", []byte("1\n2\n3\n4\n5\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadEdgeListFile(path); err == nil {
-		t.Fatal("label count mismatch accepted")
+	// Fewer labels than the edge list has vertices (an empty file too).
+	for _, short := range []string{"1\n", ""} {
+		if err := os.WriteFile(path+".labels", []byte(short), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadEdgeListFile(path); err == nil {
+			t.Fatalf("labels file %q accepted for a 2-vertex edge list", short)
+		}
 	}
 	// Non-numeric label.
 	if err := os.WriteFile(path+".labels", []byte("a\nb\n"), 0o644); err != nil {
@@ -92,5 +94,37 @@ func TestLoadEdgeListFileBadLabels(t *testing.T) {
 	}
 	if _, err := LoadEdgeListFile(path); err == nil {
 		t.Fatal("bad label accepted")
+	}
+}
+
+// TestLoadEdgeListFileTrailingIsolatedLabels: an edge list cannot name
+// an isolated vertex, so a labels file longer than the edge list's
+// vertex range is authoritative for |V| — the extra labeled vertices
+// load as isolated vertices instead of failing the load.
+func TestLoadEdgeListFileTrailingIsolatedLabels(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "g.txt")
+	if err := os.WriteFile(path, []byte("0 1\n1 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path+".labels", []byte("7\n8\n9\n4\n5\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g, err := LoadEdgeListFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumVertices() != 5 || g.NumEdges() != 2 {
+		t.Fatalf("loaded |V|=%d |E|=%d, want 5 and 2", g.NumVertices(), g.NumEdges())
+	}
+	for v, want := range []uint32{7, 8, 9, 4, 5} {
+		if got := g.Label(uint32(v)); got != want {
+			t.Fatalf("label(%d) = %d, want %d", v, got, want)
+		}
+	}
+	for _, v := range []uint32{3, 4} {
+		if d := g.Degree(v); d != 0 {
+			t.Fatalf("trailing vertex %d has degree %d, want isolated", v, d)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package decomine
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"decomine/internal/ast"
@@ -43,26 +42,21 @@ type UDF func(pe *PartialEmbedding, count int64)
 // per worker thread, so the returned UDF needs no internal locking; use
 // per-worker state and merge after this call returns.
 func (s *System) ProcessPartialEmbeddings(p *Pattern, newUDF func(worker int) UDF) error {
-	_, err := s.processPartialEmbeddings(p, newUDF, 0)
+	plan, info, err := s.emitPlan(p.p)
+	if err != nil {
+		return err
+	}
+	_, err = s.runEmitPlan(plan, info, newUDF, 0)
 	return err
 }
 
-// processPartialEmbeddings optionally enforces a wall-clock budget,
-// reporting canceled=true when it expires.
-func (s *System) processPartialEmbeddings(p *Pattern, newUDF func(worker int) UDF, budget time.Duration) (bool, error) {
-	plan, info, err := s.emitPlan(p.p)
-	if err != nil {
-		return false, err
-	}
-	var cancel *atomic.Bool
-	if budget > 0 {
-		cancel = &atomic.Bool{}
-		timer := time.AfterFunc(budget, func() { cancel.Store(true) })
-		defer timer.Stop()
-	}
-	eopts := s.execOptions(plan)
-	eopts.Cancel = cancel
-	eopts.NewConsumer = func(worker int) engine.Consumer {
+// runEmitPlan executes a compiled emission plan (see emitPlan),
+// optionally under a wall-clock budget, reporting canceled=true when it
+// expires.
+func (s *System) runEmitPlan(plan *core.Plan, info []subInfo, newUDF func(worker int) UDF, budget time.Duration) (bool, error) {
+	cancel, stop := cancelAfter(budget)
+	defer stop()
+	newConsumer := func(worker int) engine.Consumer {
 		udf := newUDF(worker)
 		// One reusable PartialEmbedding per subpattern per worker.
 		pes := make([]*PartialEmbedding, len(info))
@@ -81,11 +75,10 @@ func (s *System) processPartialEmbeddings(p *Pattern, newUDF func(worker int) UD
 			return true
 		})
 	}
-	res, err := engine.Run(s.graph.g, plan.Prog, eopts)
+	res, _, err := s.exec(plan, true, engine.Options{Cancel: cancel, NewConsumer: newConsumer})
 	if err != nil {
 		return false, err
 	}
-	s.noteExecStats(res)
 	return res.Canceled, nil
 }
 
@@ -174,10 +167,11 @@ func (s *System) Materialize(p *Pattern, pe *PartialEmbedding, num int) ([][]uin
 		return nil, err
 	}
 	var out [][]uint32
-	_, err = engine.Run(s.graph.g, plan.Prog, engine.Options{
-		Threads:     1,
-		Pins:        pins,
-		Interpreter: s.engineInterp(),
+	// Bounded expansion is sequential by construction: one consumer
+	// appends to out and stops the run at num.
+	_, _, err = s.exec(plan, false, engine.Options{
+		Threads: 1,
+		Pins:    pins,
 		NewConsumer: func(worker int) engine.Consumer {
 			return engine.ConsumerFunc(func(sub int, verts []uint32, count int64) bool {
 				out = append(out, append([]uint32(nil), verts...))

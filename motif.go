@@ -122,15 +122,10 @@ func (s *System) CountAll(patterns []*Pattern) ([]int64, error) {
 	// The merged program is a fresh AST, so the aux pass re-runs on it;
 	// without a per-model decider here the structural default arbitrates.
 	merged.LowerOpts = ast.LowerOpts{DisableAux: s.opts.DisableAuxGraphs}
-	runOpts := engine.Options{Threads: s.opts.Threads, Interpreter: s.engineInterp()}
-	if runOpts.Interpreter == engine.InterpVM {
-		runOpts.Code = merged.Lowered()
-	}
-	res, err := engine.Run(s.graph.g, merged.Prog, runOpts)
+	res, _, err := s.exec(merged, false, engine.Options{})
 	if err != nil {
 		return nil, err
 	}
-	s.noteExecStats(res)
 	out := make([]int64, len(patterns))
 	for i := range patterns {
 		out[i] = res.Globals[merged.CountGlobals[i]] / merged.Divisors[i]

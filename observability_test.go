@@ -132,8 +132,8 @@ func TestCountPatternStats(t *testing.T) {
 	}
 }
 
-// TestPerRunStatsConcurrent is the LastExecStats-race fix check:
-// concurrent queries on one System must each observe their *own*
+// TestPerRunStatsConcurrent checks per-run stats isolation: concurrent
+// queries on one System must each observe their *own*
 // instruction counts (per-opcode totals are deterministic and
 // steal-schedule independent), not a clobbered global snapshot.
 func TestPerRunStatsConcurrent(t *testing.T) {

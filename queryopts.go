@@ -21,7 +21,7 @@ type QueryOpts struct {
 	// satisfy every group constraint (see CountWithConstraints).
 	Constraints []LabelConstraint
 	// MaxInstructions, when > 0, caps the bytecode instructions the
-	// execution phase may spend (VM only; summed across workers). A run
+	// execution phase may spend (summed across workers). A run
 	// that exhausts the budget aborts through the engine's cancellation
 	// window — overshooting by at most a few thousand instructions per
 	// worker — and returns ErrBudgetExceeded. The multi-tenant server

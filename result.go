@@ -24,16 +24,14 @@ type PhaseSpan struct {
 }
 
 // QueryStats is the per-run observability record attached to a Result.
-// Unlike the deprecated System.LastExecStats snapshot, these fields
-// belong to exactly one run: concurrent queries on a shared System each
-// get their own.
+// Its fields belong to exactly one run: concurrent queries on a shared
+// System each get their own.
 type QueryStats struct {
 	// Exec carries this run's bytecode execution counters (instructions,
 	// per-opcode counts, steals, splits).
 	Exec ExecStats
-	// WorkPerThread is this run's per-worker executed instruction count
-	// (outer-loop iterations under the tree-walker); max/mean of it is
-	// the load-balance signal.
+	// WorkPerThread is this run's per-worker executed instruction
+	// count; max/mean of it is the load-balance signal.
 	WorkPerThread []int64
 	// Phases are the timed lifecycle spans, in execution order. Compile
 	// phases are present only when this query ran the algorithm search
@@ -147,7 +145,7 @@ func (s *System) countPattern(p *Pattern, cancel *atomic.Bool, tracker *engine.P
 		compile.End()
 	}
 	runBegin := time.Now()
-	count, res, lowerDur, err := s.runStats(e.plan, nil, cancel, tracker, fuel, qo.resolve)
+	count, res, lowerDur, err := s.runStats(e.plan, engine.Options{Cancel: cancel, Progress: tracker, Fuel: fuel}, qo.resolve)
 	if err != nil {
 		tr.Finish(err)
 		span.EndErr(err)

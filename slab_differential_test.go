@@ -79,8 +79,4 @@ func TestSlabAffinityStatsSurface(t *testing.T) {
 	if st.SlabHits+st.SlabMisses > st.Steals {
 		t.Fatalf("scored %d affinity outcomes but only %d deque steals", st.SlabHits+st.SlabMisses, st.Steals)
 	}
-	last := sys.LastExecStats()
-	if last.SlabHits != st.SlabHits || last.SlabMisses != st.SlabMisses {
-		t.Fatalf("LastExecStats mismatch: %d/%d vs %d/%d", last.SlabHits, last.SlabMisses, st.SlabHits, st.SlabMisses)
-	}
 }

@@ -1,11 +1,10 @@
 package decomine
 
 // Differential and determinism tests for the work-stealing scheduler:
-// the VM with stealing (the default driver) must agree with the
-// sequential tree-walker on every pattern flavor — plain, labeled,
-// vertex-induced and group-constrained — over both uniform G(n,p) and
-// skewed R-MAT graphs, and its merged OpCounts must not depend on the
-// thread count or the steal schedule.
+// a 4-worker stealing run must agree with the brute-force oracles on
+// every pattern flavor — plain, vertex-induced and group-constrained —
+// over both uniform G(n,p) and skewed R-MAT graphs, and its merged
+// OpCounts must not depend on the thread count or the steal schedule.
 
 import (
 	"testing"
@@ -13,10 +12,6 @@ import (
 
 func stealSystem(g *Graph, threads int) *System {
 	return NewSystem(g, Options{Threads: threads, CostModel: CostLocality})
-}
-
-func treeSystem(g *Graph) *System {
-	return NewSystem(g, Options{Threads: 1, CostModel: CostLocality, Interpreter: InterpreterTree})
 }
 
 func TestStealDifferentialAcrossGraphShapes(t *testing.T) {
@@ -29,53 +24,38 @@ func TestStealDifferentialAcrossGraphShapes(t *testing.T) {
 	}
 	names := []string{"clique-3", "cycle-4", "clique-4", "house"}
 	for _, gc := range graphs {
-		vm := stealSystem(gc.g, 4)
-		tree := treeSystem(gc.g)
+		sys := stealSystem(gc.g, 4)
 		for _, name := range names {
 			p, err := PatternByName(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Plain edge-induced.
-			got, err := vm.GetPatternCount(p)
-			if err != nil {
-				t.Fatalf("%s %s vm: %v", gc.name, name, err)
-			}
-			want, err := tree.GetPatternCount(p)
-			if err != nil {
-				t.Fatalf("%s %s tree: %v", gc.name, name, err)
-			}
-			if got != want {
-				t.Errorf("%s %s: steal VM %d != tree %d", gc.name, name, got, want)
-			}
-			// Vertex-induced.
-			got, err = vm.GetPatternCountVertexInduced(p)
-			if err != nil {
-				t.Fatalf("%s %s vm induced: %v", gc.name, name, err)
-			}
-			want, err = tree.GetPatternCountVertexInduced(p)
-			if err != nil {
-				t.Fatalf("%s %s tree induced: %v", gc.name, name, err)
-			}
-			if got != want {
-				t.Errorf("%s %s induced: steal VM %d != tree %d", gc.name, name, got, want)
-			}
-			// Group-constrained (all pattern vertices share one label).
+			// Group constraint: all pattern vertices share one label.
 			cons := []LabelConstraint{{Kind: AllSameLabel, Vertices: allVerts(p)}}
-			got, err = vm.CountWithConstraints(p, cons)
+			want := brute(gc.g, p.p, cons)
+			got, err := sys.GetPatternCount(p)
 			if err != nil {
-				t.Fatalf("%s %s vm constrained: %v", gc.name, name, err)
+				t.Fatalf("%s %s: %v", gc.name, name, err)
 			}
-			want, err = tree.CountWithConstraints(p, cons)
+			if got != want.ei {
+				t.Errorf("%s %s: steal VM %d != brute force %d", gc.name, name, got, want.ei)
+			}
+			got, err = sys.GetPatternCountVertexInduced(p)
 			if err != nil {
-				t.Fatalf("%s %s tree constrained: %v", gc.name, name, err)
+				t.Fatalf("%s %s induced: %v", gc.name, name, err)
 			}
-			if got != want {
-				t.Errorf("%s %s constrained: steal VM %d != tree %d", gc.name, name, got, want)
+			if got != want.vi {
+				t.Errorf("%s %s induced: steal VM %d != brute force %d", gc.name, name, got, want.vi)
+			}
+			got, err = sys.CountWithConstraints(p, cons)
+			if err != nil {
+				t.Fatalf("%s %s constrained: %v", gc.name, name, err)
+			}
+			if got != want.constrained {
+				t.Errorf("%s %s constrained: steal VM %d != brute force %d", gc.name, name, got, want.constrained)
 			}
 		}
-		vm.Close()
-		tree.Close()
+		sys.Close()
 	}
 }
 
@@ -89,7 +69,7 @@ func allVerts(p *Pattern) []int {
 
 // TestStealOpCountsThreadIndependent runs the same query under 1, 2, 4
 // and 7 workers (odd counts shift the steal schedule) and requires
-// byte-identical per-opcode totals from LastExecStats every time.
+// byte-identical per-opcode totals from the per-run stats every time.
 func TestStealOpCountsThreadIndependent(t *testing.T) {
 	g := GenerateRMAT(9, 7, 601)
 	p, err := PatternByName("house")
@@ -100,11 +80,11 @@ func TestStealOpCountsThreadIndependent(t *testing.T) {
 	var baseCount int64
 	for _, threads := range []int{1, 2, 4, 7} {
 		sys := stealSystem(g, threads)
-		c, err := sys.GetPatternCount(p)
+		res, err := sys.CountPattern(p)
 		if err != nil {
 			t.Fatalf("threads=%d: %v", threads, err)
 		}
-		st := sys.LastExecStats()
+		c, st := res.Count, res.Stats.Exec
 		if base == nil {
 			base, baseCount = st.PerOp, c
 			sys.Close()
@@ -136,10 +116,11 @@ func TestStealDeterministicRepeats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sys.GetPatternCount(p)
+	first, err := sys.CountPattern(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := first.Count
 	for i := 0; i < 10; i++ {
 		got, err := sys.GetPatternCount(p)
 		if err != nil {
@@ -149,7 +130,7 @@ func TestStealDeterministicRepeats(t *testing.T) {
 			t.Fatalf("repeat %d: %d != %d", i, got, want)
 		}
 	}
-	if st := sys.LastExecStats(); st.Instructions == 0 {
+	if first.Stats.Exec.Instructions == 0 {
 		t.Fatal("no instructions recorded")
 	}
 }

@@ -1,27 +1,19 @@
 package decomine
 
-// Differential tests between the two execution engines: every pattern in
-// the seed suite must produce identical counts on the bytecode VM and
-// the tree-walking interpreter, over both G(n,p) and R-MAT graphs,
-// including labeled and constrained variants and cancellation mid-run.
+// Differential tests of the compiled stack (search, lowering, bytecode
+// VM, stealing scheduler) against the brute-force oracles: every
+// pattern in the seed suite must produce the oracle's count over both
+// G(n,p) and R-MAT graphs, including labeled and constrained variants,
+// and a run must observe cancellation mid-flight.
 
 import (
 	"math/rand"
 	"testing"
 	"time"
 
+	"decomine/internal/baseline"
 	"decomine/internal/pattern"
 )
-
-// vmTreePair builds two Systems over g differing only in interpreter.
-func vmTreePair(g *Graph, threads int) (vmSys, treeSys *System) {
-	base := Options{Threads: threads, CostModel: CostLocality}
-	vmOpts := base
-	vmOpts.Interpreter = InterpreterVM
-	treeOpts := base
-	treeOpts.Interpreter = InterpreterTree
-	return NewSystem(g, vmOpts), NewSystem(g, treeOpts)
-}
 
 func TestVMDifferentialMotifSuite(t *testing.T) {
 	if testing.Short() {
@@ -36,30 +28,24 @@ func TestVMDifferentialMotifSuite(t *testing.T) {
 		{"rmat", GenerateRMAT(8, 6, 5678), 4},
 	}
 	for _, gc := range cases {
-		vmSys, treeSys := vmTreePair(gc.g, 3)
+		sys := NewSystem(gc.g, Options{Threads: 3, CostModel: CostLocality})
 		for k := 3; k <= gc.maxK; k++ {
+			census := baseline.ObliviousMotifCensus(gc.g.g, k)
 			for i, p := range pattern.ConnectedPatterns(k) {
-				pp := &Pattern{p}
-				got, err := vmSys.GetPatternCount(pp)
+				res, err := sys.CountPattern(&Pattern{p})
 				if err != nil {
-					t.Fatalf("%s k=%d #%d vm: %v", gc.name, k, i, err)
+					t.Fatalf("%s k=%d #%d: %v", gc.name, k, i, err)
 				}
-				want, err := treeSys.GetPatternCount(pp)
-				if err != nil {
-					t.Fatalf("%s k=%d #%d tree: %v", gc.name, k, i, err)
+				if want := baseline.EdgeInducedFromCensus(census, p); res.Count != want {
+					t.Errorf("%s k=%d pattern #%d (%s): got %d, oblivious %d",
+						gc.name, k, i, p, res.Count, want)
 				}
-				if got != want {
-					t.Errorf("%s k=%d pattern #%d (%s): vm %d, tree %d",
-						gc.name, k, i, p, got, want)
+				if res.Stats.Exec.Instructions == 0 {
+					t.Errorf("%s k=%d pattern #%d: run reported no executed instructions", gc.name, k, i)
 				}
 			}
 		}
-		if st := vmSys.LastExecStats(); st.Instructions == 0 {
-			t.Errorf("%s: VM system reported no executed instructions", gc.name)
-		}
-		if st := treeSys.LastExecStats(); st.Instructions != 0 {
-			t.Errorf("%s: tree system reported instruction counts %d", gc.name, st.Instructions)
-		}
+		sys.Close()
 	}
 }
 
@@ -89,19 +75,16 @@ func TestVMDifferentialSixVertexMotifs(t *testing.T) {
 		t.Skip("differential tests are slow")
 	}
 	g := GenerateGNP(55, 0.09, 97531)
-	vmSys, treeSys := vmTreePair(g, 2)
+	sys := NewSystem(g, Options{Threads: 2, CostModel: CostLocality})
+	defer sys.Close()
+	census := baseline.ObliviousMotifCensus(g.g, 6)
 	for i, p := range sixVertexPatterns() {
-		pp := &Pattern{p}
-		got, err := vmSys.GetPatternCount(pp)
+		got, err := sys.GetPatternCount(&Pattern{p})
 		if err != nil {
-			t.Fatalf("6-vertex #%d vm: %v", i, err)
+			t.Fatalf("6-vertex #%d: %v", i, err)
 		}
-		want, err := treeSys.GetPatternCount(pp)
-		if err != nil {
-			t.Fatalf("6-vertex #%d tree: %v", i, err)
-		}
-		if got != want {
-			t.Errorf("6-vertex pattern #%d (%s): vm %d, tree %d", i, p, got, want)
+		if want := baseline.EdgeInducedFromCensus(census, p); got != want {
+			t.Errorf("6-vertex pattern #%d (%s): got %d, oblivious %d", i, p, got, want)
 		}
 	}
 }
@@ -112,7 +95,8 @@ func TestVMDifferentialLabeledAndConstrained(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(8642))
 	g := GenerateGNP(50, 0.12, 13579).WithRandomLabels(3, 24680)
-	vmSys, treeSys := vmTreePair(g, 2)
+	sys := NewSystem(g, Options{Threads: 2, CostModel: CostLocality})
+	defer sys.Close()
 
 	// Labeled patterns: random subset of vertices pinned to labels.
 	for trial := 0; trial < 6; trial++ {
@@ -122,17 +106,12 @@ func TestVMDifferentialLabeledAndConstrained(t *testing.T) {
 				p.SetLabel(v, uint32(r.Intn(3)))
 			}
 		}
-		pp := &Pattern{p}
-		got, err := vmSys.GetPatternCount(pp)
+		got, err := sys.GetPatternCount(&Pattern{p})
 		if err != nil {
-			t.Fatalf("labeled trial %d vm: %v", trial, err)
+			t.Fatalf("labeled trial %d: %v", trial, err)
 		}
-		want, err := treeSys.GetPatternCount(pp)
-		if err != nil {
-			t.Fatalf("labeled trial %d tree: %v", trial, err)
-		}
-		if got != want {
-			t.Errorf("labeled trial %d (%s): vm %d, tree %d", trial, p, got, want)
+		if want := brute(g, p, nil).ei; got != want {
+			t.Errorf("labeled trial %d (%s): got %d, brute force %d", trial, p, got, want)
 		}
 	}
 
@@ -145,16 +124,12 @@ func TestVMDifferentialLabeledAndConstrained(t *testing.T) {
 		{Kind: AllDifferentLabels, Vertices: []int{0, 1, 2}},
 		{Kind: AllSameLabel, Vertices: []int{1, 3, 4}},
 	}
-	got, err := vmSys.CountWithConstraints(p, cons)
+	got, err := sys.CountWithConstraints(p, cons)
 	if err != nil {
-		t.Fatalf("constrained vm: %v", err)
+		t.Fatalf("constrained: %v", err)
 	}
-	want, err := treeSys.CountWithConstraints(p, cons)
-	if err != nil {
-		t.Fatalf("constrained tree: %v", err)
-	}
-	if got != want {
-		t.Errorf("constrained fig6: vm %d, tree %d", got, want)
+	if want := brute(g, p.p, cons).constrained; got != want {
+		t.Errorf("constrained fig6: got %d, brute force %d", got, want)
 	}
 }
 
@@ -163,22 +138,20 @@ func TestVMDifferentialCancellationMidRun(t *testing.T) {
 		t.Skip("differential tests are slow")
 	}
 	// A run far too large for a 1ms budget (the full run takes seconds
-	// single-threaded) but with short cancellation-check chunks: both
-	// engines must observe the cancellation mid-run and report a timeout
-	// rather than hanging or returning a bogus full count.
+	// single-threaded): the in-line driver must observe the cancellation
+	// mid-run and report a timeout rather than hanging or returning a
+	// bogus full count.
 	g := GenerateRMAT(10, 8, 2468)
 	cycle5 := pattern.New(5)
 	for v := 0; v < 5; v++ {
 		cycle5.AddEdge(v, (v+1)%5)
 	}
-	vmSys, treeSys := vmTreePair(g, 1)
-	for name, sys := range map[string]*System{"vm": vmSys, "tree": treeSys} {
-		_, timedOut, err := sys.GetPatternCountWithin(&Pattern{cycle5}, time.Millisecond)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !timedOut {
-			t.Errorf("%s: 1ms budget on 5-cycle over %s did not time out", name, g)
-		}
+	sys := NewSystem(g, Options{Threads: 1, CostModel: CostLocality})
+	_, timedOut, err := sys.GetPatternCountWithin(&Pattern{cycle5}, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !timedOut {
+		t.Errorf("1ms budget on 5-cycle over %s did not time out", g)
 	}
 }
