@@ -75,6 +75,10 @@ type BatchOpts struct {
 	// Fuel, when non-nil, overrides MaxInstructions with a caller-owned
 	// shared budget counter (the server's per-tenant grant).
 	Fuel *atomic.Int64
+	// Deadline, when non-zero, is passed to every member subquery as its
+	// QueryOpts.Deadline: expiry cancels the batch with ErrCanceled and
+	// no partial results.
+	Deadline time.Time
 	// Cache, when non-nil, is the external subcount store (see
 	// BatchCache).
 	Cache BatchCache
@@ -209,8 +213,8 @@ func newBatchMember(p *Pattern, induced bool) (*batchMember, error) {
 // once are externalized and counted standalone, and the residual
 // subqueries run concurrently on the System's pool. Results are
 // returned in input order and are bit-identical to counting each member
-// separately. Label constraints are not batched — use CountPatternOpts
-// for constrained queries.
+// separately. Label constraints are not batched — use CountPattern with
+// QueryOpts.Constraints for constrained queries.
 func (s *System) CountPatterns(ps []*Pattern, o BatchOpts) (*BatchResult, error) {
 	if len(ps) == 0 {
 		return &BatchResult{}, nil
@@ -437,7 +441,7 @@ func (s *System) CountPatterns(ps []*Pattern, o BatchOpts) (*BatchResult, error)
 				if cancel.Load() {
 					return
 				}
-				qo := QueryOpts{Fuel: fuel, harvest: harvest, Span: waveSpan}
+				qo := QueryOpts{Fuel: fuel, Deadline: o.Deadline, harvest: harvest, Span: waveSpan}
 				if skip[c] {
 					qo.planFlavor = flavor
 					qo.planTweak = tweak
@@ -461,6 +465,12 @@ func (s *System) CountPatterns(ps []*Pattern, o BatchOpts) (*BatchResult, error)
 			}()
 		}
 		wg.Wait()
+		if firstErr == nil && cancel.Load() {
+			// The deadline can fire after a subquery's run finished but
+			// before its timer stopped: the flag is then set with no
+			// error recorded, and siblings that saw it skipped their runs.
+			firstErr = ErrCanceled
+		}
 		if firstErr != nil {
 			waveSpan.EndErr(firstErr)
 			return nil, firstErr
@@ -555,7 +565,7 @@ func (s *System) countPatternsSerial(ps []*Pattern, members []*batchMember, o Ba
 		counts := map[pattern.Code]int64{}
 		var own QueryStats
 		for j, q := range m.needPats {
-			r, err := s.countPattern(RawPattern(q), nil, nil, QueryOpts{Fuel: fuel, Span: o.Span})
+			r, err := s.countPattern(RawPattern(q), nil, nil, QueryOpts{Fuel: fuel, Deadline: o.Deadline, Span: o.Span})
 			if err != nil {
 				return nil, err
 			}

@@ -29,22 +29,28 @@
 //	codegen <pattern>          emit the selected plan as Go source
 //	serve                      expose the loaded graph over the HTTP
 //	                           query API (internal/server) on -listen
-//	                           (default :8372); for multi-graph serving
-//	                           and tenant budgets use cmd/decomined
+//	                           (default :8372) until SIGINT/SIGTERM, then
+//	                           drains and exits 0; for multi-graph
+//	                           serving and tenant budgets use
+//	                           cmd/decomined
 //
 // <pattern> is an edge list ("0-1,1-2,2-0") or a named pattern
 // (clique-4, cycle-5, chain-3, star-4, house, fig6, p1..p5).
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"runtime/debug"
 	"strings"
+	"syscall"
 	"time"
 
 	"decomine"
@@ -57,7 +63,7 @@ func main() {
 	dataset := flag.String("dataset", "wk", "builtin dataset (cs ee wk mc pt lj fr rmat); ignored when -graph is set")
 	threads := flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
 	model := flag.String("model", "approx-mining", "cost model: approx-mining, locality, automine")
-	listen := flag.String("listen", "", "serve /metrics, /debug/vars, /debug/traces, /debug/profile, /debug/queries, /debug/slowqueries and /debug/pprof on this address (e.g. :6060) while the command runs")
+	listen := flag.String("listen", "", "serve /metrics, /debug/vars, /debug/profile, /debug/queries, /debug/slowqueries and /debug/pprof on this address (e.g. :6060) while the command runs")
 	profile := flag.Bool("profile", false, "arm the in-VM sampling profiler (per-run attribution at /debug/profile)")
 	slowQuery := flag.Duration("slow-query", 0, "record queries slower than this in the slow-query log (0 = off)")
 	mmapFlag := flag.Bool("mmap", false, "treat -graph as a binary slab file and serve it via mmap (implied by a .slab extension)")
@@ -72,13 +78,14 @@ func main() {
 	}
 
 	// The serve command mounts the observability endpoints inside the
-	// query API handler, so it owns -listen itself.
+	// query API handler, so it owns -listen itself. This listener installs
+	// no signal handler: Ctrl-C still kills a running command.
 	if *listen != "" && args[0] != "serve" {
 		ln, err := net.Listen("tcp", *listen)
 		fatalIf(err)
 		fmt.Fprintf(os.Stderr, "observability: http://%s/metrics\n", ln.Addr())
 		go func() {
-			if err := http.Serve(ln, obs.Handler()); err != nil {
+			if err := server.NewHTTPServer(obs.Handler()).Serve(ln); err != nil {
 				fmt.Fprintf(os.Stderr, "observability server: %v\n", err)
 			}
 		}()
@@ -111,6 +118,7 @@ func main() {
 		Profile:          *profile,
 		DisableAuxGraphs: *noAux,
 	})
+	defer sys.Close()
 
 	switch args[0] {
 	case "count", "count-vi", "explain", "codegen":
@@ -189,10 +197,28 @@ func main() {
 		ln, err := net.Listen("tcp", addr)
 		fatalIf(err)
 		fmt.Fprintf(os.Stderr, "serving graph %q on http://%s/query\n", name, ln.Addr())
-		fatalIf(http.Serve(ln, srv.Handler()))
+		fatalIf(serveUntilSignal(server.NewHTTPServer(srv.Handler()), ln))
 	default:
 		fatal(fmt.Sprintf("unknown command %q", args[0]))
 	}
+}
+
+// serveUntilSignal serves hs on ln until SIGINT or SIGTERM, then lets
+// in-flight requests finish (Shutdown) and returns, so main's deferred
+// System and Graph closes run. A second signal kills the process.
+func serveUntilSignal(hs *http.Server, ln net.Listener) error {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	drained := make(chan error, 1)
+	go func() {
+		<-ctx.Done()
+		stop()
+		drained <- hs.Shutdown(context.Background())
+	}()
+	if err := hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return <-drained
 }
 
 func loadGraph(path, dataset string, mmap bool) (*decomine.Graph, error) {

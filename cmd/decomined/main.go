@@ -24,6 +24,9 @@
 // served at /debug/trace/{id} and exported as OTLP/JSON at
 // /debug/traces/export.
 //
+// SIGINT or SIGTERM stops accepting connections, lets in-flight
+// requests finish, closes the graphs and the pool, and exits 0.
+//
 // -graph takes name=path pairs; path is an edge-list text file or a
 // binary slab file (by .slab extension, served via mmap). -dataset
 // loads a builtin synthetic dataset under its own name. Both flags
@@ -37,12 +40,16 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 
 	"decomine"
 	"decomine/internal/obs"
@@ -140,7 +147,26 @@ func main() {
 	fatalIf(err)
 	fmt.Fprintf(os.Stderr, "decomined: %d graph(s), pool=%d, listening on http://%s\n",
 		len(systems), pool.Size(), ln.Addr())
-	fatalIf(http.Serve(ln, srv.Handler()))
+	fatalIf(serveUntilSignal(server.NewHTTPServer(srv.Handler()), ln))
+	fmt.Fprintln(os.Stderr, "decomined: drained, shutting down")
+}
+
+// serveUntilSignal serves hs on ln until SIGINT or SIGTERM, then lets
+// in-flight requests finish (Shutdown) and returns, so main's deferred
+// System, Pool and Graph closes run. A second signal kills the process.
+func serveUntilSignal(hs *http.Server, ln net.Listener) error {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	drained := make(chan error, 1)
+	go func() {
+		<-ctx.Done()
+		stop()
+		drained <- hs.Shutdown(context.Background())
+	}()
+	if err := hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return <-drained
 }
 
 func fatalIf(err error) {

@@ -137,7 +137,6 @@ type System struct {
 	profile   *sampling.Profile
 	model     cost.Model
 	planCache map[planKey]*planEntry
-	emitInfo  map[planKey][]subInfo
 	// rewriteCache memoizes batch-member rewrite recipes by canonical
 	// code (ConversionPlan enumeration is expensive for large patterns;
 	// see batch.go). Lazily initialized under mu.
@@ -158,9 +157,6 @@ type System struct {
 	// ProfileTime records how long the one-off approximate-mining
 	// profiling took (paper §6.3 reports it separately).
 	ProfileTime time.Duration
-	// LastCompileTime records the duration of the most recent plan
-	// search+generation (Figure 18).
-	LastCompileTime time.Duration
 
 	// Plan-cache counters (see CacheStats). Kept as atomics so the hot
 	// cache-hit path does not lengthen its critical section.
@@ -401,12 +397,9 @@ func (s *System) planFlavor(p *pattern.Pattern, mode core.Mode, induced bool, fl
 	if tweak != nil {
 		tweak(&sopts)
 	}
-	start := time.Now()
 	best, cands, err := core.Search(p, sopts)
-	elapsed := time.Since(start)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.LastCompileTime = elapsed
 	if e, ok := s.planCache[key]; ok {
 		// A concurrent search for the same key finished first; keep its
 		// entry so every caller sees one canonical plan.
@@ -514,10 +507,10 @@ func (s *System) run(plan *core.Plan) (int64, error) {
 }
 
 // GetPatternCount returns the number of edge-induced embeddings of p —
-// the paper's get_pattern_count API. It is CountPattern without the
-// per-run stats; both produce a phase trace in the observability layer.
+// the paper's get_pattern_count API. It is CountPattern without options
+// or per-run stats.
 func (s *System) GetPatternCount(p *Pattern) (int64, error) {
-	r, err := s.CountPattern(p)
+	r, err := s.CountPattern(p, QueryOpts{})
 	if err != nil {
 		return 0, err
 	}
@@ -567,15 +560,13 @@ func (s *System) GetPatternCountVertexInduced(p *Pattern) (int64, error) {
 // satisfy every group constraint (paper §7.5, §8.6). The compiler
 // chooses a cutting set that resolves each sub-constraint on partially
 // materialized embeddings, falling back to a direct plan when no such
-// cutting set exists.
+// cutting set exists. It is CountPattern with QueryOpts.Constraints.
 func (s *System) CountWithConstraints(p *Pattern, cons []LabelConstraint) (int64, error) {
-	ccons := toCoreConstraints(cons)
-	e, _, err := s.planFlavor(p.p, core.ModeCount, false, constraintFlavor(cons),
-		func(o *core.SearchOptions) { o.Constraints = ccons })
+	r, err := s.CountPattern(p, QueryOpts{Constraints: cons})
 	if err != nil {
 		return 0, err
 	}
-	return s.run(e.plan)
+	return r.Count, nil
 }
 
 // constraintFlavor serializes a constraint list into a plan-cache key

@@ -29,22 +29,21 @@ type FrequentPattern struct {
 // property guarantees every pattern vertex receives a domain, without
 // ever materializing whole-pattern embeddings.
 func (s *System) FSM(minSupport int64, maxEdges int) ([]FrequentPattern, error) {
-	res, _, err := s.fsm(minSupport, maxEdges, 0)
+	res, _, err := s.FSMWithin(minSupport, maxEdges, 0)
 	return res, err
 }
 
-func (s *System) fsm(minSupport int64, maxEdges int, budget time.Duration) ([]FrequentPattern, bool, error) {
+// FSMWithin is FSM under a wall-clock budget (<= 0 means none), enforced
+// between levels, before each candidate's support computation, and
+// inside each plan execution. Unlike a count, a truncated mining run
+// still means something: on expiry it returns the patterns found so far
+// — each with its exact support — and truncated=true.
+func (s *System) FSMWithin(minSupport int64, maxEdges int, budget time.Duration) (_ []FrequentPattern, truncated bool, _ error) {
 	var deadline time.Time
 	if budget > 0 {
 		deadline = time.Now().Add(budget)
 	}
-	remaining := func() (time.Duration, bool) {
-		if budget <= 0 {
-			return 0, true
-		}
-		r := time.Until(deadline)
-		return r, r > 0
-	}
+	expired := func() bool { return !deadline.IsZero() && !time.Now().Before(deadline) }
 	if !s.graph.Labeled() {
 		return nil, false, fmt.Errorf("decomine: FSM requires a labeled graph")
 	}
@@ -128,7 +127,7 @@ func (s *System) fsm(minSupport int64, maxEdges int, budget time.Duration) ([]Fr
 		return results, true, nil
 	}
 	for level := 2; level <= maxEdges && len(frontier) > 0; level++ {
-		if _, ok := remaining(); !ok {
+		if expired() {
 			return truncate()
 		}
 		candidates := map[pattern.Code]*pattern.Pattern{}
@@ -153,12 +152,12 @@ func (s *System) fsm(minSupport int64, maxEdges int, budget time.Duration) ([]Fr
 		}
 		outcomes := make([]candOutcome, len(codes))
 		errs := make([]error, len(codes))
-		var expired atomic.Bool
+		var stopped atomic.Bool
 		par := s.batchParallelism(0)
 		sem := make(chan struct{}, par)
 		var wg sync.WaitGroup
 		for idx, code := range codes {
-			if expired.Load() {
+			if stopped.Load() {
 				break
 			}
 			seen[code] = true
@@ -178,21 +177,20 @@ func (s *System) fsm(minSupport int64, maxEdges int, budget time.Duration) ([]Fr
 			go func() {
 				defer wg.Done()
 				defer func() { <-sem }()
-				if expired.Load() {
+				if stopped.Load() {
 					return
 				}
-				rem, ok := remaining()
-				if !ok {
-					expired.Store(true)
+				if expired() {
+					stopped.Store(true)
 					return
 				}
-				sup, canceled, err := s.patternSupport(plan, info, q.NumVertices(), rem)
+				sup, canceled, err := s.patternSupport(plan, info, q.NumVertices(), deadline)
 				if err != nil {
 					errs[idx] = err
 					return
 				}
 				if canceled {
-					expired.Store(true)
+					stopped.Store(true)
 					return
 				}
 				outcomes[idx] = candOutcome{sup: sup, done: true}
@@ -216,7 +214,7 @@ func (s *System) fsm(minSupport int64, maxEdges int, budget time.Duration) ([]Fr
 			frontier = append(frontier, q)
 			results = append(results, FrequentPattern{&Pattern{q.Clone()}, o.sup})
 		}
-		if expired.Load() {
+		if stopped.Load() {
 			return truncate()
 		}
 	}
@@ -237,7 +235,7 @@ func sortFrequentPatterns(results []FrequentPattern) {
 
 // patternSupport computes the MNI support of a k-vertex pattern from
 // the partial embeddings its emission plan delivers.
-func (s *System) patternSupport(plan *core.Plan, info []subInfo, k int, budget time.Duration) (int64, bool, error) {
+func (s *System) patternSupport(plan *core.Plan, info []subInfo, k int, deadline time.Time) (int64, bool, error) {
 	n := s.graph.NumVertices()
 	type state struct{ domains []*bitset }
 	var workers []*state
@@ -252,7 +250,7 @@ func (s *System) patternSupport(plan *core.Plan, info []subInfo, k int, budget t
 				st.domains[pe.WholeVertex[i]].set(v)
 			}
 		}
-	}, budget)
+	}, deadline)
 	if err != nil {
 		return 0, false, err
 	}

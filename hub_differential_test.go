@@ -44,11 +44,11 @@ func TestHubIndexDifferentialMotifSuite(t *testing.T) {
 	for k := 3; k <= maxK; k++ {
 		for i, p := range pattern.ConnectedPatterns(k) {
 			pp := &Pattern{p}
-			hub, err := hubSys.CountPattern(pp)
+			hub, err := hubSys.CountPattern(pp, QueryOpts{})
 			if err != nil {
 				t.Fatalf("k=%d #%d hub: %v", k, i, err)
 			}
-			noHub, err := noHubSys.CountPattern(pp)
+			noHub, err := noHubSys.CountPattern(pp, QueryOpts{})
 			if err != nil {
 				t.Fatalf("k=%d #%d nohub: %v", k, i, err)
 			}

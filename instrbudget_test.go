@@ -16,7 +16,7 @@ func TestInstructionBudget(t *testing.T) {
 	defer sys.Close()
 	p, _ := PatternByName("cycle-5")
 
-	want, err := sys.CountPattern(p)
+	want, err := sys.CountPattern(p, QueryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestInstructionBudget(t *testing.T) {
 		t.Fatalf("fixture too small to exercise the fuel window: %d instructions", want.Stats.Exec.Instructions)
 	}
 
-	got, err := sys.CountPatternOpts(p, QueryOpts{MaxInstructions: 100 * want.Stats.Exec.Instructions})
+	got, err := sys.CountPattern(p, QueryOpts{MaxInstructions: 100 * want.Stats.Exec.Instructions})
 	if err != nil {
 		t.Fatalf("ample budget: %v", err)
 	}
@@ -39,7 +39,7 @@ func TestInstructionBudget(t *testing.T) {
 			got.Stats.Exec.Instructions, want.Stats.Exec.Instructions)
 	}
 
-	if _, err := sys.CountPatternOpts(p, QueryOpts{MaxInstructions: 1}); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := sys.CountPattern(p, QueryOpts{MaxInstructions: 1}); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("starved budget: got err %v, want ErrBudgetExceeded", err)
 	}
 }
@@ -52,16 +52,16 @@ func TestSharedFuelCounter(t *testing.T) {
 	defer sys.Close()
 	p, _ := PatternByName("cycle-5")
 
-	r, err := sys.CountPattern(p)
+	r, err := sys.CountPattern(p, QueryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := QueryOpts{MaxInstructions: r.Stats.Exec.Instructions + r.Stats.Exec.Instructions/2}
 	fuel := o.fuelCounter()
-	if _, err := sys.CountPatternOpts(p, QueryOpts{Fuel: fuel}); err != nil {
+	if _, err := sys.CountPattern(p, QueryOpts{Fuel: fuel}); err != nil {
 		t.Fatalf("first query on joint grant: %v", err)
 	}
-	if _, err := sys.CountPatternOpts(p, QueryOpts{Fuel: fuel}); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := sys.CountPattern(p, QueryOpts{Fuel: fuel}); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("second query on drained grant: got err %v, want ErrBudgetExceeded", err)
 	}
 }
@@ -84,7 +84,7 @@ func TestEstimateCostSharesPlanCache(t *testing.T) {
 	if st := sys.CacheStats(); st.Misses != 1 || st.Hits != 0 {
 		t.Fatalf("after estimate: cache stats %+v, want exactly one miss", st)
 	}
-	if _, err := sys.CountPattern(p); err != nil {
+	if _, err := sys.CountPattern(p, QueryOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := sys.CacheStats(); st.Misses != 1 || st.Hits != 1 {

@@ -142,7 +142,7 @@ func TraceOverhead(cfg Config) (*TraceOverheadReport, error) {
 			}
 			var total int64
 			for _, p := range pats {
-				r, err := sys.CountPatternOpts(p, decomine.QueryOpts{Span: span})
+				r, err := sys.CountPattern(p, decomine.QueryOpts{Span: span})
 				if err != nil {
 					return 0, err
 				}

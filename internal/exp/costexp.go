@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"decomine"
 	"decomine/internal/ast"
 	"decomine/internal/core"
 	"decomine/internal/cost"
@@ -206,15 +207,10 @@ func Fig14(cfg Config) *Table {
 		gpNoCount := AutoMineSys(ds, cfg) // SB plans without count opt
 		gpCount := GraphPiSys(ds, cfg)
 		row := []string{ds}
-		for _, base := range []*struct {
-			sys interface {
-				TotalMotifCountWithin(int, time.Duration) (int64, bool, error)
-			}
-			name string
-		}{{gpNoCount, "nocount"}, {gpCount, "count"}} {
+		for _, base := range []*decomine.System{gpNoCount, gpCount} {
 			for _, k := range []int{3, 4, 5} {
-				cDM := timed(func() (int64, bool, error) { return dm.TotalMotifCountWithin(k, cfg.Budget) })
-				cGP := timed(func() (int64, bool, error) { return base.sys.TotalMotifCountWithin(k, cfg.Budget) })
+				cDM := motifTotal(dm, k, cfg.Budget)
+				cGP := motifTotal(base, k, cfg.Budget)
 				switch {
 				case cDM.err != nil || cGP.err != nil:
 					row = append(row, "ERR")

@@ -19,12 +19,14 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
 
 	"decomine"
 	"decomine/internal/graph"
+	"decomine/internal/pattern"
 )
 
 // Config tunes the harness for the machine at hand.
@@ -215,11 +217,81 @@ func (c cell) speedupString(base cell) string {
 	return fmt.Sprintf("%s (%.1fx)", FormatDuration(c.dur), float64(c.dur)/float64(base.dur))
 }
 
-// timed measures fn once, attributing the timeout flag.
+// timed measures fn once, attributing the timeout flag; a query
+// stopped by its deadline (ErrCanceled) reads as a timeout, not an
+// error.
 func timed(fn func() (int64, bool, error)) cell {
 	start := time.Now()
 	count, timedOut, err := fn()
+	if errors.Is(err, decomine.ErrCanceled) {
+		timedOut, err = true, nil
+	}
 	return cell{dur: time.Since(start), count: count, timedOut: timedOut, err: err}
+}
+
+// deadline turns the per-cell budget into a query deadline (the zero
+// time — no deadline — for an unlimited budget).
+func deadline(budget time.Duration) time.Time {
+	if budget <= 0 {
+		return time.Time{}
+	}
+	return time.Now().Add(budget)
+}
+
+// motifTotal measures k-motif counting (k-MC): every connected k-vertex
+// class counted vertex-induced in one batch — the path MotifCounts
+// takes — summed, under the per-cell budget.
+func motifTotal(sys *decomine.System, k int, budget time.Duration) cell {
+	return inducedTotal(sys, decomine.MotifPatterns(k), budget)
+}
+
+// pseudoCliqueTotal measures n-vertex pseudo-clique counting with at
+// most one missing edge (n-PC) the same way.
+func pseudoCliqueTotal(sys *decomine.System, n int, budget time.Duration) cell {
+	var ps []*decomine.Pattern
+	for _, p := range pattern.PseudoCliques(n, 1) {
+		ps = append(ps, decomine.RawPattern(p))
+	}
+	return inducedTotal(sys, ps, budget)
+}
+
+func inducedTotal(sys *decomine.System, ps []*decomine.Pattern, budget time.Duration) cell {
+	return timed(func() (int64, bool, error) {
+		br, err := sys.CountPatterns(ps, decomine.BatchOpts{Induced: true, Deadline: deadline(budget)})
+		if err != nil {
+			return 0, false, err
+		}
+		var total int64
+		for _, r := range br.Results {
+			total += r.Count
+		}
+		return total, false, nil
+	})
+}
+
+// cycleCount measures k-cycle counting (edge-induced) under the
+// per-cell budget.
+func cycleCount(sys *decomine.System, k int, budget time.Duration) cell {
+	return timed(func() (int64, bool, error) {
+		p, err := decomine.PatternByName(fmt.Sprintf("cycle-%d", k))
+		if err != nil {
+			return 0, false, err
+		}
+		r, err := sys.CountPattern(p, decomine.QueryOpts{Deadline: deadline(budget)})
+		if err != nil {
+			return 0, false, err
+		}
+		return r.Count, false, nil
+	})
+}
+
+// fsmCount measures FSM up to 3 edges at support tau, counting the
+// frequent patterns; a truncated run reads as a timeout.
+func fsmCount(sys *decomine.System, tau int64, budget time.Duration) cell {
+	return timed(func() (int64, bool, error) {
+		res, truncated, err := sys.FSMWithin(tau, 3, budget)
+		return int64(len(res)), truncated, err
+	})
 }
 
 // FormatDuration renders durations the way the paper's tables do.

@@ -67,7 +67,10 @@ func TestPearson(t *testing.T) {
 	}
 }
 
-// Smoke-run a representative subset of the experiments in quick mode.
+// Smoke-run a representative subset of the experiments in quick mode:
+// every table must have rows and no cell may read ERR, so a mis-wired
+// query (wrong options, a failing batch) fails here instead of printing
+// quietly. Timeouts ("T") are allowed; they depend on the machine.
 // Full regeneration happens via cmd/expbench.
 func TestQuickExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
@@ -78,6 +81,13 @@ func TestQuickExperimentsSmoke(t *testing.T) {
 		tbl := Registry[id](cfg)
 		if len(tbl.Rows) == 0 {
 			t.Errorf("%s produced no rows", id)
+		}
+		for _, row := range tbl.Rows {
+			for i, c := range row {
+				if strings.Contains(c, "ERR") {
+					t.Errorf("%s row %v: column %q reads %q", id, row[0], tbl.Header[i], c)
+				}
+			}
 		}
 		t.Logf("\n%s", tbl.String())
 	}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -41,17 +42,16 @@ func Fig1(cfg Config) *Table {
 	dm := DecoMineSys("ee", cfg)
 	am := AutoMineSys("ee", cfg)
 	for k := 3; k <= maxK; k++ {
-		k := k
 		var motifDM, motifAM cell
 		if k <= 6 {
-			motifDM = timed(func() (int64, bool, error) { return dm.TotalMotifCountWithin(k, cfg.Budget) })
-			motifAM = timed(func() (int64, bool, error) { return am.TotalMotifCountWithin(k, cfg.Budget) })
+			motifDM = motifTotal(dm, k, cfg.Budget)
+			motifAM = motifTotal(am, k, cfg.Budget)
 		} else {
 			motifDM = cell{timedOut: true, dur: 0}
 			motifAM = cell{timedOut: true, dur: 0}
 		}
-		cycleDM := timed(func() (int64, bool, error) { return dm.CycleCountWithin(k, cfg.Budget) })
-		cycleAM := timed(func() (int64, bool, error) { return am.CycleCountWithin(k, cfg.Budget) })
+		cycleDM := cycleCount(dm, k, cfg.Budget)
+		cycleAM := cycleCount(am, k, cfg.Budget)
 		if !motifDM.timedOut && !motifAM.timedOut && motifDM.count != motifAM.count && motifDM.err == nil && motifAM.err == nil {
 			t.Notes = append(t.Notes, fmt.Sprintf("k=%d motif count mismatch: %d vs %d", k, motifDM.count, motifAM.count))
 		}
@@ -85,7 +85,7 @@ func Tab2(cfg Config) *Table {
 	}
 	for _, r := range rows {
 		am := AutoMineSys(r.dataset, cfg)
-		c := timed(func() (int64, bool, error) { return am.TotalMotifCountWithin(r.k, cfg.Budget) })
+		c := motifTotal(am, r.k, cfg.Budget)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d-MC", r.k), r.dataset, c.timeString(), countString(c),
 		})
@@ -130,8 +130,8 @@ func Tab3(cfg Config) *Table {
 	for _, r := range mcRows {
 		dm := DecoMineSys(r.dataset, cfg)
 		am := AutoMineSys(r.dataset, cfg)
-		cDM := timed(func() (int64, bool, error) { return dm.TotalMotifCountWithin(r.k, cfg.Budget) })
-		cAM := timed(func() (int64, bool, error) { return am.TotalMotifCountWithin(r.k, cfg.Budget) })
+		cDM := motifTotal(dm, r.k, cfg.Budget)
+		cAM := motifTotal(am, r.k, cfg.Budget)
 		cOB := obliviousMotif(r.dataset, r.k, cfg.Budget)
 		if agree(cDM, cOB) && cDM.count != cOB.count {
 			t.Notes = append(t.Notes, fmt.Sprintf("%d-MC %s: count mismatch DecoMine %d vs oblivious %d", r.k, r.dataset, cDM.count, cOB.count))
@@ -152,8 +152,8 @@ func Tab3(cfg Config) *Table {
 	for _, r := range pcRows {
 		dm := DecoMineSys(r.dataset, cfg)
 		am := AutoMineSys(r.dataset, cfg)
-		cDM := timed(func() (int64, bool, error) { return dm.PseudoCliqueCountWithin(r.n, 1, cfg.Budget) })
-		cAM := timed(func() (int64, bool, error) { return am.PseudoCliqueCountWithin(r.n, 1, cfg.Budget) })
+		cDM := pseudoCliqueTotal(dm, r.n, cfg.Budget)
+		cAM := pseudoCliqueTotal(am, r.n, cfg.Budget)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d-PC", r.n), r.dataset,
 			cDM.timeString(), cAM.speedupString(cDM), "-",
@@ -170,14 +170,8 @@ func Tab3(cfg Config) *Table {
 	for _, r := range fsmRows {
 		dm := DecoMineSys(r.dataset, cfg)
 		am := AutoMineSys(r.dataset, cfg)
-		cDM := timed(func() (int64, bool, error) {
-			res, to, err := dm.FSMWithin(r.tau, 3, cfg.Budget)
-			return int64(len(res)), to, err
-		})
-		cAM := timed(func() (int64, bool, error) {
-			res, to, err := am.FSMWithin(r.tau, 3, cfg.Budget)
-			return int64(len(res)), to, err
-		})
+		cDM := fsmCount(dm, r.tau, cfg.Budget)
+		cAM := fsmCount(am, r.tau, cfg.Budget)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("FSM-%d", r.tau), r.dataset,
 			cDM.timeString(), cAM.speedupString(cDM), "-",
@@ -212,8 +206,8 @@ func Tab4(cfg Config) *Table {
 	for _, r := range mcRows {
 		dm := DecoMineSys(r.dataset, cfg)
 		pa := AutoMineSys(r.dataset, cfg)
-		cDM := timed(func() (int64, bool, error) { return dm.TotalMotifCountWithin(r.k, cfg.Budget) })
-		cPA := timed(func() (int64, bool, error) { return pa.TotalMotifCountWithin(r.k, cfg.Budget) })
+		cDM := motifTotal(dm, r.k, cfg.Budget)
+		cPA := motifTotal(pa, r.k, cfg.Budget)
 		cOB := obliviousMotif(r.dataset, r.k, cfg.Budget)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d-MC", r.k), r.dataset,
@@ -230,14 +224,8 @@ func Tab4(cfg Config) *Table {
 	for _, r := range fsmRows {
 		dm := DecoMineSys(r.dataset, cfg)
 		pa := AutoMineSys(r.dataset, cfg)
-		cDM := timed(func() (int64, bool, error) {
-			res, to, err := dm.FSMWithin(r.tau, 3, cfg.Budget)
-			return int64(len(res)), to, err
-		})
-		cPA := timed(func() (int64, bool, error) {
-			res, to, err := pa.FSMWithin(r.tau, 3, cfg.Budget)
-			return int64(len(res)), to, err
-		})
+		cDM := fsmCount(dm, r.tau, cfg.Budget)
+		cPA := fsmCount(pa, r.tau, cfg.Budget)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("FSM-%d", r.tau), r.dataset,
 			cDM.timeString(), cPA.speedupString(cDM), "-",
@@ -267,9 +255,9 @@ func Tab5(cfg Config) *Table {
 		dmMT := DecoMineSys(ds, cfg)
 		dm1 := DecoMineSys(ds, oneT)
 		gp1 := GraphPiSys(ds, oneT)
-		cMT := timed(func() (int64, bool, error) { return dmMT.TotalMotifCountWithin(4, cfg.Budget) })
-		c1 := timed(func() (int64, bool, error) { return dm1.TotalMotifCountWithin(4, cfg.Budget) })
-		cGP := timed(func() (int64, bool, error) { return gp1.TotalMotifCountWithin(4, cfg.Budget) })
+		cMT := motifTotal(dmMT, 4, cfg.Budget)
+		c1 := motifTotal(dm1, 4, cfg.Budget)
+		cGP := motifTotal(gp1, 4, cfg.Budget)
 		g := RawDataset(ds)
 		cNative := timed(func() (int64, bool, error) {
 			return baseline.CountNative4Motifs(g).Total(), false, nil
@@ -300,9 +288,9 @@ func Tab6(cfg Config) *Table {
 		dm := DecoMineSys(ds, cfg)
 		pa := AutoMineSys(ds, cfg)
 		gp := GraphPiSys(ds, cfg)
-		cDM := timed(func() (int64, bool, error) { return dm.TotalMotifCountWithin(4, cfg.Budget) })
-		cPA := timed(func() (int64, bool, error) { return pa.TotalMotifCountWithin(4, cfg.Budget) })
-		cGP := timed(func() (int64, bool, error) { return gp.TotalMotifCountWithin(4, cfg.Budget) })
+		cDM := motifTotal(dm, 4, cfg.Budget)
+		cPA := motifTotal(pa, 4, cfg.Budget)
+		cGP := motifTotal(gp, 4, cfg.Budget)
 		t.Rows = append(t.Rows, []string{
 			ds, fmt.Sprintf("%d", g.NumVertices()), fmt.Sprintf("%d", g.NumEdges()),
 			cDM.timeString(), cPA.speedupString(cDM), cGP.speedupString(cDM),
@@ -332,9 +320,9 @@ func Tab7(cfg Config) *Table {
 		dm := DecoMineSys(r.dataset, cfg)
 		pa := AutoMineSys(r.dataset, cfg)
 		gp := GraphPiSys(r.dataset, cfg)
-		cDM := timed(func() (int64, bool, error) { return dm.CycleCountWithin(r.k, cfg.Budget) })
-		cPA := timed(func() (int64, bool, error) { return pa.CycleCountWithin(r.k, cfg.Budget) })
-		cGP := timed(func() (int64, bool, error) { return gp.CycleCountWithin(r.k, cfg.Budget) })
+		cDM := cycleCount(dm, r.k, cfg.Budget)
+		cPA := cycleCount(pa, r.k, cfg.Budget)
+		cGP := cycleCount(gp, r.k, cfg.Budget)
 		if agree(cDM, cGP) && cDM.count != cGP.count {
 			t.Notes = append(t.Notes, fmt.Sprintf("%s %d-cycle mismatch: %d vs %d", r.dataset, r.k, cDM.count, cGP.count))
 		}
@@ -366,9 +354,9 @@ func Fig16(cfg Config) *Table {
 		c := cfg
 		c.Threads = threads
 		sys := DecoMineSys(dataset, c)
-		m := timed(func() (int64, bool, error) { return sys.TotalMotifCountWithin(k, cfg.Budget) })
+		m := motifTotal(sys, k, cfg.Budget)
 		balance := "-"
-		if wmax, wmin, ok := workBalance(sys, k); ok {
+		if wmax, wmin, ok := workBalance(sys, k, cfg.Budget); ok {
 			balance = fmt.Sprintf("%.2f", float64(wmax)/float64(max64(wmin, 1)))
 		}
 		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", threads), m.timeString(), balance})
@@ -376,13 +364,14 @@ func Fig16(cfg Config) *Table {
 	return t
 }
 
-// workBalance reruns one representative pattern collecting per-thread
-// outer-loop work.
-func workBalance(sys *decomine.System, k int) (int64, int64, bool) {
-	work, err := sys.WorkDistribution(decomine.MotifPatterns(k)[0])
-	if err != nil || len(work) == 0 {
+// workBalance reruns one representative pattern and reads the
+// instructions each worker executed from its Result.Stats.WorkPerThread.
+func workBalance(sys *decomine.System, k int, budget time.Duration) (int64, int64, bool) {
+	r, err := sys.CountPattern(decomine.MotifPatterns(k)[0], decomine.QueryOpts{Deadline: deadline(budget)})
+	if err != nil || len(r.Stats.WorkPerThread) == 0 {
 		return 0, 0, false
 	}
+	work := r.Stats.WorkPerThread
 	wmax, wmin := work[0], work[0]
 	for _, w := range work {
 		if w > wmax {
@@ -416,14 +405,8 @@ func Fig17(cfg Config) *Table {
 	dm := DecoMineSys("mc", cfg)
 	am := AutoMineSys("mc", cfg)
 	for _, tau := range thresholds {
-		cDM := timed(func() (int64, bool, error) {
-			res, to, err := dm.FSMWithin(tau, 3, cfg.Budget)
-			return int64(len(res)), to, err
-		})
-		cAM := timed(func() (int64, bool, error) {
-			res, to, err := am.FSMWithin(tau, 3, cfg.Budget)
-			return int64(len(res)), to, err
-		})
+		cDM := fsmCount(dm, tau, cfg.Budget)
+		cAM := fsmCount(am, tau, cfg.Budget)
 		sp := "-"
 		if agree(cDM, cAM) && cDM.dur > 0 {
 			sp = fmt.Sprintf("%.1fx", float64(cAM.dur)/float64(cDM.dur))
@@ -474,7 +457,9 @@ func Sec86(cfg Config) *Table {
 }
 
 // Fig18 reproduces Figure 18: compilation time vs execution time for
-// k-motif counting.
+// k-motif counting, split by the batch layer's own accounting
+// (BatchStats.CompileTime: algorithm search on plan-cache misses;
+// ExecTime: the execution waves).
 func Fig18(cfg Config) *Table {
 	t := &Table{
 		Title:  "Figure 18: compilation vs execution time (k-MC)",
@@ -495,24 +480,24 @@ func Fig18(cfg Config) *Table {
 			ProfileSampleEdges: 100_000,
 			ProfileTrials:      20_000,
 		})
-		compile, exec, timedOut, err := sys.CompileAndExecuteMotifs(r.k, cfg.Budget)
+		app := fmt.Sprintf("%d-MC", r.k)
+		br, err := sys.CountPatterns(decomine.MotifPatterns(r.k), decomine.BatchOpts{Induced: true, Deadline: deadline(cfg.Budget)})
 		switch {
+		case errors.Is(err, decomine.ErrCanceled):
+			t.Rows = append(t.Rows, []string{app, r.dataset, "-", "T", "-"})
 		case err != nil:
-			t.Rows = append(t.Rows, []string{fmt.Sprintf("%d-MC", r.k), r.dataset, "ERR", "ERR", "-"})
-		case timedOut:
-			t.Rows = append(t.Rows, []string{fmt.Sprintf("%d-MC", r.k), r.dataset, FormatDuration(compile), "T", "-"})
+			t.Rows = append(t.Rows, []string{app, r.dataset, "ERR", "ERR", "-"})
 		default:
+			compile, exec := br.Stats.CompileTime, br.Stats.ExecTime
 			ratio := "-"
 			if compile > 0 {
 				ratio = fmt.Sprintf("%.0fx", float64(exec)/float64(compile))
 			}
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%d-MC", r.k), r.dataset,
-				FormatDuration(compile), FormatDuration(exec), ratio,
-			})
+			t.Rows = append(t.Rows, []string{app, r.dataset, FormatDuration(compile), FormatDuration(exec), ratio})
 		}
+		t.Notes = append(t.Notes, fmt.Sprintf("%s on %s: one-off cost-model profiling took %s (in neither column)",
+			app, r.dataset, FormatDuration(sys.ProfileTime)))
+		sys.Close()
 	}
 	return t
 }
-
-var _ = time.Second

@@ -14,16 +14,12 @@ import (
 // duplicates, and Handler may be called more than once).
 var publishOnce sync.Once
 
-// publishExpvar exposes the Default registry and the recent-trace ring
-// as expvar variables, so they appear under /debug/vars next to the
-// runtime's memstats.
+// publishExpvar exposes the Default registry as an expvar variable, so
+// it appears under /debug/vars next to the runtime's memstats.
 func publishExpvar() {
 	publishOnce.Do(func() {
 		expvar.Publish("decomine.metrics", expvar.Func(func() any {
 			return Default.Snapshot()
-		}))
-		expvar.Publish("decomine.traces", expvar.Func(func() any {
-			return RecentTraces()
 		}))
 	})
 }
@@ -32,9 +28,7 @@ func publishExpvar() {
 //
 //	/metrics            flat text dump of the Default registry
 //	                    (histograms in Prometheus bucket form)
-//	/debug/vars         expvar (includes decomine.metrics, decomine.traces)
-//	/debug/traces       recent query traces as indented JSON (with
-//	                    per-trace kernel-path counters)
+//	/debug/vars         expvar (includes decomine.metrics)
 //	/debug/trace/{id}   one retained request-trace span tree by its
 //	                    32-hex-digit W3C trace ID
 //	/debug/traces/export  every retained request trace as OTLP/JSON
@@ -56,12 +50,6 @@ func Handler() http.Handler {
 		_, _ = w.Write([]byte(sb.String()))
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(RecentTraces())
-	})
 	mux.HandleFunc("/debug/trace/{id}", func(w http.ResponseWriter, r *http.Request) {
 		tree := TraceByID(r.PathValue("id"))
 		if tree == nil {

@@ -2,11 +2,11 @@ package obs
 
 import (
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGauge(t *testing.T) {
@@ -193,28 +193,6 @@ func TestLabeledFamilies(t *testing.T) {
 	}
 }
 
-func TestTraceRing(t *testing.T) {
-	ringCap := TraceRingSize()
-	for i := 0; i < ringCap+5; i++ {
-		tr := NewTrace("q")
-		tr.Span(PhaseExecute, time.Millisecond, 0)
-		tr.Finish(nil)
-	}
-	got := RecentTraces()
-	if len(got) != ringCap {
-		t.Fatalf("ring holds %d traces, want %d", len(got), ringCap)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].ID <= got[i-1].ID {
-			t.Fatalf("traces not oldest-first at %d: %d then %d", i, got[i-1].ID, got[i].ID)
-		}
-	}
-	last := got[len(got)-1]
-	if len(last.Spans) != 1 || last.Spans[0].Phase != PhaseExecute {
-		t.Fatalf("unexpected spans: %+v", last.Spans)
-	}
-}
-
 func TestHandlerEndpoints(t *testing.T) {
 	Default.Counter("test.handler").Inc()
 	h := Handler()
@@ -222,7 +200,6 @@ func TestHandlerEndpoints(t *testing.T) {
 	for path, want := range map[string]string{
 		"/metrics":                    "# TYPE test_handler counter",
 		"/debug/vars":                 "decomine.metrics",
-		"/debug/traces":               "[",
 		"/debug/profile":              `"flame"`,
 		"/debug/profile?format=pprof": "",
 		"/debug/queries":              "[",
@@ -252,5 +229,12 @@ func TestHandlerEndpoints(t *testing.T) {
 	}
 	if _, ok := decoded["decomine.metrics"]; !ok {
 		t.Fatal("/debug/vars missing decomine.metrics")
+	}
+
+	// The flat per-query trace ring is gone; span trees replace it.
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Errorf("/debug/traces: status %d, want 404", rec.Code)
 	}
 }

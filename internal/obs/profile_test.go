@@ -186,55 +186,13 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Fatalf("threshold = %v", SlowQueryThreshold())
 	}
 	for i := 0; i < slowLogCap+3; i++ {
-		RecordSlowQuery(&SlowQuery{TraceID: uint64(i + 1), Name: "q", DurationNS: int64(i)})
+		RecordSlowQuery(&SlowQuery{QueryID: uint64(i + 1), Name: "q", DurationNS: int64(i)})
 	}
 	got := SlowQueries()
 	if len(got) != slowLogCap {
 		t.Fatalf("slow log holds %d, want %d", len(got), slowLogCap)
 	}
-	if got[0].TraceID != 4 || got[len(got)-1].TraceID != slowLogCap+3 {
-		t.Fatalf("ring not oldest-first: first=%d last=%d", got[0].TraceID, got[len(got)-1].TraceID)
-	}
-}
-
-func TestSetTraceRingSize(t *testing.T) {
-	defer SetTraceRingSize(defaultTraceRingSize)
-	SetTraceRingSize(4)
-	if TraceRingSize() != 4 {
-		t.Fatalf("ring size = %d, want 4", TraceRingSize())
-	}
-	var ids []uint64
-	for i := 0; i < 7; i++ {
-		tr := NewTrace("resize")
-		ids = append(ids, tr.ID)
-		tr.Finish(nil)
-	}
-	got := RecentTraces()
-	if len(got) != 4 {
-		t.Fatalf("ring holds %d, want 4", len(got))
-	}
-	for i, tr := range got {
-		if want := ids[3+i]; tr.ID != want {
-			t.Fatalf("slot %d id = %d, want %d (most recent kept)", i, tr.ID, want)
-		}
-	}
-	// Shrinking keeps the most recent traces.
-	SetTraceRingSize(2)
-	got = RecentTraces()
-	if len(got) != 2 || got[0].ID != ids[5] || got[1].ID != ids[6] {
-		t.Fatalf("after shrink: %d traces, ids %v", len(got), []uint64{got[0].ID, got[1].ID})
-	}
-	// Growing keeps existing entries and admits more.
-	SetTraceRingSize(8)
-	tr := NewTrace("post-grow")
-	tr.Finish(nil)
-	got = RecentTraces()
-	if len(got) != 3 || got[2].Name != "post-grow" {
-		t.Fatalf("after grow: %d traces", len(got))
-	}
-	// SetTraceRingSize clamps to a minimum of 1.
-	SetTraceRingSize(0)
-	if TraceRingSize() != 1 {
-		t.Fatalf("ring size after clamp = %d, want 1", TraceRingSize())
+	if got[0].QueryID != 4 || got[len(got)-1].QueryID != slowLogCap+3 {
+		t.Fatalf("ring not oldest-first: first=%d last=%d", got[0].QueryID, got[len(got)-1].QueryID)
 	}
 }

@@ -34,7 +34,9 @@ func SlowQueryThreshold() time.Duration {
 
 // SlowQuery is one slow-query record.
 type SlowQuery struct {
-	TraceID uint64 `json:"trace_id"`
+	// QueryID is the id the query held in the live-query registry
+	// (/debug/queries) while it ran.
+	QueryID uint64 `json:"query_id"`
 	// RequestTraceID is the W3C trace ID of the served request this
 	// query ran under (empty for library-level queries): the operator's
 	// link from a slow-log entry to its full span tree at

@@ -1,12 +1,11 @@
 package obs
 
-// Request-scoped hierarchical span traces. The flat Trace ring (trace.go)
-// records the compile/execute phases of one library-level query; a Span
-// tree covers a whole *served request* — HTTP handling, admission
-// pricing, queue wait, cache and rewrite lookups, per-subquery
-// compilation, batch dependency waves, and engine execution — as one
-// parent/child tree under a single W3C trace ID, so an operator can
-// answer "where did tenant X's 800ms go" from one object.
+// Request-scoped hierarchical span traces. A Span tree covers a whole
+// *served request* — HTTP handling, admission pricing, queue wait, cache
+// and rewrite lookups, per-subquery compilation (the Phase* leaves),
+// batch dependency waves, and engine execution — as one parent/child
+// tree under a single W3C trace ID, so an operator can answer "where did
+// tenant X's 800ms go" from one object.
 //
 // Design rules:
 //
@@ -33,6 +32,16 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+)
+
+// Query lifecycle phases (paper §7: the compiler enumerates candidate
+// implementations, ranks them with a cost model, lowers the winner to
+// bytecode, and the engine executes it).
+const (
+	PhaseEnumerate = "enumerate"
+	PhaseRank      = "rank"
+	PhaseLower     = "lower"
+	PhaseExecute   = "execute"
 )
 
 // SpanAttr is one typed span attribute. Values should be strings, Go

@@ -317,7 +317,7 @@ func (s *Server) runRewrite(w http.ResponseWriter, r *http.Request, entry *graph
 		defer release()
 		fuel := grantFuel(tc)
 		for _, q := range missing {
-			res, err := entry.sys.CountPatternOpts(decomine.RawPattern(q), decomine.QueryOpts{Fuel: fuel, Span: span})
+			res, err := entry.sys.CountPattern(decomine.RawPattern(q), decomine.QueryOpts{Fuel: fuel, Span: span})
 			if err != nil {
 				writeQueryError(w, err)
 				return 0, err
@@ -370,7 +370,7 @@ func (s *Server) runDirect(w http.ResponseWriter, r *http.Request, entry *graphE
 		resp.ExecutedSubqueries++
 		return count, nil
 	}
-	res, err := entry.sys.CountPatternOpts(p, decomine.QueryOpts{Constraints: cons, Fuel: grantFuel(tc), Span: span})
+	res, err := entry.sys.CountPattern(p, decomine.QueryOpts{Constraints: cons, Fuel: grantFuel(tc), Span: span})
 	if err != nil {
 		writeQueryError(w, err)
 		return 0, err

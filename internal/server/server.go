@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync/atomic"
+	"time"
 
 	"decomine"
 	"decomine/internal/obs"
@@ -192,6 +193,22 @@ func (s *Server) handleEpochBump(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"graph": e.name, "epoch": e.epoch.Add(1)})
+}
+
+// Connection timeouts of NewHTTPServer. There is deliberately no write
+// timeout: a long-running count is a legitimate response.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns the http.Server every DecoMine listener serves
+// h with: a client that trickles its request headers is cut off after
+// readHeaderTimeout, and idle keep-alive connections are closed after
+// idleTimeout. Callers Serve it on their listener and drain it with
+// Shutdown.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -1,7 +1,10 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -280,5 +283,36 @@ func TestGraphsAndHealth(t *testing.T) {
 	}
 	if _, code := postQuery(t, ts, "", `{"graph":"g","pattern":"0-1,2-3","induced":true}`); code != http.StatusBadRequest {
 		t.Fatalf("vi of disconnected pattern: status %d, want 400", code)
+	}
+}
+
+// TestNewHTTPServer pins the listener contract: header-read and idle
+// timeouts set, no write timeout (long counts are legitimate), and a
+// Shutdown that lets Serve return ErrServerClosed after serving.
+func TestNewHTTPServer(t *testing.T) {
+	s, _ := newTestServer(t, 0, nil)
+	hs := NewHTTPServer(s.Handler())
+	if hs.ReadHeaderTimeout <= 0 || hs.IdleTimeout <= 0 || hs.WriteTimeout != 0 {
+		t.Fatalf("timeouts: read-header %v idle %v write %v", hs.ReadHeaderTimeout, hs.IdleTimeout, hs.WriteTimeout)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	resp, err := http.Get("http://" + ln.Addr().String() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz: status %d", resp.StatusCode)
+	}
+	if err := hs.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
 	}
 }

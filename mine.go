@@ -3,6 +3,7 @@ package decomine
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"decomine/internal/ast"
@@ -46,16 +47,16 @@ func (s *System) ProcessPartialEmbeddings(p *Pattern, newUDF func(worker int) UD
 	if err != nil {
 		return err
 	}
-	_, err = s.runEmitPlan(plan, info, newUDF, 0)
+	_, err = s.runEmitPlan(plan, info, newUDF, time.Time{})
 	return err
 }
 
 // runEmitPlan executes a compiled emission plan (see emitPlan),
-// optionally under a wall-clock budget, reporting canceled=true when it
-// expires.
-func (s *System) runEmitPlan(plan *core.Plan, info []subInfo, newUDF func(worker int) UDF, budget time.Duration) (bool, error) {
-	cancel, stop := cancelAfter(budget)
-	defer stop()
+// optionally under a deadline (zero = none), reporting canceled=true
+// when it expires.
+func (s *System) runEmitPlan(plan *core.Plan, info []subInfo, newUDF func(worker int) UDF, deadline time.Time) (bool, error) {
+	cancel := new(atomic.Bool)
+	defer armDeadline(cancel, deadline)()
 	newConsumer := func(worker int) engine.Consumer {
 		udf := newUDF(worker)
 		// One reusable PartialEmbedding per subpattern per worker.
@@ -88,49 +89,28 @@ type subInfo struct {
 	toWhole []int
 }
 
-// emitPlan compiles (and caches) an emission-mode plan for p, preferring
-// decomposition; direct plans emit the whole pattern as subpattern 0.
+// emitPlan compiles (and caches, failures included) an emission-mode
+// plan for p, preferring decomposition, and describes its subpatterns:
+// a decomposed plan emits each of its decomposition's subpatterns, a
+// direct plan the whole pattern as subpattern 0.
 func (s *System) emitPlan(p *pattern.Pattern) (*core.Plan, []subInfo, error) {
-	key := planKey{code: p.Canonical(), mode: core.ModeEmit, flavor: "emit"}
-	s.mu.Lock()
-	if e, ok := s.planCache[key]; ok {
-		info := s.emitInfo[key]
-		s.mu.Unlock()
-		s.noteCacheHit(e)
-		return e.plan, info, e.err
-	}
-	s.mu.Unlock()
-	s.noteCacheMiss()
-
-	best, _, err := core.Search(p, s.searchOptions(core.ModeEmit, false))
+	e, _, err := s.planFlavor(p, core.ModeEmit, false, "emit", nil)
 	if err != nil {
-		// Negative caching: a pattern with no emission plan keeps failing
-		// identically, so remember the failure instead of re-searching.
-		s.mu.Lock()
-		s.planCache[key] = &planEntry{err: err}
-		s.mu.Unlock()
 		return nil, nil, err
 	}
-	var info []subInfo
-	if d := best.Plan.Decomposition; d != nil {
-		for _, sp := range d.Subpatterns {
-			info = append(info, subInfo{pat: sp.Pat, toWhole: sp.ToWhole})
-		}
-	} else {
+	d := e.plan.Decomposition
+	if d == nil {
 		whole := make([]int, p.NumVertices())
 		for i := range whole {
 			whole[i] = i
 		}
-		info = append(info, subInfo{pat: p.Clone(), toWhole: whole})
+		return e.plan, []subInfo{{pat: p.Clone(), toWhole: whole}}, nil
 	}
-	s.mu.Lock()
-	if s.emitInfo == nil {
-		s.emitInfo = map[planKey][]subInfo{}
+	info := make([]subInfo, len(d.Subpatterns))
+	for i, sp := range d.Subpatterns {
+		info[i] = subInfo{pat: sp.Pat, toWhole: sp.ToWhole}
 	}
-	s.planCache[key] = &planEntry{plan: best.Plan, cost: best.Cost}
-	s.emitInfo[key] = info
-	s.mu.Unlock()
-	return best.Plan, info, nil
+	return e.plan, info, nil
 }
 
 // Materialize expands a partial embedding into up to num whole-pattern

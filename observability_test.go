@@ -1,7 +1,6 @@
 package decomine
 
 import (
-	"strings"
 	"sync"
 	"testing"
 
@@ -81,7 +80,7 @@ func TestCountPatternStats(t *testing.T) {
 	defer sys.Close()
 
 	p := MustParsePattern("0-1,1-2,2-0")
-	r1, err := sys.CountPattern(p)
+	r1, err := sys.CountPattern(p, QueryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +109,7 @@ func TestCountPatternStats(t *testing.T) {
 		t.Error("PerOp empty")
 	}
 
-	r2, err := sys.CountPattern(p)
+	r2, err := sys.CountPattern(p, QueryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +144,7 @@ func TestPerRunStatsConcurrent(t *testing.T) {
 	refSys := testSystem(t, g)
 	for _, name := range names {
 		p, _ := PatternByName(name)
-		r, err := refSys.CountPattern(p)
+		r, err := refSys.CountPattern(p, QueryOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +162,7 @@ func TestPerRunStatsConcurrent(t *testing.T) {
 			go func(name string) {
 				defer wg.Done()
 				p, _ := PatternByName(name)
-				r, err := sys.CountPattern(p)
+				r, err := sys.CountPattern(p, QueryOpts{})
 				if err != nil {
 					errs <- err
 					return
@@ -179,29 +178,5 @@ func TestPerRunStatsConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-}
-
-// TestQueryTraces checks that counting queries publish phase traces to
-// the observability ring.
-func TestQueryTraces(t *testing.T) {
-	g := GenerateGNP(50, 0.1, 994)
-	sys := testSystem(t, g)
-	defer sys.Close()
-	p := MustParsePattern("0-1,1-2,2-0,0-3")
-	if _, err := sys.GetPatternCount(p); err != nil {
-		t.Fatal(err)
-	}
-	var found *obs.Trace
-	for _, tr := range obs.RecentTraces() {
-		if strings.HasPrefix(tr.Name, "count:") && strings.Contains(tr.Name, "0-3") {
-			found = tr
-		}
-	}
-	if found == nil {
-		t.Fatal("no trace recorded for the query")
-	}
-	if len(found.Spans) < 3 {
-		t.Fatalf("trace spans = %+v, want enumerate/rank/lower/execute", found.Spans)
 	}
 }

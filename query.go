@@ -9,7 +9,8 @@ import (
 )
 
 // ErrCanceled is returned by a counting query whose QueryHandle was
-// canceled before the execution phase completed.
+// canceled, or whose QueryOpts/BatchOpts deadline passed, before the
+// execution phase completed.
 var ErrCanceled = errors.New("decomine: query canceled")
 
 // QueryHandle tracks one in-flight asynchronous counting query started
@@ -65,11 +66,11 @@ func (h *QueryHandle) Wait() (*Result, error) {
 	return h.res, h.err
 }
 
-// CountPatternAsync starts CountPattern(p) in a background goroutine
+// CountPatternAsync starts CountPattern(p, o) in a background goroutine
 // and returns a handle exposing live progress, a crude ETA, and
 // cancellation. The query also appears (with the same progress
 // fraction) at /debug/queries while it runs.
-func (s *System) CountPatternAsync(p *Pattern) *QueryHandle {
+func (s *System) CountPatternAsync(p *Pattern, o QueryOpts) *QueryHandle {
 	h := &QueryHandle{
 		started: time.Now(),
 		tracker: &engine.ProgressTracker{},
@@ -77,7 +78,7 @@ func (s *System) CountPatternAsync(p *Pattern) *QueryHandle {
 	}
 	go func() {
 		defer close(h.done)
-		h.res, h.err = s.countPattern(p, &h.cancel, h.tracker, QueryOpts{})
+		h.res, h.err = s.countPattern(p, &h.cancel, h.tracker, o)
 	}()
 	return h
 }

@@ -2,6 +2,7 @@ package decomine
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -22,7 +23,7 @@ func TestProfiledQueryAndSlowLog(t *testing.T) {
 	sys := NewSystem(g, Options{Threads: 1, Profile: true, CostModel: CostLocality})
 	defer sys.Close()
 
-	res, err := sys.CountPattern(MustParsePattern("0-1,1-2,2-0"))
+	res, err := sys.CountPattern(MustParsePattern("0-1,1-2,2-0"), QueryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,19 +56,21 @@ func TestProfiledQueryAndSlowLog(t *testing.T) {
 	if sq.Profile == nil {
 		t.Fatal("slow query missing profile (profiling was on)")
 	}
-	if sq.DurationNS <= 0 || sq.TraceID == 0 {
+	if sq.DurationNS <= 0 || sq.QueryID == 0 {
 		t.Fatalf("slow query metadata: %+v", sq)
 	}
 
-	// The finished query's trace carries the same kernel mix.
-	var found bool
-	for _, tr := range obs.RecentTraces() {
-		if tr.ID == sq.TraceID && len(tr.Kernels) > 0 {
-			found = true
-		}
+	// The record's kernel mix is the run's own, and its query ID is the
+	// one the live-query registry issued: a later query gets a later ID.
+	if !reflect.DeepEqual(sq.Kernels, res.Stats.Exec.Kernels) {
+		t.Fatalf("slow-log kernels %v != run kernels %v", sq.Kernels, res.Stats.Exec.Kernels)
 	}
-	if !found {
-		t.Fatal("trace ring has no kernel mix for the query")
+	if _, err := sys.CountPattern(MustParsePattern("0-1,1-2"), QueryOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	slow = obs.SlowQueries()
+	if next := slow[len(slow)-1]; next.QueryID <= sq.QueryID {
+		t.Fatalf("query IDs not increasing: %d then %d", sq.QueryID, next.QueryID)
 	}
 }
 
@@ -85,7 +88,7 @@ func TestCountPatternAsync(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	h := sys.CountPatternAsync(p)
+	h := sys.CountPatternAsync(p, QueryOpts{})
 	prev := 0.0
 	for {
 		f := h.Progress()
@@ -128,7 +131,7 @@ func TestCountPatternAsyncCancel(t *testing.T) {
 	sys := NewSystem(g, Options{Threads: 2, CostModel: CostLocality})
 	defer sys.Close()
 
-	h := sys.CountPatternAsync(MustParsePattern("0-1,0-2,0-3,1-2,1-3,2-3")) // clique-4
+	h := sys.CountPatternAsync(MustParsePattern("0-1,0-2,0-3,1-2,1-3,2-3"), QueryOpts{}) // clique-4
 	h.Cancel()
 	res, err := h.Wait()
 	if !errors.Is(err, ErrCanceled) {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"decomine/internal/core"
-	"decomine/internal/engine"
 	"decomine/internal/pattern"
 )
 
@@ -20,6 +19,12 @@ type QueryOpts struct {
 	// Constraints restricts the count to embeddings whose vertex labels
 	// satisfy every group constraint (see CountWithConstraints).
 	Constraints []LabelConstraint
+	// Deadline, when non-zero, is the wall-clock time by which the query
+	// must finish. Expiry stops execution through the same cancel flag
+	// as QueryHandle.Cancel, so the query returns ErrCanceled; a
+	// deadline already past when execution starts cancels it at once.
+	// Compilation is not interrupted.
+	Deadline time.Time
 	// MaxInstructions, when > 0, caps the bytecode instructions the
 	// execution phase may spend (summed across workers). A run
 	// that exhausts the budget aborts through the engine's cancellation
@@ -87,25 +92,20 @@ func (s *System) planFor(p *Pattern, o QueryOpts) (*planEntry, bool, error) {
 		func(so *core.SearchOptions) { so.Constraints = ccons })
 }
 
-// CountPatternOpts is CountPattern with per-query options: label
-// constraints and an instruction budget. It returns ErrBudgetExceeded
-// when the budget ran out mid-execution.
-func (s *System) CountPatternOpts(p *Pattern, o QueryOpts) (*Result, error) {
-	return s.countPattern(p, nil, nil, o)
-}
-
-// CountPatternAsyncOpts is CountPatternAsync with per-query options.
-func (s *System) CountPatternAsyncOpts(p *Pattern, o QueryOpts) *QueryHandle {
-	h := &QueryHandle{
-		started: time.Now(),
-		tracker: &engine.ProgressTracker{},
-		done:    make(chan struct{}),
+// armDeadline flips cancel once deadline passes — at once when it
+// already has — and returns the function releasing the timer. The zero
+// deadline arms nothing.
+func armDeadline(cancel *atomic.Bool, deadline time.Time) (stop func()) {
+	if deadline.IsZero() {
+		return func() {}
 	}
-	go func() {
-		defer close(h.done)
-		h.res, h.err = s.countPattern(p, &h.cancel, h.tracker, o)
-	}()
-	return h
+	d := time.Until(deadline)
+	if d <= 0 {
+		cancel.Store(true)
+		return func() {}
+	}
+	t := time.AfterFunc(d, func() { cancel.Store(true) })
+	return func() { t.Stop() }
 }
 
 // EstimateCost prices a query without executing it: it returns the cost

@@ -78,24 +78,26 @@ func execStatsFromResult(res *engine.Result) ExecStats {
 	return st
 }
 
-// CountPattern returns the number of edge-induced embeddings of p
-// together with this run's stats: plan-cache outcome, compile phase
-// spans (on a miss), lowering time, execution time, and the engine's
-// instruction/steal counters. It is GetPatternCount with per-run
-// observability; both share the plan cache. While the query runs it is
-// visible (with live progress) at /debug/queries; queries slower than
-// obs.SetSlowQueryThreshold land in the slow-query log.
-func (s *System) CountPattern(p *Pattern) (*Result, error) {
-	return s.countPattern(p, nil, nil, QueryOpts{})
+// CountPattern returns the number of edge-induced embeddings of p under
+// the options o (label constraints, instruction budget, deadline, trace
+// span), together with this run's stats: plan-cache outcome, compile
+// phase spans (on a miss), lowering time, execution time, and the
+// engine's instruction/steal counters. Every single-pattern count in the
+// library goes through it and shares one plan cache. While the query
+// runs it is visible (with live progress) at /debug/queries; queries
+// slower than obs.SetSlowQueryThreshold land in the slow-query log. A
+// drained instruction budget returns ErrBudgetExceeded, an expired
+// deadline ErrCanceled.
+func (s *System) CountPattern(p *Pattern, o QueryOpts) (*Result, error) {
+	return s.countPattern(p, nil, nil, o)
 }
 
 // countPattern is the shared synchronous/asynchronous query body.
 // cancel (optional, allocated here when nil so every query is
-// cancelable from /debug/queries) aborts the execution phase; tracker
-// (optional, allocated here when nil) receives root-range completion
-// accounting and backs the live-progress registration. qo refines the
-// query (constraints, instruction budget); budget exhaustion surfaces
-// as ErrBudgetExceeded.
+// cancelable from /debug/queries) aborts the execution phase, and
+// qo.Deadline arms it; tracker (optional, allocated here when nil)
+// receives root-range completion accounting and backs the live-progress
+// registration.
 func (s *System) countPattern(p *Pattern, cancel *atomic.Bool, tracker *engine.ProgressTracker, qo QueryOpts) (*Result, error) {
 	name := "count:" + p.String()
 	begin := time.Now()
@@ -105,17 +107,16 @@ func (s *System) countPattern(p *Pattern, cancel *atomic.Bool, tracker *engine.P
 	if cancel == nil {
 		cancel = new(atomic.Bool)
 	}
+	defer armDeadline(cancel, qo.Deadline)()
 	fuel := qo.fuelCounter()
-	tr := obs.NewTrace(name)
 	// span is this query's node in the request trace tree (nil — one
 	// pointer check per call site — when the caller isn't tracing).
 	span := qo.Span.StartChild(name)
 	meta := obs.QueryMeta{Tenant: qo.Span.Tenant(), TraceID: qo.Span.TraceID(), QueueWait: qo.Span.QueueWait()}
-	_, unregister := obs.RegisterQueryMeta(name, meta, tracker.Fraction, func() { cancel.Store(true) })
+	queryID, unregister := obs.RegisterQueryMeta(name, meta, tracker.Fraction, func() { cancel.Store(true) })
 	defer unregister()
 	e, hit, err := s.planFor(p, qo)
 	if err != nil {
-		tr.Finish(err)
 		span.EndErr(err)
 		return nil, err
 	}
@@ -128,8 +129,6 @@ func (s *System) countPattern(p *Pattern, cancel *atomic.Bool, tracker *engine.P
 			PhaseSpan{Phase: obs.PhaseEnumerate, Duration: e.stats.EnumerateTime, Candidates: e.stats.Candidates},
 			PhaseSpan{Phase: obs.PhaseRank, Duration: e.stats.RankTime, Candidates: e.stats.Candidates})
 		st.CompileTime = e.stats.EnumerateTime + e.stats.RankTime
-		tr.Span(obs.PhaseEnumerate, e.stats.EnumerateTime, e.stats.Candidates)
-		tr.Span(obs.PhaseRank, e.stats.RankTime, e.stats.Candidates)
 	}
 	if span != nil {
 		compile := span.StartChildAt("compile", begin)
@@ -147,28 +146,24 @@ func (s *System) countPattern(p *Pattern, cancel *atomic.Bool, tracker *engine.P
 	runBegin := time.Now()
 	count, res, lowerDur, err := s.runStats(e.plan, engine.Options{Cancel: cancel, Progress: tracker, Fuel: fuel}, qo.resolve)
 	if err != nil {
-		tr.Finish(err)
 		span.EndErr(err)
 		return nil, err
 	}
 	if res.Canceled {
 		// A run can stop for two reasons on this path: the cancel flag
-		// (explicit Cancel, or /debug/queries/cancel) or a drained fuel
-		// budget. The budget going negative identifies the latter.
+		// (explicit Cancel, /debug/queries/cancel, or the deadline) or a
+		// drained fuel budget. The budget going negative identifies the
+		// latter.
 		if fuel != nil && fuel.Load() < 0 {
-			tr.Finish(ErrBudgetExceeded)
 			span.EndErr(ErrBudgetExceeded)
 			return nil, ErrBudgetExceeded
 		}
-		tr.Finish(ErrCanceled)
 		span.EndErr(ErrCanceled)
 		return nil, ErrCanceled
 	}
 	st.Phases = append(st.Phases,
 		PhaseSpan{Phase: obs.PhaseLower, Duration: lowerDur},
 		PhaseSpan{Phase: obs.PhaseExecute, Duration: res.Elapsed})
-	tr.Span(obs.PhaseLower, lowerDur, 0)
-	tr.Span(obs.PhaseExecute, res.Elapsed, 0)
 	st.ExecTime = res.Elapsed
 	st.Exec = execStatsFromResult(res)
 	st.WorkPerThread = append([]int64(nil), res.WorkPerThread...)
@@ -186,10 +181,8 @@ func (s *System) countPattern(p *Pattern, cancel *atomic.Bool, tracker *engine.P
 			obs.SpanAttr{Key: "slab_misses", Value: st.Exec.SlabMisses})
 		span.SetAttr("count", count)
 	}
-	tr.Kernels = st.Exec.Kernels
-	tr.Finish(nil)
 	span.End()
-	s.noteSlowQuery(tr.ID, name, begin, time.Since(begin), e, st, meta.TraceID)
+	s.noteSlowQuery(queryID, name, begin, time.Since(begin), e, st, meta.TraceID)
 	return out, nil
 }
 
@@ -197,12 +190,12 @@ func (s *System) countPattern(p *Pattern, cancel *atomic.Bool, tracker *engine.P
 // its end-to-end latency crossed the configured threshold, carrying the
 // selected plan (Explain pseudocode + bytecode disassembly), the
 // kernel-path mix, and the run's profile (when profiling was on).
-func (s *System) noteSlowQuery(traceID uint64, name string, begin time.Time, total time.Duration, e *planEntry, st *QueryStats, requestTraceID string) {
+func (s *System) noteSlowQuery(queryID uint64, name string, begin time.Time, total time.Duration, e *planEntry, st *QueryStats, requestTraceID string) {
 	if thr := obs.SlowQueryThreshold(); thr <= 0 || total < thr {
 		return
 	}
 	obs.RecordSlowQuery(&obs.SlowQuery{
-		TraceID:        traceID,
+		QueryID:        queryID,
 		RequestTraceID: requestTraceID,
 		Name:           name,
 		Begin:          begin,

@@ -68,7 +68,7 @@ func TestSlabAffinityStatsSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.CountPattern(p)
+	res, err := sys.CountPattern(p, QueryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func TestStealOpCountsThreadIndependent(t *testing.T) {
 	var baseCount int64
 	for _, threads := range []int{1, 2, 4, 7} {
 		sys := stealSystem(g, threads)
-		res, err := sys.CountPattern(p)
+		res, err := sys.CountPattern(p, QueryOpts{})
 		if err != nil {
 			t.Fatalf("threads=%d: %v", threads, err)
 		}
@@ -116,7 +116,7 @@ func TestStealDeterministicRepeats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := sys.CountPattern(p)
+	first, err := sys.CountPattern(p, QueryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ package decomine
 // and a run must observe cancellation mid-flight.
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -32,7 +33,7 @@ func TestVMDifferentialMotifSuite(t *testing.T) {
 		for k := 3; k <= gc.maxK; k++ {
 			census := baseline.ObliviousMotifCensus(gc.g.g, k)
 			for i, p := range pattern.ConnectedPatterns(k) {
-				res, err := sys.CountPattern(&Pattern{p})
+				res, err := sys.CountPattern(&Pattern{p}, QueryOpts{})
 				if err != nil {
 					t.Fatalf("%s k=%d #%d: %v", gc.name, k, i, err)
 				}
@@ -137,21 +138,23 @@ func TestVMDifferentialCancellationMidRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential tests are slow")
 	}
-	// A run far too large for a 1ms budget (the full run takes seconds
+	// A run far too large for a 1ms deadline (the full run takes seconds
 	// single-threaded): the in-line driver must observe the cancellation
-	// mid-run and report a timeout rather than hanging or returning a
-	// bogus full count.
+	// mid-run and report ErrCanceled rather than hanging or returning a
+	// bogus full count. The plan is compiled first so the deadline falls
+	// inside execution.
 	g := GenerateRMAT(10, 8, 2468)
 	cycle5 := pattern.New(5)
 	for v := 0; v < 5; v++ {
 		cycle5.AddEdge(v, (v+1)%5)
 	}
 	sys := NewSystem(g, Options{Threads: 1, CostModel: CostLocality})
-	_, timedOut, err := sys.GetPatternCountWithin(&Pattern{cycle5}, time.Millisecond)
-	if err != nil {
+	p := &Pattern{cycle5}
+	if _, err := sys.EstimateCost(p, QueryOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	if !timedOut {
-		t.Errorf("1ms budget on 5-cycle over %s did not time out", g)
+	r, err := sys.CountPattern(p, QueryOpts{Deadline: time.Now().Add(time.Millisecond)})
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("1ms deadline on 5-cycle over %s: got (%v, %v), want ErrCanceled", g, r, err)
 	}
 }
