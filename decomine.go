@@ -41,7 +41,8 @@ const (
 
 // Options configures a System.
 type Options struct {
-	// Threads used by plan execution; 0 means GOMAXPROCS.
+	// Threads used by plan execution and by the algorithm search's
+	// candidate preparation; 0 means GOMAXPROCS.
 	Threads int
 	// CostModel picks the plan-ranking model (default CostApproxMining).
 	CostModel CostModelKind
@@ -328,6 +329,7 @@ func (s *System) searchOptions(mode core.Mode, induced bool) core.SearchOptions 
 		DisableCountLastLoop: s.opts.DisableCountLastLoop,
 		MaxCandidates:        s.opts.MaxCandidates,
 		DisableAuxGraphs:     s.opts.DisableAuxGraphs,
+		Workers:              s.opts.Threads,
 	}
 }
 
@@ -523,27 +525,28 @@ func (s *System) GetPatternCount(p *Pattern) (int64, error) {
 // counts of p's supergraph classes — computable with decomposition —
 // combined by inclusion-exclusion), per paper §2.2.
 func (s *System) GetPatternCountVertexInduced(p *Pattern) (int64, error) {
-	// Option 1: direct.
-	direct, _, errDirect := core.Search(p.p, s.searchOptions(core.ModeCount, true))
+	// Option 1: direct. Both options' searches go through the plan
+	// cache, failures included.
+	direct, _, errDirect := s.planFull(p.p, core.ModeCount, true)
 	// Option 2: indirect via conversion.
 	plan2 := pattern.ConversionPlan(p.p)
 	var indirectCost float64
 	indirect := make([]*core.Plan, 0, len(plan2))
 	errIndirect := error(nil)
 	for _, q := range plan2 {
-		best, _, err := core.Search(q, s.searchOptions(core.ModeCount, false))
+		e, _, err := s.planFull(q, core.ModeCount, false)
 		if err != nil {
 			errIndirect = err
 			break
 		}
-		indirectCost += best.Cost
-		indirect = append(indirect, best.Plan)
+		indirectCost += e.cost
+		indirect = append(indirect, e.plan)
 	}
 	switch {
 	case errDirect != nil && errIndirect != nil:
 		return 0, fmt.Errorf("decomine: no vertex-induced plan for %s: %v / %v", p, errDirect, errIndirect)
-	case errIndirect != nil || (errDirect == nil && direct.Cost <= indirectCost):
-		return s.run(direct.Plan)
+	case errIndirect != nil || (errDirect == nil && direct.cost <= indirectCost):
+		return s.run(direct.plan)
 	}
 	ei := map[pattern.Code]int64{}
 	for i, q := range plan2 {

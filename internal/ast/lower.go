@@ -199,7 +199,17 @@ func Lower(p *Program) *Lowered { return LowerWith(p, LowerOpts{}) }
 // and emit keys are pooled into one shared slice. The program must not
 // be mutated afterwards (the lowered form does not track tree edits).
 func LowerWith(p *Program, opts LowerOpts) *Lowered {
-	l := &Lowered{Prog: p, NumSets: p.NumSets}
+	size := 0 // every node lowers to one instruction, a loop to two, the root to none
+	Walk(p.Root, func(n *Node) {
+		switch n.Kind {
+		case KRoot:
+		case KLoop:
+			size += 2
+		default:
+			size++
+		}
+	})
+	l := &Lowered{Prog: p, NumSets: p.NumSets, Code: make([]Instr, 0, size)}
 	var emit func(n *Node)
 	emit = func(n *Node) {
 		switch n.Kind {

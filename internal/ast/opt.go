@@ -128,7 +128,7 @@ func LICM(p *Program) int {
 	}
 	var rec func(body []*Node, depth int) ([]*Node, []hoist)
 	rec = func(body []*Node, depth int) ([]*Node, []hoist) {
-		var out []*Node
+		out := make([]*Node, 0, len(body))
 		var up []hoist
 		for _, n := range body {
 			if n.Kind == KLoop {
@@ -271,13 +271,20 @@ func CSE(p *Program) int {
 		return k
 	}
 
-	// scope stack of maps key -> canonical dst register
+	// avail is the scope stack: every definition in scope with its
+	// canonical dst register, outermost first. Leaving a scope truncates
+	// it back to where the scope began. Scopes hold a few dozen
+	// definitions, so a linear scan beats a map per scope.
+	type def struct {
+		k   key
+		dst int
+	}
 	var rec func(body []*Node) []*Node
-	scopes := []map[key]int{{}}
+	avail := make([]def, 0, p.NumSets+p.NumScalars)
 	lookup := func(k key) (int, bool) {
-		for i := len(scopes) - 1; i >= 0; i-- {
-			if r, ok := scopes[i][k]; ok {
-				return r, true
+		for i := len(avail) - 1; i >= 0; i-- {
+			if avail[i].k == k {
+				return avail[i].dst, true
 			}
 		}
 		return 0, false
@@ -307,7 +314,7 @@ func CSE(p *Program) int {
 		}
 	}
 	rec = func(body []*Node) []*Node {
-		var out []*Node
+		out := make([]*Node, 0, len(body))
 		for _, n := range body {
 			rewrite(n)
 			if pure(n) && !readsVolatile(n, vol) {
@@ -321,12 +328,12 @@ func CSE(p *Program) int {
 					merged++
 					continue // drop duplicate def
 				}
-				scopes[len(scopes)-1][k] = n.Dst
+				avail = append(avail, def{k, n.Dst})
 			}
 			if n.Kind == KLoop || n.Kind == KCondPos {
-				scopes = append(scopes, map[key]int{})
+				mark := len(avail)
 				n.Body = rec(n.Body)
-				scopes = scopes[:len(scopes)-1]
+				avail = avail[:mark]
 			}
 			out = append(out, n)
 		}
@@ -377,7 +384,7 @@ func DCE(p *Program) int {
 	removed := 0
 	var rec func(body []*Node) []*Node
 	rec = func(body []*Node) []*Node {
-		var out []*Node
+		out := make([]*Node, 0, len(body))
 		for _, n := range body {
 			if n.Kind == KSetDef && !usedSet[n.Dst] {
 				removed++

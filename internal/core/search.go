@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"decomine/internal/ast"
@@ -72,13 +75,21 @@ type SearchOptions struct {
 	// lowering of every candidate (results are bit-identical either
 	// way; only per-iteration work changes).
 	DisableAuxGraphs bool
+	// Workers is how many goroutines prepare candidates — generation,
+	// the middle-end optimizer and the auxiliary-graph lowering (0 =
+	// GOMAXPROCS; 1 prepares inline). Costing stays on the calling
+	// goroutine in candidate order, so the result does not depend on it.
+	Workers int
 	// Mode ModeEmit additionally requires partial-embedding emission.
 }
 
 // SearchStats reports how one algorithm search spent its time:
-// EnumerateTime covers candidate generation plus the middle-end
-// optimizer, RankTime covers cost-model evaluation, and Candidates is
-// the number of plans costed.
+// EnumerateTime covers candidate generation, the middle-end optimizer
+// and the auxiliary-graph lowering, RankTime covers cost-model
+// evaluation, and Candidates is the number of plans costed.
+// EnumerateTime + RankTime is the search's wall time: with several
+// Workers, preparation overlaps ranking and EnumerateTime is the part
+// of the wall time the caller did not spend ranking.
 type SearchStats struct {
 	EnumerateTime time.Duration
 	RankTime      time.Duration
@@ -93,6 +104,13 @@ type Candidate struct {
 
 // Search generates the candidate space for p, costs every candidate, and
 // returns the best plan plus the full ranked candidate list.
+//
+// Candidates are prepared — generated, optimized and lowered — on
+// opts.Workers goroutines, but costed on the calling goroutine in
+// candidate order: the approximate-mining model estimates missing
+// prefixes on demand from one shared random stream, so the order of
+// Cost calls determines the estimates. Only the first MaxCandidates
+// candidates that generate successfully are costed.
 func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, []Candidate, error) {
 	if opts.Model == nil {
 		return nil, nil, fmt.Errorf("core: search requires a cost model")
@@ -101,10 +119,6 @@ func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, []Candidate, er
 	if maxCand == 0 {
 		maxCand = 600
 	}
-	maxOrders := opts.MaxOrdersPerChoice
-	if maxOrders == 0 {
-		maxOrders = 24
-	}
 	if !p.Connected() {
 		return nil, nil, fmt.Errorf("core: pattern %s is not connected", p)
 	}
@@ -112,70 +126,62 @@ func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, []Candidate, er
 	model := cost.ApplyCalibration(opts.Model, opts.CalibratedCosts)
 
 	searchStart := time.Now()
-	var rankTime time.Duration
-	var cands []Candidate
-	add := func(plan *Plan, err error) {
-		if err != nil || len(cands) >= maxCand {
-			return
+	gens := candidateGenerators(p, opts)
+	prepare := func(i int) prepared {
+		plan, err := gens[i]()
+		if err != nil {
+			return prepared{}
 		}
 		if !opts.DisableOptimize {
 			ast.Optimize(plan.Prog)
 		}
-		rankStart := time.Now()
-		c := model.Cost(plan.Prog)
 		// Lower the candidate now so the auxiliary-graph pass runs with
-		// this model arbitrating materialize-vs-recompute, then fold each
-		// applied table's estimated net gain into the plan's rank: a plan
-		// whose deep loops prune harder through aux rows outranks the
-		// same traversal without them.
+		// this model arbitrating materialize-vs-recompute. The arbiter
+		// prices from the size chain alone, never the profile, so it may
+		// run off the calling goroutine. Only the verdicts are kept: the
+		// bytecode of the hundreds of losing candidates would dominate
+		// the search's live heap, and the winner lowers again, to the
+		// same code, on its first run.
 		plan.LowerOpts = ast.LowerOpts{DisableAux: opts.DisableAuxGraphs}
-		if arb := cost.AuxDecider(model, plan.Prog); arb != nil {
+		arb := cost.AuxDecider(model, plan.Prog)
+		var aux []ast.AuxDecision
+		if arb != nil {
 			plan.LowerOpts.AuxDecide = arb.Decide
-			// Applied even under DisableAuxGraphs (the pass records its
-			// verdicts without rewriting anything): the knob must leave
-			// plan choice untouched so an on/off comparison isolates the
+			aux = ast.LowerWith(plan.Prog, plan.LowerOpts).AuxDecisions
+		}
+		return prepared{plan: plan, arb: arb, aux: aux}
+	}
+
+	var rankTime time.Duration
+	var cands []Candidate
+	rank := func(c prepared) bool {
+		if len(cands) >= maxCand {
+			return false
+		}
+		if c.plan == nil {
+			return true
+		}
+		rankStart := time.Now()
+		cst := model.Cost(c.plan.Prog)
+		if c.arb != nil {
+			// Fold each applied aux table's estimated net gain into the
+			// plan's rank: a plan whose deep loops prune harder through
+			// aux rows outranks the same traversal without them. Applied
+			// even under DisableAuxGraphs (the pass records its verdicts
+			// without rewriting anything): the knob must leave plan choice
+			// untouched so an on/off comparison isolates the
 			// materialization itself.
-			c = arb.RankAdjust(c, plan.Lowered().AuxDecisions)
+			cst = c.arb.RankAdjust(cst, c.aux)
 		}
 		rankTime += time.Since(rankStart)
-		cands = append(cands, Candidate{Plan: plan, Cost: c})
+		cands = append(cands, Candidate{Plan: c.plan, Cost: cst})
+		return len(cands) < maxCand
 	}
-
-	// Direct plans.
-	if !opts.DisableDirect {
-		for _, order := range matchingOrders(p, maxOrders) {
-			add(GenerateDirect(DirectSpec{
-				Pattern: p,
-				Order:   order,
-				// Emission mode must deliver every matching (the
-				// completeness property): symmetry breaking would hide
-				// the non-canonical ones.
-				SymmetryBreak: len(opts.Constraints) == 0 && opts.Mode == ModeCount,
-				Induced:       opts.Induced,
-				CountLastLoop: opts.Mode == ModeCount && !opts.DisableCountLastLoop,
-				Constraints:   opts.Constraints,
-				Mode:          opts.Mode,
-			}))
-		}
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-
-	// Decomposition plans (edge-induced only).
-	if !opts.DisableDecomposition && !opts.Induced {
-		cuts := decomp.CuttingSets(p)
-		sortCuts(p, cuts)
-		for _, cut := range cuts {
-			if len(cands) >= maxCand {
-				break
-			}
-			d, err := decomp.Decompose(p, cut)
-			if err != nil {
-				continue
-			}
-			for _, spec := range decompSpecs(d, opts, maxOrders) {
-				add(GenerateDecomposed(spec))
-			}
-		}
-	}
+	inOrder(len(gens), workers, prepare, rank)
 
 	total := time.Since(searchStart)
 	obsSearches.Inc()
@@ -192,6 +198,121 @@ func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, []Candidate, er
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].Cost < cands[j].Cost })
 	best := cands[0]
 	return &best, cands, nil
+}
+
+// prepared is one candidate ready for costing: its optimized plan, the
+// aux arbiter that lowered it and the arbiter's verdicts (nil plan: the
+// generator rejected the spec).
+type prepared struct {
+	plan *Plan
+	arb  *cost.AuxArbiter
+	aux  []ast.AuxDecision
+}
+
+// candidateGenerators lists p's candidate plans in the order they are
+// costed: direct plans by matching order, then decomposition plans cut
+// by cut.
+func candidateGenerators(p *pattern.Pattern, opts SearchOptions) []func() (*Plan, error) {
+	maxOrders := opts.MaxOrdersPerChoice
+	if maxOrders == 0 {
+		maxOrders = 24
+	}
+	var gens []func() (*Plan, error)
+	if !opts.DisableDirect {
+		for _, order := range matchingOrders(p, maxOrders) {
+			spec := DirectSpec{
+				Pattern: p,
+				Order:   order,
+				// Emission mode must deliver every matching (the
+				// completeness property): symmetry breaking would hide
+				// the non-canonical ones.
+				SymmetryBreak: len(opts.Constraints) == 0 && opts.Mode == ModeCount,
+				Induced:       opts.Induced,
+				CountLastLoop: opts.Mode == ModeCount && !opts.DisableCountLastLoop,
+				Constraints:   opts.Constraints,
+				Mode:          opts.Mode,
+			}
+			gens = append(gens, func() (*Plan, error) { return GenerateDirect(spec) })
+		}
+	}
+	// Decomposition plans (edge-induced only).
+	if !opts.DisableDecomposition && !opts.Induced {
+		cuts := decomp.CuttingSets(p)
+		sortCuts(p, cuts)
+		for _, cut := range cuts {
+			d, err := decomp.Decompose(p, cut)
+			if err != nil {
+				continue
+			}
+			for _, spec := range decompSpecs(d, opts, maxOrders) {
+				gens = append(gens, func() (*Plan, error) { return GenerateDecomposed(spec) })
+			}
+		}
+	}
+	return gens
+}
+
+// inOrder runs prepare(0..n-1) on up to workers goroutines and hands
+// each result to use on the calling goroutine in index order, stopping
+// once use returns false. Workers run at most 8·workers indices ahead
+// of use, so little is prepared past the stopping point; that little is
+// discarded. With one worker every prepare runs inline, immediately
+// before its use.
+func inOrder(n, workers int, prepare func(int) prepared, use func(prepared) bool) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if !use(prepare(i)) {
+				return
+			}
+		}
+		return
+	}
+	results := make([]prepared, n)
+	ready := make([]chan struct{}, n)
+	for i := range ready {
+		ready[i] = make(chan struct{})
+	}
+	// A worker takes a token before it takes an index; use returns one
+	// per consumed result. Eight per worker keeps the workers busy while
+	// the caller stalls on an on-demand profile estimate.
+	ahead := make(chan struct{}, 8*workers)
+	for i := 0; i < cap(ahead); i++ {
+		ahead <- struct{}{}
+	}
+	done := make(chan struct{})
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-ahead:
+				case <-done:
+					return
+				}
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				results[i] = prepare(i)
+				close(ready[i])
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		<-ready[i]
+		ahead <- struct{}{}
+		if !use(results[i]) {
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
 }
 
 // sortCuts orders cutting sets: smaller cuts first, then by component

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"decomine/internal/ast"
 	"decomine/internal/cost"
 	"decomine/internal/graph"
 	"decomine/internal/pattern"
@@ -125,6 +126,153 @@ func TestSearchWithApproxMiningModel(t *testing.T) {
 	if got := runPlan(t, small, best.Plan, 2); got != want {
 		t.Errorf("approx-model best on sample: got %d, want %d", got, want)
 	}
+}
+
+// searchOutcome is what one search returns that parallel preparation
+// must not change.
+type searchOutcome struct {
+	plan  string
+	costs []float64
+	cands int
+}
+
+// searchSequence runs a fixed sequence of searches against a fresh
+// approximate-mining profile: every 5-vertex motif and a stride of the
+// 6-vertex ones edge-induced, again with the best plan's shrinkage
+// quotients externalized, every 5-vertex motif vertex-induced, and a
+// few labeled patterns. The profile is built for patterns up to three
+// vertices only, so every larger prefix is estimated on demand from its
+// shared random stream, and the sequence fails to reproduce if costing
+// ever leaves candidate order.
+func searchSequence(t testing.TB, g *graph.Graph, workers int) []searchOutcome {
+	prof := sampling.BuildProfile(g, sampling.Options{SampleEdges: 2000, Trials: 300, MaxSize: 3, Seed: 5})
+	model := cost.NewApproxMining(cost.StatsOf(g), prof)
+	var out []searchOutcome
+	search := func(p *pattern.Pattern, opts SearchOptions) *Candidate {
+		var stats SearchStats
+		opts.Model, opts.Workers, opts.Stats = model, workers, &stats
+		best, all, err := Search(p, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		o := searchOutcome{plan: ast.Print(best.Plan.Prog), cands: stats.Candidates}
+		for _, c := range all {
+			o.costs = append(o.costs, c.Cost)
+		}
+		out = append(out, o)
+		return best
+	}
+	pats := pattern.ConnectedPatterns(5)
+	six := pattern.ConnectedPatterns(6)
+	for i := 0; i < len(six); i += 14 {
+		pats = append(pats, six[i])
+	}
+	for _, p := range pats {
+		best := search(p, SearchOptions{Mode: ModeCount})
+		if len(best.Plan.Shrink) > 0 {
+			skip := map[pattern.Code]bool{}
+			for _, sh := range best.Plan.Shrink {
+				skip[sh.Code] = true
+			}
+			search(p, SearchOptions{Mode: ModeCount, SkipShrinkCodes: skip})
+		}
+	}
+	for _, p := range pattern.ConnectedPatterns(5) {
+		search(p, SearchOptions{Mode: ModeCount, Induced: true})
+	}
+	for i, p := range []*pattern.Pattern{pattern.House(), pattern.Cycle(5), six[40]} {
+		q := p.Clone()
+		for v := 0; v < q.NumVertices(); v += 2 {
+			q.SetLabel(v, uint32(i+v)%3)
+		}
+		search(q, SearchOptions{Mode: ModeCount})
+	}
+	return out
+}
+
+func TestSearchParallelDeterministic(t *testing.T) {
+	g := graph.GNP(150, 0.05, 17)
+	seq, par := searchSequence(t, g, 1), searchSequence(t, g, 4)
+	if len(seq) != len(par) {
+		t.Fatalf("%d searches with 1 worker, %d with 4", len(seq), len(par))
+	}
+	for i := range seq {
+		s, p := seq[i], par[i]
+		if s.cands != p.cands {
+			t.Errorf("search %d: %d candidates with 1 worker, %d with 4", i, s.cands, p.cands)
+		}
+		if s.plan != p.plan {
+			t.Errorf("search %d: best plan differs\n1 worker:\n%s\n4 workers:\n%s", i, s.plan, p.plan)
+		}
+		if len(s.costs) != len(p.costs) {
+			t.Errorf("search %d: %d ranked costs with 1 worker, %d with 4", i, len(s.costs), len(p.costs))
+			continue
+		}
+		for j := range s.costs {
+			if s.costs[j] != p.costs[j] {
+				t.Errorf("search %d: ranked cost %d is %v with 1 worker, %v with 4", i, j, s.costs[j], p.costs[j])
+				break
+			}
+		}
+	}
+}
+
+func TestSearchMaxCandidatesParallel(t *testing.T) {
+	// The cap keeps the first MaxCandidates candidates in spec order no
+	// matter how far the workers ran ahead.
+	g := graph.GNP(60, 0.1, 18)
+	p := pattern.ConnectedPatterns(6)[40]
+	for _, limit := range []int{1, 7, 30} {
+		var descs [2][]string
+		for k, workers := range []int{1, 4} {
+			var stats SearchStats
+			_, all, err := Search(p, SearchOptions{Model: searchModel(g), MaxCandidates: limit, Workers: workers, Stats: &stats})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Candidates != limit {
+				t.Fatalf("limit %d, %d workers: %d candidates", limit, workers, stats.Candidates)
+			}
+			for _, c := range all {
+				descs[k] = append(descs[k], c.Plan.Desc)
+			}
+		}
+		if strings.Join(descs[0], "\n") != strings.Join(descs[1], "\n") {
+			t.Errorf("limit %d: ranked candidates differ between 1 and 4 workers", limit)
+		}
+	}
+}
+
+// BenchmarkSearchSixMotifs searches the 28 six-vertex motifs the
+// compile6-cold-gnp ledger workload counts (one of every four
+// MotifPatterns(6), drawn and ordered by seed 1, on G(240, 0.025) seed
+// 1) with a fresh approximate-mining profile per iteration, as a cold
+// System would. Workers follow GOMAXPROCS, so -cpu 1,2 compares inline
+// with parallel preparation.
+func BenchmarkSearchSixMotifs(b *testing.B) {
+	g := graph.GNP(240, 0.025, 1)
+	all := pattern.ConnectedPatterns(6)
+	draw := rand.New(rand.NewSource(1))
+	var pats []*pattern.Pattern
+	for i := 0; i+4 <= len(all); i += 4 {
+		pats = append(pats, all[i+draw.Intn(4)])
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(pats), func(i, j int) { pats[i], pats[j] = pats[j], pats[i] })
+	b.ReportAllocs()
+	cands := 0
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		model := cost.NewApproxMining(cost.StatsOf(g), sampling.BuildProfile(g, sampling.Options{Seed: 1000}))
+		b.StartTimer()
+		for _, p := range pats {
+			var stats SearchStats
+			if _, _, err := Search(p, SearchOptions{Model: model, Mode: ModeCount, Stats: &stats}); err != nil {
+				b.Fatal(err)
+			}
+			cands += stats.Candidates
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cands), "ns/candidate")
 }
 
 func TestRandomSpecsAreCorrect(t *testing.T) {

@@ -41,7 +41,9 @@ func ConnectedPatterns(k int) []*Pattern {
 		if !p.Connected() {
 			continue
 		}
-		key := bucketKey{p.NumEdges(), p.Canonical()}
+		// Every spelling appears exactly once here: bypass the memo
+		// rather than flood it.
+		key := bucketKey{p.NumEdges(), p.canonical()}
 		if _, ok := seen[key]; !ok {
 			seen[key] = p
 		}

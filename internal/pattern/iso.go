@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Isomorphic reports whether p and q are isomorphic (respecting label
@@ -172,15 +173,71 @@ func (p *Pattern) SymmetryBreaking() []Restriction {
 // Code is a canonical code: equal codes iff isomorphic patterns.
 type Code string
 
+// canonMemoCap bounds the canonical-code memo. A full memo is cleared
+// wholesale rather than evicted entry by entry: the compiler asks for
+// the same few hundred spellings over and over, so a refill is cheap,
+// and a long-running server cannot grow the memo without limit.
+const canonMemoCap = 1 << 12
+
+// canonMemo maps a pattern's exact spelling (see spelling) to its
+// canonical code, process-wide. The compiler recomputes the code of
+// every loop prefix of every candidate plan, and the cost model again on
+// every evaluation; each computation minimizes over up to n!
+// permutations.
+var canonMemo struct {
+	sync.RWMutex
+	m map[string]Code
+}
+
+// spellingLen is the longest spelling: the size byte, two bytes per
+// adjacency row and four per label.
+const spellingLen = 1 + 2*MaxVertices + 4*MaxVertices
+
+// spelling appends p's exact representation — n, the adjacency rows and
+// the labels, if any — to buf. Two patterns with equal spellings are
+// equal under the identity mapping, so a mutated pattern can only miss
+// in the memo, never hit a stale code.
+func (p *Pattern) spelling(buf []byte) []byte {
+	buf = append(buf, byte(p.n))
+	for _, row := range p.adj {
+		buf = append(buf, byte(row), byte(row>>8)) // rows fit in MaxVertices = 16 bits
+	}
+	for _, l := range p.labels {
+		buf = append(buf, byte(l), byte(l>>8), byte(l>>16), byte(l>>24))
+	}
+	return buf
+}
+
 // Canonical returns a canonical code for p. Vertices are first ordered by
 // (degree desc, label), then the adjacency bit matrix is minimized over
 // all permutations that respect this partition into (degree,label)
 // classes. Any isomorphism preserves degrees and labels, so isomorphic
-// patterns share a code.
+// patterns share a code. Codes are memoized by spelling; Canonical is
+// safe for concurrent use.
 func (p *Pattern) Canonical() Code {
 	if p.n == 0 {
 		return ""
 	}
+	var buf [spellingLen]byte
+	key := p.spelling(buf[:0])
+	canonMemo.RLock()
+	c, ok := canonMemo.m[string(key)]
+	canonMemo.RUnlock()
+	if ok {
+		return c
+	}
+	c = p.canonical()
+	canonMemo.Lock()
+	if canonMemo.m == nil || len(canonMemo.m) >= canonMemoCap {
+		canonMemo.m = make(map[string]Code)
+	}
+	canonMemo.m[string(key)] = c
+	canonMemo.Unlock()
+	return c
+}
+
+// canonical computes p's canonical code without the memo.
+func (p *Pattern) canonical() Code {
 	type class struct {
 		deg   int
 		label uint32

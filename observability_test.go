@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"decomine/internal/obs"
+	"decomine/internal/pattern"
 )
 
 // TestPlanCacheCounters asserts the documented counter movement: every
@@ -68,6 +69,47 @@ func TestPlanCacheCounters(t *testing.T) {
 	}
 	if st.Hits != 3 {
 		t.Fatalf("failed lookups must not count as positive hits: %+v", st)
+	}
+}
+
+// TestVertexInducedUsesPlanCache checks that a vertex-induced count
+// looks up its direct plan and every conversion class's plan in the plan
+// cache: the first call searches each once, a repeat searches nothing,
+// and a pattern with no plan either way is served from the negative
+// cache.
+func TestVertexInducedUsesPlanCache(t *testing.T) {
+	g := GenerateGNP(60, 0.1, 993)
+	sys := testSystem(t, g)
+	defer sys.Close()
+
+	p := MustParsePattern("0-1,1-2,2-0,2-3")
+	lookups := int64(1 + len(pattern.ConversionPlan(p.p)))
+	first, err := sys.GetPatternCountVertexInduced(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := sys.CacheStats(); st.Misses != lookups || st.Hits != 0 {
+		t.Fatalf("after first count: %+v, want %d misses", st, lookups)
+	}
+	again, err := sys.GetPatternCountVertexInduced(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != first {
+		t.Fatalf("cached re-run counted %d, first run %d", again, first)
+	}
+	if st := sys.CacheStats(); st.Misses != lookups || st.Hits != lookups {
+		t.Fatalf("after repeat: %+v, want %d hits / %d misses", st, lookups, lookups)
+	}
+
+	disc := MustParsePattern("0-1,2-3")
+	for i := 0; i < 2; i++ {
+		if _, err := sys.GetPatternCountVertexInduced(disc); err == nil {
+			t.Fatal("disconnected pattern should fail")
+		}
+	}
+	if st := sys.CacheStats(); st.Misses != lookups+2 || st.NegativeHits != 2 {
+		t.Fatalf("after failed searches: %+v, want %d misses / 2 negative hits", st, lookups+2)
 	}
 }
 
