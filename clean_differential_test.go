@@ -1,0 +1,228 @@
+package decomine
+
+// Differential tests for the bytecode clean-up pass (internal/ast's
+// clean.go): every plan the System chooses, lowered with the pass and
+// without it, must produce bit-identical globals and set-kernel work on
+// one thread and on four — the pass may only remove dispatches. The
+// plans are the ones the counting APIs really run: every connected
+// 3–5-vertex pattern's edge-induced plan, the batch planner's
+// skip-flavor replans and externalized quotients, and the direct
+// vertex-induced plans. FuzzLowerClean extends the check to
+// fuzzer-chosen patterns and graphs; CI runs it as a fuzz-smoke step.
+
+import (
+	"errors"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"decomine/internal/ast"
+	"decomine/internal/core"
+	"decomine/internal/engine"
+	"decomine/internal/pattern"
+)
+
+var errPlanOnly = errors.New("plan only")
+
+// planOnly is a batch admission hook that refuses every batch: the
+// batch planner has then filled the plan cache — skip-flavor replans
+// included — and nothing has executed.
+func planOnly(float64) (func(), error) { return nil, errPlanOnly }
+
+// planCensus compiles, without executing, everything a vertex-induced
+// census of each size in ks runs, plus the direct vertex-induced plan
+// of every connected pattern of those sizes.
+func planCensus(t testing.TB, s *System, ks ...int) {
+	t.Helper()
+	for _, k := range ks {
+		if _, err := s.CountPatterns(MotifPatterns(k), BatchOpts{Induced: true, Admit: planOnly}); !errors.Is(err, errPlanOnly) {
+			t.Fatalf("planning the %d-motif census: %v", k, err)
+		}
+		for _, p := range MotifPatterns(k) {
+			if _, _, err := s.planFull(p.p, core.ModeCount, true); err != nil {
+				t.Fatalf("vertex-induced plan of %s: %v", p, err)
+			}
+		}
+	}
+}
+
+// cachedPlans returns the System's successfully compiled plans, each
+// with a description of its cache key.
+func cachedPlans(s *System) (plans []*core.Plan, names []string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k, e := range s.planCache {
+		if e.err != nil {
+			continue
+		}
+		name := e.plan.Desc
+		if k.induced {
+			name += " (vertex-induced)"
+		}
+		if strings.HasPrefix(k.flavor, "skip:") {
+			name += " (skip flavor)"
+		}
+		plans = append(plans, e.plan)
+		names = append(names, name)
+	}
+	return plans, names
+}
+
+// checkCleanLowering runs plan's cleaned and uncleaned bytecode on g
+// and requires identical globals and kernel counters, and no more
+// instructions executed with the pass than without it.
+func checkCleanLowering(t *testing.T, g *Graph, plan *core.Plan, name string, threads int) {
+	t.Helper()
+	raw := ast.LowerUncleaned(plan.Prog, plan.LowerOpts)
+	clean := plan.Lowered()
+	if len(clean.Code) > len(raw.Code) {
+		t.Fatalf("%s: cleaned code is longer (%d > %d)", name, len(clean.Code), len(raw.Code))
+	}
+	run := func(code *ast.Lowered) *engine.Result {
+		res, err := engine.Run(g.g, plan.Prog, engine.Options{Threads: threads, Code: code})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return res
+	}
+	want, got := run(raw), run(clean)
+	if !slices.Equal(got.Globals, want.Globals) {
+		t.Fatalf("%s, %d threads: globals %v cleaned, %v uncleaned\n%s", name, threads, got.Globals, want.Globals, clean.Disassemble())
+	}
+	if !slices.Equal(got.KernelCounts, want.KernelCounts) || !slices.Equal(got.KernelElems, want.KernelElems) {
+		t.Fatalf("%s, %d threads: kernels %v/%v cleaned, %v/%v uncleaned", name, threads,
+			got.KernelCounts, got.KernelElems, want.KernelCounts, want.KernelElems)
+	}
+	if got.InstructionsExecuted() > want.InstructionsExecuted() {
+		t.Fatalf("%s, %d threads: %d instructions cleaned, %d uncleaned", name, threads,
+			got.InstructionsExecuted(), want.InstructionsExecuted())
+	}
+}
+
+func TestLowerCleanDifferential(t *testing.T) {
+	if testing.Short() {
+		t.Skip("differential tests are slow")
+	}
+	graphs := []struct {
+		name string
+		g    *Graph
+	}{
+		{"hub-rmat", GenerateRMAT(8, 6, 5).BuildHubIndex(24)},
+		{"community", GenerateCommunity(160, 3, 8, 7)},
+	}
+	for _, gc := range graphs {
+		t.Run(gc.name, func(t *testing.T) {
+			s := NewSystem(gc.g, Options{Threads: 2, ProfileSampleEdges: 2000, ProfileTrials: 1000})
+			defer s.Close()
+			planCensus(t, s, 3, 4, 5)
+			plans, names := cachedPlans(s)
+			skips := 0
+			for i, plan := range plans {
+				if strings.HasSuffix(names[i], "(skip flavor)") {
+					skips++
+				}
+				for _, threads := range []int{1, 4} {
+					checkCleanLowering(t, gc.g, plan, names[i], threads)
+				}
+			}
+			if skips == 0 {
+				t.Fatalf("no skip-flavor replans among %d plans", len(plans))
+			}
+		})
+	}
+}
+
+// TestCensusCycleSkipPlanIsLean pins what the pass buys on the hottest
+// plan of the 5-motif census benchmark: the 5-cycle's skip-flavor plan
+// on R-MAT(10, 8) with hub rows from degree 64, whose innermost loop
+// body was 18 instructions before the pass (4 reset/accumulate copy
+// pairs, one product computed and added twice, two empty conditionals).
+func TestCensusCycleSkipPlanIsLean(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles a 5-motif census")
+	}
+	s := NewSystem(GenerateRMAT(10, 8, 1).BuildHubIndex(64), Options{Threads: 2})
+	defer s.Close()
+	planCensus(t, s, 5)
+	cycle, err := ParsePattern("0-2,0-4,1-2,1-3,3-4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var skip *core.Plan
+	s.mu.Lock()
+	for k, e := range s.planCache {
+		if k.code == cycle.p.Canonical() && strings.HasPrefix(k.flavor, "skip:") && e.err == nil {
+			skip = e.plan
+		}
+	}
+	s.mu.Unlock()
+	if skip == nil {
+		t.Fatal("the census batch did not replan the 5-cycle under a skip flavor")
+	}
+	code := skip.Lowered()
+	for i, ins := range code.Code {
+		if ins.Op != ast.ILoopBegin {
+			continue
+		}
+		next := ins.Off - 1
+		innermost := true
+		for _, in := range code.Code[i+1 : next] {
+			innermost = innermost && in.Op != ast.ILoopBegin
+		}
+		// The body runs from the instruction after loop.begin through the
+		// loop.next that closes it.
+		if body := next - int32(i); innermost && body > 6 {
+			t.Fatalf("innermost loop at %03d has a %d-instruction body, want <= 6:\n%s", i, body, code.Disassemble())
+		}
+	}
+}
+
+// FuzzLowerClean is the fuzzing face of TestLowerCleanDifferential: a
+// random connected pattern of at most five vertices, edge- or
+// vertex-induced and, for edge-induced decompositions, sometimes under a
+// skip flavor externalizing every shrinkage quotient, on a small random
+// graph; cleaned and uncleaned bytecode must agree.
+func FuzzLowerClean(f *testing.F) {
+	f.Add(int64(1))
+	f.Add(int64(29))
+	f.Add(int64(-5150))
+	f.Fuzz(func(t *testing.T, seed int64) {
+		r := rand.New(rand.NewSource(seed))
+		var g *Graph
+		switch r.Intn(3) {
+		case 0:
+			g = GenerateRMAT(6+r.Intn(2), 4+r.Intn(4), r.Int63()).BuildHubIndex(8 + r.Intn(16))
+		case 1:
+			g = GenerateCommunity(48+r.Intn(48), 2, 5+r.Intn(4), r.Int63())
+		default:
+			g = GenerateGNP(40+r.Intn(40), 0.06+r.Float64()*0.1, r.Int63())
+		}
+		p := randomConnectedPattern(r, 3+r.Intn(3))
+		s := NewSystem(g, Options{Threads: 1, Seed: r.Int63(), ProfileSampleEdges: 2000, ProfileTrials: 1000})
+		defer s.Close()
+		induced := r.Intn(2) == 0
+		e, _, err := s.planFull(p, core.ModeCount, induced)
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		plan, name := e.plan, p.String()
+		if ext := shrinkCodes(plan); len(ext) > 0 && r.Intn(2) == 0 {
+			tweak := func(so *core.SearchOptions) { so.SkipShrinkCodes = ext }
+			if e, _, err = s.planFlavor(p, core.ModeCount, false, skipFlavor(ext), tweak); err != nil {
+				t.Fatalf("%s (skip flavor): %v", p, err)
+			}
+			plan, name = e.plan, name+" (skip flavor)"
+		}
+		checkCleanLowering(t, g, plan, name, 1+r.Intn(4))
+	})
+}
+
+// shrinkCodes is the set of shrinkage quotients plan enumerates.
+func shrinkCodes(plan *core.Plan) map[pattern.Code]bool {
+	ext := map[pattern.Code]bool{}
+	for _, sh := range plan.Shrink {
+		ext[sh.Code] = true
+	}
+	return ext
+}

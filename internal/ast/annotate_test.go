@@ -29,17 +29,20 @@ func TestAnnotateFusedCount(t *testing.T) {
 func TestAnnotateMaterializedOps(t *testing.T) {
 	b := NewBuilder(0)
 	all := b.All()
+	g := b.NewGlobal()
 	v0 := b.BeginLoop(all, nil)
 	n0 := b.Neighbors(v0)
 	v1 := b.BeginLoop(n0, nil)
 	n1 := b.Neighbors(v1)
 	common := b.Intersect(n0, n1) // materialized: looped over below
 	rest := b.Subtract(common, n1)
-	_ = b.Size(rest) // keep the subtract alive
+	// The subtract needs a reader, or the clean-up pass deletes it; the
+	// size does not fuse it (fusion absorbs removes, trims and
+	// intersections only).
+	b.GlobalAdd(g, b.Size(rest), 1)
 	v2 := b.BeginLoop(common, nil)
 	n2 := b.Neighbors(v2)
 	x := b.Size(b.Intersect(common, n2))
-	g := b.NewGlobal()
 	b.GlobalAdd(g, x, 1)
 	b.EndLoop()
 	b.EndLoop()

@@ -17,9 +17,9 @@ import (
 )
 
 // Lowering feeds into the shared metrics registry: how many programs
-// were flattened to bytecode and how long their instruction streams
-// are. Lowering happens once per cached plan, so these move on plan
-// cache misses only.
+// were flattened to bytecode by LowerWith and how long their cleaned
+// instruction streams are. Lowering happens once per cached plan, so
+// these move on plan cache misses only.
 var (
 	obsLowerings = obs.Default.Counter("compile.lowerings")
 	obsCodeLen   = obs.Default.Histogram("compile.code_len")
@@ -88,7 +88,8 @@ func (op OpCode) String() string {
 // Instr is one flat bytecode instruction. Field use depends on Op:
 //
 //	ILoopBegin   Dst=loop var, A=set register, Off=index past the loop,
-//	             LoopID=dense loop index
+//	             LoopID=dense loop index, Imm=instructions the clean-up
+//	             pass deleted from one iteration of the body (clean.go)
 //	ILoopNext    Dst=loop var, A=set register, Off=ILoopBegin index,
 //	             LoopID matching the begin
 //	ISetDef      Set sub-op with Dst/A/B/V/Imm as in Node
@@ -198,7 +199,30 @@ func Lower(p *Program) *Lowered { return LowerWith(p, LowerOpts{}) }
 // conditional offsets are resolved to absolute instruction indices; hash
 // and emit keys are pooled into one shared slice. The program must not
 // be mutated afterwards (the lowered form does not track tree edits).
+// The last step is the clean-up pass (clean.go), which changes what
+// executes but never what the program computes.
 func LowerWith(p *Program, opts LowerOpts) *Lowered {
+	l := lower(p, opts)
+	l.clean()
+	obsLowerings.Inc()
+	obsCodeLen.Observe(int64(len(l.Code)))
+	return l
+}
+
+// AuxDecisions returns the auxiliary-graph verdicts LowerWith would
+// record for p, without the clean-up pass: the algorithm search needs
+// only these from each candidate it ranks.
+func AuxDecisions(p *Program, opts LowerOpts) []AuxDecision {
+	return lower(p, opts).AuxDecisions
+}
+
+// LowerUncleaned is LowerWith without the clean-up pass: the reference
+// instruction stream that differential tests compare the cleaned one
+// against. Nothing but tests calls it.
+func LowerUncleaned(p *Program, opts LowerOpts) *Lowered { return lower(p, opts) }
+
+// lower is LowerWith up to, and not including, the clean-up pass.
+func lower(p *Program, opts LowerOpts) *Lowered {
 	size := 0 // every node lowers to one instruction, a loop to two, the root to none
 	Walk(p.Root, func(n *Node) {
 		switch n.Kind {
@@ -279,8 +303,6 @@ func LowerWith(p *Program, opts LowerOpts) *Lowered {
 	l.fuseCounts()
 	l.materializeAux(opts)
 	l.annotateNeighborOperands()
-	obsLowerings.Inc()
-	obsCodeLen.Observe(int64(len(l.Code)))
 	return l
 }
 

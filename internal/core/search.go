@@ -138,16 +138,16 @@ func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, []Candidate, er
 		// Lower the candidate now so the auxiliary-graph pass runs with
 		// this model arbitrating materialize-vs-recompute. The arbiter
 		// prices from the size chain alone, never the profile, so it may
-		// run off the calling goroutine. Only the verdicts are kept: the
-		// bytecode of the hundreds of losing candidates would dominate
-		// the search's live heap, and the winner lowers again, to the
-		// same code, on its first run.
+		// run off the calling goroutine. Only the verdicts are kept, and
+		// the bytecode clean-up pass is skipped: the bytecode of the
+		// hundreds of losing candidates would dominate the search's live
+		// heap, and the winner lowers again, fully, on its first run.
 		plan.LowerOpts = ast.LowerOpts{DisableAux: opts.DisableAuxGraphs}
 		arb := cost.AuxDecider(model, plan.Prog)
 		var aux []ast.AuxDecision
 		if arb != nil {
 			plan.LowerOpts.AuxDecide = arb.Decide
-			aux = ast.LowerWith(plan.Prog, plan.LowerOpts).AuxDecisions
+			aux = ast.AuxDecisions(plan.Prog, plan.LowerOpts)
 		}
 		return prepared{plan: plan, arb: arb, aux: aux}
 	}

@@ -79,8 +79,8 @@ const (
 type Calibration struct {
 	Units Units `json:"units"`
 	// BaselineNSPerInstr is the residual dispatch cost: profiled wall
-	// time not attributed to kernel element work, per executed
-	// instruction.
+	// time not attributed to kernel element work, per instruction of the
+	// uncleaned program (executed plus elided, see obs.Profile.Elided).
 	BaselineNSPerInstr float64 `json:"baseline_ns_per_instr"`
 	// KernelNSPerElem holds the measured per-element nanosecond cost of
 	// every kernel path that met the sample minimum.
@@ -110,7 +110,11 @@ func Calibrate(p *obs.Profile) (*Calibration, error) {
 	if p == nil || p.TotalNS <= 0 {
 		return nil, fmt.Errorf("cost: calibration needs a profile with sampled wall time")
 	}
-	var instr int64
+	// The instructions the estimator prices: every executed one plus
+	// those the bytecode clean-up pass deleted, which the model still
+	// counts. Dividing by the executed ones alone would inflate the
+	// baseline on cleaned plans and shrink every element weight with it.
+	instr := p.Elided
 	for _, c := range p.Ops {
 		instr += c
 	}
@@ -133,7 +137,7 @@ func Calibrate(p *obs.Profile) (*Calibration, error) {
 
 	// Residual baseline: wall time left after pricing every dispatch of
 	// the measured paths at its fitted per-element cost, spread over
-	// the executed instructions. The exact-timing subsample can
+	// those instructions. The exact-timing subsample can
 	// over-attribute (its windows include call overhead), so the
 	// residual is floored at 5% of the total.
 	kernelNS := 0.0

@@ -262,6 +262,26 @@ func TestCalibrate(t *testing.T) {
 	}
 }
 
+// TestCalibrateCountsElided: instructions the bytecode clean-up pass
+// spared the run still count toward the baseline, because the estimator
+// still prices them. The same residual over 100k executed plus 50k
+// elided instructions is 1 ns each, and the element weights are
+// measured against that.
+func TestCalibrateCountsElided(t *testing.T) {
+	p := calProfile()
+	p.Elided = 50_000
+	cal, err := Calibrate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cal.Instructions != 150_000 || math.Abs(cal.BaselineNSPerInstr-1) > 1e-9 {
+		t.Fatalf("instructions %d, baseline %v; want 150000 and 1", cal.Instructions, cal.BaselineNSPerInstr)
+	}
+	if got := cal.Units.MergeElem; math.Abs(got-8) > 1e-9 {
+		t.Fatalf("MergeElem = %v, want 8", got)
+	}
+}
+
 // TestCalibrateSlabCross pins the cross-slab surcharge fit: a kernel
 // path whose cross-slab subsample measures slower per element than its
 // same-slab baseline yields a positive SlabCrossElem equal to the

@@ -1,0 +1,292 @@
+package engine
+
+import (
+	"slices"
+	"testing"
+
+	"decomine/internal/ast"
+	"decomine/internal/core"
+	"decomine/internal/cost"
+	"decomine/internal/graph"
+	"decomine/internal/pattern"
+	"decomine/internal/sampling"
+)
+
+// cleanCase is one hand-built program for TestCleanRules: an outer loop
+// over V and an inner loop over N(v0) whose body body builds from
+// c1 = |N(v0) ∩ N(v1)| (a fused count), c2 = |N(v1)| and two globals.
+// want is how many of some instructions the cleaned code keeps.
+type cleanCase struct {
+	name string
+	body func(b *ast.Builder, c1, c2, g, h int)
+	want map[string]int
+}
+
+var cleanCases = []cleanCase{
+	{"empty conditional goes", func(b *ast.Builder, c1, c2, g, h int) {
+		p := b.Mul(c1, c2)
+		b.GlobalAdd(g, p, 1)
+		b.BeginCond(p)
+		b.EndCond()
+	}, map[string]int{"cond.skip": 0}},
+	{"conditional with a body stays", func(b *ast.Builder, c1, c2, g, h int) {
+		b.BeginCond(c1)
+		b.GlobalAdd(g, c2, 1)
+		b.EndCond()
+	}, map[string]int{"cond.skip": 1}},
+	{"copy is forwarded", func(b *ast.Builder, c1, c2, g, h int) {
+		a := b.NewAccumulator()
+		b.Reset(a, 0)
+		b.Accum(a, c1, 1)
+		b.GlobalAdd(g, a, 1)
+	}, map[string]int{"reset": 0, "accum": 0}},
+	{"copy read after its source changes stays", func(b *ast.Builder, c1, c2, g, h int) {
+		y := b.NewAccumulator()
+		b.Reset(y, 0)
+		b.Accum(y, c1, 1)
+		a := b.NewAccumulator()
+		b.Reset(a, 0)
+		b.Accum(a, y, 1)
+		b.Accum(y, c2, 1)
+		b.GlobalAdd(g, a, 1)
+		b.GlobalAdd(h, y, 1)
+	}, map[string]int{"reset": 2, "accum": 3}},
+	{"copy read in another block stays", func(b *ast.Builder, c1, c2, g, h int) {
+		a := b.NewAccumulator()
+		b.Reset(a, 0)
+		b.Accum(a, c1, 1)
+		b.BeginCond(c2)
+		b.GlobalAdd(g, a, 1)
+		b.EndCond()
+	}, map[string]int{"reset": 1, "accum": 1}},
+	{"copy read before the accumulation stays", func(b *ast.Builder, c1, c2, g, h int) {
+		a := b.NewAccumulator()
+		b.Reset(a, 0)
+		b.GlobalAdd(g, a, 1)
+		b.Accum(a, c1, 1)
+		b.GlobalAdd(h, a, 1)
+	}, map[string]int{"reset": 1, "accum": 1}},
+	{"scaled accumulation stays", func(b *ast.Builder, c1, c2, g, h int) {
+		a := b.NewAccumulator()
+		b.Reset(a, 0)
+		b.Accum(a, c1, 2)
+		b.GlobalAdd(g, a, 1)
+	}, map[string]int{"reset": 1, "accum": 1}},
+	{"products merge in either operand order", func(b *ast.Builder, c1, c2, g, h int) {
+		p, q := b.Mul(c1, c2), b.Mul(c2, c1)
+		b.GlobalAdd(g, p, 1)
+		b.GlobalAdd(h, q, 1)
+	}, map[string]int{"binary": 1, "global.add": 2}},
+	{"swapped differences stay", func(b *ast.Builder, c1, c2, g, h int) {
+		p, q := b.Sub(c1, c2), b.Sub(c2, c1)
+		b.GlobalAdd(g, p, 1)
+		b.GlobalAdd(h, q, 1)
+	}, map[string]int{"binary": 2}},
+	{"product after an operand changes stays", func(b *ast.Builder, c1, c2, g, h int) {
+		a := b.NewAccumulator()
+		b.Reset(a, 0)
+		b.Accum(a, c1, 1)
+		p := b.Mul(a, c2)
+		b.Accum(a, c2, 1)
+		q := b.Mul(a, c2)
+		b.GlobalAdd(g, p, 1)
+		b.GlobalAdd(h, q, 1)
+	}, map[string]int{"binary": 2}},
+	{"global adds fold", func(b *ast.Builder, c1, c2, g, h int) {
+		b.GlobalAdd(g, c1, 1)
+		b.GlobalAdd(h, c2, 1)
+		b.GlobalAdd(g, c1, 2)
+	}, map[string]int{"global.add": 2}},
+	{"opposite global adds cancel", func(b *ast.Builder, c1, c2, g, h int) {
+		b.GlobalAdd(g, c1, 1)
+		b.GlobalAdd(g, c1, -1)
+		b.GlobalAdd(h, c2, 1)
+	}, map[string]int{"global.add": 1, "count": 0}},
+	{"global adds of different scalars stay", func(b *ast.Builder, c1, c2, g, h int) {
+		b.GlobalAdd(g, c1, 1)
+		b.GlobalAdd(g, c2, 1)
+	}, map[string]int{"global.add": 2}},
+	{"global adds on both sides of a conditional's end stay", func(b *ast.Builder, c1, c2, g, h int) {
+		b.BeginCond(c1)
+		b.GlobalAdd(g, c2, 1)
+		b.EndCond()
+		b.GlobalAdd(g, c2, 1)
+	}, map[string]int{"global.add": 2}},
+	{"global adds across a change stay", func(b *ast.Builder, c1, c2, g, h int) {
+		a := b.NewAccumulator()
+		b.Reset(a, 0)
+		b.Accum(a, c1, 1)
+		b.GlobalAdd(g, a, 1)
+		b.Accum(a, c2, 1)
+		b.GlobalAdd(g, a, 1)
+	}, map[string]int{"global.add": 2}},
+	{"dead definitions go", func(b *ast.Builder, c1, c2, g, h int) {
+		b.Mul(c1, c2)
+		b.GlobalAdd(g, c1, 1)
+	}, map[string]int{"binary": 0, "scalar": 0}},
+	{"definition read only by a conditional stays", func(b *ast.Builder, c1, c2, g, h int) {
+		p := b.Mul(c1, c2)
+		b.BeginCond(p)
+		b.GlobalAdd(g, c1, 1)
+		b.EndCond()
+	}, map[string]int{"binary": 1, "cond.skip": 1}},
+}
+
+// tally counts the instructions of each mnemonic in code; "binary"
+// counts the scalar defs with two scalar operands.
+func tally(code []ast.Instr) map[string]int {
+	n := map[string]int{}
+	for _, ins := range code {
+		n[ins.Op.String()]++
+		if ins.Op == ast.IScalarDef {
+			switch ins.SOp {
+			case ast.SMul, ast.SDiv, ast.SSub, ast.SAdd:
+				n["binary"]++
+			}
+		}
+	}
+	return n
+}
+
+// TestCleanRules checks each clean-up rule where it must fire and where
+// it must not, structurally on the cleaned code and semantically against
+// the tree evaluator on one and four threads.
+func TestCleanRules(t *testing.T) {
+	g := graph.RMAT(7, 6, 11)
+	for _, tc := range cleanCases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := ast.NewBuilder(0)
+			all := b.All()
+			gl, hl := b.NewGlobal(), b.NewGlobal()
+			v0 := b.BeginLoop(all, nil)
+			n0 := b.Neighbors(v0)
+			v1 := b.BeginLoop(n0, nil)
+			n1 := b.Neighbors(v1)
+			c1 := b.Size(b.Intersect(n0, n1))
+			c2 := b.Size(n1)
+			tc.body(b, c1, c2, gl, hl)
+			b.EndLoop()
+			b.EndLoop()
+			prog := b.Finish()
+			code := ast.Lower(prog)
+			got := tally(code.Code)
+			for op, n := range tc.want {
+				if got[op] != n {
+					t.Fatalf("%d %s instructions, want %d:\n%s", got[op], op, n, code.Disassemble())
+				}
+			}
+			want := evalTree(g, prog, nil, nil)
+			for _, threads := range []int{1, 4} {
+				res, err := Run(g, prog, Options{Threads: threads, Code: code})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(res.Globals, want) {
+					t.Fatalf("%d threads: globals %v, tree evaluator %v:\n%s", threads, res.Globals, want, code.Disassemble())
+				}
+			}
+		})
+	}
+}
+
+// TestCleanKeepsSegmentsSplittable: the bytecode clean-up pass only
+// deletes instructions and renames scalar operands, so every top-level
+// segment the scheduler may split at depth 1 in the uncleaned stream
+// must stay splittable in the cleaned one. The programs are the chosen
+// plans of every connected 3–5-vertex pattern — edge-induced, with
+// every shrinkage quotient externalized, and vertex-induced — on a hub
+// R-MAT and a community graph.
+func TestCleanKeepsSegmentsSplittable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("searches every 3–5-vertex pattern")
+	}
+	for _, g := range []*graph.Graph{graph.RMAT(8, 6, 5), graph.Community(160, 3, 8, 7)} {
+		prof := sampling.BuildProfile(g, sampling.Options{SampleEdges: 2000, Trials: 500, Seed: 3})
+		model := cost.NewApproxMining(cost.StatsOf(g), prof)
+		var plans []*core.Plan
+		search := func(p *pattern.Pattern, opts core.SearchOptions) *core.Plan {
+			opts.Model, opts.Mode = model, core.ModeCount
+			best, _, err := core.Search(p, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", p, err)
+			}
+			plans = append(plans, best.Plan)
+			return best.Plan
+		}
+		for k := 3; k <= 5; k++ {
+			for _, p := range pattern.ConnectedPatterns(k) {
+				if plan := search(p, core.SearchOptions{}); len(plan.Shrink) > 0 {
+					skip := map[pattern.Code]bool{}
+					for _, sh := range plan.Shrink {
+						skip[sh.Code] = true
+					}
+					search(p, core.SearchOptions{SkipShrinkCodes: skip})
+				}
+				search(p, core.SearchOptions{Induced: true})
+			}
+		}
+		splittable := 0
+		for _, plan := range plans {
+			raw := ast.LowerUncleaned(plan.Prog, plan.LowerOpts)
+			clean := ast.LowerWith(plan.Prog, plan.LowerOpts)
+			before, after := analyzeD1(raw), analyzeD1(clean)
+			for si := range before {
+				if before[si].ok {
+					splittable++
+					if !after[si].ok {
+						t.Fatalf("%s: segment %d splittable before the clean-up pass, not after\nbefore:\n%s\nafter:\n%s",
+							plan.Desc, si, raw.Disassemble(), clean.Disassemble())
+					}
+				}
+			}
+		}
+		if splittable == 0 {
+			t.Fatalf("%s: no splittable segment among %d plans", g, len(plans))
+		}
+	}
+}
+
+// TestElidedInstructions: a profile's Elided count is exactly what the
+// clean-up pass spared the run when every deletion sits outside
+// conditionals — uncleaned minus cleaned instructions — on one thread
+// and under the stealing pool, where outer iterations run through
+// execChunk or, split at depth 1, through execD1.
+func TestElidedInstructions(t *testing.T) {
+	b := ast.NewBuilder(0)
+	all := b.All()
+	gl := b.NewGlobal()
+	v0 := b.BeginLoop(all, nil)
+	n0 := b.Neighbors(v0)
+	b.Mul(b.Size(n0), b.Size(n0)) // dead: two defs and the product go
+	v1 := b.BeginLoop(n0, nil)
+	n1 := b.Neighbors(v1)
+	a := b.NewAccumulator()
+	b.Reset(a, 0)
+	b.Accum(a, b.Size(b.Intersect(n0, n1)), 1) // a copy: both go
+	b.GlobalAdd(gl, a, 1)
+	b.EndLoop()
+	b.EndLoop()
+	prog := b.Finish()
+	raw := ast.LowerUncleaned(prog, ast.LowerOpts{})
+	clean := ast.Lower(prog)
+	g := graph.RMAT(9, 8, 99)
+	pool := NewPool(4)
+	defer pool.Close()
+	for _, threads := range []int{1, 4} {
+		run := func(code *ast.Lowered) *Result {
+			res, err := Run(g, prog, Options{Threads: threads, Pool: pool, Code: code, Profile: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		want, got := run(raw), run(clean)
+		if want.Profile.Elided != 0 {
+			t.Fatalf("uncleaned run elided %d instructions", want.Profile.Elided)
+		}
+		spared := want.InstructionsExecuted() - got.InstructionsExecuted()
+		if spared <= 0 || got.Profile.Elided != spared {
+			t.Fatalf("%d threads: profile elided %d, the pass spared %d\n%s", threads, got.Profile.Elided, spared, clean.Disassemble())
+		}
+	}
+}

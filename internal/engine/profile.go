@@ -180,6 +180,7 @@ func (f *vmFrame) profToObs() *obs.Profile {
 			p.Ops[ast.OpCode(op).String()] = c
 		}
 	}
+	p.Elided = f.elided
 	for k := 0; k < NumKernels; k++ {
 		name := KernelNames[k]
 		if c := f.kernelCounts[k]; c != 0 {

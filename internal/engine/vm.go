@@ -267,6 +267,10 @@ type vmFrame struct {
 	kernelCounts [NumKernels]int64
 	kernelElems  [NumKernels]int64
 	mute         bool
+	// elided counts the instructions the uncleaned program would have
+	// executed beyond these: each loop body iteration adds its
+	// ILoopBegin.Imm (see ast's clean.go). Only profiles report it.
+	elided int64
 
 	// fuel is the dispatch loop's back-edge countdown, persisted across
 	// exec calls so cancellation polls — and, when profiling, sampling
@@ -393,6 +397,7 @@ func (f *vmFrame) exec(start, end int32) bool {
 			cur[ins.LoopID] = s
 			iter[ins.LoopID] = 1
 			vars[ins.Dst] = s[0]
+			f.elided += ins.Imm * int64(len(s))
 			pc++
 		case ast.ILoopNext:
 			id := ins.LoopID
@@ -983,6 +988,7 @@ func (f *vmFrame) execD1(i int, v uint32, lo, hi int, elemUnits int64, sched d1S
 	// identical whether or not the range was split.
 	if owner {
 		f.opCounts[ast.ILoopBegin]++
+		f.elided += f.sh.bc.Code[seg.Start].Imm
 	}
 	lo0 := lo
 	ok := true
@@ -1005,6 +1011,7 @@ func (f *vmFrame) execD1(i int, v uint32, lo, hi int, elemUnits int64, sched d1S
 		}
 		lo++
 	}
+	f.elided += begin.Imm * int64(lo-lo0)
 	if f.progress != nil && elemUnits > 0 {
 		if len(c) == 0 {
 			// Empty candidate set: the whole element is done (owner only;
@@ -1053,6 +1060,7 @@ func (f *vmFrame) execChunk(i int, elems []uint32) bool {
 	}
 	// The driver owns the top-level iteration, so the segment's own
 	// ILoopBegin/ILoopNext pair is skipped: bind and run the body.
+	f.elided += f.sh.bc.Code[seg.Start].Imm * int64(len(elems))
 	for _, v := range elems {
 		f.vars[seg.Var] = v
 		if !f.exec(seg.Start+1, seg.End-1) {
@@ -1082,6 +1090,7 @@ func (f *vmFrame) resetForJob() {
 	f.kernelCounts = [NumKernels]int64{}
 	f.kernelElems = [NumKernels]int64{}
 	f.mute = false
+	f.elided = 0
 	for i := range f.auxVerts {
 		// Drop the previous run's source alias so recycled frames don't
 		// pin graph or arena memory across queries; offs/data keep their
@@ -1127,6 +1136,7 @@ func (f *vmFrame) mergeFrom(w *vmFrame) {
 	for i, c := range w.kernelElems {
 		f.kernelElems[i] += c
 	}
+	f.elided += w.elided
 	if f.prof != nil && w.prof != nil {
 		f.prof.merge(w.prof)
 	}

@@ -42,6 +42,10 @@ type Profile struct {
 	Buckets []ProfileBucket `json:"buckets,omitempty"`
 	// Ops counts executed instructions per opcode (exact, not sampled).
 	Ops map[string]int64 `json:"ops,omitempty"`
+	// Elided counts the instructions the bytecode clean-up pass spared
+	// the run: what the uncleaned program would have executed beyond
+	// Ops (exact outside conditionals). The cost model prices those too.
+	Elided int64 `json:"elided,omitempty"`
 	// Kernels / KernelElems count kernel dispatches and the elements
 	// they processed (exact, schedule-invariant).
 	Kernels     map[string]int64 `json:"kernels,omitempty"`
@@ -83,6 +87,7 @@ func (p *Profile) Merge(o *Profile) {
 	}
 	p.TotalNS += o.TotalNS
 	p.Samples += o.Samples
+	p.Elided += o.Elided
 	idx := make(map[profKey]int, len(p.Buckets))
 	for i, b := range p.Buckets {
 		idx[profKey{b.Op, b.Depth, b.Kernel}] = i
@@ -110,11 +115,12 @@ func (p *Profile) Merge(o *Profile) {
 // workload with GlobalProfile snapshots the way benchreport brackets
 // registry snapshots.
 func (p *Profile) Diff(base *Profile) *Profile {
-	out := &Profile{TotalNS: p.TotalNS, Samples: p.Samples}
+	out := &Profile{TotalNS: p.TotalNS, Samples: p.Samples, Elided: p.Elided}
 	sub := map[profKey]ProfileBucket{}
 	if base != nil {
 		out.TotalNS -= base.TotalNS
 		out.Samples -= base.Samples
+		out.Elided -= base.Elided
 		for _, b := range base.Buckets {
 			sub[profKey{b.Op, b.Depth, b.Kernel}] = b
 		}

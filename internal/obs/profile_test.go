@@ -16,6 +16,7 @@ func TestProfileMergeDiff(t *testing.T) {
 			{Op: "ISetDef", Depth: 1, Kernel: "merge", NS: 40, Samples: 4},
 		},
 		Ops:     map[string]int64{"ILoopNext": 600, "ISetDef": 40},
+		Elided:  70,
 		Kernels: map[string]int64{"merge": 40},
 	}
 	b := &Profile{
@@ -25,12 +26,13 @@ func TestProfileMergeDiff(t *testing.T) {
 			{Op: "ISetDef", Depth: 2, Kernel: "bitmap", NS: 20, Samples: 2},
 		},
 		Ops:     map[string]int64{"ILoopNext": 300, "ISetDef": 20},
+		Elided:  30,
 		Kernels: map[string]int64{"bitmap": 20},
 	}
 	m := a.Clone()
 	m.Merge(b)
-	if m.TotalNS != 150 || m.Samples != 15 {
-		t.Fatalf("merged totals = %d/%d, want 150/15", m.TotalNS, m.Samples)
+	if m.TotalNS != 150 || m.Samples != 15 || m.Elided != 100 {
+		t.Fatalf("merged totals = %d/%d/%d, want 150/15/100", m.TotalNS, m.Samples, m.Elided)
 	}
 	if len(m.Buckets) != 3 {
 		t.Fatalf("merged buckets = %d, want 3", len(m.Buckets))
@@ -44,8 +46,8 @@ func TestProfileMergeDiff(t *testing.T) {
 	}
 
 	d := m.Diff(a)
-	if d.TotalNS != b.TotalNS || d.Samples != b.Samples {
-		t.Fatalf("diff totals = %d/%d, want %d/%d", d.TotalNS, d.Samples, b.TotalNS, b.Samples)
+	if d.TotalNS != b.TotalNS || d.Samples != b.Samples || d.Elided != b.Elided {
+		t.Fatalf("diff totals = %d/%d/%d, want %d/%d/%d", d.TotalNS, d.Samples, d.Elided, b.TotalNS, b.Samples, b.Elided)
 	}
 	got := map[profKey]ProfileBucket{}
 	for _, bk := range d.Buckets {

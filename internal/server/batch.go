@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
@@ -93,9 +92,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, span *obs.Sp
 	begin := time.Now()
 	obsBatchRequests.Inc()
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		err = fmt.Errorf("server: bad request body: %v", err)
-		writeError(w, http.StatusBadRequest, err)
+	if err := decodeBody(w, r, &req); err != nil {
 		return err
 	}
 	if len(req.Patterns) == 0 {

@@ -151,10 +151,12 @@ func TestBatchAdmission(t *testing.T) {
 
 // TestBatchFuelGrant: the per-tenant instruction grant is shared by the
 // whole batch and cuts it off mid-run (429). The graph is sized so the
-// subqueries run well past one engine fuel window, as in
-// TestAdmissionControl.
+// subqueries run well past one engine fuel window on each worker
+// (~196k instructions over two workers): the batch's cleaned bytecode
+// executes about half the instructions of TestAdmissionControl's single
+// chain-4 query, so it needs a larger graph than that test.
 func TestBatchFuelGrant(t *testing.T) {
-	g := decomine.GenerateGNP(400, 0.05, 4321)
+	g := decomine.GenerateGNP(800, 0.05, 4321)
 	sys := decomine.NewSystem(g, decomine.Options{Threads: 2, CostModel: decomine.CostLocality})
 	defer sys.Close()
 	s, err := New(Config{

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -172,9 +171,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, span *obs.Sp
 	begin := time.Now()
 	obsQueries.Inc()
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		err = fmt.Errorf("server: bad request body: %v", err)
-		writeError(w, http.StatusBadRequest, err)
+	if err := decodeBody(w, r, &req); err != nil {
 		return err
 	}
 	tenant := r.Header.Get("X-Tenant")

@@ -9,6 +9,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync/atomic"
@@ -209,6 +210,31 @@ const (
 // Shutdown.
 func NewHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
+// maxBodyBytes caps a /query or /queries/batch request body: far more
+// than any real pattern list needs, and it keeps one client from making
+// the daemon read an unbounded stream.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v. A body longer than
+// maxBodyBytes is answered with 413 and any other decoding failure with
+// 400; the returned error is the one answered.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return nil
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+		err = fmt.Errorf("server: request body exceeds %d bytes", tooLarge.Limit)
+	} else {
+		err = fmt.Errorf("server: bad request body: %v", err)
+	}
+	writeError(w, status, err)
+	return err
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -316,3 +316,39 @@ func TestNewHTTPServer(t *testing.T) {
 		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
 	}
 }
+
+// TestBodyLimit: /query and /queries/batch read at most maxBodyBytes of
+// request body. A body of exactly the limit (a valid request padded
+// with leading whitespace) is served; one byte more is answered 413 in
+// the JSON error shape.
+func TestBodyLimit(t *testing.T) {
+	_, ts := newTestServer(t, 0, nil)
+	for _, ep := range []struct{ path, body string }{
+		{"/query", `{"graph":"g","pattern":"0-1,1-2"}`},
+		{"/queries/batch", `{"graph":"g","patterns":["0-1,1-2","0-1,1-2,2-0"]}`},
+	} {
+		for _, size := range []int{maxBodyBytes, maxBodyBytes + 1} {
+			body := strings.Repeat(" ", size-len(ep.body)) + ep.body
+			resp, err := http.Post(ts.URL+ep.path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var reply map[string]any
+			err = json.NewDecoder(resp.Body).Decode(&reply)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatalf("%s, %d-byte body: reply is not JSON: %v", ep.path, size, err)
+			}
+			want := http.StatusOK
+			if size > maxBodyBytes {
+				want = http.StatusRequestEntityTooLarge
+				if msg, _ := reply["error"].(string); !strings.Contains(msg, "exceeds") {
+					t.Fatalf("%s: 413 reply %v has no error message", ep.path, reply)
+				}
+			}
+			if resp.StatusCode != want {
+				t.Fatalf("%s, %d-byte body: status %d, want %d (%v)", ep.path, size, resp.StatusCode, want, reply)
+			}
+		}
+	}
+}
