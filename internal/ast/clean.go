@@ -11,8 +11,9 @@ package ast
 // It rewrites the flat code, never the AST: the cost model prices every
 // AST scalar node, so cleaning the tree would move plan costs and plan
 // choice, while cleaning the bytecode changes only what executes. Each
-// round applies five rules and compacts once; rounds repeat until one
-// deletes nothing.
+// round applies six rules and compacts once; when a round changes
+// nothing, count fusion (lower.go's fuseCounts) runs again over the
+// cleaned code, and rounds resume until neither changes anything.
 //
 //  1. A cond.skip whose target is the next instruction goes.
 //  2. Copy forwarding: `x := 0` and a single `x += 1*y` in one
@@ -27,6 +28,17 @@ package ast
 //     folds into `g += (a+b)*x` (and goes when a+b is zero).
 //  5. A set def, scalar def or fused count whose register nothing reads
 //     goes.
+//  6. A trim or count window made redundant by the restrictions reads
+//     past the trim: `TrimBelow(TrimBelow(s, vj), vk)` reads `s` when
+//     vk > vj is known, and so does a count `|TrimBelow(s, vj) : x > vk|`
+//     (TrimAbove and `x < vk` symmetrically). The order comes from the
+//     loop domains: a loop over a subset of `TrimBelow(·, vj)` binds
+//     only values above vj, and the relation is transitive. Rule 5 then
+//     deletes the trims nothing reads, and re-fusion can absorb the
+//     intersection the count now reads directly. For K6 the innermost
+//     body goes from `N(v4)`, `s16 ∩ N(v4)`, four trims, a windowed
+//     count, `global.add`, `loop.next` to `N(v4)`,
+//     `|s16 ∩ N(v4) : x > v4|`, `global.add`, `loop.next`.
 //
 // A straight-line block is a maximal run of instructions entered only
 // at its first one, together with the control instruction ending it
@@ -34,6 +46,10 @@ package ast
 // its end, which is what makes rules 2–4 sound: every execution of the
 // later instruction follows an execution of the earlier one in the same
 // pass over the block.
+//
+// Rule 6 walks every loop domain's def chain each round, so it runs only
+// here, never in AuxDecisions, which the algorithm search runs for every
+// candidate it ranks.
 //
 // The cost model still prices the deleted instructions, so profile-
 // guided calibration needs to know how many of them the VM skipped: each
@@ -45,7 +61,7 @@ package ast
 
 import "slices"
 
-// clean runs the clean-up pass to a fixpoint.
+// clean runs the clean-up pass and count re-fusion to a fixpoint.
 func (l *Lowered) clean() {
 	for {
 		keep := make([]bool, len(l.Code))
@@ -53,13 +69,17 @@ func (l *Lowered) clean() {
 			keep[i] = true
 		}
 		block := l.blocks()
-		changed := l.dropEmptySkips(keep)
+		changed := l.redirectTrims()
+		changed = l.dropEmptySkips(keep) || changed
 		changed = l.forwardCopies(keep, block) || changed
 		changed = l.mergeScalarDefs(keep, block) || changed
 		changed = l.foldGlobalAdds(keep, block) || changed
 		changed = l.dropDeadDefs(keep) || changed
 		if !changed {
-			return
+			if keep, changed = l.fuseCounts(); !changed {
+				l.annotateNeighborOperands()
+				return
+			}
 		}
 		l.chargeDeleted(keep)
 		l.compact(keep)
@@ -346,4 +366,120 @@ func (l *Lowered) dropDeadDefs(keep []bool) bool {
 		}
 	}
 	return changed
+}
+
+// redirectTrims applies rule 6. It only renames set operands; rule 5
+// deletes what that leaves unread.
+func (l *Lowered) redirectTrims() bool {
+	sc := newAuxScan(l)
+	o := newTrimOrder(sc)
+	// past follows r while its def is an op trim whose bound the bound k
+	// read at pc implies.
+	past := func(r, k, pc int32, op SetOp) int32 {
+		for {
+			d, ok := sc.defPC[r]
+			if !ok || sc.code[d].Set != op || !o.implies(k, sc.code[d].V, pc, d, op) {
+				return r
+			}
+			r = sc.code[d].A
+		}
+	}
+	changed := false
+	for pc := range sc.code {
+		ins := &sc.code[pc]
+		p := int32(pc)
+		a := ins.A
+		switch {
+		case ins.Op == ISetDef && (ins.Set == OpTrimBelow || ins.Set == OpTrimAbove):
+			a = past(a, ins.V, p, ins.Set)
+		case ins.Op == IScalarDef && ins.SOp == SCountAbove:
+			a = past(a, ins.V, p, OpTrimBelow)
+		case ins.Op == IScalarDef && ins.SOp == SCountBelow:
+			a = past(a, ins.V, p, OpTrimAbove)
+		case ins.Op == ICount:
+			// Both windows may apply to interleaved trims.
+			for prev := int32(-1); prev != a; {
+				prev = a
+				if ins.V >= 0 {
+					a = past(a, ins.V, p, OpTrimBelow)
+				}
+				if ins.SA >= 0 {
+					a = past(a, ins.SA, p, OpTrimAbove)
+				}
+			}
+		}
+		if a != ins.A {
+			ins.A = a
+			changed = true
+		}
+	}
+	return changed
+}
+
+// trimOrder is the order between vertex variables that the loop domains
+// imply: above[k] lists every j with vk > vj throughout vk's loop body
+// (the domain is a subset of TrimBelow(·, vj)), below[k] every j with
+// vk < vj (TrimAbove). Each j's binding loop encloses vk's, so the
+// relations chain: vk > vm throughout vk's loop and vm > vj throughout
+// vm's, which contains it.
+type trimOrder struct {
+	sc           *auxScan
+	above, below map[int32][]int32
+}
+
+func newTrimOrder(sc *auxScan) *trimOrder {
+	o := &trimOrder{sc: sc, above: map[int32][]int32{}, below: map[int32][]int32{}}
+	for begin, k := range sc.loopVar {
+		if sc.multi[k] {
+			continue
+		}
+		for _, r := range sc.supersets(sc.loopOver[begin]) {
+			t, ok := sc.defPC[r]
+			if !ok {
+				continue
+			}
+			switch tr := &sc.code[t]; {
+			case tr.Set == OpTrimBelow && o.fixed(tr.V, t, begin):
+				o.above[k] = append(o.above[k], tr.V)
+			case tr.Set == OpTrimAbove && o.fixed(tr.V, t, begin):
+				o.below[k] = append(o.below[k], tr.V)
+			}
+		}
+	}
+	return o
+}
+
+// fixed reports whether variable v holds one value from instruction
+// from through instruction to: it is bound by no loop (a pin, constant
+// for the run) or by one loop enclosing both.
+func (o *trimOrder) fixed(v, from, to int32) bool {
+	if o.sc.multi[v] {
+		return false
+	}
+	lv, ok := o.sc.varLoop[v]
+	return !ok || (o.sc.inScopeAt(lv, from) && o.sc.inScopeAt(lv, to))
+}
+
+// implies reports whether the op trim by vk read at instruction pc makes
+// the earlier op trim by vj at instruction d redundant: vk >= vj
+// (TrimBelow) or vk <= vj (TrimAbove) with both values as they are at pc.
+func (o *trimOrder) implies(k, j, pc, d int32, op SetOp) bool {
+	if !o.fixed(j, d, pc) {
+		return false
+	}
+	rel := o.above
+	if op == OpTrimAbove {
+		rel = o.below
+	}
+	return k == j || (o.fixed(k, pc, pc) && o.beyond(k, j, rel))
+}
+
+// beyond reports whether rel, closed transitively, relates k to j.
+func (o *trimOrder) beyond(k, j int32, rel map[int32][]int32) bool {
+	for _, m := range rel[k] {
+		if m == j || o.beyond(m, j, rel) {
+			return true
+		}
+	}
+	return false
 }

@@ -300,7 +300,8 @@ func lower(p *Program, opts LowerOpts) *Lowered {
 		}
 		l.Segments = append(l.Segments, seg)
 	}
-	l.fuseCounts()
+	keep, _ := l.fuseCounts()
+	l.compact(keep)
 	l.materializeAux(opts)
 	l.annotateNeighborOperands()
 	return l
@@ -311,7 +312,8 @@ func lower(p *Program, opts LowerOpts) *Lowered {
 // OpNeighbors definition is the operand's single SSA def site, or -1.
 // Runs after fuseCounts so annotations land on the surviving
 // instructions (fusion deletes intersections and trims, never the
-// OpNeighbors defs they read).
+// OpNeighbors defs they read), and again after the clean-up pass, which
+// re-fuses counts and redirects count operands.
 func (l *Lowered) annotateNeighborOperands() {
 	nbrVar := map[int32]int32{}
 	for i := range l.Code {
@@ -381,8 +383,12 @@ func setReads(ins *Instr, dst []int32) []int32 {
 // upward. Intersections, trims and removals feeding only a count are
 // thereby evaluated by counting kernels without materializing any
 // intermediate set. The AST has no node for this: it is a property of
-// the flat instruction encoding.
-func (l *Lowered) fuseCounts() {
+// the flat instruction encoding. A fused count without an intersection
+// is a seed too: the clean-up pass re-runs fusion after deleting the
+// trims between such a count and the intersection feeding it. It
+// returns the absorbed instructions as false entries of keep and whether
+// there were any; the caller compacts.
+func (l *Lowered) fuseCounts() (keep []bool, fused bool) {
 	uses := make(map[int32]int)
 	var scratch []int32
 	for i := range l.Code {
@@ -400,27 +406,29 @@ func (l *Lowered) fuseCounts() {
 		}
 	}
 
-	keep := make([]bool, len(l.Code))
+	keep = make([]bool, len(l.Code))
 	for i := range keep {
 		keep[i] = true
 	}
 	for i := range l.Code {
 		ins := &l.Code[i]
-		if ins.Op != IScalarDef {
-			continue
-		}
-		// Seed descriptor from the counting scalar op.
+		// Seed descriptor from the counting scalar op or fused count.
 		c := Instr{Op: ICount, Dst: ins.Dst, A: ins.A, B: -1, V: -1, SA: -1}
-		switch ins.SOp {
-		case SSize:
-		case SCountAbove:
+		var excl []int32
+		switch {
+		case ins.Op == ICount && ins.B < 0:
+			c.V, c.SA, c.Key, c.NKeys = ins.V, ins.SA, ins.Key, ins.NKeys
+			excl = append(excl, l.KeyVars(ins)...)
+		case ins.Op != IScalarDef:
+			continue
+		case ins.SOp == SSize:
+		case ins.SOp == SCountAbove:
 			c.V = ins.V
-		case SCountBelow:
+		case ins.SOp == SCountBelow:
 			c.SA = ins.V
 		default:
 			continue
 		}
-		var excl []int32
 		absorbed := 0
 		// Walk the def chain upward while each base is defined by the
 		// immediately preceding surviving instruction and used only here.
@@ -465,12 +473,13 @@ func (l *Lowered) fuseCounts() {
 		if absorbed == 0 {
 			continue
 		}
-		if len(excl) > 0 {
+		if len(excl) > int(c.NKeys) {
 			c.Key, c.NKeys = poolKeys32(l, excl)
 		}
 		l.Code[i] = c
+		fused = true
 	}
-	l.compact(keep)
+	return keep, fused
 }
 
 func poolKeys32(l *Lowered, keys []int32) (off, n int32) {

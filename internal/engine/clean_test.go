@@ -133,19 +133,128 @@ var cleanCases = []cleanCase{
 }
 
 // tally counts the instructions of each mnemonic in code; "binary"
-// counts the scalar defs with two scalar operands.
+// counts the scalar defs with two scalar operands, "trim" the trims and
+// "intersect" the materializing intersections.
 func tally(code []ast.Instr) map[string]int {
 	n := map[string]int{}
 	for _, ins := range code {
 		n[ins.Op.String()]++
-		if ins.Op == ast.IScalarDef {
+		switch {
+		case ins.Op == ast.IScalarDef:
 			switch ins.SOp {
 			case ast.SMul, ast.SDiv, ast.SSub, ast.SAdd:
 				n["binary"]++
 			}
+		case ins.Op == ast.ISetDef && (ins.Set == ast.OpTrimBelow || ins.Set == ast.OpTrimAbove):
+			n["trim"]++
+		case ins.Op == ast.ISetDef && ins.Set == ast.OpIntersect:
+			n["intersect"]++
 		}
 	}
 	return n
+}
+
+// trimCases are whole hand-built programs for rule 6 (restriction-
+// implied trims) and the count re-fusion it enables.
+var trimCases = []struct {
+	name  string
+	build func(b *ast.Builder, g int)
+	want  map[string]int
+}{
+	{"implied trims go and the count absorbs the intersection", func(b *ast.Builder, g int) {
+		v0 := b.BeginLoop(b.All(), nil)
+		n0 := b.Neighbors(v0)
+		v1 := b.BeginLoop(b.TrimBelow(n0, v0), nil) // v1 > v0
+		c := b.Intersect(n0, b.Neighbors(v1))
+		b.GlobalAdd(g, b.Size(b.TrimBelow(b.TrimBelow(c, v0), v1)), 1)
+		b.EndLoop()
+		b.EndLoop()
+	}, map[string]int{"trim": 1, "intersect": 0, "count": 1}},
+	{"the order is transitive", func(b *ast.Builder, g int) {
+		v0 := b.BeginLoop(b.All(), nil)
+		n0 := b.Neighbors(v0)
+		v1 := b.BeginLoop(b.TrimBelow(n0, v0), nil) // v1 > v0
+		c1 := b.Intersect(n0, b.Neighbors(v1))
+		v2 := b.BeginLoop(b.TrimBelow(c1, v1), nil) // v2 > v1, so v2 > v0
+		c2 := b.Intersect(c1, b.Neighbors(v2))
+		b.GlobalAdd(g, b.Size(b.TrimBelow(b.TrimBelow(c2, v0), v2)), 1)
+		b.EndLoop()
+		b.EndLoop()
+		b.EndLoop()
+	}, map[string]int{"trim": 2, "intersect": 1, "count": 1}},
+	{"upper trims go symmetrically", func(b *ast.Builder, g int) {
+		v0 := b.BeginLoop(b.All(), nil)
+		n0 := b.Neighbors(v0)
+		v1 := b.BeginLoop(b.TrimAbove(n0, v0), nil) // v1 < v0
+		c := b.Intersect(n0, b.Neighbors(v1))
+		v2 := b.BeginLoop(b.TrimAbove(b.TrimAbove(c, v0), v1), nil)
+		b.GlobalAdd(g, b.Size(b.Neighbors(v2)), 1)
+		b.EndLoop()
+		b.GlobalAdd(g, b.Size(b.TrimAbove(b.TrimAbove(c, v0), v1)), 1)
+		b.EndLoop()
+		b.EndLoop()
+	}, map[string]int{"trim": 2}},
+	{"siblings without an order keep their trims", func(b *ast.Builder, g int) {
+		v0 := b.BeginLoop(b.All(), nil)
+		n0 := b.Neighbors(v0)
+		d := b.TrimBelow(n0, v0)
+		v1 := b.BeginLoop(d, nil) // v1 > v0
+		v2 := b.BeginLoop(d, nil) // v2 > v0, unordered against v1
+		b.GlobalAdd(g, b.Size(b.TrimBelow(b.TrimBelow(n0, v1), v2)), 1)
+		b.EndLoop()
+		b.EndLoop()
+		b.EndLoop()
+	}, map[string]int{"trim": 2}},
+	{"mixed windows keep their trims", func(b *ast.Builder, g int) {
+		v0 := b.BeginLoop(b.All(), nil)
+		n0 := b.Neighbors(v0)
+		v1 := b.BeginLoop(b.TrimBelow(n0, v0), nil) // v1 > v0
+		c := b.Intersect(n0, b.Neighbors(v1))
+		// Below v0, so nothing in m is above v1: reading past m is wrong.
+		m := b.TrimAbove(c, v0)
+		v2 := b.BeginLoop(b.TrimBelow(m, v1), nil)
+		b.GlobalAdd(g, b.Size(b.Neighbors(v2)), 1)
+		b.EndLoop()
+		b.GlobalAdd(g, b.CountAbove(m, v1), 1)
+		b.GlobalAdd(g, b.Size(c), 1)
+		b.EndLoop()
+		b.EndLoop()
+	}, map[string]int{"trim": 3}},
+}
+
+// TestCleanTrimRedirect checks rule 6 and the re-fusion after it where
+// they must fire and where they must not, structurally on the cleaned
+// code and semantically against the tree evaluator on one and four
+// threads.
+func TestCleanTrimRedirect(t *testing.T) {
+	g := graph.RMAT(7, 6, 11)
+	for _, tc := range trimCases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := ast.NewBuilder(0)
+			tc.build(b, b.NewGlobal())
+			prog := b.Finish()
+			code := ast.Lower(prog)
+			got := tally(code.Code)
+			for op, n := range tc.want {
+				if got[op] != n {
+					t.Fatalf("%d %s instructions, want %d:\n%s", got[op], op, n, code.Disassemble())
+				}
+			}
+			want := evalTree(g, prog, nil, nil)
+			if want[0] == 0 {
+				t.Fatal("the program counts nothing on the test graph")
+			}
+			for _, threads := range []int{1, 4} {
+				res, err := Run(g, prog, Options{Threads: threads, Code: code})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(res.Globals, want) {
+					t.Fatalf("%d threads: globals %v, tree evaluator %v:\n%s", threads, res.Globals, want, code.Disassemble())
+				}
+			}
+		})
+	}
 }
 
 // TestCleanRules checks each clean-up rule where it must fire and where
@@ -190,12 +299,12 @@ func TestCleanRules(t *testing.T) {
 }
 
 // TestCleanKeepsSegmentsSplittable: the bytecode clean-up pass only
-// deletes instructions and renames scalar operands, so every top-level
-// segment the scheduler may split at depth 1 in the uncleaned stream
-// must stay splittable in the cleaned one. The programs are the chosen
-// plans of every connected 3–5-vertex pattern — edge-induced, with
-// every shrinkage quotient externalized, and vertex-induced — on a hub
-// R-MAT and a community graph.
+// deletes instructions, renames operands and re-fuses counts, so every
+// top-level segment the scheduler may split at depth 1 in the uncleaned
+// stream must stay splittable in the cleaned one. The programs are the
+// chosen plans of every connected 3–5-vertex pattern — edge-induced,
+// with every shrinkage quotient externalized, and vertex-induced — on a
+// hub R-MAT and a community graph; rule 6 must delete trims in some.
 func TestCleanKeepsSegmentsSplittable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("searches every 3–5-vertex pattern")
@@ -225,10 +334,13 @@ func TestCleanKeepsSegmentsSplittable(t *testing.T) {
 				search(p, core.SearchOptions{Induced: true})
 			}
 		}
-		splittable := 0
+		splittable, trimmed := 0, 0
 		for _, plan := range plans {
 			raw := ast.LowerUncleaned(plan.Prog, plan.LowerOpts)
 			clean := ast.LowerWith(plan.Prog, plan.LowerOpts)
+			if tally(clean.Code)["trim"] < tally(raw.Code)["trim"] {
+				trimmed++
+			}
 			before, after := analyzeD1(raw), analyzeD1(clean)
 			for si := range before {
 				if before[si].ok {
@@ -240,8 +352,8 @@ func TestCleanKeepsSegmentsSplittable(t *testing.T) {
 				}
 			}
 		}
-		if splittable == 0 {
-			t.Fatalf("%s: no splittable segment among %d plans", g, len(plans))
+		if splittable == 0 || trimmed == 0 {
+			t.Fatalf("%s: %d splittable segments, %d plans with trims deleted, among %d plans", g, splittable, trimmed, len(plans))
 		}
 	}
 }

@@ -142,9 +142,9 @@ func (f *treeFrame) evalSet(n *ast.Node) {
 	case ast.OpRemove:
 		dst = vset.Remove(dst, f.sets[n.A], f.vars[n.V])
 	case ast.OpTrimAbove:
-		dst = vset.TrimAbove(dst, f.sets[n.A], f.vars[n.V])
+		dst = vset.Copy(dst, vset.SliceBelow(f.sets[n.A], f.vars[n.V]))
 	case ast.OpTrimBelow:
-		dst = vset.TrimBelow(dst, f.sets[n.A], f.vars[n.V])
+		dst = vset.Copy(dst, vset.SliceAbove(f.sets[n.A], f.vars[n.V]))
 	case ast.OpCopy:
 		dst = vset.Copy(dst, f.sets[n.A])
 	case ast.OpFilterLabel:

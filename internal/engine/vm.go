@@ -6,6 +6,7 @@ package engine
 // inner mining loops, and all set buffers are preallocated in one
 // per-worker arena sized from a static bound analysis of the instruction
 // stream, so steady-state execution performs no allocations at all.
+// Trims never copy: they alias a window of their operand.
 
 import (
 	"fmt"
@@ -52,8 +53,8 @@ type vmShared struct {
 	// OpAll register (nil when the program defines none).
 	allVerts []uint32
 	// bufCap[r] is the arena capacity reserved for set register r; 0 for
-	// registers that alias existing storage (OpAll, OpNeighbors) and so
-	// need no buffer.
+	// registers that alias existing storage (OpAll, OpNeighbors, OpAuxRow,
+	// trims) and so need no buffer.
 	bufCap []int
 	// arenaLen is the total arena length (sum of bufCap).
 	arenaLen int
@@ -190,9 +191,15 @@ func newVMShared(g *graph.Graph, bc *ast.Lowered, hub *graph.HubIndex) *vmShared
 			}
 			bound[ins.Dst] = b
 			sh.bufCap[ins.Dst] = b
+		case ast.OpTrimAbove, ast.OpTrimBelow:
+			// A window of its operand: no buffer of its own. Set registers
+			// are SSA, so the operand is redefined only by a new iteration
+			// of a loop enclosing both defs, which re-executes the window's
+			// def before any read of it.
+			bound[ins.Dst] = bound[ins.A]
 		default:
-			// Subtract, Remove, trims, copy and label filters never
-			// produce more elements than their primary operand.
+			// Subtract, Remove, copy and label filters never produce more
+			// elements than their primary operand.
 			bound[ins.Dst] = bound[ins.A]
 			sh.bufCap[ins.Dst] = bound[ins.A]
 		}
@@ -252,9 +259,15 @@ type vmFrame struct {
 	// rebuild. Tables are frame-local and never synced across workers;
 	// the lowering pass keeps builds off the root level so stolen work
 	// always re-executes the build it needs (exec prefix replay).
+	// auxCur[t] is the index of table t's last row hit, where the next
+	// lookup starts (see auxRow). The keys may alias a window (a trim of
+	// a register defined further out); the window's source is redefined
+	// only on a new iteration of a loop that also re-executes the window's
+	// def and the build before any row is read.
 	auxVerts [][]uint32
 	auxOffs  [][]int32
 	auxData  [][]uint32
+	auxCur   []int
 
 	// opCounts[op] counts executed instructions per opcode.
 	opCounts [ast.NumOpcodes]int64
@@ -336,6 +349,7 @@ func newVMFrame(sh *vmShared) *vmFrame {
 		f.auxVerts = make([][]uint32, na)
 		f.auxOffs = make([][]int32, na)
 		f.auxData = make([][]uint32, na)
+		f.auxCur = make([]int, na)
 	}
 	f.tables = make([]*HashTable, prog.NumTables)
 	for i := range f.tables {
@@ -419,13 +433,9 @@ func (f *vmFrame) exec(start, end int32) bool {
 				f.bufs[ins.Dst] = d
 				sets[ins.Dst] = d
 			case ast.OpTrimAbove:
-				d := vset.TrimAbove(f.bufs[ins.Dst], sets[ins.A], vars[ins.V])
-				f.bufs[ins.Dst] = d
-				sets[ins.Dst] = d
+				sets[ins.Dst] = vset.SliceBelow(sets[ins.A], vars[ins.V])
 			case ast.OpTrimBelow:
-				d := vset.TrimBelow(f.bufs[ins.Dst], sets[ins.A], vars[ins.V])
-				f.bufs[ins.Dst] = d
-				sets[ins.Dst] = d
+				sets[ins.Dst] = vset.SliceAbove(sets[ins.A], vars[ins.V])
 			case ast.OpAuxRow:
 				sets[ins.Dst] = f.auxRow(ins.A, vars[ins.V])
 			default:
@@ -783,28 +793,29 @@ func (f *vmFrame) execAuxBuild(ins *ast.Instr) {
 	f.auxVerts[t] = src
 	f.auxOffs[t] = offs
 	f.auxData[t] = data
+	f.auxCur[t] = 0
 }
 
 // auxRow returns auxiliary table t's row for vertex v: a zero-copy
 // alias into the table arena. The lowering pass's legality rules
 // guarantee lookups hit (the w-loop iterates a subset of the table
-// source); a miss returns the empty set for safety.
+// source); a miss returns the empty set for safety. Lookups within one
+// w-loop arrive in ascending order, so the search gallops forward from
+// the previous hit and restarts from the first row only when v moved
+// backwards (a new pass of the w-loop).
 func (f *vmFrame) auxRow(t int32, v uint32) []uint32 {
 	verts := f.auxVerts[t]
-	lo, hi := 0, len(verts)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if verts[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	from := f.auxCur[t]
+	if from >= len(verts) || verts[from] > v {
+		from = 0
 	}
-	if lo >= len(verts) || verts[lo] != v {
+	i := vset.Seek(verts, from, v)
+	if i >= len(verts) || verts[i] != v {
 		return nil
 	}
+	f.auxCur[t] = i
 	offs := f.auxOffs[t]
-	return f.auxData[t][offs[lo]:offs[lo+1]]
+	return f.auxData[t][offs[i]:offs[i+1]]
 }
 
 // crossSlab reports whether the two neighbor-set operands of a dispatch
@@ -840,16 +851,18 @@ func (f *vmFrame) execSet(ins *ast.Instr) {
 	case ast.OpAuxRow:
 		f.sets[ins.Dst] = f.auxRow(ins.A, f.vars[ins.V])
 		return
+	case ast.OpTrimAbove:
+		f.sets[ins.Dst] = vset.SliceBelow(f.sets[ins.A], f.vars[ins.V])
+		return
+	case ast.OpTrimBelow:
+		f.sets[ins.Dst] = vset.SliceAbove(f.sets[ins.A], f.vars[ins.V])
+		return
 	case ast.OpIntersect:
 		dst = f.intersectInto(dst, f.sets[ins.A], f.sets[ins.B], ins.NbrA, ins.NbrB)
 	case ast.OpSubtract:
 		dst = f.subtractInto(dst, f.sets[ins.A], f.sets[ins.B], ins.NbrB)
 	case ast.OpRemove:
 		dst = vset.Remove(dst, f.sets[ins.A], f.vars[ins.V])
-	case ast.OpTrimAbove:
-		dst = vset.TrimAbove(dst, f.sets[ins.A], f.vars[ins.V])
-	case ast.OpTrimBelow:
-		dst = vset.TrimBelow(dst, f.sets[ins.A], f.vars[ins.V])
 	case ast.OpCopy:
 		dst = vset.Copy(dst, f.sets[ins.A])
 	case ast.OpFilterLabel:

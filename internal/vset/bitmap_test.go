@@ -153,11 +153,27 @@ func FuzzSetKernels(f *testing.F) {
 		if got := Intersect(nil, a, b); !Equal(got, wantI) {
 			t.Errorf("Intersect(%v,%v) = %v, want %v", a, b, got, wantI)
 		}
+		// The in-place forms the Intersect doc allows, on copies, and a
+		// destination too short for the result.
+		ac, bc := append(Set(nil), a...), append(Set(nil), b...)
+		if got := Intersect(ac[:0], ac, b); !Equal(got, wantI) {
+			t.Errorf("Intersect(a[:0], %v, %v) = %v, want %v", a, b, got, wantI)
+		}
+		if got := Intersect(bc[:0], a, bc); !Equal(got, wantI) {
+			t.Errorf("Intersect(b[:0], %v, %v) = %v, want %v", a, b, got, wantI)
+		}
+		if got := Intersect(make(Set, 0, len(wantI)/2), a, b); !Equal(got, wantI) {
+			t.Errorf("Intersect(short dst, %v, %v) = %v, want %v", a, b, got, wantI)
+		}
 		if got := IntersectCount(a, b); got != int64(len(wantI)) {
 			t.Errorf("IntersectCount(%v,%v) = %d, want %d", a, b, got, len(wantI))
 		}
 		if got := Subtract(nil, a, b); !Equal(got, wantS) {
 			t.Errorf("Subtract(%v,%v) = %v, want %v", a, b, got, wantS)
+		}
+		ac = append(ac[:0], a...)
+		if got := Subtract(ac[:0], ac, b); !Equal(got, wantS) {
+			t.Errorf("Subtract(a[:0], %v, %v) = %v, want %v", a, b, got, wantS)
 		}
 		bm := MakeBitmap(b, universe)
 		if got := IntersectBitmap(nil, a, bm); !Equal(got, wantI) {

@@ -12,7 +12,8 @@ type Set = []uint32
 // Intersect writes the intersection of a and b into dst[:0] and returns the
 // result. dst may alias neither a nor b unless it is exactly a[:0] or b[:0]
 // (in-place intersection with the output no longer than either input is
-// safe because writes trail reads).
+// safe because writes trail reads). dst is replaced by a fresh slice when
+// its capacity is below the shorter operand's length.
 func Intersect(dst, a, b Set) Set {
 	dst = dst[:0]
 	if len(a) == 0 || len(b) == 0 {
@@ -25,21 +26,34 @@ func Intersect(dst, a, b Set) Set {
 	if len(b) >= len(a)*GallopThreshold {
 		return gallopIntersect(dst, a, b)
 	}
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		va, vb := a[i], b[j]
-		switch {
-		case va < vb:
-			i++
-		case va > vb:
-			j++
-		default:
-			dst = append(dst, va)
-			i++
-			j++
-		}
+	n := len(a)
+	if cap(dst) < n {
+		dst = make(Set, 0, n)
 	}
-	return dst
+	// The merge writes a[i] to out[k] on every step, match or not, and
+	// keeps it only by advancing k. k never passes i or j, so in place a
+	// write lands at or behind the aliased operand's read position. In a
+	// that is harmless (out[i] = a[i]), but in b it would overwrite b[j]
+	// while b[j] may still be compared again, so the aliased operand must
+	// be the one named a.
+	if &dst[:1][0] == &b[0] {
+		a, b = b, a
+	}
+	out := dst[:n]
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		va := a[i]
+		out[k] = va
+		// Branch-free advance: d>>63 is -1 when d < 0 and 0 otherwise, so
+		// ai is 1 when a[i] <= b[j] and bj is 1 when b[j] <= a[i].
+		d := int64(b[j]) - int64(va)
+		ai := int(1 + d>>63)
+		bj := int(1 + (-d)>>63)
+		k += ai & bj
+		i += ai
+		j += bj
+	}
+	return out[:k]
 }
 
 // gallopIntersect intersects the small set a against the much larger set b by
@@ -47,30 +61,31 @@ func Intersect(dst, a, b Set) Set {
 func gallopIntersect(dst, a, b Set) Set {
 	lo := 0
 	for _, v := range a {
-		// Exponential probe from lo.
-		step := 1
-		hi := lo
-		for hi < len(b) && b[hi] < v {
-			lo = hi + 1
-			hi += step
-			step <<= 1
-		}
-		if hi > len(b) {
-			hi = len(b)
-		}
-		// Binary search in (lo-1, hi].
-		idx := lowerBound(b[lo:hi], v) + lo
-		if idx < len(b) && b[idx] == v {
-			dst = append(dst, v)
-			lo = idx + 1
-		} else {
-			lo = idx
-		}
-		if lo >= len(b) {
+		if lo = Seek(b, lo, v); lo == len(b) {
 			break
+		}
+		if b[lo] == v {
+			dst = append(dst, v)
+			lo++
 		}
 	}
 	return dst
+}
+
+// Seek returns the first index i >= from with s[i] >= v, or len(s), by
+// exponential probing from from followed by binary search: O(log(i-from))
+// probes, so a run of ascending lookups costs about one merge pass.
+func Seek(s Set, from int, v uint32) int {
+	lo, hi, step := from, from, 1
+	for hi < len(s) && s[hi] < v {
+		lo = hi + 1
+		hi += step
+		step <<= 1
+	}
+	if hi > len(s) {
+		hi = len(s)
+	}
+	return lo + lowerBound(s[lo:hi], v)
 }
 
 // lowerBound returns the first index i in s with s[i] >= v, or len(s).
@@ -96,66 +111,56 @@ func IntersectCount(a, b Set) int64 {
 	if len(a) > len(b) {
 		a, b = b, a
 	}
+	var n int64
 	if len(b) >= len(a)*GallopThreshold {
-		var n int64
 		lo := 0
 		for _, v := range a {
-			step := 1
-			hi := lo
-			for hi < len(b) && b[hi] < v {
-				lo = hi + 1
-				hi += step
-				step <<= 1
-			}
-			if hi > len(b) {
-				hi = len(b)
-			}
-			idx := lowerBound(b[lo:hi], v) + lo
-			if idx < len(b) && b[idx] == v {
-				n++
-				lo = idx + 1
-			} else {
-				lo = idx
-			}
-			if lo >= len(b) {
+			if lo = Seek(b, lo, v); lo == len(b) {
 				break
+			}
+			if b[lo] == v {
+				n++
+				lo++
 			}
 		}
 		return n
 	}
-	var n int64
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		va, vb := a[i], b[j]
-		switch {
-		case va < vb:
-			i++
-		case va > vb:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
+		// The branch-free advance of Intersect's merge.
+		d := int64(b[j]) - int64(a[i])
+		ai := int(1 + d>>63)
+		bj := int(1 + (-d)>>63)
+		n += int64(ai & bj)
+		i += ai
+		j += bj
 	}
 	return n
 }
 
 // Subtract writes a \ b into dst[:0] and returns it. dst may be a[:0]
-// (in-place subtraction is safe).
+// (in-place subtraction is safe). dst is replaced by a fresh slice when
+// its capacity is below len(a).
 func Subtract(dst, a, b Set) Set {
 	dst = dst[:0]
-	j := 0
-	for _, v := range a {
-		for j < len(b) && b[j] < v {
-			j++
-		}
-		if j < len(b) && b[j] == v {
-			continue
-		}
-		dst = append(dst, v)
+	if cap(dst) < len(a) {
+		dst = make(Set, 0, len(a))
 	}
-	return dst
+	out := dst[:len(a)]
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		// Intersect's branch-free merge, keeping a[i] when it is below b[j].
+		va := a[i]
+		out[k] = va
+		d := int64(b[j]) - int64(va)
+		ai := int(1 + d>>63)
+		bj := int(1 + (-d)>>63)
+		k += ai &^ bj
+		i += ai
+		j += bj
+	}
+	k += copy(out[k:], a[i:])
+	return out[:k]
 }
 
 // SubtractCount returns |a \ b|.
@@ -191,28 +196,10 @@ func Contains(s Set, v uint32) bool {
 	return i < len(s) && s[i] == v
 }
 
-// TrimBelow writes the elements of a strictly greater than bound into dst[:0].
-// It implements the lower-bound "trimming" set operation from the paper's AST
-// vocabulary, used by symmetry-breaking restrictions of the form v > bound.
-func TrimBelow(dst, a Set, bound uint32) Set {
-	dst = dst[:0]
-	i := lowerBound(a, bound)
-	if i < len(a) && a[i] == bound {
-		i++
-	}
-	return append(dst, a[i:]...)
-}
-
-// TrimAbove writes the elements of a strictly smaller than bound into dst[:0].
-// It implements the upper-bound trimming used by restrictions v < bound.
-func TrimAbove(dst, a Set, bound uint32) Set {
-	dst = dst[:0]
-	i := lowerBound(a, bound)
-	return append(dst, a[:i]...)
-}
-
 // SliceAbove returns the suffix of a with elements strictly greater than
-// bound, as a zero-copy subslice of a.
+// bound, as a zero-copy subslice of a. It implements the lower-bound
+// "trimming" set operation from the paper's AST vocabulary, used by
+// symmetry-breaking restrictions of the form v > bound.
 func SliceAbove(a Set, bound uint32) Set {
 	i := lowerBound(a, bound)
 	if i < len(a) && a[i] == bound {
@@ -222,7 +209,8 @@ func SliceAbove(a Set, bound uint32) Set {
 }
 
 // SliceBelow returns the prefix of a with elements strictly smaller than
-// bound, as a zero-copy subslice of a.
+// bound, as a zero-copy subslice of a: the upper-bound trimming used by
+// restrictions v < bound.
 func SliceBelow(a Set, bound uint32) Set {
 	return a[:lowerBound(a, bound)]
 }

@@ -1,6 +1,7 @@
 package vset
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -102,17 +103,17 @@ func TestRemoveContains(t *testing.T) {
 
 func TestTrim(t *testing.T) {
 	a := s(1, 3, 5, 7, 9)
-	if got := TrimBelow(nil, a, 5); !Equal(got, s(7, 9)) {
-		t.Fatalf("TrimBelow = %v", got)
+	if got := SliceAbove(a, 5); !Equal(got, s(7, 9)) {
+		t.Fatalf("SliceAbove = %v", got)
 	}
-	if got := TrimBelow(nil, a, 4); !Equal(got, s(5, 7, 9)) {
-		t.Fatalf("TrimBelow(miss) = %v", got)
+	if got := SliceAbove(a, 4); !Equal(got, s(5, 7, 9)) {
+		t.Fatalf("SliceAbove(miss) = %v", got)
 	}
-	if got := TrimAbove(nil, a, 5); !Equal(got, s(1, 3)) {
-		t.Fatalf("TrimAbove = %v", got)
+	if got := SliceBelow(a, 5); !Equal(got, s(1, 3)) {
+		t.Fatalf("SliceBelow = %v", got)
 	}
-	if got := TrimAbove(nil, a, 10); !Equal(got, a) {
-		t.Fatalf("TrimAbove(all) = %v", got)
+	if got := SliceBelow(a, 10); !Equal(got, a) {
+		t.Fatalf("SliceBelow(all) = %v", got)
 	}
 	if got := CountBelow(a, 6); got != 3 {
 		t.Fatalf("CountBelow = %d", got)
@@ -229,8 +230,8 @@ func TestQuickTrimInvariants(t *testing.T) {
 		rr := rand.New(rand.NewSource(seed))
 		a := randSet(rr, 200, 500)
 		bound %= 600
-		below := TrimAbove(nil, a, bound)
-		above := TrimBelow(nil, a, bound)
+		below := SliceBelow(a, bound)
+		above := SliceAbove(a, bound)
 		n := len(below) + len(above)
 		if Contains(a, bound) {
 			n++
@@ -277,3 +278,56 @@ func BenchmarkIntersectGallop(b *testing.B) {
 		dst = Intersect(dst, x, y)
 	}
 }
+
+// randSetN draws n distinct elements of [0, universe) as a sorted set.
+func randSetN(r *rand.Rand, n, universe int) Set {
+	out := make(Set, 0, n)
+	for _, v := range r.Perm(universe)[:n] {
+		out = append(out, uint32(v))
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// BenchmarkIntersectShort times the merge kernels at the short lengths
+// the innermost mining loops see. Each size cycles through 1024 distinct
+// seeded pairs of n-element sets over a 4n universe: on one repeated
+// pair the branch predictor learns the merge's advance pattern and the
+// numbers stop describing real inputs. ns/elem counts both operands.
+func BenchmarkIntersectShort(b *testing.B) {
+	const pairs = 1024
+	for _, n := range []int{16, 64, 256, 4096} {
+		r := rand.New(rand.NewSource(int64(n)))
+		xs, ys := make([]Set, pairs), make([]Set, pairs)
+		for i := range xs {
+			xs[i], ys[i] = randSetN(r, n, 4*n), randSetN(r, n, 4*n)
+		}
+		perElem := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2*n), "ns/elem")
+		}
+		b.Run(fmt.Sprintf("merge/n=%d", n), func(b *testing.B) {
+			dst := make(Set, 0, n)
+			for i := 0; i < b.N; i++ {
+				dst = Intersect(dst, xs[i%pairs], ys[i%pairs])
+			}
+			perElem(b)
+		})
+		b.Run(fmt.Sprintf("count/n=%d", n), func(b *testing.B) {
+			var sink int64
+			for i := 0; i < b.N; i++ {
+				sink += IntersectCount(xs[i%pairs], ys[i%pairs])
+			}
+			benchSink = sink
+			perElem(b)
+		})
+		b.Run(fmt.Sprintf("subtract/n=%d", n), func(b *testing.B) {
+			dst := make(Set, 0, n)
+			for i := 0; i < b.N; i++ {
+				dst = Subtract(dst, xs[i%pairs], ys[i%pairs])
+			}
+			perElem(b)
+		})
+	}
+}
+
+var benchSink int64
