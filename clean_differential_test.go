@@ -70,12 +70,14 @@ func cachedPlans(s *System) (plans []*core.Plan, names []string) {
 }
 
 // checkCleanLowering runs plan's cleaned and uncleaned bytecode on g
-// and requires identical globals, as many kernel dispatches, and no more
-// instructions executed with the pass than without it. Where the pass
-// re-fused a count with the intersection feeding it, that intersection
-// is now counted over a narrower window: less work, possibly on another
-// kernel path. Everywhere else the per-kernel counters must be equal.
-// It reports whether the pass re-fused a count.
+// and requires identical globals, and no longer code, no more kernel
+// dispatches and no more instructions executed with the pass than
+// without it. Where the pass re-fused a count with the intersection
+// feeding it, that intersection is now counted over a narrower window:
+// less work, possibly on another kernel path. Where it guarded a loop,
+// the skipped iterations dispatch nothing. Everywhere else the
+// per-kernel counters must be equal. It reports whether the pass
+// re-fused a count.
 func checkCleanLowering(t *testing.T, g *Graph, plan *core.Plan, name string, threads int) (refused bool) {
 	t.Helper()
 	raw := ast.LowerUncleaned(plan.Prog, plan.LowerOpts)
@@ -95,9 +97,10 @@ func checkCleanLowering(t *testing.T, g *Graph, plan *core.Plan, name string, th
 		t.Fatalf("%s, %d threads: globals %v cleaned, %v uncleaned\n%s", name, threads, got.Globals, want.Globals, clean.Disassemble())
 	}
 	refused = intersections(clean) < intersections(raw)
-	if sum(got.KernelCounts) != sum(want.KernelCounts) ||
-		!refused && (!slices.Equal(got.KernelCounts, want.KernelCounts) || !slices.Equal(got.KernelElems, want.KernelElems)) {
-		t.Fatalf("%s, %d threads (re-fused: %v): kernels %v/%v cleaned, %v/%v uncleaned", name, threads, refused,
+	guarded := slices.ContainsFunc(clean.Code, func(in ast.Instr) bool { return in.Op == ast.ILoopBegin && in.B >= 0 })
+	if sum(got.KernelCounts) > sum(want.KernelCounts) ||
+		!refused && !guarded && (!slices.Equal(got.KernelCounts, want.KernelCounts) || !slices.Equal(got.KernelElems, want.KernelElems)) {
+		t.Fatalf("%s, %d threads (re-fused: %v, guarded: %v): kernels %v/%v cleaned, %v/%v uncleaned", name, threads, refused, guarded,
 			got.KernelCounts, got.KernelElems, want.KernelCounts, want.KernelElems)
 	}
 	if got.InstructionsExecuted() > want.InstructionsExecuted() {
@@ -169,6 +172,8 @@ func TestLowerCleanDifferential(t *testing.T) {
 // on R-MAT(10, 8) with hub rows from degree 64, whose innermost loop
 // body was 18 instructions before the pass (4 reset/accumulate copy
 // pairs, one product computed and added twice, two empty conditionals).
+// Every product that body adds has the factor |N(v1) ∩ N(v0) − {v2}|,
+// so the loop is guarded on N(v1) ∩ N(v0) (rule 8).
 func TestCensusCycleSkipPlanIsLean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles a 5-motif census")
@@ -192,6 +197,7 @@ func TestCensusCycleSkipPlanIsLean(t *testing.T) {
 		t.Fatal("the census batch did not replan the 5-cycle under a skip flavor")
 	}
 	code := skip.Lowered()
+	var outer []int32 // variables of the loops around the innermost one
 	for i, ins := range code.Code {
 		if ins.Op != ast.ILoopBegin {
 			continue
@@ -201,12 +207,39 @@ func TestCensusCycleSkipPlanIsLean(t *testing.T) {
 		for _, in := range code.Code[i+1 : next] {
 			innermost = innermost && in.Op != ast.ILoopBegin
 		}
+		if !innermost {
+			outer = append(outer, ins.Dst)
+			continue
+		}
 		// The body runs from the instruction after loop.begin through the
 		// loop.next that closes it.
-		if body := next - int32(i); innermost && body > 6 {
+		if body := next - int32(i); body > 6 {
 			t.Fatalf("innermost loop at %03d has a %d-instruction body, want <= 6:\n%s", i, body, code.Disassemble())
 		}
+		if !guardedOnCommonNeighbors(code, &ins, outer) {
+			t.Fatalf("innermost loop at %03d is not guarded on the outer loops' common neighbors %v:\n%s", i, outer, code.Disassemble())
+		}
 	}
+}
+
+// guardedOnCommonNeighbors reports whether loop begin is guarded on
+// N(va) ∩ N(vb) for the two variables of vars.
+func guardedOnCommonNeighbors(code *ast.Lowered, begin *ast.Instr, vars []int32) bool {
+	def := func(r int32) *ast.Instr {
+		for i := range code.Code {
+			if in := &code.Code[i]; in.Op == ast.ISetDef && in.Dst == r {
+				return in
+			}
+		}
+		return nil
+	}
+	g := def(begin.B)
+	if begin.B < 0 || g == nil || g.Set != ast.OpIntersect || len(vars) != 2 {
+		return false
+	}
+	a, b := def(g.A), def(g.B)
+	return a != nil && b != nil && a.Set == ast.OpNeighbors && b.Set == ast.OpNeighbors &&
+		slices.Contains(vars, a.V) && slices.Contains(vars, b.V) && a.V != b.V
 }
 
 // TestCliqueSixPlanIsLean pins what rule 6 of the clean-up pass and the

@@ -11,9 +11,11 @@ package ast
 // It rewrites the flat code, never the AST: the cost model prices every
 // AST scalar node, so cleaning the tree would move plan costs and plan
 // choice, while cleaning the bytecode changes only what executes. Each
-// round applies six rules and compacts once; when a round changes
+// round applies rules 1–6 and compacts once; when a round changes
 // nothing, count fusion (lower.go's fuseCounts) runs again over the
-// cleaned code, and rounds resume until neither changes anything.
+// cleaned code, and rounds resume until neither changes anything. Rules
+// 7 and 8 then run once: neither deletes an instruction, so nothing is
+// left for the others to do after them.
 //
 //  1. A cond.skip whose target is the next instruction goes.
 //  2. Copy forwarding: `x := 0` and a single `x += 1*y` in one
@@ -39,6 +41,27 @@ package ast
 //     body goes from `N(v4)`, `s16 ∩ N(v4)`, four trims, a windowed
 //     count, `global.add`, `loop.next` to `N(v4)`,
 //     `|s16 ∩ N(v4) : x > v4|`, `global.add`, `loop.next`.
+//  7. An excluded key vk of a fused count is decided statically where
+//     the code proves whether vk is in the counted set: `|N(v1) − {v0}|`
+//     with v1 drawn from N(v0) is `|N(v1)| − 1`, because adjacency is
+//     symmetric, and `|N(v1) − {v1}|` is `|N(v1)|`, because there are no
+//     self-loops. A key never in the set goes; a key always in it, and
+//     provably distinct from every other key, becomes part of the
+//     constant ICount.Imm the VM subtracts. Any other key stays for the
+//     runtime membership test and dedup. The facts: vk is in every
+//     superset of its own loop domain; vk ∉ N(vk); vk ∈ N(vj) when either
+//     variable's domain lies in the other's neighbor set; ∩, −, Remove
+//     and trims combine the facts of their operands, trims and count
+//     windows through rule 6's order. They hold only for a vk bound by
+//     one loop enclosing the count.
+//  8. A loop at depth ≥ 1 whose straight-line body only defines
+//     registers and adds to globals, where every added value is a
+//     product with a count factor over one set s defined before the
+//     loop, is guarded on s (ILoopBegin.B): when s is empty every
+//     product is zero, and the VM skips the loop. A guard that is a
+//     superset of the loop's domain would never fire and is not set.
+//     The census 5-cycle skip plan's innermost loop is guarded on
+//     N(v1) ∩ N(v0), which is empty for most (v0, v1) pairs.
 //
 // A straight-line block is a maximal run of instructions entered only
 // at its first one, together with the control instruction ending it
@@ -47,9 +70,9 @@ package ast
 // later instruction follows an execution of the earlier one in the same
 // pass over the block.
 //
-// Rule 6 walks every loop domain's def chain each round, so it runs only
-// here, never in AuxDecisions, which the algorithm search runs for every
-// candidate it ranks.
+// Rules 6–8 walk def chains, so they run only here, never in
+// AuxDecisions, which the algorithm search runs for every candidate it
+// ranks.
 //
 // The cost model still prices the deleted instructions, so profile-
 // guided calibration needs to know how many of them the VM skipped: each
@@ -57,7 +80,8 @@ package ast
 // and the VM multiplies the charge by the loop's iteration count. A
 // deletion inside a conditional is charged as if the conditional were
 // always taken; root-level deletions run once per query and are not
-// charged.
+// charged. A loop its guard skips is charged its body length plus Imm
+// per element.
 
 import "slices"
 
@@ -77,6 +101,9 @@ func (l *Lowered) clean() {
 		changed = l.dropDeadDefs(keep) || changed
 		if !changed {
 			if keep, changed = l.fuseCounts(); !changed {
+				o := newTrimOrder(newAuxScan(l))
+				l.resolveExclusions(o)
+				l.guardLoops(o.sc)
 				l.annotateNeighborOperands()
 				return
 			}
@@ -482,4 +509,338 @@ func (o *trimOrder) beyond(k, j int32, rel map[int32][]int32) bool {
 		}
 	}
 	return false
+}
+
+// verdict is rule 7's answer to whether a variable's value is a member of
+// a set.
+type verdict int8
+
+const (
+	unknown verdict = iota
+	always
+	never
+)
+
+// and is the verdict for membership in both sets.
+func (v verdict) and(w verdict) verdict {
+	switch {
+	case v == never || w == never:
+		return never
+	case v == always && w == always:
+		return always
+	}
+	return unknown
+}
+
+// not is the verdict for membership in the complement.
+func (v verdict) not() verdict {
+	switch v {
+	case always:
+		return never
+	case never:
+		return always
+	}
+	return unknown
+}
+
+// membership holds rule 7's analysis at one fused count: every variable
+// and register is taken as it is at instruction pc.
+type membership struct {
+	o    *trimOrder
+	pc   int32
+	memo map[[2]int32]verdict // (variable, register) -> verdict at pc
+	doms map[int32][]int32    // loop begin -> supersets of its domain
+}
+
+// bound returns the loop binding variable k when k is bound by exactly
+// one loop and that loop encloses the count.
+func (m *membership) bound(k int32) (int32, bool) {
+	sc := m.o.sc
+	lk, ok := sc.varLoop[k]
+	return lk, ok && !sc.multi[k] && sc.inScopeAt(lk, m.pc)
+}
+
+// domain returns every register the domain of the loop beginning at lk
+// is statically a subset of. Each is defined before the loop, so it
+// holds, anywhere in the loop, the value the domain was computed from.
+func (m *membership) domain(lk int32) []int32 {
+	d, ok := m.doms[lk]
+	if !ok {
+		d = m.o.sc.supersets(m.o.sc.loopOver[lk])
+		m.doms[lk] = d
+	}
+	return d
+}
+
+// in decides whether variable k is a member of register r.
+func (m *membership) in(k, r int32) verdict {
+	key := [2]int32{k, r}
+	if v, ok := m.memo[key]; ok {
+		return v
+	}
+	m.memo[key] = unknown // a cyclic argument proves nothing
+	v := m.decide(k, r)
+	m.memo[key] = v
+	return v
+}
+
+func (m *membership) decide(k, r int32) verdict {
+	lk, ok := m.bound(k)
+	if !ok {
+		return unknown
+	}
+	if slices.Contains(m.domain(lk), r) {
+		return always
+	}
+	sc := m.o.sc
+	d, ok := sc.defPC[r]
+	if !ok {
+		return unknown
+	}
+	def := &sc.code[d]
+	switch def.Set {
+	case OpAll:
+		return always
+	case OpNeighbors:
+		switch j := def.V; {
+		case !m.o.fixed(j, d, m.pc):
+		case j == k:
+			return never // no self-loops
+		case m.adjacent(k, j):
+			return always
+		}
+	case OpIntersect:
+		return m.in(k, def.A).and(m.in(k, def.B))
+	case OpSubtract:
+		return m.in(k, def.A).and(m.in(k, def.B).not())
+	case OpRemove:
+		switch j := def.V; {
+		case !m.o.fixed(j, d, m.pc):
+		case j == k:
+			return never
+		case m.distinct(k, j):
+			return m.in(k, def.A)
+		}
+		return m.in(k, def.A).and(unknown)
+	case OpTrimBelow, OpTrimAbove:
+		return m.in(k, def.A).and(m.order(k, def.V, d, def.Set))
+	case OpCopy:
+		return m.in(k, def.A)
+	case OpFilterLabel, OpFilterLabelOfVar, OpFilterLabelNotOfVar:
+		return m.in(k, def.A).and(unknown)
+	}
+	return unknown
+}
+
+// order decides whether vk passes the window of an op trim (vk > vj for
+// TrimBelow, vk < vj for TrimAbove) whose bound vj was read at
+// instruction at.
+func (m *membership) order(k, j, at int32, op SetOp) verdict {
+	if !m.o.fixed(j, at, m.pc) {
+		return unknown
+	}
+	if j == k {
+		return never
+	}
+	lo, hi := j, k
+	if op == OpTrimAbove {
+		lo, hi = k, j
+	}
+	switch {
+	case m.less(lo, hi):
+		return always
+	case m.less(hi, lo):
+		return never
+	}
+	return unknown
+}
+
+// less reports whether va < vb follows from the loop domains' trims.
+// Both variables must hold one value from their binding through pc.
+func (m *membership) less(a, b int32) bool {
+	o := m.o
+	return o.beyond(a, b, o.below) || o.beyond(b, a, o.above)
+}
+
+// adjacent reports whether vk ∈ N(vj) because one variable's loop domain
+// lies in the other's neighbor set: adjacency is symmetric.
+func (m *membership) adjacent(k, j int32) bool {
+	return m.domainInNeighbors(k, j) || m.domainInNeighbors(j, k)
+}
+
+// domainInNeighbors reports whether va's loop domain lies in N(vb) for
+// vb as it is at pc.
+func (m *membership) domainInNeighbors(a, b int32) bool {
+	la, ok := m.bound(a)
+	if !ok {
+		return false
+	}
+	sc := m.o.sc
+	for _, r := range m.domain(la) {
+		if d, ok := sc.defPC[r]; ok && sc.code[d].Set == OpNeighbors && sc.code[d].V == b && m.o.fixed(b, d, m.pc) {
+			return true
+		}
+	}
+	return false
+}
+
+// distinct reports whether va ≠ vb provably: the trims order them, or
+// one lies outside the other's loop domain.
+func (m *membership) distinct(a, b int32) bool {
+	o := m.o
+	if a == b {
+		return false
+	}
+	if o.fixed(a, m.pc, m.pc) && o.fixed(b, m.pc, m.pc) && (m.less(a, b) || m.less(b, a)) {
+		return true
+	}
+	la, aOK := m.bound(a)
+	lb, bOK := m.bound(b)
+	return aOK && m.in(b, o.sc.loopOver[la]) == never || bOK && m.in(a, o.sc.loopOver[lb]) == never
+}
+
+// resolveExclusions applies rule 7.
+func (l *Lowered) resolveExclusions(o *trimOrder) {
+	m := &membership{o: o, memo: map[[2]int32]verdict{}, doms: map[int32][]int32{}}
+	for pc := range l.Code {
+		ins := &l.Code[pc]
+		if ins.Op != ICount || ins.NKeys == 0 {
+			continue
+		}
+		m.pc = int32(pc)
+		clear(m.memo)
+		keys := l.KeyVars(ins)
+		in := make([]verdict, len(keys))
+		for i, k := range keys {
+			v := m.in(k, ins.A)
+			if ins.B >= 0 {
+				v = v.and(m.in(k, ins.B))
+			}
+			if ins.V >= 0 {
+				v = v.and(m.order(k, ins.V, m.pc, OpTrimBelow))
+			}
+			if ins.SA >= 0 {
+				v = v.and(m.order(k, ins.SA, m.pc, OpTrimAbove))
+			}
+			in[i] = v
+		}
+		var runtime []int32
+		imm := ins.Imm
+		for i, k := range keys {
+			if in[i] == never {
+				continue
+			}
+			// A member counts once however many keys hold it, so only a
+			// key distinct from every other candidate member is constant.
+			lone := in[i] == always
+			for j, kj := range keys {
+				if lone && j != i && in[j] != never && !m.distinct(k, kj) {
+					lone = false
+				}
+			}
+			if lone {
+				imm++
+			} else {
+				runtime = append(runtime, k)
+			}
+		}
+		if len(runtime) < len(keys) {
+			ins.Imm = imm
+			ins.Key, ins.NKeys = poolKeys32(l, runtime)
+		}
+	}
+}
+
+// guardLoops applies rule 8.
+func (l *Lowered) guardLoops(sc *auxScan) {
+	for b := range l.Code {
+		if l.Code[b].Op == ILoopBegin && sc.depth[b] > 0 {
+			l.Code[b].B = l.guardSet(sc, int32(b))
+		}
+	}
+}
+
+// guardSet returns the set rule 8 guards the loop beginning at b on, or
+// -1 when there is none.
+func (l *Lowered) guardSet(sc *auxScan, b int32) int32 {
+	next := l.Code[b].Off - 1
+	defs := map[int32]bool{}    // set registers the body defines
+	scalar := map[int32]int32{} // scalar register -> its def in the body
+	var adds []int32            // pcs of the body's global.adds
+	for pc := b + 1; pc < next; pc++ {
+		switch ins := &l.Code[pc]; ins.Op {
+		case ISetDef:
+			defs[ins.Dst] = true
+		case IScalarDef, ICount:
+			if _, dup := scalar[ins.Dst]; dup {
+				return -1
+			}
+			scalar[ins.Dst] = pc
+		case IGlobalAdd:
+			adds = append(adds, pc)
+		default:
+			return -1 // a conditional, accumulation, hash op, emit or loop
+		}
+	}
+	if len(adds) == 0 {
+		return -1
+	}
+	// A skipped loop defines nothing, so nothing else may read or write
+	// what the body defines.
+	var scratch []int32
+	for pc := range l.Code {
+		if int32(pc) > b && int32(pc) < next {
+			continue
+		}
+		ins := &l.Code[pc]
+		for _, r := range setReads(ins, scratch[:0]) {
+			if defs[r] {
+				return -1
+			}
+		}
+		scratch = scalarReads(ins, scratch[:0])
+		if w, ok := scalarWrite(ins); ok {
+			scratch = append(scratch, w)
+		}
+		for _, r := range scratch {
+			if _, ok := scalar[r]; ok {
+				return -1
+			}
+		}
+	}
+	// zeroes returns the sets whose emptiness makes scalar x zero where
+	// instruction at reads it: x is this iteration's count over the set,
+	// or a product with such a factor.
+	var zeroes func(x, at int32) []int32
+	zeroes = func(x, at int32) []int32 {
+		d, ok := scalar[x]
+		if !ok || d > at {
+			return nil
+		}
+		switch ins := &l.Code[d]; {
+		case ins.Op == ICount && ins.Imm == 0 && ins.B >= 0:
+			return []int32{ins.A, ins.B}
+		case ins.Op == ICount && ins.Imm == 0,
+			ins.Op == IScalarDef && (ins.SOp == SSize || ins.SOp == SCountAbove || ins.SOp == SCountBelow):
+			return []int32{ins.A}
+		case ins.Op == IScalarDef && ins.SOp == SMul:
+			return append(zeroes(ins.SA, d), zeroes(ins.SB, d)...)
+		}
+		return nil
+	}
+	common := zeroes(l.Code[adds[0]].SA, adds[0])
+	for _, pc := range adds[1:] {
+		z := zeroes(l.Code[pc].SA, pc)
+		common = slices.DeleteFunc(common, func(s int32) bool { return !slices.Contains(z, s) })
+	}
+	// The latest set defined before the loop is the most pruned.
+	guard := int32(-1)
+	domain := sc.supersets(l.Code[b].A)
+	for _, s := range common {
+		d, ok := sc.defPC[s]
+		if ok && d < b && !slices.Contains(domain, s) && (guard < 0 || d > sc.defPC[guard]) {
+			guard = s
+		}
+	}
+	return guard
 }

@@ -89,7 +89,9 @@ func (op OpCode) String() string {
 //
 //	ILoopBegin   Dst=loop var, A=set register, Off=index past the loop,
 //	             LoopID=dense loop index, Imm=instructions the clean-up
-//	             pass deleted from one iteration of the body (clean.go)
+//	             pass deleted from one iteration of the body (clean.go),
+//	             B=guard set register or -1: the loop is skipped when
+//	             the guard is empty (clean-up rule 8)
 //	ILoopNext    Dst=loop var, A=set register, Off=ILoopBegin index,
 //	             LoopID matching the begin
 //	ISetDef      Set sub-op with Dst/A/B/V/Imm as in Node
@@ -104,7 +106,8 @@ func (op OpCode) String() string {
 //	IEmit        Dst=subpattern index, SA=count scalar, Key/NKeys
 //	ICount       Dst=scalar, A=base set, B=second set (∩) or -1,
 //	             V=strict lower-bound var or -1, SA=strict upper-bound
-//	             var or -1, Key/NKeys=excluded vars
+//	             var or -1, Key/NKeys=excluded vars, Imm=members known to
+//	             be excluded, subtracted as a constant (clean-up rule 7)
 //	IAuxBuild    Dst=aux table index, A=source set register
 //
 // ISetDef with Set == OpAuxRow aliases Dst to auxiliary table A's row
@@ -245,7 +248,7 @@ func lower(p *Program, opts LowerOpts) *Lowered {
 			b := int32(len(l.Code))
 			id := int32(l.NumLoops)
 			l.NumLoops++
-			l.Code = append(l.Code, Instr{Op: ILoopBegin, Dst: int32(n.Var), A: int32(n.Over), LoopID: id})
+			l.Code = append(l.Code, Instr{Op: ILoopBegin, Dst: int32(n.Var), A: int32(n.Over), B: -1, LoopID: id})
 			for _, c := range n.Body {
 				emit(c)
 			}
@@ -346,7 +349,12 @@ func (l *Lowered) annotateNeighborOperands() {
 // setReads appends the set registers read by instruction ins to dst.
 func setReads(ins *Instr, dst []int32) []int32 {
 	switch ins.Op {
-	case ILoopBegin, ILoopNext:
+	case ILoopBegin:
+		if ins.B >= 0 {
+			dst = append(dst, ins.B)
+		}
+		return append(dst, ins.A)
+	case ILoopNext:
 		return append(dst, ins.A)
 	case ISetDef:
 		switch ins.Set {
@@ -417,7 +425,7 @@ func (l *Lowered) fuseCounts() (keep []bool, fused bool) {
 		var excl []int32
 		switch {
 		case ins.Op == ICount && ins.B < 0:
-			c.V, c.SA, c.Key, c.NKeys = ins.V, ins.SA, ins.Key, ins.NKeys
+			c.V, c.SA, c.Key, c.NKeys, c.Imm = ins.V, ins.SA, ins.Key, ins.NKeys, ins.Imm
 			excl = append(excl, l.KeyVars(ins)...)
 		case ins.Op != IScalarDef:
 			continue
@@ -440,6 +448,11 @@ func (l *Lowered) fuseCounts() (keep []bool, fused bool) {
 			}
 			switch def.Set {
 			case OpRemove:
+				// Rule 7 proved the constant members distinct from the
+				// other keys, not from this one.
+				if c.Imm != 0 {
+					goto done
+				}
 				excl = append(excl, def.V)
 			case OpTrimBelow: // elements > bound
 				if c.V >= 0 {
@@ -550,7 +563,11 @@ func (l *Lowered) operandString(ins *Instr) string {
 	}
 	switch ins.Op {
 	case ILoopBegin:
-		return fmt.Sprintf("v%d in s%d  else->%03d  ; loop %d", ins.Dst, ins.A, ins.Off, ins.LoopID)
+		guard := ""
+		if ins.B >= 0 {
+			guard = fmt.Sprintf(" unless s%d = ∅", ins.B)
+		}
+		return fmt.Sprintf("v%d in s%d%s  else->%03d  ; loop %d", ins.Dst, ins.A, guard, ins.Off, ins.LoopID)
 	case ILoopNext:
 		return fmt.Sprintf("v%d  back->%03d  ; loop %d", ins.Dst, ins.Off+1, ins.LoopID)
 	case ISetDef:
@@ -591,6 +608,9 @@ func (l *Lowered) operandString(ins *Instr) string {
 		}
 		if ins.NKeys > 0 {
 			expr += fmt.Sprintf(" − {%s}", keyList())
+		}
+		if ins.Imm != 0 {
+			return fmt.Sprintf("x%d = |%s| − %d", ins.Dst, expr, ins.Imm)
 		}
 		return fmt.Sprintf("x%d = |%s|", ins.Dst, expr)
 	case IAuxBuild:

@@ -1,6 +1,7 @@
 package ast
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -180,7 +181,8 @@ func TestDisassembleRendersEveryInstruction(t *testing.T) {
 
 func TestLowerFusesRemoveChain(t *testing.T) {
 	// N(v1) − {v0} − {v1} feeding only a size must fuse into one ICount
-	// with two excluded variables and no surviving OpRemove defs.
+	// with no surviving OpRemove defs. v1 is drawn from N(v0), so v0 is
+	// always in N(v1) and v1 never is: the count is |N(v1)| − 1.
 	b := NewBuilder(0)
 	all := b.All()
 	gl := b.NewGlobal()
@@ -196,6 +198,41 @@ func TestLowerFusesRemoveChain(t *testing.T) {
 	b.EndLoop()
 	l := Lower(b.Finish())
 
+	count := fusedRemoveCount(t, l)
+	if count.NKeys != 0 || count.Imm != 1 {
+		t.Fatalf("fused count has %d excluded vars and constant %d, want 0 and 1:\n%s", count.NKeys, count.Imm, l.Disassemble())
+	}
+	if !strings.Contains(l.Disassemble(), "| − 1") {
+		t.Fatalf("disassembly does not show the constant:\n%s", l.Disassemble())
+	}
+}
+
+func TestLowerFusesRemoveChainKeepsUnprovenKeys(t *testing.T) {
+	// The same chain with v0 and v1 drawn from V independently: whether
+	// v0 is in N(v1) is decided at run time, with the key dedup.
+	b := NewBuilder(0)
+	all := b.All()
+	gl := b.NewGlobal()
+	v0 := b.BeginLoop(all, nil)
+	v1 := b.BeginLoop(all, nil)
+	v2 := b.BeginLoop(all, nil)
+	r := b.Remove(b.Remove(b.Neighbors(v2), v0), v1)
+	b.GlobalAdd(gl, b.Size(r), 1)
+	b.EndLoop()
+	b.EndLoop()
+	b.EndLoop()
+	l := Lower(b.Finish())
+
+	count := fusedRemoveCount(t, l)
+	if count.NKeys != 2 || count.Imm != 0 {
+		t.Fatalf("fused count has %d excluded vars and constant %d, want 2 and 0:\n%s", count.NKeys, count.Imm, l.Disassemble())
+	}
+}
+
+// fusedRemoveCount returns the one fused count of l, which must have
+// absorbed every removal and the whole chain.
+func fusedRemoveCount(t *testing.T, l *Lowered) *Instr {
+	t.Helper()
 	var count *Instr
 	for i := range l.Code {
 		ins := &l.Code[i]
@@ -209,9 +246,6 @@ func TestLowerFusesRemoveChain(t *testing.T) {
 	if count == nil {
 		t.Fatalf("no fused count:\n%s", l.Disassemble())
 	}
-	if count.NKeys != 2 {
-		t.Fatalf("fused count has %d excluded vars, want 2:\n%s", count.NKeys, l.Disassemble())
-	}
 	if count.B != -1 || count.V != -1 || count.SA != -1 {
 		t.Fatalf("fused count has unexpected operands %+v", count)
 	}
@@ -222,6 +256,7 @@ func TestLowerFusesRemoveChain(t *testing.T) {
 			t.Fatalf("post-compaction back-edge %d -> %d broken", i, ins.Off)
 		}
 	}
+	return count
 }
 
 func TestLowerFusesTrimIntoBound(t *testing.T) {
@@ -325,5 +360,26 @@ func TestLowerOptimizedProgram(t *testing.T) {
 		if ins.Op == ICondSkip && (ins.Off <= int32(i) || ins.Off > int32(len(l.Code))) {
 			t.Fatalf("instr %d: bad cond target %d", i, ins.Off)
 		}
+	}
+}
+
+func TestFuseCountsKeepsConstantMembers(t *testing.T) {
+	// Re-fusion from a count with constant members (clean-up rule 7)
+	// carries the constant through an absorbed trim, but stops at a
+	// removal: its key was never proved distinct from those members.
+	l := &Lowered{
+		Code: []Instr{
+			{Op: ISetDef, Set: OpAll, Dst: 0},
+			{Op: ISetDef, Set: OpRemove, Dst: 1, A: 0, V: 0},
+			{Op: ISetDef, Set: OpTrimBelow, Dst: 2, A: 1, V: 0},
+			{Op: ICount, Dst: 0, A: 2, B: -1, V: -1, SA: -1, Imm: 1},
+		},
+		Segments: []Segment{{Start: 0, End: 4}},
+	}
+	keep, fused := l.fuseCounts()
+	got := l.Code[3]
+	if !fused || !slices.Equal(keep, []bool{true, true, false, true}) ||
+		got.A != 1 || got.V != 0 || got.NKeys != 0 || got.Imm != 1 {
+		t.Fatalf("fused %v, kept %v, count %+v; want the trim absorbed into |s1 : x > v0| − 1", fused, keep, got)
 	}
 }

@@ -48,8 +48,9 @@ func TestCompareDeterministicDriftFails(t *testing.T) {
 }
 
 func TestCompareUniformSlowdownOnlyWarns(t *testing.T) {
-	// Halving every throughput models a slower host: normalized rates
-	// are unchanged, so the gate passes with absolute-rate warnings.
+	// Doubling every engine time models a slower host: shares of the
+	// suite's time are unchanged, so the gate passes with absolute-time
+	// warnings.
 	cur := tinyReport()
 	for i := range cur.Workloads {
 		cur.Workloads[i].Throughput /= 2
@@ -60,13 +61,13 @@ func TestCompareUniformSlowdownOnlyWarns(t *testing.T) {
 		t.Fatalf("uniform slowdown must not fail: %v", g.Failures)
 	}
 	if len(g.Warnings) != 2 {
-		t.Fatalf("warnings = %v, want one absolute-throughput warning per workload", g.Warnings)
+		t.Fatalf("warnings = %v, want one absolute-time warning per workload", g.Warnings)
 	}
 }
 
 func TestCompareRelativeRegressionFails(t *testing.T) {
-	// Workload a gets 3x slower while b is unchanged: a's normalized
-	// throughput drops and the gate must fail.
+	// Workload a gets 3x slower while b is unchanged: a's share of the
+	// suite's engine time grows and the gate must fail.
 	cur := tinyReport()
 	cur.Workloads[0].Throughput /= 3
 	cur.Workloads[0].ExecNS *= 3
@@ -74,20 +75,33 @@ func TestCompareRelativeRegressionFails(t *testing.T) {
 	if g.OK() {
 		t.Fatal("one-workload slowdown must fail the gate")
 	}
-	if !strings.Contains(g.Failures[0], "normalized throughput") {
-		t.Fatalf("failure = %q, want normalized-throughput regression", g.Failures[0])
+	if !strings.Contains(g.Failures[0], "share of suite engine time") {
+		t.Fatalf("failure = %q, want an engine-time share regression", g.Failures[0])
 	}
 }
 
-func TestCompareShortExecNeverFailsOnThroughput(t *testing.T) {
+func TestCompareInstructionRemovalPasses(t *testing.T) {
+	// Workload b sheds most of its instructions in the same engine time,
+	// and the baseline re-pins only the deterministic instruction total:
+	// its instruction rate collapses, but it is no slower, so it passes.
+	base := tinyReport()
+	base.Workloads[1].Instructions = 100
+	cur := tinyReport()
+	cur.Workloads[1].Instructions = 100
+	cur.Workloads[1].Throughput = 250
+	if g := Compare(cur, base, 0.25); !g.OK() {
+		t.Fatalf("instruction removal at equal engine time must not fail: %v", g.Failures)
+	}
+}
+
+func TestCompareShortExecNeverFailsOnTime(t *testing.T) {
 	base := tinyReport()
 	base.Workloads[0].ExecNS = 2_000_000 // under the noise floor
 	cur := tinyReport()
-	cur.Workloads[0].ExecNS = 2_000_000
-	cur.Workloads[0].Throughput /= 10
+	cur.Workloads[0].ExecNS = 20_000_000
 	g := Compare(cur, base, 0.25)
 	if !g.OK() {
-		t.Fatalf("sub-floor workload throughput must not fail: %v", g.Failures)
+		t.Fatalf("sub-floor workload time must not fail: %v", g.Failures)
 	}
 }
 

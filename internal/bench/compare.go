@@ -14,12 +14,12 @@ type Gate struct {
 func (g Gate) OK() bool { return len(g.Failures) == 0 }
 
 // minGateExecNS is the engine-time floor under which a workload's
-// throughput is too noisy to fail the gate (250ms). Under union-span
-// exec accounting the smallest motif censuses finish in tens of
-// milliseconds of engine time, where scheduler packing and host jitter
-// routinely swing throughput by 2x; such workloads stay covered by the
-// deterministic gates (counts, instructions, kernels, cache counters)
-// and the warn-only absolute-throughput check.
+// timing is too noisy to fail the gate (250ms). Under union-span exec
+// accounting the smallest motif censuses finish in tens of milliseconds
+// of engine time, where scheduler packing and host jitter routinely
+// swing them by 2x; such workloads stay covered by the deterministic
+// gates (counts, instructions, kernels, cache counters) and the
+// warn-only absolute-time check.
 const minGateExecNS = 250_000_000
 
 func (g *Gate) failf(format string, args ...any) {
@@ -30,19 +30,14 @@ func (g *Gate) warnf(format string, args ...any) {
 	g.Warnings = append(g.Warnings, fmt.Sprintf(format, args...))
 }
 
-// suiteRate is a report's aggregate engine throughput (total
-// instructions over total engine time), the normalizer that cancels
-// host speed out of per-workload throughput comparisons.
-func suiteRate(r *Report) float64 {
-	var instr, ns int64
+// suiteExecNS is a report's total engine time, the normalizer that
+// cancels host speed out of per-workload timing comparisons.
+func suiteExecNS(r *Report) float64 {
+	var ns int64
 	for _, w := range r.Workloads {
-		instr += w.Instructions
 		ns += w.ExecNS
 	}
-	if ns == 0 {
-		return 0
-	}
-	return float64(instr) / (float64(ns) / 1e9)
+	return float64(ns)
 }
 
 // Compare gates cur against base with the given relative tolerance
@@ -51,13 +46,14 @@ func suiteRate(r *Report) float64 {
 //
 //   - Counts, engine instruction totals, and plan-cache counters are
 //     seed-determined: any drift is a real behavior change and fails.
-//   - Normalized throughput (a workload's rate relative to the whole
-//     suite's rate, which cancels host speed) fails on regression
-//     beyond tol and warns on improvement — but only for workloads with
-//     enough engine time to measure. A uniform slowdown across every
-//     workload cancels out of the ratio; the absolute-throughput
+//   - A workload's share of the suite's engine time (which cancels host
+//     speed) fails on growth beyond tol and warns on shrinkage — but
+//     only for workloads with enough engine time to measure. Time, not
+//     instructions per second: a change that deletes cheap instructions
+//     lowers a workload's rate without slowing it. A uniform slowdown
+//     across every workload cancels out of the share; the absolute-time
 //     warnings below are the safety net for that case.
-//   - Absolute throughput and worker balance are host- and
+//   - Absolute engine time and worker balance are host- and
 //     schedule-dependent: drift beyond tol only warns.
 func Compare(cur, base *Report, tol float64) Gate {
 	var g Gate
@@ -66,7 +62,7 @@ func Compare(cur, base *Report, tol float64) Gate {
 			cur.Threads, cur.Seed, cur.Short, base.Threads, base.Seed, base.Short)
 		return g
 	}
-	curRate, baseRate := suiteRate(cur), suiteRate(base)
+	curNS, baseNS := suiteExecNS(cur), suiteExecNS(base)
 	curBy := map[string]Workload{}
 	for _, w := range cur.Workloads {
 		curBy[w.Name] = w
@@ -141,25 +137,25 @@ func Compare(cur, base *Report, tol float64) Gate {
 					b.Name, c.BatchSharedHits, c.BatchSubqueries, b.BatchSharedHits, b.BatchSubqueries)
 			}
 		}
-		if b.Throughput > 0 && c.Throughput > 0 && curRate > 0 && baseRate > 0 {
+		if b.ExecNS > 0 && c.ExecNS > 0 {
 			if b.ExecNS >= minGateExecNS {
-				cNorm, bNorm := c.Throughput/curRate, b.Throughput/baseRate
+				cShare, bShare := float64(c.ExecNS)/curNS, float64(b.ExecNS)/baseNS
 				switch {
-				case cNorm < bNorm*(1-tol):
-					g.failf("%s: normalized throughput %.2f regressed beyond %.0f%% of baseline %.2f (absolute %.3g vs %.3g insn/s)",
-						b.Name, cNorm, tol*100, bNorm, c.Throughput, b.Throughput)
-				case cNorm > bNorm*(1+tol):
-					g.warnf("%s: normalized throughput %.2f improved beyond %.0f%% of baseline %.2f — refresh the baseline",
-						b.Name, cNorm, tol*100, bNorm)
+				case cShare > bShare*(1+tol):
+					g.failf("%s: share of suite engine time %.3f regressed beyond %.0f%% of baseline %.3f (absolute %.3gs vs %.3gs)",
+						b.Name, cShare, tol*100, bShare, float64(c.ExecNS)/1e9, float64(b.ExecNS)/1e9)
+				case cShare < bShare*(1-tol):
+					g.warnf("%s: share of suite engine time %.3f improved beyond %.0f%% of baseline %.3f — refresh the baseline",
+						b.Name, cShare, tol*100, bShare)
 				}
 			}
 			switch {
-			case c.Throughput < b.Throughput*(1-tol):
-				g.warnf("%s: absolute throughput %.3g insn/s below baseline %.3g (host-dependent; check for a uniform slowdown)",
-					b.Name, c.Throughput, b.Throughput)
-			case c.Throughput > b.Throughput*(1+tol):
-				g.warnf("%s: absolute throughput %.3g insn/s above baseline %.3g",
-					b.Name, c.Throughput, b.Throughput)
+			case float64(c.ExecNS) > float64(b.ExecNS)*(1+tol):
+				g.warnf("%s: engine time %.3gs above baseline %.3gs (host-dependent; check for a uniform slowdown)",
+					b.Name, float64(c.ExecNS)/1e9, float64(b.ExecNS)/1e9)
+			case float64(c.ExecNS) < float64(b.ExecNS)*(1-tol):
+				g.warnf("%s: engine time %.3gs below baseline %.3gs",
+					b.Name, float64(c.ExecNS)/1e9, float64(b.ExecNS)/1e9)
 			}
 		}
 		if b.Balance.MaxOverMean > 0 && c.Balance.MaxOverMean > b.Balance.MaxOverMean*(1+tol) {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"decomine/internal/ast"
@@ -154,6 +155,274 @@ func tally(code []ast.Instr) map[string]int {
 	return n
 }
 
+// agreeWithTree runs code on one and four threads and requires the
+// globals and the emitted total of the tree evaluator, which must count
+// something.
+func agreeWithTree(t *testing.T, g *graph.Graph, prog *ast.Program, code *ast.Lowered, pins []uint32) {
+	t.Helper()
+	var emitted atomic.Int64
+	sum := ConsumerFunc(func(_ int, _ []uint32, n int64) bool {
+		emitted.Add(n)
+		return true
+	})
+	want := evalTree(g, prog, pins, sum)
+	wantEmitted := emitted.Swap(0)
+	if wantEmitted == 0 && !slices.ContainsFunc(want, func(x int64) bool { return x != 0 }) {
+		t.Fatal("the program counts nothing on the test graph")
+	}
+	for _, threads := range []int{1, 4} {
+		res, err := Run(g, prog, Options{Threads: threads, Code: code, Pins: pins,
+			NewConsumer: func(int) Consumer { return sum }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := emitted.Swap(0); !slices.Equal(res.Globals, want) || got != wantEmitted {
+			t.Fatalf("%d threads: globals %v, emitted %d; tree evaluator %v, %d:\n%s",
+				threads, res.Globals, got, want, wantEmitted, code.Disassemble())
+		}
+	}
+}
+
+// counted is what rule 7 leaves of one fused count: the keys still
+// tested at run time and the constant members.
+type counted struct{ keys, imm int }
+
+// exclCases are hand-built programs for rule 7; want lists every fused
+// count in code order.
+var exclCases = []struct {
+	name  string
+	pins  int
+	build func(b *ast.Builder, g int)
+	want  []counted
+}{
+	{"adjacency is symmetric", 0, func(b *ast.Builder, g int) {
+		v0 := b.BeginLoop(b.All(), nil)
+		v1 := b.BeginLoop(b.Neighbors(v0), nil)
+		b.GlobalAdd(g, b.Size(b.Remove(b.Neighbors(v1), v0)), 1) // |N(v1)| − 1
+		b.EndLoop()
+		b.EndLoop()
+	}, []counted{{0, 1}}},
+	{"a key is a member of its own domain", 0, func(b *ast.Builder, g int) {
+		v0 := b.BeginLoop(b.All(), nil)
+		d := b.TrimBelow(b.Neighbors(v0), v0)
+		v1 := b.BeginLoop(d, nil)
+		b.GlobalAdd(g, b.Size(b.Remove(d, v1)), 1)
+		b.EndLoop()
+		b.EndLoop()
+	}, []counted{{0, 1}}},
+	{"no self-loops", 0, func(b *ast.Builder, g int) {
+		v0 := b.BeginLoop(b.All(), nil)
+		v1 := b.BeginLoop(b.Neighbors(v0), nil)
+		b.GlobalAdd(g, b.Size(b.Remove(b.Neighbors(v1), v1)), 1)
+		b.EndLoop()
+		b.EndLoop()
+	}, []counted{{0, 0}}},
+	{"removals in the chain", 0, func(b *ast.Builder, g int) {
+		v0 := b.BeginLoop(b.All(), nil)
+		n0 := b.Neighbors(v0)
+		v1 := b.BeginLoop(n0, nil)
+		r := b.Remove(n0, v1)
+		v2 := b.BeginLoop(r, nil)
+		b.GlobalAdd(g, b.Size(b.Remove(r, v1)), 1) // removed in r
+		b.GlobalAdd(g, b.Size(b.Remove(r, v2)), 1) // r is v2's domain
+		b.GlobalAdd(g, b.Size(b.Remove(r, v0)), 1) // v0 ≠ v1, and v0 ∉ N(v0)
+		b.EndLoop()
+		b.EndLoop()
+		b.EndLoop()
+	}, []counted{{0, 0}, {0, 1}, {0, 0}}},
+	{"windows", 0, func(b *ast.Builder, g int) {
+		v0 := b.BeginLoop(b.All(), nil)
+		v1 := b.BeginLoop(b.TrimBelow(b.Neighbors(v0), v0), nil) // v1 > v0
+		n1 := b.Neighbors(v1)
+		b.GlobalAdd(g, b.Size(b.Remove(b.TrimBelow(n1, v1), v0)), 1) // v0 is below the window
+		b.GlobalAdd(g, b.Size(b.Remove(b.TrimAbove(n1, v1), v0)), 1) // v0 is in it
+		b.EndLoop()
+		b.EndLoop()
+	}, []counted{{0, 0}, {0, 1}}},
+	{"unproven adjacency stays at run time", 0, func(b *ast.Builder, g int) {
+		all := b.All()
+		v0 := b.BeginLoop(all, nil)
+		v1 := b.BeginLoop(all, nil)
+		b.GlobalAdd(g, b.Size(b.Remove(b.Neighbors(v1), v0)), 1)
+		b.EndLoop()
+		b.EndLoop()
+	}, []counted{{1, 0}}},
+	{"pins stay at run time", 1, func(b *ast.Builder, g int) {
+		v1 := b.BeginLoop(b.Neighbors(0), nil)
+		b.GlobalAdd(g, b.Size(b.Remove(b.Neighbors(v1), 0)), 1)
+		b.EndLoop()
+	}, []counted{{1, 0}}},
+	{"keys that may be equal stay at run time", 0, func(b *ast.Builder, g int) {
+		all := b.All()
+		v0 := b.BeginLoop(all, nil)
+		v1 := b.BeginLoop(b.Neighbors(v0), nil)
+		n1 := b.Neighbors(v1)
+		v2 := b.BeginLoop(n1, nil)
+		// v0 and v2 are both neighbors of v1, and both in every set here.
+		b.GlobalAdd(g, b.Size(b.Remove(b.Remove(b.Intersect(n1, all), v0), v2)), 1)
+		b.EndLoop()
+		b.EndLoop()
+		b.EndLoop()
+	}, []counted{{2, 0}}},
+	{"multi-bound variables stay at run time", 0, func(b *ast.Builder, g int) {
+		v0 := b.BeginLoop(b.All(), nil)
+		n0 := b.Neighbors(v0)
+		v1 := b.BeginLoop(n0, nil)
+		b.GlobalAdd(g, b.Size(b.Neighbors(v1)), 1)
+		b.EndLoop()
+		v2 := b.BeginLoop(n0, nil) // rebound to v1 below
+		b.GlobalAdd(g, b.Size(b.Remove(b.Neighbors(v2), v0)), 1)
+		b.GlobalAdd(g, b.Size(b.Remove(n0, v2)), 1)
+		b.EndLoop()
+		b.EndLoop()
+		rebind(b, v2, v1)
+	}, []counted{{1, 0}, {1, 0}}},
+}
+
+// rebind makes every loop binding variable from, and every operand
+// reading it, use variable to instead.
+func rebind(b *ast.Builder, from, to int) {
+	ast.Walk(b.Finish().Root, func(n *ast.Node) {
+		switch {
+		case n.Kind == ast.KLoop && n.Var == from:
+			n.Var = to
+		case (n.Kind == ast.KSetDef || n.Kind == ast.KScalarDef) && n.V == from:
+			n.V = to
+		}
+	})
+}
+
+// TestCleanExclusions checks rule 7 where it must fire and where it must
+// not, structurally on the cleaned code and semantically against the
+// tree evaluator on one and four threads.
+func TestCleanExclusions(t *testing.T) {
+	g := graph.RMAT(7, 6, 11)
+	for _, tc := range exclCases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := ast.NewBuilder(tc.pins)
+			tc.build(b, b.NewGlobal())
+			prog := b.Finish()
+			code := ast.Lower(prog)
+			var got []counted
+			for _, ins := range code.Code {
+				if ins.Op == ast.ICount {
+					got = append(got, counted{int(ins.NKeys), int(ins.Imm)})
+				}
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("counts keep (keys, constant) %v, want %v:\n%s", got, tc.want, code.Disassemble())
+			}
+			var pins []uint32
+			if tc.pins > 0 {
+				pins = []uint32{0}
+			}
+			agreeWithTree(t, g, prog, code, pins)
+		})
+	}
+}
+
+// guardCases are hand-built programs for rule 8. Each builds inside a
+// loop over N(v1), with v1 over N(v0) and v0 over V, where c = N(v0) ∩
+// N(v1) is defined before the loop, often empty and not a superset of
+// its domain; want lists, per loop in code order, whether it is guarded.
+var guardCases = []struct {
+	name string
+	body func(b *ast.Builder, c, n1, g int)
+	want []bool
+}{
+	{"a product with a count factor over c", func(b *ast.Builder, c, n1, g int) {
+		v2 := b.BeginLoop(n1, nil)
+		n2 := b.Neighbors(v2)
+		b.GlobalAdd(g, b.Mul(b.Size(n2), b.Size(b.Intersect(c, n2))), 2)
+		b.EndLoop()
+	}, []bool{false, false, true}},
+	{"a nested loop", func(b *ast.Builder, c, n1, g int) {
+		v2 := b.BeginLoop(n1, nil)
+		v3 := b.BeginLoop(b.Neighbors(v2), nil)
+		b.GlobalAdd(g, b.Size(b.Intersect(c, b.Neighbors(v3))), 1)
+		b.EndLoop()
+		b.EndLoop()
+	}, []bool{false, false, false, true}},
+	{"an add without the factor", func(b *ast.Builder, c, n1, g int) {
+		v2 := b.BeginLoop(n1, nil)
+		n2 := b.Neighbors(v2)
+		b.GlobalAdd(g, b.Size(b.Intersect(c, n2)), 1)
+		b.GlobalAdd(g, b.Size(n2), 1)
+		b.EndLoop()
+	}, []bool{false, false, false}},
+	{"an accumulation", func(b *ast.Builder, c, n1, g int) {
+		a := b.NewAccumulator()
+		b.Reset(a, 0)
+		v2 := b.BeginLoop(n1, nil)
+		x := b.Size(b.Intersect(c, b.Neighbors(v2)))
+		b.Accum(a, x, 1)
+		b.GlobalAdd(g, x, 1)
+		b.EndLoop()
+		b.GlobalAdd(g, a, 1)
+	}, []bool{false, false, false}},
+	{"an emit", func(b *ast.Builder, c, n1, g int) {
+		v2 := b.BeginLoop(n1, nil)
+		x := b.Size(b.Intersect(c, b.Neighbors(v2)))
+		b.Emit(0, []int{v2}, b.Size(n1))
+		b.GlobalAdd(g, x, 1)
+		b.EndLoop()
+	}, []bool{false, false, false}},
+	{"a hash op", func(b *ast.Builder, c, n1, g int) {
+		h := b.NewTable()
+		b.HashClear(h)
+		v2 := b.BeginLoop(n1, nil)
+		b.HashInc(h, []int{v2}, 1)
+		b.GlobalAdd(g, b.Size(b.Intersect(c, b.Neighbors(v2))), 1)
+		b.EndLoop()
+		b.GlobalAdd(g, b.HashGet(h, []int{0}), 1)
+	}, []bool{false, false, false}},
+	{"a definition read after the loop", func(b *ast.Builder, c, n1, g int) {
+		v2 := b.BeginLoop(n1, nil) // never empty: v0 ∈ N(v1)
+		x := b.Size(b.Intersect(c, b.Neighbors(v2)))
+		b.GlobalAdd(g, x, 1)
+		b.EndLoop()
+		b.GlobalAdd(g, x, 1) // the last iteration's count
+	}, []bool{false, false, false}},
+	{"a guard that is a superset of the domain", func(b *ast.Builder, c, n1, g int) {
+		v2 := b.BeginLoop(c, nil)
+		b.GlobalAdd(g, b.Size(b.Intersect(c, b.Neighbors(v2))), 1)
+		b.EndLoop()
+	}, []bool{false, false, false}},
+}
+
+// TestCleanGuards checks rule 8 where it must fire and where it must
+// not, structurally and against the tree evaluator on one and four
+// threads.
+func TestCleanGuards(t *testing.T) {
+	g := graph.RMAT(7, 6, 11)
+	for _, tc := range guardCases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := ast.NewBuilder(0)
+			gl := b.NewGlobal()
+			v0 := b.BeginLoop(b.All(), nil)
+			n0 := b.Neighbors(v0)
+			v1 := b.BeginLoop(n0, nil)
+			n1 := b.Neighbors(v1)
+			c := b.Intersect(n0, n1)
+			tc.body(b, c, n1, gl)
+			b.EndLoop()
+			b.EndLoop()
+			prog := b.Finish()
+			code := ast.Lower(prog)
+			var got []bool
+			for _, ins := range code.Code {
+				if ins.Op == ast.ILoopBegin {
+					got = append(got, ins.B >= 0)
+				}
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("loops guarded %v, want %v:\n%s", got, tc.want, code.Disassemble())
+			}
+			agreeWithTree(t, g, prog, code, nil)
+		})
+	}
+}
+
 // trimCases are whole hand-built programs for rule 6 (restriction-
 // implied trims) and the count re-fusion it enables.
 var trimCases = []struct {
@@ -240,19 +509,7 @@ func TestCleanTrimRedirect(t *testing.T) {
 					t.Fatalf("%d %s instructions, want %d:\n%s", got[op], op, n, code.Disassemble())
 				}
 			}
-			want := evalTree(g, prog, nil, nil)
-			if want[0] == 0 {
-				t.Fatal("the program counts nothing on the test graph")
-			}
-			for _, threads := range []int{1, 4} {
-				res, err := Run(g, prog, Options{Threads: threads, Code: code})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !slices.Equal(res.Globals, want) {
-					t.Fatalf("%d threads: globals %v, tree evaluator %v:\n%s", threads, res.Globals, want, code.Disassemble())
-				}
-			}
+			agreeWithTree(t, g, prog, code, nil)
 		})
 	}
 }
@@ -284,16 +541,7 @@ func TestCleanRules(t *testing.T) {
 					t.Fatalf("%d %s instructions, want %d:\n%s", got[op], op, n, code.Disassemble())
 				}
 			}
-			want := evalTree(g, prog, nil, nil)
-			for _, threads := range []int{1, 4} {
-				res, err := Run(g, prog, Options{Threads: threads, Code: code})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !slices.Equal(res.Globals, want) {
-					t.Fatalf("%d threads: globals %v, tree evaluator %v:\n%s", threads, res.Globals, want, code.Disassemble())
-				}
-			}
+			agreeWithTree(t, g, prog, code, nil)
 		})
 	}
 }
@@ -362,7 +610,9 @@ func TestCleanKeepsSegmentsSplittable(t *testing.T) {
 // clean-up pass spared the run when every deletion sits outside
 // conditionals — uncleaned minus cleaned instructions — on one thread
 // and under the stealing pool, where outer iterations run through
-// execChunk or, split at depth 1, through execD1.
+// execChunk or, split at depth 1, through execD1. The depth-1 loop is
+// guarded on the neighbors of v0 above v0 (rule 8), and each iteration
+// the guard skips is charged its body length plus the loop's Imm.
 func TestElidedInstructions(t *testing.T) {
 	b := ast.NewBuilder(0)
 	all := b.All()
@@ -370,17 +620,30 @@ func TestElidedInstructions(t *testing.T) {
 	v0 := b.BeginLoop(all, nil)
 	n0 := b.Neighbors(v0)
 	b.Mul(b.Size(n0), b.Size(n0)) // dead: two defs and the product go
+	above := b.TrimBelow(n0, v0)
 	v1 := b.BeginLoop(n0, nil)
 	n1 := b.Neighbors(v1)
 	a := b.NewAccumulator()
 	b.Reset(a, 0)
-	b.Accum(a, b.Size(b.Intersect(n0, n1)), 1) // a copy: both go
+	b.Accum(a, b.Size(b.Intersect(above, n1)), 1) // a copy: both go
 	b.GlobalAdd(gl, a, 1)
 	b.EndLoop()
 	b.EndLoop()
 	prog := b.Finish()
 	raw := ast.LowerUncleaned(prog, ast.LowerOpts{})
 	clean := ast.Lower(prog)
+	unguarded := *clean
+	unguarded.Code = slices.Clone(clean.Code)
+	guards := 0
+	for i := range unguarded.Code {
+		if ins := &unguarded.Code[i]; ins.Op == ast.ILoopBegin && ins.B >= 0 {
+			ins.B = -1
+			guards++
+		}
+	}
+	if guards != 1 {
+		t.Fatalf("%d guarded loops, want 1:\n%s", guards, clean.Disassemble())
+	}
 	g := graph.RMAT(9, 8, 99)
 	pool := NewPool(4)
 	defer pool.Close()
@@ -392,13 +655,22 @@ func TestElidedInstructions(t *testing.T) {
 			}
 			return res
 		}
-		want, got := run(raw), run(clean)
+		want, got, open := run(raw), run(clean), run(&unguarded)
 		if want.Profile.Elided != 0 {
 			t.Fatalf("uncleaned run elided %d instructions", want.Profile.Elided)
 		}
-		spared := want.InstructionsExecuted() - got.InstructionsExecuted()
-		if spared <= 0 || got.Profile.Elided != spared {
-			t.Fatalf("%d threads: profile elided %d, the pass spared %d\n%s", threads, got.Profile.Elided, spared, clean.Disassemble())
+		if !slices.Equal(got.Globals, want.Globals) || !slices.Equal(open.Globals, want.Globals) {
+			t.Fatalf("%d threads: globals %v guarded, %v unguarded, %v uncleaned", threads, got.Globals, open.Globals, want.Globals)
+		}
+		if got.InstructionsExecuted() >= open.InstructionsExecuted() {
+			t.Fatalf("%d threads: the guard skipped nothing (%d instructions guarded, %d unguarded)",
+				threads, got.InstructionsExecuted(), open.InstructionsExecuted())
+		}
+		for _, res := range []*Result{got, open} {
+			spared := want.InstructionsExecuted() - res.InstructionsExecuted()
+			if spared <= 0 || res.Profile.Elided != spared {
+				t.Fatalf("%d threads: profile elided %d, the pass spared %d\n%s", threads, res.Profile.Elided, spared, clean.Disassemble())
+			}
 		}
 	}
 }

@@ -408,6 +408,12 @@ func (f *vmFrame) exec(start, end int32) bool {
 				pc = ins.Off
 				continue
 			}
+			if ins.B >= 0 && len(sets[ins.B]) == 0 {
+				// Every product the body adds is zero (clean-up rule 8).
+				f.elided += (int64(ins.Off-pc-1) + ins.Imm) * int64(len(s))
+				pc = ins.Off
+				continue
+			}
 			cur[ins.LoopID] = s
 			iter[ins.LoopID] = 1
 			vars[ins.Dst] = s[0]
@@ -675,7 +681,8 @@ func (f *vmFrame) intersectCount(a, b []uint32, nbrA, nbrB int32, aWindowed bool
 
 // execCount evaluates a fused ICount: the size of a windowed (and
 // optionally intersected) set minus excluded members, with no set
-// materialized. Bounds narrow the base as zero-copy subslices.
+// materialized. Bounds narrow the base as zero-copy subslices. Imm
+// members are excluded without a test: the lowering proved them there.
 func (f *vmFrame) execCount(ins *ast.Instr) int64 {
 	a := f.sets[ins.A]
 	if ins.V >= 0 {
@@ -698,7 +705,7 @@ func (f *vmFrame) execCount(ins *ast.Instr) int64 {
 			n -= f.exclCount(ins, a, nil)
 		}
 	}
-	return n
+	return n - ins.Imm
 }
 
 // exclCount returns how many distinct excluded-variable values of a
@@ -1004,6 +1011,11 @@ func (f *vmFrame) execD1(i int, v uint32, lo, hi int, elemUnits int64, sched d1S
 		f.elided += f.sh.bc.Code[seg.Start].Imm
 	}
 	lo0 := lo
+	if begin.B >= 0 && len(f.sets[begin.B]) == 0 {
+		// Guarded and skipped, as exec would (clean-up rule 8).
+		f.elided += int64(d1.next-d1.begin) * int64(hi-lo)
+		lo = hi
+	}
 	ok := true
 	for lo < hi {
 		if f.stopFlag != nil && f.stopFlag.Load() != 0 {
