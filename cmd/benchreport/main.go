@@ -84,9 +84,6 @@ func main() {
 		if w.HubSpeedup > 0 {
 			fmt.Printf("  hub-speedup=%.2fx", w.HubSpeedup)
 		}
-		if w.Slabs > 1 {
-			fmt.Printf("  slabs=%d steal-hit/miss=%d/%d", w.Slabs, w.SlabHits, w.SlabMisses)
-		}
 		if w.MmapThroughputRatio > 0 {
 			fmt.Printf("  mmap-ratio=%.2fx", w.MmapThroughputRatio)
 		}

@@ -6,16 +6,14 @@
 // Usage:
 //
 //	decomine [-graph path | -dataset name] [-threads N] [-model approx-mining|locality|automine]
-//	         [-mmap] [-slabs N] [-mem-budget size] <command> [args]
+//	         [-mmap] [-mem-budget size] <command> [args]
 //
 // -graph accepts edge-list text files or binary slab files (written by
 // "graphgen -format slab" or Graph.WriteSlabFile). Slab files — detected
 // by extension .slab or forced with -mmap — are served through a
 // read-only mmap, so graphs larger than RAM mine out-of-core;
 // -mem-budget caps the Go heap (like GOMEMLIMIT) to demonstrate or
-// enforce that. -slabs repartitions an in-memory graph into N
-// degree-ordered slabs, activating the scheduler's slab-affinity
-// stealing.
+// enforce that.
 //
 // Commands:
 //
@@ -67,7 +65,6 @@ func main() {
 	profile := flag.Bool("profile", false, "arm the in-VM sampling profiler (per-run attribution at /debug/profile)")
 	slowQuery := flag.Duration("slow-query", 0, "record queries slower than this in the slow-query log (0 = off)")
 	mmapFlag := flag.Bool("mmap", false, "treat -graph as a binary slab file and serve it via mmap (implied by a .slab extension)")
-	slabs := flag.Int("slabs", 0, "repartition an in-memory graph into this many degree-ordered slabs (0 = keep the build-time partition)")
 	memBudget := flag.String("mem-budget", "", "soft Go heap limit, e.g. 32MiB or 2GiB (sets the runtime memory limit; mmap-backed graph pages are exempt)")
 	noAux := flag.Bool("no-aux", false, "disable auxiliary-graph materialization (plan choice is unchanged; counts are bit-identical either way)")
 	flag.Parse()
@@ -105,12 +102,6 @@ func main() {
 	g, err := loadGraph(*graphPath, *dataset, *mmapFlag)
 	fatalIf(err)
 	defer g.Close()
-	if *slabs != 0 {
-		if g.Mapped() {
-			fatal("-slabs cannot repartition an mmap-backed graph (its partition is fixed in the file); regenerate with graphgen -slabs")
-		}
-		g = g.Reslab(*slabs)
-	}
 	fmt.Fprintf(os.Stderr, "graph: %s\n", g)
 	sys := decomine.NewSystem(g, decomine.Options{
 		Threads:          *threads,

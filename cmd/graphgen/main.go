@@ -10,7 +10,7 @@
 //	graphgen -out graph.txt -kind gnp  -n 10000 -p 0.001
 //	graphgen -out graph.txt -kind smallworld -n 1000 -k 8 -beta 0.1
 //	graphgen -out graph.txt -dataset wk     # dump a builtin dataset
-//	graphgen -out graph.slab -format slab -kind rmat -scale 20 [-slabs 16]
+//	graphgen -out graph.slab -format slab -kind rmat -scale 20
 package main
 
 import (
@@ -44,7 +44,6 @@ func run(args []string) error {
 	labels := fs.Int("labels", 0, "attach this many random vertex labels (0 = unlabeled)")
 	seed := fs.Int64("seed", 42, "random seed")
 	format := fs.String("format", "edgelist", "output format: edgelist (text) or slab (binary, mmap-loadable)")
-	slabs := fs.Int("slabs", 0, "slab format: partition count (0 = automatic)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -76,13 +75,10 @@ func run(args []string) error {
 
 	switch *format {
 	case "slab":
-		if *slabs != 0 {
-			g = g.Reslab(*slabs)
-		}
 		if err := g.WriteSlabFile(*out); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d slabs): %s\n", *out, g.NumSlabs(), g)
+		fmt.Fprintf(os.Stderr, "wrote %s: %s\n", *out, g)
 		return nil
 	case "edgelist":
 		// fall through to the text writer below

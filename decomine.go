@@ -442,13 +442,6 @@ type ExecStats struct {
 	// runs.
 	Steals int64
 	Splits int64
-	// SlabHits/SlabMisses score the scheduler's slab-affinity victim
-	// selection: of the steals where both the thief and the stolen task
-	// had a home storage slab, how many kept the thief on the slab it
-	// last executed. Zero on single-slab graphs (the common case for
-	// small inputs) and for sequential runs.
-	SlabHits   int64
-	SlabMisses int64
 	// Profile is the run's sampling-profiler attribution, present only
 	// when the System runs with Options.Profile.
 	Profile *ExecutionProfile

@@ -156,19 +156,6 @@ func (g *Graph) String() string { return g.g.String() }
 // WriteEdgeList serializes the graph in the loadable edge-list format.
 func (g *Graph) WriteEdgeList(w io.Writer) error { return g.g.WriteEdgeList(w) }
 
-// NumSlabs returns the number of degree-ordered storage partitions
-// ("slabs") backing the graph's adjacency. Slab 0 holds the
-// highest-degree vertices; the scheduler's victim selection prefers
-// steals that keep a worker on the slab it last touched.
-func (g *Graph) NumSlabs() int { return g.g.NumSlabs() }
-
-// Reslab returns a copy of the graph repartitioned into at most p
-// degree-ordered slabs (p <= 0 selects the automatic, volume-based
-// count). Adjacency content — and therefore every query result — is
-// unchanged; only its physical placement moves. Labels and the hub
-// bitmap index are shared with the receiver.
-func (g *Graph) Reslab(p int) *Graph { return &Graph{g.g.Reslab(p)} }
-
 // Mapped reports whether the graph is mmap-backed (OpenMappedGraph).
 func (g *Graph) Mapped() bool { return g.g.Mapped() }
 
@@ -176,16 +163,16 @@ func (g *Graph) Mapped() bool { return g.g.Mapped() }
 // in-memory graphs. The graph must not be used after Close.
 func (g *Graph) Close() error { return g.g.Close() }
 
-// WriteSlabFile serializes the graph — with its current partition — to
-// the binary slab-file format that OpenMappedGraph serves via mmap
-// without parsing. Combine with Reslab to pick the partition count.
+// WriteSlabFile serializes the graph to the binary slab-file format
+// that OpenMappedGraph serves via mmap without parsing.
 func (g *Graph) WriteSlabFile(path string) error { return g.g.WriteSlabFile(path) }
 
 // OpenMappedGraph opens a slab file written by WriteSlabFile as an
 // mmap-backed out-of-core graph: adjacency pages in on demand and is
 // evicted under memory pressure instead of occupying the Go heap, so
 // graphs larger than RAM (or than GOMEMLIMIT) mine with unchanged
-// results. Call Close when done.
+// results. A corrupted file is rejected with an error. Call Close when
+// done.
 func OpenMappedGraph(path string) (*Graph, error) {
 	g, err := graph.OpenMapped(path)
 	if err != nil {

@@ -92,15 +92,6 @@ type Workload struct {
 	// with the hub index disabled (>1 means the hybrid data plane won).
 	// Host-dependent; reported, not gated.
 	HubSpeedup float64 `json:"hub_speedup,omitempty"`
-	// Slabs is the number of degree-ordered storage partitions backing
-	// the workload graph (1 = a single flat slab). SlabHits/SlabMisses
-	// are the engine.steal.slab_hit / slab_miss registry deltas: how
-	// many work steals landed on (or off) the thief's last-touched
-	// slab. The split is schedule-dependent, so it is reported but not
-	// gated.
-	Slabs      int   `json:"slabs,omitempty"`
-	SlabHits   int64 `json:"slab_hits,omitempty"`
-	SlabMisses int64 `json:"slab_misses,omitempty"`
 	// MmapThroughputRatio, for mmap-comparison workloads, is the engine
 	// throughput of an identical run served from an mmap-backed slab
 	// file of the same graph under a deliberately low Go heap budget,
@@ -217,7 +208,7 @@ func suite(cfg Config) []workloadSpec {
 			{name: "fsm-gnp-labeled", graph: labeledGNP(300, 0.02, 3, cfg.Seed+3), run: fsm(40, 2)},
 			{name: "constrained-rmat-labeled", graph: labeledRMAT(9, 6, 4, cfg.Seed+4), run: constrainedCycle()},
 			{name: "motif5-hub-rmat", graph: hubRMAT(9, 8, 48, cfg.Seed+5), run: motifs(5), hubCompare: true},
-			{name: "motif4-slab-rmat", graph: slabRMAT(11, 8, 16, cfg.Seed+6), run: motifs(4), mmapCompare: true},
+			{name: "motif4-mmap-rmat", graph: rmat(11, 8, cfg.Seed+6), run: motifs(4), mmapCompare: true},
 			{name: "motif6-aux-community", graph: community(768, 6, 16, cfg.Seed+7), run: pseudoCliques(6, 1), auxCompare: true},
 			{name: "serve-cache-rmat", graph: rmat(9, 6, cfg.Seed+8), serve: serveScript},
 			{name: "motif6-batch-community", graph: community(64, 2, 6, cfg.Seed+7), batch: batchMotifCensus(6)},
@@ -230,20 +221,10 @@ func suite(cfg Config) []workloadSpec {
 		{name: "fsm-gnp-labeled", graph: labeledGNP(800, 0.012, 4, cfg.Seed+3), run: fsm(60, 3)},
 		{name: "constrained-rmat-labeled", graph: labeledRMAT(11, 8, 4, cfg.Seed+4), run: constrainedCycle()},
 		{name: "motif5-hub-rmat", graph: hubRMAT(11, 8, 64, cfg.Seed+5), run: motifs(5), hubCompare: true},
-		{name: "motif4-slab-rmat", graph: slabRMAT(13, 8, 16, cfg.Seed+6), run: motifs(4), mmapCompare: true},
+		{name: "motif4-mmap-rmat", graph: rmat(13, 8, cfg.Seed+6), run: motifs(4), mmapCompare: true},
 		{name: "motif6-aux-community", graph: community(1024, 6, 16, cfg.Seed+7), run: pseudoCliques(6, 1), auxCompare: true},
 		{name: "serve-cache-rmat", graph: rmat(11, 8, cfg.Seed+8), serve: serveScript},
 		{name: "motif6-batch-community", graph: community(96, 2, 7, cfg.Seed+7), batch: batchMotifCensus(6)},
-	}
-}
-
-// slabRMAT builds the partitioned-substrate workload graph: a
-// power-law R-MAT explicitly repartitioned into p degree-ordered slabs
-// — large enough that the automatic partition would otherwise stay
-// coarse — so the scheduler's slab-affinity stealing engages.
-func slabRMAT(scale, ef, p int, seed int64) func(Config) *decomine.Graph {
-	return func(Config) *decomine.Graph {
-		return decomine.GenerateRMAT(scale, ef, seed).Reslab(p)
 	}
 }
 
@@ -420,9 +401,6 @@ func runWorkload(cfg Config, spec workloadSpec) (Workload, error) {
 			w.Kernels[name] = d
 		}
 	}
-	w.Slabs = g.NumSlabs()
-	w.SlabHits = reg.CounterDelta(base, "engine.steal.slab_hit")
-	w.SlabMisses = reg.CounterDelta(base, "engine.steal.slab_miss")
 	if spec.hubCompare {
 		if err := runHubComparison(cfg, spec, g, &w); err != nil {
 			return Workload{}, err

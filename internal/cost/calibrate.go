@@ -44,17 +44,6 @@ type Units struct {
 	// BitmapElem is the cost of probing one array element against a hub
 	// bitmap row.
 	BitmapElem float64
-	// SlabCrossElem is the extra cost per element of a two-operand
-	// neighbor pass whose operands live in different storage slabs
-	// (weighted by GraphStats.SlabCross, the degree-weighted cross-slab
-	// probability). Zero — the default — disables the term so estimates
-	// stay bit-identical to the pre-partitioning formulas. Calibrate
-	// fits it on partitioned graphs from the profiler's locality-split
-	// timed subsample: the per-element cost of "<kernel>.cross"
-	// dispatches over the same-slab baseline, maximized across the
-	// kernel paths that met the sample minimum (and kept zero when
-	// cross-slab dispatches measure no slower).
-	SlabCrossElem float64
 }
 
 // DefaultUnits returns the static weights: every cost site priced in
@@ -163,24 +152,6 @@ func Calibrate(p *obs.Profile) (*Calibration, error) {
 		// measure (words, not probes) and no estimator cost site of its
 		// own; only the array×bitmap probe path calibrates BitmapElem.
 		u.BitmapElem = clampUnit(pe / baseline)
-	}
-	// Cross-slab surcharge: the measured per-element excess of dispatches
-	// whose operands straddled two partition slabs over the same path's
-	// same-slab cost. Fitted only when both sides of a path met the
-	// sample minimum; stays zero (term disabled) when crossing measures
-	// no slower. bitmap-count is skipped for the same element-measure
-	// reason as above.
-	for _, k := range []string{"merge", "gallop", "bitmap"} {
-		pe, ok := perElem[k]
-		cpe, cok := perElem[k+".cross"]
-		if ok && cok && cpe > pe {
-			if d := (cpe - pe) / baseline; d > u.SlabCrossElem {
-				u.SlabCrossElem = d
-			}
-		}
-	}
-	if u.SlabCrossElem > calClamp {
-		u.SlabCrossElem = calClamp
 	}
 	return &Calibration{
 		Units:              u,

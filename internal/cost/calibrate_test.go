@@ -282,85 +282,6 @@ func TestCalibrateCountsElided(t *testing.T) {
 	}
 }
 
-// TestCalibrateSlabCross pins the cross-slab surcharge fit: a kernel
-// path whose cross-slab subsample measures slower per element than its
-// same-slab baseline yields a positive SlabCrossElem equal to the
-// excess in baseline units, maximized across paths; a cross side that
-// is no slower, or below the sample minimum, leaves the term at zero.
-func TestCalibrateSlabCross(t *testing.T) {
-	withCross := func(ns int64) *obs.Profile {
-		p := calProfile()
-		p.Kernels["merge.cross"] = 400
-		p.KernelElems["merge.cross"] = 4_000
-		p.KernelNS["merge.cross"] = ns
-		p.KernelSampleElems["merge.cross"] = 500
-		p.KernelSamples["merge.cross"] = 20
-		return p
-	}
-
-	// merge.cross at 12 ns/elem against merge's 8 ns/elem: the excess of
-	// 4 ns/elem over the fitted baseline is the surcharge.
-	cal, err := Calibrate(withCross(6_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cross, same := cal.KernelNSPerElem["merge.cross"], cal.KernelNSPerElem["merge"]
-	if cross <= same {
-		t.Fatalf("test profile lost its cross excess: %v <= %v", cross, same)
-	}
-	want := (cross - same) / cal.BaselineNSPerInstr
-	if math.Abs(cal.Units.SlabCrossElem-want) > 1e-9 {
-		t.Fatalf("SlabCrossElem = %v, want excess %v", cal.Units.SlabCrossElem, want)
-	}
-	if cal.Units.SlabCrossElem <= 0 {
-		t.Fatal("slab-graph profile with a slower cross path must fit a positive surcharge")
-	}
-
-	// Two measured cross paths: the fit takes the larger excess.
-	p := withCross(6_000)
-	p.Kernels["bitmap.cross"] = 200
-	p.KernelElems["bitmap.cross"] = 2_000
-	p.KernelNS["bitmap.cross"] = 4_000 // 20 ns/elem vs bitmap's 1
-	p.KernelSampleElems["bitmap.cross"] = 200
-	p.KernelSamples["bitmap.cross"] = 18
-	cal2, err := Calibrate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cal2.Units.SlabCrossElem <= cal.Units.SlabCrossElem {
-		t.Fatalf("larger bitmap excess not taken: %v <= %v", cal2.Units.SlabCrossElem, cal.Units.SlabCrossElem)
-	}
-
-	// Crossing measures no slower → the term stays disabled.
-	cal, err = Calibrate(withCross(3_000)) // 6 ns/elem < merge's 8
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cal.Units.SlabCrossElem != 0 {
-		t.Fatalf("cross path no slower than same-slab still fitted %v", cal.Units.SlabCrossElem)
-	}
-
-	// Cross side below the sample minimum → not fitted.
-	p = withCross(6_000)
-	p.KernelSamples["merge.cross"] = calMinKernelSamples - 1
-	cal, err = Calibrate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cal.Units.SlabCrossElem != 0 {
-		t.Fatalf("sparse cross subsample fitted %v", cal.Units.SlabCrossElem)
-	}
-
-	// Pathological excess clamps like every other weight.
-	cal, err = Calibrate(withCross(50_000_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cal.Units.SlabCrossElem != calClamp {
-		t.Fatalf("SlabCrossElem = %v, want clamp %v", cal.Units.SlabCrossElem, calClamp)
-	}
-}
-
 func TestCalibrateFallbacks(t *testing.T) {
 	// Below the per-path sample minimum the default weight is kept and
 	// gallop modeling stays off.

@@ -47,15 +47,6 @@ type GraphStats struct {
 	// materialize-vs-recompute arbitration of its amortization term.
 	Closure     float64
 	DeepClosure float64
-	// Slabs is the graph's storage partition count and SlabCross the
-	// degree-weighted probability that two independent neighbor-list
-	// operands live in different slabs: 1 − Σ_s share(s)², where
-	// share(s) is slab s's fraction of the adjacency volume. It is the
-	// "slab span" of a candidate plan's neighbor operands — the chance an
-	// intersection streams two different storage regions at once. Zero
-	// for single-slab graphs.
-	Slabs     float64
-	SlabCross float64
 }
 
 // P returns the uniform connection probability AvgDeg/N used by the
@@ -78,14 +69,6 @@ func StatsOf(g *graph.Graph) GraphStats {
 		if m2 := st.N * st.AvgDeg; m2 > 0 {
 			st.HubProb = float64(ix.CoveredDegree()) / m2
 		}
-	}
-	st.Slabs = float64(g.NumSlabs())
-	if g.NumSlabs() > 1 {
-		same := 0.0
-		for _, share := range g.SlabShares() {
-			same += share * share
-		}
-		st.SlabCross = 1 - same
 	}
 	st.Closure, st.DeepClosure = sampleClosure(g)
 	return st
@@ -397,20 +380,6 @@ func (e *estimator) arrayPassCost(a, b float64) float64 {
 	return (a + b) * e.units.MergeElem
 }
 
-// slabSpanCost prices the locality penalty of a two-operand set pass
-// whose neighbor-derived operands live in different storage slabs: with
-// probability SlabCross the pass streams two slabs at once, costing an
-// extra SlabCrossElem per element touched. Off (zero) unless the weight
-// is installed and the graph is partitioned — only neighbor pairs span
-// slabs, derived scratch sets are worker-local.
-func (e *estimator) slabSpanCost(a, b float64, aNb, bNb bool) float64 {
-	w := e.units.SlabCrossElem
-	if w <= 0 || e.st.SlabCross <= 0 || !aNb || !bNb {
-		return 0
-	}
-	return e.st.SlabCross * (a + b) * w
-}
-
 func (e *estimator) defineSet(n *ast.Node, iters float64) {
 	var sz float64
 	var nb bool
@@ -439,7 +408,6 @@ func (e *estimator) defineSet(n *ast.Node, iters float64) {
 		} else {
 			e.cost += iters * e.arrayPassCost(a, b) // merge cost
 		}
-		e.cost += iters * e.slabSpanCost(a, b, e.fromNbr[n.A], e.fromNbr[n.B])
 	case ast.OpSubtract:
 		a, b := e.size[n.A], e.size[n.B]
 		frac := 1 - b/math.Max(e.st.N, 1)
@@ -456,7 +424,6 @@ func (e *estimator) defineSet(n *ast.Node, iters float64) {
 		} else {
 			e.cost += iters * (a + b) * e.units.MergeElem
 		}
-		e.cost += iters * e.slabSpanCost(a, b, e.fromNbr[n.A], e.fromNbr[n.B])
 	case ast.OpRemove:
 		sz, nb = math.Max(e.size[n.A]-1, 0), e.fromNbr[n.A]
 		e.cost += iters * e.size[n.A] * e.units.Scalar

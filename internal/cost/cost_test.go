@@ -174,39 +174,3 @@ func TestCostRanksGoodVsBadTriangleOrder(t *testing.T) {
 		}
 	}
 }
-
-// TestSlabCrossTerm covers the partition-locality term: StatsOf derives
-// SlabCross from the graph's slab shares, DefaultUnits keeps the term
-// off (bit-identical estimates on partitioned graphs), and installing a
-// positive SlabCrossElem raises intersect-heavy plan costs.
-func TestSlabCrossTerm(t *testing.T) {
-	flat := graph.RMAT(9, 8, 3)
-	slabbed := flat.Reslab(8)
-	if StatsOf(flat).SlabCross != 0 {
-		t.Fatalf("single-slab SlabCross = %v, want 0", StatsOf(flat).SlabCross)
-	}
-	st := StatsOf(slabbed)
-	if st.Slabs < 2 || st.SlabCross <= 0 || st.SlabCross >= 1 {
-		t.Fatalf("slabbed stats: Slabs=%v SlabCross=%v", st.Slabs, st.SlabCross)
-	}
-	prog := buildNest(3)
-	// DefaultUnits: partitioning must not change any estimate.
-	flatStats := StatsOf(flat)
-	for _, mk := range []func(GraphStats) Model{
-		func(s GraphStats) Model { return NewAutoMine(s) },
-		func(s GraphStats) Model { return NewLocality(s, 0.25) },
-	} {
-		a, b := mk(flatStats).Cost(prog), mk(st).Cost(prog)
-		if a != b {
-			t.Fatalf("DefaultUnits cost changed with partitioning: %v vs %v", a, b)
-		}
-	}
-	// A positive weight prices the cross-slab span.
-	u := DefaultUnits()
-	u.SlabCrossElem = 2
-	base := NewLocality(st, 0.25).Cost(prog)
-	weighted := ApplyCalibration(NewLocality(st, 0.25), &Calibration{Units: u}).Cost(prog)
-	if weighted <= base {
-		t.Fatalf("SlabCrossElem=2 did not raise cost: %v <= %v", weighted, base)
-	}
-}

@@ -20,8 +20,6 @@ var (
 	obsInstr       = obs.Default.Counter("engine.instructions")
 	obsSteals      = obs.Default.Counter("engine.steals")
 	obsSplits      = obs.Default.Counter("engine.splits")
-	obsSlabHits    = obs.Default.Counter("engine.steal.slab_hit")
-	obsSlabMisses  = obs.Default.Counter("engine.steal.slab_miss")
 	obsExecNS      = obs.Default.Counter("engine.exec_ns")
 	obsCanceled    = obs.Default.Counter("engine.canceled")
 	obsWorkerInstr = obs.Default.Histogram("engine.worker.instructions")
@@ -206,12 +204,6 @@ type Result struct {
 	// top-level loop with at least two iterations).
 	Steals int64
 	Splits int64
-	// SlabHits/SlabMisses score the scheduler's slab-affinity victim
-	// selection: of the deque steals where both the thief and the stolen
-	// task had a home slab, how many kept the thief on the slab it last
-	// executed. Zero on single-slab graphs.
-	SlabHits   int64
-	SlabMisses int64
 	// Elapsed is the wall-clock duration of this run.
 	Elapsed time.Duration
 }
@@ -362,8 +354,6 @@ func Run(g *graph.Graph, prog *ast.Program, opts Options) (*Result, error) {
 		pool.runJob(j)
 		res.Steals += j.steals.Load()
 		res.Splits += j.splits.Load()
-		res.SlabHits += j.slabHits.Load()
-		res.SlabMisses += j.slabMisses.Load()
 		// Privatized accumulators: merge per-worker globals under no
 		// contention (associative + commutative updates, §7.1).
 		for t, wf := range j.frames {
@@ -396,8 +386,6 @@ func Run(g *graph.Graph, prog *ast.Program, opts Options) (*Result, error) {
 	obsRuns.Inc()
 	obsSteals.Add(res.Steals)
 	obsSplits.Add(res.Splits)
-	obsSlabHits.Add(res.SlabHits)
-	obsSlabMisses.Add(res.SlabMisses)
 	if res.Canceled {
 		obsCanceled.Inc()
 	}

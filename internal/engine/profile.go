@@ -54,19 +54,10 @@ const profKernelInterval = 128
 type profAgg struct {
 	ns      [profCells]int64
 	samples [profCells]int64
-	// Exactly timed kernel dispatches (the calibration subsample),
-	// split by operand locality: the base arrays hold same-slab (or
-	// unpartitioned) dispatches, the cross arrays dispatches whose two
-	// neighbor operands were loaded from different partition slabs. The
-	// split is disjoint; cost.Calibrate fits Units.SlabCrossElem from
-	// the per-element difference between the two.
+	// Exactly timed kernel dispatches (the calibration subsample).
 	kernelNS        [NumKernels]int64
 	kernelSampElems [NumKernels]int64
 	kernelSamples   [NumKernels]int64
-
-	kernelCrossNS      [NumKernels]int64
-	kernelCrossElems   [NumKernels]int64
-	kernelCrossSamples [NumKernels]int64
 }
 
 func (p *profAgg) reset() { *p = profAgg{} }
@@ -82,21 +73,11 @@ func (p *profAgg) merge(o *profAgg) {
 		p.kernelNS[k] += o.kernelNS[k]
 		p.kernelSampElems[k] += o.kernelSampElems[k]
 		p.kernelSamples[k] += o.kernelSamples[k]
-		p.kernelCrossNS[k] += o.kernelCrossNS[k]
-		p.kernelCrossElems[k] += o.kernelCrossElems[k]
-		p.kernelCrossSamples[k] += o.kernelCrossSamples[k]
 	}
 }
 
-// noteTimed records one exactly timed kernel dispatch; cross marks that
-// its neighbor operands straddled two partition slabs.
-func (p *profAgg) noteTimed(k int, cross bool, elems, ns int64) {
-	if cross {
-		p.kernelCrossNS[k] += ns
-		p.kernelCrossElems[k] += elems
-		p.kernelCrossSamples[k]++
-		return
-	}
+// noteTimed records one exactly timed kernel dispatch.
+func (p *profAgg) noteTimed(k int, elems, ns int64) {
 	p.kernelNS[k] += ns
 	p.kernelSampElems[k] += elems
 	p.kernelSamples[k]++
@@ -204,19 +185,6 @@ func (f *vmFrame) profToObs() *obs.Profile {
 			p.KernelNS[name] = f.prof.kernelNS[k]
 			p.KernelSampleElems[name] = f.prof.kernelSampElems[k]
 			p.KernelSamples[name] = n
-		}
-		// Cross-slab dispatches export under "<kernel>.cross" so the
-		// calibration fit can compare per-element cost against the
-		// same-slab baseline above.
-		if n := f.prof.kernelCrossSamples[k]; n != 0 {
-			if p.KernelNS == nil {
-				p.KernelNS = map[string]int64{}
-				p.KernelSampleElems = map[string]int64{}
-				p.KernelSamples = map[string]int64{}
-			}
-			p.KernelNS[name+".cross"] = f.prof.kernelCrossNS[k]
-			p.KernelSampleElems[name+".cross"] = f.prof.kernelCrossElems[k]
-			p.KernelSamples[name+".cross"] = n
 		}
 	}
 	// Clone round-trips through Merge, which sorts buckets hottest-first.

@@ -71,23 +71,15 @@ type task struct {
 	v      uint32 // outer binding (depth-1 tasks only)
 	lo, hi int
 	depth1 bool
-	// slab is the home slab of the task's next vertex (the partition
-	// owning its adjacency storage, see graph.SlabOf), or -1 when the
-	// job's graph has a single slab. Thieves prefer victims whose oldest
-	// task matches the slab they touched last.
-	slab int8
 	// elemUnits is the outer element's progress budget (depth-1 tasks
 	// only): the executor accounts the range's proportional share.
 	elemUnits int64
 }
 
-// piece is one execution quantum carved from a task. slab snapshots the
-// task's home slab at carve time: the task's own field may be refreshed
-// (under the pool mutex) while the piece executes lock-free.
+// piece is one execution quantum carved from a task.
 type piece struct {
 	t      *task
 	lo, hi int
-	slab   int8
 }
 
 // job stop states.
@@ -111,14 +103,6 @@ type job struct {
 	pending atomic.Int64
 	steals  atomic.Int64
 	splits  atomic.Int64
-	// g is the job's graph when it has multiple storage slabs, nil
-	// otherwise — the nil check is the affinity kill switch, so
-	// single-slab graphs pay nothing. slabHits/slabMisses count steals
-	// from worker deques whose task's home slab did/did not match the
-	// slab the thief last executed on.
-	g          *graph.Graph
-	slabHits   atomic.Int64
-	slabMisses atomic.Int64
 	// stealsBy / splitsBy attribute steals (by the thief) and sheds (by
 	// the shedding owner) to worker slots, feeding the per-worker
 	// balance histograms.
@@ -161,28 +145,7 @@ func newJob(master *vmFrame, seg int, over []uint32, cancel *atomic.Bool, slots 
 		j.frames[t] = wf
 	}
 	j.progress = master.progress
-	if g := master.sh.g; g.NumSlabs() > 1 {
-		j.g = g
-	}
 	return j
-}
-
-// vertexSlab returns the slab owning v's adjacency, or -1 when slab
-// affinity is off for this job.
-func (j *job) vertexSlab(v uint32) int8 {
-	if j.g == nil {
-		return -1
-	}
-	return int8(j.g.SlabOf(v))
-}
-
-// slabHomeAt returns the home slab for outer-range index k: the slab of
-// the vertex an executor of the task binds first.
-func (j *job) slabHomeAt(k int) int8 {
-	if j.g == nil || k < 0 || k >= len(j.over) {
-		return -1
-	}
-	return int8(j.g.SlabOf(j.over[k]))
 }
 
 // finishPiece retires one unit of pending work and completes the job
@@ -216,13 +179,6 @@ type Pool struct {
 	// path (polled per depth-1 iteration) needs no lock.
 	waiting atomic.Int32
 
-	// lastSlab[id] is the home slab of the last piece worker id
-	// executed (-1 before any slabbed work). It drives the thief-side
-	// affinity preference. Slab IDs are graph-relative; with concurrent
-	// jobs on different graphs the preference degrades to a harmless
-	// heuristic — a mismatch only costs a blind steal.
-	lastSlab []atomic.Int32
-
 	wg sync.WaitGroup
 }
 
@@ -231,10 +187,7 @@ func NewPool(threads int) *Pool {
 	if threads < 1 {
 		threads = 1
 	}
-	p := &Pool{size: threads, deques: make([][]*task, threads), lastSlab: make([]atomic.Int32, threads)}
-	for i := range p.lastSlab {
-		p.lastSlab[i].Store(-1)
-	}
+	p := &Pool{size: threads, deques: make([][]*task, threads)}
 	p.cond = sync.NewCond(&p.mu)
 	for i := 0; i < threads; i++ {
 		p.wg.Add(1)
@@ -264,7 +217,7 @@ func (p *Pool) Close() {
 // steals without an upfront static partition.
 func (p *Pool) runJob(j *job) {
 	j.pending.Store(1)
-	root := &task{j: j, seg: j.seg, lo: 0, hi: len(j.over), slab: j.slabHomeAt(0)}
+	root := &task{j: j, seg: j.seg, lo: 0, hi: len(j.over)}
 	p.mu.Lock()
 	p.inject = append(p.inject, root)
 	p.cond.Broadcast()
@@ -320,7 +273,6 @@ func (p *Pool) carveLocked(id int) (piece, bool) {
 	}
 	t := d[len(d)-1]
 	lo, hi := t.lo, t.hi
-	slab := t.slab
 	if !t.depth1 && hi-lo > stealChunk {
 		hi = lo + stealChunk
 	}
@@ -330,12 +282,8 @@ func (p *Pool) carveLocked(id int) (piece, bool) {
 		d[len(d)-1] = nil
 		p.deques[id] = d[:len(d)-1]
 		t.j.pending.Add(-1) // the emptied task; >0 because of the piece
-	} else if !t.depth1 {
-		// The task's next vertex moved: refresh its home slab so thieves
-		// judge affinity against what they would actually steal.
-		t.slab = t.j.slabHomeAt(t.lo)
 	}
-	return piece{t: t, lo: lo, hi: hi, slab: slab}, true
+	return piece{t: t, lo: lo, hi: hi}, true
 }
 
 // stealLocked takes work for worker id from the inject queue or another
@@ -347,51 +295,20 @@ func (p *Pool) stealLocked(id int) (t *task, split bool) {
 	if t, split = stealFrom(&p.inject); t != nil {
 		return t, split
 	}
-	// Slab-affinity pass: prefer a victim whose oldest task lives in the
-	// slab this worker executed last, so the stolen range keeps reading
-	// adjacency the thief may still hold in cache. Only when no victim
-	// matches does the blind round-robin pass run.
-	want := p.lastSlab[id].Load()
-	if want >= 0 {
-		for off := 1; off < p.size; off++ {
-			v := (id + off) % p.size
-			if q := p.deques[v]; len(q) > 0 && int32(q[0].slab) == want {
-				return p.stealVictim(id, v, want)
-			}
-		}
-	}
 	for off := 1; off < p.size; off++ {
 		v := (id + off) % p.size
-		if len(p.deques[v]) > 0 {
-			return p.stealVictim(id, v, want)
+		if len(p.deques[v]) == 0 {
+			continue
 		}
+		t, split = stealFrom(&p.deques[v])
+		if !split {
+			// Whole-task transfer between workers.
+			t.j.steals.Add(1)
+			t.j.stealsBy[id].Add(1)
+		}
+		return t, split
 	}
 	return nil, false
-}
-
-// stealVictim takes from victim v's deque, attributing the steal and
-// its slab-affinity outcome (did the task's home slab match what the
-// thief last touched?) to thief id. Affinity is only scored when both
-// sides have a slab, so single-slab jobs and cold thieves count
-// nothing.
-func (p *Pool) stealVictim(id, v int, want int32) (*task, bool) {
-	t, split := stealFrom(&p.deques[v])
-	if t == nil {
-		return nil, false
-	}
-	if !split {
-		// Whole-task transfer between workers.
-		t.j.steals.Add(1)
-		t.j.stealsBy[id].Add(1)
-	}
-	if t.slab >= 0 && want >= 0 {
-		if int32(t.slab) == want {
-			t.j.slabHits.Add(1)
-		} else {
-			t.j.slabMisses.Add(1)
-		}
-	}
-	return t, split
 }
 
 func stealFrom(d *[]*task) (*task, bool) {
@@ -406,12 +323,7 @@ func stealFrom(d *[]*task) (*task, bool) {
 	}
 	if n := t.hi - t.lo; n > lim {
 		mid := t.lo + n/2
-		nt := &task{j: t.j, seg: t.seg, v: t.v, lo: mid, hi: t.hi, depth1: t.depth1, slab: t.slab, elemUnits: t.elemUnits}
-		if !nt.depth1 {
-			// The upper half starts at a different vertex; depth-1 halves
-			// stay inside one vertex's candidate set and keep the slab.
-			nt.slab = t.j.slabHomeAt(mid)
-		}
+		nt := &task{j: t.j, seg: t.seg, v: t.v, lo: mid, hi: t.hi, depth1: t.depth1, elemUnits: t.elemUnits}
 		t.hi = mid
 		t.j.pending.Add(1)
 		return nt, true
@@ -435,7 +347,7 @@ func (s *shedder) shed(seg int, v uint32, lo, hi int, elemUnits int64) bool {
 	if p.waiting.Load() == 0 {
 		return false // nobody idle: keep the range, zero-cost fast path
 	}
-	t := &task{j: s.j, seg: seg, v: v, lo: lo, hi: hi, depth1: true, slab: s.j.vertexSlab(v), elemUnits: elemUnits}
+	t := &task{j: s.j, seg: seg, v: v, lo: lo, hi: hi, depth1: true, elemUnits: elemUnits}
 	s.j.pending.Add(1)
 	p.mu.Lock()
 	p.inject = append(p.inject, t)
@@ -453,9 +365,6 @@ func (p *Pool) runPiece(id int, pc piece) {
 	t := pc.t
 	j := t.j
 	defer j.finishPiece()
-	if pc.slab >= 0 {
-		p.lastSlab[id].Store(int32(pc.slab))
-	}
 	if j.stop.Load() != stopRun {
 		return
 	}

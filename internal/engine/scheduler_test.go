@@ -395,54 +395,3 @@ func TestCancelInsideLongIteration(t *testing.T) {
 		t.Fatalf("executed %d instructions after in-iteration cancel (limit %d)", got, 3*cancelCheckInterval)
 	}
 }
-
-// TestSlabAffinityCounters drives the slab-aware victim selection: on a
-// multi-slab graph the thieves' affinity outcomes must be scored, the
-// count must be bit-identical to the single-slab run, and single-slab
-// graphs must not score anything (affinity disabled).
-func TestSlabAffinityCounters(t *testing.T) {
-	g := graph.RMAT(10, 8, 33)
-	slabbed := g.Reslab(8)
-	if slabbed.NumSlabs() < 2 {
-		t.Fatalf("want multi-slab graph, got %d slabs", slabbed.NumSlabs())
-	}
-	prog := buildTriangleProgram()
-	pool := NewPool(4)
-	defer pool.Close()
-	want, err := Run(g, prog, Options{Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One run scores an outcome only about one time in sixteen on a
-	// two-core machine, so allow many; the loop stops at the first.
-	const attempts = 200
-	var scored bool
-	for attempt := 0; attempt < attempts && !scored; attempt++ {
-		res, err := Run(slabbed, prog, Options{Threads: 4, Pool: pool})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, gl := range res.Globals {
-			if gl != want.Globals[i] {
-				t.Fatalf("slabbed global %d = %d, flat = %d", i, gl, want.Globals[i])
-			}
-		}
-		if res.SlabHits < 0 || res.SlabMisses < 0 {
-			t.Fatal("negative slab counters")
-		}
-		scored = res.SlabHits+res.SlabMisses > 0
-	}
-	if !scored {
-		// Not strictly guaranteed (a cold thief scores nothing), but over
-		// this many skewed 4-worker runs some steal should find a warmed
-		// thief.
-		t.Fatalf("no slab-affinity outcomes scored across %d runs", attempts)
-	}
-	fres, err := Run(g, prog, Options{Threads: 4, Pool: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fres.SlabHits != 0 || fres.SlabMisses != 0 {
-		t.Fatalf("single-slab graph scored affinity: hits=%d misses=%d", fres.SlabHits, fres.SlabMisses)
-	}
-}

@@ -569,7 +569,7 @@ func (f *vmFrame) intersectInto(dst, a, b []uint32, nbrA, nbrB int32) []uint32 {
 			if f.noteKernel(KernelBitmap, int64(len(a))) {
 				t0 := profNow()
 				d := vset.IntersectBitmap(dst, a, rowB)
-				f.prof.noteTimed(KernelBitmap, f.crossSlab(nbrA, nbrB), int64(len(a)), profNow()-t0)
+				f.prof.noteTimed(KernelBitmap, int64(len(a)), profNow()-t0)
 				return d
 			}
 			return vset.IntersectBitmap(dst, a, rowB)
@@ -578,7 +578,7 @@ func (f *vmFrame) intersectInto(dst, a, b []uint32, nbrA, nbrB int32) []uint32 {
 			if f.noteKernel(KernelBitmap, int64(len(b))) {
 				t0 := profNow()
 				d := vset.IntersectBitmap(dst, b, rowA)
-				f.prof.noteTimed(KernelBitmap, f.crossSlab(nbrA, nbrB), int64(len(b)), profNow()-t0)
+				f.prof.noteTimed(KernelBitmap, int64(len(b)), profNow()-t0)
 				return d
 			}
 			return vset.IntersectBitmap(dst, b, rowA)
@@ -591,7 +591,7 @@ func (f *vmFrame) intersectInto(dst, a, b []uint32, nbrA, nbrB int32) []uint32 {
 	if f.noteKernel(k, elems) {
 		t0 := profNow()
 		d := vset.Intersect(dst, a, b)
-		f.prof.noteTimed(k, f.crossSlab(nbrA, nbrB), elems, profNow()-t0)
+		f.prof.noteTimed(k, elems, profNow()-t0)
 		return d
 	}
 	return vset.Intersect(dst, a, b)
@@ -605,7 +605,7 @@ func (f *vmFrame) subtractInto(dst, a, b []uint32, nbrB int32) []uint32 {
 		if f.noteKernel(KernelBitmap, int64(len(a))) {
 			t0 := profNow()
 			d := vset.SubtractBitmap(dst, a, rowB)
-			f.prof.noteTimed(KernelBitmap, false, int64(len(a)), profNow()-t0)
+			f.prof.noteTimed(KernelBitmap, int64(len(a)), profNow()-t0)
 			return d
 		}
 		return vset.SubtractBitmap(dst, a, rowB)
@@ -614,7 +614,7 @@ func (f *vmFrame) subtractInto(dst, a, b []uint32, nbrB int32) []uint32 {
 	if f.noteKernel(KernelMerge, elems) {
 		t0 := profNow()
 		d := vset.Subtract(dst, a, b)
-		f.prof.noteTimed(KernelMerge, false, elems, profNow()-t0)
+		f.prof.noteTimed(KernelMerge, elems, profNow()-t0)
 		return d
 	}
 	return vset.Subtract(dst, a, b)
@@ -638,7 +638,7 @@ func (f *vmFrame) intersectCount(a, b []uint32, nbrA, nbrB int32, aWindowed bool
 				if f.noteKernel(KernelBitmapCount, int64(w)) {
 					t0 := profNow()
 					n := vset.AndCount(rowA, rowB)
-					f.prof.noteTimed(KernelBitmapCount, f.crossSlab(nbrA, nbrB), int64(w), profNow()-t0)
+					f.prof.noteTimed(KernelBitmapCount, int64(w), profNow()-t0)
 					return n
 				}
 				return vset.AndCount(rowA, rowB)
@@ -651,7 +651,7 @@ func (f *vmFrame) intersectCount(a, b []uint32, nbrA, nbrB int32, aWindowed bool
 			if f.noteKernel(KernelBitmap, int64(len(a))) {
 				t0 := profNow()
 				n := vset.IntersectCountBitmap(a, rowB)
-				f.prof.noteTimed(KernelBitmap, f.crossSlab(nbrA, nbrB), int64(len(a)), profNow()-t0)
+				f.prof.noteTimed(KernelBitmap, int64(len(a)), profNow()-t0)
 				return n
 			}
 			return vset.IntersectCountBitmap(a, rowB)
@@ -660,7 +660,7 @@ func (f *vmFrame) intersectCount(a, b []uint32, nbrA, nbrB int32, aWindowed bool
 			if f.noteKernel(KernelBitmap, int64(len(b))) {
 				t0 := profNow()
 				n := vset.IntersectCountBitmap(b, rowA)
-				f.prof.noteTimed(KernelBitmap, f.crossSlab(nbrA, nbrB), int64(len(b)), profNow()-t0)
+				f.prof.noteTimed(KernelBitmap, int64(len(b)), profNow()-t0)
 				return n
 			}
 			return vset.IntersectCountBitmap(b, rowA)
@@ -673,7 +673,7 @@ func (f *vmFrame) intersectCount(a, b []uint32, nbrA, nbrB int32, aWindowed bool
 	if f.noteKernel(k, elems) {
 		t0 := profNow()
 		n := vset.IntersectCount(a, b)
-		f.prof.noteTimed(k, f.crossSlab(nbrA, nbrB), elems, profNow()-t0)
+		f.prof.noteTimed(k, elems, profNow()-t0)
 		return n
 	}
 	return vset.IntersectCount(a, b)
@@ -775,7 +775,7 @@ func (f *vmFrame) execAuxBuild(ins *ast.Instr) {
 				if f.noteKernel(KernelBitmap, int64(len(src))) {
 					t0 := profNow()
 					row = vset.IntersectBitmap(dst, src, hr)
-					f.prof.noteTimed(KernelBitmap, false, int64(len(src)), profNow()-t0)
+					f.prof.noteTimed(KernelBitmap, int64(len(src)), profNow()-t0)
 				} else {
 					row = vset.IntersectBitmap(dst, src, hr)
 				}
@@ -790,7 +790,7 @@ func (f *vmFrame) execAuxBuild(ins *ast.Instr) {
 		if f.noteKernel(k, elems) {
 			t0 := profNow()
 			row = vset.Intersect(dst, nb, src)
-			f.prof.noteTimed(k, false, elems, profNow()-t0)
+			f.prof.noteTimed(k, elems, profNow()-t0)
 		} else {
 			row = vset.Intersect(dst, nb, src)
 		}
@@ -823,17 +823,6 @@ func (f *vmFrame) auxRow(t int32, v uint32) []uint32 {
 	f.auxCur[t] = i
 	offs := f.auxOffs[t]
 	return f.auxData[t][offs[i]:offs[i+1]]
-}
-
-// crossSlab reports whether the two neighbor-set operands of a dispatch
-// were loaded from different partition slabs — the cross-partition
-// traffic cost.Calibrate prices via Units.SlabCrossElem. Only evaluated
-// on the exact-timing subsample, so the hot path never pays for it.
-func (f *vmFrame) crossSlab(nbrA, nbrB int32) bool {
-	if nbrA < 0 || nbrB < 0 || f.sh.g.NumSlabs() <= 1 {
-		return false
-	}
-	return f.sh.g.SlabOf(f.vars[nbrA]) != f.sh.g.SlabOf(f.vars[nbrB])
 }
 
 func (f *vmFrame) key(ins *ast.Instr) []uint32 {

@@ -189,8 +189,8 @@ func (g *Graph) WithRandomLabels(numLabels int, seed int64) *Graph {
 		}
 		labels[v] = uint32(lo)
 	}
-	// Shallow copy: slabs (and therefore the degree cache and hub bitmap
-	// index) are shared with the receiver.
+	// Shallow copy: adjacency (and therefore the degree cache and hub
+	// bitmap index) is shared with the receiver.
 	ng := *g
 	ng.setLabels(labels)
 	ng.name = g.name + "-labeled"

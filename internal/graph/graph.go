@@ -4,12 +4,9 @@
 // text formats, synthetic generators used by the experiment harness, and
 // uniform edge sampling for the approximate-mining cost model.
 //
-// Storage is partitioned: vertices are bucketed into degree-ordered
-// slabs (see slab.go), each owning its offsets/adjacency behind a
-// slabStore that is either heap-resident or a window of an mmap-backed
-// slab file (slabfile.go), so graphs larger than RAM mine out-of-core.
-// The partition is invisible to accessors — Neighbors/Degree/HasEdge
-// return bit-identical answers for any slab count or backing store.
+// The offsets/adjacency arrays are either heap-resident (Build) or
+// read-only windows of an mmap-backed slab file (slabfile.go), so graphs
+// larger than RAM mine out-of-core. Accessors cannot tell the two apart.
 package graph
 
 import (
@@ -21,15 +18,12 @@ import (
 // lists are strictly increasing, duplicate edges and self loops have been
 // removed at construction. Vertex IDs are dense in [0, NumVertices).
 type Graph struct {
-	// slabs hold the offsets/adjacency storage, partitioned by degree
-	// order; slabOf/localIdx map a vertex ID to (slab, position) in two
-	// loads on the Neighbors hot path.
-	slabs    []slab
-	slabOf   []uint8  // len NumVertices
-	localIdx []uint32 // len NumVertices
-	adjTotal int64    // total directed adjacency entries, 2|E|
-	labels   []uint32 // optional; nil for unlabeled graphs
-	name     string
+	// offsets has NumVertices+1 prefix sums into adj, which holds every
+	// adjacency list in vertex-ID order (2|E| entries).
+	offsets []int64
+	adj     []uint32
+	labels  []uint32 // optional; nil for unlabeled graphs
+	name    string
 	// maxDeg/avgDeg/numLabels are cached at Build time: all sit on hot
 	// configuration paths (VM arena sizing, hub threshold selection,
 	// cost-model statistics).
@@ -45,10 +39,10 @@ type Graph struct {
 }
 
 // NumVertices returns |V|.
-func (g *Graph) NumVertices() int { return len(g.slabOf) }
+func (g *Graph) NumVertices() int { return len(g.offsets) - 1 }
 
 // NumEdges returns |E| (each undirected edge counted once).
-func (g *Graph) NumEdges() int64 { return g.adjTotal / 2 }
+func (g *Graph) NumEdges() int64 { return int64(len(g.adj)) / 2 }
 
 // Name returns the dataset name attached at construction (may be empty).
 func (g *Graph) Name() string { return g.name }
@@ -56,16 +50,12 @@ func (g *Graph) Name() string { return g.name }
 // Neighbors returns the sorted adjacency list of v. The returned slice
 // aliases the graph's internal storage and must not be modified.
 func (g *Graph) Neighbors(v uint32) []uint32 {
-	sl := &g.slabs[g.slabOf[v]]
-	li := g.localIdx[v]
-	return sl.adj[sl.offsets[li]:sl.offsets[li+1]]
+	return g.adj[g.offsets[v]:g.offsets[v+1]]
 }
 
 // Degree returns deg(v).
 func (g *Graph) Degree(v uint32) int {
-	sl := &g.slabs[g.slabOf[v]]
-	li := g.localIdx[v]
-	return int(sl.offsets[li+1] - sl.offsets[li])
+	return int(g.offsets[v+1] - g.offsets[v])
 }
 
 // HasEdge reports whether {u,v} is an edge, via binary search on the
@@ -158,7 +148,6 @@ type Builder struct {
 	dst    []uint32
 	labels []uint32
 	name   string
-	slabs  int
 }
 
 // NewBuilder creates a builder for a graph with n vertices.
@@ -169,14 +158,6 @@ func NewBuilder(n int) *Builder {
 // SetName attaches a dataset name.
 func (b *Builder) SetName(name string) *Builder {
 	b.name = name
-	return b
-}
-
-// SetSlabs requests a partition count for the built graph (<= 0, the
-// default, selects the automatic volume-based count; clamped to
-// MaxSlabs).
-func (b *Builder) SetSlabs(p int) *Builder {
-	b.slabs = p
 	return b
 }
 
@@ -200,24 +181,23 @@ func (b *Builder) SetLabels(labels []uint32) *Builder {
 	return b
 }
 
-// Build materializes the partitioned CSR graph.
+// Build materializes the CSR graph.
 func (b *Builder) Build() (*Graph, error) {
 	if b.labels != nil && len(b.labels) != b.n {
 		return nil, fmt.Errorf("graph: %d labels for %d vertices", len(b.labels), b.n)
 	}
 	// Count directed degrees (both directions), skipping self loops.
-	deg := make([]int64, b.n+1)
+	offsets := make([]int64, b.n+1)
 	for i := range b.src {
 		u, v := b.src[i], b.dst[i]
 		if u == v {
 			continue
 		}
-		deg[u+1]++
-		deg[v+1]++
+		offsets[u+1]++
+		offsets[v+1]++
 	}
-	offsets := make([]int64, b.n+1)
 	for i := 1; i <= b.n; i++ {
-		offsets[i] = offsets[i-1] + deg[i]
+		offsets[i] += offsets[i-1]
 	}
 	adj := make([]uint32, offsets[b.n])
 	cursor := make([]int64, b.n)
@@ -232,14 +212,16 @@ func (b *Builder) Build() (*Graph, error) {
 		adj[cursor[v]] = u
 		cursor[v]++
 	}
-	// Sort each adjacency list and drop duplicates in place.
+	// Sort each adjacency list and drop duplicates in place, compacting
+	// offsets as we go: offsets[v+1] is still the old bound when v is
+	// compacted.
 	w := int64(0)
-	newOffsets := make([]int64, b.n+1)
+	maxDeg := 0
 	for v := 0; v < b.n; v++ {
 		lo, hi := offsets[v], offsets[v+1]
 		lst := adj[lo:hi]
 		sort.Slice(lst, func(i, j int) bool { return lst[i] < lst[j] })
-		newOffsets[v] = w
+		offsets[v] = w
 		var prev uint32
 		first := true
 		for _, x := range lst {
@@ -250,24 +232,23 @@ func (b *Builder) Build() (*Graph, error) {
 				first = false
 			}
 		}
+		if d := int(w - offsets[v]); d > maxDeg {
+			maxDeg = d
+		}
 	}
-	newOffsets[b.n] = w
+	offsets[b.n] = w
 	g := &Graph{
-		adjTotal:  w,
+		offsets:   offsets,
+		adj:       adj[:w:w],
 		labels:    b.labels,
 		name:      b.name,
+		maxDeg:    maxDeg,
 		numLabels: countLabels(b.labels),
 		hub:       &hubState{},
-	}
-	for v := 0; v < b.n; v++ {
-		if d := int(newOffsets[v+1] - newOffsets[v]); d > g.maxDeg {
-			g.maxDeg = d
-		}
 	}
 	if b.n > 0 {
 		g.avgDeg = float64(w) / float64(b.n)
 	}
-	g.slabs, g.slabOf, g.localIdx = partitionCSR(b.n, newOffsets, adj[:w], b.slabs)
 	// Hub bitmap index: built here (not lazily) so the immutable Graph
 	// contract holds on the mining hot path. With no vertex at the
 	// default threshold this costs one degree scan and keeps no rows.

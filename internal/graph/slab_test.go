@@ -1,16 +1,17 @@
 package graph
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"decomine/internal/vset"
 )
 
 // requireSameGraph asserts a and b answer every accessor identically —
-// the bit-identical contract the slab refactor must keep regardless of
-// partition count or backing store.
+// the contract a heap graph and its mmap-backed slab file must keep.
 func requireSameGraph(t *testing.T, a, b *Graph) {
 	t.Helper()
 	if a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges() {
@@ -74,77 +75,9 @@ func requireSameHubRows(t *testing.T, a, b *Graph, threshold int) {
 	}
 }
 
-func TestPartitionDeterministic(t *testing.T) {
-	g1 := RMAT(9, 8, 3).Reslab(8)
-	g2 := RMAT(9, 8, 3).Reslab(8)
-	if g1.NumSlabs() != g2.NumSlabs() {
-		t.Fatalf("slab counts differ: %d vs %d", g1.NumSlabs(), g2.NumSlabs())
-	}
-	for v := 0; v < g1.NumVertices(); v++ {
-		if g1.SlabOf(uint32(v)) != g2.SlabOf(uint32(v)) {
-			t.Fatalf("SlabOf(%d) differs", v)
-		}
-	}
-}
-
-func TestHubsConcentrateInSlabZero(t *testing.T) {
-	g := RMAT(10, 8, 7).Reslab(8)
-	if g.NumSlabs() < 2 {
-		t.Fatalf("want multiple slabs, got %d", g.NumSlabs())
-	}
-	if g.NumSlabs() > MaxSlabs {
-		t.Fatalf("slab count %d above cap", g.NumSlabs())
-	}
-	// Every vertex with the max degree lives in slab 0, and slab 0's
-	// minimum degree is >= every other slab's maximum degree (the
-	// partition is degree-ordered).
-	minDegPerSlab := make([]int, g.NumSlabs())
-	maxDegPerSlab := make([]int, g.NumSlabs())
-	for i := range minDegPerSlab {
-		minDegPerSlab[i] = 1 << 30
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		s, d := g.SlabOf(uint32(v)), g.Degree(uint32(v))
-		if d < minDegPerSlab[s] {
-			minDegPerSlab[s] = d
-		}
-		if d > maxDegPerSlab[s] {
-			maxDegPerSlab[s] = d
-		}
-		if d == g.MaxDegree() && s != 0 {
-			t.Fatalf("max-degree vertex %d in slab %d", v, s)
-		}
-	}
-	for s := 1; s < g.NumSlabs(); s++ {
-		if maxDegPerSlab[s] > minDegPerSlab[s-1] {
-			t.Fatalf("slab %d max degree %d exceeds slab %d min %d", s, maxDegPerSlab[s], s-1, minDegPerSlab[s-1])
-		}
-	}
-	shares := g.SlabShares()
-	var sum float64
-	for _, s := range shares {
-		sum += s
-	}
-	if sum < 0.999 || sum > 1.001 {
-		t.Fatalf("slab shares sum to %f", sum)
-	}
-}
-
-func TestReslabPreservesAnswers(t *testing.T) {
-	base := RMAT(9, 6, 11).WithRandomLabels(4, 2)
-	for _, p := range []int{1, 2, 7, MaxSlabs, MaxSlabs + 50} {
-		re := base.Reslab(p)
-		if re.NumSlabs() > MaxSlabs {
-			t.Fatalf("Reslab(%d) gave %d slabs", p, re.NumSlabs())
-		}
-		requireSameGraph(t, base, re)
-	}
-}
-
 func TestSlabFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	base := RMAT(9, 8, 5).WithRandomLabels(3, 9).Rename("rmat-rt")
-	g := base.Reslab(6)
+	g := RMAT(9, 8, 5).WithRandomLabels(3, 9).Rename("rmat-rt")
 	path := filepath.Join(dir, "g.slab")
 	if err := g.WriteSlabFile(path); err != nil {
 		t.Fatal(err)
@@ -160,11 +93,8 @@ func TestSlabFileRoundTrip(t *testing.T) {
 	if mg.Name() != "rmat-rt" {
 		t.Fatalf("name %q", mg.Name())
 	}
-	if mg.NumSlabs() != g.NumSlabs() {
-		t.Fatalf("slab count %d vs %d", mg.NumSlabs(), g.NumSlabs())
-	}
 	requireSameGraph(t, g, mg)
-	requireSameHubRows(t, g.Reslab(4), mg, 8)
+	requireSameHubRows(t, g, mg, 8)
 }
 
 func TestSlabFileUnlabeledAndEmpty(t *testing.T) {
@@ -184,6 +114,30 @@ func TestSlabFileUnlabeledAndEmpty(t *testing.T) {
 		requireSameGraph(t, g, mg)
 		mg.Close()
 	}
+}
+
+// rewriteSlabFile writes g to a slab file, lets edit patch the raw
+// bytes (offsets and adjacency are passed as byte positions of their
+// sections), and writes the result back under a new name.
+func rewriteSlabFile(t *testing.T, dir, name string, g *Graph, edit func(data []byte, offPos, adjPos int)) string {
+	t.Helper()
+	path := filepath.Join(dir, name+".slab")
+	if err := g.WriteSlabFile(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Labeled() {
+		t.Fatal("rewriteSlabFile expects an unlabeled graph")
+	}
+	offPos := slabHeaderSize + int(pad8(8+int64(len(g.Name()))))
+	edit(data, offPos, offPos+(g.NumVertices()+1)*8)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 func TestOpenMappedErrors(t *testing.T) {
@@ -214,33 +168,97 @@ func TestOpenMappedErrors(t *testing.T) {
 	if _, err := OpenMapped(trunc); err == nil {
 		t.Error("want error for truncated file")
 	}
-}
 
-func TestReslabSharesHubIndex(t *testing.T) {
-	g := RMAT(10, 16, 3) // skewed enough for the default hub threshold
-	re := g.Reslab(8)
-	if g.HubIndex() != re.HubIndex() {
-		t.Fatal("Reslab rebuilt the hub index instead of sharing it")
+	// One corruption per validation rule, on a 4-vertex graph with
+	// offsets [0 2 4 7 8] and adjacency 0:[1 2] 1:[0 2] 2:[0 1 3] 3:[2].
+	g := FromEdges(4, [][2]uint32{{0, 1}, {1, 2}, {2, 3}, {0, 2}})
+	le := binary.LittleEndian
+	for _, tc := range []struct {
+		name, want string
+		edit       func(data []byte, offPos, adjPos int)
+	}{
+		{"offsets-decrease", "decrease", func(d []byte, o, _ int) { le.PutUint64(d[o+2*8:], 1) }},
+		{"offsets-short", "offsets span", func(d []byte, o, _ int) { le.PutUint64(d[o+4*8:], 7) }},
+		{"neighbor-out-of-range", "out of range", func(d []byte, _, a int) { le.PutUint32(d[a+7*4:], 4) }},
+		{"not-increasing", "strictly increasing", func(d []byte, _, a int) { le.PutUint32(d[a+5*4:], 0) }},
+		{"self-loop", "self-loop", func(d []byte, _, a int) { le.PutUint32(d[a+7*4:], 3) }},
+		{"retired-format", "regenerate", func(d []byte, _, _ int) { copy(d, slabMagicV1) }},
+	} {
+		path := rewriteSlabFile(t, dir, tc.name, g, tc.edit)
+		mg, err := OpenMapped(path)
+		if err == nil {
+			mg.Close()
+			t.Errorf("%s: OpenMapped accepted the file", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
 	}
+	// The untouched file still opens, so each case above failed on its
+	// own edit.
+	mg, err := OpenMapped(rewriteSlabFile(t, dir, "intact", g, func([]byte, int, int) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameGraph(t, g, mg)
+	mg.Close()
 }
 
+// FuzzSlabBackends writes a random graph to a slab file, checks the
+// mmap backend answers like the heap graph, then flips one byte and
+// truncates the tail of the file: OpenMapped must either reject the
+// damaged file or return a graph that keeps the Graph contract, so that
+// every accessor succeeds on every vertex ID the graph hands out.
 func FuzzSlabBackends(f *testing.F) {
-	f.Add(int64(1), uint8(3))
-	f.Add(int64(42), uint8(1))
-	f.Add(int64(7), uint8(16))
-	f.Fuzz(func(t *testing.T, seed int64, p uint8) {
-		g := GNP(120, 0.08, seed)
-		re := g.Reslab(int(p))
-		requireSameGraph(t, g, re)
-		path := filepath.Join(t.TempDir(), "f.slab")
-		if err := re.WriteSlabFile(path); err != nil {
+	f.Add(int64(1), uint32(0), uint8(0), uint32(0))
+	f.Add(int64(42), uint32(100), uint8(0x80), uint32(0))
+	f.Add(int64(7), uint32(0), uint8(0), uint32(13))
+	f.Fuzz(func(t *testing.T, seed int64, pos uint32, flip uint8, cut uint32) {
+		g := GNP(60, 0.08, seed)
+		if seed%2 == 0 {
+			g = g.WithRandomLabels(3, seed)
+		}
+		dir := t.TempDir()
+		path := filepath.Join(dir, "f.slab")
+		if err := g.WriteSlabFile(path); err != nil {
 			t.Fatal(err)
 		}
 		mg, err := OpenMapped(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer mg.Close()
 		requireSameGraph(t, g, mg)
+		mg.Close()
+
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[int(pos)%len(data)] ^= flip
+		data = data[:len(data)-int(cut)%len(data)]
+		bad := filepath.Join(dir, "bad.slab")
+		if err := os.WriteFile(bad, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		bg, err := OpenMapped(bad)
+		if err != nil {
+			return
+		}
+		defer bg.Close()
+		n := uint32(bg.NumVertices())
+		for v := uint32(0); v < n; v++ {
+			nb := bg.Neighbors(v)
+			if len(nb) != bg.Degree(v) {
+				t.Fatalf("Degree(%d) = %d, %d neighbors", v, bg.Degree(v), len(nb))
+			}
+			for i, x := range nb {
+				if x >= n || x == v || (i > 0 && x <= nb[i-1]) {
+					t.Fatalf("Neighbors(%d) = %v breaks the adjacency contract", v, nb)
+				}
+				bg.HasEdge(x, v)
+			}
+			bg.Label(v)
+		}
 	})
 }

@@ -9,31 +9,32 @@ import (
 	"unsafe"
 )
 
-// Slab file format ("DMSLAB01"), the out-of-core on-disk twin of the
-// in-memory partition layout. All integers are little-endian; blob
-// payloads are the native slab layout so OpenMapped can serve them
-// zero-copy through mmap. Sections, each starting 8-byte aligned:
+// Slab file format ("DMSLAB02"), the on-disk twin of the in-memory CSR
+// for out-of-core mining. All integers are little-endian and the arrays
+// are in native layout, so OpenMapped serves them zero-copy through
+// mmap. Sections, each starting 8-byte aligned:
 //
-//	header (64 B): magic "DMSLAB01", flags (bit0 = labeled),
-//	  numVertices, numSlabs, adjTotal, maxDeg, avgDeg (Float64bits),
-//	  numLabels — all uint64
+//	header (32 B): magic "DMSLAB02", flags (bit0 = labeled),
+//	  numVertices, adjTotal — uint64
 //	name: uint64 length + bytes, zero-padded to 8
-//	slab table: numSlabs × {verts, adjLen, blobOff} uint64
-//	slabOf: numVertices bytes, zero-padded to 8
-//	localIdx: numVertices × uint32, zero-padded to 8
 //	labels (iff flags bit0): numVertices × uint32, zero-padded to 8
-//	blobs: per slab at its blobOff, (verts+1) int64 local offsets then
-//	  adjLen uint32 adjacency entries, zero-padded to 8
+//	offsets: (numVertices+1) × int64
+//	adjacency: adjTotal × uint32, zero-padded to 8
 //
-// Slab files are a trusted format (written by this package or
-// cmd/graphgen): loads validate structure and section bounds but not
-// every per-vertex index, so a hand-corrupted file can make accessors
-// panic (never read out of the mapping, thanks to slice bounds).
-const slabMagic = "DMSLAB01"
+// OpenMapped checks every offset and neighbor ID once at open, so a
+// corrupted file is rejected with an error instead of making accessors
+// panic later.
+const slabMagic = "DMSLAB02"
+
+// slabMagicV1 is the retired partitioned layout (slab table plus
+// per-vertex slab maps), recognized only to ask for regeneration.
+const slabMagicV1 = "DMSLAB01"
+
+const slabHeaderSize = 32
 
 const slabFlagLabeled = 1
 
-// mapping owns the byte range backing an mmap-backed graph's slabs.
+// mapping owns the byte range backing an mmap-backed graph's arrays.
 type mapping struct {
 	data  []byte
 	unmap func([]byte) error
@@ -119,70 +120,32 @@ func (sw *slabWriter) i64s(xs []int64) {
 	}
 }
 
-// WriteSlabFile serializes the graph — with its current partition — to
-// a binary slab file that OpenMapped can serve via mmap without
-// parsing. Pair with Reslab (or Builder.SetSlabs) to choose the
-// partition count before writing.
+// WriteSlabFile serializes the graph to a binary slab file that
+// OpenMapped can serve via mmap without parsing.
 func (g *Graph) WriteSlabFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	sw := &slabWriter{w: bufio.NewWriterSize(f, 1<<20)}
-	n := int64(g.NumVertices())
-	numSlabs := int64(g.NumSlabs())
-	// Lay out section offsets ahead of writing.
-	nameBytes := []byte(g.name)
-	off := int64(64)                       // header
-	off += pad8(8 + int64(len(nameBytes))) // name
-	off += numSlabs * 24                   // slab table
-	off += pad8(n)                         // slabOf
-	off += pad8(n * 4)                     // localIdx
-	if g.labels != nil {
-		off += pad8(n * 4)
-	}
-	blobOffs := make([]int64, numSlabs)
-	for i := range g.slabs {
-		blobOffs[i] = off
-		off += pad8(int64(slabByteSize(g.slabs[i].verts(), len(g.slabs[i].adj))))
-	}
 	var flags uint64
 	if g.labels != nil {
 		flags |= slabFlagLabeled
 	}
 	sw.raw([]byte(slabMagic))
 	sw.u64(flags)
-	sw.u64(uint64(n))
-	sw.u64(uint64(numSlabs))
-	sw.u64(uint64(g.adjTotal))
-	sw.u64(uint64(g.maxDeg))
-	sw.u64(math.Float64bits(g.avgDeg))
-	sw.u64(uint64(g.numLabels))
-	sw.u64(uint64(len(nameBytes)))
-	sw.raw(nameBytes)
-	sw.pad()
-	for i := range g.slabs {
-		sw.u64(uint64(g.slabs[i].verts()))
-		sw.u64(uint64(len(g.slabs[i].adj)))
-		sw.u64(uint64(blobOffs[i]))
-	}
-	sw.raw(g.slabOf)
-	sw.pad()
-	sw.u32s(g.localIdx)
+	sw.u64(uint64(g.NumVertices()))
+	sw.u64(uint64(len(g.adj)))
+	sw.u64(uint64(len(g.name)))
+	sw.raw([]byte(g.name))
 	sw.pad()
 	if g.labels != nil {
 		sw.u32s(g.labels)
 		sw.pad()
 	}
-	for i := range g.slabs {
-		if sw.pos != blobOffs[i] {
-			sw.err = fmt.Errorf("graph: slab %d blob at %d, laid out at %d", i, sw.pos, blobOffs[i])
-			break
-		}
-		sw.i64s(g.slabs[i].offsets)
-		sw.u32s(g.slabs[i].adj)
-		sw.pad()
-	}
+	sw.i64s(g.offsets)
+	sw.u32s(g.adj)
+	sw.pad()
 	if sw.err == nil {
 		sw.err = sw.w.Flush()
 	}
@@ -218,7 +181,7 @@ func (sr *slabReader) u64() (uint64, error) {
 func (sr *slabReader) pad() { sr.pos = pad8(sr.pos) }
 
 // OpenMapped opens a slab file written by WriteSlabFile and returns a
-// graph whose slabs are read-only windows of the file mapping: the
+// graph whose arrays are read-only windows of the file mapping: the
 // kernel pages adjacency in on demand and evicts it under memory
 // pressure, so the graph can be far larger than RAM (and than
 // GOMEMLIMIT — mapped pages are not Go heap). Close releases the
@@ -237,7 +200,7 @@ func OpenMapped(path string) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if st.Size() < 64 {
+	if st.Size() < slabHeaderSize {
 		return nil, fmt.Errorf("graph: %s: too small for a slab file", path)
 	}
 	data, unmap, err := mapFile(f, st.Size())
@@ -260,114 +223,74 @@ func decodeSlabFile(data []byte) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if string(magic) != slabMagic {
+	switch string(magic) {
+	case slabMagic:
+	case slabMagicV1:
+		return nil, fmt.Errorf("%s is the retired partitioned slab format; regenerate the file with graphgen -format slab", slabMagicV1)
+	default:
 		return nil, fmt.Errorf("bad magic %q (want %q)", magic, slabMagic)
 	}
-	var hdr [7]uint64
+	var hdr [4]uint64
 	for i := range hdr {
 		if hdr[i], err = sr.u64(); err != nil {
 			return nil, err
 		}
 	}
-	flags, n64, numSlabs64 := hdr[0], hdr[1], hdr[2]
-	adjTotal, maxDeg, avgBits, numLabels := hdr[3], hdr[4], hdr[5], hdr[6]
+	flags, n64, adjTotal, nameLen := hdr[0], hdr[1], hdr[2], hdr[3]
 	if flags&^uint64(slabFlagLabeled) != 0 {
 		return nil, fmt.Errorf("unknown flags %#x", flags)
 	}
-	if n64 > math.MaxUint32 {
+	if n64 >= math.MaxUint32 {
 		return nil, fmt.Errorf("%d vertices exceeds uint32 IDs", n64)
 	}
-	if numSlabs64 < 1 || numSlabs64 > MaxSlabs {
-		return nil, fmt.Errorf("slab count %d out of range [1,%d]", numSlabs64, MaxSlabs)
-	}
-	n, numSlabs := int(n64), int(numSlabs64)
-	nameLen, err := sr.u64()
-	if err != nil {
-		return nil, err
+	if adjTotal > uint64(len(data))/4 {
+		return nil, fmt.Errorf("%d adjacency entries exceed a file of %d bytes", adjTotal, len(data))
 	}
 	if nameLen > 1<<20 {
 		return nil, fmt.Errorf("name length %d implausible", nameLen)
 	}
+	n := int64(n64)
 	name, err := sr.take(int64(nameLen))
-	if err != nil {
-		return nil, err
-	}
-	sr.pad()
-	type slabMeta struct {
-		verts, adjLen, blobOff int64
-	}
-	metas := make([]slabMeta, numSlabs)
-	var vertSum, adjSum int64
-	for i := range metas {
-		v, err1 := sr.u64()
-		a, err2 := sr.u64()
-		o, err3 := sr.u64()
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, fmt.Errorf("slab table truncated")
-		}
-		metas[i] = slabMeta{int64(v), int64(a), int64(o)}
-		vertSum += int64(v)
-		adjSum += int64(a)
-	}
-	if vertSum != int64(n) || adjSum != int64(adjTotal) {
-		return nil, fmt.Errorf("slab table sums %d verts/%d adj, header says %d/%d", vertSum, adjSum, n, adjTotal)
-	}
-	slabOf, err := sr.take(int64(n))
-	if err != nil {
-		return nil, err
-	}
-	sr.pad()
-	liBytes, err := sr.take(int64(n) * 4)
 	if err != nil {
 		return nil, err
 	}
 	sr.pad()
 	var labels []uint32
 	if flags&slabFlagLabeled != 0 {
-		lBytes, err := sr.take(int64(n) * 4)
+		lBytes, err := sr.take(n * 4)
 		if err != nil {
 			return nil, err
 		}
 		sr.pad()
+		labels = []uint32{}
 		if n > 0 {
 			labels = unsafe.Slice((*uint32)(unsafe.Pointer(&lBytes[0])), n)
-		} else {
-			labels = []uint32{}
 		}
 	}
-	var localIdx []uint32
-	if n > 0 {
-		localIdx = unsafe.Slice((*uint32)(unsafe.Pointer(&liBytes[0])), n)
+	oBytes, err := sr.take((n + 1) * 8)
+	if err != nil {
+		return nil, err
+	}
+	aBytes, err := sr.take(int64(adjTotal) * 4)
+	if err != nil {
+		return nil, err
 	}
 	g := &Graph{
-		slabOf:    slabOf,
-		localIdx:  localIdx,
-		adjTotal:  int64(adjTotal),
+		offsets:   unsafe.Slice((*int64)(unsafe.Pointer(&oBytes[0])), n+1),
+		adj:       []uint32{},
+		labels:    labels,
 		name:      string(name),
-		maxDeg:    int(maxDeg),
-		avgDeg:    math.Float64frombits(avgBits),
-		numLabels: int(numLabels),
+		numLabels: countLabels(labels),
 		hub:       &hubState{},
 	}
-	g.labels = labels
-	g.slabs = make([]slab, numSlabs)
-	for i, sm := range metas {
-		if sm.blobOff&7 != 0 {
-			return nil, fmt.Errorf("slab %d blob offset %d not 8-aligned", i, sm.blobOff)
-		}
-		size := int64(slabByteSize(int(sm.verts), int(sm.adjLen)))
-		if sm.blobOff < 0 || sm.blobOff+size > int64(len(data)) {
-			return nil, fmt.Errorf("slab %d blob [%d,+%d) outside file of %d bytes", i, sm.blobOff, size, len(data))
-		}
-		buf := data[sm.blobOff : sm.blobOff+size]
-		off, adj := viewSlab(buf, int(sm.verts), int(sm.adjLen))
-		g.slabs[i] = slab{store: &mappedSlab{data: buf}, offsets: off, adj: adj}
+	if adjTotal > 0 {
+		g.adj = unsafe.Slice((*uint32)(unsafe.Pointer(&aBytes[0])), adjTotal)
 	}
-	for i := range g.slabs {
-		want := int64(len(g.slabs[i].adj))
-		if got := g.slabs[i].offsets[g.slabs[i].verts()]; got != want {
-			return nil, fmt.Errorf("slab %d offsets end at %d, adjacency has %d entries", i, got, want)
-		}
+	if g.maxDeg, err = checkCSR(g.offsets, g.adj); err != nil {
+		return nil, err
+	}
+	if n > 0 {
+		g.avgDeg = float64(adjTotal) / float64(n)
 	}
 	// Hub bitmap index lives in the heap (it is derived, not stored):
 	// rebuild with the same rule Build uses.
@@ -375,4 +298,53 @@ func decodeSlabFile(data []byte) (*Graph, error) {
 		g.hub.idx.Store(buildHubIndex(g, g.DefaultHubThreshold()))
 	}
 	return g, nil
+}
+
+// checkCSR validates a CSR read from a file in one pass over offsets
+// and adjacency — offsets run non-decreasing from 0 to len(adj), and
+// every list is strictly increasing, in range and free of self-loops —
+// and returns the maximum degree.
+func checkCSR(offsets []int64, adj []uint32) (maxDeg int, err error) {
+	n := len(offsets) - 1
+	if offsets[0] != 0 || offsets[n] != int64(len(adj)) {
+		return 0, fmt.Errorf("offsets span [%d,%d], want [0,%d]", offsets[0], offsets[n], len(adj))
+	}
+	for v := 0; v < n; v++ {
+		lo, hi := offsets[v], offsets[v+1]
+		if hi < lo || hi > int64(len(adj)) {
+			return 0, fmt.Errorf("vertex %d: offsets %d..%d decrease or pass the adjacency", v, lo, hi)
+		}
+		prev := int64(-1)
+		for _, x := range adj[lo:hi] {
+			switch {
+			case int64(x) >= int64(n):
+				return 0, fmt.Errorf("vertex %d: neighbor %d out of range (|V| = %d)", v, x, n)
+			case int64(x) <= prev:
+				return 0, fmt.Errorf("vertex %d: adjacency not strictly increasing at %d", v, x)
+			case int(x) == v:
+				return 0, fmt.Errorf("vertex %d: self-loop", v)
+			}
+			prev = int64(x)
+		}
+		if d := int(hi - lo); d > maxDeg {
+			maxDeg = d
+		}
+	}
+	return maxDeg, nil
+}
+
+// Mapped reports whether the graph's arrays are mmap-backed (opened with
+// OpenMapped) rather than heap-resident.
+func (g *Graph) Mapped() bool { return g.mapping != nil }
+
+// Close releases an mmap-backed graph's file mapping. It is a no-op for
+// heap graphs. The graph (and every shallow copy sharing its arrays)
+// must not be used after Close.
+func (g *Graph) Close() error {
+	if g.mapping == nil {
+		return nil
+	}
+	m := g.mapping
+	g.mapping = nil
+	return m.close()
 }

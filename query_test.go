@@ -3,7 +3,6 @@ package decomine
 import (
 	"errors"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -180,74 +179,6 @@ func TestCalibratedRankingDifferential(t *testing.T) {
 	skewed.Units.MergeElem = 16
 	skewed.Units.BitmapElem = 1.0 / 16
 	skewed.Units.GallopElem = 4
-
-	for i, c := range []*Calibration{cal, skewed} {
-		sys := NewSystem(g, Options{Threads: 1, CostModel: CostLocality})
-		sys.SetCalibration(c)
-		for _, name := range patterns {
-			p, _ := PatternByName(name)
-			got, err := sys.GetPatternCount(p)
-			if err != nil {
-				t.Fatalf("calibration %d, %s: %v", i, name, err)
-			}
-			if got != want[name] {
-				t.Fatalf("calibration %d changed the count of %s: %d != %d", i, name, got, want[name])
-			}
-		}
-		sys.Close()
-	}
-}
-
-// TestSlabCrossCalibrationDifferential is the slab-graph face of the
-// same safety property: profiling a partitioned graph records
-// cross-slab kernel dispatches under "<kernel>.cross", Calibrate fits
-// them (a non-negative SlabCrossElem surcharge), and installing the
-// fitted calibration — or one with the surcharge cranked up — never
-// changes a single count, because SlabCrossElem only re-ranks plans.
-func TestSlabCrossCalibrationDifferential(t *testing.T) {
-	g := GenerateRMAT(9, 8, 4321).BuildHubIndex(32).Reslab(4)
-	if g.NumSlabs() < 2 {
-		t.Fatalf("Reslab(4) produced %d slabs", g.NumSlabs())
-	}
-	patterns := []string{"clique-3", "cycle-4", "tailed-triangle", "clique-4"}
-
-	static := NewSystem(g, Options{Threads: 1, Profile: true, CostModel: CostLocality})
-	defer static.Close()
-	base := obs.GlobalProfile()
-	want := map[string]int64{}
-	for _, name := range patterns {
-		p, err := PatternByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := static.GetPatternCount(p)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		want[name] = c
-	}
-	prof := obs.GlobalProfile().Diff(base)
-
-	var crossSamples int64
-	for name, n := range prof.KernelSamples {
-		if strings.HasSuffix(name, ".cross") {
-			crossSamples += n
-		}
-	}
-	if crossSamples == 0 {
-		t.Fatal("profiled slab-graph run recorded no cross-slab kernel dispatches")
-	}
-
-	cal, err := static.Calibrate(prof)
-	if err != nil {
-		t.Fatalf("calibration from a slab-graph profile failed: %v", err)
-	}
-	if cal.Units.SlabCrossElem < 0 {
-		t.Fatalf("negative cross-slab surcharge: %v", cal.Units.SlabCrossElem)
-	}
-
-	skewed := &Calibration{Units: cal.Units}
-	skewed.Units.SlabCrossElem = 8
 
 	for i, c := range []*Calibration{cal, skewed} {
 		sys := NewSystem(g, Options{Threads: 1, CostModel: CostLocality})

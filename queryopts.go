@@ -40,7 +40,7 @@ type QueryOpts struct {
 	// Span, when non-nil, is the request trace span this query runs
 	// under: the query records a "count:<pattern>" child span with
 	// compile (enumerate/rank, with the aux-table verdict), lower, and
-	// execute (fuel spent, kernel mix, steals, slab hits) children, and
+	// execute (fuel spent, kernel mix, steals) children, and
 	// the query's /debug/queries entry and slow-log record carry the
 	// span's tenant and trace ID. Nil costs one pointer check.
 	Span *TraceSpan

@@ -72,8 +72,6 @@ func execStatsFromResult(res *engine.Result) ExecStats {
 	}
 	st.Steals = res.Steals
 	st.Splits = res.Splits
-	st.SlabHits = res.SlabHits
-	st.SlabMisses = res.SlabMisses
 	st.Profile = res.Profile
 	return st
 }
@@ -176,9 +174,7 @@ func (s *System) countPattern(p *Pattern, cancel *atomic.Bool, tracker *engine.P
 		span.LeafAt(obs.PhaseExecute, runBegin.Add(lowerDur), res.Elapsed,
 			obs.SpanAttr{Key: "fuel_spent", Value: st.Exec.Instructions},
 			obs.SpanAttr{Key: "kernels", Value: st.Exec.Kernels},
-			obs.SpanAttr{Key: "steals", Value: st.Exec.Steals},
-			obs.SpanAttr{Key: "slab_hits", Value: st.Exec.SlabHits},
-			obs.SpanAttr{Key: "slab_misses", Value: st.Exec.SlabMisses})
+			obs.SpanAttr{Key: "steals", Value: st.Exec.Steals})
 		span.SetAttr("count", count)
 	}
 	span.End()
