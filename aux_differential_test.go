@@ -16,6 +16,8 @@ import (
 	"testing"
 
 	"decomine/internal/baseline"
+	"decomine/internal/engine"
+	"decomine/internal/obs"
 	"decomine/internal/pattern"
 )
 
@@ -84,16 +86,30 @@ func TestAuxDifferentialMaterialized(t *testing.T) {
 	}
 	g := GenerateCommunity(512, 6, 16, 303)
 	on, off := auxPair(t, g, 4, 101)
-	gotOn, err := on.PseudoCliqueCount(5, 1)
-	if err != nil {
-		t.Fatal(err)
+	// count runs the census and returns it with the set-kernel element
+	// work it did, which is schedule-invariant.
+	count := func(s *System) (int64, int64) {
+		base := obs.Default.Snapshot()
+		c, err := s.PseudoCliqueCount(5, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var work int64
+		for _, name := range engine.KernelNames {
+			work += obs.Default.CounterDelta(base, "engine.kernel_elems."+name)
+		}
+		return c, work
 	}
-	gotOff, err := off.PseudoCliqueCount(5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gotOn, workOn := count(on)
+	gotOff, workOff := count(off)
 	if gotOn != gotOff {
 		t.Fatalf("materialized census: aux-on %d, aux-off %d", gotOn, gotOff)
+	}
+	// Materialized rows must pay for themselves: the deep loops scan at
+	// least 1.2x fewer elements than with the pass off.
+	if float64(workOff) < 1.2*float64(workOn) {
+		t.Errorf("aux rows cut set-kernel element work only %.2fx: %d on, %d off",
+			float64(workOff)/float64(workOn), workOn, workOff)
 	}
 	ex, err := on.Explain(&Pattern{pattern.Clique(5)})
 	if err != nil {

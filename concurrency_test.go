@@ -6,8 +6,10 @@ package decomine
 // CI.
 
 import (
+	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -127,5 +129,38 @@ func TestSystemCloseIdempotentAndUsableAfter(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("post-Close count %d != %d", got, want)
+	}
+}
+
+// TestWorkerPanicFailsQuery: a UDF that panics on a pool worker fails
+// its query with ErrWorkerPanic instead of killing the process, and the
+// same System and pool keep answering afterwards.
+func TestWorkerPanicFailsQuery(t *testing.T) {
+	g := GenerateGNP(120, 0.08, 77)
+	sys := NewSystem(g, Options{Threads: 4})
+	defer sys.Close()
+	tri := MustParsePattern("0-1,1-2,2-0")
+	want, err := sys.GetPatternCount(tri)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	boom := errors.New("udf failure")
+	err = sys.ProcessPartialEmbeddings(tri, func(int) UDF {
+		return func(*PartialEmbedding, int64) { panic(boom) }
+	})
+	if !errors.Is(err, ErrWorkerPanic) || !errors.Is(err, boom) {
+		t.Fatalf("panicking UDF: err = %v, want ErrWorkerPanic wrapping the panic value", err)
+	}
+
+	var delivered atomic.Int64
+	err = sys.ProcessPartialEmbeddings(tri, func(int) UDF {
+		return func(_ *PartialEmbedding, count int64) { delivered.Add(count) }
+	})
+	if err != nil || delivered.Load() == 0 {
+		t.Fatalf("UDF after a panic: err = %v, %d matchings delivered", err, delivered.Load())
+	}
+	if got, err := sys.GetPatternCount(tri); err != nil || got != want {
+		t.Fatalf("count after a panic: %d, %v; want %d", got, err, want)
 	}
 }

@@ -57,6 +57,12 @@ func TestHubIndexDifferentialMotifSuite(t *testing.T) {
 				t.Errorf("k=%d pattern #%d (%s): hub %d, nohub %d, brute force %d",
 					k, i, p, hub.Count, noHub.Count, want)
 			}
+			// The hub index changes kernel routes, never the plan: both
+			// runs execute the same instruction stream.
+			if hub.Stats.Exec.Instructions != noHub.Stats.Exec.Instructions {
+				t.Errorf("k=%d pattern #%d: hub run executed %d instructions, nohub %d",
+					k, i, hub.Stats.Exec.Instructions, noHub.Stats.Exec.Instructions)
+			}
 			if n := noHub.Stats.Exec.Kernels["bitmap"] + noHub.Stats.Exec.Kernels["bitmap-count"]; n != 0 {
 				t.Errorf("k=%d pattern #%d: DisableHubIndex run dispatched %d bitmap kernels", k, i, n)
 			}

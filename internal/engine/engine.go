@@ -351,6 +351,11 @@ func Run(g *graph.Graph, prog *ast.Program, opts Options) (*Result, error) {
 		// heavy outer iterations shed depth-1 subranges (§7.4).
 		j := newJob(master, i, over, opts.Cancel, pool.size, getConsumer)
 		pool.runJob(j)
+		if j.stop.Load() == stopPanic {
+			// The panicking frame stopped mid-instruction: drop every
+			// frame of the run rather than recycle one of them.
+			return nil, j.panicErr
+		}
 		res.Steals += j.steals.Load()
 		res.Splits += j.splits.Load()
 		// Privatized accumulators: merge per-worker globals under no

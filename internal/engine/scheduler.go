@@ -19,6 +19,9 @@ package engine
 // waiting counter.
 
 import (
+	"errors"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -87,7 +90,14 @@ const (
 	stopRun      = 0 // still running
 	stopConsumer = 1 // a consumer returned false
 	stopCanceled = 2 // Options.Cancel fired
+	stopPanic    = 3 // a worker panicked; job.panicErr holds the value
 )
+
+// ErrWorkerPanic is wrapped by the error Run returns when code running
+// on a pool worker — a consumer, typically a user-defined function —
+// panicked. The worker survives for later jobs; the frame it was
+// executing is discarded, never recycled.
+var ErrWorkerPanic = errors.New("engine: worker panicked")
 
 // job is one top-level loop submitted to the pool. pending counts live
 // tasks plus pieces in flight; whoever decrements it to zero completes
@@ -111,6 +121,9 @@ type job struct {
 	// progress, when non-nil, receives completion spans as pieces of the
 	// outer range drain (Options.Progress).
 	progress *ProgressTracker
+	// panicErr is the first worker panic, written by the worker that
+	// moved stop to stopPanic and read after done closes.
+	panicErr error
 	done     chan struct{}
 }
 
@@ -365,6 +378,15 @@ func (p *Pool) runPiece(id int, pc piece) {
 	t := pc.t
 	j := t.j
 	defer j.finishPiece()
+	defer func() {
+		if r := recover(); r != nil && j.stop.Swap(stopPanic) != stopPanic {
+			if err, ok := r.(error); ok {
+				j.panicErr = fmt.Errorf("%w: %w\n%s", ErrWorkerPanic, err, debug.Stack())
+			} else {
+				j.panicErr = fmt.Errorf("%w: %v\n%s", ErrWorkerPanic, r, debug.Stack())
+			}
+		}
+	}()
 	if j.stop.Load() != stopRun {
 		return
 	}

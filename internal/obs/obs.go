@@ -8,7 +8,7 @@
 // happens once per metric — callers hoist handles into package-level
 // vars — while every update on the hot path is a single atomic add.
 // The compiler, cost models, plan cache, scheduler and VM all feed the
-// Default registry; cmd/benchreport reads suite-level deltas from the
+// Default registry; tests and benchmarks read workload deltas from the
 // same counters the production endpoint serves.
 package obs
 
@@ -243,7 +243,7 @@ type HistSnapshot struct {
 }
 
 // Snapshot is a point-in-time copy of every metric in a registry,
-// suitable for JSON encoding (expvar) or diffing (benchreport). Keys of
+// suitable for JSON encoding (expvar) or diffing (CounterDelta). Keys of
 // labeled metrics carry their label set inline (`name{k="v"}`), so the
 // JSON shape stays a flat map either way.
 type Snapshot struct {

@@ -102,8 +102,8 @@ func (p *Profile) Merge(o *Profile) {
 }
 
 // Diff returns p minus base (bucket-wise), for callers that bracket a
-// workload with GlobalProfile snapshots the way benchreport brackets
-// registry snapshots.
+// workload with GlobalProfile snapshots the way tests bracket registry
+// snapshots.
 func (p *Profile) Diff(base *Profile) *Profile {
 	out := &Profile{TotalNS: p.TotalNS, Samples: p.Samples, Elided: p.Elided}
 	sub := map[profKey]ProfileBucket{}

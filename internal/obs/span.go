@@ -125,27 +125,36 @@ func StartSpanContext(name, traceparent string) *Span {
 	return s
 }
 
-// parseTraceParent validates a traceparent header value and extracts
-// the trace and parent span IDs. Per the spec, version ff, an all-zero
-// trace ID and an all-zero parent ID are invalid.
+// parseTraceParent validates a W3C Trace Context traceparent header
+// value and extracts the trace and parent span IDs. Every field is
+// lowercase hex. Version 00 is exactly 55 bytes; a later version may
+// append fields after a '-' at byte 55, which are ignored. Version ff,
+// an all-zero trace ID and an all-zero parent ID are invalid.
 func parseTraceParent(h string) (tid [16]byte, pid [8]byte, ok bool) {
-	if len(h) < 55 || h[2] != '-' || h[35] != '-' || h[52] != '-' {
+	if len(h) < 55 || h[2] != '-' || h[35] != '-' || h[52] != '-' ||
+		!lowerHex(h[0:2]) || !lowerHex(h[3:35]) || !lowerHex(h[36:52]) || !lowerHex(h[53:55]) {
 		return tid, pid, false
 	}
-	var ver [1]byte
-	if _, err := hex.Decode(ver[:], []byte(h[0:2])); err != nil || ver[0] == 0xff {
+	switch {
+	case h[0:2] == "ff", h[0:2] == "00" && len(h) != 55, len(h) > 55 && h[55] != '-':
 		return tid, pid, false
 	}
-	if _, err := hex.Decode(tid[:], []byte(h[3:35])); err != nil {
-		return tid, pid, false
-	}
-	if _, err := hex.Decode(pid[:], []byte(h[36:52])); err != nil {
-		return tid, pid, false
-	}
+	hex.Decode(tid[:], []byte(h[3:35]))
+	hex.Decode(pid[:], []byte(h[36:52]))
 	if tid == ([16]byte{}) || pid == ([8]byte{}) {
 		return tid, pid, false
 	}
 	return tid, pid, true
+}
+
+// lowerHex reports whether s is all lowercase hex digits.
+func lowerHex(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // TraceID returns the span's 32-hex-digit trace ID ("" on nil).

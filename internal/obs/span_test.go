@@ -36,17 +36,61 @@ func TestParseTraceParent(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"",
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",    // missing flags
-		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // version ff invalid
-		"00-00000000000000000000000000000000-00f067aa0ba902b7-01", // zero trace id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", // zero parent id
-		"00-zzf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // non-hex
-		"004bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-011", // bad dashes
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",     // missing flags
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // version ff invalid
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",  // zero trace id
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",  // zero parent id
+		"00-zzf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // non-hex
+		"004bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-011",  // bad dashes
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-zz",  // non-hex flags
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0g",  // non-hex flags
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",  // uppercase trace id
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00F067AA0BA902B7-01",  // uppercase parent id
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0A",  // uppercase flags
+		"0A-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // uppercase version
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-", // version 00 longer than 55
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-ab",
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01x", // later version, no '-' at 55
 	} {
 		if _, _, ok := parseTraceParent(bad); ok {
 			t.Errorf("accepted malformed traceparent %q", bad)
 		}
 	}
+	// A later version may append fields after a '-' at byte 55.
+	for _, good := range []string{
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"cc-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-what-the-future-holds",
+	} {
+		if _, _, ok := parseTraceParent(good); !ok {
+			t.Errorf("rejected valid traceparent %q", good)
+		}
+	}
+}
+
+// FuzzTraceparent: parsing never panics, and an accepted header's trace
+// and parent IDs survive a round trip through the span it seeds: the
+// span keeps the trace ID, records the parent, and renders a
+// traceparent that parses back to the same trace.
+func FuzzTraceparent(f *testing.F) {
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	f.Add("01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-x")
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-zz")
+	f.Fuzz(func(t *testing.T, h string) {
+		tid, pid, ok := parseTraceParent(h)
+		if !ok {
+			return
+		}
+		s := StartSpanContext("fuzz", h)
+		if s.TraceID() != h[3:35] || hexString(tid[:]) != h[3:35] {
+			t.Fatalf("%q: trace id %s, span trace id %s", h, hexString(tid[:]), s.TraceID())
+		}
+		if hexString(pid[:]) != h[36:52] || s.tree.remoteParent != pid {
+			t.Fatalf("%q: parent id %s, recorded %x", h, hexString(pid[:]), s.tree.remoteParent)
+		}
+		if tid2, _, ok := parseTraceParent(s.TraceParent()); !ok || tid2 != tid {
+			t.Fatalf("%q: rendered %q does not parse back to the trace", h, s.TraceParent())
+		}
+	})
 }
 
 func hexString(b []byte) string {

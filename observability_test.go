@@ -222,3 +222,71 @@ func TestPerRunStatsConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkObservabilityOverhead times the warm 5-motif census on a
+// hub-indexed R-MAT at one thread, where timing noise is smallest, three
+// ways: plain ("off"), under the sampling profiler ("profiled") and with
+// a request span threaded through every query with retention sampled
+// out ("traced", the cost of always-on span creation). The overhead is
+// the ratio of the sub-benchmarks' ns/op; "profiled" also reports the
+// share of engine time its samples attribute.
+func BenchmarkObservabilityOverhead(b *testing.B) {
+	g := GenerateRMAT(9, 8, 47).BuildHubIndex(48)
+	pats := MotifPatterns(5)
+	var want int64 // the first mode's census; every mode must match it
+	for _, mode := range []string{"off", "profiled", "traced"} {
+		b.Run(mode, func(b *testing.B) {
+			sys := NewSystem(g, Options{
+				Threads:            1,
+				Seed:               42,
+				Profile:            mode == "profiled",
+				ProfileSampleEdges: 20000,
+				ProfileTrials:      4000,
+				MaxCandidates:      64,
+			})
+			defer sys.Close()
+			if mode == "traced" {
+				defer obs.SetTraceSampling(obs.TraceSampling())
+				obs.SetTraceSampling(0)
+			}
+			census := func() int64 {
+				var span *TraceSpan
+				if mode == "traced" {
+					span = StartTraceSpan("bench.observability-overhead")
+					span.SetTenant("bench")
+					defer span.End()
+				}
+				var total int64
+				for _, p := range pats {
+					r, err := sys.CountPattern(p, QueryOpts{Span: span})
+					if err != nil {
+						b.Fatal(err)
+					}
+					total += r.Count
+				}
+				return total
+			}
+			got := census() // compiles and caches every plan
+			if want == 0 {
+				want = got
+			} else if got != want {
+				b.Fatalf("%s changed the count: %d vs %d", mode, got, want)
+			}
+			profBase := obs.GlobalProfile()
+			base := obs.Default.Snapshot()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got := census(); got != want {
+					b.Fatalf("%s changed the count: %d vs %d", mode, got, want)
+				}
+			}
+			b.StopTimer()
+			if mode == "profiled" {
+				if execNS := obs.Default.CounterDelta(base, "engine.exec_ns"); execNS > 0 {
+					prof := obs.GlobalProfile().Diff(profBase)
+					b.ReportMetric(float64(prof.TotalNS)/float64(execNS), "attributed/exec")
+				}
+			}
+		})
+	}
+}

@@ -1,0 +1,347 @@
+package decomine_test
+
+// TestPinnedWorkloads pins the seed-determined outputs of ten small
+// workloads: counts, VM instruction totals, plan-cache movement,
+// per-kernel dispatches, auxiliary-graph element work, the serving
+// script's cache and rewrite hits and the batch ledger. Any drift in a
+// pin is a behavior change — a different plan, lowering, kernel route,
+// cache key or sharing decision — and must be re-pinned on purpose.
+// Host-dependent numbers (wall and engine time, throughput, worker
+// balance, speedup ratios) are measured by the benchmark/ ledger, not
+// here.
+//
+// The workloads span the paper's §8 families at test scale: 4–6-motif
+// censuses on G(n,p), R-MAT and a hub-indexed R-MAT, FSM on a labeled
+// G(n,p), a label-constrained query, a pseudo-clique census on
+// overlapping communities, a scripted replay against the HTTP front
+// door and a batched motif census. Each runs on one System with the
+// options below; MaxCandidates bounds the plan search so the test stays
+// in tens of seconds.
+
+import (
+	"encoding/json"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+
+	"decomine"
+	"decomine/internal/engine"
+	"decomine/internal/obs"
+	"decomine/internal/server"
+)
+
+func pinnedOptions() decomine.Options {
+	return decomine.Options{
+		Threads:            4,
+		Seed:               42,
+		ProfileSampleEdges: 20000,
+		ProfileTrials:      4000,
+		MaxCandidates:      64,
+	}
+}
+
+// pinnedFields are the exact outputs of one workload.
+type pinnedFields struct {
+	count        int64
+	instructions int64
+	// cache is the plan-cache hits, misses and negative hits.
+	cache   [3]int64
+	kernels map[string]int64
+	// auxElemsOff/On are the set-kernel element work of the first query
+	// with auxiliary graphs disabled and enabled.
+	auxElemsOff, auxElemsOn int64
+	// serve is the scripted replay's queries, cache hits and rewrite hits.
+	serve [3]int64
+	// batch is the shared census's instructions, the NoShare census's
+	// instructions, the shared hits and the distinct subqueries.
+	batch [4]int64
+}
+
+// pinnedWorkload is one table entry. query runs twice on one System
+// (the second round hits the plan cache); custom replaces it for the
+// serving and batch workloads, which make their own rounds.
+type pinnedWorkload struct {
+	name   string
+	graph  func() *decomine.Graph
+	query  func(*decomine.System) (int64, error)
+	custom func(*testing.T, *decomine.System, *pinnedFields) int64
+	// aux re-runs query once with DisableAuxGraphs to pin auxElemsOff.
+	aux  bool
+	want pinnedFields
+}
+
+func TestPinnedWorkloads(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pins are exact, not concurrency checks; ~10x slower under -race")
+	}
+	if testing.Short() {
+		t.Skip("runs ten workloads for ~25 s")
+	}
+	for _, w := range pinnedWorkloads() {
+		t.Run(w.name, func(t *testing.T) {
+			if got := runPinned(t, w); !reflect.DeepEqual(got, w.want) {
+				t.Errorf("pins drifted\n got %+v\nwant %+v", got, w.want)
+			}
+		})
+	}
+}
+
+func pinnedWorkloads() []pinnedWorkload {
+	gnp := func(n int, p float64, seed int64) func() *decomine.Graph {
+		return func() *decomine.Graph { return decomine.GenerateGNP(n, p, seed) }
+	}
+	rmat := func(scale, ef int, seed int64) func() *decomine.Graph {
+		return func() *decomine.Graph { return decomine.GenerateRMAT(scale, ef, seed) }
+	}
+	community := func(n, memberships, size int, seed int64) func() *decomine.Graph {
+		return func() *decomine.Graph { return decomine.GenerateCommunity(n, memberships, size, seed) }
+	}
+	motifs := func(k int) func(*decomine.System) (int64, error) {
+		return func(s *decomine.System) (int64, error) { return s.TotalMotifCount(k) }
+	}
+	return []pinnedWorkload{
+		{name: "motif5-gnp", graph: gnp(220, 0.03, 42), query: motifs(5), want: pinnedFields{
+			count: 344661, instructions: 792702, cache: [3]int64{68, 24, 0},
+			kernels: map[string]int64{"merge": 87772},
+		}},
+		{name: "motif6-gnp", graph: gnp(110, 0.04, 43), query: motifs(6), want: pinnedFields{
+			count: 226211, instructions: 1850578, cache: [3]int64{394, 144, 0},
+			kernels: map[string]int64{"merge": 187280},
+		}},
+		{name: "motif5-rmat", graph: rmat(8, 6, 44), query: motifs(5), want: pinnedFields{
+			count: 13437142, instructions: 12455156, cache: [3]int64{85, 37, 0},
+			kernels: map[string]int64{"gallop": 41814, "merge": 1564170},
+		}},
+		{name: "fsm-gnp-labeled", query: pinnedFSM(40, 2),
+			graph: func() *decomine.Graph { return decomine.GenerateGNP(300, 0.02, 45).WithRandomLabels(3, 45) },
+			want: pinnedFields{
+				count: 38654706463, instructions: 73610, cache: [3]int64{6, 6, 0},
+			}},
+		{name: "constrained-rmat-labeled", query: pinnedConstrainedCycle,
+			graph: func() *decomine.Graph { return decomine.GenerateRMAT(9, 6, 46).WithRandomLabels(4, 46) },
+			want: pinnedFields{
+				count: 3991, instructions: 679190, cache: [3]int64{1, 1, 0},
+				kernels: map[string]int64{"gallop": 2456, "merge": 78456},
+			}},
+		{name: "motif5-hub-rmat", query: motifs(5),
+			graph: func() *decomine.Graph { return decomine.GenerateRMAT(9, 8, 47).BuildHubIndex(48) },
+			want: pinnedFields{
+				count: 205061107, instructions: 43497718, cache: [3]int64{93, 43, 0},
+				kernels: map[string]int64{"bitmap": 2325884, "bitmap-count": 269350, "gallop": 35952, "merge": 2997442},
+			}},
+		{name: "motif4-mmap-rmat", graph: rmat(11, 8, 48), query: motifs(4), want: pinnedFields{
+			count: 110482571, instructions: 7147354, cache: [3]int64{24, 10, 0},
+			kernels: map[string]int64{"bitmap": 62774, "bitmap-count": 396, "gallop": 87186, "merge": 1445414},
+		}},
+		{name: "motif6-aux-community", graph: community(768, 6, 16, 49), aux: true,
+			query: func(s *decomine.System) (int64, error) { return s.PseudoCliqueCount(6, 1) },
+			want: pinnedFields{
+				count: 2521995, instructions: 269161734, cache: [3]int64{6, 4, 0},
+				kernels:     map[string]int64{"gallop": 1945536, "merge": 39685180},
+				auxElemsOff: 1815236810, auxElemsOn: 880463822,
+			}},
+		{name: "serve-cache-rmat", graph: rmat(9, 6, 50), custom: pinnedServeScript, want: pinnedFields{
+			count: 37026862, instructions: 15331, cache: [3]int64{3, 3, 0},
+			kernels: map[string]int64{"gallop": 69, "merge": 2161},
+			serve:   [3]int64{8, 4, 1},
+		}},
+		{name: "motif6-batch-community", graph: community(64, 2, 6, 49), custom: pinnedBatchCensus, want: pinnedFields{
+			count: 11193236, instructions: 244544469, cache: [3]int64{3773, 157, 0},
+			kernels: map[string]int64{"merge": 27619044},
+			batch:   [4]int64{10728672, 223087125, 3374, 130},
+		}},
+	}
+}
+
+// runPinned runs w on a fresh System and reads its pinned fields: the
+// System's plan-cache counters and the obs registry's engine deltas
+// across the workload.
+func runPinned(t *testing.T, w pinnedWorkload) pinnedFields {
+	g := w.graph()
+	sys := decomine.NewSystem(g, pinnedOptions())
+	defer sys.Close()
+
+	reg := obs.Default
+	base := reg.Snapshot()
+	var got pinnedFields
+	if w.custom != nil {
+		got.count = w.custom(t, sys, &got)
+	} else {
+		got.count = mustCount(t, w.query, sys)
+		if w.aux {
+			got.auxElemsOn = kernelElems(reg, base)
+		}
+		if again := mustCount(t, w.query, sys); again != got.count {
+			t.Errorf("cached re-run disagrees: %d vs %d", again, got.count)
+		}
+	}
+	got.instructions = reg.CounterDelta(base, "engine.instructions")
+	cs := sys.CacheStats()
+	got.cache = [3]int64{cs.Hits, cs.Misses, cs.NegativeHits}
+	for _, name := range engine.KernelNames {
+		if d := reg.CounterDelta(base, "engine.kernel."+name); d != 0 {
+			if got.kernels == nil {
+				got.kernels = map[string]int64{}
+			}
+			got.kernels[name] = d
+		}
+	}
+	if w.aux {
+		opts := pinnedOptions()
+		opts.DisableAuxGraphs = true
+		off := decomine.NewSystem(g, opts)
+		defer off.Close()
+		base := reg.Snapshot()
+		if c := mustCount(t, w.query, off); c != got.count {
+			t.Errorf("aux-off count %d, aux-on %d", c, got.count)
+		}
+		got.auxElemsOff = kernelElems(reg, base)
+	}
+	return got
+}
+
+func mustCount(t *testing.T, q func(*decomine.System) (int64, error), s *decomine.System) int64 {
+	t.Helper()
+	c, err := q(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// kernelElems is the set-kernel element work since base.
+func kernelElems(reg *obs.Registry, base obs.Snapshot) int64 {
+	var sum int64
+	for _, name := range engine.KernelNames {
+		sum += reg.CounterDelta(base, "engine.kernel_elems."+name)
+	}
+	return sum
+}
+
+func pinnedFSM(minSupport int64, maxEdges int) func(*decomine.System) (int64, error) {
+	return func(s *decomine.System) (int64, error) {
+		fps, err := s.FSM(minSupport, maxEdges)
+		if err != nil {
+			return 0, err
+		}
+		// The frequent-pattern census and the total support together.
+		total := int64(len(fps)) << 32
+		for _, fp := range fps {
+			total += fp.Support
+		}
+		return total, nil
+	}
+}
+
+func pinnedConstrainedCycle(s *decomine.System) (int64, error) {
+	return s.CountWithConstraints(decomine.MustParsePattern("0-1,1-2,2-3,3-0"),
+		[]decomine.LabelConstraint{{Kind: decomine.AllDifferentLabels, Vertices: []int{0, 1, 2, 3}}})
+}
+
+// pinnedServeScript replays a fixed request script against the HTTP
+// query front door: repeats hit the result cache, the vertex-induced
+// chain-3 over cached edge-induced counts is a pure GEO rewrite
+// satisfying vi(chain-3) = ei(chain-3) - 3·ei(triangle), and the
+// disconnected pattern is composed. The returned count folds every
+// response with its step index, so a count moving between steps shows.
+func pinnedServeScript(t *testing.T, sys *decomine.System, got *pinnedFields) int64 {
+	srv, err := server.New(server.Config{Systems: map[string]*decomine.System{"bench": sys}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	steps := []struct {
+		body              string
+		cached, rewritten bool
+	}{
+		{`{"graph":"bench","pattern":"0-1,1-2"}`, false, false},
+		{`{"graph":"bench","pattern":"0-1,1-2"}`, true, false},
+		{`{"graph":"bench","pattern":"0-1,1-2,2-0"}`, false, false},
+		{`{"graph":"bench","pattern":"0-1,1-2,2-0"}`, true, false},
+		{`{"graph":"bench","pattern":"0-1,1-2","induced":true}`, false, true},
+		{`{"graph":"bench","pattern":"0-1,1-2","induced":true}`, true, false},
+		{`{"graph":"bench","pattern":"0-1,2-3"}`, false, false},
+		{`{"graph":"bench","pattern":"0-1,2-3"}`, true, false},
+	}
+	counts := make([]int64, len(steps))
+	var total int64
+	for i, st := range steps {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/query", strings.NewReader(st.body)))
+		if rec.Code != 200 {
+			t.Fatalf("step %d %s: status %d: %s", i+1, st.body, rec.Code, rec.Body.String())
+		}
+		var r struct {
+			Count              int64 `json:"count"`
+			Cached             bool  `json:"cached"`
+			Rewritten          bool  `json:"rewritten"`
+			ExecutedSubqueries int   `json:"executed_subqueries"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &r); err != nil {
+			t.Fatalf("step %d: %v", i+1, err)
+		}
+		if r.Cached != st.cached || r.Rewritten != st.rewritten {
+			t.Errorf("step %d %s: cached=%v rewritten=%v, want %v/%v",
+				i+1, st.body, r.Cached, r.Rewritten, st.cached, st.rewritten)
+		}
+		if (st.cached || st.rewritten) && r.ExecutedSubqueries != 0 {
+			t.Errorf("step %d %s: executed %d subqueries on a hit", i+1, st.body, r.ExecutedSubqueries)
+		}
+		got.serve[0]++
+		if r.Cached {
+			got.serve[1]++
+		}
+		if r.Rewritten {
+			got.serve[2]++
+		}
+		counts[i] = r.Count
+		total += int64(i+1) * r.Count
+	}
+	if counts[4] != counts[0]-3*counts[2] {
+		t.Errorf("rewrite identity broken: vi(chain-3)=%d, ei(chain-3)-3·ei(triangle)=%d",
+			counts[4], counts[0]-3*counts[2])
+	}
+	for i := 0; i < len(counts); i += 2 {
+		if counts[i] != counts[i+1] {
+			t.Errorf("steps %d/%d disagree: %d vs %d", i+1, i+2, counts[i], counts[i+1])
+		}
+	}
+	return total
+}
+
+// pinnedBatchCensus runs the 6-motif census three ways on one System: a
+// cold shared batch, a warm shared batch (plans cached) and a NoShare
+// per-pattern batch. All three must agree class by class; the returned
+// count folds the census with class indices.
+func pinnedBatchCensus(t *testing.T, sys *decomine.System, got *pinnedFields) int64 {
+	cold, coldStats, err := sys.MotifCountsStats(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, warmStats, err := sys.MotifCountsStats(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warmStats.Instructions != coldStats.Instructions || warmStats.SharedHits != coldStats.SharedHits {
+		t.Errorf("warm batch accounting drifted: instructions %d/%d, shared hits %d/%d",
+			warmStats.Instructions, coldStats.Instructions, warmStats.SharedHits, coldStats.SharedHits)
+	}
+	members := make([]*decomine.Pattern, len(cold))
+	for i := range cold {
+		members[i] = cold[i].Pattern
+	}
+	ser, err := sys.CountPatterns(members, decomine.BatchOpts{Induced: true, NoShare: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for i, mc := range cold {
+		if warm[i].Count != mc.Count || ser.Results[i].Count != mc.Count {
+			t.Errorf("%s: cold %d, warm %d, NoShare %d", mc.Pattern, mc.Count, warm[i].Count, ser.Results[i].Count)
+		}
+		total += int64(i+1) * mc.Count
+	}
+	got.batch = [4]int64{coldStats.Instructions, ser.Stats.Instructions, coldStats.SharedHits, int64(coldStats.Subqueries)}
+	return total
+}

@@ -13,6 +13,12 @@ import (
 // execution phase completed.
 var ErrCanceled = errors.New("decomine: query canceled")
 
+// ErrWorkerPanic is wrapped by the error a query returns when code it
+// ran on a pool worker — a ProcessPartialEmbeddings UDF, typically —
+// panicked. The error also wraps the panic value when that is an error.
+// The System and its pool stay usable.
+var ErrWorkerPanic = engine.ErrWorkerPanic
+
 // QueryHandle tracks one in-flight asynchronous counting query started
 // by CountPatternAsync. All methods are safe for concurrent use.
 type QueryHandle struct {
