@@ -7,6 +7,7 @@ package decomine
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -132,35 +133,47 @@ func TestSystemCloseIdempotentAndUsableAfter(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicFailsQuery: a UDF that panics on a pool worker fails
-// its query with ErrWorkerPanic instead of killing the process, and the
-// same System and pool keep answering afterwards.
+// TestWorkerPanicFailsQuery: a UDF that panics fails its query with
+// ErrWorkerPanic instead of killing the process, whether it ran on a
+// pool worker (Threads 4) or in line on the submitting goroutine
+// (Threads 1), and the same System and pool keep answering afterwards.
 func TestWorkerPanicFailsQuery(t *testing.T) {
 	g := GenerateGNP(120, 0.08, 77)
-	sys := NewSystem(g, Options{Threads: 4})
-	defer sys.Close()
 	tri := MustParsePattern("0-1,1-2,2-0")
-	want, err := sys.GetPatternCount(tri)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, threads := range []int{1, 4} {
+		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
+			sys := NewSystem(g, Options{Threads: threads})
+			defer sys.Close()
+			want, err := sys.GetPatternCount(tri)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	boom := errors.New("udf failure")
-	err = sys.ProcessPartialEmbeddings(tri, func(int) UDF {
-		return func(*PartialEmbedding, int64) { panic(boom) }
-	})
-	if !errors.Is(err, ErrWorkerPanic) || !errors.Is(err, boom) {
-		t.Fatalf("panicking UDF: err = %v, want ErrWorkerPanic wrapping the panic value", err)
-	}
+			boom := errors.New("udf failure")
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panic escaped the query: %v", r)
+					}
+				}()
+				err = sys.ProcessPartialEmbeddings(tri, func(int) UDF {
+					return func(*PartialEmbedding, int64) { panic(boom) }
+				})
+			}()
+			if !errors.Is(err, ErrWorkerPanic) || !errors.Is(err, boom) {
+				t.Fatalf("panicking UDF: err = %v, want ErrWorkerPanic wrapping the panic value", err)
+			}
 
-	var delivered atomic.Int64
-	err = sys.ProcessPartialEmbeddings(tri, func(int) UDF {
-		return func(_ *PartialEmbedding, count int64) { delivered.Add(count) }
-	})
-	if err != nil || delivered.Load() == 0 {
-		t.Fatalf("UDF after a panic: err = %v, %d matchings delivered", err, delivered.Load())
-	}
-	if got, err := sys.GetPatternCount(tri); err != nil || got != want {
-		t.Fatalf("count after a panic: %d, %v; want %d", got, err, want)
+			var delivered atomic.Int64
+			err = sys.ProcessPartialEmbeddings(tri, func(int) UDF {
+				return func(_ *PartialEmbedding, count int64) { delivered.Add(count) }
+			})
+			if err != nil || delivered.Load() == 0 {
+				t.Fatalf("UDF after a panic: err = %v, %d matchings delivered", err, delivered.Load())
+			}
+			if got, err := sys.GetPatternCount(tri); err != nil || got != want {
+				t.Fatalf("count after a panic: %d, %v; want %d", got, err, want)
+			}
+		})
 	}
 }

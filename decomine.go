@@ -63,7 +63,7 @@ type Options struct {
 	// MaxCandidates caps the number of plans costed per pattern.
 	MaxCandidates int
 	// ProfileSampleEdges / ProfileTrials configure the approximate-mining
-	// profiler (defaults 200k edges, 30k walks).
+	// profiler (defaults 200k edges, 30k walks per pattern shape).
 	ProfileSampleEdges int
 	ProfileTrials      int
 	// DisableHubIndex keeps plan execution off the graph's hub bitmap
@@ -148,8 +148,10 @@ type System struct {
 	// state (arena plan, split analysis, recycled register frames).
 	prepCache map[*ast.Lowered]*engine.Prepared
 
-	// ProfileTime records how long the one-off approximate-mining
-	// profiling took (paper §6.3 reports it separately).
+	// ProfileTime records how long the approximate-mining profile's
+	// one-off edge sampling took. The profile's per-shape estimates are
+	// made lazily, inside the searches that first need them, and count
+	// as compile time.
 	ProfileTime time.Duration
 
 	// Plan-cache counters (see CacheStats). Kept as atomics so the hot

@@ -117,11 +117,11 @@ func (s *System) FSMWithin(minSupport int64, maxEdges int, budget time.Duration)
 
 	// Levels 2..maxEdges: extend frequent patterns by one edge
 	// (anti-monotonicity of MNI support prunes the search). Each level's
-	// candidates evaluate concurrently on the shared pool — the FSM
-	// analogue of the batch layer's residual-work scheduling — and the
-	// wall-clock deadline is enforced both between levels and before
-	// each candidate launch. On expiry the completed work is returned
-	// with truncated=true instead of being discarded.
+	// candidates compile and evaluate concurrently on the shared pool —
+	// the FSM analogue of the batch layer's residual-work scheduling —
+	// and the wall-clock deadline is enforced both between levels and
+	// before each candidate launch. On expiry the completed work is
+	// returned with truncated=true instead of being discarded.
 	truncate := func() ([]FrequentPattern, bool, error) {
 		sortFrequentPatterns(results)
 		return results, true, nil
@@ -162,16 +162,6 @@ func (s *System) FSMWithin(minSupport int64, maxEdges int, budget time.Duration)
 			}
 			seen[code] = true
 			idx, q := idx, candidates[code]
-			// Compile here, in canonical order, and only execute
-			// concurrently: the cost model profiles labeled patterns on
-			// demand from one shared random stream, so concurrent searches
-			// would make estimates — and plan choices — follow goroutine
-			// timing.
-			plan, info, err := s.emitPlan(q)
-			if err != nil {
-				errs[idx] = err
-				break
-			}
 			wg.Add(1)
 			sem <- struct{}{}
 			go func() {
@@ -181,6 +171,15 @@ func (s *System) FSMWithin(minSupport int64, maxEdges int, budget time.Duration)
 					return
 				}
 				if expired() {
+					stopped.Store(true)
+					return
+				}
+				// Each candidate compiles on its own goroutine: plan
+				// choice depends only on the pattern (the cost profile's
+				// estimates are pure), not on which search asks first.
+				plan, info, err := s.emitPlan(q)
+				if err != nil {
+					errs[idx] = err
 					stopped.Store(true)
 					return
 				}

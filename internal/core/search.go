@@ -70,21 +70,21 @@ type SearchOptions struct {
 	// lowering of every candidate (results are bit-identical either
 	// way; only per-iteration work changes).
 	DisableAuxGraphs bool
-	// Workers is how many goroutines prepare candidates — generation,
-	// the middle-end optimizer and the auxiliary-graph lowering (0 =
-	// GOMAXPROCS; 1 prepares inline). Costing stays on the calling
-	// goroutine in candidate order, so the result does not depend on it.
+	// Workers is how many goroutines prepare and cost candidates —
+	// generation, the middle-end optimizer, the auxiliary-graph lowering
+	// and the cost model (0 = GOMAXPROCS; 1 works inline). Candidates
+	// are collected in spec order and every cost is a pure function of
+	// its candidate, so the result does not depend on it.
 	Workers int
 	// Mode ModeEmit additionally requires partial-embedding emission.
 }
 
-// SearchStats reports how one algorithm search spent its time:
-// EnumerateTime covers candidate generation, the middle-end optimizer
-// and the auxiliary-graph lowering, RankTime covers cost-model
-// evaluation, and Candidates is the number of plans costed.
-// EnumerateTime + RankTime is the search's wall time: with several
-// Workers, preparation overlaps ranking and EnumerateTime is the part
-// of the wall time the caller did not spend ranking.
+// SearchStats reports how one algorithm search spent its time.
+// EnumerateTime + RankTime is the search's wall time, split in
+// proportion to the time the workers spent preparing candidates
+// (generation, the middle-end optimizer and the auxiliary-graph
+// lowering) and costing them (cost-model evaluation and the aux rank
+// adjustment). Candidates is the number of plans ranked.
 type SearchStats struct {
 	EnumerateTime time.Duration
 	RankTime      time.Duration
@@ -100,12 +100,12 @@ type Candidate struct {
 // Search generates the candidate space for p, costs every candidate, and
 // returns the best plan plus the full ranked candidate list.
 //
-// Candidates are prepared — generated, optimized and lowered — on
-// opts.Workers goroutines, but costed on the calling goroutine in
-// candidate order: the approximate-mining model estimates missing
-// prefixes on demand from one shared random stream, so the order of
-// Cost calls determines the estimates. Only the first MaxCandidates
-// candidates that generate successfully are costed.
+// Candidates are prepared — generated, optimized, lowered and costed —
+// on opts.Workers goroutines. A cost depends only on its candidate (the
+// approximate-mining profile's estimates are pure functions of the
+// shape), so the calling goroutine just collects the results in spec
+// order and keeps the first MaxCandidates candidates that generate
+// successfully.
 func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, []Candidate, error) {
 	if opts.Model == nil {
 		return nil, nil, fmt.Errorf("core: search requires a cost model")
@@ -121,20 +121,20 @@ func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, []Candidate, er
 	searchStart := time.Now()
 	gens := candidateGenerators(p, opts)
 	prepare := func(i int) prepared {
+		start := time.Now()
 		plan, err := gens[i]()
 		if err != nil {
-			return prepared{}
+			return prepared{prepTime: time.Since(start)}
 		}
 		if !opts.DisableOptimize {
 			ast.Optimize(plan.Prog)
 		}
 		// Lower the candidate now so the auxiliary-graph pass runs with
-		// this model arbitrating materialize-vs-recompute. The arbiter
-		// prices from the size chain alone, never the profile, so it may
-		// run off the calling goroutine. Only the verdicts are kept, and
-		// the bytecode clean-up pass is skipped: the bytecode of the
-		// hundreds of losing candidates would dominate the search's live
-		// heap, and the winner lowers again, fully, on its first run.
+		// this model arbitrating materialize-vs-recompute. Only the
+		// verdicts are kept, and the bytecode clean-up pass is skipped:
+		// the bytecode of the hundreds of losing candidates would
+		// dominate the search's live heap, and the winner lowers again,
+		// fully, on its first run.
 		plan.LowerOpts = ast.LowerOpts{DisableAux: opts.DisableAuxGraphs}
 		arb := cost.AuxDecider(opts.Model, plan.Prog)
 		var aux []ast.AuxDecision
@@ -142,21 +142,9 @@ func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, []Candidate, er
 			plan.LowerOpts.AuxDecide = arb.Decide
 			aux = ast.AuxDecisions(plan.Prog, plan.LowerOpts)
 		}
-		return prepared{plan: plan, arb: arb, aux: aux}
-	}
-
-	var rankTime time.Duration
-	var cands []Candidate
-	rank := func(c prepared) bool {
-		if len(cands) >= maxCand {
-			return false
-		}
-		if c.plan == nil {
-			return true
-		}
 		rankStart := time.Now()
-		cst := opts.Model.Cost(c.plan.Prog)
-		if c.arb != nil {
+		cst := opts.Model.Cost(plan.Prog)
+		if arb != nil {
 			// Fold each applied aux table's estimated net gain into the
 			// plan's rank: a plan whose deep loops prune harder through
 			// aux rows outranks the same traversal without them. Applied
@@ -164,25 +152,43 @@ func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, []Candidate, er
 			// without rewriting anything): the knob must leave plan choice
 			// untouched so an on/off comparison isolates the
 			// materialization itself.
-			cst = c.arb.RankAdjust(cst, c.aux)
+			cst = arb.RankAdjust(cst, aux)
 		}
-		rankTime += time.Since(rankStart)
-		cands = append(cands, Candidate{Plan: c.plan, Cost: cst})
+		end := time.Now()
+		return prepared{plan: plan, cost: cst, prepTime: rankStart.Sub(start), rankTime: end.Sub(rankStart)}
+	}
+
+	var prepTime, rankTime time.Duration
+	var cands []Candidate
+	collect := func(c prepared) bool {
+		if len(cands) >= maxCand {
+			return false
+		}
+		prepTime += c.prepTime
+		if c.plan == nil {
+			return true
+		}
+		rankTime += c.rankTime
+		cands = append(cands, Candidate{Plan: c.plan, Cost: c.cost})
 		return len(cands) < maxCand
 	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	inOrder(len(gens), workers, prepare, rank)
+	inOrder(len(gens), workers, prepare, collect)
 
 	total := time.Since(searchStart)
 	obsSearches.Inc()
 	obsSearchNS.Add(total.Nanoseconds())
 	obsCandidates.Observe(int64(len(cands)))
 	if opts.Stats != nil {
-		opts.Stats.EnumerateTime = total - rankTime
-		opts.Stats.RankTime = rankTime
+		var rankShare time.Duration
+		if busy := prepTime + rankTime; busy > 0 {
+			rankShare = time.Duration(float64(total) * float64(rankTime) / float64(busy))
+		}
+		opts.Stats.EnumerateTime = total - rankShare
+		opts.Stats.RankTime = rankShare
 		opts.Stats.Candidates = len(cands)
 	}
 	if len(cands) == 0 {
@@ -193,13 +199,13 @@ func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, []Candidate, er
 	return &best, cands, nil
 }
 
-// prepared is one candidate ready for costing: its optimized plan, the
-// aux arbiter that lowered it and the arbiter's verdicts (nil plan: the
-// generator rejected the spec).
+// prepared is one costed candidate: its optimized plan, its rank cost,
+// and the time spent preparing and costing it (nil plan: the generator
+// rejected the spec).
 type prepared struct {
-	plan *Plan
-	arb  *cost.AuxArbiter
-	aux  []ast.AuxDecision
+	plan               *Plan
+	cost               float64
+	prepTime, rankTime time.Duration
 }
 
 // candidateGenerators lists p's candidate plans in the order they are
@@ -269,8 +275,9 @@ func inOrder(n, workers int, prepare func(int) prepared, use func(prepared) bool
 		ready[i] = make(chan struct{})
 	}
 	// A worker takes a token before it takes an index; use returns one
-	// per consumed result. Eight per worker keeps the workers busy while
-	// the caller stalls on an on-demand profile estimate.
+	// per consumed result. Eight per worker keeps every worker busy
+	// while the caller waits for a slow candidate at the head of the
+	// order.
 	ahead := make(chan struct{}, 8*workers)
 	for i := 0; i < cap(ahead); i++ {
 		ahead <- struct{}{}

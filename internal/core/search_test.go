@@ -5,8 +5,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"decomine/internal/ast"
@@ -115,7 +117,7 @@ func TestSearchInducedMode(t *testing.T) {
 
 func TestSearchWithApproxMiningModel(t *testing.T) {
 	g := graph.MustDataset("ee")
-	prof := sampling.BuildProfile(g, sampling.Options{SampleEdges: 4000, Trials: 4000, MaxSize: 4, Seed: 9})
+	prof := sampling.BuildProfile(g, sampling.Options{SampleEdges: 4000, Trials: 4000, Seed: 9})
 	model := cost.NewApproxMining(cost.StatsOf(g), prof)
 	best, _, err := Search(pattern.House(), SearchOptions{Model: model, Mode: ModeCount})
 	if err != nil {
@@ -140,12 +142,12 @@ type searchOutcome struct {
 // approximate-mining profile: every 5-vertex motif and a stride of the
 // 6-vertex ones edge-induced, again with the best plan's shrinkage
 // quotients externalized, every 5-vertex motif vertex-induced, and a
-// few labeled patterns. The profile is built for patterns up to three
-// vertices only, so every larger prefix is estimated on demand from its
-// shared random stream, and the sequence fails to reproduce if costing
-// ever leaves candidate order.
+// few labeled patterns. The profile estimates every prefix shape on
+// first demand, from whichever worker costs a candidate first, so the
+// sequence fails to reproduce if an estimate ever depends on which
+// worker asked, in which spelling, or when.
 func searchSequence(t testing.TB, g *graph.Graph, workers int) []searchOutcome {
-	prof := sampling.BuildProfile(g, sampling.Options{SampleEdges: 2000, Trials: 300, MaxSize: 3, Seed: 5})
+	prof := sampling.BuildProfile(g, sampling.Options{SampleEdges: 2000, Trials: 300, Seed: 5})
 	model := cost.NewApproxMining(cost.StatsOf(g), prof)
 	var out []searchOutcome
 	search := func(p *pattern.Pattern, opts SearchOptions) *Candidate {
@@ -217,6 +219,69 @@ func TestSearchParallelDeterministic(t *testing.T) {
 	}
 }
 
+// TestSearchConcurrentSharedProfile: searches running at once over one
+// shared approximate-mining model, each asking for its patterns in its
+// own shuffled order, pick the plans and ranked costs a single
+// sequential run over a fresh model picks.
+func TestSearchConcurrentSharedProfile(t *testing.T) {
+	g := graph.GNP(150, 0.05, 19)
+	newModel := func() cost.Model {
+		return cost.NewApproxMining(cost.StatsOf(g), sampling.BuildProfile(g, sampling.Options{SampleEdges: 2000, Trials: 300, Seed: 6}))
+	}
+	pats := pattern.ConnectedPatterns(5)
+	for i, p := range []*pattern.Pattern{pattern.House(), pattern.Cycle(5), pattern.Chain(4)} {
+		q := p.Clone()
+		for v := 0; v < q.NumVertices(); v += 2 {
+			q.SetLabel(v, uint32(i+v)%3)
+		}
+		pats = append(pats, q)
+	}
+	outcome := func(model cost.Model, p *pattern.Pattern, workers int) searchOutcome {
+		best, all, err := Search(p, SearchOptions{Model: model, Mode: ModeCount, Workers: workers})
+		if err != nil {
+			t.Errorf("%s: %v", p, err)
+			return searchOutcome{}
+		}
+		o := searchOutcome{plan: ast.Print(best.Plan.Prog), cands: len(all)}
+		for _, c := range all {
+			o.costs = append(o.costs, c.Cost)
+		}
+		return o
+	}
+	want := make([]searchOutcome, len(pats))
+	seqModel := newModel()
+	for i, p := range pats {
+		want[i] = outcome(seqModel, p, 1)
+	}
+
+	shared := newModel()
+	const searchers = 4
+	got := make([][]searchOutcome, searchers)
+	var wg sync.WaitGroup
+	for s := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[s] = make([]searchOutcome, len(pats))
+			for _, i := range rand.New(rand.NewSource(int64(s))).Perm(len(pats)) {
+				got[s][i] = outcome(shared, pats[i], 2)
+			}
+		}()
+	}
+	wg.Wait()
+	for s := range got {
+		for i, p := range pats {
+			w, o := want[i], got[s][i]
+			if o.plan != w.plan {
+				t.Errorf("searcher %d, %s: best plan differs from the sequential run\n%s\nwant\n%s", s, p, o.plan, w.plan)
+			}
+			if !slices.Equal(o.costs, w.costs) {
+				t.Errorf("searcher %d, %s: ranked costs differ from the sequential run", s, p)
+			}
+		}
+	}
+}
+
 func TestSearchMaxCandidatesParallel(t *testing.T) {
 	// The cap keeps the first MaxCandidates candidates in spec order no
 	// matter how far the workers ran ahead.
@@ -247,8 +312,9 @@ func TestSearchMaxCandidatesParallel(t *testing.T) {
 // compile6-cold-gnp ledger workload counts (one of every four
 // MotifPatterns(6), drawn and ordered by seed 1, on G(240, 0.025) seed
 // 1) with a fresh approximate-mining profile per iteration, as a cold
-// System would. Workers follow GOMAXPROCS, so -cpu 1,2 compares inline
-// with parallel preparation.
+// System would: building the profile only samples edges, and every
+// estimate is made inside the timed searches. Workers follow
+// GOMAXPROCS, so -cpu 1,2 compares inline with parallel preparation.
 func BenchmarkSearchSixMotifs(b *testing.B) {
 	g := graph.GNP(240, 0.025, 1)
 	all := pattern.ConnectedPatterns(6)
@@ -261,9 +327,7 @@ func BenchmarkSearchSixMotifs(b *testing.B) {
 	b.ReportAllocs()
 	cands := 0
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
 		model := cost.NewApproxMining(cost.StatsOf(g), sampling.BuildProfile(g, sampling.Options{Seed: 1000}))
-		b.StartTimer()
 		for _, p := range pats {
 			var stats SearchStats
 			if _, _, err := Search(p, SearchOptions{Model: model, Mode: ModeCount, Stats: &stats}); err != nil {

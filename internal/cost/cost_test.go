@@ -97,7 +97,7 @@ func TestLocalityExceedsAutoMineOnIntersections(t *testing.T) {
 
 func TestApproxMiningUsesProfile(t *testing.T) {
 	g := graph.MustDataset("ee")
-	prof := sampling.BuildProfile(g, sampling.Options{SampleEdges: 3000, Trials: 3000, MaxSize: 4, Seed: 5})
+	prof := sampling.BuildProfile(g, sampling.Options{SampleEdges: 3000, Trials: 3000, Seed: 5})
 	m := NewApproxMining(StatsOf(g), prof)
 	c3 := m.Cost(buildNest(3))
 	c4 := m.Cost(buildNest(4))
@@ -108,7 +108,7 @@ func TestApproxMiningUsesProfile(t *testing.T) {
 
 func TestModelNames(t *testing.T) {
 	g := graph.GNP(50, 0.1, 3)
-	prof := sampling.BuildProfile(g, sampling.Options{SampleEdges: 100, Trials: 100, MaxSize: 3, Seed: 1})
+	prof := sampling.BuildProfile(g, sampling.Options{SampleEdges: 100, Trials: 100, Seed: 1})
 	names := map[string]bool{}
 	for _, m := range []Model{NewAutoMine(stats()), NewLocality(stats(), 0), NewApproxMining(stats(), prof)} {
 		names[m.Name()] = true

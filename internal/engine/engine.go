@@ -306,13 +306,24 @@ func Run(g *graph.Graph, prog *ast.Program, opts Options) (*Result, error) {
 	// master's op counters, so the master's own share can be attributed
 	// to worker slot 0 at the end.
 	var mergedInstr int64
+	// inline runs master-frame work on this goroutine. A panic there (a
+	// UDF at Threads 1, say) fails the run as one on a pool worker does.
+	var panicErr error
+	inline := func(exec func() bool) (ok bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				panicErr, ok = panicError(r), false
+			}
+		}()
+		return exec()
+	}
 	for i := 0; i < numTop && !stopped; i++ {
 		over, isLoop := master.topLoop(i)
 		if !isLoop {
 			// Root-level statements (defs, and emissions of fully pinned
 			// programs) run on the master frame; a consumer may stop the
 			// run here too.
-			if !master.execTop(i) {
+			if !inline(func() bool { return master.execTop(i) }) {
 				stopped = true
 				res.Canceled = master.cancelHit
 			} else if opts.Progress != nil {
@@ -335,7 +346,7 @@ func Run(g *graph.Graph, prog *ast.Program, opts Options) (*Result, error) {
 				if end > len(over) {
 					end = len(over)
 				}
-				if !master.execChunk(i, over[start:end]) {
+				if !inline(func() bool { return master.execChunk(i, over[start:end]) }) {
 					stopped = true
 					res.Canceled = master.cancelHit
 					break
@@ -376,6 +387,11 @@ func Run(g *graph.Graph, prog *ast.Program, opts Options) (*Result, error) {
 			stopped = true
 			res.Canceled = true
 		}
+	}
+	if panicErr != nil {
+		// The master frame stopped mid-instruction: drop it rather than
+		// recycle it.
+		return nil, panicErr
 	}
 	// Whatever the master executed itself (root statements, the in-line
 	// path) is worker 0's share.

@@ -93,11 +93,22 @@ const (
 	stopPanic    = 3 // a worker panicked; job.panicErr holds the value
 )
 
-// ErrWorkerPanic is wrapped by the error Run returns when code running
-// on a pool worker — a consumer, typically a user-defined function —
-// panicked. The worker survives for later jobs; the frame it was
-// executing is discarded, never recycled.
+// ErrWorkerPanic is wrapped by the error Run returns when code it ran —
+// a consumer, typically a user-defined function — panicked, on a pool
+// worker or in line on the calling goroutine. The worker survives for
+// later jobs; the frame that was executing is discarded, never
+// recycled.
 var ErrWorkerPanic = errors.New("engine: worker panicked")
+
+// panicError is the error a run fails with after recovering r: it wraps
+// ErrWorkerPanic and, when r is an error, r itself, and carries the
+// panicking goroutine's stack.
+func panicError(r any) error {
+	if err, ok := r.(error); ok {
+		return fmt.Errorf("%w: %w\n%s", ErrWorkerPanic, err, debug.Stack())
+	}
+	return fmt.Errorf("%w: %v\n%s", ErrWorkerPanic, r, debug.Stack())
+}
 
 // job is one top-level loop submitted to the pool. pending counts live
 // tasks plus pieces in flight; whoever decrements it to zero completes
@@ -380,11 +391,7 @@ func (p *Pool) runPiece(id int, pc piece) {
 	defer j.finishPiece()
 	defer func() {
 		if r := recover(); r != nil && j.stop.Swap(stopPanic) != stopPanic {
-			if err, ok := r.(error); ok {
-				j.panicErr = fmt.Errorf("%w: %w\n%s", ErrWorkerPanic, err, debug.Stack())
-			} else {
-				j.panicErr = fmt.Errorf("%w: %v\n%s", ErrWorkerPanic, r, debug.Stack())
-			}
+			j.panicErr = panicError(r)
 		}
 	}()
 	if j.stop.Load() != stopRun {

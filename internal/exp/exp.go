@@ -104,9 +104,10 @@ func cachedSystem(key string, build func() *decomine.System) *decomine.System {
 		return s
 	}
 	s := build()
-	// Warm the cost model so one-off profiling time stays out of the
-	// measured cells ("runtimes exclude graph loading and profiling
-	// time", §8.2); the profiling cost itself is reported by fig18/notes.
+	// Warm the cost model so the profile's one-off edge sampling stays
+	// out of the measured cells ("runtimes exclude graph loading and
+	// profiling time", §8.2); fig18's notes report it. The per-shape
+	// estimates are lazy and land in the first searches that need them.
 	s.Model()
 	sysCache[key] = s
 	return s

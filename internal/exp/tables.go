@@ -495,7 +495,7 @@ func Fig18(cfg Config) *Table {
 			}
 			t.Rows = append(t.Rows, []string{app, r.dataset, FormatDuration(compile), FormatDuration(exec), ratio})
 		}
-		t.Notes = append(t.Notes, fmt.Sprintf("%s on %s: one-off cost-model profiling took %s (in neither column)",
+		t.Notes = append(t.Notes, fmt.Sprintf("%s on %s: the cost-model profile's edge sampling took %s (in neither column; its lazy estimates are compile time)",
 			app, r.dataset, FormatDuration(sys.ProfileTime)))
 		sys.Close()
 	}

@@ -305,6 +305,67 @@ func (p *Pattern) canonical() Code {
 	return Code(hdr.String() + best)
 }
 
+// FromCode rebuilds the pattern a canonical code describes, spelled in
+// the code's own vertex order: the header's degree/label classes number
+// the vertices class by class, and the adjacency bits are the upper
+// triangle of that numbering. Every spelling of one pattern therefore
+// decodes to the same spelling, and FromCode(c).Canonical() == c.
+func FromCode(c Code) (*Pattern, error) {
+	s := string(c)
+	if s == "" {
+		return New(0), nil
+	}
+	colon, semi := strings.IndexByte(s, ':'), strings.LastIndexByte(s, ';')
+	var n int
+	if _, err := fmt.Sscanf(s, "n%d:", &n); err != nil || n < 1 || n > MaxVertices || semi < colon {
+		return nil, fmt.Errorf("pattern: bad code %q", s)
+	}
+	p := New(n)
+	v := 0
+	for _, class := range strings.Split(s[colon+1:semi], ";") {
+		var deg, size int
+		if _, err := fmt.Sscanf(class, "d%dx%d", &deg, &size); err != nil || size < 1 || v+size > n {
+			return nil, fmt.Errorf("pattern: bad class %q in code %q", class, s)
+		}
+		var label uint32
+		hasLabel := strings.Contains(class, "l")
+		if hasLabel {
+			if _, err := fmt.Sscanf(class[strings.IndexByte(class, 'l'):], "l%d", &label); err != nil {
+				return nil, fmt.Errorf("pattern: bad label in class %q of code %q", class, s)
+			}
+		}
+		for ; size > 0; size-- {
+			if hasLabel {
+				p.SetLabel(v, label)
+			}
+			v++
+		}
+	}
+	adj := s[semi+1:]
+	if v != n || len(adj) != n*(n-1)/2 || strings.Trim(adj, "01") != "" {
+		return nil, fmt.Errorf("pattern: code %q does not describe %d vertices", s, n)
+	}
+	k := 0
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if adj[k] == '1' {
+				p.AddEdge(i, j)
+			}
+			k++
+		}
+	}
+	return p, nil
+}
+
+// Unlabeled returns p's shape without its label constraints: p itself
+// when it has no label slots, otherwise a copy.
+func (p *Pattern) Unlabeled() *Pattern {
+	if p.labels == nil {
+		return p
+	}
+	return &Pattern{n: p.n, adj: append([]uint32(nil), p.adj...)}
+}
+
 // permuteInto enumerates all orderings of members appended to *perm,
 // invoking fn for each.
 func permuteInto(members []int, perm *[]int, fn func()) {

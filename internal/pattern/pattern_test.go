@@ -266,6 +266,47 @@ func TestQuickCanonicalIsoInvariant(t *testing.T) {
 	}
 }
 
+// TestFromCodeRoundTrip: decoding a code gives a pattern with that code,
+// and every respelling of a pattern decodes to one identical spelling.
+func TestFromCodeRoundTrip(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	var pats []*Pattern
+	for k := 1; k <= 6; k++ {
+		pats = append(pats, ConnectedPatterns(k)...)
+	}
+	pats = append(pats, MustParse("0-1,2-3"))
+	for i, p := range pats {
+		if i%3 == 0 {
+			p = p.Clone()
+			for v := 0; v < p.NumVertices(); v += 2 {
+				p.SetLabel(v, uint32(r.Intn(3)))
+			}
+		}
+		code := p.Canonical()
+		q, err := FromCode(code)
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		if q.Canonical() != code {
+			t.Fatalf("%s: decoded %s has code %q, want %q", p, q, q.Canonical(), code)
+		}
+		for trial := 0; trial < 3; trial++ {
+			again, err := FromCode(p.Relabel(r.Perm(p.NumVertices())).Canonical())
+			if err != nil || !again.Equal(q) {
+				t.Fatalf("%s: respelling decodes to %s (%v), want %s", p, again, err, q)
+			}
+		}
+		if un := p.Unlabeled(); un.Labeled() || un.NumEdges() != p.NumEdges() {
+			t.Fatalf("%s: Unlabeled gave %s", p, un)
+		}
+	}
+	for _, bad := range []Code{"x", "n3:", "n3:d2x2;101", "n2:d1x2;", "n2:d1x2;2", "n99:d1x1;", "n2:d1x2l;1"} {
+		if _, err := FromCode(bad); err == nil {
+			t.Errorf("FromCode(%q) accepted a malformed code", bad)
+		}
+	}
+}
+
 func TestConnectedPatternCounts(t *testing.T) {
 	want := map[int]int{1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
 	for k, n := range want {

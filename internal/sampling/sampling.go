@@ -1,13 +1,22 @@
 // Package sampling implements the profiling step of DecoMine's
 // approximate-mining cost model (paper §6.2): sample a fixed number of
-// edges from the input graph, then obtain approximate and relative counts
-// of all small patterns on the sample with an ASAP-style neighbor
-// sampling estimator. The counts live in a table keyed by canonical
-// pattern code, queried by the compiler during cost estimation; missing
-// (larger) patterns are profiled on demand and cached.
+// edges from the input graph, then estimate the tuple counts of small
+// patterns on the sample with an ASAP-style neighbor sampling estimator.
+// Estimates are made lazily, the first time the compiler asks for a
+// shape, and cached by canonical code.
+//
+// An estimate is a pure function of (edge sample, seed, unlabeled
+// shape). Labels are ignored: the cost model prices label selectivity
+// itself. The estimator walks the shape's canonical spelling, rebuilt
+// from its code, and draws from a random stream seeded by the profile
+// seed and the code. So neither the order in which searches ask, nor
+// the spelling they ask in, nor how many ask at once can change an
+// estimate or the plan it picks.
 package sampling
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"sync"
 
@@ -16,18 +25,28 @@ import (
 	"decomine/internal/vset"
 )
 
-// Profile is the pattern-count table for one input graph.
+// Profile is the lazily filled pattern-count table for one input graph.
+// It is safe for concurrent use.
 type Profile struct {
-	mu     sync.Mutex
 	sample *graph.Graph
 	edges  [][2]uint32
 	trials int
-	rng    *rand.Rand
-	counts map[pattern.Code]float64
+	seed   int64
 	// SampleVertices/SampleEdges record the profiled subgraph size for
 	// reporting.
 	SampleVertices int
 	SampleEdges    int64
+
+	mu     sync.Mutex
+	counts map[pattern.Code]*entry
+}
+
+// entry is one shape's slot in the table. The first asker runs the
+// estimator inside once, outside the table lock; concurrent askers of
+// the same shape wait for it instead of repeating the work.
+type entry struct {
+	once  sync.Once
+	count float64
 }
 
 // Options configures profiling.
@@ -38,24 +57,17 @@ type Options struct {
 	// Trials is the number of neighbor-sampling walks per pattern.
 	// 0 means 30k.
 	Trials int
-	// MaxSize pre-profiles all connected patterns up to this vertex
-	// count. 0 means 5 ("collecting approximate counts for patterns up
-	// to 5 vertices is mostly enough").
-	MaxSize int
-	// Seed fixes the random streams.
+	// Seed fixes the edge sample and every estimate's random stream.
 	Seed int64
 }
 
-// BuildProfile samples the graph and pre-computes the count table.
+// BuildProfile draws the edge sample; estimates are made on demand.
 func BuildProfile(g *graph.Graph, opts Options) *Profile {
 	if opts.SampleEdges == 0 {
 		opts.SampleEdges = 200_000
 	}
 	if opts.Trials == 0 {
 		opts.Trials = 30_000
-	}
-	if opts.MaxSize == 0 {
-		opts.MaxSize = 5
 	}
 	sample := g
 	if g.NumEdges() > int64(opts.SampleEdges) {
@@ -64,25 +76,20 @@ func BuildProfile(g *graph.Graph, opts Options) *Profile {
 	p := &Profile{
 		sample:         sample,
 		trials:         opts.Trials,
-		rng:            rand.New(rand.NewSource(opts.Seed + 1)),
-		counts:         map[pattern.Code]float64{},
+		seed:           opts.Seed,
+		counts:         map[pattern.Code]*entry{},
 		SampleVertices: sample.NumVertices(),
 		SampleEdges:    sample.NumEdges(),
 	}
 	p.edges = make([][2]uint32, 0, sample.NumEdges())
 	sample.Edges(func(u, v uint32) { p.edges = append(p.edges, [2]uint32{u, v}) })
-	for k := 2; k <= opts.MaxSize; k++ {
-		for _, pat := range pattern.ConnectedPatterns(k) {
-			p.counts[pat.Canonical()] = p.estimate(pat)
-		}
-	}
 	return p
 }
 
-// Count returns the approximate relative tuple count of a connected
-// pattern on the sampled graph, profiling on demand if the pattern was
-// not pre-computed. The second result is false for patterns the profiler
-// cannot estimate (disconnected or > MaxVertices).
+// Count returns the approximate tuple count of a connected pattern's
+// unlabeled shape on the sampled graph, estimating it on first demand.
+// The second result is false for patterns the profiler cannot estimate
+// (disconnected ones).
 func (p *Profile) Count(pat *pattern.Pattern) (float64, bool) {
 	if pat.NumVertices() < 2 {
 		return float64(p.SampleVertices), true
@@ -90,30 +97,38 @@ func (p *Profile) Count(pat *pattern.Pattern) (float64, bool) {
 	if !pat.Connected() {
 		return 0, false
 	}
-	code := pat.Canonical()
+	code := pat.Unlabeled().Canonical()
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if c, ok := p.counts[code]; ok {
-		return c, true
+	e := p.counts[code]
+	if e == nil {
+		e = &entry{}
+		p.counts[code] = e
 	}
-	c := p.estimate(pat)
-	p.counts[code] = c
-	return c, true
+	p.mu.Unlock()
+	e.once.Do(func() { e.count = p.estimate(code) })
+	return e.count, true
 }
 
-// CountByCode returns the cached count for a canonical code, if present.
-func (p *Profile) CountByCode(code pattern.Code) (float64, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	c, ok := p.counts[code]
-	return c, ok
+// estimate estimates the shape with the given canonical code on its
+// canonical spelling, from a stream seeded by (profile seed, code).
+func (p *Profile) estimate(code pattern.Code) float64 {
+	shape, err := pattern.FromCode(code)
+	if err != nil {
+		panic("sampling: " + err.Error()) // codes come from Canonical
+	}
+	h := fnv.New64a()
+	var seed [8]byte
+	binary.LittleEndian.PutUint64(seed[:], uint64(p.seed))
+	h.Write(seed[:])
+	h.Write([]byte(code))
+	return p.walk(shape, rand.New(rand.NewSource(int64(h.Sum64()))))
 }
 
-// estimate runs the neighbor-sampling estimator: root a random edge,
+// walk runs the neighbor-sampling estimator: root a random edge,
 // extend one vertex at a time along a connected matching order, weight by
 // the product of candidate-set sizes. The expectation of the weight
 // equals the number of injective tuples matching the pattern.
-func (p *Profile) estimate(pat *pattern.Pattern) float64 {
+func (p *Profile) walk(pat *pattern.Pattern, rng *rand.Rand) float64 {
 	order := connectedOrder(pat)
 	if order == nil {
 		return 0
@@ -130,9 +145,9 @@ func (p *Profile) estimate(pat *pattern.Pattern) float64 {
 	var scratch []uint32
 	var total float64
 	for trial := 0; trial < p.trials; trial++ {
-		e := edges[p.rng.Intn(len(edges))]
+		e := edges[rng.Intn(len(edges))]
 		u, v := e[0], e[1]
-		if p.rng.Intn(2) == 0 {
+		if rng.Intn(2) == 0 {
 			u, v = v, u
 		}
 		weight := 2 * float64(m)
@@ -178,7 +193,7 @@ func (p *Profile) estimate(pat *pattern.Pattern) float64 {
 				break
 			}
 			weight *= float64(len(cand))
-			bound[pv] = cand[p.rng.Intn(len(cand))]
+			bound[pv] = cand[rng.Intn(len(cand))]
 		}
 		if !ok {
 			continue

@@ -106,12 +106,12 @@ func pinnedWorkloads() []pinnedWorkload {
 			kernels: map[string]int64{"merge": 87772},
 		}},
 		{name: "motif6-gnp", graph: gnp(110, 0.04, 43), query: motifs(6), want: pinnedFields{
-			count: 226211, instructions: 1850578, cache: [3]int64{394, 144, 0},
-			kernels: map[string]int64{"merge": 187280},
+			count: 226211, instructions: 1851858, cache: [3]int64{394, 144, 0},
+			kernels: map[string]int64{"merge": 187780},
 		}},
 		{name: "motif5-rmat", graph: rmat(8, 6, 44), query: motifs(5), want: pinnedFields{
-			count: 13437142, instructions: 12455156, cache: [3]int64{85, 37, 0},
-			kernels: map[string]int64{"gallop": 41814, "merge": 1564170},
+			count: 13437142, instructions: 11145746, cache: [3]int64{89, 39, 0},
+			kernels: map[string]int64{"gallop": 32712, "merge": 1143910},
 		}},
 		{name: "fsm-gnp-labeled", query: pinnedFSM(40, 2),
 			graph: func() *decomine.Graph { return decomine.GenerateGNP(300, 0.02, 45).WithRandomLabels(3, 45) },
@@ -147,9 +147,9 @@ func pinnedWorkloads() []pinnedWorkload {
 			serve:   [3]int64{8, 4, 1},
 		}},
 		{name: "motif6-batch-community", graph: community(64, 2, 6, 49), custom: pinnedBatchCensus, want: pinnedFields{
-			count: 11193236, instructions: 244544469, cache: [3]int64{3773, 157, 0},
+			count: 11193236, instructions: 244338569, cache: [3]int64{3773, 157, 0},
 			kernels: map[string]int64{"merge": 27619044},
-			batch:   [4]int64{10728672, 223087125, 3374, 130},
+			batch:   [4]int64{10724554, 222889461, 3374, 130},
 		}},
 	}
 }
