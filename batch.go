@@ -17,9 +17,7 @@ package decomine
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,9 +63,6 @@ type BatchOpts struct {
 	// needs independently — the serial per-pattern baseline the bench
 	// suite compares against. Counts are bit-identical either way.
 	NoShare bool
-	// Parallelism caps how many batch subqueries run concurrently on
-	// the pool (0 = the System's thread count).
-	Parallelism int
 	// MaxInstructions, when > 0, is a joint VM instruction budget for
 	// the whole batch (every subquery debits one shared grant);
 	// exhaustion returns ErrBudgetExceeded.
@@ -274,7 +269,7 @@ func (s *System) CountPatterns(ps []*Pattern, o BatchOpts) (*BatchResult, error)
 	cacheSpan.SetAttr("hits", cacheHits)
 	cacheSpan.End()
 
-	// Plan every live need (std flavor) and tally shrinkage-quotient
+	// Plan every live need and tally shrinkage-quotient
 	// demand across the batch.
 	planSpan := o.Span.StartChild("plan")
 	var compileTime time.Duration
@@ -282,7 +277,7 @@ func (s *System) CountPatterns(ps []*Pattern, o BatchOpts) (*BatchResult, error)
 	refs := map[pattern.Code]int64{}
 	quotPat := map[pattern.Code]*pattern.Pattern{}
 	for _, c := range liveNeeds {
-		e, hit, err := s.planFull(needPat[c], core.ModeCount, false)
+		e, hit, err := s.planFor(planReq{pat: needPat[c]})
 		if err != nil {
 			planSpan.EndErr(err)
 			return nil, err
@@ -314,15 +309,12 @@ func (s *System) CountPatterns(ps []*Pattern, o BatchOpts) (*BatchResult, error)
 	}
 
 	// Replan the needs whose plan enumerates an externalized quotient
-	// under the batch's skip flavor. The smaller skip-flavor ASTs rank
+	// with that quotient set skipped. The smaller skip-plan ASTs rank
 	// cheaper, so the search naturally favors decompositions that lean
 	// on the shared quotients.
-	var flavor string
-	var tweak func(*core.SearchOptions)
-	skip := map[pattern.Code]bool{}
+	req := map[pattern.Code]planReq{}
 	if len(ext) > 0 {
-		flavor = skipFlavor(ext)
-		tweak = func(so *core.SearchOptions) { so.SkipShrinkCodes = ext }
+		skip := skipKey(ext)
 		for _, c := range liveNeeds {
 			replan := false
 			for _, sh := range entry[c].plan.Shrink {
@@ -334,7 +326,8 @@ func (s *System) CountPatterns(ps []*Pattern, o BatchOpts) (*BatchResult, error)
 			if !replan {
 				continue
 			}
-			se, hit, err := s.planFlavor(needPat[c], core.ModeCount, false, flavor, tweak)
+			req[c] = planReq{pat: needPat[c], skip: skip}
+			se, hit, err := s.planFor(req[c])
 			if err != nil {
 				planSpan.EndErr(err)
 				return nil, err
@@ -343,7 +336,6 @@ func (s *System) CountPatterns(ps []*Pattern, o BatchOpts) (*BatchResult, error)
 				compileTime += se.stats.EnumerateTime + se.stats.RankTime
 			}
 			entry[c] = se
-			skip[c] = true
 		}
 	}
 
@@ -366,7 +358,7 @@ func (s *System) CountPatterns(ps []*Pattern, o BatchOpts) (*BatchResult, error)
 			cacheHits++
 			continue
 		}
-		e, hit, err := s.planFull(quotPat[c], core.ModeCount, false)
+		e, hit, err := s.planFor(planReq{pat: quotPat[c]})
 		if err != nil {
 			planSpan.EndErr(err)
 			return nil, err
@@ -424,7 +416,7 @@ func (s *System) CountPatterns(ps []*Pattern, o BatchOpts) (*BatchResult, error)
 		}
 		mu.Unlock()
 	}
-	par := s.batchParallelism(o.Parallelism)
+	par := s.threads()
 	execStart := time.Now()
 	for wi, wave := range batchWaves(execCodes, allPat) {
 		waveSpan := o.Span.StartChild(fmt.Sprintf("wave[%d]", wi))
@@ -441,13 +433,12 @@ func (s *System) CountPatterns(ps []*Pattern, o BatchOpts) (*BatchResult, error)
 				if cancel.Load() {
 					return
 				}
-				qo := QueryOpts{Fuel: fuel, Deadline: o.Deadline, harvest: harvest, Span: waveSpan}
-				if skip[c] {
-					qo.planFlavor = flavor
-					qo.planTweak = tweak
-					qo.resolve = resolve
+				r, ok := req[c]
+				if !ok {
+					r = planReq{pat: allPat[c]}
 				}
-				r, err := s.countPattern(RawPattern(allPat[c]), &cancel, nil, qo)
+				qo := QueryOpts{Fuel: fuel, Deadline: o.Deadline, Span: waveSpan}
+				res, err := s.countPattern(r, qo, queryRun{cancel: &cancel, resolve: resolve, harvest: harvest})
 				mu.Lock()
 				defer mu.Unlock()
 				if err != nil {
@@ -459,9 +450,9 @@ func (s *System) CountPatterns(ps []*Pattern, o BatchOpts) (*BatchResult, error)
 					cancel.Store(true)
 					return
 				}
-				table[c] = r.Count
-				instructions += r.Stats.Exec.Instructions
-				subStats[c] = &r.Stats
+				table[c] = res.Count
+				instructions += res.Stats.Exec.Instructions
+				subStats[c] = &res.Stats
 			}()
 		}
 		wg.Wait()
@@ -565,7 +556,7 @@ func (s *System) countPatternsSerial(ps []*Pattern, members []*batchMember, o Ba
 		counts := map[pattern.Code]int64{}
 		var own QueryStats
 		for j, q := range m.needPats {
-			r, err := s.countPattern(RawPattern(q), nil, nil, QueryOpts{Fuel: fuel, Deadline: o.Deadline, Span: o.Span})
+			r, err := s.countPattern(planReq{pat: q}, QueryOpts{Fuel: fuel, Deadline: o.Deadline, Span: o.Span}, queryRun{})
 			if err != nil {
 				return nil, err
 			}
@@ -587,38 +578,6 @@ func (s *System) countPatternsSerial(ps []*Pattern, members []*batchMember, o Ba
 	obsBatchPatterns.Add(int64(bs.Patterns))
 	obsBatchSubqueries.Add(int64(bs.Subqueries))
 	return out, nil
-}
-
-// batchParallelism resolves the concurrent-subquery cap: the requested
-// value, else the System's thread count, else GOMAXPROCS.
-func (s *System) batchParallelism(requested int) int {
-	par := requested
-	if par <= 0 {
-		par = s.opts.Threads
-	}
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	return par
-}
-
-// skipFlavor derives the plan-cache flavor for skip-compiled plans: a
-// deterministic encoding of the externalized code set (length-prefixed
-// because canonical codes are binary strings). Equal flavors mean equal
-// SkipShrinkCodes sets, so the flavor determines the search tweak as
-// the plan cache requires.
-func skipFlavor(ext map[pattern.Code]bool) string {
-	codes := make([]string, 0, len(ext))
-	for c := range ext {
-		codes = append(codes, string(c))
-	}
-	sort.Strings(codes)
-	var b strings.Builder
-	b.WriteString("skip:")
-	for _, c := range codes {
-		fmt.Fprintf(&b, "%d:%s", len(c), c)
-	}
-	return b.String()
 }
 
 // sortedCodes returns the map's keys in canonical-code order.

@@ -28,7 +28,7 @@ func batchTestGraphs(t *testing.T) map[string]*Graph {
 // sharedHeavyPatterns is a pattern set whose decompositions overlap
 // heavily: every connected 4-vertex class plus 5-vertex classes with
 // shared quotients (cycles, near-cliques), so the batch's demand
-// analysis externalizes quotients and compiles skip-flavor plans.
+// analysis externalizes quotients and compiles skip plans.
 func sharedHeavyPatterns(t *testing.T) []*Pattern {
 	t.Helper()
 	var ps []*Pattern
@@ -229,7 +229,7 @@ func TestBatchConcurrentMembersRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i], errs[i] = sys.CountPatterns(pats, BatchOpts{Parallelism: 4})
+			results[i], errs[i] = sys.CountPatterns(pats, BatchOpts{})
 		}()
 	}
 	wg.Wait()

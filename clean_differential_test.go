@@ -6,7 +6,7 @@ package decomine
 // dispatches on one thread and on four — the pass may only remove
 // instructions. The plans are the ones the counting APIs really run:
 // every connected 3–5-vertex pattern's edge-induced plan, the batch
-// planner's skip-flavor replans and externalized quotients, and the
+// planner's skip-plan replans and externalized quotients, and the
 // direct vertex-induced plans. FuzzLowerClean extends the check to
 // fuzzer-chosen patterns and graphs; CI runs it as a fuzz-smoke step.
 
@@ -26,7 +26,7 @@ import (
 var errPlanOnly = errors.New("plan only")
 
 // planOnly is a batch admission hook that refuses every batch: the
-// batch planner has then filled the plan cache — skip-flavor replans
+// batch planner has then filled the plan cache — skip-plan replans
 // included — and nothing has executed.
 func planOnly(float64) (func(), error) { return nil, errPlanOnly }
 
@@ -40,7 +40,7 @@ func planCensus(t testing.TB, s *System, ks ...int) {
 			t.Fatalf("planning the %d-motif census: %v", k, err)
 		}
 		for _, p := range MotifPatterns(k) {
-			if _, _, err := s.planFull(p.p, core.ModeCount, true); err != nil {
+			if _, _, err := s.planFor(planReq{pat: p.p, induced: true}); err != nil {
 				t.Fatalf("vertex-induced plan of %s: %v", p, err)
 			}
 		}
@@ -60,8 +60,8 @@ func cachedPlans(s *System) (plans []*core.Plan, names []string) {
 		if k.induced {
 			name += " (vertex-induced)"
 		}
-		if strings.HasPrefix(k.flavor, "skip:") {
-			name += " (skip flavor)"
+		if k.skip != "" {
+			name += " (skip plan)"
 		}
 		plans = append(plans, e.plan)
 		names = append(names, name)
@@ -148,7 +148,7 @@ func TestLowerCleanDifferential(t *testing.T) {
 			plans, names := cachedPlans(s)
 			skips, refused := 0, 0
 			for i, plan := range plans {
-				if strings.HasSuffix(names[i], "(skip flavor)") {
+				if strings.HasSuffix(names[i], "(skip plan)") {
 					skips++
 				}
 				for _, threads := range []int{1, 4} {
@@ -158,7 +158,7 @@ func TestLowerCleanDifferential(t *testing.T) {
 				}
 			}
 			if skips == 0 {
-				t.Fatalf("no skip-flavor replans among %d plans", len(plans))
+				t.Fatalf("no skip-plan replans among %d plans", len(plans))
 			}
 			if refused == 0 {
 				t.Fatalf("no re-fused count among %d plans", len(plans))
@@ -168,7 +168,7 @@ func TestLowerCleanDifferential(t *testing.T) {
 }
 
 // TestCensusCycleSkipPlanIsLean pins what the pass buys on the hottest
-// plan of the 5-motif census benchmark: the 5-cycle's skip-flavor plan
+// plan of the 5-motif census benchmark: the 5-cycle's skip plan
 // on R-MAT(10, 8) with hub rows from degree 64, whose innermost loop
 // body was 18 instructions before the pass (4 reset/accumulate copy
 // pairs, one product computed and added twice, two empty conditionals).
@@ -188,13 +188,13 @@ func TestCensusCycleSkipPlanIsLean(t *testing.T) {
 	var skip *core.Plan
 	s.mu.Lock()
 	for k, e := range s.planCache {
-		if k.code == cycle.p.Canonical() && strings.HasPrefix(k.flavor, "skip:") && e.err == nil {
+		if k.code == cycle.p.Canonical() && k.skip != "" && e.err == nil {
 			skip = e.plan
 		}
 	}
 	s.mu.Unlock()
 	if skip == nil {
-		t.Fatal("the census batch did not replan the 5-cycle under a skip flavor")
+		t.Fatal("the census batch did not replan the 5-cycle with quotients skipped")
 	}
 	code := skip.Lowered()
 	var outer []int32 // variables of the loops around the innermost one
@@ -256,7 +256,7 @@ func TestCliqueSixPlanIsLean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, _, err := s.planFull(k6.p, core.ModeCount, true)
+	e, _, err := s.planFor(planReq{pat: k6.p, induced: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestCliqueSixPlanIsLean(t *testing.T) {
 // FuzzLowerClean is the fuzzing face of TestLowerCleanDifferential: a
 // random connected pattern of at most five vertices, edge- or
 // vertex-induced and, for edge-induced decompositions, sometimes under a
-// skip flavor externalizing every shrinkage quotient, on a small random
+// skip plan externalizing every shrinkage quotient, on a small random
 // graph; cleaned and uncleaned bytecode must agree.
 func FuzzLowerClean(f *testing.F) {
 	f.Add(int64(1))
@@ -307,17 +307,16 @@ func FuzzLowerClean(f *testing.F) {
 		s := NewSystem(g, Options{Threads: 1, Seed: r.Int63(), ProfileSampleEdges: 2000, ProfileTrials: 1000})
 		defer s.Close()
 		induced := r.Intn(2) == 0
-		e, _, err := s.planFull(p, core.ModeCount, induced)
+		e, _, err := s.planFor(planReq{pat: p, induced: induced})
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
 		plan, name := e.plan, p.String()
 		if ext := shrinkCodes(plan); len(ext) > 0 && r.Intn(2) == 0 {
-			tweak := func(so *core.SearchOptions) { so.SkipShrinkCodes = ext }
-			if e, _, err = s.planFlavor(p, core.ModeCount, false, skipFlavor(ext), tweak); err != nil {
-				t.Fatalf("%s (skip flavor): %v", p, err)
+			if e, _, err = s.planFor(planReq{pat: p, skip: skipKey(ext)}); err != nil {
+				t.Fatalf("%s (skip plan): %v", p, err)
 			}
-			plan, name = e.plan, name+" (skip flavor)"
+			plan, name = e.plan, name+" (skip plan)"
 		}
 		checkCleanLowering(t, g, plan, name, 1+r.Intn(4))
 	})

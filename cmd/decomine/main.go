@@ -25,30 +25,20 @@
 //	fsm <support> <maxEdges>   frequent subgraph mining (labeled graphs)
 //	explain <pattern>          show the selected algorithm
 //	codegen <pattern>          emit the selected plan as Go source
-//	serve                      expose the loaded graph over the HTTP
-//	                           query API (internal/server) on -listen
-//	                           (default :8372) until SIGINT/SIGTERM, then
-//	                           drains and exits 0; for multi-graph
-//	                           serving and tenant budgets use
-//	                           cmd/decomined
+//
+// To serve a graph over the HTTP query API, use cmd/decomined.
 //
 // <pattern> is an edge list ("0-1,1-2,2-0") or a named pattern
 // (clique-4, cycle-5, chain-3, star-4, house, fig6, p1..p5).
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"path/filepath"
 	"runtime/debug"
 	"strings"
-	"syscall"
 	"time"
 
 	"decomine"
@@ -74,10 +64,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The serve command mounts the observability endpoints inside the
-	// query API handler, so it owns -listen itself. This listener installs
-	// no signal handler: Ctrl-C still kills a running command.
-	if *listen != "" && args[0] != "serve" {
+	// The observability listener installs no signal handler: Ctrl-C
+	// still kills a running command.
+	if *listen != "" {
 		ln, err := net.Listen("tcp", *listen)
 		fatalIf(err)
 		fmt.Fprintf(os.Stderr, "observability: http://%s/metrics\n", ln.Addr())
@@ -171,45 +160,9 @@ func main() {
 			fmt.Printf("%-40s support=%d\n", fp.Pattern, fp.Support)
 		}
 		fmt.Printf("%d frequent patterns\t(%s)\n", len(res), time.Since(start).Round(time.Millisecond))
-	case "serve":
-		addr := *listen
-		if addr == "" {
-			addr = ":8372"
-		}
-		name := *dataset
-		if *graphPath != "" {
-			base := filepath.Base(*graphPath)
-			name = strings.TrimSuffix(base, filepath.Ext(base))
-		}
-		srv, err := server.New(server.Config{
-			Systems: map[string]*decomine.System{name: sys},
-		})
-		fatalIf(err)
-		ln, err := net.Listen("tcp", addr)
-		fatalIf(err)
-		fmt.Fprintf(os.Stderr, "serving graph %q on http://%s/query\n", name, ln.Addr())
-		fatalIf(serveUntilSignal(server.NewHTTPServer(srv.Handler()), ln))
 	default:
 		fatal(fmt.Sprintf("unknown command %q", args[0]))
 	}
-}
-
-// serveUntilSignal serves hs on ln until SIGINT or SIGTERM, then lets
-// in-flight requests finish (Shutdown) and returns, so main's deferred
-// System and Graph closes run. A second signal kills the process.
-func serveUntilSignal(hs *http.Server, ln net.Listener) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	drained := make(chan error, 1)
-	go func() {
-		<-ctx.Done()
-		stop()
-		drained <- hs.Shutdown(context.Background())
-	}()
-	if err := hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return <-drained
 }
 
 func loadGraph(path, dataset string, mmap bool) (*decomine.Graph, error) {

@@ -12,7 +12,7 @@
 //	decomined [-listen :8372] -graph name=path [-graph name=path ...]
 //	          [-dataset name ...] [-threads N] [-model kind]
 //	          [-max-concurrent N] [-queue N] [-max-cost F]
-//	          [-budget-instr N] [-cache-cap N] [-no-cache] [-no-rewrite]
+//	          [-budget-instr N] [-cache-cap N] [-no-cache]
 //	          [-trace-sample F] [-trace-cap N] [-slow-query D]
 //
 // Every served request runs under a trace span tree (W3C traceparent
@@ -66,7 +66,6 @@ func main() {
 	budgetInstr := flag.Int64("budget-instr", 0, "per-query VM instruction grant (0 = unlimited)")
 	cacheCap := flag.Int("cache-cap", 0, "result cache capacity in entries (0 = server default)")
 	noCache := flag.Bool("no-cache", false, "disable the result cache")
-	noRewrite := flag.Bool("no-rewrite", false, "disable the GEO rewrite layer")
 	traceSample := flag.Float64("trace-sample", 1, "keep probability for unremarkable request traces (error/slow traces are always kept)")
 	traceCap := flag.Int("trace-cap", 0, "retained request-trace ring capacity (0 = default 256)")
 	slowQuery := flag.Duration("slow-query", 0, "slow-query log latency threshold, e.g. 250ms (0 = off)")
@@ -134,12 +133,11 @@ func main() {
 		MaxQueued:        *queue,
 	}
 	srv, err := server.New(server.Config{
-		Systems:        systems,
-		MaxConcurrent:  *maxConcurrent,
-		DefaultTenant:  tenant,
-		CacheCap:       *cacheCap,
-		DisableCache:   *noCache,
-		DisableRewrite: *noRewrite,
+		Systems:       systems,
+		MaxConcurrent: *maxConcurrent,
+		DefaultTenant: tenant,
+		CacheCap:      *cacheCap,
+		DisableCache:  *noCache,
 	})
 	fatalIf(err)
 

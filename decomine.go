@@ -1,9 +1,11 @@
 package decomine
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"runtime"
-	"strings"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,9 +48,6 @@ type Options struct {
 	Threads int
 	// CostModel picks the plan-ranking model (default CostApproxMining).
 	CostModel CostModelKind
-	// PLocal is the locality model's within-α-hops connection
-	// probability (default 0.25).
-	PLocal float64
 	// DisableDecomposition restricts the compiler to direct
 	// (AutoMine-style) plans.
 	DisableDecomposition bool
@@ -133,7 +132,7 @@ type System struct {
 	mu        sync.Mutex
 	profile   *sampling.Profile
 	model     cost.Model
-	planCache map[planKey]*planEntry
+	planCache map[planReq]*planEntry
 	// rewriteCache memoizes batch-member rewrite recipes by canonical
 	// code (ConversionPlan enumeration is expensive for large patterns;
 	// see batch.go). Lazily initialized under mu.
@@ -161,11 +160,97 @@ type System struct {
 	cacheNegativeHit atomic.Int64
 }
 
-type planKey struct {
-	code    pattern.Code
-	mode    core.Mode
-	induced bool
-	flavor  string
+// planReq is one algorithm-search request: the asker's pattern plus
+// everything else core.Search reads from the caller (the System's
+// Options supply the rest). planFor derives both the plan-cache key and
+// the search options from this one value, so a cached entry is only
+// ever served to a request that would have run the same search.
+type planReq struct {
+	// pat is the asker's pattern, which the search runs on. key replaces
+	// it by its canonical code and, where the plan's vertex numbering
+	// reaches the caller, by its spelling.
+	pat      *pattern.Pattern
+	code     pattern.Code
+	spelling string
+	mode     core.Mode
+	induced  bool
+	// cons encodes the label constraints (see consKey); "" means none.
+	cons string
+	// skip encodes the externalized shrinkage quotients — those a batch
+	// counts once, standalone, and subtracts at extraction (see
+	// skipKey); "" means none.
+	skip string
+}
+
+// key is the request's plan-cache identity. Isomorphic spellings share
+// one entry, except for constrained plans (the constraints name the
+// asker's vertices) and emit plans (partial embeddings map into the
+// asker's vertices): those key by the full spelling, edges and labels.
+func (r planReq) key() planReq {
+	r.code = r.pat.Canonical()
+	if r.cons != "" || r.mode == core.ModeEmit {
+		r.spelling = r.pat.String()
+	}
+	r.pat = nil
+	return r
+}
+
+// consKey encodes label constraints for a planReq as JSON; no
+// constraints encode to "".
+func consKey(cons []LabelConstraint) string {
+	if len(cons) == 0 {
+		return ""
+	}
+	b, _ := json.Marshal(cons)
+	return string(b)
+}
+
+// skipKey encodes an externalized quotient set for a planReq: the codes
+// in sorted order, each behind its uvarint length (canonical codes are
+// binary strings).
+func skipKey(ext map[pattern.Code]bool) string {
+	codes := make([]string, 0, len(ext))
+	for c := range ext {
+		codes = append(codes, string(c))
+	}
+	sort.Strings(codes)
+	var b []byte
+	for _, c := range codes {
+		b = binary.AppendUvarint(b, uint64(len(c)))
+		b = append(b, c...)
+	}
+	return string(b)
+}
+
+// searchOptions builds the search options of r: the System's Options
+// plus r's mode, induced flag, constraints and externalized quotients.
+func (s *System) searchOptions(r planReq) core.SearchOptions {
+	so := core.SearchOptions{
+		Model:                s.Model(),
+		Mode:                 r.mode,
+		Induced:              r.induced,
+		DisableDecomposition: s.opts.DisableDecomposition,
+		DisablePLR:           s.opts.DisablePLR,
+		DisableOptimize:      s.opts.DisableOptimize,
+		DisableCountLastLoop: s.opts.DisableCountLastLoop,
+		MaxCandidates:        s.opts.MaxCandidates,
+		DisableAuxGraphs:     s.opts.DisableAuxGraphs,
+		Workers:              s.opts.Threads,
+	}
+	if r.cons != "" {
+		var cons []LabelConstraint
+		json.Unmarshal([]byte(r.cons), &cons) // consKey's own output
+		so.Constraints = toCoreConstraints(cons)
+	}
+	if r.skip != "" {
+		so.SkipShrinkCodes = map[pattern.Code]bool{}
+		for rest := r.skip; rest != ""; {
+			n, w := binary.Uvarint([]byte(rest))
+			so.SkipShrinkCodes[pattern.Code(rest[w:w+int(n)])] = true
+			rest = rest[w+int(n):]
+		}
+	}
+	return so
 }
 
 // planEntry caches the outcome of one algorithm search — including
@@ -184,7 +269,7 @@ func NewSystem(g *Graph, opts Options) *System {
 	if opts.CostModel == "" {
 		opts.CostModel = CostApproxMining
 	}
-	return &System{graph: g, opts: opts, planCache: map[planKey]*planEntry{}}
+	return &System{graph: g, opts: opts, planCache: map[planReq]*planEntry{}}
 }
 
 // Graph returns the bound input graph.
@@ -204,13 +289,20 @@ func (s *System) Close() {
 	}
 }
 
+// threads is the System's thread count: Options.Threads, else
+// GOMAXPROCS. It sizes the worker pool and caps the concurrent
+// subqueries of a batch and of an FSM level.
+func (s *System) threads() int {
+	if s.opts.Threads > 0 {
+		return s.opts.Threads
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
 // enginePool returns the shared worker pool, starting it on first use.
 // Sequential configurations (Threads == 1) never start a pool.
 func (s *System) enginePool() *engine.Pool {
-	n := s.opts.Threads
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
+	n := s.threads()
 	if n == 1 {
 		return nil
 	}
@@ -266,7 +358,7 @@ func (s *System) modelLocked() cost.Model {
 	case CostAutoMine:
 		s.model = cost.NewAutoMine(st)
 	case CostLocality:
-		s.model = cost.NewLocality(st, s.opts.PLocal)
+		s.model = cost.NewLocality(st, 0.25)
 	default:
 		start := time.Now()
 		s.profile = sampling.BuildProfile(s.graph.g, sampling.Options{
@@ -278,21 +370,6 @@ func (s *System) modelLocked() cost.Model {
 		s.model = cost.NewApproxMining(st, s.profile)
 	}
 	return s.model
-}
-
-func (s *System) searchOptions(mode core.Mode, induced bool) core.SearchOptions {
-	return core.SearchOptions{
-		Model:                s.Model(),
-		Mode:                 mode,
-		Induced:              induced,
-		DisableDecomposition: s.opts.DisableDecomposition,
-		DisablePLR:           s.opts.DisablePLR,
-		DisableOptimize:      s.opts.DisableOptimize,
-		DisableCountLastLoop: s.opts.DisableCountLastLoop,
-		MaxCandidates:        s.opts.MaxCandidates,
-		DisableAuxGraphs:     s.opts.DisableAuxGraphs,
-		Workers:              s.opts.Threads,
-	}
 }
 
 // noteCacheHit records a plan-cache lookup served from cache; negative
@@ -314,10 +391,15 @@ func (s *System) noteCacheMiss() {
 }
 
 // CacheStats reports plan-cache behavior since the System was created.
-// Every compiled-plan lookup — the counting APIs, Explain, GoSource and
-// the emission planner — moves exactly one of the three counters:
-// Hits (cached plan served), NegativeHits (cached search failure
-// served), or Misses (the algorithm search ran).
+// The cache holds one entry per plan request (see planReq): canonical
+// pattern code, mode, vertex-induced flag, label constraints and
+// externalized quotients, plus the asker's spelling for constrained and
+// emission plans. Every compiled-plan lookup — the counting APIs
+// (including each plan a vertex-induced count or batch runs),
+// EstimateCost, Explain, GoSource, CountAll and the emission planner —
+// moves exactly one of the three counters: Hits (cached plan served),
+// NegativeHits (cached search failure served), or Misses (the
+// algorithm search ran).
 type CacheStats struct {
 	Hits         int64
 	Misses       int64
@@ -334,19 +416,12 @@ func (s *System) CacheStats() CacheStats {
 	}
 }
 
-// planFull returns the cached search outcome for p, running the
-// algorithm search at most once per (pattern, mode, induced) key —
-// whether it succeeded or failed. hit reports whether the entry was
-// served from the cache.
-func (s *System) planFull(p *pattern.Pattern, mode core.Mode, induced bool) (e *planEntry, hit bool, err error) {
-	return s.planFlavor(p, mode, induced, "std", nil)
-}
-
-// planFlavor is planFull with a caller-chosen cache-key flavor and an
-// optional search-option tweak (e.g. label constraints); the flavor
-// must determine the tweak so equal keys mean equal searches.
-func (s *System) planFlavor(p *pattern.Pattern, mode core.Mode, induced bool, flavor string, tweak func(*core.SearchOptions)) (e *planEntry, hit bool, err error) {
-	key := planKey{code: p.Canonical(), mode: mode, induced: induced, flavor: flavor}
+// planFor returns the cached search outcome for r, running the
+// algorithm search at most once per key (see planReq.key) — whether it
+// succeeded or failed. hit reports whether the entry was served from
+// the cache.
+func (s *System) planFor(r planReq) (e *planEntry, hit bool, err error) {
+	key := r.key()
 	s.mu.Lock()
 	if e, ok := s.planCache[key]; ok {
 		s.mu.Unlock()
@@ -356,12 +431,9 @@ func (s *System) planFlavor(p *pattern.Pattern, mode core.Mode, induced bool, fl
 	s.mu.Unlock()
 	s.noteCacheMiss()
 	var stats core.SearchStats
-	sopts := s.searchOptions(mode, induced)
+	sopts := s.searchOptions(r)
 	sopts.Stats = &stats
-	if tweak != nil {
-		tweak(&sopts)
-	}
-	best, cands, err := core.Search(p, sopts)
+	best, cands, err := core.Search(r.pat, sopts)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.planCache[key]; ok {
@@ -375,15 +447,6 @@ func (s *System) planFlavor(p *pattern.Pattern, mode core.Mode, induced bool, fl
 	}
 	s.planCache[key] = e
 	return e, false, err
-}
-
-// plan returns a compiled plan for p, caching by canonical pattern code.
-func (s *System) plan(p *pattern.Pattern, mode core.Mode, induced bool) (*core.Plan, error) {
-	e, _, err := s.planFull(p, mode, induced)
-	if err != nil {
-		return nil, err
-	}
-	return e.plan, nil
 }
 
 // ExecStats reports bytecode execution counters from an engine run.
@@ -441,28 +504,6 @@ func (s *System) exec(p lowerable, reuse bool, run engine.Options) (*engine.Resu
 	return res, setup, err
 }
 
-// runStats executes a counting plan and returns the count, the engine
-// result (for per-run stats) and exec's setup duration. run is the
-// per-run wiring (see exec); resolve supplies standalone counts for
-// externalized shrinkages (batch-compiled plans only; plans without
-// externals ignore it).
-func (s *System) runStats(plan *core.Plan, run engine.Options, resolve func(pattern.Code) (int64, bool)) (int64, *engine.Result, time.Duration, error) {
-	res, setup, err := s.exec(plan, true, run)
-	if err != nil {
-		return 0, nil, setup, err
-	}
-	count, err := plan.ExtractCount(res.Globals, resolve)
-	if err != nil {
-		return 0, nil, setup, err
-	}
-	return count, res, setup, nil
-}
-
-func (s *System) run(plan *core.Plan) (int64, error) {
-	count, _, _, err := s.runStats(plan, engine.Options{}, nil)
-	return count, err
-}
-
 // GetPatternCount returns the number of edge-induced embeddings of p —
 // the paper's get_pattern_count API. It is CountPattern without options
 // or per-run stats.
@@ -478,38 +519,45 @@ func (s *System) GetPatternCount(p *Pattern) (int64, error) {
 // embeddings of p. The cost model arbitrates between direct
 // vertex-induced enumeration and the indirect method (edge-induced
 // counts of p's supergraph classes — computable with decomposition —
-// combined by inclusion-exclusion), per paper §2.2.
+// combined by inclusion-exclusion), per paper §2.2. Each plan it runs
+// is a query like CountPattern's: listed at /debug/queries while it
+// runs and eligible for the slow-query log.
 func (s *System) GetPatternCountVertexInduced(p *Pattern) (int64, error) {
 	// Option 1: direct. Both options' searches go through the plan
 	// cache, failures included.
-	direct, _, errDirect := s.planFull(p.p, core.ModeCount, true)
+	direct := planReq{pat: p.p, induced: true}
+	de, dhit, errDirect := s.planFor(direct)
 	// Option 2: indirect via conversion.
 	plan2 := pattern.ConversionPlan(p.p)
 	var indirectCost float64
-	indirect := make([]*core.Plan, 0, len(plan2))
+	indirect := make([]queryRun, 0, len(plan2))
 	errIndirect := error(nil)
 	for _, q := range plan2 {
-		e, _, err := s.planFull(q, core.ModeCount, false)
+		e, hit, err := s.planFor(planReq{pat: q})
 		if err != nil {
 			errIndirect = err
 			break
 		}
 		indirectCost += e.cost
-		indirect = append(indirect, e.plan)
+		indirect = append(indirect, queryRun{entry: e, hit: hit})
 	}
 	switch {
 	case errDirect != nil && errIndirect != nil:
 		return 0, fmt.Errorf("decomine: no vertex-induced plan for %s: %v / %v", p, errDirect, errIndirect)
-	case errIndirect != nil || (errDirect == nil && direct.cost <= indirectCost):
-		return s.run(direct.plan)
-	}
-	ei := map[pattern.Code]int64{}
-	for i, q := range plan2 {
-		c, err := s.run(indirect[i])
+	case errIndirect != nil || (errDirect == nil && de.cost <= indirectCost):
+		r, err := s.countPattern(direct, QueryOpts{}, queryRun{entry: de, hit: dhit})
 		if err != nil {
 			return 0, err
 		}
-		ei[q.Canonical()] = c
+		return r.Count, nil
+	}
+	ei := map[pattern.Code]int64{}
+	for i, q := range plan2 {
+		r, err := s.countPattern(planReq{pat: q}, QueryOpts{}, indirect[i])
+		if err != nil {
+			return 0, err
+		}
+		ei[q.Canonical()] = r.Count
 	}
 	return pattern.VertexInducedFromEdgeInduced(p.p, ei), nil
 }
@@ -527,24 +575,6 @@ func (s *System) CountWithConstraints(p *Pattern, cons []LabelConstraint) (int64
 	return r.Count, nil
 }
 
-// constraintFlavor serializes a constraint list into a plan-cache key
-// flavor, so constrained queries get cached plans like plain counts.
-func constraintFlavor(cons []LabelConstraint) string {
-	var sb strings.Builder
-	sb.WriteString("cons")
-	for _, c := range cons {
-		if c.Kind == AllDifferentLabels {
-			sb.WriteString(":d")
-		} else {
-			sb.WriteString(":s")
-		}
-		for _, v := range c.Vertices {
-			fmt.Fprintf(&sb, ",%d", v)
-		}
-	}
-	return sb.String()
-}
-
 // Explain returns a human-readable description of the algorithm the
 // compiler selected for p: the decomposition choice, matching orders,
 // estimated cost, the optimized pseudo-code and the lowered bytecode.
@@ -552,7 +582,7 @@ func constraintFlavor(cons []LabelConstraint) string {
 // pattern that was already mined (or mining one that was explained)
 // performs no additional search.
 func (s *System) Explain(p *Pattern) (string, error) {
-	e, _, err := s.planFull(p.p, core.ModeCount, false)
+	e, _, err := s.planFor(planReq{pat: p.p})
 	if err != nil {
 		return "", err
 	}
@@ -568,9 +598,9 @@ func (s *System) Explain(p *Pattern) (string, error) {
 // GoSource emits the selected plan for p as a standalone Go source file
 // (the paper's code-generation back-end, §7.4).
 func (s *System) GoSource(p *Pattern, pkg, funcName string) (string, error) {
-	plan, err := s.plan(p.p, core.ModeCount, false)
+	e, _, err := s.planFor(planReq{pat: p.p})
 	if err != nil {
 		return "", err
 	}
-	return core.GenerateGoSource(plan, pkg, funcName), nil
+	return core.GenerateGoSource(e.plan, pkg, funcName), nil
 }

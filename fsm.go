@@ -153,7 +153,7 @@ func (s *System) FSMWithin(minSupport int64, maxEdges int, budget time.Duration)
 		outcomes := make([]candOutcome, len(codes))
 		errs := make([]error, len(codes))
 		var stopped atomic.Bool
-		par := s.batchParallelism(0)
+		par := s.threads()
 		sem := make(chan struct{}, par)
 		var wg sync.WaitGroup
 		for idx, code := range codes {

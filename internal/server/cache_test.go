@@ -77,6 +77,35 @@ func TestCacheKeyConstraintSpellings(t *testing.T) {
 	}
 }
 
+// TestServedConstrainedRespelling: the library's plan cache under the
+// result cache keys constrained plans by spelling as well, so a
+// respelled constrained query is answered as on a fresh server, not
+// with the plan compiled for the first spelling's vertex numbering.
+func TestServedConstrainedRespelling(t *testing.T) {
+	cases := []struct{ first, respelled string }{
+		{"0-1,1-2", "1-0,0-2"},
+		{"0-1,1-2,2-3", "1-0,0-2,2-3"},
+	}
+	for _, tc := range cases {
+		body := func(p string) string {
+			return `{"graph":"g","pattern":"` + p + `","constraints":[{"kind":"all-same","vertices":[1,2]}]}`
+		}
+		_, fresh := newTestServer(t, 3, nil)
+		want, code := postQuery(t, fresh, "", body(tc.respelled))
+		if code != 200 {
+			t.Fatalf("%s on a fresh server: %d", tc.respelled, code)
+		}
+		_, shared := newTestServer(t, 3, nil)
+		if _, code := postQuery(t, shared, "", body(tc.first)); code != 200 {
+			t.Fatalf("%s: %d", tc.first, code)
+		}
+		got, code := postQuery(t, shared, "", body(tc.respelled))
+		if code != 200 || got.Cached || got.Count != want.Count {
+			t.Errorf("%s after %s: %+v (status %d), fresh server counted %d", tc.respelled, tc.first, got, code, want.Count)
+		}
+	}
+}
+
 // TestResultCacheEviction pins the FIFO capacity bound.
 func TestResultCacheEviction(t *testing.T) {
 	c := newResultCache(2)

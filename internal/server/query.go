@@ -264,7 +264,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, span *obs.Sp
 	// subpatterns, then serve it from cached counts — executing only the
 	// pieces the cache is missing.
 	var recipe *decomp.Rewrite
-	if len(cons) == 0 && !s.cfg.DisableRewrite {
+	if len(cons) == 0 {
 		rw, ok, err := decomp.RewriteQuery(p.Raw(), req.Induced)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
@@ -279,7 +279,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, span *obs.Sp
 	if recipe != nil {
 		count, err = s.runRewrite(w, r, entry, tc, tenant, recipe, resp, span)
 	} else {
-		count, err = s.runDirect(w, r, entry, tc, tenant, p, cons, req.Induced, resp, span)
+		count, err = s.runDirect(w, r, entry, tc, tenant, p, cons, resp, span)
 	}
 	if err != nil {
 		return err // runRewrite/runDirect already wrote the error response
@@ -367,11 +367,10 @@ func (s *Server) runRewrite(w http.ResponseWriter, r *http.Request, entry *graph
 	return count, nil
 }
 
-// runDirect executes the query as a single plan run: connected
-// edge-induced patterns (optionally constrained), or — with the rewrite
-// layer disabled — the library's vertex-induced conversion path
-// (unbudgeted). On error, the HTTP response has been written.
-func (s *Server) runDirect(w http.ResponseWriter, r *http.Request, entry *graphEntry, tc TenantConfig, tenant string, p *decomine.Pattern, cons []decomine.LabelConstraint, induced bool, resp *queryResponse, span *obs.Span) (int64, error) {
+// runDirect executes a connected edge-induced query (optionally
+// constrained) as a single budgeted plan run; every other query has a
+// rewrite recipe. On error, the HTTP response has been written.
+func (s *Server) runDirect(w http.ResponseWriter, r *http.Request, entry *graphEntry, tc TenantConfig, tenant string, p *decomine.Pattern, cons []decomine.LabelConstraint, resp *queryResponse, span *obs.Span) (int64, error) {
 	price, err := entry.sys.EstimateCost(p, decomine.QueryOpts{Constraints: cons})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -383,17 +382,6 @@ func (s *Server) runDirect(w http.ResponseWriter, r *http.Request, entry *graphE
 		return 0, err
 	}
 	defer release()
-	if induced {
-		// Only reachable with DisableRewrite: the conversion path runs
-		// inside the scheduling slot but outside the fuel grant.
-		count, err := entry.sys.GetPatternCountVertexInduced(p)
-		if err != nil {
-			writeQueryError(w, err)
-			return 0, err
-		}
-		resp.ExecutedSubqueries++
-		return count, nil
-	}
 	res, err := entry.sys.CountPattern(p, decomine.QueryOpts{Constraints: cons, Fuel: grantFuel(tc), Span: span})
 	if err != nil {
 		writeQueryError(w, err)

@@ -53,10 +53,6 @@ type Config struct {
 	CacheCap int
 	// DisableCache turns the result cache off (every query executes).
 	DisableCache bool
-	// DisableRewrite turns the GEO rewrite layer off: vertex-induced
-	// queries fall back to the library's unbudgeted conversion path and
-	// disconnected patterns become errors.
-	DisableRewrite bool
 }
 
 // graphEntry is one named graph: its system plus the cache epoch.

@@ -94,7 +94,7 @@ type subInfo struct {
 // a decomposed plan emits each of its decomposition's subpatterns, a
 // direct plan the whole pattern as subpattern 0.
 func (s *System) emitPlan(p *pattern.Pattern) (*core.Plan, []subInfo, error) {
-	e, _, err := s.planFlavor(p, core.ModeEmit, false, "emit", nil)
+	e, _, err := s.planFor(planReq{pat: p, mode: core.ModeEmit})
 	if err != nil {
 		return nil, nil, err
 	}

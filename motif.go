@@ -109,11 +109,11 @@ func (s *System) PseudoCliqueCount(n, missing int) (int64, error) {
 func (s *System) CountAll(patterns []*Pattern) ([]int64, error) {
 	plans := make([]*core.Plan, len(patterns))
 	for i, p := range patterns {
-		plan, err := s.plan(p.p, core.ModeCount, false)
+		e, _, err := s.planFor(planReq{pat: p.p})
 		if err != nil {
 			return nil, err
 		}
-		plans[i] = plan
+		plans[i] = e.plan
 	}
 	merged, err := core.MergePlans(plans)
 	if err != nil {

@@ -84,7 +84,7 @@ func (s *System) CountPatternAsync(p *Pattern, o QueryOpts) *QueryHandle {
 	}
 	go func() {
 		defer close(h.done)
-		h.res, h.err = s.countPattern(p, &h.cancel, h.tracker, o)
+		h.res, h.err = s.countPattern(o.req(p), o, queryRun{cancel: &h.cancel, tracker: h.tracker})
 	}()
 	return h
 }

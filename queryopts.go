@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"decomine/internal/core"
 	"decomine/internal/pattern"
 )
 
@@ -14,7 +13,10 @@ import (
 var ErrBudgetExceeded = errors.New("decomine: instruction budget exceeded")
 
 // QueryOpts refines a counting query. The zero value means a plain
-// unconstrained, unbudgeted edge-induced count.
+// unconstrained, unbudgeted edge-induced count. Only Constraints reaches
+// the algorithm search and so the plan cache: a constrained plan is
+// cached for the exact spelling of p it was asked with, because the
+// constraints name p's vertices. The other fields shape one run.
 type QueryOpts struct {
 	// Constraints restricts the count to embeddings whose vertex labels
 	// satisfy every group constraint (see CountWithConstraints).
@@ -44,23 +46,6 @@ type QueryOpts struct {
 	// the query's /debug/queries entry and slow-log record carry the
 	// span's tenant and trace ID. Nil costs one pointer check.
 	Span *TraceSpan
-
-	// The remaining fields are the batch layer's private plumbing
-	// (see batch.go); they are not settable from outside the module.
-
-	// planFlavor, when non-empty, keys the plan cache under a custom
-	// flavor with planTweak applied to the search (the batch layer's
-	// skip-flavor plans with externalized shrinkages). Unconstrained
-	// queries only.
-	planFlavor string
-	planTweak  func(*core.SearchOptions)
-	// resolve supplies standalone counts for the plan's externalized
-	// shrinkages at extraction time.
-	resolve func(pattern.Code) (int64, bool)
-	// harvest, when non-nil, receives the executed plan and its raw
-	// globals after a successful run, letting the batch layer collect
-	// shrinkage-quotient subcounts as a by-product.
-	harvest func(plan *core.Plan, globals []int64)
 }
 
 // fuelCounter returns the shared budget counter for this query, or nil
@@ -77,19 +62,10 @@ func (o *QueryOpts) fuelCounter() *atomic.Int64 {
 	return nil
 }
 
-// planFor returns the cached plan entry for p under these options,
-// sharing the plan cache with every other API (constrained queries key
-// by their constraint flavor, like CountWithConstraints).
-func (s *System) planFor(p *Pattern, o QueryOpts) (*planEntry, bool, error) {
-	if len(o.Constraints) == 0 {
-		if o.planFlavor != "" {
-			return s.planFlavor(p.p, core.ModeCount, false, o.planFlavor, o.planTweak)
-		}
-		return s.planFull(p.p, core.ModeCount, false)
-	}
-	ccons := toCoreConstraints(o.Constraints)
-	return s.planFlavor(p.p, core.ModeCount, false, constraintFlavor(o.Constraints),
-		func(so *core.SearchOptions) { so.Constraints = ccons })
+// req is the plan request of counting p under these options: its
+// label constraints are the only field the algorithm search reads.
+func (o *QueryOpts) req(p *Pattern) planReq {
+	return planReq{pat: p.p, cons: consKey(o.Constraints)}
 }
 
 // armDeadline flips cancel once deadline passes — at once when it
@@ -115,7 +91,7 @@ func armDeadline(cancel *atomic.Bool, deadline time.Time) (stop func()) {
 // compiles once. Admission control in the serving layer rejects or
 // queues queries by this price.
 func (s *System) EstimateCost(p *Pattern, o QueryOpts) (float64, error) {
-	e, _, err := s.planFor(p, o)
+	e, _, err := s.planFor(o.req(p))
 	if err != nil {
 		return 0, err
 	}

@@ -9,6 +9,7 @@ import (
 	"decomine/internal/core"
 	"decomine/internal/engine"
 	"decomine/internal/obs"
+	"decomine/internal/pattern"
 )
 
 // PhaseSpan is one timed phase of a query's lifecycle: "enumerate"
@@ -87,18 +88,45 @@ func execStatsFromResult(res *engine.Result) ExecStats {
 // drained instruction budget returns ErrBudgetExceeded, an expired
 // deadline ErrCanceled.
 func (s *System) CountPattern(p *Pattern, o QueryOpts) (*Result, error) {
-	return s.countPattern(p, nil, nil, o)
+	return s.countPattern(o.req(p), o, queryRun{})
 }
 
-// countPattern is the shared synchronous/asynchronous query body.
-// cancel (optional, allocated here when nil so every query is
-// cancelable from /debug/queries) aborts the execution phase, and
-// qo.Deadline arms it; tracker (optional, allocated here when nil)
-// receives root-range completion accounting and backs the live-progress
-// registration.
-func (s *System) countPattern(p *Pattern, cancel *atomic.Bool, tracker *engine.ProgressTracker, qo QueryOpts) (*Result, error) {
-	name := "count:" + p.String()
+// queryRun is the in-package wiring of one countPattern run beyond its
+// QueryOpts. The zero value looks the plan up and allocates its own
+// cancel flag and progress tracker.
+type queryRun struct {
+	// entry, when non-nil, is the request's plan entry as the caller
+	// already resolved it (hit: from the cache), so the run does not
+	// look it up, and move the plan-cache counters, a second time.
+	entry *planEntry
+	hit   bool
+	// cancel aborts the execution phase (shared by a batch's
+	// subqueries); tracker receives root-range completion accounting
+	// (a QueryHandle's progress).
+	cancel  *atomic.Bool
+	tracker *engine.ProgressTracker
+	// resolve supplies standalone counts for the plan's externalized
+	// shrinkages at extraction time (batch skip plans).
+	resolve func(pattern.Code) (int64, bool)
+	// harvest, when non-nil, receives the executed plan and its raw
+	// globals after a successful run, letting the batch layer collect
+	// shrinkage-quotient subcounts as a by-product.
+	harvest func(plan *core.Plan, globals []int64)
+}
+
+// countPattern is the one execution path of every single-plan count:
+// CountPattern and CountPatternAsync, each plan of a vertex-induced
+// count, and every batch subquery. The query is cancelable from
+// /debug/queries (qo.Deadline arms the same flag), visible there with
+// live progress while it runs, traced under qo.Span and eligible for
+// the slow-query log.
+func (s *System) countPattern(r planReq, qo QueryOpts, run queryRun) (*Result, error) {
+	name := "count:" + r.pat.String()
+	if r.induced {
+		name = "count-vi:" + r.pat.String()
+	}
 	begin := time.Now()
+	tracker, cancel := run.tracker, run.cancel
 	if tracker == nil {
 		tracker = &engine.ProgressTracker{}
 	}
@@ -113,10 +141,13 @@ func (s *System) countPattern(p *Pattern, cancel *atomic.Bool, tracker *engine.P
 	meta := obs.QueryMeta{Tenant: qo.Span.Tenant(), TraceID: qo.Span.TraceID(), QueueWait: qo.Span.QueueWait()}
 	queryID, unregister := obs.RegisterQueryMeta(name, meta, tracker.Fraction, func() { cancel.Store(true) })
 	defer unregister()
-	e, hit, err := s.planFor(p, qo)
-	if err != nil {
-		span.EndErr(err)
-		return nil, err
+	e, hit := run.entry, run.hit
+	if e == nil {
+		var err error
+		if e, hit, err = s.planFor(r); err != nil {
+			span.EndErr(err)
+			return nil, err
+		}
 	}
 	out := &Result{}
 	st := &out.Stats
@@ -142,7 +173,11 @@ func (s *System) countPattern(p *Pattern, cancel *atomic.Bool, tracker *engine.P
 		compile.End()
 	}
 	runBegin := time.Now()
-	count, res, lowerDur, err := s.runStats(e.plan, engine.Options{Cancel: cancel, Progress: tracker, Fuel: fuel}, qo.resolve)
+	res, lowerDur, err := s.exec(e.plan, true, engine.Options{Cancel: cancel, Progress: tracker, Fuel: fuel})
+	var count int64
+	if err == nil {
+		count, err = e.plan.ExtractCount(res.Globals, run.resolve)
+	}
 	if err != nil {
 		span.EndErr(err)
 		return nil, err
@@ -166,8 +201,8 @@ func (s *System) countPattern(p *Pattern, cancel *atomic.Bool, tracker *engine.P
 	st.Exec = execStatsFromResult(res)
 	st.WorkPerThread = append([]int64(nil), res.WorkPerThread...)
 	out.Count = count
-	if qo.harvest != nil {
-		qo.harvest(e.plan, res.Globals)
+	if run.harvest != nil {
+		run.harvest(e.plan, res.Globals)
 	}
 	if span != nil {
 		span.LeafAt(obs.PhaseLower, runBegin, lowerDur)
