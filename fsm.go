@@ -256,11 +256,12 @@ func (s *System) patternSupport(plan *core.Plan, info []subInfo, k int, deadline
 	if canceled {
 		return 0, true, nil
 	}
-	merged := make([]*bitset, k)
-	for i := range merged {
-		merged[i] = newBitset(n)
-		for _, st := range workers {
-			merged[i].or(st.domains[i])
+	// Fold every worker's domains into the first worker's (the engine
+	// always makes worker 0's consumer).
+	merged := workers[0].domains
+	for _, st := range workers[1:] {
+		for i, d := range st.domains {
+			merged[i].or(d)
 		}
 	}
 	sup := int64(n + 1)

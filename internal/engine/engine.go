@@ -378,7 +378,7 @@ func Run(g *graph.Graph, prog *ast.Program, opts Options) (*Result, error) {
 			res.WorkPerThread[t] += wc
 			mergedInstr += wc
 			master.mergeFrom(wf)
-			sh.framePool.Put(wf)
+			sh.putFrame(wf)
 		}
 		switch j.stop.Load() {
 		case stopConsumer:
@@ -397,7 +397,7 @@ func Run(g *graph.Graph, prog *ast.Program, opts Options) (*Result, error) {
 	// path) is worker 0's share.
 	res.WorkPerThread[0] += master.instrCount() - mergedInstr
 	master.finish(res)
-	sh.framePool.Put(master)
+	sh.putFrame(master)
 	res.Elapsed = time.Since(runStart)
 	if opts.Progress != nil && !res.Canceled {
 		opts.Progress.markDone()

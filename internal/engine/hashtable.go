@@ -9,6 +9,14 @@ package engine
 // implements the paper's num_shrinkages table with the entry_valid /
 // global_valid epoch trick: Clear bumps a single epoch counter instead of
 // touching entries, so per-e_C clearing costs O(1) even for large tables.
+//
+// Stale slots still lengthen probe chains, so when ever-used slots reach
+// 70 % the table rehashes its live entries: in place at the same
+// capacity while fewer than a quarter of the slots are live, doubled
+// only when live entries fill it. Its size therefore tracks the most
+// keys live in one epoch, not every key seen since it was made, and the
+// rehash (through spare buffers kept on the table) allocates nothing in
+// steady state and costs amortised O(1) per insert.
 type HashTable struct {
 	width   int // key words per entry
 	keys    []uint32
@@ -18,6 +26,9 @@ type HashTable struct {
 	count   int      // live entries in the current epoch
 	used    int      // slots ever used (live + stale); bounds probe chains
 	numSlot int
+	// spareKeys/spareVals hold the live entries while rehash rebuilds.
+	spareKeys []uint32
+	spareVals []int64
 }
 
 // NewHashTable creates a table for keys of the given width.
@@ -25,12 +36,12 @@ func NewHashTable(width int) *HashTable {
 	if width < 1 {
 		width = 1
 	}
-	const initial = 256
+	const initial = 16
 	return &HashTable{
 		width:   width,
-		keys:    make([]uint32, initial*width),
-		values:  make([]int64, initial),
-		valid:   make([]uint64, initial),
+		keys:    padded[uint32](initial * width),
+		values:  padded[int64](initial),
+		valid:   padded[uint64](initial),
 		epoch:   1,
 		numSlot: initial,
 	}
@@ -80,10 +91,10 @@ func keyEq(a, b []uint32) bool {
 
 // Add adds delta to the entry for key, creating it at delta if absent.
 func (h *HashTable) Add(key []uint32, delta int64) {
-	// Grow on ever-used occupancy (live + stale): this guarantees
+	// Rehash on ever-used occupancy (live + stale): this guarantees
 	// never-used slots always remain, so probe chains terminate.
 	if h.used*10 >= h.numSlot*7 {
-		h.grow()
+		h.rehash()
 	}
 	mask := h.numSlot - 1
 	slot := int(hashKey(key)) & mask
@@ -135,18 +146,29 @@ func (h *HashTable) Get(key []uint32) int64 {
 	}
 }
 
-// grow doubles capacity, rehashing only live entries.
-func (h *HashTable) grow() {
-	old := *h
-	h.numSlot *= 2
-	h.keys = make([]uint32, h.numSlot*h.width)
-	h.values = make([]int64, h.numSlot)
-	h.valid = make([]uint64, h.numSlot)
-	h.count = 0
-	h.used = 0
-	for slot := 0; slot < old.numSlot; slot++ {
-		if old.valid[slot] == old.epoch {
-			h.Add(old.keys[slot*old.width:(slot+1)*old.width], old.values[slot])
+// rehash rebuilds the table from its live entries alone, at the same
+// capacity while fewer than a quarter of the slots are live and at
+// double capacity otherwise. Either way at most 35 % of the slots are
+// used afterwards, so the next rehash is at least 35 % of the capacity in
+// new keys away.
+func (h *HashTable) rehash() {
+	h.spareKeys, h.spareVals = h.spareKeys[:0], h.spareVals[:0]
+	for slot := 0; slot < h.numSlot; slot++ {
+		if h.valid[slot] == h.epoch {
+			h.spareKeys = append(h.spareKeys, h.keyAt(slot)...)
+			h.spareVals = append(h.spareVals, h.values[slot])
 		}
+	}
+	if h.count*4 < h.numSlot {
+		clear(h.valid)
+	} else {
+		h.numSlot *= 2
+		h.keys = padded[uint32](h.numSlot * h.width)
+		h.values = padded[int64](h.numSlot)
+		h.valid = padded[uint64](h.numSlot)
+	}
+	h.count, h.used = 0, 0
+	for i, v := range h.spareVals {
+		h.Add(h.spareKeys[i*h.width:(i+1)*h.width], v)
 	}
 }

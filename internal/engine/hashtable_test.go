@@ -96,3 +96,77 @@ func TestHashTableMatchesMap(t *testing.T) {
 		ref = map[[2]uint32]int64{}
 	}
 }
+
+// TestHashTableSizeTracksLiveKeys feeds a table many epochs of a few
+// live keys each, drawn from a million distinct keys: stale slots must
+// be reclaimed in place, so capacity follows the live keys per epoch
+// rather than every key the table has seen.
+func TestHashTableSizeTracksLiveKeys(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	h := NewHashTable(2)
+	for epoch := 0; epoch < 10000; epoch++ {
+		live := map[[2]uint32]int64{}
+		for i, n := 0, 1+r.Intn(4); i < n; i++ {
+			k := [2]uint32{uint32(r.Intn(1000)), uint32(r.Intn(1000))}
+			h.Add(k[:], int64(epoch))
+			live[k] += int64(epoch)
+		}
+		for k, v := range live {
+			if got := h.Get(k[:]); got != v {
+				t.Fatalf("epoch %d key %v: got %d, want %d", epoch, k, got, v)
+			}
+		}
+		h.Clear()
+	}
+	if h.numSlot > 64 {
+		t.Fatalf("numSlot = %d after epochs of <= 4 live keys, want <= 64", h.numSlot)
+	}
+}
+
+// FuzzHashTable runs a random Add/Get/Clear sequence against a Go map.
+// Each op is three bytes: an opcode byte (whose high bits also spread
+// the key space) and two key bytes.
+func FuzzHashTable(f *testing.F) {
+	r := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 30, 300, 3000} {
+		seed := make([]byte, 3*n)
+		r.Read(seed)
+		f.Add(seed)
+	}
+	// One long epoch, so the table has to double.
+	grow := make([]byte, 3*2000)
+	r.Read(grow)
+	for i := 0; i < len(grow); i += 3 {
+		grow[i] |= 3
+	}
+	f.Add(grow)
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		h := NewHashTable(2)
+		ref := map[[2]uint32]int64{}
+		for ; len(ops) >= 3; ops = ops[3:] {
+			op, a, b := ops[0], ops[1], ops[2]
+			k := [2]uint32{uint32(a), uint32(b) | uint32(op>>3)<<8}
+			switch op & 7 {
+			case 0:
+				h.Clear()
+				clear(ref)
+			case 1, 2:
+				if got := h.Get(k[:]); got != ref[k] {
+					t.Fatalf("Get(%v) = %d, want %d", k, got, ref[k])
+				}
+			default:
+				d := int64(int8(b))
+				h.Add(k[:], d)
+				ref[k] += d
+			}
+			if h.Len() != len(ref) {
+				t.Fatalf("Len = %d, want %d", h.Len(), len(ref))
+			}
+		}
+		for k, v := range ref {
+			if got := h.Get(k[:]); got != v {
+				t.Fatalf("final Get(%v) = %d, want %d", k, got, v)
+			}
+		}
+	})
+}

@@ -13,6 +13,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"decomine/internal/ast"
 	"decomine/internal/graph"
@@ -37,11 +38,13 @@ const (
 var KernelNames = [NumKernels]string{"merge", "gallop", "bitmap", "bitmap-count"}
 
 // vmShared is the per-program immutable state shared by every worker
-// frame: the bytecode, the graph, the identity vertex slice backing
-// OpAll registers, the arena capacity plan for the set buffers, and the
-// per-segment depth-1 split analysis used by the work-stealing
+// frame: the bytecode, the graph, the graph-owned vertex lists that root
+// set registers alias, the arena capacity plan for the set buffers, and
+// the per-segment depth-1 split analysis used by the work-stealing
 // scheduler. It is reusable across runs (see Prepare) and its framePool
-// recycles worker register files and arenas between runs.
+// recycles worker register files and arenas between runs. Nothing in it
+// or in a frame is sized by |V|: OpAll and the label filters over it
+// alias lists the graph builds once for all plans.
 type vmShared struct {
 	g  *graph.Graph
 	bc *ast.Lowered
@@ -49,12 +52,14 @@ type vmShared struct {
 	// (nil when the graph has no hubs or Options.DisableHub was set);
 	// the intersect/subtract dispatch consults it per instruction.
 	hub *graph.HubIndex
-	// allVerts is the shared read-only identity slice aliased by every
-	// OpAll register (nil when the program defines none).
-	allVerts []uint32
+	// root[r] is the read-only graph-owned list that set register r
+	// aliases when rooted[r]: g.Vertices() for an OpAll register,
+	// g.VerticesWithLabel(l) for an OpFilterLabel of one (possibly empty).
+	root   [][]uint32
+	rooted []bool
 	// bufCap[r] is the arena capacity reserved for set register r; 0 for
-	// registers that alias existing storage (OpAll, OpNeighbors, OpAuxRow,
-	// trims) and so need no buffer.
+	// registers that alias existing storage (rooted registers,
+	// OpNeighbors, OpAuxRow, trims) and so need no buffer.
 	bufCap []int
 	// arenaLen is the total arena length (sum of bufCap).
 	arenaLen int
@@ -157,23 +162,37 @@ func analyzeD1(bc *ast.Lowered) []d1Info {
 
 func newVMShared(g *graph.Graph, bc *ast.Lowered, hub *graph.HubIndex) *vmShared {
 	nSets := bc.SetRegs()
-	sh := &vmShared{g: g, bc: bc, hub: hub, bufCap: make([]int, nSets)}
-	n := g.NumVertices()
+	sh := &vmShared{
+		g: g, bc: bc, hub: hub,
+		root:   make([][]uint32, nSets),
+		rooted: make([]bool, nSets),
+		bufCap: make([]int, nSets),
+	}
 	maxDeg := g.MaxDegree()
 	// Static size bounds per set register. Definitions are SSA (one def
 	// site per register), so a single pass in instruction order sees
 	// every def after its operands' defs.
 	bound := make([]int, nSets)
-	needAll := false
+	all := make([]bool, nSets) // registers defined by OpAll
 	for i := range bc.Code {
 		ins := &bc.Code[i]
 		if ins.Op != ast.ISetDef {
 			continue
 		}
+		// Root sets alias the graph's own lists: no buffer, no per-plan
+		// copy, whatever |V| is.
+		switch {
+		case ins.Set == ast.OpAll:
+			all[ins.Dst] = true
+			sh.root[ins.Dst], sh.rooted[ins.Dst] = g.Vertices(), true
+			bound[ins.Dst] = len(sh.root[ins.Dst])
+			continue
+		case ins.Set == ast.OpFilterLabel && all[ins.A]:
+			sh.root[ins.Dst], sh.rooted[ins.Dst] = g.VerticesWithLabel(uint32(ins.Imm)), true
+			bound[ins.Dst] = len(sh.root[ins.Dst])
+			continue
+		}
 		switch ins.Set {
-		case ast.OpAll:
-			bound[ins.Dst] = n
-			needAll = true
 		case ast.OpNeighbors:
 			bound[ins.Dst] = maxDeg
 		case ast.OpAuxRow:
@@ -207,26 +226,26 @@ func newVMShared(g *graph.Graph, bc *ast.Lowered, hub *graph.HubIndex) *vmShared
 	for _, c := range sh.bufCap {
 		sh.arenaLen += c
 	}
-	if needAll {
-		sh.allVerts = make([]uint32, n)
-		for i := range sh.allVerts {
-			sh.allVerts[i] = uint32(i)
-		}
-	}
 	sh.d1 = analyzeD1(bc)
 	sh.depths = profDepths(bc)
 	return sh
 }
 
-// getFrame returns a recycled worker frame (with accumulators zeroed)
-// or a fresh one.
+// getFrame returns a recycled worker frame (reset by putFrame) or a
+// fresh one.
 func (sh *vmShared) getFrame() *vmFrame {
 	if v := sh.framePool.Get(); v != nil {
-		f := v.(*vmFrame)
-		f.resetForJob()
-		return f
+		return v.(*vmFrame)
 	}
 	return newVMFrame(sh)
+}
+
+// putFrame resets f and recycles it. Resetting here rather than on reuse
+// means a pooled frame pins nothing of the run that used it last (its
+// consumer, progress tracker or aux keys).
+func (sh *vmShared) putFrame(f *vmFrame) {
+	f.resetForJob()
+	sh.framePool.Put(f)
 }
 
 // vmFrame is a per-worker register file plus loop iteration state. Set
@@ -320,22 +339,35 @@ type vmFrame struct {
 // vertex's subtree) overruns a budget by at most ~2^14 instructions.
 const cancelCheckInterval = 1 << 14
 
+// cacheLine is the padding padded keeps on either side of a slice.
+const cacheLine = 64
+
+// padded returns a zeroed n-element slice with a cache line of unused
+// memory on either side. Frames are small and the workers' frames of
+// one run are allocated back to back, so without it two workers would
+// write the same cache lines.
+func padded[T any](n int) []T {
+	var zero T
+	pad := int((cacheLine + unsafe.Sizeof(zero) - 1) / unsafe.Sizeof(zero))
+	return make([]T, n+2*pad)[pad : pad+n : pad+n]
+}
+
 func newVMFrame(sh *vmShared) *vmFrame {
 	prog := sh.bc.Prog
 	f := &vmFrame{
 		sh:       sh,
-		vars:     make([]uint32, prog.NumVars),
-		sets:     make([][]uint32, len(sh.bufCap)),
-		bufs:     make([][]uint32, len(sh.bufCap)),
-		scalars:  make([]int64, prog.NumScalars),
-		globalsV: make([]int64, prog.NumGlobals),
-		keyBuf:   make([]uint32, 0, prog.MaxKey+4),
-		iter:     make([]int, sh.bc.NumLoops),
-		cur:      make([][]uint32, sh.bc.NumLoops),
+		vars:     padded[uint32](prog.NumVars),
+		sets:     padded[[]uint32](len(sh.bufCap)),
+		bufs:     padded[[]uint32](len(sh.bufCap)),
+		scalars:  padded[int64](prog.NumScalars),
+		globalsV: padded[int64](prog.NumGlobals),
+		keyBuf:   padded[uint32](prog.MaxKey + 4)[:0],
+		iter:     padded[int](sh.bc.NumLoops),
+		cur:      padded[[]uint32](sh.bc.NumLoops),
 	}
 	f.fuel = cancelCheckInterval
 	f.lastKernel = NumKernels
-	arena := make([]uint32, sh.arenaLen)
+	arena := padded[uint32](sh.arenaLen)
 	off := 0
 	for r, c := range sh.bufCap {
 		if c > 0 {
@@ -766,7 +798,7 @@ func (f *vmFrame) execSet(ins *ast.Instr) {
 	dst := f.bufs[ins.Dst]
 	switch ins.Set {
 	case ast.OpAll:
-		f.sets[ins.Dst] = f.sh.allVerts
+		f.sets[ins.Dst] = f.sh.root[ins.Dst]
 		return
 	case ast.OpNeighbors:
 		// Alias the CSR adjacency directly: zero copies.
@@ -790,6 +822,10 @@ func (f *vmFrame) execSet(ins *ast.Instr) {
 	case ast.OpCopy:
 		dst = vset.Copy(dst, f.sets[ins.A])
 	case ast.OpFilterLabel:
+		if f.sh.rooted[ins.Dst] {
+			f.sets[ins.Dst] = f.sh.root[ins.Dst]
+			return
+		}
 		dst = dst[:0]
 		want := uint32(ins.Imm)
 		for _, x := range f.sets[ins.A] {

@@ -297,3 +297,94 @@ func TestVMArenaBoundsAreRespected(t *testing.T) {
 		t.Fatal("test graph too sparse to exercise intersect chain")
 	}
 }
+
+// labeledRing is a cycle on n vertices where 2j and 2j+1 share label
+// j mod 3, so every label has vertices and some edges join equal labels.
+func labeledRing(t *testing.T, n int) *graph.Graph {
+	t.Helper()
+	bld := graph.NewBuilder(n)
+	labels := make([]uint32, n)
+	for i := 0; i < n; i++ {
+		bld.AddEdge(uint32(i), uint32((i+1)%n))
+		labels[i] = uint32(i/2) % 3
+	}
+	bld.SetLabels(labels)
+	g, err := bld.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// rootLabelProgram loops over the vertices labeled l and counts their
+// same-label neighbors.
+func rootLabelProgram(l uint32) *ast.Program {
+	b := ast.NewBuilder(0)
+	lbl := b.FilterLabel(b.All(), l)
+	gl := b.NewGlobal()
+	v0 := b.BeginLoop(lbl, nil)
+	same := b.FilterLabelOfVar(b.Neighbors(v0), v0)
+	b.GlobalAdd(gl, b.Size(same), 1)
+	b.EndLoop()
+	return b.Finish()
+}
+
+// TestVMRootSetsAliasGraph checks that root vertex sets cost a plan
+// nothing sized by |V|: two prepared programs alias the same
+// graph-owned identity and label lists, the arena plan is the same on
+// 10 000 vertices as on 100, and a label no vertex carries loops zero
+// times.
+func TestVMRootSetsAliasGraph(t *testing.T) {
+	g := labeledRing(t, 10000)
+	small := labeledRing(t, 100)
+	for _, l := range []uint32{1, 2} {
+		prog := rootLabelProgram(l)
+		bc := ast.Lower(prog)
+		p := Prepare(g, bc)
+		roots := 0
+		for _, ins := range bc.Code {
+			if ins.Op != ast.ISetDef || (ins.Set != ast.OpAll && ins.Set != ast.OpFilterLabel) {
+				continue
+			}
+			want := g.Vertices()
+			if ins.Set == ast.OpFilterLabel {
+				want = g.VerticesWithLabel(l)
+			}
+			got := p.sh.root[ins.Dst]
+			if !p.sh.rooted[ins.Dst] || p.sh.bufCap[ins.Dst] != 0 || len(got) == 0 || &got[0] != &want[0] {
+				t.Fatalf("label %d: %v register %d does not alias the graph's list", l, ins.Set, ins.Dst)
+			}
+			roots++
+		}
+		if roots != 2 {
+			t.Fatalf("label %d: %d root set defs, want 2", l, roots)
+		}
+		if ps := Prepare(small, bc); ps.sh.arenaLen != p.sh.arenaLen {
+			t.Fatalf("label %d: arenaLen %d at |V|=100, %d at |V|=10000", l, ps.sh.arenaLen, p.sh.arenaLen)
+		}
+		var want int64
+		for _, v := range g.VerticesWithLabel(l) {
+			for _, u := range g.Neighbors(v) {
+				if g.Label(u) == l {
+					want++
+				}
+			}
+		}
+		for _, threads := range []int{1, 2} {
+			res, err := Run(g, prog, Options{Threads: threads, Code: bc, Prepared: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Globals[0] != want {
+				t.Fatalf("label %d threads %d: got %d, want %d", l, threads, res.Globals[0], want)
+			}
+		}
+	}
+	res, err := Run(g, rootLabelProgram(7), Options{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Globals[0] != 0 || res.OpCounts[ast.ILoopNext] != 0 {
+		t.Fatalf("absent label: global %d after %d iterations", res.Globals[0], res.OpCounts[ast.ILoopNext])
+	}
+}

@@ -12,6 +12,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Graph is an immutable undirected simple graph in CSR form. Adjacency
@@ -33,6 +34,11 @@ type Graph struct {
 	// hub holds the hub bitmap index (see hubindex.go), shared by
 	// shallow copies since labels and names do not affect adjacency.
 	hub *hubState
+	// ids and byLabel are the graph-owned root vertex sets (Vertices,
+	// VerticesWithLabel), built once on first use. Shallow copies share
+	// ids; a copy that changes labels gets a fresh byLabel (setLabels).
+	ids     *vertexIDs
+	byLabel *labelLists
 	// mapping owns the file mapping for mmap-backed graphs; nil for
 	// heap graphs.
 	mapping *mapping
@@ -102,6 +108,65 @@ func countLabels(labels []uint32) int {
 func (g *Graph) setLabels(labels []uint32) {
 	g.labels = labels
 	g.numLabels = countLabels(labels)
+	g.byLabel = &labelLists{}
+}
+
+// vertexIDs holds the identity slice [0, |V|) behind Vertices.
+type vertexIDs struct {
+	once sync.Once
+	ids  []uint32
+}
+
+// labelLists holds the per-label sorted vertex lists behind
+// VerticesWithLabel, carved from one backing array of |V| entries.
+type labelLists struct {
+	once  sync.Once
+	lists map[uint32][]uint32
+}
+
+// Vertices returns the sorted identity slice 0, 1, ..., |V|-1. It is
+// built once per graph and shared by every caller (and by shallow
+// copies); it must not be modified.
+func (g *Graph) Vertices() []uint32 {
+	g.ids.once.Do(func() {
+		ids := make([]uint32, g.NumVertices())
+		for i := range ids {
+			ids[i] = uint32(i)
+		}
+		g.ids.ids = ids
+	})
+	return g.ids.ids
+}
+
+// VerticesWithLabel returns the sorted vertices v with Label(v) == l:
+// all of them for label 0 of an unlabeled graph, none for a label no
+// vertex carries. Built once per labeling and shared by every caller;
+// it must not be modified.
+func (g *Graph) VerticesWithLabel(l uint32) []uint32 {
+	if g.labels == nil {
+		if l == 0 {
+			return g.Vertices()
+		}
+		return nil
+	}
+	g.byLabel.once.Do(func() {
+		size := make(map[uint32]int, g.numLabels)
+		for _, x := range g.labels {
+			size[x]++
+		}
+		backing := make([]uint32, len(g.labels))
+		lists := make(map[uint32][]uint32, len(size))
+		off := 0
+		for x, c := range size {
+			lists[x] = backing[off : off : off+c]
+			off += c
+		}
+		for v, x := range g.labels {
+			lists[x] = append(lists[x], uint32(v))
+		}
+		g.byLabel.lists = lists
+	})
+	return g.byLabel.lists[l]
 }
 
 // MaxDegree returns the maximum vertex degree (cached at Build time).
@@ -245,6 +310,8 @@ func (b *Builder) Build() (*Graph, error) {
 		maxDeg:    maxDeg,
 		numLabels: countLabels(b.labels),
 		hub:       &hubState{},
+		ids:       &vertexIDs{},
+		byLabel:   &labelLists{},
 	}
 	if b.n > 0 {
 		g.avgDeg = float64(w) / float64(b.n)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -320,5 +321,65 @@ func TestQuickAdjacencySymmetricSorted(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRootVertexSets checks the graph-owned identity and per-label
+// lists: built once, sorted, exactly the vertices carrying each label,
+// and never shared with a shallow copy that relabels.
+func TestRootVertexSets(t *testing.T) {
+	base := GNP(300, 0.02, 4)
+	a := base.WithRandomLabels(3, 5)
+	b := a.WithRandomLabels(4, 6)
+	// Plans are prepared on several goroutines at once: the first calls
+	// race to build the lists, and all must get the same ones.
+	var wg sync.WaitGroup
+	got := make([][]uint32, 4)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = b.VerticesWithLabel(uint32(i % 2))
+			b.Vertices()
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if len(got[i]) == 0 || &got[i][0] != &got[i%2][0] {
+			t.Fatalf("goroutine %d got a different label-%d list", i, i%2)
+		}
+	}
+	if ids := base.Vertices(); len(ids) != 300 || &ids[0] != &a.Vertices()[0] || &ids[0] != &base.Vertices()[0] {
+		t.Fatal("identity slice is not built once and shared")
+	}
+	for i, v := range base.Vertices() {
+		if v != uint32(i) {
+			t.Fatalf("Vertices()[%d] = %d", i, v)
+		}
+	}
+	if got := base.VerticesWithLabel(0); len(got) != 300 || base.VerticesWithLabel(1) != nil {
+		t.Fatalf("unlabeled graph: label 0 has %d vertices, label 1 %d", len(got), len(base.VerticesWithLabel(1)))
+	}
+	for _, g := range []*Graph{a, b, a.Rename("again")} {
+		total := 0
+		for l := uint32(0); l < 5; l++ {
+			want := []uint32{}
+			for v := 0; v < g.NumVertices(); v++ {
+				if g.Label(uint32(v)) == l {
+					want = append(want, uint32(v))
+				}
+			}
+			got := g.VerticesWithLabel(l)
+			if !vset.Equal(got, want) {
+				t.Fatalf("%s label %d: got %v, want %v", g.Name(), l, got, want)
+			}
+			if len(got) > 0 && &got[0] != &g.VerticesWithLabel(l)[0] {
+				t.Fatalf("%s label %d: list rebuilt on the second call", g.Name(), l)
+			}
+			total += len(got)
+		}
+		if total != g.NumVertices() {
+			t.Fatalf("%s: label lists cover %d of %d vertices", g.Name(), total, g.NumVertices())
+		}
 	}
 }

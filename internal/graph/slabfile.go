@@ -282,6 +282,8 @@ func decodeSlabFile(data []byte) (*Graph, error) {
 		name:      string(name),
 		numLabels: countLabels(labels),
 		hub:       &hubState{},
+		ids:       &vertexIDs{},
+		byLabel:   &labelLists{},
 	}
 	if adjTotal > 0 {
 		g.adj = unsafe.Slice((*uint32)(unsafe.Pointer(&aBytes[0])), adjTotal)
