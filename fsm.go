@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"decomine/internal/core"
+	"decomine/internal/engine"
 	"decomine/internal/pattern"
 )
 
@@ -238,17 +239,20 @@ func (s *System) patternSupport(plan *core.Plan, info []subInfo, k int, deadline
 	n := s.graph.NumVertices()
 	type state struct{ domains []*bitset }
 	var workers []*state
-	canceled, err := s.runEmitPlan(plan, info, func(worker int) UDF {
+	// Supports do not depend on the vertex numbering, so the domains
+	// collect internal IDs straight from the engine.
+	canceled, err := s.runEmitPlan(plan, func(worker int) engine.Consumer {
 		st := &state{domains: make([]*bitset, k)}
 		for i := range st.domains {
 			st.domains[i] = newBitset(n)
 		}
 		workers = append(workers, st)
-		return func(pe *PartialEmbedding, count int64) {
-			for i, v := range pe.Vertices {
-				st.domains[pe.WholeVertex[i]].set(v)
+		return engine.ConsumerFunc(func(sub int, verts []uint32, count int64) bool {
+			for i, w := range info[sub].toWhole {
+				st.domains[w].set(verts[i])
 			}
-		}
+			return true
+		})
 	}, deadline)
 	if err != nil {
 		return 0, false, err

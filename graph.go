@@ -25,7 +25,11 @@ import (
 	"decomine/internal/graph"
 )
 
-// Graph is an immutable undirected input graph.
+// Graph is an immutable undirected input graph. Its methods and every
+// vertex ID the System hands out (PartialEmbedding.Vertices,
+// Materialize) speak the IDs the graph was built or loaded with; the
+// engine mines a copy renumbered by degree, and IDs are translated only
+// here at the public edge.
 type Graph struct {
 	g *graph.Graph
 }
@@ -125,10 +129,12 @@ func (g *Graph) NumEdges() int64 { return g.g.NumEdges() }
 func (g *Graph) Labeled() bool { return g.g.Labeled() }
 
 // Label returns the label of vertex v (0 for unlabeled graphs).
-func (g *Graph) Label(v uint32) uint32 { return g.g.Label(v) }
+func (g *Graph) Label(v uint32) uint32 { return g.g.Label(g.g.InternalID(v)) }
 
 // HasEdge reports whether {u,v} is an edge.
-func (g *Graph) HasEdge(u, v uint32) bool { return g.g.HasEdge(u, v) }
+func (g *Graph) HasEdge(u, v uint32) bool {
+	return g.g.HasEdge(g.g.InternalID(u), g.g.InternalID(v))
+}
 
 // MaxDegree returns the largest vertex degree (cached at build time).
 func (g *Graph) MaxDegree() int { return g.g.MaxDegree() }
@@ -153,8 +159,9 @@ func (g *Graph) BuildHubIndex(minDegree int) *Graph {
 // String summarizes the graph.
 func (g *Graph) String() string { return g.g.String() }
 
-// WriteEdgeList serializes the graph in the loadable edge-list format.
-func (g *Graph) WriteEdgeList(w io.Writer) error { return g.g.WriteEdgeList(w) }
+// WriteEdgeList serializes the graph in the loadable edge-list format,
+// in the graph's own vertex IDs.
+func (g *Graph) WriteEdgeList(w io.Writer) error { return g.g.WriteInputEdgeList(w) }
 
 // Mapped reports whether the graph is mmap-backed (OpenMappedGraph).
 func (g *Graph) Mapped() bool { return g.g.Mapped() }

@@ -314,7 +314,8 @@ func TestCleanExclusions(t *testing.T) {
 			}
 			var pins []uint32
 			if tc.pins > 0 {
-				pins = []uint32{0}
+				// Input vertex 0, R-MAT's densest corner.
+				pins = []uint32{g.InternalID(0)}
 			}
 			agreeWithTree(t, g, prog, code, pins)
 		})

@@ -159,7 +159,9 @@ func Community(n, memberships, size int, seed int64) *Graph {
 
 // WithRandomLabels returns a copy of g carrying numLabels random vertex
 // labels with a mildly skewed (Zipf-like) distribution, mirroring the
-// paper's "lj with randomly synthesized labels".
+// paper's "lj with randomly synthesized labels". Labels are drawn in
+// input-ID order, so a seed labels each input vertex the same way
+// whatever the internal numbering.
 func (g *Graph) WithRandomLabels(numLabels int, seed int64) *Graph {
 	r := rand.New(rand.NewSource(seed))
 	// Zipf with s=1.2 over numLabels classes.

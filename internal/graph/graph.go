@@ -7,24 +7,37 @@
 // The offsets/adjacency arrays are either heap-resident (Build) or
 // read-only windows of an mmap-backed slab file (slabfile.go), so graphs
 // larger than RAM mine out-of-core. Accessors cannot tell the two apart.
+//
+// Build renumbers every graph by (degree, input ID) ascending, so every
+// method here speaks internal IDs; InputID and InternalID translate at
+// the public edge.
 package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
 
 // Graph is an immutable undirected simple graph in CSR form. Adjacency
 // lists are strictly increasing, duplicate edges and self loops have been
-// removed at construction. Vertex IDs are dense in [0, NumVertices).
+// removed at construction. Vertex IDs are dense in [0, NumVertices) and
+// internal: Build numbers vertices by (degree, input ID) ascending, so
+// internal degrees never decrease with ID. Every method takes and
+// returns internal IDs; order and rank translate to and from the IDs
+// the graph was built from.
 type Graph struct {
 	// offsets has NumVertices+1 prefix sums into adj, which holds every
 	// adjacency list in vertex-ID order (2|E| entries).
 	offsets []int64
 	adj     []uint32
 	labels  []uint32 // optional; nil for unlabeled graphs
-	name    string
+	// order maps internal ID to input ID and rank input ID to internal
+	// ID; both have NumVertices entries.
+	order []uint32
+	rank  []uint32
+	name  string
 	// maxDeg/avgDeg/numLabels are cached at Build time: all sit on hot
 	// configuration paths (VM arena sizing, hub threshold selection,
 	// cost-model statistics).
@@ -75,6 +88,12 @@ func (g *Graph) HasEdge(u, v uint32) bool {
 	return i < len(n) && n[i] == v
 }
 
+// InputID returns the input ID of internal vertex v.
+func (g *Graph) InputID(v uint32) uint32 { return g.order[v] }
+
+// InternalID returns the internal ID of input vertex x.
+func (g *Graph) InternalID(x uint32) uint32 { return g.rank[x] }
+
 // Labeled reports whether the graph carries vertex labels.
 func (g *Graph) Labeled() bool { return g.labels != nil }
 
@@ -102,12 +121,16 @@ func countLabels(labels []uint32) int {
 	return len(seen)
 }
 
-// setLabels attaches labels and refreshes the cached distinct count.
-// Internal: the public immutability contract still holds for finished
-// graphs handed to the engine.
+// setLabels attaches labels indexed by input ID, permuting them into
+// internal order, and refreshes the cached distinct count. Internal: the
+// public immutability contract still holds for finished graphs handed to
+// the engine.
 func (g *Graph) setLabels(labels []uint32) {
-	g.labels = labels
-	g.numLabels = countLabels(labels)
+	g.labels = make([]uint32, len(labels))
+	for v, x := range g.order {
+		g.labels[v] = labels[x]
+	}
+	g.numLabels = countLabels(g.labels)
 	g.byLabel = &labelLists{}
 }
 
@@ -246,7 +269,9 @@ func (b *Builder) SetLabels(labels []uint32) *Builder {
 	return b
 }
 
-// Build materializes the CSR graph.
+// Build materializes the CSR graph and renumbers its vertices by
+// (degree, input ID) ascending. Labels set with SetLabels are indexed
+// by input ID.
 func (b *Builder) Build() (*Graph, error) {
 	if b.labels != nil && len(b.labels) != b.n {
 		return nil, fmt.Errorf("graph: %d labels for %d vertices", len(b.labels), b.n)
@@ -302,16 +327,21 @@ func (b *Builder) Build() (*Graph, error) {
 		}
 	}
 	offsets[b.n] = w
+	order, rank := degreeOrder(offsets, maxDeg)
+	offsets, adjOut := renumber(offsets, adj[:w], order, rank)
 	g := &Graph{
-		offsets:   offsets,
-		adj:       adj[:w:w],
-		labels:    b.labels,
-		name:      b.name,
-		maxDeg:    maxDeg,
-		numLabels: countLabels(b.labels),
-		hub:       &hubState{},
-		ids:       &vertexIDs{},
-		byLabel:   &labelLists{},
+		offsets: offsets,
+		adj:     adjOut,
+		order:   order,
+		rank:    rank,
+		name:    b.name,
+		maxDeg:  maxDeg,
+		hub:     &hubState{},
+		ids:     &vertexIDs{},
+		byLabel: &labelLists{},
+	}
+	if b.labels != nil {
+		g.setLabels(b.labels)
 	}
 	if b.n > 0 {
 		g.avgDeg = float64(w) / float64(b.n)
@@ -325,6 +355,50 @@ func (b *Builder) Build() (*Graph, error) {
 	return g, nil
 }
 
+// degreeOrder sorts the vertices of a CSR by (degree, ID) with one
+// counting sort, which is stable in ID, and returns the permutation
+// both ways: order[internal] = input and rank[input] = internal.
+func degreeOrder(offsets []int64, maxDeg int) (order, rank []uint32) {
+	n := len(offsets) - 1
+	start := make([]uint32, maxDeg+2)
+	for v := 0; v < n; v++ {
+		start[offsets[v+1]-offsets[v]+1]++
+	}
+	for d := 1; d < len(start); d++ {
+		start[d] += start[d-1]
+	}
+	order = make([]uint32, n)
+	rank = make([]uint32, n)
+	for v := 0; v < n; v++ {
+		d := offsets[v+1] - offsets[v]
+		rank[v] = start[d]
+		order[start[d]] = uint32(v)
+		start[d]++
+	}
+	return order, rank
+}
+
+// renumber rewrites a CSR in input IDs into internal IDs. Walking the
+// internal vertices u in ascending order and appending u to the list
+// of each neighbor leaves every list sorted without a sort.
+func renumber(offsets []int64, adj, order, rank []uint32) ([]int64, []uint32) {
+	n := len(order)
+	out := make([]int64, n+1)
+	for v, x := range order {
+		out[v+1] = out[v] + offsets[x+1] - offsets[x]
+	}
+	cursor := slices.Clone(out[:n])
+	outAdj := make([]uint32, len(adj))
+	for u, x := range order {
+		for _, y := range adj[offsets[x]:offsets[x+1]] {
+			w := rank[y]
+			outAdj[cursor[w]] = uint32(u)
+			cursor[w]++
+		}
+	}
+	return out, outAdj
+}
+
 // FromEdges builds a graph from a flat edge list. Convenience for tests.
 func FromEdges(n int, edges [][2]uint32) *Graph {
 	b := NewBuilder(n)
@@ -336,37 +410,4 @@ func FromEdges(n int, edges [][2]uint32) *Graph {
 		panic(err) // unreachable: no labels attached
 	}
 	return g
-}
-
-// InducedSubgraph returns the subgraph induced by keep (a sorted vertex
-// set), with vertices renumbered densely in keep-order. Used by the
-// edge-sampling profiler.
-func (g *Graph) InducedSubgraph(keep []uint32) *Graph {
-	remap := make(map[uint32]uint32, len(keep))
-	for i, v := range keep {
-		remap[v] = uint32(i)
-	}
-	b := NewBuilder(len(keep))
-	b.SetName(g.name + "-induced")
-	for _, v := range keep {
-		for _, u := range g.Neighbors(v) {
-			if u > v {
-				if ru, ok := remap[u]; ok {
-					b.AddEdge(remap[v], ru)
-				}
-			}
-		}
-	}
-	if g.labels != nil {
-		labels := make([]uint32, len(keep))
-		for i, v := range keep {
-			labels[i] = g.labels[v]
-		}
-		b.SetLabels(labels)
-	}
-	sub, err := b.Build()
-	if err != nil {
-		panic(err) // unreachable: labels sized to match
-	}
-	return sub
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -11,9 +12,22 @@ import (
 	"decomine/internal/vset"
 )
 
-// triangle plus a pendant: 0-1, 1-2, 0-2, 2-3
+// triangle plus a pendant: 0-1, 1-2, 0-2, 2-3. By (degree, input ID)
+// the internal order is 3, 0, 1, 2.
 func testGraph() *Graph {
 	return FromEdges(4, [][2]uint32{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
+}
+
+// inputNeighbors returns the sorted neighbors of input vertex x, in
+// input IDs, so expectations can be written against the edge list a
+// graph was built from.
+func inputNeighbors(g *Graph, x uint32) []uint32 {
+	var out []uint32
+	for _, v := range g.Neighbors(g.InternalID(x)) {
+		out = append(out, g.InputID(v))
+	}
+	slices.Sort(out)
+	return out
 }
 
 func TestBuildBasics(t *testing.T) {
@@ -24,19 +38,29 @@ func TestBuildBasics(t *testing.T) {
 	if g.NumEdges() != 4 {
 		t.Fatalf("NumEdges = %d", g.NumEdges())
 	}
+	if want := []uint32{3, 0, 1, 2}; !slices.Equal(g.order, want) {
+		t.Fatalf("order = %v, want %v", g.order, want)
+	}
 	wantAdj := map[uint32][]uint32{
 		0: {1, 2},
 		1: {0, 2},
 		2: {0, 1, 3},
 		3: {2},
 	}
-	for v, want := range wantAdj {
-		if got := g.Neighbors(v); !vset.Equal(got, want) {
+	for x, want := range wantAdj {
+		if got := inputNeighbors(g, x); !vset.Equal(got, want) {
+			t.Errorf("input vertex %d: neighbors %v, want %v", x, got, want)
+		}
+	}
+	// Internal lists are strictly increasing internal IDs.
+	wantInternal := [][]uint32{{3}, {2, 3}, {1, 3}, {0, 1, 2}}
+	for v, want := range wantInternal {
+		if got := g.Neighbors(uint32(v)); !vset.Equal(got, want) {
 			t.Errorf("Neighbors(%d) = %v, want %v", v, got, want)
 		}
 	}
-	if g.Degree(2) != 3 || g.Degree(3) != 1 {
-		t.Errorf("degrees wrong: %d %d", g.Degree(2), g.Degree(3))
+	if g.Degree(g.InternalID(2)) != 3 || g.Degree(g.InternalID(3)) != 1 {
+		t.Errorf("degrees wrong: %d %d", g.Degree(g.InternalID(2)), g.Degree(g.InternalID(3)))
 	}
 	if g.MaxDegree() != 3 {
 		t.Errorf("MaxDegree = %d", g.MaxDegree())
@@ -52,8 +76,8 @@ func TestBuildDedupAndSelfLoops(t *testing.T) {
 	if g.NumEdges() != 2 {
 		t.Fatalf("NumEdges = %d, want 2", g.NumEdges())
 	}
-	if !vset.Equal(g.Neighbors(1), []uint32{0, 2}) {
-		t.Fatalf("Neighbors(1) = %v", g.Neighbors(1))
+	if got := inputNeighbors(g, 1); !vset.Equal(got, []uint32{0, 2}) {
+		t.Fatalf("input vertex 1: neighbors %v", got)
 	}
 }
 
@@ -66,7 +90,7 @@ func TestHasEdge(t *testing.T) {
 		{0, 1, true}, {1, 0, true}, {2, 3, true}, {0, 3, false}, {1, 3, false},
 	}
 	for _, c := range cases {
-		if got := g.HasEdge(c.u, c.v); got != c.want {
+		if got := g.HasEdge(g.InternalID(c.u), g.InternalID(c.v)); got != c.want {
 			t.Errorf("HasEdge(%d,%d) = %v", c.u, c.v, got)
 		}
 	}
@@ -95,8 +119,12 @@ func TestLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.Labeled() || g.Label(1) != 7 || g.Label(2) != 5 {
-		t.Fatalf("labels wrong: %v %d %d", g.Labeled(), g.Label(1), g.Label(2))
+	// Input vertex 1 has the highest degree, so it is internal vertex 2.
+	if g.InternalID(1) != 2 {
+		t.Fatalf("InternalID(1) = %d, want 2", g.InternalID(1))
+	}
+	if !g.Labeled() || g.Label(g.InternalID(1)) != 7 || g.Label(g.InternalID(2)) != 5 {
+		t.Fatalf("labels wrong: %v %d %d", g.Labeled(), g.Label(g.InternalID(1)), g.Label(g.InternalID(2)))
 	}
 	if g.NumLabels() != 2 {
 		t.Fatalf("NumLabels = %d", g.NumLabels())
@@ -218,6 +246,28 @@ func TestWithRandomLabels(t *testing.T) {
 			t.Fatal("labels not deterministic")
 		}
 	}
+	// Drawn in input-ID order: a seed labels each input vertex the same
+	// way whatever the degree order, here a star centred on input 0 and
+	// one centred on input 9.
+	star := func(c uint32) *Graph {
+		b := NewBuilder(10)
+		for v := uint32(0); v < 10; v++ {
+			if v != c {
+				b.AddEdge(c, v)
+			}
+		}
+		g, _ := b.Build()
+		return g.WithRandomLabels(5, 8)
+	}
+	s0, s9 := star(0), star(9)
+	if s0.InternalID(0) == s9.InternalID(0) {
+		t.Fatal("the two stars number input vertex 0 alike")
+	}
+	for x := uint32(0); x < 10; x++ {
+		if l0, l9 := s0.Label(s0.InternalID(x)), s9.Label(s9.InternalID(x)); l0 != l9 {
+			t.Fatalf("input vertex %d: labels %d and %d", x, l0, l9)
+		}
+	}
 }
 
 func TestSampleEdges(t *testing.T) {
@@ -253,18 +303,6 @@ func TestEdgeSampledSubgraph(t *testing.T) {
 	}
 	if sub.NumVertices() == 0 || sub.NumVertices() > 2000 {
 		t.Fatalf("sampled subgraph has %d vertices", sub.NumVertices())
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	g := testGraph()
-	sub := g.InducedSubgraph([]uint32{0, 1, 2})
-	if sub.NumVertices() != 3 || sub.NumEdges() != 3 {
-		t.Fatalf("induced = %d/%d, want 3/3 (triangle)", sub.NumVertices(), sub.NumEdges())
-	}
-	sub2 := g.InducedSubgraph([]uint32{0, 3})
-	if sub2.NumEdges() != 0 {
-		t.Fatalf("induced non-adjacent pair has %d edges", sub2.NumEdges())
 	}
 }
 
@@ -382,4 +420,68 @@ func TestRootVertexSets(t *testing.T) {
 			t.Fatalf("%s: label lists cover %d of %d vertices", g.Name(), total, g.NumVertices())
 		}
 	}
+}
+
+// FuzzVertexOrder builds a random labeled edge list and checks the
+// (degree, input ID) renumbering: order and rank are inverse
+// bijections, internal degrees never decrease and ties keep input
+// order, and every input edge and label is present under rank.
+func FuzzVertexOrder(f *testing.F) {
+	f.Add(int64(1), uint8(10), uint16(20))
+	f.Add(int64(2), uint8(1), uint16(0))
+	f.Add(int64(3), uint8(64), uint16(400))
+	f.Fuzz(func(t *testing.T, seed int64, n8 uint8, m uint16) {
+		n := int(n8)
+		if n == 0 {
+			return
+		}
+		r := rand.New(rand.NewSource(seed))
+		b := NewBuilder(n)
+		edges := make([][2]uint32, int(m)%1024)
+		for i := range edges {
+			edges[i] = [2]uint32{uint32(r.Intn(n)), uint32(r.Intn(n))}
+			b.AddEdge(edges[i][0], edges[i][1])
+		}
+		labels := make([]uint32, n)
+		for i := range labels {
+			labels[i] = uint32(r.Intn(4))
+		}
+		b.SetLabels(labels)
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(g.order) != n || len(g.rank) != n {
+			t.Fatalf("order/rank lengths %d/%d, want %d", len(g.order), len(g.rank), n)
+		}
+		for v, x := range g.order {
+			if int(x) >= n || g.rank[x] != uint32(v) {
+				t.Fatalf("order[%d] = %d is not undone by rank", v, x)
+			}
+		}
+		for v := 1; v < n; v++ {
+			d0, d1 := g.Degree(uint32(v-1)), g.Degree(uint32(v))
+			if d0 > d1 || (d0 == d1 && g.order[v-1] > g.order[v]) {
+				t.Fatalf("internal %d, %d: (degree, input) (%d, %d) after (%d, %d)", v-1, v, d1, g.order[v], d0, g.order[v-1])
+			}
+		}
+		distinct := map[[2]uint32]bool{}
+		for _, e := range edges {
+			if e[0] == e[1] {
+				continue
+			}
+			distinct[[2]uint32{min(e[0], e[1]), max(e[0], e[1])}] = true
+			if !g.HasEdge(g.rank[e[0]], g.rank[e[1]]) {
+				t.Fatalf("input edge %v missing under rank", e)
+			}
+		}
+		if g.NumEdges() != int64(len(distinct)) {
+			t.Fatalf("%d edges, want %d", g.NumEdges(), len(distinct))
+		}
+		for x, l := range labels {
+			if got := g.Label(g.rank[x]); got != l {
+				t.Fatalf("input vertex %d: label %d, want %d", x, got, l)
+			}
+		}
+	})
 }

@@ -88,8 +88,9 @@ func TestHubIndexAutoBuildAtDefaultThreshold(t *testing.T) {
 	if ix == nil {
 		t.Fatal("star graph should auto-build a hub index")
 	}
-	if ix.NumHubs() != 1 || ix.Row(0) == nil {
-		t.Fatalf("expected exactly the center as hub, got %d hubs", ix.NumHubs())
+	// The center has the highest degree, so it is the last internal ID.
+	if c := g.InternalID(0); c != uint32(n-1) || ix.NumHubs() != 1 || ix.Row(c) == nil {
+		t.Fatalf("expected exactly the center (internal %d) as hub, got %d hubs", c, ix.NumHubs())
 	}
 }
 

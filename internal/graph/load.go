@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -12,8 +13,9 @@ import (
 // LoadEdgeList reads an undirected graph from a whitespace-separated
 // edge-list stream in the SNAP style: one "u v" pair per line, lines
 // beginning with '#' or '%' ignored. Duplicate edges and self loops are
-// dropped. Vertex IDs must be non-negative integers; they are used as-is
-// (dense renumbering is the caller's job if wanted).
+// dropped. Vertex IDs must be non-negative integers; they are the input
+// IDs of the result, which Build renumbers by (degree, input ID) like
+// every graph (InputID and InternalID translate).
 func LoadEdgeList(r io.Reader, name string) (*Graph, error) {
 	return loadEdgeList(r, name, 0)
 }
@@ -58,8 +60,8 @@ func loadEdgeList(r io.Reader, name string, minVertices int) (*Graph, error) {
 // the labels file is authoritative for |V|: vertices it labels beyond
 // the largest ID any edge names are loaded as isolated vertices (what
 // graphgen -labels writes when a generator leaves its top IDs
-// isolated). A labels file shorter than the edge list's vertex range is
-// an error.
+// isolated). Labels are listed by input ID. A labels file shorter than
+// the edge list's vertex range is an error.
 func LoadEdgeListFile(path string) (*Graph, error) {
 	labels, err := loadLabelsFile(path + ".labels")
 	if err != nil {
@@ -112,15 +114,40 @@ func loadLabelsFile(path string) ([]uint32, error) {
 	return labels, nil
 }
 
-// WriteEdgeList writes the graph as "u v" lines (u < v), suitable for
-// LoadEdgeList. Used by cmd/graphgen.
-func (g *Graph) WriteEdgeList(w io.Writer) error {
+// WriteEdgeList writes the graph as "u v" lines (u < v) in internal IDs,
+// suitable for LoadEdgeList, which numbers them the same way again.
+func (g *Graph) WriteEdgeList(w io.Writer) error { return g.writeEdgeList(w, g.Edges) }
+
+// WriteInputEdgeList writes the graph as "u v" lines (u < v) in input
+// IDs, ordered by u and then v: the edge list of the graph it was built
+// from, less duplicates and self loops.
+func (g *Graph) WriteInputEdgeList(w io.Writer) error { return g.writeEdgeList(w, g.inputEdges) }
+
+// inputEdges is Edges in input IDs, ordered by u and then v.
+func (g *Graph) inputEdges(fn func(u, v uint32)) {
+	var row []uint32
+	for x, u := range g.rank {
+		row = row[:0]
+		for _, v := range g.Neighbors(u) {
+			if y := g.order[v]; y > uint32(x) {
+				row = append(row, y)
+			}
+		}
+		slices.Sort(row)
+		for _, y := range row {
+			fn(uint32(x), y)
+		}
+	}
+}
+
+// writeEdgeList writes a header and then every edge edges visits.
+func (g *Graph) writeEdgeList(w io.Writer, edges func(fn func(u, v uint32))) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "# %s |V|=%d |E|=%d\n", g.nonEmptyName(), g.NumVertices(), g.NumEdges()); err != nil {
 		return err
 	}
 	var werr error
-	g.Edges(func(u, v uint32) {
+	edges(func(u, v uint32) {
 		if werr != nil {
 			return
 		}

@@ -117,14 +117,15 @@ func TestLoadEdgeListFileTrailingIsolatedLabels(t *testing.T) {
 	if g.NumVertices() != 5 || g.NumEdges() != 2 {
 		t.Fatalf("loaded |V|=%d |E|=%d, want 5 and 2", g.NumVertices(), g.NumEdges())
 	}
-	for v, want := range []uint32{7, 8, 9, 4, 5} {
-		if got := g.Label(uint32(v)); got != want {
-			t.Fatalf("label(%d) = %d, want %d", v, got, want)
+	// The labels file lists labels by input ID.
+	for x, want := range []uint32{7, 8, 9, 4, 5} {
+		if got := g.Label(g.InternalID(uint32(x))); got != want {
+			t.Fatalf("label of input vertex %d = %d, want %d", x, got, want)
 		}
 	}
-	for _, v := range []uint32{3, 4} {
-		if d := g.Degree(v); d != 0 {
-			t.Fatalf("trailing vertex %d has degree %d, want isolated", v, d)
+	for _, x := range []uint32{3, 4} {
+		if d := g.Degree(g.InternalID(x)); d != 0 {
+			t.Fatalf("trailing vertex %d has degree %d, want isolated", x, d)
 		}
 	}
 }

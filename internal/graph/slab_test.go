@@ -34,6 +34,9 @@ func requireSameGraph(t *testing.T, a, b *Graph) {
 		if a.Label(u) != b.Label(u) {
 			t.Fatalf("Label(%d): %d vs %d", v, a.Label(u), b.Label(u))
 		}
+		if a.InputID(u) != b.InputID(u) || a.InternalID(u) != b.InternalID(u) {
+			t.Fatalf("vertex %d: order %d/%d, rank %d/%d", v, a.InputID(u), b.InputID(u), a.InternalID(u), b.InternalID(u))
+		}
 	}
 	// Spot-check HasEdge on a deterministic probe set including
 	// non-edges.
@@ -116,10 +119,28 @@ func TestSlabFileUnlabeledAndEmpty(t *testing.T) {
 	}
 }
 
+// slabSections holds the byte positions of an unlabeled slab file's
+// array sections.
+type slabSections struct{ order, rank, offsets, adj int }
+
+// sectionsOf locates the sections of g's slab file.
+func sectionsOf(g *Graph) slabSections {
+	if g.Labeled() {
+		panic("sectionsOf expects an unlabeled graph")
+	}
+	perm := int(pad8(int64(g.NumVertices()) * 4))
+	var s slabSections
+	s.order = slabHeaderSize + int(pad8(8+int64(len(g.Name()))))
+	s.rank = s.order + perm
+	s.offsets = s.rank + perm
+	s.adj = s.offsets + (g.NumVertices()+1)*8
+	return s
+}
+
 // rewriteSlabFile writes g to a slab file, lets edit patch the raw
-// bytes (offsets and adjacency are passed as byte positions of their
-// sections), and writes the result back under a new name.
-func rewriteSlabFile(t *testing.T, dir, name string, g *Graph, edit func(data []byte, offPos, adjPos int)) string {
+// bytes at the positions of their sections, and writes the result back
+// under a new name.
+func rewriteSlabFile(t *testing.T, dir, name string, g *Graph, edit func(data []byte, at slabSections)) string {
 	t.Helper()
 	path := filepath.Join(dir, name+".slab")
 	if err := g.WriteSlabFile(path); err != nil {
@@ -129,11 +150,7 @@ func rewriteSlabFile(t *testing.T, dir, name string, g *Graph, edit func(data []
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Labeled() {
-		t.Fatal("rewriteSlabFile expects an unlabeled graph")
-	}
-	offPos := slabHeaderSize + int(pad8(8+int64(len(g.Name()))))
-	edit(data, offPos, offPos+(g.NumVertices()+1)*8)
+	edit(data, sectionsOf(g))
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -169,20 +186,25 @@ func TestOpenMappedErrors(t *testing.T) {
 		t.Error("want error for truncated file")
 	}
 
-	// One corruption per validation rule, on a 4-vertex graph with
-	// offsets [0 2 4 7 8] and adjacency 0:[1 2] 1:[0 2] 2:[0 1 3] 3:[2].
-	g := FromEdges(4, [][2]uint32{{0, 1}, {1, 2}, {2, 3}, {0, 2}})
+	// One corruption per validation rule, on testGraph's 4 vertices:
+	// order [3 0 1 2], rank [1 2 3 0], internal offsets [0 1 3 5 8] and
+	// adjacency 0:[3] 1:[2 3] 2:[1 3] 3:[0 1 2].
+	g := testGraph()
 	le := binary.LittleEndian
 	for _, tc := range []struct {
 		name, want string
-		edit       func(data []byte, offPos, adjPos int)
+		edit       func(data []byte, at slabSections)
 	}{
-		{"offsets-decrease", "decrease", func(d []byte, o, _ int) { le.PutUint64(d[o+2*8:], 1) }},
-		{"offsets-short", "offsets span", func(d []byte, o, _ int) { le.PutUint64(d[o+4*8:], 7) }},
-		{"neighbor-out-of-range", "out of range", func(d []byte, _, a int) { le.PutUint32(d[a+7*4:], 4) }},
-		{"not-increasing", "strictly increasing", func(d []byte, _, a int) { le.PutUint32(d[a+5*4:], 0) }},
-		{"self-loop", "self-loop", func(d []byte, _, a int) { le.PutUint32(d[a+7*4:], 3) }},
-		{"retired-format", "regenerate", func(d []byte, _, _ int) { copy(d, slabMagicV1) }},
+		{"order-out-of-range", "inverse permutations", func(d []byte, at slabSections) { le.PutUint32(d[at.order:], 4) }},
+		{"order-repeats", "inverse permutations", func(d []byte, at slabSections) { le.PutUint32(d[at.order+4:], 3) }},
+		{"rank-not-inverse", "inverse permutations", func(d []byte, at slabSections) { le.PutUint32(d[at.rank+3*4:], 1) }},
+		{"offsets-decrease", "decrease", func(d []byte, at slabSections) { le.PutUint64(d[at.offsets+2*8:], 0) }},
+		{"offsets-short", "offsets span", func(d []byte, at slabSections) { le.PutUint64(d[at.offsets+4*8:], 7) }},
+		{"neighbor-out-of-range", "out of range", func(d []byte, at slabSections) { le.PutUint32(d[at.adj+7*4:], 4) }},
+		{"not-increasing", "strictly increasing", func(d []byte, at slabSections) { le.PutUint32(d[at.adj+6*4:], 0) }},
+		{"self-loop", "self-loop", func(d []byte, at slabSections) { le.PutUint32(d[at.adj+7*4:], 3) }},
+		{"retired-partitioned", "regenerate", func(d []byte, _ slabSections) { copy(d, "DMSLAB01") }},
+		{"retired-unordered", "regenerate", func(d []byte, _ slabSections) { copy(d, "DMSLAB02") }},
 	} {
 		path := rewriteSlabFile(t, dir, tc.name, g, tc.edit)
 		mg, err := OpenMapped(path)
@@ -197,7 +219,7 @@ func TestOpenMappedErrors(t *testing.T) {
 	}
 	// The untouched file still opens, so each case above failed on its
 	// own edit.
-	mg, err := OpenMapped(rewriteSlabFile(t, dir, "intact", g, func([]byte, int, int) {}))
+	mg, err := OpenMapped(rewriteSlabFile(t, dir, "intact", g, func([]byte, slabSections) {}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,6 +236,10 @@ func FuzzSlabBackends(f *testing.F) {
 	f.Add(int64(1), uint32(0), uint8(0), uint32(0))
 	f.Add(int64(42), uint32(100), uint8(0x80), uint32(0))
 	f.Add(int64(7), uint32(0), uint8(0), uint32(13))
+	// Damage the vertex order: one bit of order[0], one of rank[5].
+	at := sectionsOf(GNP(60, 0.08, 3))
+	f.Add(int64(3), uint32(at.order), uint8(1), uint32(0))
+	f.Add(int64(3), uint32(at.rank+5*4), uint8(2), uint32(0))
 	f.Fuzz(func(t *testing.T, seed int64, pos uint32, flip uint8, cut uint32) {
 		g := GNP(60, 0.08, seed)
 		if seed%2 == 0 {
@@ -259,6 +285,9 @@ func FuzzSlabBackends(f *testing.F) {
 				bg.HasEdge(x, v)
 			}
 			bg.Label(v)
+			if x := bg.InputID(v); x >= n || bg.InternalID(x) != v {
+				t.Fatalf("vertex %d: InputID %d does not round-trip", v, x)
+			}
 		}
 	})
 }

@@ -6,29 +6,36 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"unsafe"
 )
 
-// Slab file format ("DMSLAB02"), the on-disk twin of the in-memory CSR
-// for out-of-core mining. All integers are little-endian and the arrays
-// are in native layout, so OpenMapped serves them zero-copy through
-// mmap. Sections, each starting 8-byte aligned:
+// Slab file format ("DMSLAB03"), the on-disk twin of the in-memory CSR
+// for out-of-core mining: the degree-ordered arrays Build produces plus
+// the permutation between internal and input IDs. All integers are
+// little-endian and the arrays are in native layout, so OpenMapped
+// serves them zero-copy through mmap. Sections, each starting 8-byte
+// aligned:
 //
-//	header (32 B): magic "DMSLAB02", flags (bit0 = labeled),
+//	header (32 B): magic "DMSLAB03", flags (bit0 = labeled),
 //	  numVertices, adjTotal — uint64
 //	name: uint64 length + bytes, zero-padded to 8
-//	labels (iff flags bit0): numVertices × uint32, zero-padded to 8
+//	labels (iff flags bit0): numVertices × uint32 in internal order,
+//	  zero-padded to 8
+//	order: numVertices × uint32 (internal → input), zero-padded to 8
+//	rank: numVertices × uint32 (input → internal), zero-padded to 8
 //	offsets: (numVertices+1) × int64
 //	adjacency: adjTotal × uint32, zero-padded to 8
 //
-// OpenMapped checks every offset and neighbor ID once at open, so a
-// corrupted file is rejected with an error instead of making accessors
-// panic later.
-const slabMagic = "DMSLAB02"
+// OpenMapped checks the permutation and every offset and neighbor ID
+// once at open, so a corrupted file is rejected with an error instead
+// of making accessors panic later.
+const slabMagic = "DMSLAB03"
 
-// slabMagicV1 is the retired partitioned layout (slab table plus
-// per-vertex slab maps), recognized only to ask for regeneration.
-const slabMagicV1 = "DMSLAB01"
+// retiredSlabMagics are earlier layouts, recognized only to ask for
+// regeneration: the partitioned layout (slab table plus per-vertex slab
+// maps) and the CSR in input IDs without a permutation.
+var retiredSlabMagics = []string{"DMSLAB01", "DMSLAB02"}
 
 const slabHeaderSize = 32
 
@@ -143,6 +150,10 @@ func (g *Graph) WriteSlabFile(path string) error {
 		sw.u32s(g.labels)
 		sw.pad()
 	}
+	sw.u32s(g.order)
+	sw.pad()
+	sw.u32s(g.rank)
+	sw.pad()
 	sw.i64s(g.offsets)
 	sw.u32s(g.adj)
 	sw.pad()
@@ -179,6 +190,20 @@ func (sr *slabReader) u64() (uint64, error) {
 }
 
 func (sr *slabReader) pad() { sr.pos = pad8(sr.pos) }
+
+// u32s takes an 8-byte-padded section of n uint32s as a window of the
+// mapping (non-nil even when empty).
+func (sr *slabReader) u32s(n int64) ([]uint32, error) {
+	b, err := sr.take(n * 4)
+	if err != nil {
+		return nil, err
+	}
+	sr.pad()
+	if n == 0 {
+		return []uint32{}, nil
+	}
+	return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), n), nil
+}
 
 // OpenMapped opens a slab file written by WriteSlabFile and returns a
 // graph whose arrays are read-only windows of the file mapping: the
@@ -223,11 +248,10 @@ func decodeSlabFile(data []byte) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch string(magic) {
-	case slabMagic:
-	case slabMagicV1:
-		return nil, fmt.Errorf("%s is the retired partitioned slab format; regenerate the file with graphgen -format slab", slabMagicV1)
-	default:
+	if string(magic) != slabMagic {
+		if slices.Contains(retiredSlabMagics, string(magic)) {
+			return nil, fmt.Errorf("%s is a retired slab format; regenerate the file with graphgen -format slab", magic)
+		}
 		return nil, fmt.Errorf("bad magic %q (want %q)", magic, slabMagic)
 	}
 	var hdr [4]uint64
@@ -257,15 +281,20 @@ func decodeSlabFile(data []byte) (*Graph, error) {
 	sr.pad()
 	var labels []uint32
 	if flags&slabFlagLabeled != 0 {
-		lBytes, err := sr.take(n * 4)
-		if err != nil {
+		if labels, err = sr.u32s(n); err != nil {
 			return nil, err
 		}
-		sr.pad()
-		labels = []uint32{}
-		if n > 0 {
-			labels = unsafe.Slice((*uint32)(unsafe.Pointer(&lBytes[0])), n)
-		}
+	}
+	order, err := sr.u32s(n)
+	if err != nil {
+		return nil, err
+	}
+	rank, err := sr.u32s(n)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkPermutation(order, rank); err != nil {
+		return nil, err
 	}
 	oBytes, err := sr.take((n + 1) * 8)
 	if err != nil {
@@ -279,6 +308,8 @@ func decodeSlabFile(data []byte) (*Graph, error) {
 		offsets:   unsafe.Slice((*int64)(unsafe.Pointer(&oBytes[0])), n+1),
 		adj:       []uint32{},
 		labels:    labels,
+		order:     order,
+		rank:      rank,
 		name:      string(name),
 		numLabels: countLabels(labels),
 		hub:       &hubState{},
@@ -300,6 +331,17 @@ func decodeSlabFile(data []byte) (*Graph, error) {
 		g.hub.idx.Store(buildHubIndex(g, g.DefaultHubThreshold()))
 	}
 	return g, nil
+}
+
+// checkPermutation validates the vertex order read from a file: order
+// maps into [0, |V|) and rank undoes it, which makes both bijections.
+func checkPermutation(order, rank []uint32) error {
+	for v, x := range order {
+		if int64(x) >= int64(len(rank)) || rank[x] != uint32(v) {
+			return fmt.Errorf("vertex %d: order and rank are not inverse permutations", v)
+		}
+	}
+	return nil
 }
 
 // checkCSR validates a CSR read from a file in one pass over offsets

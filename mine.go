@@ -26,8 +26,9 @@ type PartialEmbedding struct {
 	SubpatternIndex int
 	// Subpattern is the matched subpattern graph.
 	Subpattern *Pattern
-	// Vertices maps subpattern vertex i to the input-graph vertex; the
-	// slice is reused between calls and must be copied if retained.
+	// Vertices maps subpattern vertex i to the input-graph vertex, in
+	// the graph's own IDs (those Graph.Label and Graph.HasEdge take);
+	// the slice is reused between calls and must be copied if retained.
 	Vertices []uint32
 	// WholeVertex maps subpattern vertex i to the corresponding
 	// whole-pattern vertex.
@@ -47,17 +48,8 @@ func (s *System) ProcessPartialEmbeddings(p *Pattern, newUDF func(worker int) UD
 	if err != nil {
 		return err
 	}
-	_, err = s.runEmitPlan(plan, info, newUDF, time.Time{})
-	return err
-}
-
-// runEmitPlan executes a compiled emission plan (see emitPlan),
-// optionally under a deadline (zero = none), reporting canceled=true
-// when it expires.
-func (s *System) runEmitPlan(plan *core.Plan, info []subInfo, newUDF func(worker int) UDF, deadline time.Time) (bool, error) {
-	cancel := new(atomic.Bool)
-	defer armDeadline(cancel, deadline)()
-	newConsumer := func(worker int) engine.Consumer {
+	g := s.graph.g
+	_, err = s.runEmitPlan(plan, func(worker int) engine.Consumer {
 		udf := newUDF(worker)
 		// One reusable PartialEmbedding per subpattern per worker.
 		pes := make([]*PartialEmbedding, len(info))
@@ -71,11 +63,23 @@ func (s *System) runEmitPlan(plan *core.Plan, info []subInfo, newUDF func(worker
 		}
 		return engine.ConsumerFunc(func(sub int, verts []uint32, count int64) bool {
 			pe := pes[sub]
-			copy(pe.Vertices, verts)
+			for i := range pe.Vertices {
+				pe.Vertices[i] = g.InputID(verts[i])
+			}
 			udf(pe, count)
 			return true
 		})
-	}
+	}, time.Time{})
+	return err
+}
+
+// runEmitPlan executes a compiled emission plan (see emitPlan) with one
+// consumer per worker, which receives internal vertex IDs, optionally
+// under a deadline (zero = none), reporting canceled=true when it
+// expires.
+func (s *System) runEmitPlan(plan *core.Plan, newConsumer func(worker int) engine.Consumer, deadline time.Time) (bool, error) {
+	cancel := new(atomic.Bool)
+	defer armDeadline(cancel, deadline)()
 	res, _, err := s.exec(plan, true, engine.Options{Cancel: cancel, NewConsumer: newConsumer})
 	if err != nil {
 		return false, err
@@ -116,11 +120,13 @@ func (s *System) emitPlan(p *pattern.Pattern) (*core.Plan, []subInfo, error) {
 // Materialize expands a partial embedding into up to num whole-pattern
 // embeddings (as vertex tuples indexed by whole-pattern vertex) — the
 // paper's materialize API. It enumerates the remaining pattern vertices
-// with the partial embedding pinned.
+// with the partial embedding pinned. Pins and tuples are in the graph's
+// own vertex IDs.
 func (s *System) Materialize(p *Pattern, pe *PartialEmbedding, num int) ([][]uint32, error) {
 	if num <= 0 {
 		return nil, nil
 	}
+	g := s.graph.g
 	n := p.p.NumVertices()
 	pinnedPattern := make([]int, 0, len(pe.WholeVertex))
 	pins := make([]uint32, 0, len(pe.WholeVertex))
@@ -130,8 +136,12 @@ func (s *System) Materialize(p *Pattern, pe *PartialEmbedding, num int) ([][]uin
 			continue
 		}
 		seen[w] = true
+		v := pe.Vertices[i]
+		if int(v) >= g.NumVertices() {
+			return nil, fmt.Errorf("decomine: vertex %d out of range (|V| = %d)", v, g.NumVertices())
+		}
 		pinnedPattern = append(pinnedPattern, w)
-		pins = append(pins, pe.Vertices[i])
+		pins = append(pins, g.InternalID(v))
 	}
 	// Remaining vertices in a connected order relative to the pinned set.
 	var rest []int
@@ -154,7 +164,11 @@ func (s *System) Materialize(p *Pattern, pe *PartialEmbedding, num int) ([][]uin
 		Pins:    pins,
 		NewConsumer: func(worker int) engine.Consumer {
 			return engine.ConsumerFunc(func(sub int, verts []uint32, count int64) bool {
-				out = append(out, append([]uint32(nil), verts...))
+				tuple := make([]uint32, len(verts))
+				for i, v := range verts {
+					tuple[i] = g.InputID(v)
+				}
+				out = append(out, tuple)
 				return len(out) < num
 			})
 		},

@@ -7,6 +7,8 @@ package decomine
 // enumerator here covers what the census cannot express (labeled and
 // group-constrained queries) or cannot finish in test time (its cost
 // explodes with hub degree, so the skewed R-MAT suites use tuples).
+// They walk the graph in its internal IDs: counts do not depend on the
+// numbering, which TestRenumberingMetamorphic checks on its own.
 
 import (
 	"decomine/internal/pattern"
@@ -31,7 +33,7 @@ func brute(g *Graph, p *pattern.Pattern, cons []LabelConstraint) bruteCounts {
 		induced := true
 		for u := 0; u < n && induced; u++ {
 			for v := u + 1; v < n && induced; v++ {
-				induced = p.HasEdge(u, v) || !g.HasEdge(bound[u], bound[v])
+				induced = p.HasEdge(u, v) || !g.g.HasEdge(bound[u], bound[v])
 			}
 		}
 		if induced {
@@ -64,7 +66,7 @@ func constraintsHold(g *Graph, bound []uint32, cons []LabelConstraint) bool {
 	for _, c := range cons {
 		for i, u := range c.Vertices {
 			for _, v := range c.Vertices[i+1:] {
-				same := g.Label(bound[u]) == g.Label(bound[v])
+				same := g.g.Label(bound[u]) == g.g.Label(bound[v])
 				if same != (c.Kind == AllSameLabel) {
 					return false
 				}
@@ -98,12 +100,12 @@ func forEachTuple(g *Graph, p *pattern.Pattern, visit func(bound []uint32)) {
 			}
 		}
 		for _, x := range cands {
-			if l := p.Label(i); l != pattern.NoLabel && g.Label(x) != l {
+			if l := p.Label(i); l != pattern.NoLabel && g.g.Label(x) != l {
 				continue
 			}
 			ok := true
 			for j := 0; j < i && ok; j++ {
-				ok = bound[j] != x && (!p.HasEdge(i, j) || g.HasEdge(x, bound[j]))
+				ok = bound[j] != x && (!p.HasEdge(i, j) || g.g.HasEdge(x, bound[j]))
 			}
 			if ok {
 				bound[i] = x
