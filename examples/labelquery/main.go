@@ -53,9 +53,15 @@ func main() {
 
 	// A second query in the style of §4.3: centers of star subgraphs,
 	// discovered from partial embeddings without materializing the star.
-	star, _ := decomine.PatternByName("star-6")
-	centers := map[uint32]bool{}
+	// Each worker collects its own centers; they are merged after the
+	// call. star-5 is the largest star that finishes in seconds on ee
+	// (about 6 s on 2 threads); star-6 did not finish in 4 CPU-minutes.
+	star, _ := decomine.PatternByName("star-5")
+	start = time.Now()
+	var perWorker []map[uint32]bool
 	err = sys.ProcessPartialEmbeddings(star, func(worker int) decomine.UDF {
+		centers := map[uint32]bool{}
+		perWorker = append(perWorker, centers)
 		return func(pe *decomine.PartialEmbedding, c int64) {
 			for i, w := range pe.WholeVertex {
 				if w == 0 { // the star center is whole-pattern vertex 0
@@ -67,26 +73,44 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	centers := map[uint32]bool{}
+	for _, m := range perWorker {
+		for v := range m {
+			centers[v] = true
+		}
+	}
 	labels := map[uint32]int{}
 	for v := range centers {
 		labels[g.Label(v)]++
 	}
-	fmt.Printf("star-6 centers: %d vertices across %d labels\n", len(centers), len(labels))
+	fmt.Printf("%s centers: %d vertices across %d labels (%s)\n",
+		star, len(centers), len(labels), time.Since(start).Round(time.Millisecond))
 
 	// Materialize a handful of whole embeddings from one partial
-	// embedding of the constrained pattern's decomposition.
-	var sample *decomine.PartialEmbedding
+	// embedding of the constrained pattern's decomposition: each worker
+	// keeps the first it sees, and the lowest-numbered worker's wins.
+	type firstSeen struct{ pe *decomine.PartialEmbedding }
+	var perWorkerSample []*firstSeen
 	err = sys.ProcessPartialEmbeddings(p, func(worker int) decomine.UDF {
+		first := &firstSeen{}
+		perWorkerSample = append(perWorkerSample, first)
 		return func(pe *decomine.PartialEmbedding, c int64) {
-			if sample == nil {
+			if first.pe == nil {
 				cp := *pe
 				cp.Vertices = append([]uint32(nil), pe.Vertices...)
-				sample = &cp
+				first.pe = &cp
 			}
 		}
 	})
 	if err != nil {
 		log.Fatal(err)
+	}
+	var sample *decomine.PartialEmbedding
+	for _, first := range perWorkerSample {
+		if first.pe != nil {
+			sample = first.pe
+			break
+		}
 	}
 	if sample != nil {
 		embs, err := sys.Materialize(p, sample, 3)

@@ -2,6 +2,7 @@ package decomine_test
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"decomine"
@@ -12,6 +13,13 @@ import (
 // after job 10 must stay within 25 % of the live heap after job 2.
 // Per-frame hash tables that grow on stale slots, or per-plan copies of
 // |V|-sized vertex sets, make it climb.
+//
+// Pooled frames survive one collection, so how many are live after a
+// job depends on whether the pacer also collected during it: one job
+// allocates about as much as the pacer's headroom, so some jobs ran a
+// collection and some did not, and the live heap stepped by the frames
+// of every plan the job ran. From job 2 on the test therefore collects
+// only between jobs: every measurement then counts every pooled frame.
 func TestFSMWarmHeapFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes under the race detector are not representative")
@@ -22,6 +30,9 @@ func TestFSMWarmHeapFlat(t *testing.T) {
 	var afterTwo uint64
 	var patterns int
 	for job := 1; job <= 10; job++ {
+		if job == 2 {
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		}
 		res, err := sys.FSM(100, 3)
 		if err != nil {
 			t.Fatal(err)

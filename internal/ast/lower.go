@@ -138,6 +138,9 @@ type Instr struct {
 	// uses them to look up hub bitmap rows at dispatch time: registers
 	// are SSA and the defining variable is stable between the def and
 	// every use, so operand A IS Neighbors(vars[NbrA]) whenever NbrA >= 0.
+	// On ISetDef OpFilterLabel/OpFilterLabelOfVar, NbrA >= 0 tells the
+	// engine to slice the graph's label-grouped adjacency instead of
+	// scanning operand A.
 	NbrA int32
 	NbrB int32
 
@@ -311,7 +314,8 @@ func lower(p *Program, opts LowerOpts) *Lowered {
 }
 
 // annotateNeighborOperands fills Instr.NbrA/NbrB on the intersect/
-// subtract family (including fused counts): the vertex variable whose
+// subtract family (including fused counts) and NbrA on the label
+// filters that have a slice path: the vertex variable whose
 // OpNeighbors definition is the operand's single SSA def site, or -1.
 // Runs after fuseCounts so annotations land on the surviving
 // instructions (fusion deletes intersections and trims, never the
@@ -336,6 +340,8 @@ func (l *Lowered) annotateNeighborOperands() {
 		switch {
 		case ins.Op == ISetDef && (ins.Set == OpIntersect || ins.Set == OpSubtract):
 			ins.NbrA, ins.NbrB = lookup(ins.A), lookup(ins.B)
+		case ins.Op == ISetDef && (ins.Set == OpFilterLabel || ins.Set == OpFilterLabelOfVar):
+			ins.NbrA, ins.NbrB = lookup(ins.A), -1
 		case ins.Op == ICount:
 			ins.NbrA = lookup(ins.A)
 			ins.NbrB = -1

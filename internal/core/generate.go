@@ -327,12 +327,19 @@ func buildCandidate(g *genCtx, pat *pattern.Pattern, pv int, bind []int, opts ca
 			boundVerts = append(boundVerts, u)
 		}
 	}
-	// 1. Intersect neighbor lists of bound pattern-neighbors.
+	// 1. Intersect neighbor lists of bound pattern-neighbors. A static
+	// label applies to each list before the intersection: N(u) ∩
+	// {label = l} is a slice of the graph's label-grouped adjacency, and
+	// CSE shares it between every candidate set that reads it.
+	label := pat.Label(pv)
 	for _, u := range boundVerts {
 		if !pat.HasEdge(u, pv) {
 			continue
 		}
 		ns := g.neighbors(bind[u])
+		if label != pattern.NoLabel {
+			ns = b.FilterLabel(ns, label)
+		}
 		if cand < 0 {
 			cand = ns
 		} else {
@@ -342,6 +349,9 @@ func buildCandidate(g *genCtx, pat *pattern.Pattern, pv int, bind []int, opts ca
 	}
 	if cand < 0 {
 		cand = g.all()
+		if label != pattern.NoLabel {
+			cand = b.FilterLabel(cand, label)
+		}
 	}
 	// 2. Vertex-induced: exclude neighbors of bound non-neighbors.
 	if opts.induced {
@@ -353,11 +363,7 @@ func buildCandidate(g *genCtx, pat *pattern.Pattern, pv int, bind []int, opts ca
 			meta.Subtractions++
 		}
 	}
-	// 3. Label constraints: static per-vertex labels plus dynamic
-	// same/different-label filters from group constraints.
-	if l := pat.Label(pv); l != pattern.NoLabel {
-		cand = b.FilterLabel(cand, l)
-	}
+	// 3. Dynamic same/different-label filters from group constraints.
 	for _, v := range opts.sameLabelVars {
 		cand = b.FilterLabelOfVar(cand, v)
 	}

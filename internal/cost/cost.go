@@ -257,7 +257,10 @@ type estimator struct {
 	// exponent of the closure-chain size floor that keeps deep
 	// triangle-pruned sets from collapsing to zero on clustered graphs.
 	chain []int
-	cost  float64
+	// adj marks the registers defined by OpNeighbors: a label filter of
+	// one is a lookup in the graph's label-grouped adjacency.
+	adj  []bool
+	cost float64
 
 	// loopTotal, when non-nil, captures each loop's expected TOTAL
 	// iteration count keyed by its loop variable (the plan shape
@@ -269,6 +272,7 @@ func (e *estimator) run(prog *ast.Program) float64 {
 	e.size = make([]float64, prog.NumSets)
 	e.fromNbr = make([]bool, prog.NumSets)
 	e.chain = make([]int, prog.NumSets)
+	e.adj = make([]bool, prog.NumSets)
 	e.walk(prog.Root.Body, 1, 1)
 	return e.cost
 }
@@ -362,6 +366,7 @@ func (e *estimator) defineSet(n *ast.Node, iters float64) {
 		sz, nb = e.st.N, false
 	case ast.OpNeighbors:
 		sz, nb, ch = e.st.AvgDeg, true, 1
+		e.adj[n.Dst] = true
 	case ast.OpIntersect:
 		a, b := e.size[n.A], e.size[n.B]
 		sz = e.intersect(a, b, e.fromNbr[n.A], e.fromNbr[n.B])
@@ -405,7 +410,13 @@ func (e *estimator) defineSet(n *ast.Node, iters float64) {
 		e.cost += iters * e.size[n.A]
 	case ast.OpFilterLabel, ast.OpFilterLabelOfVar:
 		sz, nb = e.size[n.A]/e.st.Labels, e.fromNbr[n.A]
-		e.cost += iters * e.size[n.A]
+		if e.adj[n.A] {
+			// A slice of the label-grouped adjacency: a binary search of
+			// the row's run directory.
+			e.cost += iters * math.Log2(math.Max(e.st.Labels, 2))
+		} else {
+			e.cost += iters * e.size[n.A]
+		}
 	case ast.OpFilterLabelNotOfVar:
 		sz, nb = e.size[n.A]*(1-1/e.st.Labels), e.fromNbr[n.A]
 		e.cost += iters * e.size[n.A]

@@ -146,6 +146,44 @@ func TestCostAccountsForTrimsAndFilters(t *testing.T) {
 	}
 }
 
+// TestLabelFilterPricing: a label filter of a neighbor register is a
+// lookup in the label-grouped adjacency, priced log₂(labels) per
+// execution whatever the list's size; a filter of any other set is a
+// scan, priced by its operand's size.
+func TestLabelFilterPricing(t *testing.T) {
+	st := GraphStats{N: 10000, AvgDeg: 20, Labels: 8}
+	build := func(filter, overIntersection bool) *ast.Program {
+		b := ast.NewBuilder(0)
+		all := b.All()
+		g := b.NewGlobal()
+		v0 := b.BeginLoop(all, nil)
+		set := b.Neighbors(v0)
+		if overIntersection {
+			set = b.Intersect(set, b.Neighbors(v0))
+		}
+		if filter {
+			set = b.FilterLabel(set, 3)
+		}
+		b.GlobalAdd(g, b.Size(set), 1)
+		b.EndLoop()
+		return b.Finish()
+	}
+	m := NewAutoMine(st)
+	if got := m.Cost(build(true, false)) - m.Cost(build(false, false)); got != st.N*3 {
+		t.Fatalf("filter of N(v) costs %g over the plain plan, want N·log₂(8) = %g", got, st.N*3)
+	}
+	a := st.AvgDeg * st.AvgDeg / st.N // the estimated intersection size
+	if got := m.Cost(build(true, true)) - m.Cost(build(false, true)); got != st.N*a {
+		t.Fatalf("filter of an intersection costs %g over the plain plan, want N·|A| = %g", got, st.N*a)
+	}
+	for _, over := range []bool{false, true} {
+		prog := build(true, over)
+		if got, want := NewLocality(st, 0.25).Cost(prog), referenceLocalityCost(st, 0.25, prog); got != want {
+			t.Fatalf("over intersection %v: model cost %v != reference %v", over, got, want)
+		}
+	}
+}
+
 func TestCostRanksGoodVsBadTriangleOrder(t *testing.T) {
 	// A triangle plan that intersects before looping beats one that
 	// loops over all vertices at the last level.

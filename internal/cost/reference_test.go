@@ -15,6 +15,7 @@ func referenceLocalityCost(st GraphStats, plocal float64, prog *ast.Program) flo
 	e := referenceEstimator{st: st, plocal: plocal}
 	e.size = make([]float64, prog.NumSets)
 	e.fromNbr = make([]bool, prog.NumSets)
+	e.adj = make([]bool, prog.NumSets)
 	e.walk(prog.Root.Body, 1)
 	return e.cost
 }
@@ -24,6 +25,7 @@ type referenceEstimator struct {
 	plocal  float64
 	size    []float64
 	fromNbr []bool
+	adj     []bool // defined by OpNeighbors
 	cost    float64
 }
 
@@ -76,6 +78,7 @@ func (e *referenceEstimator) defineSet(n *ast.Node, iters float64) {
 		sz, nb = e.st.N, false
 	case ast.OpNeighbors:
 		sz, nb = e.st.AvgDeg, true
+		e.adj[n.Dst] = true
 	case ast.OpIntersect:
 		a, b := e.size[n.A], e.size[n.B]
 		if e.fromNbr[n.A] && e.fromNbr[n.B] {
@@ -113,7 +116,11 @@ func (e *referenceEstimator) defineSet(n *ast.Node, iters float64) {
 		e.cost += iters * e.size[n.A]
 	case ast.OpFilterLabel, ast.OpFilterLabelOfVar:
 		sz, nb = e.size[n.A]/e.st.Labels, e.fromNbr[n.A]
-		e.cost += iters * e.size[n.A]
+		if e.adj[n.A] {
+			e.cost += iters * math.Log2(math.Max(e.st.Labels, 2))
+		} else {
+			e.cost += iters * e.size[n.A]
+		}
 	case ast.OpFilterLabelNotOfVar:
 		sz, nb = e.size[n.A]*(1-1/e.st.Labels), e.fromNbr[n.A]
 		e.cost += iters * e.size[n.A]

@@ -52,6 +52,10 @@ type vmShared struct {
 	// (nil when the graph has no hubs or Options.DisableHub was set);
 	// the intersect/subtract dispatch consults it per instruction.
 	hub *graph.HubIndex
+	// labels is the graph's label index, taken at preparation time when
+	// the program filters a neighbor list by label (nil otherwise, and
+	// for unlabeled graphs): such a filter slices it (labelSlice).
+	labels *graph.LabelIndex
 	// root[r] is the read-only graph-owned list that set register r
 	// aliases when rooted[r]: g.Vertices() for an OpAll register,
 	// g.VerticesWithLabel(l) for an OpFilterLabel of one (possibly empty).
@@ -59,7 +63,7 @@ type vmShared struct {
 	rooted []bool
 	// bufCap[r] is the arena capacity reserved for set register r; 0 for
 	// registers that alias existing storage (rooted registers,
-	// OpNeighbors, OpAuxRow, trims) and so need no buffer.
+	// OpNeighbors, OpAuxRow, trims, label slices) and so need no buffer.
 	bufCap []int
 	// arenaLen is the total arena length (sum of bufCap).
 	arenaLen int
@@ -191,6 +195,12 @@ func newVMShared(g *graph.Graph, bc *ast.Lowered, hub *graph.HubIndex) *vmShared
 			sh.root[ins.Dst], sh.rooted[ins.Dst] = g.VerticesWithLabel(uint32(ins.Imm)), true
 			bound[ins.Dst] = len(sh.root[ins.Dst])
 			continue
+		case (ins.Set == ast.OpFilterLabel || ins.Set == ast.OpFilterLabelOfVar) && ins.NbrA >= 0:
+			// A label slice of a neighbor list aliases the graph's
+			// label-grouped adjacency: no buffer.
+			sh.labels = g.LabelIndex()
+			bound[ins.Dst] = min(bound[ins.A], maxDeg)
+			continue
 		}
 		switch ins.Set {
 		case ast.OpNeighbors:
@@ -229,6 +239,19 @@ func newVMShared(g *graph.Graph, bc *ast.Lowered, hub *graph.HubIndex) *vmShared
 	sh.d1 = analyzeD1(bc)
 	sh.depths = profDepths(bc)
 	return sh
+}
+
+// labelSlice returns N(v) ∩ {label = l} as a slice of the label index.
+// On an unlabeled graph every label is 0 (graph.Label's rule): N(v) for
+// l = 0 and nothing otherwise.
+func (sh *vmShared) labelSlice(v, l uint32) []uint32 {
+	if sh.labels != nil {
+		return sh.labels.Neighbors(v, l)
+	}
+	if l == 0 {
+		return sh.g.Neighbors(v)
+	}
+	return nil
 }
 
 // getFrame returns a recycled worker frame (reset by putFrame) or a
@@ -397,10 +420,10 @@ func newVMFrame(sh *vmShared) *vmFrame {
 //
 // Hot state (instruction stream, register files, loop cursors) is
 // hoisted into locals so the dispatch loop keeps it in registers, and
-// the inner-loop workhorses — neighbor aliasing, intersection, trims,
-// set sizes and sorted-prefix counts — are inlined into the switch to
-// avoid a call per instruction; the long tail of opcodes dispatches to
-// execSet/execScalar.
+// the inner-loop workhorses — neighbor aliasing, label slices,
+// intersection, trims, set sizes and sorted-prefix counts — are inlined
+// into the switch to avoid a call per instruction; the long tail of
+// opcodes dispatches to execSet/execScalar.
 func (f *vmFrame) exec(start, end int32) bool {
 	code := f.sh.bc.Code
 	g := f.sh.g
@@ -474,6 +497,12 @@ func (f *vmFrame) exec(start, end int32) bool {
 				sets[ins.Dst] = vset.SliceAbove(sets[ins.A], vars[ins.V])
 			case ast.OpAuxRow:
 				sets[ins.Dst] = f.auxRow(ins.A, vars[ins.V])
+			case ast.OpFilterLabel:
+				if ins.NbrA >= 0 {
+					sets[ins.Dst] = f.sh.labelSlice(vars[ins.NbrA], uint32(ins.Imm))
+				} else {
+					f.execSet(ins)
+				}
 			default:
 				f.execSet(ins)
 			}
@@ -684,7 +713,8 @@ func (f *vmFrame) execCount(ins *ast.Instr) int64 {
 }
 
 // exclCount returns how many distinct excluded-variable values of a
-// fused ICount are members of a (and of b when b is non-nil). Values
+// fused ICount are members of a (and of b when the count intersects,
+// ins.B >= 0: an empty b may be nil, as a label slice can be). Values
 // are deduplicated at runtime: two excluded variables holding the same
 // vertex remove one element, not two.
 func (f *vmFrame) exclCount(ins *ast.Instr, a, b []uint32) int64 {
@@ -699,7 +729,7 @@ func (f *vmFrame) exclCount(ins *ast.Instr, a, b []uint32) int64 {
 				break
 			}
 		}
-		if !dup && vset.Contains(a, v) && (b == nil || vset.Contains(b, v)) {
+		if !dup && vset.Contains(a, v) && (ins.B < 0 || vset.Contains(b, v)) {
 			n++
 		}
 	}
@@ -826,6 +856,10 @@ func (f *vmFrame) execSet(ins *ast.Instr) {
 			f.sets[ins.Dst] = f.sh.root[ins.Dst]
 			return
 		}
+		if ins.NbrA >= 0 {
+			f.sets[ins.Dst] = f.sh.labelSlice(f.vars[ins.NbrA], uint32(ins.Imm))
+			return
+		}
 		dst = dst[:0]
 		want := uint32(ins.Imm)
 		for _, x := range f.sets[ins.A] {
@@ -834,8 +868,12 @@ func (f *vmFrame) execSet(ins *ast.Instr) {
 			}
 		}
 	case ast.OpFilterLabelOfVar:
-		dst = dst[:0]
 		want := f.sh.g.Label(f.vars[ins.V])
+		if ins.NbrA >= 0 {
+			f.sets[ins.Dst] = f.sh.labelSlice(f.vars[ins.NbrA], want)
+			return
+		}
+		dst = dst[:0]
 		for _, x := range f.sets[ins.A] {
 			if f.sh.g.Label(x) == want {
 				dst = append(dst, x)

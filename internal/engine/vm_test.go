@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"decomine/internal/ast"
+	"decomine/internal/core"
 	"decomine/internal/graph"
+	"decomine/internal/pattern"
 )
 
 // vmTestPrograms collects programs covering every opcode class so the
@@ -386,5 +388,113 @@ func TestVMRootSetsAliasGraph(t *testing.T) {
 	}
 	if res.Globals[0] != 0 || res.OpCounts[ast.ILoopNext] != 0 {
 		t.Fatalf("absent label: global %d after %d iterations", res.Globals[0], res.OpCounts[ast.ILoopNext])
+	}
+}
+
+// TestLabelSliceOperands checks the lowering and preparation of label
+// filters. On the labeled-triangle emit plan every filter over an
+// OpNeighbors register names that register's vertex in NbrA and gets
+// no arena buffer (it aliases the graph's label-grouped adjacency); a
+// filter over an intersection keeps NbrA = -1 and its buffer. The
+// counting twins of both programs must match a scan.
+func TestLabelSliceOperands(t *testing.T) {
+	g := graph.GNP(200, 0.08, 3).WithRandomLabels(3, 4)
+	tri := pattern.MustParse("0-1,1-2,2-0")
+	tri.SetLabel(0, 0)
+	tri.SetLabel(1, 0)
+	tri.SetLabel(2, 1)
+	plan := func(mode core.Mode) *core.Plan {
+		p, err := core.GenerateDirect(core.DirectSpec{Pattern: tri, Order: []int{0, 1, 2}, Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	bc := plan(core.ModeEmit).Lowered()
+	sh := Prepare(g, bc).sh
+	nbrOf := map[int32]int32{}
+	slices := 0
+	for _, ins := range bc.Code {
+		if ins.Op != ast.ISetDef {
+			continue
+		}
+		switch ins.Set {
+		case ast.OpNeighbors:
+			nbrOf[ins.Dst] = ins.V
+		case ast.OpFilterLabel, ast.OpFilterLabelOfVar:
+			v, ok := nbrOf[ins.A]
+			if !ok {
+				if !sh.rooted[ins.Dst] {
+					t.Fatalf("filter s%d over s%d: neither a root set nor over a neighbor register", ins.Dst, ins.A)
+				}
+				continue
+			}
+			if ins.NbrA != v || sh.bufCap[ins.Dst] != 0 {
+				t.Fatalf("filter s%d over N(v%d): NbrA %d, buffer %d", ins.Dst, v, ins.NbrA, sh.bufCap[ins.Dst])
+			}
+			slices++
+		}
+	}
+	if slices < 2 {
+		t.Fatalf("%d label slices in the triangle plan, want one per bound neighbor list:\n%s", slices, bc.Disassemble())
+	}
+
+	// Count the triangles with a scan (v0 < v1: the two label-0 vertices
+	// are automorphic) to check the count plan against.
+	var want int64
+	for v0 := uint32(0); v0 < uint32(g.NumVertices()); v0++ {
+		for _, v1 := range g.Neighbors(v0) {
+			for _, v2 := range g.Neighbors(v1) {
+				if v0 < v1 && g.Label(v0) == 0 && g.Label(v1) == 0 && g.Label(v2) == 1 && g.HasEdge(v0, v2) {
+					want++
+				}
+			}
+		}
+	}
+	cp := plan(core.ModeCount)
+	for _, threads := range []int{1, 2} {
+		res, err := Run(g, cp.Prog, Options{Threads: threads, Code: cp.Lowered()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Globals[cp.CountGlobal] / cp.Divisor; got != want {
+			t.Fatalf("threads %d: %d labeled triangles, want %d", threads, got, want)
+		}
+	}
+
+	// A filter over an intersection scans into its own buffer.
+	b := ast.NewBuilder(0)
+	gl := b.NewGlobal()
+	v0 := b.BeginLoop(b.All(), nil)
+	n0 := b.Neighbors(v0)
+	v1 := b.BeginLoop(n0, nil)
+	f := b.FilterLabel(b.Intersect(n0, b.Neighbors(v1)), 1)
+	b.GlobalAdd(gl, b.Size(f), 1)
+	b.EndLoop()
+	b.EndLoop()
+	prog := b.Finish()
+	ibc := ast.Lower(prog)
+	ish := Prepare(g, ibc).sh
+	for _, ins := range ibc.Code {
+		if ins.Op == ast.ISetDef && ins.Set == ast.OpFilterLabel && (ins.NbrA != -1 || ish.bufCap[ins.Dst] == 0) {
+			t.Fatalf("filter over an intersection: NbrA %d, buffer %d", ins.NbrA, ish.bufCap[ins.Dst])
+		}
+	}
+	want = 0
+	for v0 := uint32(0); v0 < uint32(g.NumVertices()); v0++ {
+		for _, v1 := range g.Neighbors(v0) {
+			for _, x := range g.Neighbors(v1) {
+				if g.Label(x) == 1 && g.HasEdge(v0, x) {
+					want++
+				}
+			}
+		}
+	}
+	res, err := Run(g, prog, Options{Threads: 2, Code: ibc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Globals[0] != want {
+		t.Fatalf("filtered intersections: %d, want %d", res.Globals[0], want)
 	}
 }

@@ -26,7 +26,11 @@ import (
 // internal: Build numbers vertices by (degree, input ID) ascending, so
 // internal degrees never decrease with ID. Every method takes and
 // returns internal IDs; order and rank translate to and from the IDs
-// the graph was built from.
+// the graph was built from. A labeled graph also gets a label index
+// (LabelIndex) the first time a label filter asks for one: the
+// adjacency grouped by (label, ID), so that NeighborsWithLabel is a
+// slice of it, plus the per-label vertex lists. It lives on the heap
+// even when the CSR is mapped, and unlabeled graphs never build one.
 type Graph struct {
 	// offsets has NumVertices+1 prefix sums into adj, which holds every
 	// adjacency list in vertex-ID order (2|E| entries).
@@ -47,11 +51,12 @@ type Graph struct {
 	// hub holds the hub bitmap index (see hubindex.go), shared by
 	// shallow copies since labels and names do not affect adjacency.
 	hub *hubState
-	// ids and byLabel are the graph-owned root vertex sets (Vertices,
-	// VerticesWithLabel), built once on first use. Shallow copies share
-	// ids; a copy that changes labels gets a fresh byLabel (setLabels).
-	ids     *vertexIDs
-	byLabel *labelLists
+	// ids holds the identity slice behind Vertices and lix the label
+	// index behind VerticesWithLabel and NeighborsWithLabel (see
+	// labelindex.go), each built once on first use. Shallow copies share
+	// both; a copy that changes labels gets a fresh lix (setLabels).
+	ids *vertexIDs
+	lix *labelIndexOnce
 	// mapping owns the file mapping for mmap-backed graphs; nil for
 	// heap graphs.
 	mapping *mapping
@@ -131,20 +136,13 @@ func (g *Graph) setLabels(labels []uint32) {
 		g.labels[v] = labels[x]
 	}
 	g.numLabels = countLabels(g.labels)
-	g.byLabel = &labelLists{}
+	g.lix = &labelIndexOnce{}
 }
 
 // vertexIDs holds the identity slice [0, |V|) behind Vertices.
 type vertexIDs struct {
 	once sync.Once
 	ids  []uint32
-}
-
-// labelLists holds the per-label sorted vertex lists behind
-// VerticesWithLabel, carved from one backing array of |V| entries.
-type labelLists struct {
-	once  sync.Once
-	lists map[uint32][]uint32
 }
 
 // Vertices returns the sorted identity slice 0, 1, ..., |V|-1. It is
@@ -163,8 +161,9 @@ func (g *Graph) Vertices() []uint32 {
 
 // VerticesWithLabel returns the sorted vertices v with Label(v) == l:
 // all of them for label 0 of an unlabeled graph, none for a label no
-// vertex carries. Built once per labeling and shared by every caller;
-// it must not be modified.
+// vertex carries. For a labeled graph the lists are part of the label
+// index (LabelIndex), built once per labeling and shared by every
+// caller; they must not be modified.
 func (g *Graph) VerticesWithLabel(l uint32) []uint32 {
 	if g.labels == nil {
 		if l == 0 {
@@ -172,24 +171,7 @@ func (g *Graph) VerticesWithLabel(l uint32) []uint32 {
 		}
 		return nil
 	}
-	g.byLabel.once.Do(func() {
-		size := make(map[uint32]int, g.numLabels)
-		for _, x := range g.labels {
-			size[x]++
-		}
-		backing := make([]uint32, len(g.labels))
-		lists := make(map[uint32][]uint32, len(size))
-		off := 0
-		for x, c := range size {
-			lists[x] = backing[off : off : off+c]
-			off += c
-		}
-		for v, x := range g.labels {
-			lists[x] = append(lists[x], uint32(v))
-		}
-		g.byLabel.lists = lists
-	})
-	return g.byLabel.lists[l]
+	return g.LabelIndex().Vertices(l)
 }
 
 // MaxDegree returns the maximum vertex degree (cached at Build time).
@@ -338,7 +320,7 @@ func (b *Builder) Build() (*Graph, error) {
 		maxDeg:  maxDeg,
 		hub:     &hubState{},
 		ids:     &vertexIDs{},
-		byLabel: &labelLists{},
+		lix:     &labelIndexOnce{},
 	}
 	if b.labels != nil {
 		g.setLabels(b.labels)

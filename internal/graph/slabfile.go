@@ -314,7 +314,7 @@ func decodeSlabFile(data []byte) (*Graph, error) {
 		numLabels: countLabels(labels),
 		hub:       &hubState{},
 		ids:       &vertexIDs{},
-		byLabel:   &labelLists{},
+		lix:       &labelIndexOnce{},
 	}
 	if adjTotal > 0 {
 		g.adj = unsafe.Slice((*uint32)(unsafe.Pointer(&aBytes[0])), adjTotal)

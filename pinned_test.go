@@ -1,22 +1,23 @@
 package decomine_test
 
-// TestPinnedWorkloads pins the seed-determined outputs of ten small
+// TestPinnedWorkloads pins the seed-determined outputs of eleven small
 // workloads: counts, VM instruction totals, plan-cache movement,
 // per-kernel dispatches, auxiliary-graph element work, the serving
-// script's cache and rewrite hits and the batch ledger. Any drift in a
-// pin is a behavior change — a different plan, lowering, kernel route,
-// cache key or sharing decision — and must be re-pinned on purpose.
+// script's cache and rewrite hits, the batch ledger and, where a row
+// asks, the set-kernel element work. Any drift in a pin is a behavior
+// change — a different plan, lowering, kernel route, cache key or
+// sharing decision — and must be re-pinned on purpose.
 // Host-dependent numbers (wall and engine time, throughput, worker
 // balance, speedup ratios) are measured by the benchmark/ ledger, not
 // here.
 //
 // The workloads span the paper's §8 families at test scale: 4–6-motif
-// censuses on G(n,p), R-MAT and a hub-indexed R-MAT, FSM on a labeled
-// G(n,p), a label-constrained query, a pseudo-clique census on
-// overlapping communities, a scripted replay against the HTTP front
-// door and a batched motif census. Each runs on one System with the
-// options below; MaxCandidates bounds the plan search so the test stays
-// in tens of seconds.
+// censuses on G(n,p), R-MAT and a hub-indexed R-MAT, FSM to two and to
+// three edges on a labeled G(n,p), a label-constrained query, a
+// pseudo-clique census on overlapping communities, a scripted replay
+// against the HTTP front door and a batched motif census. Each runs on
+// one System with the options below; MaxCandidates bounds the plan
+// search so the test stays in tens of seconds.
 
 import (
 	"encoding/json"
@@ -51,6 +52,8 @@ type pinnedFields struct {
 	// auxElemsOff/On are the set-kernel element work of the first query
 	// with auxiliary graphs disabled and enabled.
 	auxElemsOff, auxElemsOn int64
+	// elems is the set-kernel element work of the whole workload.
+	elems int64
 	// serve is the scripted replay's queries, cache hits and rewrite hits.
 	serve [3]int64
 	// batch is the shared census's instructions, the NoShare census's
@@ -67,8 +70,10 @@ type pinnedWorkload struct {
 	query  func(*decomine.System) (int64, error)
 	custom func(*testing.T, *decomine.System, *pinnedFields) int64
 	// aux re-runs query once with DisableAuxGraphs to pin auxElemsOff.
-	aux  bool
-	want pinnedFields
+	aux bool
+	// elems pins the workload's set-kernel element work.
+	elems bool
+	want  pinnedFields
 }
 
 func TestPinnedWorkloads(t *testing.T) {
@@ -76,7 +81,7 @@ func TestPinnedWorkloads(t *testing.T) {
 		t.Skip("pins are exact, not concurrency checks; ~10x slower under -race")
 	}
 	if testing.Short() {
-		t.Skip("runs ten workloads for ~25 s")
+		t.Skip("runs eleven workloads for ~25 s")
 	}
 	for _, w := range pinnedWorkloads() {
 		t.Run(w.name, func(t *testing.T) {
@@ -117,6 +122,14 @@ func pinnedWorkloads() []pinnedWorkload {
 			graph: func() *decomine.Graph { return decomine.GenerateGNP(300, 0.02, 45).WithRandomLabels(3, 45) },
 			want: pinnedFields{
 				count: 38654706463, instructions: 73610, cache: [3]int64{6, 6, 0},
+			}},
+		// Three edges bring labeled triangles: intersections of label
+		// slices, whose element work elems pins.
+		{name: "fsm3-gnp-labeled", query: pinnedFSM(60, 3), elems: true,
+			graph: func() *decomine.Graph { return decomine.GenerateGNP(400, 0.03, 51).WithRandomLabels(3, 51) },
+			want: pinnedFields{
+				count: 279172879705, instructions: 3933684, cache: [3]int64{86, 86, 0},
+				kernels: map[string]int64{"merge": 26064}, elems: 276292,
 			}},
 		{name: "constrained-rmat-labeled", query: pinnedConstrainedCycle,
 			graph: func() *decomine.Graph { return decomine.GenerateRMAT(9, 6, 46).WithRandomLabels(4, 46) },
@@ -177,6 +190,9 @@ func runPinned(t *testing.T, w pinnedWorkload) pinnedFields {
 		}
 	}
 	got.instructions = reg.CounterDelta(base, "engine.instructions")
+	if w.elems {
+		got.elems = kernelElems(reg, base)
+	}
 	cs := sys.CacheStats()
 	got.cache = [3]int64{cs.Hits, cs.Misses, cs.NegativeHits}
 	for _, name := range engine.KernelNames {
