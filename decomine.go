@@ -59,7 +59,9 @@ type Options struct {
 	DisableCountLastLoop bool
 	// DisableOptimize skips the LICM/CSE/DCE middle end (ablation).
 	DisableOptimize bool
-	// MaxCandidates caps the number of plans costed per pattern.
+	// MaxCandidates caps the number of candidate specs considered per
+	// pattern, in spec order; a twin spec, skipped because an earlier
+	// one generates the same plan, still counts.
 	MaxCandidates int
 	// ProfileSampleEdges / ProfileTrials configure the approximate-mining
 	// profiler (defaults 200k edges, 30k walks per pattern shape).

@@ -71,8 +71,8 @@ package ast
 // pass over the block.
 //
 // Rules 6–8 walk def chains, so they run only here, never in
-// AuxDecisions, which the algorithm search runs for every candidate it
-// ranks.
+// AuxDecisions, which the algorithm search runs for every candidate
+// that can still win.
 //
 // The cost model still prices the deleted instructions, so comparing a
 // run against its estimate needs to know how many of them the VM

@@ -217,7 +217,7 @@ func LowerWith(p *Program, opts LowerOpts) *Lowered {
 
 // AuxDecisions returns the auxiliary-graph verdicts LowerWith would
 // record for p, without the clean-up pass: the algorithm search needs
-// only these from each candidate it ranks.
+// only these from each candidate it arbitrates.
 func AuxDecisions(p *Program, opts LowerOpts) []AuxDecision {
 	return lower(p, opts).AuxDecisions
 }

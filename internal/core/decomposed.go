@@ -127,8 +127,7 @@ func GenerateDecomposed(spec DecompSpec) (*Plan, error) {
 	}
 	if trackShrink {
 		for j, s := range d.Shrinkages {
-			code := s.Pat.Canonical()
-			aut := s.Pat.AutomorphismCount()
+			code, aut := s.Code, s.Aut
 			if spec.SkipShrinkCodes != nil && spec.SkipShrinkCodes[code] {
 				shrinkSkip[j] = true
 				external = append(external, ExternalNeed{Pat: s.Pat, Code: code, Aut: aut})
@@ -430,7 +429,7 @@ func GenerateDecomposed(spec DecompSpec) (*Plan, error) {
 	if plrDepth > 0 {
 		plr = fmt.Sprintf(" plr=%d(x%d)", plrDepth, len(plrAuts))
 	}
-	divisor := d.P.AutomorphismCount()
+	divisor := d.Aut
 	if len(spec.Constraints) > 0 {
 		divisor = ConstraintAutomorphismCount(d.P, spec.Constraints)
 	}

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,7 +50,9 @@ type SearchOptions struct {
 	// optimization (GraphPi's "mathematical" optimization); used to model
 	// baselines that lack it.
 	DisableCountLastLoop bool
-	// MaxCandidates caps the number of costed ASTs (0 = 600).
+	// MaxCandidates caps the number of specs considered, in spec order
+	// (0 = 600): every generated candidate and every twin spec (see
+	// Search) takes one slot.
 	MaxCandidates int
 	// MaxOrdersPerChoice caps matching-order variants per structure
 	// choice (0 = 24).
@@ -70,42 +74,68 @@ type SearchOptions struct {
 	// lowering of every candidate (results are bit-identical either
 	// way; only per-iteration work changes).
 	DisableAuxGraphs bool
-	// Workers is how many goroutines prepare and cost candidates —
-	// generation, the middle-end optimizer, the auxiliary-graph lowering
-	// and the cost model (0 = GOMAXPROCS; 1 works inline). Candidates
-	// are collected in spec order and every cost is a pure function of
-	// its candidate, so the result does not depend on it.
+	// Workers is how many goroutines prepare and rank candidates (0 =
+	// GOMAXPROCS; 1 works inline): generation, the middle-end optimizer
+	// and the cost model in the first phase, the auxiliary-graph
+	// arbitration of the candidates that can still win in the second.
+	// Candidates are collected in spec order, every cost is a pure
+	// function of its candidate, and the arbitration bound is taken
+	// after collection, so the result does not depend on it.
 	Workers int
 	// Mode ModeEmit additionally requires partial-embedding emission.
 }
 
 // SearchStats reports how one algorithm search spent its time.
-// EnumerateTime + RankTime is the search's wall time, split in
-// proportion to the time the workers spent preparing candidates
-// (generation, the middle-end optimizer and the auxiliary-graph
-// lowering) and costing them (cost-model evaluation and the aux rank
-// adjustment). Candidates is the number of plans ranked.
+// EnumerateTime + RankTime is the search's wall time. The first phase
+// is split in proportion to the time the workers spent preparing
+// candidates (generation and the middle-end optimizer) and costing
+// them (cost-model evaluation); the second phase, the auxiliary-graph
+// arbitration, counts as ranking. Candidates is the number of distinct
+// plans ranked; Twins the number of specs skipped because an earlier
+// spec generates the same program (each still took its MaxCandidates
+// slot).
 type SearchStats struct {
 	EnumerateTime time.Duration
 	RankTime      time.Duration
 	Candidates    int
+	Twins         int
 }
 
 // Candidate pairs a generated plan with its estimated cost.
 type Candidate struct {
 	Plan *Plan
+	// Cost is the model cost with the auxiliary-table rank adjustment
+	// folded in (cost.AuxArbiter.RankAdjust) for every candidate that
+	// could still win at the full discount. For the others it is the
+	// unadjusted model cost, an upper bound on the adjusted one that
+	// already exceeds the winner's.
 	Cost float64
 }
 
-// Search generates the candidate space for p, costs every candidate, and
-// returns the best plan plus the full ranked candidate list.
+// Search generates the candidate space for p, costs every distinct
+// candidate, and returns the best plan plus the ranked list of them.
 //
-// Candidates are prepared — generated, optimized, lowered and costed —
-// on opts.Workers goroutines. A cost depends only on its candidate (the
-// approximate-mining profile's estimates are pure functions of the
-// shape), so the calling goroutine just collects the results in spec
-// order and keeps the first MaxCandidates candidates that generate
-// successfully.
+// The search is a generate → rank → arbitrate pipeline that does the
+// expensive work once per distinct plan that could win:
+//
+//  1. A spec whose decomposition is a twin of an earlier one (same
+//     cut, subpattern and shrinkage spellings; see decompSignature)
+//     would generate the same program as its earlier counterpart. It
+//     keeps its MaxCandidates slot but is never generated or costed;
+//     its counterpart comes first in spec order and would win any tie.
+//  2. Every other spec is generated, optimized and costed by the model
+//     on opts.Workers goroutines; the calling goroutine collects the
+//     results in spec order and keeps the first MaxCandidates slots.
+//  3. Let m be the cheapest model cost. Only candidates whose
+//     cost.RankFloor is at most m are lowered for the auxiliary-graph
+//     arbiter and get its rank adjustment, again on the workers. Every
+//     other candidate's adjusted cost would exceed m, which is at least
+//     the winner's, so it can neither win nor tie.
+//
+// A cost depends only on its candidate (the approximate-mining
+// profile's estimates are pure functions of the shape), and m is taken
+// after collection, so neither the worker count nor goroutine timing
+// changes any ranked cost.
 func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, []Candidate, error) {
 	if opts.Model == nil {
 		return nil, nil, fmt.Errorf("core: search requires a cost model")
@@ -119,77 +149,109 @@ func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, []Candidate, er
 	}
 
 	searchStart := time.Now()
-	gens := candidateGenerators(p, opts)
+	specs := candidateGenerators(p, opts)
 	prepare := func(i int) prepared {
+		if specs[i].twin >= 0 {
+			return prepared{}
+		}
 		start := time.Now()
-		plan, err := gens[i]()
+		plan, err := specs[i].gen()
 		if err != nil {
 			return prepared{prepTime: time.Since(start)}
 		}
 		if !opts.DisableOptimize {
 			ast.Optimize(plan.Prog)
 		}
-		// Lower the candidate now so the auxiliary-graph pass runs with
-		// this model arbitrating materialize-vs-recompute. Only the
-		// verdicts are kept, and the bytecode clean-up pass is skipped:
-		// the bytecode of the hundreds of losing candidates would
-		// dominate the search's live heap, and the winner lowers again,
-		// fully, on its first run.
+		// The winner lowers fully, with this model arbitrating
+		// materialize-vs-recompute, on its first run.
 		plan.LowerOpts = ast.LowerOpts{DisableAux: opts.DisableAuxGraphs}
 		arb := cost.AuxDecider(opts.Model, plan.Prog)
-		var aux []ast.AuxDecision
 		if arb != nil {
 			plan.LowerOpts.AuxDecide = arb.Decide
-			aux = ast.AuxDecisions(plan.Prog, plan.LowerOpts)
 		}
 		rankStart := time.Now()
 		cst := opts.Model.Cost(plan.Prog)
-		if arb != nil {
-			// Fold each applied aux table's estimated net gain into the
-			// plan's rank: a plan whose deep loops prune harder through
-			// aux rows outranks the same traversal without them. Applied
-			// even under DisableAuxGraphs (the pass records its verdicts
-			// without rewriting anything): the knob must leave plan choice
-			// untouched so an on/off comparison isolates the
-			// materialization itself.
-			cst = arb.RankAdjust(cst, aux)
-		}
 		end := time.Now()
-		return prepared{plan: plan, cost: cst, prepTime: rankStart.Sub(start), rankTime: end.Sub(rankStart)}
+		return prepared{plan: plan, arb: arb, cost: cst, prepTime: rankStart.Sub(start), rankTime: end.Sub(rankStart)}
 	}
 
 	var prepTime, rankTime time.Duration
 	var cands []Candidate
-	collect := func(c prepared) bool {
-		if len(cands) >= maxCand {
+	var arbs []*cost.AuxArbiter
+	generated := make([]bool, len(specs))
+	slots, twins := 0, 0
+	collect := func(i int, c prepared) bool {
+		if slots >= maxCand {
 			return false
 		}
 		prepTime += c.prepTime
+		if t := specs[i].twin; t >= 0 {
+			// A twin takes a slot exactly when its counterpart did.
+			if generated[t] {
+				slots++
+				twins++
+			}
+			return slots < maxCand
+		}
 		if c.plan == nil {
 			return true
 		}
+		generated[i] = true
+		slots++
 		rankTime += c.rankTime
 		cands = append(cands, Candidate{Plan: c.plan, Cost: c.cost})
-		return len(cands) < maxCand
+		arbs = append(arbs, c.arb)
+		return slots < maxCand
 	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	inOrder(len(gens), workers, prepare, collect)
+	inOrder(len(specs), workers, prepare, collect)
+	costed := time.Now()
+
+	// Arbitrate auxiliary tables for the candidates that can still win.
+	m := math.Inf(1)
+	for _, c := range cands {
+		if c.Cost < m {
+			m = c.Cost
+		}
+	}
+	var contenders []int
+	for i, c := range cands {
+		if arbs[i] != nil && cost.RankFloor(c.Cost) <= m {
+			contenders = append(contenders, i)
+		}
+	}
+	inOrder(len(contenders), workers, func(k int) float64 {
+		// Fold each applied aux table's estimated net gain into the
+		// plan's rank: a plan whose deep loops prune harder through aux
+		// rows outranks the same traversal without them. The verdicts
+		// are recorded even under DisableAuxGraphs, so the knob leaves
+		// plan choice untouched and an on/off comparison isolates the
+		// materialization itself. Only the verdicts are kept and the
+		// bytecode clean-up pass is skipped: the bytecode of the losing
+		// candidates would dominate the search's live heap.
+		c := cands[contenders[k]]
+		return arbs[contenders[k]].RankAdjust(c.Cost, ast.AuxDecisions(c.Plan.Prog, c.Plan.LowerOpts))
+	}, func(k int, adjusted float64) bool {
+		cands[contenders[k]].Cost = adjusted
+		return true
+	})
 
 	total := time.Since(searchStart)
 	obsSearches.Inc()
 	obsSearchNS.Add(total.Nanoseconds())
 	obsCandidates.Observe(int64(len(cands)))
 	if opts.Stats != nil {
-		var rankShare time.Duration
+		var enum time.Duration
 		if busy := prepTime + rankTime; busy > 0 {
-			rankShare = time.Duration(float64(total) * float64(rankTime) / float64(busy))
+			enum = time.Duration(float64(costed.Sub(searchStart)) * float64(prepTime) / float64(busy))
 		}
-		opts.Stats.EnumerateTime = total - rankShare
-		opts.Stats.RankTime = rankShare
+		opts.Stats.EnumerateTime = enum
+		opts.Stats.RankTime = total - enum
 		opts.Stats.Candidates = len(cands)
+		opts.Stats.Twins = twins
 	}
 	if len(cands) == 0 {
 		return nil, nil, fmt.Errorf("core: no candidates for %s", p)
@@ -199,24 +261,37 @@ func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, []Candidate, er
 	return &best, cands, nil
 }
 
-// prepared is one costed candidate: its optimized plan, its rank cost,
-// and the time spent preparing and costing it (nil plan: the generator
-// rejected the spec).
+// prepared is one costed candidate: its optimized plan, its arbiter,
+// its unadjusted model cost, and the time spent preparing and costing
+// it (nil plan: the generator rejected the spec, or the spec is a twin).
 type prepared struct {
 	plan               *Plan
+	arb                *cost.AuxArbiter
 	cost               float64
 	prepTime, rankTime time.Duration
 }
 
-// candidateGenerators lists p's candidate plans in the order they are
+// candidateSpec is one entry of the search's spec order: its
+// generator and, for a twin, the index of the earlier spec that
+// generates the same program (-1 otherwise). Search never runs a
+// twin's generator.
+type candidateSpec struct {
+	gen  func() (*Plan, error)
+	twin int
+}
+
+// candidateGenerators lists p's candidate specs in the order they are
 // costed: direct plans by matching order, then decomposition plans cut
-// by cut.
-func candidateGenerators(p *pattern.Pattern, opts SearchOptions) []func() (*Plan, error) {
+// by cut. An unconstrained decomposition whose signature matches an
+// earlier cut's (a cut some automorphism of p maps onto the earlier
+// one) lists its specs as twins of the earlier cut's, position by
+// position: decompSpecs derives both lists from the same signature.
+func candidateGenerators(p *pattern.Pattern, opts SearchOptions) []candidateSpec {
 	maxOrders := opts.MaxOrdersPerChoice
 	if maxOrders == 0 {
 		maxOrders = 24
 	}
-	var gens []func() (*Plan, error)
+	var specs []candidateSpec
 	if !opts.DisableDirect {
 		for _, order := range matchingOrders(p, maxOrders) {
 			spec := DirectSpec{
@@ -231,24 +306,62 @@ func candidateGenerators(p *pattern.Pattern, opts SearchOptions) []func() (*Plan
 				Constraints:   opts.Constraints,
 				Mode:          opts.Mode,
 			}
-			gens = append(gens, func() (*Plan, error) { return GenerateDirect(spec) })
+			specs = append(specs, candidateSpec{gen: func() (*Plan, error) { return GenerateDirect(spec) }, twin: -1})
 		}
 	}
 	// Decomposition plans (edge-induced only).
 	if !opts.DisableDecomposition && !opts.Induced {
 		cuts := decomp.CuttingSets(p)
 		sortCuts(p, cuts)
+		firstSpec := map[string]int{} // signature -> index of its cut's first spec
 		for _, cut := range cuts {
 			d, err := decomp.Decompose(p, cut)
 			if err != nil {
 				continue
 			}
-			for _, spec := range decompSpecs(d, opts, maxOrders) {
-				gens = append(gens, func() (*Plan, error) { return GenerateDecomposed(spec) })
+			first := -1
+			if len(opts.Constraints) == 0 {
+				sig := decompSignature(d)
+				if f, ok := firstSpec[sig]; ok {
+					first = f
+				} else {
+					firstSpec[sig] = len(specs)
+				}
+			}
+			for k, spec := range decompSpecs(d, opts, maxOrders) {
+				twin := -1
+				if first >= 0 {
+					twin = first + k
+				}
+				specs = append(specs, candidateSpec{gen: func() (*Plan, error) { return GenerateDecomposed(spec) }, twin: twin})
 			}
 		}
 	}
-	return gens
+	return specs
+}
+
+// decompSignature spells everything an unconstrained GenerateDecomposed
+// and decompSpecs read from d: the cut pattern in cut-position order,
+// each subpattern's spelling, and each shrinkage's spelling and
+// projection. Whole-pattern vertex IDs (CutVerts, Blocks, CompMask,
+// ToWhole) are read only for label constraints and Plan.Desc, so two
+// decompositions with equal signatures generate the same program for
+// every spec. Above four cut vertices decompSpecs samples cut orders
+// from a stream seeded by CutMask, so the mask joins the signature.
+func decompSignature(d *decomp.Decomposition) string {
+	var sb strings.Builder
+	cut := d.CutPattern()
+	fmt.Fprintf(&sb, "c%d:%s", cut.NumVertices(), cut)
+	if len(d.CutVerts) > 4 {
+		fmt.Fprintf(&sb, "@%d", d.CutMask)
+	}
+	for _, sp := range d.Subpatterns {
+		fmt.Fprintf(&sb, "|s%d:%s", sp.Pat.NumVertices(), sp.Pat)
+	}
+	for _, sh := range d.Shrinkages {
+		fmt.Fprintf(&sb, "|q%d:%s%v", sh.Pat.NumVertices(), sh.Pat, sh.Proj)
+	}
+	return sb.String()
 }
 
 // inOrder runs prepare(0..n-1) on up to workers goroutines and hands
@@ -257,19 +370,19 @@ func candidateGenerators(p *pattern.Pattern, opts SearchOptions) []func() (*Plan
 // of use, so little is prepared past the stopping point; that little is
 // discarded. With one worker every prepare runs inline, immediately
 // before its use.
-func inOrder(n, workers int, prepare func(int) prepared, use func(prepared) bool) {
+func inOrder[T any](n, workers int, prepare func(int) T, use func(int, T) bool) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if !use(prepare(i)) {
+			if !use(i, prepare(i)) {
 				return
 			}
 		}
 		return
 	}
-	results := make([]prepared, n)
+	results := make([]T, n)
 	ready := make([]chan struct{}, n)
 	for i := range ready {
 		ready[i] = make(chan struct{})
@@ -307,7 +420,7 @@ func inOrder(n, workers int, prepare func(int) prepared, use func(prepared) bool
 	for i := 0; i < n; i++ {
 		<-ready[i]
 		ahead <- struct{}{}
-		if !use(results[i]) {
+		if !use(i, results[i]) {
 			break
 		}
 	}

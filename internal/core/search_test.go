@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -315,6 +317,8 @@ func TestSearchMaxCandidatesParallel(t *testing.T) {
 // System would: building the profile only samples edges, and every
 // estimate is made inside the timed searches. Workers follow
 // GOMAXPROCS, so -cpu 1,2 compares inline with parallel preparation.
+// ns/candidate divides by the distinct plans ranked, ns/spec by every
+// spec considered, twins included.
 func BenchmarkSearchSixMotifs(b *testing.B) {
 	g := graph.GNP(240, 0.025, 1)
 	all := pattern.ConnectedPatterns(6)
@@ -325,7 +329,7 @@ func BenchmarkSearchSixMotifs(b *testing.B) {
 	}
 	rand.New(rand.NewSource(1)).Shuffle(len(pats), func(i, j int) { pats[i], pats[j] = pats[j], pats[i] })
 	b.ReportAllocs()
-	cands := 0
+	cands, specs := 0, 0
 	for i := 0; i < b.N; i++ {
 		model := cost.NewApproxMining(cost.StatsOf(g), sampling.BuildProfile(g, sampling.Options{Seed: 1000}))
 		for _, p := range pats {
@@ -334,9 +338,11 @@ func BenchmarkSearchSixMotifs(b *testing.B) {
 				b.Fatal(err)
 			}
 			cands += stats.Candidates
+			specs += stats.Candidates + stats.Twins
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cands), "ns/candidate")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(specs), "ns/spec")
 }
 
 func TestRandomSpecsAreCorrect(t *testing.T) {
@@ -451,3 +457,258 @@ func main() {
 }
 
 func itoa64(v int64) string { return strconv.FormatInt(v, 10) }
+
+// rankModels are the three cost models the search ranks with: the
+// random-graph model, the locality model and the approximate-mining
+// model over a fresh profile.
+func rankModels(g *graph.Graph) []cost.Model {
+	st := cost.StatsOf(g)
+	return []cost.Model{
+		cost.NewAutoMine(st),
+		cost.NewLocality(st, 0.25),
+		cost.NewApproxMining(st, sampling.BuildProfile(g, sampling.Options{SampleEdges: 2000, Trials: 300, Seed: 8})),
+	}
+}
+
+// generated runs one spec's generator.
+func generated(t testing.TB, s candidateSpec) *Plan {
+	t.Helper()
+	plan, err := s.gen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// treeDiff describes the first difference between two programs, field
+// by field and node by node, loop metadata included ("" when equal).
+// Equal trees print equally: ast.Print reads nothing else.
+func treeDiff(a, b *ast.Program) string {
+	ha, hb := *a, *b
+	ha.Root, hb.Root = nil, nil
+	if !reflect.DeepEqual(ha, hb) {
+		return fmt.Sprintf("headers %+v vs %+v", ha, hb)
+	}
+	// The node's comparable fields, spelled out: reflect.DeepEqual per
+	// node would double the test's run time.
+	type flat struct {
+		kind                                            ast.Kind
+		loopVar, over, dst, a, b, v, sa, sb, table, sub int
+		op                                              ast.SetOp
+		sop                                             ast.ScalarOp
+		imm                                             int64
+	}
+	flatten := func(n *ast.Node) flat {
+		return flat{n.Kind, n.Var, n.Over, n.Dst, n.A, n.B, n.V, n.SA, n.SB, n.Table, n.Sub, n.Op, n.SOp, n.Imm}
+	}
+	var diff func(x, y *ast.Node) string
+	diff = func(x, y *ast.Node) string {
+		if flatten(x) != flatten(y) || !slices.Equal(x.Keys, y.Keys) || len(x.Body) != len(y.Body) {
+			return fmt.Sprintf("node %+v vs %+v", *x, *y)
+		}
+		if (x.Meta == nil) != (y.Meta == nil) {
+			return "loop metadata on one side only"
+		}
+		if mx, my := x.Meta, y.Meta; mx != nil {
+			if mx.PrefixCode != my.PrefixCode || mx.Constraints != my.Constraints || mx.Subtractions != my.Subtractions ||
+				mx.Trimmed != my.Trimmed || (mx.Prefix == nil) != (my.Prefix == nil) || mx.Prefix != nil && !mx.Prefix.Equal(my.Prefix) {
+				return fmt.Sprintf("loop v%d metadata %+v vs %+v", x.Var, *mx, *my)
+			}
+		}
+		for i := range x.Body {
+			if d := diff(x.Body[i], y.Body[i]); d != "" {
+				return d
+			}
+		}
+		return ""
+	}
+	return diff(a.Root, b.Root)
+}
+
+// rankedCost is what Search ranks a candidate by when it arbitrates its
+// auxiliary tables: the model cost with RankAdjust folded in.
+func rankedCost(m cost.Model, plan *Plan) (raw, adjusted float64) {
+	raw = m.Cost(plan.Prog)
+	arb := cost.AuxDecider(m, plan.Prog)
+	if arb == nil {
+		return raw, raw
+	}
+	opts := ast.LowerOpts{AuxDecide: arb.Decide}
+	return raw, arb.RankAdjust(raw, ast.AuxDecisions(plan.Prog, opts))
+}
+
+// TestTwinCutsGenerateIdenticalPrograms: for every connected pattern of
+// 3–6 vertices, in both modes, each spec Search skips as a twin
+// generates the same program — every node, loop metadata and plan
+// count metadata — as its first-occurrence counterpart. Every
+// twentieth pair is also optimized, printed and costed under all three
+// models, with and without the auxiliary-table rank adjustment.
+func TestTwinCutsGenerateIdenticalPrograms(t *testing.T) {
+	g := graph.GNP(120, 0.06, 23)
+	models := rankModels(g)
+	pairs, costed := 0, 0
+	for k := 3; k <= 6; k++ {
+		for _, p := range pattern.ConnectedPatterns(k) {
+			for _, mode := range []Mode{ModeCount, ModeEmit} {
+				specs := candidateGenerators(p, SearchOptions{Mode: mode, DisableDirect: true})
+				first := map[int]*Plan{}
+				for i, s := range specs {
+					if s.twin < 0 {
+						continue
+					}
+					if s.twin >= i || specs[s.twin].twin >= 0 {
+						t.Fatalf("%s: spec %d names %d, which is not an earlier first occurrence", p, i, s.twin)
+					}
+					a := first[s.twin]
+					if a == nil {
+						a = generated(t, specs[s.twin])
+						first[s.twin] = a
+					}
+					b := generated(t, s)
+					if d := treeDiff(a.Prog, b.Prog); d != "" {
+						t.Fatalf("%s mode %d: twin %s differs from %s: %s", p, mode, b.Desc, a.Desc, d)
+					}
+					if fmt.Sprint(a.Divisor, a.Shrink, a.External) != fmt.Sprint(b.Divisor, b.Shrink, b.External) {
+						t.Fatalf("%s mode %d: twin %s count metadata differs from %s", p, mode, b.Desc, a.Desc)
+					}
+					pairs++
+					if pairs%20 != 0 {
+						continue
+					}
+					a, b = generated(t, specs[s.twin]), generated(t, s)
+					ast.Optimize(a.Prog)
+					ast.Optimize(b.Prog)
+					if pa, pb := ast.Print(a.Prog), ast.Print(b.Prog); pa != pb {
+						t.Fatalf("%s mode %d: optimized twin %s prints differently from %s\n%s\nvs\n%s", p, mode, b.Desc, a.Desc, pb, pa)
+					}
+					for _, m := range models {
+						ra, aa := rankedCost(m, a)
+						rb, ab := rankedCost(m, b)
+						if ra != rb || aa != ab {
+							t.Fatalf("%s mode %d, %s: twin %s costs %v/%v, counterpart %s %v/%v", p, mode, m.Name(), b.Desc, rb, ab, a.Desc, ra, aa)
+						}
+					}
+					costed++
+				}
+			}
+		}
+	}
+	if pairs == 0 || costed == 0 {
+		t.Fatal("no twin specs among the 3–6-vertex patterns")
+	}
+	t.Logf("%d twin pairs, %d optimized and costed", pairs, costed)
+}
+
+// TestTwinSignatureSeesLabels: the 4-cycle's two cuts are twins, but
+// once the cuts carry different labels they generate different
+// programs, so the signature must tell them apart.
+func TestTwinSignatureSeesLabels(t *testing.T) {
+	plain := pattern.Cycle(4)
+	labeled := plain.Clone()
+	for v := 0; v < 4; v++ {
+		labeled.SetLabel(v, uint32(1+v%2))
+	}
+	for _, mode := range []Mode{ModeCount, ModeEmit} {
+		opts := SearchOptions{Mode: mode, DisableDirect: true}
+		ps, ls := candidateGenerators(plain, opts), candidateGenerators(labeled, opts)
+		if len(ps) != len(ls) {
+			t.Fatalf("mode %d: %d specs unlabeled, %d labeled", mode, len(ps), len(ls))
+		}
+		twins := 0
+		for i, s := range ps {
+			if s.twin < 0 {
+				continue
+			}
+			twins++
+			if ls[i].twin >= 0 {
+				t.Fatalf("mode %d: labeled spec %d is a twin of %d", mode, i, ls[i].twin)
+			}
+			a, b := generated(t, ls[s.twin]), generated(t, ls[i])
+			if ast.Print(a.Prog) == ast.Print(b.Prog) {
+				t.Fatalf("mode %d: labeled cuts %s and %s generate the same program", mode, a.Desc, b.Desc)
+			}
+		}
+		if twins == 0 {
+			t.Fatalf("mode %d: the unlabeled 4-cycle has no twin cuts", mode)
+		}
+	}
+}
+
+// referenceBest ranks p's candidates the way Search did before twin
+// skipping and the arbitration bound: every spec generated, optimized,
+// costed and arbitrated, the first MaxCandidates kept in spec order,
+// and the first of equal costs winning. bounded counts the candidates
+// whose cost.RankFloor exceeds the cheapest model cost, which Search
+// leaves unarbitrated; moved reports whether arbitration changed the
+// winner from the cheapest model cost's.
+func referenceBest(t *testing.T, p *pattern.Pattern, opts SearchOptions) (best Candidate, bounded int, moved bool) {
+	t.Helper()
+	maxCand := opts.MaxCandidates
+	if maxCand == 0 {
+		maxCand = 600
+	}
+	var cands []Candidate
+	var raws []float64
+	for _, s := range candidateGenerators(p, opts) {
+		if len(cands) == maxCand {
+			break
+		}
+		plan, err := s.gen()
+		if err != nil {
+			continue
+		}
+		ast.Optimize(plan.Prog)
+		raw, adjusted := rankedCost(opts.Model, plan)
+		cands = append(cands, Candidate{Plan: plan, Cost: adjusted})
+		raws = append(raws, raw)
+	}
+	bi, m := 0, slices.Min(raws)
+	for i, c := range cands {
+		if c.Cost < cands[bi].Cost {
+			bi = i
+		}
+		if cost.RankFloor(raws[i]) > m {
+			bounded++
+		}
+	}
+	return cands[bi], bounded, raws[bi] != m
+}
+
+// TestSearchWinnerMatchesFullArbitration: skipping twin specs and
+// arbitrating only the candidates that can still win picks exactly the
+// plan and cost that arbitrating every spec picks, for every 5-vertex
+// motif and a stride of the 6-vertex ones under all three models. The
+// graph is clustered, so auxiliary tables move some winners.
+func TestSearchWinnerMatchesFullArbitration(t *testing.T) {
+	g := graph.Community(200, 4, 12, 5)
+	pats := pattern.ConnectedPatterns(5)
+	six := pattern.ConnectedPatterns(6)
+	for i := 3; i < len(six); i += 14 {
+		pats = append(pats, six[i])
+	}
+	bounded, moved := 0, 0
+	for _, m := range rankModels(g) {
+		for i, p := range pats {
+			opts := SearchOptions{Model: m, Mode: ModeCount, Workers: 2}
+			if i%4 == 0 {
+				opts.MaxCandidates = 30
+			}
+			best, _, err := Search(p, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, n, mv := referenceBest(t, p, opts)
+			bounded += n
+			if mv {
+				moved++
+			}
+			if best.Cost != want.Cost || best.Plan.Desc != want.Plan.Desc || ast.Print(best.Plan.Prog) != ast.Print(want.Plan.Prog) {
+				t.Errorf("%s, %s: Search picked %s at %v, full arbitration %s at %v", p, m.Name(), best.Plan.Desc, best.Cost, want.Plan.Desc, want.Cost)
+			}
+		}
+	}
+	if bounded == 0 || moved == 0 {
+		t.Fatalf("%d candidates left unarbitrated, %d winners moved by arbitration: the test exercises neither", bounded, moved)
+	}
+	t.Logf("%d candidates left unarbitrated by the bound, %d winners moved by arbitration", bounded, moved)
+}

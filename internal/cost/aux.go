@@ -39,6 +39,21 @@ import (
 	"decomine/internal/ast"
 )
 
+// MaxAuxDiscount caps the share of a plan's cost RankAdjust may take
+// off for materialized tables. core.Search relies on it: a candidate
+// whose RankFloor exceeds the cheapest model cost cannot win, so it is
+// never arbitrated.
+const MaxAuxDiscount = 0.9
+
+// RankFloor is the lowest cost RankAdjust can return for modelCost,
+// computed with the same float64 operations.
+func RankFloor(modelCost float64) float64 { return discount(modelCost, MaxAuxDiscount) }
+
+// discount scales modelCost down by the fraction frac. A constant frac
+// would fold 1−frac exactly; a float64 argument rounds it the way every
+// RankAdjust call does.
+func discount(modelCost, frac float64) float64 { return modelCost * (1 - frac) }
+
 // auxEstimating is implemented by models that can expose their
 // configured AST estimator for shape extraction.
 type auxEstimating interface {
@@ -104,8 +119,7 @@ func (a *AuxArbiter) RankAdjust(modelCost float64, ds []ast.AuxDecision) float64
 	if total <= 0 {
 		return modelCost
 	}
-	frac := math.Min(saved/total, 0.9)
-	return modelCost * (1 - frac)
+	return discount(modelCost, math.Min(saved/total, MaxAuxDiscount))
 }
 
 // Decide answers one candidate with the amortized estimate.

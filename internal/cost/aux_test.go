@@ -159,3 +159,31 @@ type modelWithoutEstimator struct{}
 
 func (modelWithoutEstimator) Name() string              { return "stub" }
 func (modelWithoutEstimator) Cost(*ast.Program) float64 { return 1 }
+
+// TestRankAdjustFloor: whatever the verdicts claim, RankAdjust never
+// goes below RankFloor — (1 − MaxAuxDiscount) of the model cost — and
+// reaches it once the savings dwarf the plan total. core.Search skips
+// arbitrating every candidate whose floor exceeds the cheapest model
+// cost, so a cost below the floor would let a skipped candidate win.
+func TestRankAdjustFloor(t *testing.T) {
+	prog := clique5Walk()
+	for _, m := range []Model{NewAutoMine(clusteredStats()), NewLocality(clusteredStats(), 0.25)} {
+		arb := AuxDecider(m, prog)
+		for _, modelCost := range []float64{1, 3.7, 1e12, math.MaxFloat64 / 2} {
+			floor := RankFloor(modelCost)
+			if want := modelCost * (1 - MaxAuxDiscount); floor > want*1.0000001 || floor < want*0.9999999 {
+				t.Fatalf("%s: RankFloor(%v) = %v, want about %v", m.Name(), modelCost, floor, want)
+			}
+			for _, saved := range []float64{0, 1, 1e3, 1e9, 1e30, math.MaxFloat64} {
+				ds := []ast.AuxDecision{{MaterializeCost: 1, RecomputeCost: 1 + saved}}
+				got := arb.RankAdjust(modelCost, ds)
+				if got < floor {
+					t.Fatalf("%s: RankAdjust(%v, saved %v) = %v, below the floor %v", m.Name(), modelCost, saved, got, floor)
+				}
+				if saved >= 1e30 && got != floor {
+					t.Fatalf("%s: RankAdjust(%v, saved %v) = %v, want the floor %v", m.Name(), modelCost, saved, got, floor)
+				}
+			}
+		}
+	}
+}

@@ -47,6 +47,11 @@ type Shrinkage struct {
 	// vertex j maps to; used by extract_subpattern_embedding (paper
 	// Alg. 1, line 15).
 	Proj [][]int
+	// Code and Aut are Pat's canonical code and automorphism count, set
+	// by Decompose so the plan generator does not recompute them for
+	// every matching order of the same decomposition.
+	Code pattern.Code
+	Aut  int64
 }
 
 // Decomposition is a full decomposition of a pattern by a cutting set.
@@ -56,6 +61,8 @@ type Decomposition struct {
 	CutVerts    []int // sorted whole-pattern IDs of the cutting set
 	Subpatterns []Subpattern
 	Shrinkages  []Shrinkage
+	// Aut is |Aut(P)|, set by Decompose.
+	Aut int64
 }
 
 // K returns the number of subpatterns.
@@ -111,6 +118,11 @@ func Decompose(p *pattern.Pattern, cutMask uint32) (*Decomposition, error) {
 		})
 	}
 	d.Shrinkages = d.enumerateShrinkages()
+	for i := range d.Shrinkages {
+		s := &d.Shrinkages[i]
+		s.Code, s.Aut = s.Pat.Canonical(), s.Pat.AutomorphismCount()
+	}
+	d.Aut = p.AutomorphismCount()
 	return d, nil
 }
 

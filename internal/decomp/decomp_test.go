@@ -244,3 +244,31 @@ func TestSubpatternEdgesComeFromWhole(t *testing.T) {
 		}
 	}
 }
+
+// TestDecomposeFillsInvariants: Decompose stores each shrinkage's
+// canonical code and automorphism count, and the pattern's own
+// automorphism count, so plan generation reads them once per
+// decomposition.
+func TestDecomposeFillsInvariants(t *testing.T) {
+	house := pattern.House()
+	labeled := pattern.Cycle(5)
+	labeled.SetLabel(0, 2)
+	labeled.SetLabel(3, 1)
+	for _, p := range []*pattern.Pattern{house, labeled, pattern.Chain(5)} {
+		for _, cut := range CuttingSets(p) {
+			d, err := Decompose(p, cut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Aut != p.AutomorphismCount() {
+				t.Errorf("%s cut %b: Aut %d, want %d", p, cut, d.Aut, p.AutomorphismCount())
+			}
+			for _, s := range d.Shrinkages {
+				if s.Code != s.Pat.Canonical() || s.Aut != s.Pat.AutomorphismCount() {
+					t.Errorf("%s cut %b: shrinkage %s has code %q aut %d, want %q %d",
+						p, cut, s.Pat, s.Code, s.Aut, s.Pat.Canonical(), s.Pat.AutomorphismCount())
+				}
+			}
+		}
+	}
+}

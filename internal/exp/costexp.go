@@ -305,7 +305,12 @@ func Fig19(cfg Config) *Table {
 		})
 		if err == nil {
 			// Sort by model cost and time the most promising 12 (full
-			// exhaustive timing is prohibitive for slow orders).
+			// exhaustive timing is prohibitive for slow orders). Search
+			// arbitrates auxiliary tables only for candidates that can
+			// still win; the rest carry their unadjusted model cost, an
+			// upper bound. So the order is exact among the arbitrated
+			// head, and every candidate after it costs more than the
+			// winner, but the tail is ordered by unadjusted cost.
 			sort.SliceStable(cands, func(i, j int) bool { return cands[i].Cost < cands[j].Cost })
 			limit := 12
 			if cfg.Quick {

@@ -14,13 +14,14 @@ import (
 
 // PhaseSpan is one timed phase of a query's lifecycle: "enumerate"
 // (candidate generation + middle-end optimization), "rank" (cost-model
-// evaluation), "lower" (bytecode lowering + arena planning; ~0 for a
+// evaluation and the auxiliary-table arbitration of the candidates that
+// can still win), "lower" (bytecode lowering + arena planning; ~0 for a
 // cached plan), and "execute".
 type PhaseSpan struct {
 	Phase    string
 	Duration time.Duration
-	// Candidates is the number of candidate plans involved (compile-side
-	// phases only).
+	// Candidates is the number of distinct candidate plans ranked
+	// (compile-side phases only).
 	Candidates int
 }
 
