@@ -492,14 +492,14 @@ func warm(b *testing.B, fn func() error) {
 var _ = atomic.Bool{}
 var _ = time.Second
 
-// --- computation reuse ablation (paper Optimization 2) ---
+// --- cross-pattern reuse: one batch vs separate counts ---
 
-func BenchmarkReuse_CountAll4Motifs_ee(b *testing.B) {
+func BenchmarkReuse_Batch4Motifs_ee(b *testing.B) {
 	s := benchSystem(b, "ee", Options{})
 	pats := MotifPatterns(4)
-	warm(b, func() error { _, err := s.CountAll(pats); return err })
+	warm(b, func() error { _, err := s.CountPatterns(pats, BatchOpts{}); return err })
 	for i := 0; i < b.N; i++ {
-		if _, err := s.CountAll(pats); err != nil {
+		if _, err := s.CountPatterns(pats, BatchOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}

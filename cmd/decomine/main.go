@@ -24,7 +24,6 @@
 //	pseudoclique <n>           pseudo-clique (missing<=1) count
 //	fsm <support> <maxEdges>   frequent subgraph mining (labeled graphs)
 //	explain <pattern>          show the selected algorithm
-//	codegen <pattern>          emit the selected plan as Go source
 //
 // To serve a graph over the HTTP query API, use cmd/decomined.
 //
@@ -101,7 +100,7 @@ func main() {
 	defer sys.Close()
 
 	switch args[0] {
-	case "count", "count-vi", "explain", "codegen":
+	case "count", "count-vi", "explain":
 		if len(args) < 2 {
 			fatal("missing pattern argument")
 		}
@@ -122,10 +121,6 @@ func main() {
 			s, err := sys.Explain(p)
 			fatalIf(err)
 			fmt.Println(s)
-		case "codegen":
-			src, err := sys.GoSource(p, "main", "CountPattern")
-			fatalIf(err)
-			fmt.Print(src)
 		}
 	case "motifs":
 		k := atoiArg(args, 1, "k")

@@ -398,10 +398,9 @@ func (s *System) noteCacheMiss() {
 // externalized quotients, plus the asker's spelling for constrained and
 // emission plans. Every compiled-plan lookup — the counting APIs
 // (including each plan a vertex-induced count or batch runs),
-// EstimateCost, Explain, GoSource, CountAll and the emission planner —
-// moves exactly one of the three counters: Hits (cached plan served),
-// NegativeHits (cached search failure served), or Misses (the
-// algorithm search ran).
+// EstimateCost, Explain and the emission planner — moves exactly one of
+// the three counters: Hits (cached plan served), NegativeHits (cached
+// search failure served), or Misses (the algorithm search ran).
 type CacheStats struct {
 	Hits         int64
 	Misses       int64
@@ -474,20 +473,16 @@ type ExecStats struct {
 	Profile *ExecutionProfile
 }
 
-// lowerable is what exec runs: a compiled plan or a merged plan, each
-// lowering its program to bytecode once.
-type lowerable interface{ Lowered() *ast.Lowered }
-
 // exec is the System's one entry into the engine. run carries the
 // per-run wiring its caller chose (consumer, cancel, progress, fuel,
 // pins, a Threads: 1 override); exec adds what every execution on this
 // System shares — thread count, the lowered bytecode, the persistent
 // pool, the hub and profiler switches — and, when reuse is set, the
 // program's cached execution state. reuse is for plan-cache residents;
-// a one-shot program (merged or pinned plan) would only grow prepCache.
+// a one-shot pinned plan would only grow prepCache.
 // The returned duration is how long assembling that state took: the
 // bytecode lowering + arena planning on a plan's first run, ~0 after.
-func (s *System) exec(p lowerable, reuse bool, run engine.Options) (*engine.Result, time.Duration, error) {
+func (s *System) exec(p *core.Plan, reuse bool, run engine.Options) (*engine.Result, time.Duration, error) {
 	setupStart := time.Now()
 	run.Code = p.Lowered()
 	if run.Threads == 0 {
@@ -529,19 +524,22 @@ func (s *System) GetPatternCountVertexInduced(p *Pattern) (int64, error) {
 	// cache, failures included.
 	direct := planReq{pat: p.p, induced: true}
 	de, dhit, errDirect := s.planFor(direct)
-	// Option 2: indirect via conversion.
-	plan2 := pattern.ConversionPlan(p.p)
+	// Option 2: indirect, through the memoized batch recipe: the
+	// edge-induced counts of p's supergraph classes, composed by
+	// inclusion-exclusion.
 	var indirectCost float64
-	indirect := make([]queryRun, 0, len(plan2))
-	errIndirect := error(nil)
-	for _, q := range plan2 {
-		e, hit, err := s.planFor(planReq{pat: q})
-		if err != nil {
-			errIndirect = err
-			break
+	var indirect []queryRun
+	m, errIndirect := s.batchMemberFor(p, true)
+	if errIndirect == nil {
+		for _, q := range m.needPats {
+			e, hit, err := s.planFor(planReq{pat: q})
+			if err != nil {
+				errIndirect = err
+				break
+			}
+			indirectCost += e.cost
+			indirect = append(indirect, queryRun{entry: e, hit: hit})
 		}
-		indirectCost += e.cost
-		indirect = append(indirect, queryRun{entry: e, hit: hit})
 	}
 	switch {
 	case errDirect != nil && errIndirect != nil:
@@ -553,15 +551,15 @@ func (s *System) GetPatternCountVertexInduced(p *Pattern) (int64, error) {
 		}
 		return r.Count, nil
 	}
-	ei := map[pattern.Code]int64{}
-	for i, q := range plan2 {
+	ei := make(map[pattern.Code]int64, len(m.needs))
+	for i, q := range m.needPats {
 		r, err := s.countPattern(planReq{pat: q}, QueryOpts{}, indirect[i])
 		if err != nil {
 			return 0, err
 		}
-		ei[q.Canonical()] = r.Count
+		ei[m.needs[i]] = r.Count
 	}
-	return pattern.VertexInducedFromEdgeInduced(p.p, ei), nil
+	return m.eval(ei)
 }
 
 // CountWithConstraints counts embeddings of p whose vertex labels
@@ -595,14 +593,4 @@ func (s *System) Explain(p *Pattern) (string, error) {
 	return fmt.Sprintf("pattern: %s\nchosen: %s\nestimated cost: %.3g (best of %d candidates, model %s)\n\n%s\n%sbytecode:\n%s",
 		p, e.plan.Desc, e.cost, e.cands, s.Model().Name(),
 		core.PlanPseudocode(e.plan), aux, core.PlanDisassembly(e.plan)), nil
-}
-
-// GoSource emits the selected plan for p as a standalone Go source file
-// (the paper's code-generation back-end, §7.4).
-func (s *System) GoSource(p *Pattern, pkg, funcName string) (string, error) {
-	e, _, err := s.planFor(planReq{pat: p.p})
-	if err != nil {
-		return "", err
-	}
-	return core.GenerateGoSource(e.plan, pkg, funcName), nil
 }

@@ -124,6 +124,9 @@ func TestDifferentialLabeledPatterns(t *testing.T) {
 	}
 }
 
+// TestDifferentialCountAllMixedPatterns counts random mixed 3–5-vertex
+// patterns all in one CountPatterns batch and checks each member
+// against the pattern-oblivious oracle.
 func TestDifferentialCountAllMixedPatterns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential tests are slow")
@@ -135,7 +138,7 @@ func TestDifferentialCountAllMixedPatterns(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		pats = append(pats, &Pattern{randomConnectedPattern(r, 3+r.Intn(3))})
 	}
-	batch, err := sys.CountAll(pats)
+	batch, err := sys.CountPatterns(pats, BatchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +147,8 @@ func TestDifferentialCountAllMixedPatterns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if batch[i] != want {
-			t.Errorf("pattern %d (%s): CountAll %d, oblivious %d", i, p, batch[i], want)
+		if got := batch.Results[i].Count; got != want {
+			t.Errorf("pattern %d (%s): CountPatterns %d, oblivious %d", i, p, got, want)
 		}
 	}
 }

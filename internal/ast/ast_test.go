@@ -217,86 +217,3 @@ func TestSummarize(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 }
-
-func buildCounter(trim bool) *Program {
-	// for v0 in V { for v1 in N(v0) { g += |N(v0) ∩ N(v1)| } }
-	b := NewBuilder(0)
-	all := b.All()
-	g := b.NewGlobal()
-	v0 := b.BeginLoop(all, nil)
-	n0 := b.Neighbors(v0)
-	over := n0
-	if trim {
-		over = b.TrimAbove(n0, v0)
-	}
-	v1 := b.BeginLoop(over, nil)
-	n1 := b.Neighbors(v1)
-	i := b.Intersect(n0, n1)
-	x := b.Size(i)
-	b.GlobalAdd(g, x, 1)
-	b.EndLoop()
-	b.EndLoop()
-	return b.Finish()
-}
-
-func TestConcatRenumbersDisjointly(t *testing.T) {
-	a := buildCounter(false)
-	bp := buildCounter(true)
-	merged := &Program{Root: &Node{Kind: KRoot}}
-	ga, _ := Concat(merged, a)
-	gb, _ := Concat(merged, bp)
-	if ga == gb {
-		t.Fatal("global offsets collide")
-	}
-	if merged.NumGlobals != 2 || merged.NumVars != a.NumVars+bp.NumVars {
-		t.Fatalf("merged header wrong: %+v", merged)
-	}
-	if err := merged.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFuseAllMergesIdenticalOuterLoops(t *testing.T) {
-	merged := &Program{Root: &Node{Kind: KRoot}}
-	Concat(merged, buildCounter(false))
-	Concat(merged, buildCounter(false))
-	before := Summarize(merged)
-	fusedLoops := FuseAll(merged)
-	after := Summarize(merged)
-	if fusedLoops == 0 {
-		t.Fatal("identical programs did not fuse")
-	}
-	if after.Loops >= before.Loops {
-		t.Fatalf("loops %d -> %d", before.Loops, after.Loops)
-	}
-	// Identical programs collapse to the loop count of one.
-	if after.Loops != 2 {
-		t.Fatalf("expected full fusion to 2 loops, got %d", after.Loops)
-	}
-	if err := merged.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFuseRefusesAcrossImpureNodes(t *testing.T) {
-	// Two loops separated by a volatile reset must not fuse.
-	b := NewBuilder(0)
-	all := b.All()
-	g := b.NewGlobal()
-	acc := b.NewAccumulator()
-	v0 := b.BeginLoop(all, nil)
-	one := b.Const(1)
-	b.GlobalAdd(g, one, 1)
-	_ = v0
-	b.EndLoop()
-	b.Reset(acc, 7) // impure barrier
-	v1 := b.BeginLoop(all, nil)
-	one2 := b.Const(1)
-	b.GlobalAdd(g, one2, 1)
-	_ = v1
-	b.EndLoop()
-	p := b.Finish()
-	if f := FuseSiblingLoops(p); f != 0 {
-		t.Fatalf("fused %d across impure node", f)
-	}
-}

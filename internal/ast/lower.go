@@ -6,8 +6,7 @@ package ast
 // (loops, conditionals) is resolved into absolute instruction offsets at
 // lower time, so the hot path pays no pointer-chasing over Node.Body
 // slices and no recursive call per node — the in-process analogue of the
-// paper's generated-code backend (§7.4), with internal/core/codegen.go
-// remaining the reference source emitter.
+// paper's generated-code backend (§7.4), and the only one.
 
 import (
 	"fmt"

@@ -6,8 +6,8 @@ import (
 )
 
 // Print renders a program as indented pseudo-code, the form the paper
-// uses in its figures. It is used by Explain, the codegen backend and
-// golden tests.
+// uses in its figures. It is used by Explain, the slow-query log, the
+// experiments' plan comparisons and golden tests.
 func Print(p *Program) string {
 	var sb strings.Builder
 	var rec func(n *Node, indent int)

@@ -445,3 +445,60 @@ func TestConstraintAutomorphismCount(t *testing.T) {
 		t.Fatalf("constrained K3: %d", got)
 	}
 }
+
+func TestGeneratePinnedEnumeratesExtensions(t *testing.T) {
+	g := graph.GNP(40, 0.15, 98)
+	p := pattern.Clique(3)
+	// Pin an edge; the pinned plan must count common neighbors.
+	var u, v uint32
+	found := false
+	for x := 0; x < g.NumVertices() && !found; x++ {
+		if nb := g.Neighbors(uint32(x)); len(nb) > 0 {
+			u, v = uint32(x), nb[0]
+			found = true
+		}
+	}
+	if !found {
+		t.Skip("no edges")
+	}
+	plan, err := GeneratePinned(p, []int{0, 1}, []int{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ast.Optimize(plan.Prog)
+	got := int64(0)
+	_, err = engine.Run(g, plan.Prog, engine.Options{
+		Threads: 1,
+		Pins:    []uint32{u, v},
+		NewConsumer: func(worker int) engine.Consumer {
+			return engine.ConsumerFunc(func(sub int, verts []uint32, count int64) bool {
+				got++
+				return true
+			})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Count common neighbors directly.
+	var want int64
+	for x := 0; x < g.NumVertices(); x++ {
+		w := uint32(x)
+		if w != u && w != v && g.HasEdge(u, w) && g.HasEdge(v, w) {
+			want++
+		}
+	}
+	if got != want {
+		t.Fatalf("pinned extensions %d, want %d", got, want)
+	}
+}
+
+func TestGeneratePinnedErrors(t *testing.T) {
+	p := pattern.Clique(3)
+	if _, err := GeneratePinned(p, []int{0}, []int{1}); err == nil {
+		t.Fatal("incomplete pin split accepted")
+	}
+	if _, err := GeneratePinned(p, []int{0, 0}, []int{1}); err == nil {
+		t.Fatal("duplicate pin accepted")
+	}
+}

@@ -685,3 +685,15 @@ func RandomSpec(p *pattern.Pattern, mode Mode, r *rand.Rand) (*Plan, error) {
 	ast.Optimize(plan.Prog)
 	return plan, nil
 }
+
+// PlanPseudocode renders a plan's optimized AST as indented pseudo-code
+// (the notation used in the paper's figures).
+func PlanPseudocode(p *Plan) string { return ast.Print(p.Prog) }
+
+// PlanDisassembly renders the plan's lowered bytecode one instruction
+// per line — the form the VM actually executes.
+func PlanDisassembly(p *Plan) string { return p.Lowered().Disassemble() }
+
+// PlanAuxSummary renders the auxiliary-graph pass's decisions for the
+// plan ("" when the pass found no candidate tables or was disabled).
+func PlanAuxSummary(p *Plan) string { return p.Lowered().AuxSummary() }

@@ -3,18 +3,15 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"reflect"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"decomine/internal/ast"
 	"decomine/internal/cost"
+	"decomine/internal/decomp"
 	"decomine/internal/graph"
 	"decomine/internal/pattern"
 	"decomine/internal/sampling"
@@ -385,79 +382,6 @@ func TestMatchingOrdersConnected(t *testing.T) {
 	}
 }
 
-func TestGenerateGoSourceCompilesAndRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("compiles a generated program with the go tool")
-	}
-	g := graph.GNP(40, 0.15, 96)
-	p := pattern.House()
-	best, _, err := Search(p, SearchOptions{Model: searchModel(g), Mode: ModeCount})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := GenerateGoSource(best.Plan, "main", "CountPattern")
-	if !strings.Contains(src, "func CountPattern(") {
-		t.Fatal("missing entry function")
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "gen.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	main := `package main
-
-import "fmt"
-
-func main() {
-	offsets := []int64{OFFSETS}
-	adj := []uint32{ADJ}
-	g := CountPattern(offsets, adj, nil)
-	fmt.Println(g[0])
-}
-`
-	// Inline the test graph.
-	var offs, adjs []string
-	offsets := []int64{0}
-	var adj []uint32
-	for v := 0; v < g.NumVertices(); v++ {
-		adj = append(adj, g.Neighbors(uint32(v))...)
-		offsets = append(offsets, int64(len(adj)))
-	}
-	for _, o := range offsets {
-		offs = append(offs, itoa64(o))
-	}
-	for _, a := range adj {
-		adjs = append(adjs, itoa64(int64(a)))
-	}
-	main = strings.Replace(main, "OFFSETS", strings.Join(offs, ","), 1)
-	main = strings.Replace(main, "ADJ", strings.Join(adjs, ","), 1)
-	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(main), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module gen\n\ngo 1.22\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command("go", "run", ".")
-	cmd.Dir = dir
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("generated code failed: %v\n%s\n--- source ---\n%s", err, out, src)
-	}
-	want := bruteTuples(g, p, false)
-	wantStr := itoa64(want / 1) // raw count before division
-	_ = wantStr
-	gotStr := strings.TrimSpace(string(out))
-	// The generated program reports the raw tuple count; dividing by the
-	// plan divisor gives embeddings.
-	if gotStr != itoa64(want/best.Plan.Divisor*best.Plan.Divisor) && gotStr != itoa64(want) {
-		// Plans with symmetry breaking count each embedding once.
-		if gotStr != itoa64(want/p.AutomorphismCount()) {
-			t.Fatalf("generated code output %s, want %d (or %d with SB)", gotStr, want, want/p.AutomorphismCount())
-		}
-	}
-}
-
-func itoa64(v int64) string { return strconv.FormatInt(v, 10) }
-
 // rankModels are the three cost models the search ranks with: the
 // random-graph model, the locality model and the approximate-mining
 // model over a fresh profile.
@@ -711,4 +635,60 @@ func TestSearchWinnerMatchesFullArbitration(t *testing.T) {
 		t.Fatalf("%d candidates left unarbitrated, %d winners moved by arbitration: the test exercises neither", bounded, moved)
 	}
 	t.Logf("%d candidates left unarbitrated by the bound, %d winners moved by arbitration", bounded, moved)
+}
+
+func TestPlanPseudocodeShape(t *testing.T) {
+	d, err := decomp.Decompose(pattern.Cycle(4), 1<<0|1<<2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := GenerateDecomposed(DefaultOrders(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ast.Optimize(plan.Prog)
+	code := PlanPseudocode(plan)
+	// Algorithm 1 shape: accumulator reset, product, negative correction.
+	for _, frag := range []string{"for v0", ":= 0", "g0 +=", "-1*"} {
+		if !strings.Contains(code, frag) {
+			t.Errorf("pseudocode missing %q:\n%s", frag, code)
+		}
+	}
+}
+
+func TestMatchingOrdersRespectsCap(t *testing.T) {
+	p := pattern.Clique(5) // 5! = 120 connected orders
+	if got := len(matchingOrders(p, 10)); got > 10 {
+		t.Fatalf("cap ignored: %d", got)
+	}
+}
+
+func TestExtensionOrdersGreedyDiffers(t *testing.T) {
+	// A subpattern where the greedy (most-constrained-first) order
+	// differs from identity: cut of 1 vertex, extensions with unequal
+	// cut-degrees.
+	pat := pattern.MustParse("0-2,1-2,0-1") // triangle; treat vertex 0 as cut
+	orders := extensionOrders(pat, 1, 2)
+	if len(orders) == 0 {
+		t.Fatal("no orders")
+	}
+	for _, o := range orders {
+		if len(o) != 2 {
+			t.Fatalf("order %v wrong length", o)
+		}
+	}
+}
+
+func TestSearchModelRequired(t *testing.T) {
+	if _, _, err := Search(pattern.Clique(3), SearchOptions{}); err == nil {
+		t.Fatal("search without model accepted")
+	}
+}
+
+func TestSearchRejectsDisconnected(t *testing.T) {
+	g := graph.GNP(20, 0.2, 99)
+	model := cost.NewLocality(cost.StatsOf(g), 0.25)
+	if _, _, err := Search(pattern.MustParse("0-1,2-3"), SearchOptions{Model: model}); err == nil {
+		t.Fatal("disconnected pattern accepted")
+	}
 }

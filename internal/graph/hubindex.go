@@ -5,13 +5,14 @@ import "sync/atomic"
 // HubIndex is the dense/sparse hybrid adjacency structure behind the
 // engine's bitmap set kernels: for every vertex whose degree meets a
 // threshold ("hub"), a packed []uint64 bitmap row over all vertex IDs.
-// Hub IDs are remapped densely so memory stays O(hubs · |V|/64) instead
-// of O(|V|²/64). The index is immutable after construction and safe to
-// share across any number of concurrent readers.
+// Vertex IDs are in degree order, so the hubs are exactly the ID suffix
+// [first, |V|) and hub v owns row v-first: memory stays O(hubs · |V|/64)
+// instead of O(|V|²/64). The index is immutable after construction and
+// safe to share across any number of concurrent readers.
 type HubIndex struct {
 	threshold int
-	words     int     // uint64 words per row: ceil(|V|/64)
-	hubID     []int32 // vertex -> dense hub id, -1 for non-hubs
+	words     int    // uint64 words per row: ceil(|V|/64)
+	first     uint32 // lowest hub ID; every vertex from it on is a hub
 	rows      []uint64
 	numHubs   int
 	// coveredDeg is the sum of hub degrees: the number of directed
@@ -24,11 +25,11 @@ type HubIndex struct {
 // or nil when v is not a hub. The slice aliases the index's storage and
 // must not be modified.
 func (ix *HubIndex) Row(v uint32) []uint64 {
-	h := ix.hubID[v]
-	if h < 0 {
+	if v < ix.first {
 		return nil
 	}
-	return ix.rows[int(h)*ix.words : (int(h)+1)*ix.words]
+	h := int(v - ix.first)
+	return ix.rows[h*ix.words : (h+1)*ix.words]
 }
 
 // Threshold returns the minimum degree for a vertex to get a bitmap row.
@@ -46,7 +47,7 @@ func (ix *HubIndex) CoveredDegree() int64 { return ix.coveredDeg }
 
 // MemBytes returns the index's storage footprint.
 func (ix *HubIndex) MemBytes() int64 {
-	return int64(len(ix.rows))*8 + int64(len(ix.hubID))*4
+	return int64(len(ix.rows)) * 8
 }
 
 // hubState holds a graph's hub index behind an atomic pointer. It is a
@@ -98,41 +99,34 @@ func (g *Graph) BuildHubIndex(minDegree int) *HubIndex {
 	return ix
 }
 
-// buildHubIndex scans degrees and packs one bitmap row per hub. Returns
-// nil when no vertex qualifies, so callers can test for "index present"
-// with a nil check and pay nothing on hub-free graphs.
+// buildHubIndex finds the hub suffix — degrees never decrease along
+// IDs (Build renumbers by degree, slab files are checked for it) — and
+// packs one bitmap row per hub. Returns nil when no vertex qualifies, so
+// callers can test for "index present" with a nil check and pay nothing
+// on hub-free graphs.
 func buildHubIndex(g *Graph, threshold int) *HubIndex {
 	n := g.NumVertices()
-	numHubs := 0
-	for v := 0; v < n; v++ {
-		if g.Degree(uint32(v)) >= threshold {
-			numHubs++
-		}
+	first := n
+	for first > 0 && g.Degree(uint32(first-1)) >= threshold {
+		first--
 	}
-	if numHubs == 0 {
+	if first == n {
 		return nil
 	}
 	ix := &HubIndex{
 		threshold: threshold,
 		words:     (n + 63) / 64,
-		hubID:     make([]int32, n),
-		numHubs:   numHubs,
+		first:     uint32(first),
+		numHubs:   n - first,
 	}
-	ix.rows = make([]uint64, numHubs*ix.words)
-	h := int32(0)
-	for v := 0; v < n; v++ {
-		if g.Degree(uint32(v)) < threshold {
-			ix.hubID[v] = -1
-			continue
-		}
-		ix.hubID[v] = h
-		row := ix.rows[int(h)*ix.words : (int(h)+1)*ix.words]
+	ix.rows = make([]uint64, ix.numHubs*ix.words)
+	for v := first; v < n; v++ {
+		row := ix.Row(uint32(v))
 		nbrs := g.Neighbors(uint32(v))
 		for _, u := range nbrs {
 			row[u>>6] |= 1 << (u & 63)
 		}
 		ix.coveredDeg += int64(len(nbrs))
-		h++
 	}
 	return ix
 }

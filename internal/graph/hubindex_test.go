@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"path/filepath"
 	"testing"
 )
 
@@ -56,6 +57,42 @@ func TestHubIndexRows(t *testing.T) {
 	}
 	if ix.MemBytes() <= 0 {
 		t.Fatal("MemBytes() must be positive")
+	}
+}
+
+// TestHubsAreIDSuffix checks the layout Row relies on: with IDs in
+// degree order, the vertices at or above the threshold are exactly the
+// last NumHubs IDs, on a heap R-MAT and on its mapped slab file.
+func TestHubsAreIDSuffix(t *testing.T) {
+	g := RMAT(10, 8, 11)
+	path := filepath.Join(t.TempDir(), "g.slab")
+	if err := g.WriteSlabFile(path); err != nil {
+		t.Fatal(err)
+	}
+	mg, err := OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mg.Close()
+	for name, gr := range map[string]*Graph{"heap": g, "mapped": mg} {
+		for _, threshold := range []int{16, 48, g.DefaultHubThreshold()} {
+			ix := gr.BuildHubIndex(threshold)
+			if ix == nil {
+				t.Fatalf("%s, threshold %d: no hubs", name, threshold)
+			}
+			n := gr.NumVertices()
+			first := n - ix.NumHubs()
+			for v := 0; v < n; v++ {
+				hub := gr.Degree(uint32(v)) >= threshold
+				if hub != (v >= first) || hub != (ix.Row(uint32(v)) != nil) {
+					t.Fatalf("%s, threshold %d: vertex %d (degree %d) hub %v, row %v, suffix from %d",
+						name, threshold, v, gr.Degree(uint32(v)), hub, ix.Row(uint32(v)) != nil, first)
+				}
+			}
+			if want := int64(ix.NumHubs()*ix.Words()) * 8; ix.MemBytes() != want {
+				t.Fatalf("%s, threshold %d: MemBytes %d, want %d", name, threshold, ix.MemBytes(), want)
+			}
+		}
 	}
 }
 

@@ -203,6 +203,12 @@ func TestOpenMappedErrors(t *testing.T) {
 		{"neighbor-out-of-range", "out of range", func(d []byte, at slabSections) { le.PutUint32(d[at.adj+7*4:], 4) }},
 		{"not-increasing", "strictly increasing", func(d []byte, at slabSections) { le.PutUint32(d[at.adj+6*4:], 0) }},
 		{"self-loop", "self-loop", func(d []byte, at slabSections) { le.PutUint32(d[at.adj+7*4:], 3) }},
+		// Offsets [0 2 3 5 8] with 0:[2 3] 1:[3]: valid lists, degrees 2 then 1.
+		{"degree-order", "degree order", func(d []byte, at slabSections) {
+			le.PutUint64(d[at.offsets+8:], 2)
+			le.PutUint32(d[at.adj:], 2)
+			le.PutUint32(d[at.adj+4:], 3)
+		}},
 		{"retired-partitioned", "regenerate", func(d []byte, _ slabSections) { copy(d, "DMSLAB01") }},
 		{"retired-unordered", "regenerate", func(d []byte, _ slabSections) { copy(d, "DMSLAB02") }},
 	} {

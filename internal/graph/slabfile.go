@@ -345,9 +345,10 @@ func checkPermutation(order, rank []uint32) error {
 }
 
 // checkCSR validates a CSR read from a file in one pass over offsets
-// and adjacency — offsets run non-decreasing from 0 to len(adj), and
-// every list is strictly increasing, in range and free of self-loops —
-// and returns the maximum degree.
+// and adjacency — offsets run non-decreasing from 0 to len(adj), every
+// list is strictly increasing, in range and free of self-loops, and
+// degrees never decrease along IDs (the order Build renumbers into,
+// which the hub index relies on) — and returns the maximum degree.
 func checkCSR(offsets []int64, adj []uint32) (maxDeg int, err error) {
 	n := len(offsets) - 1
 	if offsets[0] != 0 || offsets[n] != int64(len(adj)) {
@@ -370,9 +371,11 @@ func checkCSR(offsets []int64, adj []uint32) (maxDeg int, err error) {
 			}
 			prev = int64(x)
 		}
-		if d := int(hi - lo); d > maxDeg {
-			maxDeg = d
+		d := int(hi - lo)
+		if d < maxDeg {
+			return 0, fmt.Errorf("vertex %d: degree %d after degree %d, not in degree order", v, d, maxDeg)
 		}
+		maxDeg = d
 	}
 	return maxDeg, nil
 }

@@ -2,7 +2,6 @@ package pattern
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -426,25 +425,3 @@ func SpanningSubCount(p, q *Pattern) int64 {
 	rec(0)
 	return cnt / p.AutomorphismCount()
 }
-
-// OrbitOf returns the orbit of vertex v under Aut(p) as a bitmask.
-func (p *Pattern) OrbitOf(v int) uint32 {
-	var mask uint32
-	for _, σ := range p.Automorphisms() {
-		mask |= 1 << uint(σ[v])
-	}
-	return mask
-}
-
-// IsSymmetricSubset reports whether the induced subpattern on the mask has
-// a nontrivial automorphism group — the precondition for pattern-aware
-// loop rewriting on that prefix.
-func (p *Pattern) IsSymmetricSubset(mask uint32) bool {
-	vs := MaskVertices(mask)
-	sub := p.InducedSub(vs)
-	return len(sub.Automorphisms()) > 1
-}
-
-// BitCount is a small helper exposing popcount for callers working with
-// vertex masks.
-func BitCount(mask uint32) int { return bits.OnesCount32(mask) }

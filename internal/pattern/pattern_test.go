@@ -430,22 +430,6 @@ func TestFig6PatternDecomposes(t *testing.T) {
 	}
 }
 
-func TestOrbitsAndSymmetricSubset(t *testing.T) {
-	star := Star(4)
-	// Leaves 1,2,3 share an orbit.
-	if o := star.OrbitOf(1); o != (1<<1 | 1<<2 | 1<<3) {
-		t.Fatalf("leaf orbit = %b", o)
-	}
-	if o := star.OrbitOf(0); o != 1<<0 {
-		t.Fatalf("center orbit = %b", o)
-	}
-	// A triangle inside tailed-triangle is a symmetric subset.
-	tt := TailedTriangle()
-	if !tt.IsSymmetricSubset(1<<0 | 1<<1 | 1<<2) {
-		t.Error("triangle prefix should be symmetric")
-	}
-}
-
 func TestLabeledHelpers(t *testing.T) {
 	p := Chain(3)
 	if p.Labeled() {

@@ -163,22 +163,6 @@ func Subtract(dst, a, b Set) Set {
 	return out[:k]
 }
 
-// SubtractCount returns |a \ b|.
-func SubtractCount(a, b Set) int64 {
-	var n int64
-	j := 0
-	for _, v := range a {
-		for j < len(b) && b[j] < v {
-			j++
-		}
-		if j < len(b) && b[j] == v {
-			continue
-		}
-		n++
-	}
-	return n
-}
-
 // Remove writes a \ {v} into dst[:0] and returns it. dst may be a[:0].
 func Remove(dst, a Set, v uint32) Set {
 	dst = dst[:0]
@@ -233,32 +217,6 @@ func CountAbove(a Set, bound uint32) int64 {
 func Copy(dst, src Set) Set {
 	dst = dst[:0]
 	return append(dst, src...)
-}
-
-// Union writes a ∪ b into dst[:0] and returns it. dst must not alias a or b.
-// Union is not used on the mining hot path (the AST vocabulary has no union)
-// but supports graph construction and tests.
-func Union(dst, a, b Set) Set {
-	dst = dst[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		va, vb := a[i], b[j]
-		switch {
-		case va < vb:
-			dst = append(dst, va)
-			i++
-		case va > vb:
-			dst = append(dst, vb)
-			j++
-		default:
-			dst = append(dst, va)
-			i++
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	dst = append(dst, b[j:]...)
-	return dst
 }
 
 // IsSorted reports whether s is strictly increasing, i.e. a valid Set.

@@ -3,9 +3,6 @@ package decomine
 import (
 	"fmt"
 
-	"decomine/internal/ast"
-	"decomine/internal/core"
-	"decomine/internal/engine"
 	"decomine/internal/pattern"
 )
 
@@ -99,36 +96,4 @@ func (s *System) PseudoCliqueCount(n, missing int) (int64, error) {
 		total += vi
 	}
 	return total, nil
-}
-
-// CountAll counts several patterns in one merged execution with
-// cross-pattern computation reuse (paper §2.2 Optimization 2, Figure 5):
-// identical candidate-set computations are shared and loops over the
-// same sets are fused, so common matching-process prefixes run once.
-// Results are returned in input order.
-func (s *System) CountAll(patterns []*Pattern) ([]int64, error) {
-	plans := make([]*core.Plan, len(patterns))
-	for i, p := range patterns {
-		e, _, err := s.planFor(planReq{pat: p.p})
-		if err != nil {
-			return nil, err
-		}
-		plans[i] = e.plan
-	}
-	merged, err := core.MergePlans(plans)
-	if err != nil {
-		return nil, err
-	}
-	// The merged program is a fresh AST, so the aux pass re-runs on it;
-	// without a per-model decider here the structural default arbitrates.
-	merged.LowerOpts = ast.LowerOpts{DisableAux: s.opts.DisableAuxGraphs}
-	res, _, err := s.exec(merged, false, engine.Options{})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, len(patterns))
-	for i := range patterns {
-		out[i] = res.Globals[merged.CountGlobals[i]] / merged.Divisors[i]
-	}
-	return out, nil
 }
