@@ -51,18 +51,13 @@ type BatchCache interface {
 }
 
 // BatchOpts configures a CountPatterns run. The zero value counts
-// edge-induced, shares subqueries, runs unbudgeted, and uses the
-// System's thread count for scheduling.
+// edge-induced, runs unbudgeted, and uses the System's thread count for
+// scheduling.
 type BatchOpts struct {
 	// Induced counts vertex-induced embeddings of every member (each
 	// member must be connected); the batch executes the edge-induced
 	// supergraph-class needs and composes through inclusion-exclusion.
 	Induced bool
-	// NoShare disables cross-query subpattern sharing and concurrent
-	// scheduling: members run sequentially, each executing its own
-	// needs independently — the serial per-pattern baseline the bench
-	// suite compares against. Counts are bit-identical either way.
-	NoShare bool
 	// MaxInstructions, when > 0, is a joint VM instruction budget for
 	// the whole batch (every subquery debits one shared grant);
 	// exhaustion returns ErrBudgetExceeded.
@@ -78,9 +73,10 @@ type BatchOpts struct {
 	// BatchCache).
 	Cache BatchCache
 	// Admit, when non-nil, is called once with the cost-model price of
-	// the batch's residual execution set before anything runs. It
-	// returns a release callback (invoked when the batch finishes) or
-	// an error that aborts the batch — the server's admission hook.
+	// the batch's residual execution set before anything runs, unless
+	// that set is empty (the cache answered every member). It returns a
+	// release callback (invoked when the batch finishes) or an error
+	// that aborts the batch — the server's admission hook.
 	Admit func(price float64) (release func(), err error)
 	// Span, when non-nil, is the request trace span the batch runs
 	// under: the batch records cache_lookup, plan, and per-dependency-
@@ -99,7 +95,7 @@ type BatchStats struct {
 	// execution: total references (member needs plus externalized
 	// shrinkage resolutions) minus distinct demanded subqueries. It is
 	// a deterministic function of the batch and the plans, independent
-	// of thread count; zero under NoShare.
+	// of thread count.
 	SharedHits int64
 	// CacheHits counts demanded subqueries served from BatchCache.
 	CacheHits int64
@@ -233,10 +229,6 @@ func (s *System) CountPatterns(ps []*Pattern, o BatchOpts) (*BatchResult, error)
 			}
 		}
 	}
-	if o.NoShare {
-		return s.countPatternsSerial(ps, members, o)
-	}
-
 	// Serve needs from the external cache before planning anything.
 	cached := map[pattern.Code]int64{}
 	lookup := func(c pattern.Code) (int64, bool) {
@@ -354,7 +346,8 @@ func (s *System) CountPatterns(ps []*Pattern, o BatchOpts) (*BatchResult, error)
 			continue
 		}
 		allPat[c] = quotPat[c]
-		if _, ok := table[c]; ok {
+		if v, ok := lookup(c); ok {
+			table[c] = v
 			cacheHits++
 			continue
 		}
@@ -373,12 +366,14 @@ func (s *System) CountPatterns(ps []*Pattern, o BatchOpts) (*BatchResult, error)
 	planSpan.SetAttr("externalized", int64(len(ext)))
 	planSpan.End()
 
-	// Price the residual work and admit the whole batch at once.
+	// Price the residual work and admit the whole batch at once. A
+	// batch the cache answers entirely executes nothing and bypasses
+	// admission.
 	var price float64
 	for _, c := range execCodes {
 		price += entry[c].cost
 	}
-	if o.Admit != nil {
+	if o.Admit != nil && len(execCodes) > 0 {
 		release, err := o.Admit(price)
 		if err != nil {
 			return nil, err
@@ -520,63 +515,6 @@ func (s *System) CountPatterns(ps []*Pattern, o BatchOpts) (*BatchResult, error)
 	obsBatchSharedHits.Add(bs.SharedHits)
 	obsBatchCacheHits.Add(bs.CacheHits)
 	obsBatchHarvested.Add(bs.Harvested)
-	return out, nil
-}
-
-// countPatternsSerial is the NoShare baseline: members run one after
-// another, each executing its own needs independently — no intra-batch
-// subcount table, no externalization, no concurrency. It shares the
-// plan cache with the batched path (compilation is amortized either
-// way; the comparison isolates execution work).
-func (s *System) countPatternsSerial(ps []*Pattern, members []*batchMember, o BatchOpts) (*BatchResult, error) {
-	fuel := (&QueryOpts{MaxInstructions: o.MaxInstructions, Fuel: o.Fuel}).fuelCounter()
-	out := &BatchResult{Results: make([]*Result, len(ps))}
-	bs := &out.Stats
-	bs.Patterns = len(ps)
-	if o.Admit != nil {
-		var price float64
-		for _, m := range members {
-			for _, q := range m.needPats {
-				c, err := s.EstimateCost(RawPattern(q), QueryOpts{})
-				if err != nil {
-					return nil, err
-				}
-				price += c
-			}
-		}
-		bs.EstimatedCost = price
-		release, err := o.Admit(price)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-	}
-	execStart := time.Now()
-	for i, m := range members {
-		counts := map[pattern.Code]int64{}
-		var own QueryStats
-		for j, q := range m.needPats {
-			r, err := s.countPattern(planReq{pat: q}, QueryOpts{Fuel: fuel, Deadline: o.Deadline, Span: o.Span}, queryRun{})
-			if err != nil {
-				return nil, err
-			}
-			counts[m.needs[j]] = r.Count
-			bs.Subqueries++
-			bs.Instructions += r.Stats.Exec.Instructions
-			if m.needs[j] == m.own {
-				own = r.Stats
-			}
-		}
-		c, err := m.eval(counts)
-		if err != nil {
-			return nil, err
-		}
-		out.Results[i] = &Result{Count: c, Stats: own}
-	}
-	bs.ExecTime = time.Since(execStart)
-	obsBatches.Inc()
-	obsBatchPatterns.Add(int64(bs.Patterns))
-	obsBatchSubqueries.Add(int64(bs.Subqueries))
 	return out, nil
 }
 

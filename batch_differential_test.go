@@ -2,9 +2,8 @@ package decomine
 
 // Differential tests for batched multi-pattern execution: the shared
 // path (cross-query subcount table, externalized shrinkage quotients,
-// concurrent waves) must be bit-identical to per-pattern execution and
-// to the NoShare serial baseline, across thread counts and graph
-// families.
+// concurrent waves) must be bit-identical to per-pattern execution,
+// across thread counts and graph families, and must execute less.
 
 import (
 	"sync"
@@ -45,6 +44,34 @@ func sharedHeavyPatterns(t *testing.T) []*Pattern {
 	return ps
 }
 
+// unshared answers every member on its own through the single-query
+// path: CountPattern on each of the member's needs, composed by the
+// member's recipe. It returns the counts and the instructions executed.
+func unshared(t *testing.T, sys *System, pats []*Pattern, induced bool) ([]int64, int64) {
+	t.Helper()
+	counts := make([]int64, len(pats))
+	var instructions int64
+	for i, p := range pats {
+		m, err := sys.batchMemberFor(p, induced)
+		if err != nil {
+			t.Fatal(err)
+		}
+		needs := map[pattern.Code]int64{}
+		for j, q := range m.needPats {
+			r, err := sys.CountPattern(RawPattern(q), QueryOpts{})
+			if err != nil {
+				t.Fatalf("%s: need %s: %v", p, q, err)
+			}
+			needs[m.needs[j]] = r.Count
+			instructions += r.Stats.Exec.Instructions
+		}
+		if counts[i], err = m.eval(needs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return counts, instructions
+}
+
 func TestBatchDifferentialEdgeInduced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential tests are slow")
@@ -73,26 +100,20 @@ func TestBatchDifferentialEdgeInduced(t *testing.T) {
 						gname, threads, pats[i], br.Results[i].Count, want[i])
 				}
 			}
-			ser, err := sys.CountPatterns(pats, BatchOpts{NoShare: true})
-			if err != nil {
-				t.Fatalf("%s threads=%d: serial batch: %v", gname, threads, err)
-			}
+			ser, serInstructions := unshared(t, sys, pats, false)
 			for i := range pats {
-				if ser.Results[i].Count != br.Results[i].Count {
-					t.Errorf("%s threads=%d pattern %s: NoShare %d, shared %d",
-						gname, threads, pats[i], ser.Results[i].Count, br.Results[i].Count)
+				if ser[i] != br.Results[i].Count {
+					t.Errorf("%s threads=%d pattern %s: unshared %d, shared %d",
+						gname, threads, pats[i], ser[i], br.Results[i].Count)
 				}
-			}
-			if ser.Stats.SharedHits != 0 {
-				t.Errorf("%s threads=%d: NoShare reported %d shared hits", gname, threads, ser.Stats.SharedHits)
 			}
 			// The point of sharing: strictly less execution than counting
 			// each member on its own. The plans chosen on the G(n,p) graph
 			// share no subquery, so only the skewed and clustered graphs
 			// are held to it.
-			if gname != "gnp" && (br.Stats.SharedHits <= 0 || br.Stats.Instructions >= ser.Stats.Instructions) {
-				t.Errorf("%s threads=%d: shared batch %d instructions and %d shared hits, NoShare %d instructions",
-					gname, threads, br.Stats.Instructions, br.Stats.SharedHits, ser.Stats.Instructions)
+			if gname != "gnp" && (br.Stats.SharedHits <= 0 || br.Stats.Instructions >= serInstructions) {
+				t.Errorf("%s threads=%d: shared batch %d instructions and %d shared hits, unshared %d instructions",
+					gname, threads, br.Stats.Instructions, br.Stats.SharedHits, serInstructions)
 			}
 		}
 	}
@@ -212,6 +233,73 @@ func TestBatchCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBatchCachedQuotientNotExecuted: a shrinkage quotient the cache
+// already holds is externalized and served from the cache, never
+// planned and executed as a subquery of its own.
+func TestBatchCachedQuotientNotExecuted(t *testing.T) {
+	g := GenerateRMAT(9, 8, 1)
+	member := []*Pattern{MustParsePattern("0-2,0-4,1-2,1-3")}
+	wedge := MustParsePattern("0-1,1-2")
+	sys := NewSystem(g, Options{Threads: 2})
+	defer sys.Close()
+	fresh, err := sys.CountPatterns(member, BatchOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := sys.CountPattern(wedge, QueryOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := newMapBatchCache()
+	cache.Store(wedge.CanonicalCode(), w.Count)
+	cached, err := sys.CountPatterns(member, BatchOpts{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached.Results[0].Count != fresh.Results[0].Count {
+		t.Fatalf("count with the wedge cached %d, without %d", cached.Results[0].Count, fresh.Results[0].Count)
+	}
+	// Without the cache the wedge is demanded once and stays in the
+	// member's plan; with it, the cache serves it.
+	if cached.Stats.CacheHits != 1 || cached.Stats.Subqueries != fresh.Stats.Subqueries {
+		t.Errorf("with the wedge cached: %d subqueries, %d cache hits; want %d and 1",
+			cached.Stats.Subqueries, cached.Stats.CacheHits, fresh.Stats.Subqueries)
+	}
+}
+
+// TestBatchFullyCachedSkipsAdmission: a batch the cache answers
+// entirely executes nothing, so it never asks for admission.
+func TestBatchFullyCachedSkipsAdmission(t *testing.T) {
+	g := GenerateGNP(50, 0.12, 77)
+	pats := sharedHeavyPatterns(t)
+	sys := NewSystem(g, Options{Threads: 2})
+	defer sys.Close()
+	admits := 0
+	opts := BatchOpts{
+		Cache: newMapBatchCache(),
+		Admit: func(float64) (func(), error) {
+			admits++
+			return func() {}, nil
+		},
+	}
+	if _, err := sys.CountPatterns(pats, opts); err != nil {
+		t.Fatal(err)
+	}
+	if admits != 1 {
+		t.Fatalf("cold batch asked for admission %d times, want 1", admits)
+	}
+	warm, err := sys.CountPatterns(pats, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Stats.Subqueries != 0 {
+		t.Fatalf("warm batch executed %d subqueries, want 0", warm.Stats.Subqueries)
+	}
+	if admits != 1 {
+		t.Errorf("fully cached batch asked for admission; %d admissions in all, want 1", admits)
+	}
+}
+
 // TestBatchConcurrentMembersRace drives concurrent batch members on one
 // shared pool plus two whole batches racing on the same System; run
 // with -race in CI.
@@ -284,23 +372,15 @@ func TestFSMTruncationHonest(t *testing.T) {
 	}
 }
 
-// TestMotifCountsStats verifies the motif-stats satellite: the census
-// reports aggregated batch stats and per-class query stats.
-func TestMotifCountsStats(t *testing.T) {
+// TestMotifCensusStats verifies the census's stats: each class carries
+// its own subquery's query stats, and the census batch reports
+// aggregated batch stats.
+func TestMotifCensusStats(t *testing.T) {
 	g := GenerateGNP(60, 0.12, 99)
 	sys := NewSystem(g, Options{Threads: 2})
-	counts, bs, err := sys.MotifCountsStats(4)
+	counts, err := sys.MotifCounts(4)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if bs == nil || bs.Patterns != len(counts) {
-		t.Fatalf("batch stats patterns = %+v, want %d members", bs, len(counts))
-	}
-	if bs.Instructions <= 0 {
-		t.Error("census reported zero aggregate instructions")
-	}
-	if bs.SharedHits <= 0 {
-		t.Errorf("4-motif census reported %d shared hits, want > 0 (conversion plans overlap)", bs.SharedHits)
 	}
 	withStats := 0
 	for _, mc := range counts {
@@ -310,6 +390,25 @@ func TestMotifCountsStats(t *testing.T) {
 	}
 	if withStats == 0 {
 		t.Error("no motif class carried per-class query stats")
+	}
+	br, err := sys.CountPatterns(MotifPatterns(4), BatchOpts{Induced: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := br.Stats
+	if bs.Patterns != len(counts) {
+		t.Fatalf("batch stats patterns = %+v, want %d members", bs, len(counts))
+	}
+	if bs.Instructions <= 0 {
+		t.Error("census reported zero aggregate instructions")
+	}
+	if bs.SharedHits <= 0 {
+		t.Errorf("4-motif census reported %d shared hits, want > 0 (conversion plans overlap)", bs.SharedHits)
+	}
+	for i, mc := range counts {
+		if br.Results[i].Count != mc.Count {
+			t.Errorf("%s: MotifCounts %d, census batch %d", mc.Pattern, mc.Count, br.Results[i].Count)
+		}
 	}
 }
 

@@ -53,9 +53,9 @@ func benchSystem(b *testing.B, dataset string, opts Options) *System {
 
 func BenchmarkFig1_DecoMine4Motif_ee(b *testing.B) {
 	s := benchSystem(b, "ee", Options{})
-	warm(b, func() error { _, err := s.TotalMotifCount(4); return err })
+	warm(b, func() error { _, err := s.MotifCounts(4); return err })
 	for i := 0; i < b.N; i++ {
-		if _, err := s.TotalMotifCount(4); err != nil {
+		if _, err := s.MotifCounts(4); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -63,9 +63,9 @@ func BenchmarkFig1_DecoMine4Motif_ee(b *testing.B) {
 
 func BenchmarkFig1_NoDecomp4Motif_ee(b *testing.B) {
 	s := benchSystem(b, "ee", Options{DisableDecomposition: true, CostModel: CostLocality})
-	warm(b, func() error { _, err := s.TotalMotifCount(4); return err })
+	warm(b, func() error { _, err := s.MotifCounts(4); return err })
 	for i := 0; i < b.N; i++ {
-		if _, err := s.TotalMotifCount(4); err != nil {
+		if _, err := s.MotifCounts(4); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -86,9 +86,9 @@ func BenchmarkFig1_DecoMine6Cycle_ee(b *testing.B) {
 
 func BenchmarkTable2_AutoMine3Motif_wk(b *testing.B) {
 	s := benchSystem(b, "wk", Options{DisableDecomposition: true, DisableCountLastLoop: true, CostModel: CostLocality})
-	warm(b, func() error { _, err := s.TotalMotifCount(3); return err })
+	warm(b, func() error { _, err := s.MotifCounts(3); return err })
 	for i := 0; i < b.N; i++ {
-		if _, err := s.TotalMotifCount(3); err != nil {
+		if _, err := s.MotifCounts(3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -98,9 +98,9 @@ func BenchmarkTable2_AutoMine3Motif_wk(b *testing.B) {
 
 func BenchmarkTable3_DecoMine5Motif_cs(b *testing.B) {
 	s := benchSystem(b, "cs", Options{})
-	warm(b, func() error { _, err := s.TotalMotifCount(5); return err })
+	warm(b, func() error { _, err := s.MotifCounts(5); return err })
 	for i := 0; i < b.N; i++ {
-		if _, err := s.TotalMotifCount(5); err != nil {
+		if _, err := s.MotifCounts(5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -108,9 +108,9 @@ func BenchmarkTable3_DecoMine5Motif_cs(b *testing.B) {
 
 func BenchmarkTable3_AutoMine5Motif_cs(b *testing.B) {
 	s := benchSystem(b, "cs", Options{DisableDecomposition: true, DisableCountLastLoop: true, CostModel: CostLocality})
-	warm(b, func() error { _, err := s.TotalMotifCount(5); return err })
+	warm(b, func() error { _, err := s.MotifCounts(5); return err })
 	for i := 0; i < b.N; i++ {
-		if _, err := s.TotalMotifCount(5); err != nil {
+		if _, err := s.MotifCounts(5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -137,9 +137,9 @@ func BenchmarkTable3_DecoMineFSM300_cs(b *testing.B) {
 
 func BenchmarkTable4_DecoMine3Motif_mc(b *testing.B) {
 	s := benchSystem(b, "mc", Options{})
-	warm(b, func() error { _, err := s.TotalMotifCount(3); return err })
+	warm(b, func() error { _, err := s.MotifCounts(3); return err })
 	for i := 0; i < b.N; i++ {
-		if _, err := s.TotalMotifCount(3); err != nil {
+		if _, err := s.MotifCounts(3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -147,9 +147,9 @@ func BenchmarkTable4_DecoMine3Motif_mc(b *testing.B) {
 
 func BenchmarkTable4_PatternAware3Motif_mc(b *testing.B) {
 	s := benchSystem(b, "mc", Options{DisableDecomposition: true, DisableCountLastLoop: true, CostModel: CostLocality})
-	warm(b, func() error { _, err := s.TotalMotifCount(3); return err })
+	warm(b, func() error { _, err := s.MotifCounts(3); return err })
 	for i := 0; i < b.N; i++ {
-		if _, err := s.TotalMotifCount(3); err != nil {
+		if _, err := s.MotifCounts(3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -166,9 +166,9 @@ func BenchmarkTable5_Native4Motif_ee(b *testing.B) {
 
 func BenchmarkTable5_DecoMine4Motif1T_ee(b *testing.B) {
 	s := benchSystem(b, "ee", Options{Threads: 1})
-	warm(b, func() error { _, err := s.TotalMotifCount(4); return err })
+	warm(b, func() error { _, err := s.MotifCounts(4); return err })
 	for i := 0; i < b.N; i++ {
-		if _, err := s.TotalMotifCount(4); err != nil {
+		if _, err := s.MotifCounts(4); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -176,9 +176,9 @@ func BenchmarkTable5_DecoMine4Motif1T_ee(b *testing.B) {
 
 func BenchmarkTable5_GraphPi4Motif1T_ee(b *testing.B) {
 	s := benchSystem(b, "ee", Options{Threads: 1, DisableDecomposition: true, CostModel: CostLocality})
-	warm(b, func() error { _, err := s.TotalMotifCount(4); return err })
+	warm(b, func() error { _, err := s.MotifCounts(4); return err })
 	for i := 0; i < b.N; i++ {
-		if _, err := s.TotalMotifCount(4); err != nil {
+		if _, err := s.MotifCounts(4); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -188,10 +188,10 @@ func BenchmarkTable5_GraphPi4Motif1T_ee(b *testing.B) {
 
 func BenchmarkTable6_DecoMine3Motif_lj(b *testing.B) {
 	s := benchSystem(b, "lj", Options{})
-	warm(b, func() error { _, err := s.TotalMotifCount(3); return err })
+	warm(b, func() error { _, err := s.MotifCounts(3); return err })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.TotalMotifCount(3); err != nil {
+		if _, err := s.MotifCounts(3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -264,9 +264,9 @@ func BenchmarkFig11_AMSelectedPlan_ee(b *testing.B) {
 
 func BenchmarkFig14_GraphPiCount4Motif_ee(b *testing.B) {
 	s := benchSystem(b, "ee", Options{DisableDecomposition: true, CostModel: CostLocality})
-	warm(b, func() error { _, err := s.TotalMotifCount(4); return err })
+	warm(b, func() error { _, err := s.MotifCounts(4); return err })
 	for i := 0; i < b.N; i++ {
-		if _, err := s.TotalMotifCount(4); err != nil {
+		if _, err := s.MotifCounts(4); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -303,9 +303,9 @@ func BenchmarkFig15_PLROn(b *testing.B)  { benchPLRPlan(b, false) }
 func benchThreads(b *testing.B, threads int) {
 	b.Helper()
 	s := benchSystem(b, "ee", Options{Threads: threads})
-	warm(b, func() error { _, err := s.TotalMotifCount(4); return err })
+	warm(b, func() error { _, err := s.MotifCounts(4); return err })
 	for i := 0; i < b.N; i++ {
-		if _, err := s.TotalMotifCount(4); err != nil {
+		if _, err := s.MotifCounts(4); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -405,9 +405,9 @@ func mustPattern(name string) *Pattern {
 
 func BenchmarkVM_5Motif_ee(b *testing.B) {
 	s := benchSystem(b, "ee", Options{CostModel: CostLocality})
-	warm(b, func() error { _, err := s.TotalMotifCount(5); return err })
+	warm(b, func() error { _, err := s.MotifCounts(5); return err })
 	for i := 0; i < b.N; i++ {
-		if _, err := s.TotalMotifCount(5); err != nil {
+		if _, err := s.MotifCounts(5); err != nil {
 			b.Fatal(err)
 		}
 	}

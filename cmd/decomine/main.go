@@ -55,7 +55,6 @@ func main() {
 	slowQuery := flag.Duration("slow-query", 0, "record queries slower than this in the slow-query log (0 = off)")
 	mmapFlag := flag.Bool("mmap", false, "treat -graph as a binary slab file and serve it via mmap (implied by a .slab extension)")
 	memBudget := flag.String("mem-budget", "", "soft Go heap limit, e.g. 32MiB or 2GiB (sets the runtime memory limit; mmap-backed graph pages are exempt)")
-	noAux := flag.Bool("no-aux", false, "disable auxiliary-graph materialization (plan choice is unchanged; counts are bit-identical either way)")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) < 1 {
@@ -92,10 +91,9 @@ func main() {
 	defer g.Close()
 	fmt.Fprintf(os.Stderr, "graph: %s\n", g)
 	sys := decomine.NewSystem(g, decomine.Options{
-		Threads:          *threads,
-		CostModel:        decomine.CostModelKind(*model),
-		Profile:          *profile,
-		DisableAuxGraphs: *noAux,
+		Threads:   *threads,
+		CostModel: decomine.CostModelKind(*model),
+		Profile:   *profile,
 	})
 	defer sys.Close()
 

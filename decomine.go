@@ -51,14 +51,10 @@ type Options struct {
 	// DisableDecomposition restricts the compiler to direct
 	// (AutoMine-style) plans.
 	DisableDecomposition bool
-	// DisablePLR turns off pattern-aware loop rewriting.
-	DisablePLR bool
 	// DisableCountLastLoop turns off the last-loop counting optimization
 	// (used to model the AutoMine baseline, which lacks GraphPi's
 	// mathematical counting optimization).
 	DisableCountLastLoop bool
-	// DisableOptimize skips the LICM/CSE/DCE middle end (ablation).
-	DisableOptimize bool
 	// MaxCandidates caps the number of candidate specs considered per
 	// pattern, in spec order; a twin spec, skipped because an earlier
 	// one generates the same plan, still counts.
@@ -67,17 +63,6 @@ type Options struct {
 	// profiler (defaults 200k edges, 30k walks per pattern shape).
 	ProfileSampleEdges int
 	ProfileTrials      int
-	// DisableHubIndex keeps plan execution off the graph's hub bitmap
-	// index, forcing the sorted-array set kernels everywhere. Plans and
-	// instruction counts are unaffected; results are bit-identical. Used
-	// for differential testing and speedup measurement.
-	DisableHubIndex bool
-	// DisableAuxGraphs turns off the compiler's auxiliary-graph
-	// materialization pass (GraphMini-style pruned-adjacency tables
-	// hoisted above deep loops). Results are bit-identical with the
-	// pass on or off; only per-iteration work changes. Used for
-	// differential testing and speedup measurement.
-	DisableAuxGraphs bool
 	// Seed fixes all randomized choices.
 	Seed int64
 	// Profile arms the in-VM sampling profiler for every plan
@@ -232,11 +217,8 @@ func (s *System) searchOptions(r planReq) core.SearchOptions {
 		Mode:                 r.mode,
 		Induced:              r.induced,
 		DisableDecomposition: s.opts.DisableDecomposition,
-		DisablePLR:           s.opts.DisablePLR,
-		DisableOptimize:      s.opts.DisableOptimize,
 		DisableCountLastLoop: s.opts.DisableCountLastLoop,
 		MaxCandidates:        s.opts.MaxCandidates,
-		DisableAuxGraphs:     s.opts.DisableAuxGraphs,
 		Workers:              s.opts.Threads,
 	}
 	if r.cons != "" {
@@ -333,11 +315,7 @@ func (s *System) prepared(code *ast.Lowered) *engine.Prepared {
 	}
 	p, ok := s.prepCache[code]
 	if !ok {
-		if s.opts.DisableHubIndex {
-			p = engine.PrepareNoHub(s.graph.g, code)
-		} else {
-			p = engine.Prepare(s.graph.g, code)
-		}
+		p = engine.Prepare(s.graph.g, code)
 		s.prepCache[code] = p
 	}
 	return p
@@ -477,7 +455,7 @@ type ExecStats struct {
 // per-run wiring its caller chose (consumer, cancel, progress, fuel,
 // pins, a Threads: 1 override); exec adds what every execution on this
 // System shares — thread count, the lowered bytecode, the persistent
-// pool, the hub and profiler switches — and, when reuse is set, the
+// pool, the profiler switch — and, when reuse is set, the
 // program's cached execution state. reuse is for plan-cache residents;
 // a one-shot pinned plan would only grow prepCache.
 // The returned duration is how long assembling that state took: the
@@ -494,7 +472,6 @@ func (s *System) exec(p *core.Plan, reuse bool, run engine.Options) (*engine.Res
 	if reuse {
 		run.Prepared = s.prepared(run.Code)
 	}
-	run.DisableHub = s.opts.DisableHubIndex
 	run.Profile = s.opts.Profile
 	setup := time.Since(setupStart)
 	res, err := engine.Run(s.graph.g, run.Code.Prog, run)

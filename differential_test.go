@@ -163,8 +163,6 @@ func TestDifferentialAblationConfigsAgree(t *testing.T) {
 	configs := []Options{
 		{},
 		{DisableDecomposition: true},
-		{DisablePLR: true},
-		{DisableOptimize: true},
 		{DisableCountLastLoop: true},
 		{CostModel: CostAutoMine},
 		{CostModel: CostLocality},

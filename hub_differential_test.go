@@ -1,16 +1,19 @@
 package decomine
 
 // Differential and concurrency tests for the hybrid dense/sparse set
-// kernels: every pattern must count identically — and match brute-force
-// tuple enumeration — whether the VM routes through the hub
-// bitmap index or runs pure sorted-array kernels (DisableHubIndex), and
-// the shared read-only index must be race-free under the work-stealing
-// scheduler (run under -race in CI).
+// kernels: every plan must count identically — and match brute-force
+// tuple enumeration — whether the VM routes through the hub bitmap
+// index or runs pure sorted-array kernels on the same graph without
+// hubs, and the shared read-only index must be race-free under the
+// work-stealing scheduler (run under -race in CI).
 
 import (
 	"sync"
 	"testing"
 
+	"decomine/internal/ast"
+	"decomine/internal/core"
+	"decomine/internal/engine"
 	"decomine/internal/pattern"
 )
 
@@ -25,16 +28,29 @@ func hubTestGraph(t testing.TB) *Graph {
 	return g
 }
 
+// runCode executes plan, lowered as code, on g through the engine
+// alone and returns the run with its extracted count.
+func runCode(t testing.TB, g *Graph, plan *core.Plan, code *ast.Lowered, threads int) (*engine.Result, int64) {
+	t.Helper()
+	res, err := engine.Run(g.g, plan.Prog, engine.Options{Threads: threads, Code: code})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := plan.ExtractCount(res.Globals, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, c
+}
+
 func TestHubIndexDifferentialMotifSuite(t *testing.T) {
 	g := hubTestGraph(t)
-	base := Options{Threads: 3, CostModel: CostLocality}
-	hubOpts := base
-	noHubOpts := base
-	noHubOpts.DisableHubIndex = true
-	hubSys := NewSystem(g, hubOpts)
-	noHubSys := NewSystem(g, noHubOpts)
+	// plain is the same graph built a second time with every hub
+	// dropped: a separate build, because shallow copies share the index.
+	plain := GenerateRMAT(9, 8, 4321)
+	plain.BuildHubIndex(plain.MaxDegree() + 1)
+	hubSys := NewSystem(g, Options{Threads: 3, CostModel: CostLocality})
 	defer hubSys.Close()
-	defer noHubSys.Close()
 
 	maxK := 4
 	if testing.Short() {
@@ -48,23 +64,24 @@ func TestHubIndexDifferentialMotifSuite(t *testing.T) {
 			if err != nil {
 				t.Fatalf("k=%d #%d hub: %v", k, i, err)
 			}
-			noHub, err := noHubSys.CountPattern(pp, QueryOpts{})
+			e, _, err := hubSys.planFor(planReq{pat: p})
 			if err != nil {
-				t.Fatalf("k=%d #%d nohub: %v", k, i, err)
+				t.Fatal(err)
 			}
+			noHub, noHubCount := runCode(t, plain, e.plan, e.plan.Lowered(), 3)
 			want := bruteEI(g, p)
-			if hub.Count != want || noHub.Count != want {
+			if hub.Count != want || noHubCount != want {
 				t.Errorf("k=%d pattern #%d (%s): hub %d, nohub %d, brute force %d",
-					k, i, p, hub.Count, noHub.Count, want)
+					k, i, p, hub.Count, noHubCount, want)
 			}
 			// The hub index changes kernel routes, never the plan: both
 			// runs execute the same instruction stream.
-			if hub.Stats.Exec.Instructions != noHub.Stats.Exec.Instructions {
+			if hub.Stats.Exec.Instructions != noHub.InstructionsExecuted() {
 				t.Errorf("k=%d pattern #%d: hub run executed %d instructions, nohub %d",
-					k, i, hub.Stats.Exec.Instructions, noHub.Stats.Exec.Instructions)
+					k, i, hub.Stats.Exec.Instructions, noHub.InstructionsExecuted())
 			}
-			if n := noHub.Stats.Exec.Kernels["bitmap"] + noHub.Stats.Exec.Kernels["bitmap-count"]; n != 0 {
-				t.Errorf("k=%d pattern #%d: DisableHubIndex run dispatched %d bitmap kernels", k, i, n)
+			if n := noHub.KernelCounts[engine.KernelBitmap] + noHub.KernelCounts[engine.KernelBitmapCount]; n != 0 {
+				t.Errorf("k=%d pattern #%d: no-hub run dispatched %d bitmap kernels", k, i, n)
 			}
 			if hub.Stats.Exec.Kernels["bitmap"]+hub.Stats.Exec.Kernels["bitmap-count"] > 0 {
 				sawBitmap = true

@@ -181,21 +181,6 @@ func Walk(n *Node, fn func(*Node)) {
 	}
 }
 
-// Clone deep-copies a node tree.
-func Clone(n *Node) *Node {
-	c := *n
-	if n.Keys != nil {
-		c.Keys = append([]int(nil), n.Keys...)
-	}
-	if n.Body != nil {
-		c.Body = make([]*Node, len(n.Body))
-		for i, ch := range n.Body {
-			c.Body[i] = Clone(ch)
-		}
-	}
-	return &c
-}
-
 // Validate performs structural sanity checks used by tests and the
 // compiler's debug mode.
 func (p *Program) Validate() error {

@@ -189,15 +189,6 @@ func TestPrintShape(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	p := buildRedundant()
-	c := Clone(p.Root)
-	c.Body[0].Kind = KEmit
-	if p.Root.Body[0].Kind == KEmit {
-		t.Fatal("clone shares nodes")
-	}
-}
-
 func TestBuilderPanicsOnUnbalanced(t *testing.T) {
 	defer func() {
 		if recover() == nil {

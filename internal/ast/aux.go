@@ -30,9 +30,9 @@ package ast
 //
 // Each use picks the deepest legal C (the most-pruned rows); uses are
 // grouped per C into one table, and a decision callback (the cost
-// model's materialize-vs-recompute estimate, or a structural default)
-// accepts or rejects each table. Both outcomes are recorded on the
-// Lowered form for Explain and the slow-query log.
+// model's materialize-vs-recompute estimate) accepts or rejects each
+// table; without one every table is rejected. Both outcomes are
+// recorded on the Lowered form for Explain and the slow-query log.
 
 import (
 	"fmt"
@@ -41,14 +41,9 @@ import (
 
 // LowerOpts configures LowerWith.
 type LowerOpts struct {
-	// DisableAux skips auxiliary-graph materialization entirely; the
-	// lowered form is then identical to the pre-pass output.
-	DisableAux bool
-	// AuxDecide, when non-nil, arbitrates materialize-vs-recompute per
-	// candidate table (cost.AuxDecider wires the active cost model in).
-	// When nil a structural default applies: materialize whenever the
-	// source set is a derived (pruned) set rather than a bare neighbor
-	// list.
+	// AuxDecide arbitrates materialize-vs-recompute per candidate table
+	// (cost.AuxDecider wires the active cost model in). When nil no
+	// table is materialized: the lowered form is the pre-pass output.
 	AuxDecide func(*AuxCandidate) AuxVerdict
 }
 
@@ -83,7 +78,7 @@ type AuxCandidate struct {
 }
 
 // AuxVerdict is a decision callback's answer: whether to materialize,
-// plus the model's cost estimates (zero when structurally decided).
+// plus the model's cost estimates.
 type AuxVerdict struct {
 	Materialize     bool
 	MaterializeCost float64
@@ -110,7 +105,7 @@ type AuxTable struct {
 // slow-query log: one line per candidate table — which operand was
 // hoisted, to which loop level, and the cost model's
 // materialize-vs-recompute estimate. Empty when the pass found no
-// candidates or was disabled.
+// candidates or had no decision callback.
 func (l *Lowered) AuxSummary() string {
 	if len(l.AuxDecisions) == 0 {
 		return ""
@@ -118,11 +113,8 @@ func (l *Lowered) AuxSummary() string {
 	var b strings.Builder
 	for _, d := range l.AuxDecisions {
 		verdict := "recompute"
-		switch {
-		case d.Applied:
+		if d.Applied {
 			verdict = fmt.Sprintf("materialized a%d", d.Table)
-		case l.AuxDisabled && d.RecomputeCost > d.MaterializeCost:
-			verdict = "would materialize (pass disabled)"
 		}
 		fmt.Fprintf(&b, "aux rows N(v) ∩ s%d hoisted to v%d's loop (depth %d): %s",
 			d.Src, d.BuildLoopVar, d.SrcDepth, verdict)
@@ -147,16 +139,12 @@ func (l *Lowered) AuxSummary() string {
 // intersections) and before annotateNeighborOperands (so rewritten
 // operands lose their stale neighbor annotation naturally).
 func (l *Lowered) materializeAux(opts LowerOpts) {
-	l.AuxDisabled = opts.DisableAux
-	sc := newAuxScan(l)
-	groups, order := sc.candidates()
-	if len(groups) == 0 {
-		return
-	}
 	decide := opts.AuxDecide
 	if decide == nil {
-		decide = sc.structuralDefault
+		return
 	}
+	sc := newAuxScan(l)
+	groups, order := sc.candidates()
 	var applied []*AuxCandidate
 	for _, src := range order {
 		c := groups[src]
@@ -164,14 +152,10 @@ func (l *Lowered) materializeAux(opts LowerOpts) {
 		d := AuxDecision{
 			AuxCandidate:    *c,
 			Table:           -1,
-			Applied:         v.Materialize && !opts.DisableAux,
+			Applied:         v.Materialize,
 			MaterializeCost: v.MaterializeCost,
 			RecomputeCost:   v.RecomputeCost,
 		}
-		// When the pass is disabled the verdicts are still recorded —
-		// cost.AuxArbiter.RankAdjust reads them so a plan ranks the same
-		// with the knob on or off (the knob isolates materialization,
-		// not the planner) — but nothing is rewritten.
 		if d.Applied {
 			d.Table = int32(len(l.Aux) + len(applied))
 			applied = append(applied, c)
@@ -181,16 +165,6 @@ func (l *Lowered) materializeAux(opts LowerOpts) {
 	if len(applied) > 0 {
 		sc.apply(applied)
 	}
-}
-
-// structuralDefault is the decision rule when no cost model is wired
-// in: materialize when the source is a derived (already pruned) set —
-// its rows are strictly narrower than raw adjacency — and keep bare
-// neighbor-list sources on the recompute path, where the win is not
-// structural but depends on graph shape.
-func (sc *auxScan) structuralDefault(c *AuxCandidate) AuxVerdict {
-	pc, ok := sc.defPC[c.Src]
-	return AuxVerdict{Materialize: ok && sc.l.Code[pc].Set != OpNeighbors}
 }
 
 // auxScan holds the pass's static analysis over one instruction stream.

@@ -109,34 +109,28 @@ func TestAuxCandidateShape(t *testing.T) {
 }
 
 // TestAuxDisableIdenticalCode verifies the bit-identity contract's
-// static half: DisableAux yields exactly the pre-pass instruction
-// stream, while still recording the candidate verdicts (plan ranking
-// must not depend on the knob).
+// static half: lowering with no decision callback, and lowering with
+// one that rejects every table, both yield the pre-pass instruction
+// stream. The reject-all lowering still records its verdicts.
 func TestAuxDisableIdenticalCode(t *testing.T) {
 	prog := clique5Prog()
 	plain := Lower(prog)
-	disabled := LowerWith(prog, LowerOpts{DisableAux: true, AuxDecide: forceAll})
 	rejected := LowerWith(prog, LowerOpts{AuxDecide: rejectAll})
-	if !reflect.DeepEqual(disabled.Code, rejected.Code) {
-		t.Fatalf("DisableAux code differs from reject-all code")
+	if !reflect.DeepEqual(plain.Code, rejected.Code) {
+		t.Fatalf("default lowering differs from reject-all lowering")
 	}
-	if !reflect.DeepEqual(disabled.Code, plain.Code) {
-		// Lower's default is the structural verdict, which materializes
-		// on this shape — compare against reject-all instead.
-		t.Log("note: default lowering materialized (structural default)")
+	if len(plain.Aux) != 0 || len(plain.AuxDecisions) != 0 {
+		t.Fatalf("default lowering has %d tables, %d verdicts; want none", len(plain.Aux), len(plain.AuxDecisions))
 	}
-	if !disabled.AuxDisabled {
-		t.Error("AuxDisabled not recorded")
+	if len(rejected.Aux) != 0 {
+		t.Fatalf("reject-all lowering materialized %d tables", len(rejected.Aux))
 	}
-	if len(disabled.Aux) != 0 {
-		t.Fatalf("disabled lowering materialized %d tables", len(disabled.Aux))
+	if len(rejected.AuxDecisions) != 2 {
+		t.Fatalf("reject-all lowering recorded %d verdicts, want 2", len(rejected.AuxDecisions))
 	}
-	if len(disabled.AuxDecisions) != 2 {
-		t.Fatalf("disabled lowering recorded %d verdicts, want 2", len(disabled.AuxDecisions))
-	}
-	for _, d := range disabled.AuxDecisions {
+	for _, d := range rejected.AuxDecisions {
 		if d.Applied || d.Table != -1 {
-			t.Errorf("disabled lowering claims an applied table: %+v", d)
+			t.Errorf("reject-all lowering claims an applied table: %+v", d)
 		}
 	}
 }

@@ -180,11 +180,6 @@ type Lowered struct {
 	// log.
 	Aux          []AuxTable
 	AuxDecisions []AuxDecision
-	// AuxDisabled records that the auxiliary-graph pass was switched off
-	// (LowerOpts.DisableAux): AuxDecisions then holds what the arbiter
-	// would have done — kept so plan ranking is identical with the knob
-	// on or off — but nothing was applied.
-	AuxDisabled bool
 }
 
 // SetRegs returns the set-register file size of the lowered form
@@ -197,7 +192,7 @@ func (l *Lowered) SetRegs() int {
 }
 
 // Lower flattens a validated program into bytecode with default options
-// (auxiliary-graph materialization on, structural decision rule).
+// (no decision callback, so no auxiliary tables).
 func Lower(p *Program) *Lowered { return LowerWith(p, LowerOpts{}) }
 
 // LowerWith flattens a validated program into bytecode. Loop and

@@ -44,8 +44,6 @@ type SearchOptions struct {
 	DisableDirect bool
 	// DisablePLR turns off pattern-aware loop rewriting candidates.
 	DisablePLR bool
-	// DisableOptimize skips LICM/CSE/DCE (ablation).
-	DisableOptimize bool
 	// DisableCountLastLoop turns off the last-loop set-size counting
 	// optimization (GraphPi's "mathematical" optimization); used to model
 	// baselines that lack it.
@@ -54,9 +52,6 @@ type SearchOptions struct {
 	// (0 = 600): every generated candidate and every twin spec (see
 	// Search) takes one slot.
 	MaxCandidates int
-	// MaxOrdersPerChoice caps matching-order variants per structure
-	// choice (0 = 24).
-	MaxOrdersPerChoice int
 	// Constraints restricts counting to embeddings satisfying the group
 	// label constraints (§7.5). Decomposition candidates that cannot
 	// resolve the constraints are skipped automatically.
@@ -70,10 +65,6 @@ type SearchOptions struct {
 	// Stats, when non-nil, receives the phase split of this search
 	// (candidate enumeration vs cost-model ranking) for query tracing.
 	Stats *SearchStats
-	// DisableAuxGraphs turns off auxiliary-graph materialization in the
-	// lowering of every candidate (results are bit-identical either
-	// way; only per-iteration work changes).
-	DisableAuxGraphs bool
 	// Workers is how many goroutines prepare and rank candidates (0 =
 	// GOMAXPROCS; 1 works inline): generation, the middle-end optimizer
 	// and the cost model in the first phase, the auxiliary-graph
@@ -159,12 +150,9 @@ func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, []Candidate, er
 		if err != nil {
 			return prepared{prepTime: time.Since(start)}
 		}
-		if !opts.DisableOptimize {
-			ast.Optimize(plan.Prog)
-		}
+		ast.Optimize(plan.Prog)
 		// The winner lowers fully, with this model arbitrating
 		// materialize-vs-recompute, on its first run.
-		plan.LowerOpts = ast.LowerOpts{DisableAux: opts.DisableAuxGraphs}
 		arb := cost.AuxDecider(opts.Model, plan.Prog)
 		if arb != nil {
 			plan.LowerOpts.AuxDecide = arb.Decide
@@ -226,12 +214,10 @@ func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, []Candidate, er
 	inOrder(len(contenders), workers, func(k int) float64 {
 		// Fold each applied aux table's estimated net gain into the
 		// plan's rank: a plan whose deep loops prune harder through aux
-		// rows outranks the same traversal without them. The verdicts
-		// are recorded even under DisableAuxGraphs, so the knob leaves
-		// plan choice untouched and an on/off comparison isolates the
-		// materialization itself. Only the verdicts are kept and the
-		// bytecode clean-up pass is skipped: the bytecode of the losing
-		// candidates would dominate the search's live heap.
+		// rows outranks the same traversal without them. Only the
+		// verdicts are kept and the bytecode clean-up pass is skipped:
+		// the bytecode of the losing candidates would dominate the
+		// search's live heap.
 		c := cands[contenders[k]]
 		return arbs[contenders[k]].RankAdjust(c.Cost, ast.AuxDecisions(c.Plan.Prog, c.Plan.LowerOpts))
 	}, func(k int, adjusted float64) bool {
@@ -280,6 +266,11 @@ type candidateSpec struct {
 	twin int
 }
 
+// maxOrdersPerChoice caps the matching-order variants per structure
+// choice: the direct plans' matching orders, and each decomposition's
+// cut orders.
+const maxOrdersPerChoice = 24
+
 // candidateGenerators lists p's candidate specs in the order they are
 // costed: direct plans by matching order, then decomposition plans cut
 // by cut. An unconstrained decomposition whose signature matches an
@@ -287,13 +278,9 @@ type candidateSpec struct {
 // one) lists its specs as twins of the earlier cut's, position by
 // position: decompSpecs derives both lists from the same signature.
 func candidateGenerators(p *pattern.Pattern, opts SearchOptions) []candidateSpec {
-	maxOrders := opts.MaxOrdersPerChoice
-	if maxOrders == 0 {
-		maxOrders = 24
-	}
 	var specs []candidateSpec
 	if !opts.DisableDirect {
-		for _, order := range matchingOrders(p, maxOrders) {
+		for _, order := range matchingOrders(p, maxOrdersPerChoice) {
 			spec := DirectSpec{
 				Pattern: p,
 				Order:   order,
@@ -328,7 +315,7 @@ func candidateGenerators(p *pattern.Pattern, opts SearchOptions) []candidateSpec
 					firstSpec[sig] = len(specs)
 				}
 			}
-			for k, spec := range decompSpecs(d, opts, maxOrders) {
+			for k, spec := range decompSpecs(d, opts) {
 				twin := -1
 				if first >= 0 {
 					twin = first + k
@@ -506,7 +493,7 @@ func matchingOrders(p *pattern.Pattern, max int) [][]int {
 // decompSpecs enumerates matching-order variants for one decomposition:
 // cut orders × PLR depths, with extension orders chosen per subpattern
 // (identity plus a degree-greedy order).
-func decompSpecs(d *decomp.Decomposition, opts SearchOptions, maxOrders int) []DecompSpec {
+func decompSpecs(d *decomp.Decomposition, opts SearchOptions) []DecompSpec {
 	nCut := len(d.CutVerts)
 	var cutOrders [][]int
 	if nCut <= 4 {
@@ -518,8 +505,8 @@ func decompSpecs(d *decomp.Decomposition, opts SearchOptions, maxOrders int) []D
 			cutOrders = append(cutOrders, r.Perm(nCut))
 		}
 	}
-	if len(cutOrders) > maxOrders {
-		cutOrders = cutOrders[:maxOrders]
+	if len(cutOrders) > maxOrdersPerChoice {
+		cutOrders = cutOrders[:maxOrdersPerChoice]
 	}
 
 	subOrders := make([][][]int, len(d.Subpatterns))

@@ -75,7 +75,7 @@ type AuxArbiter struct {
 
 // AuxDecider returns the arbiter wiring model m into the
 // auxiliary-graph pass for prog, or nil when the model does not expose
-// an estimator (the pass then falls back to its structural default).
+// an estimator (the pass then materializes no table).
 func AuxDecider(m Model, prog *ast.Program) *AuxArbiter {
 	ae, ok := m.(auxEstimating)
 	if !ok {
@@ -102,9 +102,7 @@ func (a *AuxArbiter) shape() *estimator {
 // whole-plan cost so the adjustment is scale-free: the verdict costs
 // and the plan total come from the same estimator run, and modelCost —
 // whatever its units — is scaled, never subtracted from. Savings are
-// keyed on the recorded cost verdict rather than Applied so a
-// DisableAux lowering (which records verdicts without applying them)
-// ranks identically — the knob must not change which traversal wins.
+// keyed on the recorded cost verdict.
 func (a *AuxArbiter) RankAdjust(modelCost float64, ds []ast.AuxDecision) float64 {
 	var saved float64
 	for _, d := range ds {

@@ -186,9 +186,8 @@ func (m *locality) Cost(prog *ast.Program) float64 {
 // ---- approximate-mining model ----
 
 type approxMining struct {
-	st       GraphStats
-	profile  *sampling.Profile
-	fallback Model
+	st      GraphStats
+	profile *sampling.Profile
 }
 
 // NewApproxMining returns the approximate-mining based model (§6.2): the
@@ -197,7 +196,7 @@ type approxMining struct {
 // entries (disconnected prefixes, oversized patterns) fall back to the
 // locality model's branching estimate.
 func NewApproxMining(st GraphStats, profile *sampling.Profile) Model {
-	return &approxMining{st: st, profile: profile, fallback: NewLocality(st, 0.25)}
+	return &approxMining{st: st, profile: profile}
 }
 
 func (m *approxMining) Name() string { return "approx-mining" }

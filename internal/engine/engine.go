@@ -146,12 +146,6 @@ type Options struct {
 	// plan, split analysis, recycled frames) built by Prepare. Ignored
 	// when it does not match the graph and bytecode of this run.
 	Prepared *Prepared
-	// DisableHub keeps the VM's intersect/subtract dispatch off the
-	// graph's hub bitmap index even when one exists, forcing the sorted
-	// array kernels. Used for differential testing and for measuring the
-	// hybrid data plane's speedup; plans and instruction counts are
-	// unaffected (the cost model does not consult this option).
-	DisableHub bool
 	// Profile arms the in-VM sampling profiler for this run:
 	// Result.Profile then carries the wall-time attribution by
 	// (opcode × loop depth × kernel path), and the run is folded into
@@ -259,18 +253,14 @@ func Run(g *graph.Graph, prog *ast.Program, opts Options) (*Result, error) {
 	}
 
 	var sh *vmShared
-	if opts.Prepared.matches(g, prog, opts.DisableHub) {
+	if opts.Prepared.matches(g, prog) {
 		sh = opts.Prepared.sh
 	} else {
 		bc := opts.Code
 		if bc == nil || bc.Prog != prog {
 			bc = ast.Lower(prog)
 		}
-		hub := g.HubIndex()
-		if opts.DisableHub {
-			hub = nil
-		}
-		sh = newVMShared(g, bc, hub)
+		sh = newVMShared(g, bc)
 	}
 	master := sh.getFrame()
 	if opts.Profile {

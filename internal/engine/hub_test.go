@@ -18,6 +18,19 @@ func hubGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
+// noHubGraph returns hubGraph's graph built a second time, with every
+// hub dropped: the same vertices and edges, routed through the sorted
+// array kernels only. It is a separate build because shallow copies
+// share the hub index.
+func noHubGraph(t *testing.T) *graph.Graph {
+	t.Helper()
+	g := graph.RMAT(9, 8, 21)
+	if g.BuildHubIndex(g.MaxDegree()+1) != nil {
+		t.Fatal("hub index survived a threshold above the maximum degree")
+	}
+	return g
+}
+
 // buildTrianglePerOnceProgram counts each triangle once via a windowed
 // fused count: x = |{u ∈ N(v0) ∩ N(v1) : u > v1}| with v1 > v0. The
 // window exercises intersectCount's aWindowed guard (operand A's hub
@@ -68,12 +81,13 @@ func kernelTotal(res *Result, ks ...int) int64 {
 	return n
 }
 
-// TestHubDifferential runs hub-routed, hub-disabled, and evalTree
-// reference executions of several programs on the same hub-indexed graph: the
-// counts must be bit-identical, the instruction streams identical, and
-// only the hub run may dispatch bitmap kernels.
+// TestHubDifferential runs hub-routed executions of several programs
+// on the hub-indexed graph, and no-hub and evalTree reference
+// executions on the same graph without hubs: the counts must be
+// bit-identical, the instruction streams identical, and only the hub
+// run may dispatch bitmap kernels.
 func TestHubDifferential(t *testing.T) {
-	g := hubGraph(t)
+	g, plain := hubGraph(t), noHubGraph(t)
 	progs := map[string]*ast.Program{
 		"triangle":      buildTriangleProgram(),
 		"triangle-once": buildTrianglePerOnceProgram(),
@@ -84,11 +98,11 @@ func TestHubDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		noHub, err := Run(g, prog, Options{Threads: 1, DisableHub: true})
+		noHub, err := Run(plain, prog, Options{Threads: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree := evalTree(g, prog, nil, nil)
+		tree := evalTree(plain, prog, nil, nil)
 		if hub.Globals[0] != noHub.Globals[0] || hub.Globals[0] != tree[0] {
 			t.Fatalf("%s: counts diverge: hub=%d nohub=%d tree=%d",
 				name, hub.Globals[0], noHub.Globals[0], tree[0])
@@ -101,7 +115,7 @@ func TestHubDifferential(t *testing.T) {
 			t.Fatalf("%s: hub run dispatched no bitmap kernels: %v", name, hub.KernelCounts)
 		}
 		if bm := kernelTotal(noHub, KernelBitmap, KernelBitmapCount); bm != 0 {
-			t.Fatalf("%s: hub-disabled run dispatched %d bitmap kernels", name, bm)
+			t.Fatalf("%s: no-hub run dispatched %d bitmap kernels", name, bm)
 		}
 		// Total dispatches agree: the router changes which kernel runs,
 		// never how many set operations execute.
@@ -148,42 +162,38 @@ func TestKernelCountsScheduleInvariant(t *testing.T) {
 	}
 }
 
-// TestPreparedHubMatching: a Prepared built with the hub index must not
-// be reused by a DisableHub run (and vice versa), and a Prepared wired
-// to a stale index must not match after a rebuild.
+// TestPreparedHubMatching: a Prepared matches only the graph, program
+// and hub index it was built for. Once the graph is re-indexed it no
+// longer matches, and a run handed the stale Prepared routes through
+// the new index.
 func TestPreparedHubMatching(t *testing.T) {
 	g := hubGraph(t)
 	prog := buildTriangleProgram()
-	code := ast.Lower(prog)
-	withHub := Prepare(g, code)
-	noHub := PrepareNoHub(g, code)
+	prep := Prepare(g, ast.Lower(prog))
+	if !prep.matches(g, prog) {
+		t.Fatal("Prepared must match its own graph, program and hub index")
+	}
+	if prep.matches(g, buildSubtractProgram()) {
+		t.Fatal("Prepared must not match another program")
+	}
+	if prep.matches(noHubGraph(t), prog) {
+		t.Fatal("Prepared must not match another graph")
+	}
+	want := evalTree(g, prog, nil, nil)
 
-	if !withHub.matches(g, prog, false) {
-		t.Fatal("hub-wired Prepared must match a hub run")
+	g.BuildHubIndex(g.MaxDegree() + 1) // drop every hub
+	if prep.matches(g, prog) {
+		t.Fatal("Prepared wired to a stale hub index must not match after a rebuild")
 	}
-	if withHub.matches(g, prog, true) {
-		t.Fatal("hub-wired Prepared must not match a DisableHub run")
-	}
-	if !noHub.matches(g, prog, true) {
-		t.Fatal("no-hub Prepared must match a DisableHub run")
-	}
-	if noHub.matches(g, prog, false) {
-		t.Fatal("no-hub Prepared must not match a hub run on an indexed graph")
-	}
-
-	// Passing a mismatched Prepared must still produce correct results
-	// (Run falls back to fresh shared state).
-	res, err := Run(g, prog, Options{Threads: 1, Prepared: withHub, DisableHub: true})
+	res, err := Run(g, prog, Options{Threads: 1, Prepared: prep})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bm := kernelTotal(res, KernelBitmap, KernelBitmapCount); bm != 0 {
-		t.Fatalf("DisableHub run with hub-wired Prepared dispatched %d bitmap kernels", bm)
+	if res.Globals[0] != want[0] {
+		t.Fatalf("count %d after the rebuild, tree %d", res.Globals[0], want[0])
 	}
-
-	g.BuildHubIndex(64)
-	if withHub.matches(g, prog, false) {
-		t.Fatal("Prepared wired to a stale hub index must not match after a rebuild")
+	if bm := kernelTotal(res, KernelBitmap, KernelBitmapCount); bm != 0 {
+		t.Fatalf("run with a stale Prepared dispatched %d bitmap kernels after the hubs were dropped", bm)
 	}
 }
 
@@ -198,7 +208,7 @@ func TestHubRunWithPoolAndPrepared(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
 
-	want, err := Run(g, prog, Options{Threads: 1, DisableHub: true})
+	want, err := Run(noHubGraph(t), prog, Options{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

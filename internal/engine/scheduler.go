@@ -41,27 +41,15 @@ type Prepared struct {
 // Prepare builds reusable execution state for code against g, wired to
 // the graph's current hub bitmap index (if any).
 func Prepare(g *graph.Graph, code *ast.Lowered) *Prepared {
-	return &Prepared{sh: newVMShared(g, code, g.HubIndex())}
-}
-
-// PrepareNoHub builds reusable execution state with the hub bitmap
-// index disabled, for runs that set Options.DisableHub.
-func PrepareNoHub(g *graph.Graph, code *ast.Lowered) *Prepared {
-	return &Prepared{sh: newVMShared(g, code, nil)}
+	return &Prepared{sh: newVMShared(g, code)}
 }
 
 // matches reports whether this Prepared (possibly nil) was built for
-// exactly this graph, program, and hub-index configuration. A Prepared
-// wired to a stale hub index (the graph was re-indexed after Prepare)
-// does not match, so the run falls back to building fresh shared state.
-func (p *Prepared) matches(g *graph.Graph, prog *ast.Program, disableHub bool) bool {
-	if p == nil || p.sh.g != g || p.sh.bc.Prog != prog {
-		return false
-	}
-	if disableHub {
-		return p.sh.hub == nil
-	}
-	return p.sh.hub == g.HubIndex()
+// exactly this graph, program and hub index. A Prepared wired to a
+// stale hub index (the graph was re-indexed after Prepare) does not
+// match, so the run falls back to building fresh shared state.
+func (p *Prepared) matches(g *graph.Graph, prog *ast.Program) bool {
+	return p != nil && p.sh.g == g && p.sh.bc.Prog == prog && p.sh.hub == g.HubIndex()
 }
 
 // task is a stealable range [lo, hi) of loop iterations belonging to

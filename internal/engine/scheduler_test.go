@@ -84,7 +84,7 @@ func TestExecD1SplitMatchesWhole(t *testing.T) {
 	g := graph.RMAT(9, 8, 99)
 	prog := buildTriangleProgram()
 	bc := ast.Lower(prog)
-	sh := newVMShared(g, bc, g.HubIndex())
+	sh := newVMShared(g, bc)
 	si := loopSegIndex(t, bc)
 	if !sh.d1[si].ok {
 		t.Fatal("triangle segment not splittable")

@@ -49,7 +49,7 @@ type vmShared struct {
 	g  *graph.Graph
 	bc *ast.Lowered
 	// hub is the graph's hub bitmap index captured at preparation time
-	// (nil when the graph has no hubs or Options.DisableHub was set);
+	// (nil when the graph has no hubs);
 	// the intersect/subtract dispatch consults it per instruction.
 	hub *graph.HubIndex
 	// labels is the graph's label index, taken at preparation time when
@@ -164,10 +164,10 @@ func analyzeD1(bc *ast.Lowered) []d1Info {
 	return out
 }
 
-func newVMShared(g *graph.Graph, bc *ast.Lowered, hub *graph.HubIndex) *vmShared {
+func newVMShared(g *graph.Graph, bc *ast.Lowered) *vmShared {
 	nSets := bc.SetRegs()
 	sh := &vmShared{
-		g: g, bc: bc, hub: hub,
+		g: g, bc: bc, hub: g.HubIndex(),
 		root:   make([][]uint32, nSets),
 		rooted: make([]bool, nSets),
 		bufCap: make([]int, nSets),

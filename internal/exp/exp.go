@@ -40,11 +40,6 @@ type Config struct {
 	Quick bool
 }
 
-// DefaultConfig suits a single-core container.
-func DefaultConfig() Config {
-	return Config{Budget: 60 * time.Second, Threads: 0}
-}
-
 // Table is a printable experiment result.
 type Table struct {
 	Title  string
@@ -124,18 +119,6 @@ func DecoMineSys(dataset string, cfg Config) *decomine.System {
 	})
 }
 
-// DecoMineModelSys builds DecoMine with an explicit cost model.
-func DecoMineModelSys(dataset string, model decomine.CostModelKind, cfg Config) *decomine.System {
-	return cachedSystem("dm-"+string(model)+"/"+dataset+threadKey(cfg), func() *decomine.System {
-		return decomine.NewSystem(mustDataset(dataset), decomine.Options{
-			Threads:            cfg.Threads,
-			CostModel:          model,
-			ProfileSampleEdges: 100_000,
-			ProfileTrials:      20_000,
-		})
-	})
-}
-
 // AutoMineSys is the in-house AutoMine / Peregrine-class baseline:
 // pattern-aware direct plans, no decomposition, no last-loop counting.
 func AutoMineSys(dataset string, cfg Config) *decomine.System {
@@ -159,11 +142,6 @@ func GraphPiSys(dataset string, cfg Config) *decomine.System {
 			DisableDecomposition: true,
 		})
 	})
-}
-
-// GraphPiNoCountSys is GraphPi without the counting optimization.
-func GraphPiNoCountSys(dataset string, cfg Config) *decomine.System {
-	return AutoMineSys(dataset, cfg)
 }
 
 func threadKey(cfg Config) string { return fmt.Sprintf("/t%d", cfg.Threads) }

@@ -82,15 +82,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
-// Mean returns the mean observed value (0 with no observations).
-func (h *Histogram) Mean() float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(n)
-}
-
 // HistBucket is one non-empty histogram bucket in a snapshot: Count
 // observations with value < Upper (and >= Upper/2, except the first).
 type HistBucket struct {
@@ -214,16 +205,6 @@ func labeledName(name string, labels []Label) string {
 // callers on hot paths should hoist the handle per label set.
 func (r *Registry) LabeledCounter(name string, labels ...Label) *Counter {
 	return r.Counter(labeledName(name, labels))
-}
-
-// LabeledGauge is Gauge with label pairs.
-func (r *Registry) LabeledGauge(name string, labels ...Label) *Gauge {
-	return r.Gauge(labeledName(name, labels))
-}
-
-// LabeledHistogram is Histogram with label pairs.
-func (r *Registry) LabeledHistogram(name string, labels ...Label) *Histogram {
-	return r.Histogram(labeledName(name, labels))
 }
 
 // SetHelp registers the `# HELP` text WriteText renders for a metric

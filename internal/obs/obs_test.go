@@ -148,8 +148,9 @@ func TestLabeledFamilies(t *testing.T) {
 		t.Fatal("label order produced distinct series handles")
 	}
 	c1.Inc()
-	r.LabeledGauge("depth", Label{"tenant", "acme"}).Set(4)
-	r.LabeledHistogram("wait", Label{"tenant", "acme"}).Observe(9)
+	acme := []Label{{"tenant", "acme"}}
+	r.Gauge(labeledName("depth", acme)).Set(4)
+	r.Histogram(labeledName("wait", acme)).Observe(9)
 
 	var sb strings.Builder
 	r.Snapshot().WriteText(&sb)

@@ -146,8 +146,8 @@ func TestGlobalProfileAccumulator(t *testing.T) {
 
 func TestRegisterQueryAndLiveQueries(t *testing.T) {
 	before := len(LiveQueries())
-	id1, un1 := RegisterQuery("q1", func() float64 { return 0.5 })
-	_, un2 := RegisterQuery("q2", nil)
+	id1, un1 := RegisterQueryMeta("q1", QueryMeta{}, func() float64 { return 0.5 }, nil)
+	_, un2 := RegisterQueryMeta("q2", QueryMeta{}, nil, nil)
 	defer un2()
 	live := LiveQueries()
 	if len(live) != before+2 {

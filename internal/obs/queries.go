@@ -40,28 +40,16 @@ var (
 	queryLive   = map[uint64]*queryRec{}
 )
 
-// RegisterQuery adds an in-flight query to the live registry. progress
-// (may be nil) returns the completion fraction in [0, 1]; it is called
-// from the HTTP handler goroutine and must be safe for concurrent use.
-// The returned function unregisters the query and must be called when
-// the query finishes.
-func RegisterQuery(name string, progress func() float64) (id uint64, unregister func()) {
-	return RegisterQueryCancelable(name, progress, nil)
-}
-
-// RegisterQueryCancelable is RegisterQuery for queries that also accept
-// remote cancellation: cancel (may be nil) is invoked — at most once,
-// from the HTTP handler goroutine — when an operator POSTs
-// /debug/queries/cancel?id=N, and must be safe to call concurrently
-// with the query finishing.
-func RegisterQueryCancelable(name string, progress func() float64, cancel func()) (id uint64, unregister func()) {
-	return RegisterQueryMeta(name, QueryMeta{}, progress, cancel)
-}
-
-// RegisterQueryMeta is RegisterQueryCancelable with request-attribution
-// metadata: /debug/queries then shows the query's tenant, trace ID and
-// queue wait next to its progress, so a live query links back to its
-// request trace and its tenant's budget.
+// RegisterQueryMeta adds an in-flight query to the live registry.
+// progress (may be nil) returns the completion fraction in [0, 1]; it is
+// called from the HTTP handler goroutine and must be safe for concurrent
+// use. cancel (may be nil) is invoked — at most once, from the HTTP
+// handler goroutine — when an operator POSTs /debug/queries/cancel?id=N,
+// and must be safe to call concurrently with the query finishing. meta
+// attributes the query to its request: /debug/queries shows its tenant,
+// trace ID and queue wait next to its progress, so a live query links
+// back to its request trace and its tenant's budget. The returned
+// function unregisters the query and must be called when it finishes.
 func RegisterQueryMeta(name string, meta QueryMeta, progress func() float64, cancel func()) (id uint64, unregister func()) {
 	queryMu.Lock()
 	queryNextID++

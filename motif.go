@@ -28,16 +28,8 @@ type MotifCount struct {
 // on the System's pool. Each subquery is still a full query — visible
 // at /debug/queries and eligible for the slow-query log.
 func (s *System) MotifCounts(k int) ([]MotifCount, error) {
-	counts, _, err := s.MotifCountsStats(k)
-	return counts, err
-}
-
-// MotifCountsStats is MotifCounts plus the batch-level stats record:
-// total instructions, shared-subquery hits, and the compile/exec time
-// split aggregated across the census.
-func (s *System) MotifCountsStats(k int) ([]MotifCount, *BatchStats, error) {
 	if k < 1 || k > 7 {
-		return nil, nil, fmt.Errorf("decomine: motif counting supports k in 1..7, got %d", k)
+		return nil, fmt.Errorf("decomine: motif counting supports k in 1..7, got %d", k)
 	}
 	pats := pattern.ConnectedPatterns(k)
 	members := make([]*Pattern, len(pats))
@@ -46,7 +38,7 @@ func (s *System) MotifCountsStats(k int) ([]MotifCount, *BatchStats, error) {
 	}
 	br, err := s.CountPatterns(members, BatchOpts{Induced: true})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	out := make([]MotifCount, len(pats))
 	for i, p := range pats {
@@ -56,21 +48,7 @@ func (s *System) MotifCountsStats(k int) ([]MotifCount, *BatchStats, error) {
 			Stats:   br.Results[i].Stats,
 		}
 	}
-	return out, &br.Stats, nil
-}
-
-// TotalMotifCount sums the vertex-induced counts of all k-motifs (a
-// convenient single number for benchmarking).
-func (s *System) TotalMotifCount(k int) (int64, error) {
-	counts, err := s.MotifCounts(k)
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, mc := range counts {
-		total += mc.Count
-	}
-	return total, nil
+	return out, nil
 }
 
 // CycleCount counts edge-induced embeddings of the k-cycle (the paper's

@@ -27,8 +27,10 @@ import (
 	"testing"
 
 	"decomine"
+	"decomine/internal/decomp"
 	"decomine/internal/engine"
 	"decomine/internal/obs"
+	"decomine/internal/pattern"
 	"decomine/internal/server"
 )
 
@@ -49,15 +51,16 @@ type pinnedFields struct {
 	// cache is the plan-cache hits, misses and negative hits.
 	cache   [3]int64
 	kernels map[string]int64
-	// auxElemsOff/On are the set-kernel element work of the first query
-	// with auxiliary graphs disabled and enabled.
-	auxElemsOff, auxElemsOn int64
+	// auxElemsOn is the set-kernel element work of the first query,
+	// auxiliary tables included.
+	auxElemsOn int64
 	// elems is the set-kernel element work of the whole workload.
 	elems int64
 	// serve is the scripted replay's queries, cache hits and rewrite hits.
 	serve [3]int64
-	// batch is the shared census's instructions, the NoShare census's
-	// instructions, the shared hits and the distinct subqueries.
+	// batch is the shared census's instructions, the instructions of
+	// counting every member's needs on their own, the shared hits and
+	// the distinct subqueries.
 	batch [4]int64
 }
 
@@ -69,7 +72,7 @@ type pinnedWorkload struct {
 	graph  func() *decomine.Graph
 	query  func(*decomine.System) (int64, error)
 	custom func(*testing.T, *decomine.System, *pinnedFields) int64
-	// aux re-runs query once with DisableAuxGraphs to pin auxElemsOff.
+	// aux pins the first query's set-kernel element work.
 	aux bool
 	// elems pins the workload's set-kernel element work.
 	elems bool
@@ -103,7 +106,14 @@ func pinnedWorkloads() []pinnedWorkload {
 		return func() *decomine.Graph { return decomine.GenerateCommunity(n, memberships, size, seed) }
 	}
 	motifs := func(k int) func(*decomine.System) (int64, error) {
-		return func(s *decomine.System) (int64, error) { return s.TotalMotifCount(k) }
+		return func(s *decomine.System) (int64, error) {
+			counts, err := s.MotifCounts(k)
+			var total int64
+			for _, mc := range counts {
+				total += mc.Count
+			}
+			return total, err
+		}
 	}
 	return []pinnedWorkload{
 		{name: "motif5-gnp", graph: gnp(220, 0.03, 42), query: motifs(5), want: pinnedFields{
@@ -151,8 +161,8 @@ func pinnedWorkloads() []pinnedWorkload {
 			query: func(s *decomine.System) (int64, error) { return s.PseudoCliqueCount(6, 1) },
 			want: pinnedFields{
 				count: 2521995, instructions: 269161734, cache: [3]int64{6, 4, 0},
-				kernels:     map[string]int64{"gallop": 1950240, "merge": 39680476},
-				auxElemsOff: 1822346544, auxElemsOn: 887573556,
+				kernels:    map[string]int64{"gallop": 1950240, "merge": 39680476},
+				auxElemsOn: 887573556,
 			}},
 		{name: "serve-cache-rmat", graph: rmat(9, 6, 50), custom: pinnedServeScript, want: pinnedFields{
 			count: 37026862, instructions: 15331, cache: [3]int64{3, 3, 0},
@@ -202,17 +212,6 @@ func runPinned(t *testing.T, w pinnedWorkload) pinnedFields {
 			}
 			got.kernels[name] = d
 		}
-	}
-	if w.aux {
-		opts := pinnedOptions()
-		opts.DisableAuxGraphs = true
-		off := decomine.NewSystem(g, opts)
-		defer off.Close()
-		base := reg.Snapshot()
-		if c := mustCount(t, w.query, off); c != got.count {
-			t.Errorf("aux-off count %d, aux-on %d", c, got.count)
-		}
-		got.auxElemsOff = kernelElems(reg, base)
 	}
 	return got
 }
@@ -327,37 +326,49 @@ func pinnedServeScript(t *testing.T, sys *decomine.System, got *pinnedFields) in
 }
 
 // pinnedBatchCensus runs the 6-motif census three ways on one System: a
-// cold shared batch, a warm shared batch (plans cached) and a NoShare
-// per-pattern batch. All three must agree class by class; the returned
-// count folds the census with class indices.
+// cold shared batch, a warm shared batch (plans cached) and every
+// member's needs counted on their own through CountPattern. All three
+// must agree class by class; the returned count folds the census with
+// class indices.
 func pinnedBatchCensus(t *testing.T, sys *decomine.System, got *pinnedFields) int64 {
-	cold, coldStats, err := sys.MotifCountsStats(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, warmStats, err := sys.MotifCountsStats(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warmStats.Instructions != coldStats.Instructions || warmStats.SharedHits != coldStats.SharedHits {
-		t.Errorf("warm batch accounting drifted: instructions %d/%d, shared hits %d/%d",
-			warmStats.Instructions, coldStats.Instructions, warmStats.SharedHits, coldStats.SharedHits)
-	}
-	members := make([]*decomine.Pattern, len(cold))
-	for i := range cold {
-		members[i] = cold[i].Pattern
-	}
-	ser, err := sys.CountPatterns(members, decomine.BatchOpts{Induced: true, NoShare: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total int64
-	for i, mc := range cold {
-		if warm[i].Count != mc.Count || ser.Results[i].Count != mc.Count {
-			t.Errorf("%s: cold %d, warm %d, NoShare %d", mc.Pattern, mc.Count, warm[i].Count, ser.Results[i].Count)
+	members := decomine.MotifPatterns(6)
+	census := func() *decomine.BatchResult {
+		br, err := sys.CountPatterns(members, decomine.BatchOpts{Induced: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-		total += int64(i+1) * mc.Count
+		return br
 	}
-	got.batch = [4]int64{coldStats.Instructions, ser.Stats.Instructions, coldStats.SharedHits, int64(coldStats.Subqueries)}
+	cold, warm := census(), census()
+	if warm.Stats.Instructions != cold.Stats.Instructions || warm.Stats.SharedHits != cold.Stats.SharedHits {
+		t.Errorf("warm batch accounting drifted: instructions %d/%d, shared hits %d/%d",
+			warm.Stats.Instructions, cold.Stats.Instructions, warm.Stats.SharedHits, cold.Stats.SharedHits)
+	}
+	var total, unsharedInstructions int64
+	for i, m := range members {
+		rw, ok, err := decomp.RewriteQuery(m.Raw(), true)
+		if err != nil || !ok {
+			t.Fatalf("%s: no vertex-induced recipe (%v)", m, err)
+		}
+		needs := map[pattern.Code]int64{}
+		for _, q := range rw.Needs {
+			r, err := sys.CountPattern(decomine.RawPattern(q), decomine.QueryOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			needs[q.Canonical()] = r.Count
+			unsharedInstructions += r.Stats.Exec.Instructions
+		}
+		unshared, err := rw.Eval(needs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cold.Results[i].Count
+		if warm.Results[i].Count != c || unshared != c {
+			t.Errorf("%s: cold %d, warm %d, unshared %d", m, c, warm.Results[i].Count, unshared)
+		}
+		total += int64(i+1) * c
+	}
+	got.batch = [4]int64{cold.Stats.Instructions, unsharedInstructions, cold.Stats.SharedHits, int64(cold.Stats.Subqueries)}
 	return total
 }
