@@ -43,6 +43,13 @@ type DecompSpec struct {
 	// fit within cut ∪ one component.
 	Constraints []LabelConstraint
 	Mode        Mode
+
+	// cutSym symmetry-breaks the cutting-set loops by the cut's
+	// stabilizer H (DESIGN "Cut symmetry"): each cut tuple is enumerated
+	// once per H-orbit and the plan records |H| in Plan.CutSym. Search
+	// sets it on the winner it re-emits; only unconstrained ModeCount
+	// specs honor it, and it replaces PLR.
+	cutSym bool
 }
 
 // DefaultOrders fills a DecompSpec with identity matching orders.
@@ -101,6 +108,22 @@ func GenerateDecomposed(spec DecompSpec) (*Plan, error) {
 		// Constrained enumeration of the cut prefix is not compatible
 		// with PLR's canonical-prefix replay.
 		spec.PLRDepth = 0
+	}
+
+	// Cut symmetry: restrict the cut loops to one tuple per orbit of the
+	// cut's stabilizer H and scale the enumerated totals by |H| at
+	// extraction. Every tuple of an orbit contributes the same
+	// ΠM_i − (internal shrinkages), so nothing else changes. Emission and
+	// label constraints need every tuple, so they never get H. PLR's
+	// replay copies are exactly the orderings H removes, so it is off.
+	var cutRestr []pattern.Restriction
+	var cutSym int64
+	if spec.cutSym && spec.Mode == ModeCount && len(spec.Constraints) == 0 {
+		if h := d.P.SetStabilizer(d.CutVerts); len(h) > 1 {
+			cutRestr = pattern.GroupSymmetryBreaking(h, nCut)
+			cutSym = int64(len(h))
+			spec.PLRDepth = 0
+		}
 	}
 
 	b := ast.NewBuilder(0)
@@ -162,7 +185,6 @@ func GenerateDecomposed(spec DecompSpec) (*Plan, error) {
 	// automorphism (Figure 13c).
 	plrDepth := spec.PLRDepth
 	var plrAuts [][]int
-	var plrRestr []pattern.Restriction
 	if plrDepth >= 2 && plrDepth <= nCut {
 		prefixVerts := make([]int, plrDepth)
 		for i := 0; i < plrDepth; i++ {
@@ -173,7 +195,15 @@ func GenerateDecomposed(spec DecompSpec) (*Plan, error) {
 		if len(plrAuts) <= 1 {
 			plrDepth = 0 // asymmetric prefix: PLR is a no-op
 		} else {
-			plrRestr = prefix.SymmetryBreaking()
+			// The prefix restrictions are expressed on prefix vertex
+			// IDs = order positions 0..plrDepth-1; translate them to
+			// cutPat vertex IDs.
+			for _, r := range prefix.SymmetryBreaking() {
+				cutRestr = append(cutRestr, pattern.Restriction{
+					Less:    spec.CutOrder[r.Less],
+					Greater: spec.CutOrder[r.Greater],
+				})
+			}
 		}
 	} else {
 		plrDepth = 0
@@ -220,18 +250,7 @@ func GenerateDecomposed(spec DecompSpec) (*Plan, error) {
 			return
 		}
 		pos := spec.CutOrder[i]
-		var restr []pattern.Restriction
-		if plrDepth > 0 && i < plrDepth {
-			// plrRestr is expressed on prefix vertex IDs = order
-			// positions 0..plrDepth-1; translate to cutPat vertex IDs.
-			for _, r := range plrRestr {
-				restr = append(restr, pattern.Restriction{
-					Less:    spec.CutOrder[r.Less],
-					Greater: spec.CutOrder[r.Greater],
-				})
-			}
-		}
-		copts := candidateOpts{restrictions: restr}
+		copts := candidateOpts{restrictions: cutRestr}
 		copts.sameLabelVars, copts.diffLabelVars = constraintFilters(spec.Constraints, d.CutVerts[pos], func(u int) int {
 			if j := cutIdx[u]; j >= 0 {
 				return bindCut[j]
@@ -437,6 +456,9 @@ func GenerateDecomposed(spec DecompSpec) (*Plan, error) {
 	if len(external) > 0 {
 		ext = fmt.Sprintf(" ext=%d", len(external))
 	}
+	if cutSym > 0 {
+		ext += fmt.Sprintf(" cutsym=%d", cutSym)
+	}
 	return &Plan{
 		Prog:          prog,
 		CountGlobal:   cnt,
@@ -445,6 +467,8 @@ func GenerateDecomposed(spec DecompSpec) (*Plan, error) {
 		Decomposition: d,
 		Shrink:        shrink,
 		External:      external,
+		CutSym:        cutSym,
+		spec:          &spec,
 		Desc: fmt.Sprintf("decomposed cut=%v cutOrder=%v K=%d shrinkages=%d%s%s",
 			d.CutVerts, spec.CutOrder, d.K(), len(d.Shrinkages), plr, ext),
 	}, nil

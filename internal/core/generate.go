@@ -76,12 +76,22 @@ type Plan struct {
 	// for plans compiled with DecompSpec.SkipShrinkCodes. Such plans
 	// must be extracted through ExtractCount with a resolver.
 	External []ExternalNeed
+	// CutSym is |H|, the order of the cut stabilizer whose orbits the
+	// cutting-set loops enumerate one tuple of (decomposed plans that
+	// Search re-emitted symmetry-broken; 0 when every cut tuple is
+	// enumerated). The raw count and the shrinkage accumulators then
+	// hold 1/|H| of the unrestricted totals, so read them only through
+	// ExtractCount and SubCounts.
+	CutSym int64
 
 	// LowerOpts configures the lowering pipeline (auxiliary-graph
 	// materialization and its decision callback). Must be set before the
 	// first Lowered call; Search wires it from SearchOptions and the
 	// active cost model.
 	LowerOpts ast.LowerOpts
+
+	// spec is the decomposed plan's spec, kept for Search's winner step.
+	spec *DecompSpec
 
 	lowerOnce sync.Once
 	lowered   *ast.Lowered
@@ -96,14 +106,19 @@ func (p *Plan) Lowered() *ast.Lowered {
 	return p.lowered
 }
 
+// cutOrbit is the factor a cut-symmetric plan's enumerated totals are
+// scaled by: |H|, or 1 for every other plan.
+func (p *Plan) cutOrbit() int64 { return max(p.CutSym, 1) }
+
 // ExtractCount converts a run's raw globals into the plan's embedding
-// count. For ordinary plans this is Globals[CountGlobal]/Divisor; for
-// plans with externalized shrinkages (non-empty External) the resolver
-// must supply each skipped quotient's standalone edge-induced copy
-// count, whose inj total (copies·Aut) is subtracted before dividing —
-// exactly the subtraction the skipped loops would have performed.
+// count. For ordinary plans this is Globals[CountGlobal]/Divisor; a
+// cut-symmetric plan's raw count is first scaled by CutSym. For plans
+// with externalized shrinkages (non-empty External) the resolver must
+// supply each skipped quotient's standalone edge-induced copy count,
+// whose inj total (copies·Aut) is subtracted before dividing — exactly
+// the subtraction the skipped loops would have performed.
 func (p *Plan) ExtractCount(globals []int64, resolve func(pattern.Code) (int64, bool)) (int64, error) {
-	raw := globals[p.CountGlobal]
+	raw := globals[p.CountGlobal] * p.cutOrbit()
 	for _, ext := range p.External {
 		if resolve == nil {
 			return 0, fmt.Errorf("core: plan has externalized shrinkage %s but no resolver", ext.Pat)
@@ -121,19 +136,34 @@ func (p *Plan) ExtractCount(globals []int64, resolve func(pattern.Code) (int64, 
 // shrinkage quotient the plan enumerated, keyed by canonical code (a
 // free by-product of any decomposed unconstrained count run; empty for
 // direct plans). Duplicate quotients (same code via different cut
-// embedding structure) are collapsed — their accumulators necessarily
-// agree, and the defensive divisibility check guards the invariant.
+// embedding structure) are collapsed by summing their accumulators:
+// the n shrinkages of one code each total inj(q) over all cut tuples,
+// and their sum is the one total a cut-symmetric plan keeps exact
+// (an automorphism of the cut maps a shrinkage to one of the same
+// code), so copies(q) = Σ·CutSym / (n·Aut). The defensive
+// divisibility check guards the invariant.
 func (p *Plan) SubCounts(globals []int64) map[pattern.Code]int64 {
 	if len(p.Shrink) == 0 {
 		return nil
 	}
-	out := make(map[pattern.Code]int64, len(p.Shrink))
+	type total struct{ sum, n, aut int64 }
+	totals := make(map[pattern.Code]*total, len(p.Shrink))
 	for _, sh := range p.Shrink {
-		inj := globals[sh.Global]
-		if sh.Aut == 0 || inj%sh.Aut != 0 {
+		t := totals[sh.Code]
+		if t == nil {
+			t = &total{aut: sh.Aut}
+			totals[sh.Code] = t
+		}
+		t.sum += globals[sh.Global]
+		t.n++
+	}
+	out := make(map[pattern.Code]int64, len(totals))
+	for c, t := range totals {
+		inj, div := t.sum*p.cutOrbit(), t.n*t.aut
+		if div == 0 || inj%div != 0 {
 			continue // defensive: inj(pat) is always a multiple of |Aut|
 		}
-		out[sh.Code] = inj / sh.Aut
+		out[c] = inj / div
 	}
 	return out
 }

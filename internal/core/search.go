@@ -99,7 +99,8 @@ type Candidate struct {
 	// folded in (cost.AuxArbiter.RankAdjust) for every candidate that
 	// could still win at the full discount. For the others it is the
 	// unadjusted model cost, an upper bound on the adjusted one that
-	// already exceeds the winner's.
+	// already exceeds the winner's. The winner Search returns keeps its
+	// ranked cost when its plan is re-emitted cut-symmetric.
 	Cost float64
 }
 
@@ -122,6 +123,10 @@ type Candidate struct {
 //     arbiter and get its rank adjustment, again on the workers. Every
 //     other candidate's adjusted cost would exceed m, which is at least
 //     the winner's, so it can neither win nor tie.
+//  4. The winner, when it is a decomposed count plan whose cut has a
+//     nontrivial stabilizer, is re-emitted with its cutting set
+//     symmetry-broken (cutSymmetric). The ranked list keeps the ranked
+//     programs.
 //
 // A cost depends only on its candidate (the approximate-mining
 // profile's estimates are pure functions of the shape), and m is taken
@@ -244,7 +249,32 @@ func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, []Candidate, er
 	}
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].Cost < cands[j].Cost })
 	best := cands[0]
+	best.Plan = cutSymmetric(best.Plan, opts.Model)
 	return &best, cands, nil
+}
+
+// cutSymmetric re-emits a decomposed, unconstrained count plan with its
+// cutting set symmetry-broken by the cut's stabilizer (DecompSpec.cutSym)
+// and returns any other plan, or one whose cut has a trivial
+// stabilizer, unchanged. The ranking stays on the unrestricted
+// programs: the re-emitted one runs the same body for a subset of the
+// ranked plan's cut tuples, so it does at most the ranked plan's work
+// (DESIGN "Cut symmetry").
+func cutSymmetric(plan *Plan, model cost.Model) *Plan {
+	if plan.spec == nil || plan.spec.Mode != ModeCount || len(plan.spec.Constraints) > 0 {
+		return plan
+	}
+	spec := *plan.spec
+	spec.cutSym = true
+	sym, err := GenerateDecomposed(spec)
+	if err != nil || sym.CutSym == 0 {
+		return plan
+	}
+	ast.Optimize(sym.Prog)
+	if arb := cost.AuxDecider(model, sym.Prog); arb != nil {
+		sym.LowerOpts.AuxDecide = arb.Decide
+	}
+	return sym
 }
 
 // prepared is one costed candidate: its optimized plan, its arbiter,

@@ -457,8 +457,8 @@ func TestLabelSliceOperands(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := res.Globals[cp.CountGlobal] / cp.Divisor; got != want {
-			t.Fatalf("threads %d: %d labeled triangles, want %d", threads, got, want)
+		if got, err := cp.ExtractCount(res.Globals, nil); err != nil || got != want {
+			t.Fatalf("threads %d: %d labeled triangles (%v), want %d", threads, got, err, want)
 		}
 	}
 

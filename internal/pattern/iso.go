@@ -132,15 +132,25 @@ type Restriction struct {
 }
 
 // SymmetryBreaking synthesizes a set of restrictions that preserves
-// exactly one automorphism-canonical matching per embedding, using the
-// orbit–stabilizer chain (Grochow–Kellis): repeatedly pin the smallest
-// vertex with a nontrivial orbit to the minimum of its orbit, then
-// restrict the group to its stabilizer. The product of the orbit sizes
-// equals |Aut(p)|, so the surviving matchings count each embedding once.
+// exactly one automorphism-canonical matching per embedding: the
+// restrictions GroupSymmetryBreaking derives from Aut(p).
 func (p *Pattern) SymmetryBreaking() []Restriction {
+	return GroupSymmetryBreaking(p.Automorphisms(), p.n)
+}
+
+// GroupSymmetryBreaking synthesizes restrictions on positions 0..n-1
+// that, among the injective maps of the positions into an ordered set,
+// keep exactly one map per orbit of the permutation group auts (each
+// σ maps position -> image; the group must be closed and act on 0..n-1).
+// It runs the orbit–stabilizer chain (Grochow–Kellis; GraphZero derives
+// restriction sets from a group the same way): repeatedly pin the
+// smallest position with a nontrivial orbit to the minimum of its
+// orbit, then restrict the group to its stabilizer. The product of the
+// orbit sizes equals |auts|, so the surviving maps stand for |auts|
+// maps each.
+func GroupSymmetryBreaking(auts [][]int, n int) []Restriction {
 	var out []Restriction
-	auts := p.Automorphisms()
-	for v := 0; v < p.n && len(auts) > 1; v++ {
+	for v := 0; v < n && len(auts) > 1; v++ {
 		orbit := map[int]bool{}
 		for _, σ := range auts {
 			orbit[σ[v]] = true
@@ -166,6 +176,40 @@ func (p *Pattern) SymmetryBreaking() []Restriction {
 		}
 		return out[i].Greater < out[j].Greater
 	})
+	return out
+}
+
+// SetStabilizer returns the automorphisms of p that map the vertex set
+// verts onto itself, restricted to verts and deduplicated: each element
+// σ maps position i to the position in verts of the image of verts[i].
+// The identity comes first. The result is a permutation group on
+// 0..len(verts)-1, the input GroupSymmetryBreaking takes.
+func (p *Pattern) SetStabilizer(verts []int) [][]int {
+	pos := make([]int, p.n)
+	for v := range pos {
+		pos[v] = -1
+	}
+	for i, v := range verts {
+		pos[v] = i
+	}
+	var out [][]int
+	seen := map[string]bool{}
+	for _, σ := range p.Automorphisms() {
+		r := make([]int, len(verts))
+		key := make([]byte, len(verts))
+		ok := true
+		for i, v := range verts {
+			if r[i] = pos[σ[v]]; r[i] < 0 {
+				ok = false
+				break
+			}
+			key[i] = byte(r[i])
+		}
+		if ok && !seen[string(key)] {
+			seen[string(key)] = true
+			out = append(out, r)
+		}
+	}
 	return out
 }
 

@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -443,5 +444,171 @@ func TestLabeledHelpers(t *testing.T) {
 	q.SetLabel(0, 3)
 	if p.Label(0) != NoLabel {
 		t.Fatal("clone shares label storage")
+	}
+}
+
+// symmetryGroups returns, for p, the group GroupSymmetryBreaking is fed
+// in plans: Aut(p) on all vertices, and the stabilizer of every cutting
+// set (a vertex set whose removal leaves ≥ 2 components) on the cut's
+// positions.
+func symmetryGroups(p *Pattern) (groups [][][]int, names []string) {
+	groups = append(groups, p.Automorphisms())
+	names = append(names, "Aut")
+	n := p.NumVertices()
+	for mask := uint32(1); mask < 1<<uint(n)-1; mask++ {
+		if len(p.ComponentsAvoiding(mask)) < 2 {
+			continue
+		}
+		groups = append(groups, p.SetStabilizer(MaskVertices(mask)))
+		names = append(names, fmt.Sprintf("cut %v", MaskVertices(mask)))
+	}
+	return groups, names
+}
+
+// labelVariants returns p unlabeled, with alternating labels, and with
+// one labeled vertex among wildcards.
+func labelVariants(p *Pattern) []*Pattern {
+	alt, one := p.Clone(), p.Clone()
+	for v := 0; v < p.NumVertices(); v++ {
+		alt.SetLabel(v, uint32(v%2))
+	}
+	one.SetLabel(0, 1)
+	return []*Pattern{p, alt, one}
+}
+
+// TestGroupSymmetryBreakingOnePerOrbit: for Aut(p) and the stabilizer
+// of every cutting set of every connected pattern of ≤ 6 vertices,
+// labeled variants included, exactly one map per orbit of the group
+// satisfies the restrictions: by brute force over every injective map
+// of the positions into an ordered set one larger than needed, exactly
+// one group element σ makes φ∘σ satisfy them.
+func TestGroupSymmetryBreakingOnePerOrbit(t *testing.T) {
+	checked, nontrivial := 0, 0
+	for k := 2; k <= 6; k++ {
+		for _, base := range ConnectedPatterns(k) {
+			for _, p := range labelVariants(base) {
+				groups, names := symmetryGroups(p)
+				for gi, group := range groups {
+					n := len(group[0])
+					checkPermutationGroup(t, p, names[gi], group)
+					rs := GroupSymmetryBreaking(group, n)
+					if len(group) > 1 {
+						nontrivial++
+					}
+					forEachInjective(n, n+1, func(phi []int) {
+						satisfied := 0
+						for _, σ := range group {
+							ok := true
+							for _, r := range rs {
+								if phi[σ[r.Less]] >= phi[σ[r.Greater]] {
+									ok = false
+									break
+								}
+							}
+							if ok {
+								satisfied++
+							}
+						}
+						if satisfied != 1 {
+							t.Fatalf("%s, %s (|G| = %d, restrictions %v): map %v has %d canonical images, want 1", p, names[gi], len(group), rs, phi, satisfied)
+						}
+					})
+					checked++
+				}
+			}
+		}
+	}
+	if nontrivial == 0 {
+		t.Fatal("no nontrivial group checked")
+	}
+	t.Logf("%d groups checked, %d nontrivial", checked, nontrivial)
+}
+
+// checkPermutationGroup requires group to be a set of distinct
+// permutations, identity first, closed under composition.
+func checkPermutationGroup(t *testing.T, p *Pattern, name string, group [][]int) {
+	t.Helper()
+	key := func(σ []int) string { return fmt.Sprint(σ) }
+	in := map[string]bool{}
+	for i, σ := range group {
+		if in[key(σ)] {
+			t.Fatalf("%s, %s: duplicate element %v", p, name, σ)
+		}
+		in[key(σ)] = true
+		seen := make([]bool, len(σ))
+		for v, img := range σ {
+			if img < 0 || img >= len(σ) || seen[img] {
+				t.Fatalf("%s, %s: %v is not a permutation", p, name, σ)
+			}
+			seen[img] = true
+			if i == 0 && img != v {
+				t.Fatalf("%s, %s: identity not first", p, name)
+			}
+		}
+	}
+	for _, a := range group {
+		for _, b := range group {
+			ab := make([]int, len(a))
+			for v := range ab {
+				ab[v] = a[b[v]]
+			}
+			if !in[key(ab)] {
+				t.Fatalf("%s, %s: not closed under composition", p, name)
+			}
+		}
+	}
+}
+
+// forEachInjective calls f with every injective map of n positions
+// into 0..m-1.
+func forEachInjective(n, m int, f func(phi []int)) {
+	phi := make([]int, n)
+	used := make([]bool, m)
+	var rec func(i int)
+	rec = func(i int) {
+		if i == n {
+			f(phi)
+			return
+		}
+		for x := 0; x < m; x++ {
+			if !used[x] {
+				used[x], phi[i] = true, x
+				rec(i + 1)
+				used[x] = false
+			}
+		}
+	}
+	rec(0)
+}
+
+// TestSetStabilizerMatchesAutomorphisms: the stabilizer of a vertex set
+// holds exactly the distinct restrictions of the automorphisms that map
+// the set onto itself, and a label that breaks symmetry shrinks it.
+func TestSetStabilizerMatchesAutomorphisms(t *testing.T) {
+	verts := []int{1, 2, 4, 5}
+	// Of the 12 automorphisms of C6, the rotation by 3 and the
+	// reflections v -> -v and v -> 3-v fix {1, 2, 4, 5}.
+	unlabeled := Cycle(6)
+	labeled := Cycle(6)
+	labeled.SetLabel(0, 1) // only v -> -v survives
+	for _, c := range []struct {
+		p    *Pattern
+		want [][]int
+	}{
+		{unlabeled, [][]int{{0, 1, 2, 3}, {2, 3, 0, 1}, {3, 2, 1, 0}, {1, 0, 3, 2}}},
+		{labeled, [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}}},
+	} {
+		got := c.p.SetStabilizer(verts)
+		in := map[string]bool{}
+		for _, σ := range got {
+			in[fmt.Sprint(σ)] = true
+		}
+		ok := len(got) == len(c.want) && fmt.Sprint(got[0]) == fmt.Sprint(c.want[0])
+		for _, σ := range c.want {
+			ok = ok && in[fmt.Sprint(σ)]
+		}
+		if !ok {
+			t.Errorf("%s: stabilizer of %v is %v, want %v (identity first)", c.p, verts, got, c.want)
+		}
 	}
 }
