@@ -1,6 +1,9 @@
 package core
 
 import (
+	"errors"
+	"math"
+	"reflect"
 	"testing"
 
 	"decomine/internal/ast"
@@ -504,5 +507,65 @@ func TestGeneratePinnedErrors(t *testing.T) {
 	}
 	if _, err := GeneratePinned(p, []int{0, 0}, []int{1}); err == nil {
 		t.Fatal("duplicate pin accepted")
+	}
+}
+
+// TestExtractCountOverflow: the scaling by |H|, the externalized
+// subtraction and its copies·Aut product fail with ErrCountOverflow
+// instead of wrapping, and totals that just fit are exact.
+func TestExtractCountOverflow(t *testing.T) {
+	q := pattern.Cycle(4)
+	code := q.Canonical()
+	copies := func(n int64) func(pattern.Code) (int64, bool) {
+		return func(pattern.Code) (int64, bool) { return n, true }
+	}
+	ext := []ExternalNeed{{Pat: q, Code: code, Aut: 8}}
+	for _, c := range []struct {
+		name    string
+		plan    *Plan
+		raw     int64
+		resolve func(pattern.Code) (int64, bool)
+		want    int64 // -1: overflow
+	}{
+		{"raw·|H| fits", &Plan{Divisor: 2, CutSym: 2}, math.MaxInt64 / 2, nil, math.MaxInt64 / 2},
+		{"raw·|H| overflows", &Plan{Divisor: 1, CutSym: 2}, math.MaxInt64/2 + 1, nil, -1},
+		{"raw·|H| overflows negative", &Plan{Divisor: 1, CutSym: 3}, math.MinInt64 / 2, nil, -1},
+		{"copies·Aut overflows", &Plan{Divisor: 1, External: ext}, 0, copies(math.MaxInt64/8 + 1), -1},
+		{"subtraction overflows", &Plan{Divisor: 1, External: ext}, math.MinInt64 + 7, copies(1), -1},
+		{"subtraction fits", &Plan{Divisor: 1, External: ext}, math.MinInt64 + 8, copies(1), math.MinInt64},
+		{"subtraction of a negative overflows", &Plan{Divisor: 1, External: ext}, math.MaxInt64, copies(-1), -1},
+	} {
+		got, err := c.plan.ExtractCount([]int64{c.raw}, c.resolve)
+		switch {
+		case c.want == -1 && !errors.Is(err, ErrCountOverflow):
+			t.Errorf("%s: got %d, %v; want ErrCountOverflow", c.name, got, err)
+		case c.want != -1 && (err != nil || got != c.want):
+			t.Errorf("%s: got %d, %v; want %d", c.name, got, err, c.want)
+		}
+	}
+}
+
+// TestSubCountsOverflow: a code whose accumulator sum or |H| scaling
+// overflows is left out of SubCounts; the other codes are exact.
+func TestSubCountsOverflow(t *testing.T) {
+	a, b := pattern.Cycle(4), pattern.Clique(3)
+	plan := &Plan{CutSym: 2, Shrink: []ShrinkCount{
+		{Global: 0, Pat: a, Code: a.Canonical(), Aut: 8},
+		{Global: 1, Pat: a, Code: a.Canonical(), Aut: 8},
+		{Global: 2, Pat: b, Code: b.Canonical(), Aut: 6},
+	}}
+	for _, c := range []struct {
+		name    string
+		globals []int64
+		want    map[pattern.Code]int64
+	}{
+		{"sum overflows", []int64{math.MaxInt64 - 7, 16, 6}, map[pattern.Code]int64{b.Canonical(): 2}},
+		{"sum·|H| overflows", []int64{math.MaxInt64/4 + 4, math.MaxInt64/4 + 4, 6}, map[pattern.Code]int64{b.Canonical(): 2}},
+		{"near the limit", []int64{math.MaxInt64/4 - 7, 8, math.MaxInt64 / 6 * 3}, map[pattern.Code]int64{
+			a.Canonical(): (math.MaxInt64/4 + 1) / 8, b.Canonical(): math.MaxInt64 / 6}},
+	} {
+		if got := plan.SubCounts(c.globals); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: SubCounts %v, want %v", c.name, got, c.want)
+		}
 	}
 }

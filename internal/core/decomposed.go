@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"decomine/internal/ast"
 	"decomine/internal/decomp"
@@ -63,6 +64,32 @@ func DefaultOrders(d *decomp.Decomposition) DecompSpec {
 		spec.ShrinkOrders = append(spec.ShrinkOrders, iota_(s.Pat.NumVertices()-len(d.CutVerts)))
 	}
 	return spec
+}
+
+// sortReplays puts PLR's prefix automorphisms in canonical replay
+// order. Replay σ binds cut position p = cutOrder[j] (j < len(σ)) to
+// the var of order position σ[j]; the automorphisms are sorted by that
+// map, read at the prefix cut positions in ascending order. Two cut
+// orders with the same prefix set, prefix graph and continuation
+// replay the same set of bindings (the order positions that tell them
+// apart differ by a prefix automorphism), so they replay them in the
+// same order and generate the same program (decompSpecs).
+func sortReplays(auts [][]int, cutOrder []int) {
+	k := len(auts[0])
+	orderPos := make([]int, 0, k) // order positions by ascending cut position
+	for p := range len(cutOrder) {
+		if j := slices.Index(cutOrder, p); j < k {
+			orderPos = append(orderPos, j)
+		}
+	}
+	slices.SortFunc(auts, func(a, b []int) int {
+		for _, j := range orderPos {
+			if a[j] != b[j] {
+				return a[j] - b[j]
+			}
+		}
+		return 0
+	})
 }
 
 func iota_(n int) []int {
@@ -195,6 +222,7 @@ func GenerateDecomposed(spec DecompSpec) (*Plan, error) {
 		if len(plrAuts) <= 1 {
 			plrDepth = 0 // asymmetric prefix: PLR is a no-op
 		} else {
+			sortReplays(plrAuts, spec.CutOrder)
 			// The prefix restrictions are expressed on prefix vertex
 			// IDs = order positions 0..plrDepth-1; translate them to
 			// cutPat vertex IDs.
@@ -250,7 +278,7 @@ func GenerateDecomposed(spec DecompSpec) (*Plan, error) {
 			return
 		}
 		pos := spec.CutOrder[i]
-		copts := candidateOpts{restrictions: cutRestr}
+		copts := candidateOpts{restrictions: cutRestr, bindingOrder: true}
 		copts.sameLabelVars, copts.diffLabelVars = constraintFilters(spec.Constraints, d.CutVerts[pos], func(u int) int {
 			if j := cutIdx[u]; j >= 0 {
 				return bindCut[j]

@@ -7,7 +7,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"decomine/internal/ast"
@@ -117,8 +121,14 @@ func (p *Plan) cutOrbit() int64 { return max(p.CutSym, 1) }
 // supply each skipped quotient's standalone edge-induced copy count,
 // whose inj total (copies·Aut) is subtracted before dividing — exactly
 // the subtraction the skipped loops would have performed.
+//
+// Every product and difference is checked: a total that does not fit in
+// an int64 fails with an error wrapping ErrCountOverflow.
 func (p *Plan) ExtractCount(globals []int64, resolve func(pattern.Code) (int64, bool)) (int64, error) {
-	raw := globals[p.CountGlobal] * p.cutOrbit()
+	raw, ok := mul64(globals[p.CountGlobal], p.cutOrbit())
+	if !ok {
+		return 0, fmt.Errorf("%w: raw count %d × cut orbit %d", ErrCountOverflow, globals[p.CountGlobal], p.cutOrbit())
+	}
 	for _, ext := range p.External {
 		if resolve == nil {
 			return 0, fmt.Errorf("core: plan has externalized shrinkage %s but no resolver", ext.Pat)
@@ -127,9 +137,55 @@ func (p *Plan) ExtractCount(globals []int64, resolve func(pattern.Code) (int64, 
 		if !ok {
 			return 0, fmt.Errorf("core: no external count for shrinkage %s", ext.Pat)
 		}
-		raw -= copies * ext.Aut
+		inj, ok := mul64(copies, ext.Aut)
+		if ok {
+			raw, ok = sub64(raw, inj)
+		}
+		if !ok {
+			return 0, fmt.Errorf("%w: subtracting %d copies of shrinkage %s", ErrCountOverflow, copies, ext.Pat)
+		}
 	}
 	return raw / p.Divisor, nil
+}
+
+// ErrCountOverflow is wrapped by the error ExtractCount returns when a
+// count does not fit in an int64.
+var ErrCountOverflow = errors.New("core: count overflows int64")
+
+// mul64 returns a·b and whether the product fits in an int64.
+func mul64(a, b int64) (int64, bool) {
+	hi, lo := bits.Mul64(absU64(a), absU64(b))
+	if (a < 0) != (b < 0) {
+		// The magnitude of a negative int64 reaches 2^63.
+		if hi != 0 || lo > 1<<63 {
+			return 0, false
+		}
+		return -int64(lo), true
+	}
+	if hi != 0 || lo > math.MaxInt64 {
+		return 0, false
+	}
+	return int64(lo), true
+}
+
+// absU64 is |a| as a uint64, exact for math.MinInt64 too.
+func absU64(a int64) uint64 {
+	if a < 0 {
+		return -uint64(a)
+	}
+	return uint64(a)
+}
+
+// add64 returns a+b and whether the sum fits in an int64.
+func add64(a, b int64) (int64, bool) {
+	s := a + b
+	return s, (a >= 0) != (b >= 0) || (s >= 0) == (a >= 0)
+}
+
+// sub64 returns a−b and whether the difference fits in an int64.
+func sub64(a, b int64) (int64, bool) {
+	d := a - b
+	return d, (a >= 0) == (b >= 0) || (d >= 0) == (a >= 0)
 }
 
 // SubCounts harvests the standalone edge-induced copy counts of every
@@ -141,12 +197,16 @@ func (p *Plan) ExtractCount(globals []int64, resolve func(pattern.Code) (int64, 
 // and their sum is the one total a cut-symmetric plan keeps exact
 // (an automorphism of the cut maps a shrinkage to one of the same
 // code), so copies(q) = Σ·CutSym / (n·Aut). The defensive
-// divisibility check guards the invariant.
+// divisibility check guards the invariant. A code whose Σ or Σ·CutSym
+// does not fit in an int64 is left out, as one that fails the check is.
 func (p *Plan) SubCounts(globals []int64) map[pattern.Code]int64 {
 	if len(p.Shrink) == 0 {
 		return nil
 	}
-	type total struct{ sum, n, aut int64 }
+	type total struct {
+		sum, n, aut int64
+		overflow    bool
+	}
 	totals := make(map[pattern.Code]*total, len(p.Shrink))
 	for _, sh := range p.Shrink {
 		t := totals[sh.Code]
@@ -154,13 +214,16 @@ func (p *Plan) SubCounts(globals []int64) map[pattern.Code]int64 {
 			t = &total{aut: sh.Aut}
 			totals[sh.Code] = t
 		}
-		t.sum += globals[sh.Global]
+		var ok bool
+		t.sum, ok = add64(t.sum, globals[sh.Global])
+		t.overflow = t.overflow || !ok
 		t.n++
 	}
 	out := make(map[pattern.Code]int64, len(totals))
 	for c, t := range totals {
-		inj, div := t.sum*p.cutOrbit(), t.n*t.aut
-		if div == 0 || inj%div != 0 {
+		inj, ok := mul64(t.sum, p.cutOrbit())
+		div := t.n * t.aut
+		if t.overflow || !ok || div == 0 || inj%div != 0 {
 			continue // defensive: inj(pat) is always a multiple of |Aut|
 		}
 		out[c] = inj / div
@@ -217,6 +280,14 @@ type candidateOpts struct {
 	// candidate must match / avoid (label constraints, §7.5).
 	sameLabelVars []int
 	diffLabelVars []int
+	// bindingOrder folds the bound vertices in the order their engine
+	// vars were bound instead of in pattern-vertex order. The cut loops
+	// of a decomposed plan use it, so their intersections and removals
+	// depend on loop depth, not on how the cut positions are numbered.
+	// Direct plans and subpattern bodies keep pattern-vertex order:
+	// binding order there doubles the merge work of the pseudo-clique
+	// plans (DESIGN "Twin PLR specs are skipped").
+	bindingOrder bool
 }
 
 // ConstraintKind discriminates label constraints.
@@ -356,6 +427,9 @@ func buildCandidate(g *genCtx, pat *pattern.Pattern, pv int, bind []int, opts ca
 		if bind[u] >= 0 && u != pv {
 			boundVerts = append(boundVerts, u)
 		}
+	}
+	if opts.bindingOrder {
+		slices.SortFunc(boundVerts, func(u, w int) int { return bind[u] - bind[w] })
 	}
 	// 1. Intersect neighbor lists of bound pattern-neighbors. A static
 	// label applies to each list before the intersection: N(u) ∩

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -307,6 +308,9 @@ const maxOrdersPerChoice = 24
 // earlier cut's (a cut some automorphism of p maps onto the earlier
 // one) lists its specs as twins of the earlier cut's, position by
 // position: decompSpecs derives both lists from the same signature.
+// Within a cut, a PLR spec that generates an earlier spec's program is
+// a twin of that spec (decompSpecs). Every twin names a first
+// occurrence.
 func candidateGenerators(p *pattern.Pattern, opts SearchOptions) []candidateSpec {
 	var specs []candidateSpec
 	if !opts.DisableDirect {
@@ -345,10 +349,20 @@ func candidateGenerators(p *pattern.Pattern, opts SearchOptions) []candidateSpec
 					firstSpec[sig] = len(specs)
 				}
 			}
-			for k, spec := range decompSpecs(d, opts) {
+			cutSpecs, plrTwin := decompSpecs(d, opts)
+			base := len(specs)
+			for k, spec := range cutSpecs {
 				twin := -1
-				if first >= 0 {
+				switch {
+				case first >= 0:
+					// The counterpart may itself be a PLR twin: name
+					// its first occurrence.
 					twin = first + k
+					if t := specs[twin].twin; t >= 0 {
+						twin = t
+					}
+				case plrTwin[k] >= 0:
+					twin = base + plrTwin[k]
 				}
 				specs = append(specs, candidateSpec{gen: func() (*Plan, error) { return GenerateDecomposed(spec) }, twin: twin})
 			}
@@ -522,8 +536,20 @@ func matchingOrders(p *pattern.Pattern, max int) [][]int {
 
 // decompSpecs enumerates matching-order variants for one decomposition:
 // cut orders × PLR depths, with extension orders chosen per subpattern
-// (identity plus a degree-greedy order).
-func decompSpecs(d *decomp.Decomposition, opts SearchOptions) []DecompSpec {
+// (identity plus a degree-greedy order). twin[i] is the index of the
+// earlier spec whose program spec i generates byte for byte, or -1:
+//
+//   - PLR at depth k is a no-op when the prefix CutOrder[:k] spans a
+//     cut subgraph without automorphisms, and GenerateDecomposed drops
+//     it under label constraints, so such a spec generates its depth-0
+//     sibling's program (same cut order and subpattern orders).
+//   - Otherwise the program depends on the cut order only through the
+//     continuation CutOrder[k:] (hence the set of prefix cut positions)
+//     and the labeled prefix graph spelled in order positions: the cut
+//     loops fold their operands in binding order, and the replays run
+//     in canonical order (sortReplays). Specs that agree on those, on
+//     k and on the subpattern orders are twins of the first of them.
+func decompSpecs(d *decomp.Decomposition, opts SearchOptions) (specs []DecompSpec, twin []int) {
 	nCut := len(d.CutVerts)
 	var cutOrders [][]int
 	if nCut <= 4 {
@@ -548,7 +574,12 @@ func decompSpecs(d *decomp.Decomposition, opts SearchOptions) []DecompSpec {
 		shrinkOrders[j] = extensionOrders(s.Pat, nCut, 1)[0]
 	}
 
-	var specs []DecompSpec
+	cutPat := d.CutPattern()
+	type twinKey struct {
+		plr     string // plrSpelling
+		variant int    // decides SubOrders
+	}
+	firstOf := map[twinKey]int{}
 	for _, co := range cutOrders {
 		plrDepths := []int{0}
 		if !opts.DisablePLR {
@@ -556,8 +587,13 @@ func decompSpecs(d *decomp.Decomposition, opts SearchOptions) []DecompSpec {
 				plrDepths = append(plrDepths, k)
 			}
 		}
+		depth0 := [2]int{-1, -1} // variant -> index of its depth-0 spec
 		// Cross subpattern-order variants (small: <= 2 per subpattern).
 		for _, plr := range plrDepths {
+			var plrKey string // "" when PLR is a no-op at this depth
+			if plr > 0 && len(opts.Constraints) == 0 && len(cutPat.InducedSub(co[:plr]).Automorphisms()) > 1 {
+				plrKey = plrSpelling(cutPat, co, plr)
+			}
 			for variant := 0; variant < 2; variant++ {
 				spec := DecompSpec{
 					D:               d,
@@ -580,13 +616,51 @@ func decompSpecs(d *decomp.Decomposition, opts SearchOptions) []DecompSpec {
 						spec.SubOrders = append(spec.SubOrders, so[0])
 					}
 				}
-				if ok {
-					specs = append(specs, spec)
+				if !ok {
+					continue
 				}
+				t := -1
+				switch {
+				case plr == 0:
+					depth0[variant] = len(specs)
+				case plrKey == "":
+					t = depth0[variant]
+				default:
+					key := twinKey{plrKey, variant}
+					if f, seen := firstOf[key]; seen {
+						t = f
+					} else {
+						firstOf[key] = len(specs)
+					}
+				}
+				specs = append(specs, spec)
+				twin = append(twin, t)
 			}
 		}
 	}
-	return specs
+	return specs, twin
+}
+
+// plrSpelling spells what a PLR spec of depth k reads from its cut
+// order: the labeled prefix graph cutPat[co[:k]] in order positions
+// (one adjacency row and one label per position) and the continuation
+// co[k:], which also fixes the set of prefix cut positions.
+func plrSpelling(cutPat *pattern.Pattern, co []int, k int) string {
+	b := make([]byte, 0, 8*k+len(co)-k)
+	for i, u := range co[:k] {
+		var row uint32
+		for j, w := range co[:i] {
+			if cutPat.HasEdge(u, w) {
+				row |= 1 << uint(j)
+			}
+		}
+		b = binary.LittleEndian.AppendUint32(b, row)
+		b = binary.LittleEndian.AppendUint32(b, cutPat.Label(u))
+	}
+	for _, p := range co[k:] {
+		b = append(b, byte(p))
+	}
+	return string(b)
 }
 
 // permutations returns all permutations of 0..n-1.

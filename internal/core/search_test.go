@@ -315,7 +315,8 @@ func TestSearchMaxCandidatesParallel(t *testing.T) {
 // estimate is made inside the timed searches. Workers follow
 // GOMAXPROCS, so -cpu 1,2 compares inline with parallel preparation.
 // ns/candidate divides by the distinct plans ranked, ns/spec by every
-// spec considered, twins included.
+// spec considered, twins included; twins/op counts the specs skipped
+// because an earlier spec generates the same program.
 func BenchmarkSearchSixMotifs(b *testing.B) {
 	g := graph.GNP(240, 0.025, 1)
 	all := pattern.ConnectedPatterns(6)
@@ -326,7 +327,7 @@ func BenchmarkSearchSixMotifs(b *testing.B) {
 	}
 	rand.New(rand.NewSource(1)).Shuffle(len(pats), func(i, j int) { pats[i], pats[j] = pats[j], pats[i] })
 	b.ReportAllocs()
-	cands, specs := 0, 0
+	cands, specs, twins := 0, 0, 0
 	for i := 0; i < b.N; i++ {
 		model := cost.NewApproxMining(cost.StatsOf(g), sampling.BuildProfile(g, sampling.Options{Seed: 1000}))
 		for _, p := range pats {
@@ -336,8 +337,10 @@ func BenchmarkSearchSixMotifs(b *testing.B) {
 			}
 			cands += stats.Candidates
 			specs += stats.Candidates + stats.Twins
+			twins += stats.Twins
 		}
 	}
+	b.ReportMetric(float64(twins)/float64(b.N), "twins/op")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cands), "ns/candidate")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(specs), "ns/spec")
 }
@@ -461,20 +464,58 @@ func rankedCost(m cost.Model, plan *Plan) (raw, adjusted float64) {
 	return raw, arb.RankAdjust(raw, ast.AuxDecisions(plan.Prog, opts))
 }
 
+// twinCase is one search TestTwinCutsGenerateIdenticalPrograms checks.
+type twinCase struct {
+	p    *pattern.Pattern
+	opts SearchOptions
+}
+
+// twinCases are the searches checked for a pattern: both modes,
+// unlabeled and unconstrained, and, when all is set, with alternating
+// labels and with a label constraint as well.
+func twinCases(p *pattern.Pattern, all bool) []twinCase {
+	cons := []LabelConstraint{{Kind: AllDifferent, Verts: []int{0, 1}}}
+	var out []twinCase
+	for _, mode := range []Mode{ModeCount, ModeEmit} {
+		opts := SearchOptions{Mode: mode, DisableDirect: true}
+		out = append(out, twinCase{p, opts})
+		if all {
+			constrained := opts
+			constrained.Constraints = cons
+			out = append(out, twinCase{alternateLabels(p), opts}, twinCase{p, constrained})
+		}
+	}
+	return out
+}
+
 // TestTwinCutsGenerateIdenticalPrograms: for every connected pattern of
-// 3–6 vertices, in both modes, each spec Search skips as a twin
-// generates the same program — every node, loop metadata and plan
-// count metadata — as its first-occurrence counterpart. Every
-// twentieth pair is also optimized, printed and costed under all three
-// models, with and without the auxiliary-table rank adjustment.
+// 3–6 vertices in both modes, and for all of 3–5 vertices and every
+// fifth of 6 also with alternating labels and with a label constraint,
+// each spec Search skips as a twin (a twin cutting set's spec or a PLR
+// spec within a cut) generates the same program — every node, loop
+// metadata and plan count metadata — as its first-occurrence
+// counterpart, or fails as it does. Every twentieth pair is also
+// optimized, printed and costed under all three models, with and
+// without the auxiliary-table rank adjustment.
 func TestTwinCutsGenerateIdenticalPrograms(t *testing.T) {
 	g := graph.GNP(120, 0.06, 23)
 	models := rankModels(g)
-	pairs, costed := 0, 0
+	pairs, costed, plrPairs, constrained := 0, 0, 0, 0
 	for k := 3; k <= 6; k++ {
-		for _, p := range pattern.ConnectedPatterns(k) {
-			for _, mode := range []Mode{ModeCount, ModeEmit} {
-				specs := candidateGenerators(p, SearchOptions{Mode: mode, DisableDirect: true})
+		for pi, base := range pattern.ConnectedPatterns(k) {
+			for _, c := range twinCases(base, k < 6 || pi%5 == 0) {
+				p, opts := c.p, c.opts
+				specs := candidateGenerators(p, opts)
+				// Only a label constraint may fail to generate (it can
+				// be indecomposable over a cut); a twin must then fail
+				// as its counterpart does.
+				gen := func(s candidateSpec) *Plan {
+					if len(opts.Constraints) == 0 {
+						return generated(t, s)
+					}
+					plan, _ := s.gen()
+					return plan
+				}
 				first := map[int]*Plan{}
 				for i, s := range specs {
 					if s.twin < 0 {
@@ -483,19 +524,31 @@ func TestTwinCutsGenerateIdenticalPrograms(t *testing.T) {
 					if s.twin >= i || specs[s.twin].twin >= 0 {
 						t.Fatalf("%s: spec %d names %d, which is not an earlier first occurrence", p, i, s.twin)
 					}
-					a := first[s.twin]
-					if a == nil {
-						a = generated(t, specs[s.twin])
+					a, ok := first[s.twin]
+					if !ok {
+						a = gen(specs[s.twin])
 						first[s.twin] = a
 					}
-					b := generated(t, s)
+					b := gen(s)
+					if a == nil || b == nil {
+						if (a == nil) != (b == nil) {
+							t.Fatalf("%s %+v: spec %d and its twin %d disagree on failing", p, opts, i, s.twin)
+						}
+						continue
+					}
 					if d := treeDiff(a.Prog, b.Prog); d != "" {
-						t.Fatalf("%s mode %d: twin %s differs from %s: %s", p, mode, b.Desc, a.Desc, d)
+						t.Fatalf("%s mode %d, %d constraints: twin %s differs from %s: %s", p, opts.Mode, len(opts.Constraints), b.Desc, a.Desc, d)
 					}
 					if fmt.Sprint(a.Divisor, a.Shrink, a.External) != fmt.Sprint(b.Divisor, b.Shrink, b.External) {
-						t.Fatalf("%s mode %d: twin %s count metadata differs from %s", p, mode, b.Desc, a.Desc)
+						t.Fatalf("%s mode %d: twin %s count metadata differs from %s", p, opts.Mode, b.Desc, a.Desc)
 					}
 					pairs++
+					if a.Decomposition.CutMask == b.Decomposition.CutMask {
+						plrPairs++
+					}
+					if len(opts.Constraints) > 0 {
+						constrained++
+					}
 					if pairs%20 != 0 {
 						continue
 					}
@@ -503,13 +556,13 @@ func TestTwinCutsGenerateIdenticalPrograms(t *testing.T) {
 					ast.Optimize(a.Prog)
 					ast.Optimize(b.Prog)
 					if pa, pb := ast.Print(a.Prog), ast.Print(b.Prog); pa != pb {
-						t.Fatalf("%s mode %d: optimized twin %s prints differently from %s\n%s\nvs\n%s", p, mode, b.Desc, a.Desc, pb, pa)
+						t.Fatalf("%s mode %d: optimized twin %s prints differently from %s\n%s\nvs\n%s", p, opts.Mode, b.Desc, a.Desc, pb, pa)
 					}
 					for _, m := range models {
 						ra, aa := rankedCost(m, a)
 						rb, ab := rankedCost(m, b)
 						if ra != rb || aa != ab {
-							t.Fatalf("%s mode %d, %s: twin %s costs %v/%v, counterpart %s %v/%v", p, mode, m.Name(), b.Desc, rb, ab, a.Desc, ra, aa)
+							t.Fatalf("%s mode %d, %s: twin %s costs %v/%v, counterpart %s %v/%v", p, opts.Mode, m.Name(), b.Desc, rb, ab, a.Desc, ra, aa)
 						}
 					}
 					costed++
@@ -517,45 +570,180 @@ func TestTwinCutsGenerateIdenticalPrograms(t *testing.T) {
 			}
 		}
 	}
-	if pairs == 0 || costed == 0 {
-		t.Fatal("no twin specs among the 3–6-vertex patterns")
+	if costed == 0 || plrPairs == 0 || plrPairs == pairs || constrained == 0 {
+		t.Fatalf("%d twin pairs (%d within one cut, %d constrained), %d costed: a kind of twin is missing", pairs, plrPairs, constrained, costed)
 	}
-	t.Logf("%d twin pairs, %d optimized and costed", pairs, costed)
+	t.Logf("%d twin pairs (%d PLR twins within one cut, %d constrained), %d optimized and costed", pairs, plrPairs, constrained, costed)
 }
 
 // TestTwinSignatureSeesLabels: the 4-cycle's two cuts are twins, but
 // once the cuts carry different labels they generate different
-// programs, so the signature must tell them apart.
+// programs, so the signature must tell them apart. PLR specs may still
+// be twins of specs of their own cut.
 func TestTwinSignatureSeesLabels(t *testing.T) {
 	plain := pattern.Cycle(4)
 	labeled := plain.Clone()
 	for v := 0; v < 4; v++ {
 		labeled.SetLabel(v, uint32(1+v%2))
 	}
+	cutOf := func(s candidateSpec) uint32 { return generated(t, s).Decomposition.CutMask }
 	for _, mode := range []Mode{ModeCount, ModeEmit} {
 		opts := SearchOptions{Mode: mode, DisableDirect: true}
 		ps, ls := candidateGenerators(plain, opts), candidateGenerators(labeled, opts)
 		if len(ps) != len(ls) {
 			t.Fatalf("mode %d: %d specs unlabeled, %d labeled", mode, len(ps), len(ls))
 		}
-		twins := 0
+		twinCuts := 0
 		for i, s := range ps {
-			if s.twin < 0 {
-				continue
+			if s.twin >= 0 && cutOf(ps[s.twin]) != cutOf(s) {
+				twinCuts++
+				a, b := generated(t, ls[s.twin]), generated(t, ls[i])
+				if ast.Print(a.Prog) == ast.Print(b.Prog) {
+					t.Fatalf("mode %d: labeled cuts %s and %s generate the same program", mode, a.Desc, b.Desc)
+				}
 			}
-			twins++
-			if ls[i].twin >= 0 {
-				t.Fatalf("mode %d: labeled spec %d is a twin of %d", mode, i, ls[i].twin)
-			}
-			a, b := generated(t, ls[s.twin]), generated(t, ls[i])
-			if ast.Print(a.Prog) == ast.Print(b.Prog) {
-				t.Fatalf("mode %d: labeled cuts %s and %s generate the same program", mode, a.Desc, b.Desc)
+			if l := ls[i]; l.twin >= 0 && cutOf(ls[l.twin]) != cutOf(l) {
+				t.Fatalf("mode %d: labeled spec %d is a twin of %d, a spec of another cut", mode, i, l.twin)
 			}
 		}
-		if twins == 0 {
+		if twinCuts == 0 {
 			t.Fatalf("mode %d: the unlabeled 4-cycle has no twin cuts", mode)
 		}
 	}
+}
+
+// TestPLRTwinClassesPrintOneProgram: K(2,4) cut at its four-vertex side
+// has an edgeless cut, so every PLR prefix is symmetric and a PLR
+// spec's program depends only on its depth, its continuation and its
+// prefix set. Every twin class of cut orders × depths prints one
+// optimized program, in both modes, and there are 1 + 4 + 12 classes
+// per subpattern-order variant for depths 4, 3 and 2.
+func TestPLRTwinClassesPrintOneProgram(t *testing.T) {
+	p := pattern.MustParse("0-2,0-3,0-4,0-5,1-2,1-3,1-4,1-5")
+	d, err := decomp.Decompose(p, 0b111100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []Mode{ModeCount, ModeEmit} {
+		specs, twin := decompSpecs(d, SearchOptions{Mode: mode})
+		printed := map[int]string{} // first occurrence -> its program
+		classes := map[int]int{}    // PLR depth -> classes
+		for i, spec := range specs {
+			f := i
+			if twin[i] >= 0 {
+				f = twin[i]
+			}
+			if spec.PLRDepth > 0 && twin[i] >= 0 && specs[f].PLRDepth != spec.PLRDepth {
+				t.Fatalf("mode %d: spec %d at depth %d is a twin of depth %d", mode, i, spec.PLRDepth, specs[f].PLRDepth)
+			}
+			plan, err := GenerateDecomposed(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Optimize(plan.Prog)
+			got := ast.Print(plan.Prog)
+			want, ok := printed[f]
+			if !ok {
+				printed[f] = got
+				classes[spec.PLRDepth]++
+				continue
+			}
+			if got != want {
+				t.Fatalf("mode %d: %s prints differently from its twin, cut order %v", mode, plan.Desc, specs[f].CutOrder)
+			}
+		}
+		variants := classes[0] / 24
+		for depth, want := range map[int]int{2: 12, 3: 4, 4: 1} {
+			if classes[depth] != want*variants {
+				t.Errorf("mode %d: %d twin classes at PLR depth %d, want %d", mode, classes[depth], depth, want*variants)
+			}
+		}
+	}
+}
+
+// FuzzPLRTwins draws a pattern of 3–6 vertices (edges, optional
+// labels), a cutting set, a cut order, a PLR depth and a prefix
+// automorphism τ, and requires the cut order with its prefix permuted
+// by τ — same depth, prefix set, prefix graph and continuation, a PLR
+// twin — to print the same optimized program and cost the same under
+// all three models, in both modes. When the prefix has no nontrivial
+// automorphism, PLR is a no-op and the depth-0 spec is the twin.
+func FuzzPLRTwins(f *testing.F) {
+	models := rankModels(graph.GNP(120, 0.06, 23))
+	// k = 3 + n%4; edge bits run over the pairs (0,1), (0,2), ..., (k-2,k-1).
+	f.Add(uint8(3), uint16(0b111111110), uint8(0), uint8(0b111100), int64(5), false)   // K(2,4), edgeless 4-cut
+	f.Add(uint8(1), uint16(0b111110), uint8(0b0011), uint8(0b1100), int64(2), true)    // labeled diamond, cut {2,3}
+	f.Add(uint8(2), uint16(0b1010110011), uint8(0), uint8(0b00110), int64(3), false)   // 5 vertices, cut {1,2}
+	f.Add(uint8(3), uint16(0x7ffe), uint8(0b101010), uint8(0b111100), int64(4), false) // labeled K6−e, 4-cut
+	f.Fuzz(func(t *testing.T, n uint8, edges uint16, labels, cutMask uint8, seed int64, emit bool) {
+		k := 3 + int(n%4)
+		p := pattern.New(k)
+		bit := 0
+		for a := 0; a < k; a++ {
+			for b := a + 1; b < k; b++ {
+				if edges&(1<<uint(bit)) != 0 {
+					p.AddEdge(a, b)
+				}
+				bit++
+			}
+		}
+		if labels != 0 {
+			for v := 0; v < k; v++ {
+				p.SetLabel(v, uint32(labels>>uint(v)&1))
+			}
+		}
+		cut := uint32(cutMask) & (1<<uint(k) - 1)
+		if !p.Connected() || cut == 0 || len(p.ComponentsAvoiding(cut)) < 2 {
+			return
+		}
+		d, err := decomp.Decompose(p, cut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nCut := len(d.CutVerts)
+		if nCut < 2 {
+			return
+		}
+		r := rand.New(rand.NewSource(seed))
+		a := DefaultOrders(d)
+		for _, o := range a.SubOrders {
+			r.Shuffle(len(o), func(i, j int) { o[i], o[j] = o[j], o[i] })
+		}
+		if emit {
+			a.Mode = ModeEmit
+		}
+		a.CutOrder = r.Perm(nCut)
+		a.PLRDepth = 2 + r.Intn(nCut-1)
+		b := a
+		auts := d.CutPattern().InducedSub(a.CutOrder[:a.PLRDepth]).Automorphisms()
+		if len(auts) == 1 {
+			b.PLRDepth = 0
+		} else {
+			tau := auts[r.Intn(len(auts))]
+			b.CutOrder = slices.Clone(a.CutOrder)
+			for j, tj := range tau {
+				b.CutOrder[j] = a.CutOrder[tj]
+			}
+		}
+		var plans [2]*Plan
+		for i, spec := range [2]DecompSpec{a, b} {
+			if plans[i], err = GenerateDecomposed(spec); err != nil {
+				t.Fatal(err)
+			}
+			ast.Optimize(plans[i].Prog)
+		}
+		pa, pb := plans[0], plans[1]
+		if x, y := ast.Print(pa.Prog), ast.Print(pb.Prog); x != y {
+			t.Fatalf("%s: %s and its twin %s print differently\n%s\nvs\n%s", p, pa.Desc, pb.Desc, x, y)
+		}
+		for _, m := range models {
+			ra, aa := rankedCost(m, pa)
+			rb, ab := rankedCost(m, pb)
+			if ra != rb || aa != ab {
+				t.Fatalf("%s, %s: %s costs %v/%v, its twin %s %v/%v", p, m.Name(), pa.Desc, ra, aa, pb.Desc, rb, ab)
+			}
+		}
+	})
 }
 
 // referenceBest ranks p's candidates the way Search did before twin

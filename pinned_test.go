@@ -121,8 +121,8 @@ func pinnedWorkloads() []pinnedWorkload {
 			kernels: map[string]int64{"merge": 80606},
 		}},
 		{name: "motif6-gnp", graph: gnp(110, 0.04, 43), query: motifs(6), want: pinnedFields{
-			count: 226211, instructions: 1805936, cache: [3]int64{394, 144, 0},
-			kernels: map[string]int64{"merge": 178310},
+			count: 226211, instructions: 1808776, cache: [3]int64{394, 144, 0},
+			kernels: map[string]int64{"merge": 178890},
 		}},
 		{name: "motif5-rmat", graph: rmat(8, 6, 44), query: motifs(5), want: pinnedFields{
 			count: 13437142, instructions: 10200142, cache: [3]int64{90, 40, 0},

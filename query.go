@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"decomine/internal/core"
 	"decomine/internal/engine"
 )
 
@@ -18,6 +19,12 @@ var ErrCanceled = errors.New("decomine: query canceled")
 // panicked. The error also wraps the panic value when that is an error.
 // The System and its pool stay usable.
 var ErrWorkerPanic = engine.ErrWorkerPanic
+
+// ErrCountOverflow is wrapped by the error a counting query returns
+// when extracting its count from the run's totals overflows an int64:
+// scaling by the cut-symmetry orbit or subtracting an externalized
+// shrinkage's copies. The run's own accumulation is not checked.
+var ErrCountOverflow = core.ErrCountOverflow
 
 // QueryHandle tracks one in-flight asynchronous counting query started
 // by CountPatternAsync. All methods are safe for concurrent use.
