@@ -440,6 +440,13 @@ type ExecStats struct {
 	// each served; zero-count paths are omitted. The bitmap paths are
 	// nonzero only when the graph carries a hub bitmap index.
 	Kernels map[string]int64
+	// KernelElems maps the same kernel paths to the elements their
+	// dispatches processed, the work measure the cost models price: both
+	// operands of a merge, the probes of a gallop, the filtered array of
+	// a bitmap filter, the row words of a bitmap×bitmap count.
+	// Zero-element paths are omitted. Filled on every run, profiled or
+	// not.
+	KernelElems map[string]int64
 	// Steals counts loop ranges taken from another worker's deque by the
 	// work-stealing scheduler, and Splits counts depth-1 subranges shed
 	// by workers executing heavy outer iterations. Zero for sequential

@@ -401,7 +401,7 @@ func (sc *auxScan) apply(cands []*AuxCandidate) {
 		t := int32(len(l.Aux))
 		l.Aux = append(l.Aux, AuxTable{Src: c.Src})
 		def := sc.defPC[c.Src]
-		afterOf[def] = append(afterOf[def], Instr{Op: IAuxBuild, Dst: t, A: c.Src})
+		afterOf[def] = append(afterOf[def], Instr{Op: IAuxBuild, Dst: t, A: c.Src, NbrA: -1, NbrB: -1, WinLo: -1, WinHi: -1})
 		inserted++
 		for _, u := range c.Uses {
 			row := int32(l.NumSets)

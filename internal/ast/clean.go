@@ -35,7 +35,9 @@ package ast
 //     vk > vj is known, and so does a count `|TrimBelow(s, vj) : x > vk|`
 //     (TrimAbove and `x < vk` symmetrically). The order comes from the
 //     loop domains: a loop over a subset of `TrimBelow(·, vj)` binds
-//     only values above vj, and the relation is transitive. Rule 5 then
+//     only values above vj, the relation is transitive, and it reads
+//     both ways: vk > vj also when vj's domain lies in
+//     `TrimAbove(·, vk)`. Rule 5 then
 //     deletes the trims nothing reads, and re-fusion can absorb the
 //     intersection the count now reads directly. For K6 the innermost
 //     body goes from `N(v4)`, `s16 ∩ N(v4)`, four trims, a windowed
@@ -63,6 +65,32 @@ package ast
 //     The census 5-cycle skip plan's innermost loop is guarded on
 //     N(v1) ∩ N(v0), which is empty for most (v0, v1) pairs.
 //
+//  9. An intersection whose every reader reads it through a bound is
+//     windowed (ISetDef.WinLo/WinHi): the VM cuts both operands to the
+//     window before the merge, so K6's
+//     s4 = N(v0) ∩ N(v1) merges N(v0) ∩ {x > v1} with N⁺(v1), the
+//     oriented list N(v1) ∩ {x > v1}, which the graph slices in O(1).
+//     Readers that bound are trims, windowed intersections, windowed
+//     table builds and counts with a window (fused counts' V/SA,
+//     SCountAbove/SCountBelow); any other reader (a loop, a guard, a
+//     subtraction, a label filter) reads the set whole and rules the
+//     window out. The window is the tightest variable bound, fixed from the
+//     definition through every reader, that each reader's own bounds
+//     imply under rule 6's order. A trim passes on its readers' windows
+//     along with its own bound, so TrimAbove(TrimBelow(s, v1), v2)
+//     gives s both windows. A trim whose operand's window already
+//     implies it is an identity: its readers read the operand, and rule
+//     5 deletes it. A table build (IAuxBuild) is windowed the same way
+//     over the readers of all its rows, provided every row's key lies
+//     strictly inside the window: its keys and rows then hold only
+//     window elements, and every lookup still hits. A windowed
+//     intersection counts as a trim for the order (trimOrder): a loop
+//     over it binds
+//     only values inside its window. Rule 9 runs once, after the rest
+//     reach their fixpoint, and only in LowerWith: LowerUnwindowed is
+//     the stream without it, since windows change kernel work, and can
+//     move a dispatch between merge and gallop, by design.
+//
 // A straight-line block is a maximal run of instructions entered only
 // at its first one, together with the control instruction ending it
 // (loop.begin, loop.next or cond.skip). A block that is entered runs to
@@ -70,7 +98,7 @@ package ast
 // later instruction follows an execution of the earlier one in the same
 // pass over the block.
 //
-// Rules 6–8 walk def chains, so they run only here, never in
+// Rules 6–9 walk def chains, so they run only here, never in
 // AuxDecisions, which the algorithm search runs for every candidate
 // that can still win.
 //
@@ -443,6 +471,182 @@ func (l *Lowered) redirectTrims() bool {
 	return changed
 }
 
+// windowIntersections applies rule 9.
+func (l *Lowered) windowIntersections() {
+	sc := newAuxScan(l)
+	o := newTrimOrder(sc)
+	readers := map[int32][]int32{} // set register -> pcs reading it
+	var scratch []int32
+	for pc := range l.Code {
+		for _, r := range setReads(&l.Code[pc], scratch[:0]) {
+			readers[r] = append(readers[r], int32(pc))
+		}
+	}
+	// win[r] is the window of trim or intersection r: what its readers
+	// read of it, as {lower, upper} bound variables or -1.
+	win := map[int32][2]int32{}
+	// bounds lists the variables the reader at pc q keeps the elements
+	// it reads above (side 0) or below (side 1).
+	bounds := func(q int32, side int) []int32 {
+		var out []int32
+		switch ins := &l.Code[q]; {
+		case windowable(ins) || ins.Op == ISetDef && (ins.Set == OpTrimBelow || ins.Set == OpTrimAbove):
+			if w, ok := win[ins.Dst]; ok && w[side] >= 0 {
+				out = append(out, w[side])
+			}
+			if ins.Set == [2]SetOp{OpTrimBelow, OpTrimAbove}[side] {
+				out = append(out, ins.V)
+			}
+		case ins.Op == ICount:
+			if k := [2]int32{ins.V, ins.SA}[side]; k >= 0 {
+				out = append(out, k)
+			}
+		case ins.Op == IAuxBuild:
+			if k := [2]int32{ins.WinLo, ins.WinHi}[side]; k >= 0 {
+				out = append(out, k)
+			}
+		case ins.Op == IScalarDef && (ins.SOp == SCountAbove && side == 0 || ins.SOp == SCountBelow && side == 1):
+			out = append(out, ins.V)
+		}
+		return out
+	}
+	// A read is one reader's bounds on a set it reads (at pc).
+	type read struct {
+		pc     int32
+		bounds []int32
+	}
+	// reads appends the reads of register r to rs; false when some
+	// reader reads r whole.
+	reads := func(rs []read, r int32, side int) ([]read, bool) {
+		for _, q := range readers[r] {
+			b := bounds(q, side)
+			if len(b) == 0 {
+				return rs, false
+			}
+			rs = append(rs, read{q, b})
+		}
+		return rs, true
+	}
+	// choose returns the tightest variable bound, read at d, that every
+	// read's bounds imply and that each key variable (read where its
+	// row is looked up) lies strictly beyond, or -1.
+	choose := func(d int32, rs, keys []read, side int) int32 {
+		op, rel := OpTrimBelow, o.above
+		if side == 1 {
+			op, rel = OpTrimAbove, o.below
+		}
+		best := int32(-1)
+		for j := range int32(l.Prog.NumVars) {
+			ok := len(rs) > 0
+			for _, x := range rs {
+				ok = ok && slices.ContainsFunc(x.bounds, func(k int32) bool { return o.implies(k, j, x.pc, d, op) })
+			}
+			for _, x := range keys {
+				ok = ok && x.bounds[0] != j && o.implies(x.bounds[0], j, x.pc, d, op)
+			}
+			if ok && (best < 0 || o.beyond(j, best, rel)) {
+				best = j
+			}
+		}
+		return best
+	}
+	// Readers follow their operands' defs, so one backward pass sees
+	// every reader's window before the set it reads. An auxiliary table
+	// build reads its source through the window of every row's readers,
+	// and only when each row's key lies inside that window, so that the
+	// windowed keys still hold it.
+	for pc := len(l.Code) - 1; pc >= 0; pc-- {
+		ins := &l.Code[pc]
+		d := int32(pc)
+		var w [2]int32
+		switch {
+		case windowable(ins) || ins.Op == ISetDef && (ins.Set == OpTrimBelow || ins.Set == OpTrimAbove):
+			for side := range w {
+				rs, ok := reads(nil, ins.Dst, side)
+				w[side] = -1
+				if ok {
+					w[side] = choose(d, rs, nil, side)
+				}
+			}
+			win[ins.Dst] = w
+		case ins.Op == IAuxBuild:
+			for side := range w {
+				var rs, keys []read
+				ok := true
+				for q := range l.Code {
+					if row := &l.Code[q]; ok && row.Op == ISetDef && row.Set == OpAuxRow && row.A == ins.Dst {
+						rs, ok = reads(rs, row.Dst, side)
+						keys = append(keys, read{int32(q), []int32{row.V}})
+					}
+				}
+				w[side] = -1
+				if ok {
+					w[side] = choose(d, rs, keys, side)
+				}
+			}
+		default:
+			continue
+		}
+		if ins.Op == IAuxBuild || windowable(ins) {
+			ins.WinLo, ins.WinHi = w[0], w[1]
+		}
+	}
+	// A trim its operand's window implies reads past itself. Renaming
+	// in program order lets a trim of a trim reach the intersection.
+	to := map[int32]int32{}
+	var operands []*int32
+	for pc := range l.Code {
+		ins := &l.Code[pc]
+		for _, r := range setOperands(ins, operands[:0]) {
+			if x, ok := to[*r]; ok {
+				*r = x
+			}
+		}
+		if ins.Op != ISetDef || ins.Set != OpTrimBelow && ins.Set != OpTrimAbove {
+			continue
+		}
+		d, ok := sc.defPC[ins.A]
+		if !ok || !windowable(&l.Code[d]) {
+			continue
+		}
+		w := l.Code[d].WinLo
+		if ins.Set == OpTrimAbove {
+			w = l.Code[d].WinHi
+		}
+		if p := int32(pc); w >= 0 && o.fixed(w, d, p) && o.implies(w, ins.V, p, p, ins.Set) {
+			to[ins.Dst] = ins.A
+		}
+	}
+	for i := range l.Segments {
+		if r, ok := to[l.Segments[i].Over]; ok {
+			l.Segments[i].Over = r
+		}
+	}
+	for i := range l.Aux {
+		if r, ok := to[l.Aux[i].Src]; ok {
+			l.Aux[i].Src = r
+		}
+	}
+	for {
+		keep := make([]bool, len(l.Code))
+		for i := range keep {
+			keep[i] = true
+		}
+		if !l.dropDeadDefs(keep) {
+			return
+		}
+		l.chargeDeleted(keep)
+		l.compact(keep)
+	}
+}
+
+// windowable reports whether rule 9 may window set def ins: an
+// intersection. A subtraction could be windowed the same way, but on
+// no ledger workload did that change a kernel element.
+func windowable(ins *Instr) bool {
+	return ins.Op == ISetDef && ins.Set == OpIntersect
+}
+
 // trimOrder is the order between vertex variables that the loop domains
 // imply: above[k] lists every j with vk > vj throughout vk's loop body
 // (the domain is a subset of TrimBelow(·, vj)), below[k] every j with
@@ -470,6 +674,14 @@ func newTrimOrder(sc *auxScan) *trimOrder {
 				o.above[k] = append(o.above[k], tr.V)
 			case tr.Set == OpTrimAbove && o.fixed(tr.V, t, begin):
 				o.below[k] = append(o.below[k], tr.V)
+			case windowable(tr):
+				// A windowed intersection is a trim by each bound.
+				if tr.WinLo >= 0 && o.fixed(tr.WinLo, t, begin) {
+					o.above[k] = append(o.above[k], tr.WinLo)
+				}
+				if tr.WinHi >= 0 && o.fixed(tr.WinHi, t, begin) {
+					o.below[k] = append(o.below[k], tr.WinHi)
+				}
 			}
 		}
 	}
@@ -494,11 +706,11 @@ func (o *trimOrder) implies(k, j, pc, d int32, op SetOp) bool {
 	if !o.fixed(j, d, pc) {
 		return false
 	}
-	rel := o.above
+	rel, inv := o.above, o.below
 	if op == OpTrimAbove {
-		rel = o.below
+		rel, inv = o.below, o.above
 	}
-	return k == j || (o.fixed(k, pc, pc) && o.beyond(k, j, rel))
+	return k == j || (o.fixed(k, pc, pc) && (o.beyond(k, j, rel) || o.beyond(j, k, inv)))
 }
 
 // beyond reports whether rel, closed transitively, relates k to j.

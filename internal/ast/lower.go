@@ -93,7 +93,9 @@ func (op OpCode) String() string {
 //	             the guard is empty (clean-up rule 8)
 //	ILoopNext    Dst=loop var, A=set register, Off=ILoopBegin index,
 //	             LoopID matching the begin
-//	ISetDef      Set sub-op with Dst/A/B/V/Imm as in Node
+//	ISetDef      Set sub-op with Dst/A/B/V/Imm as in Node; on
+//	             OpIntersect, WinLo/WinHi window both operands
+//	             (clean-up rule 9)
 //	IScalarDef   SOp sub-op with Dst/A/SA/SB/V/Imm as in Node
 //	IScalarReset Dst, Imm
 //	IScalarAccum Dst, SA, Imm
@@ -107,7 +109,8 @@ func (op OpCode) String() string {
 //	             V=strict lower-bound var or -1, SA=strict upper-bound
 //	             var or -1, Key/NKeys=excluded vars, Imm=members known to
 //	             be excluded, subtracted as a constant (clean-up rule 7)
-//	IAuxBuild    Dst=aux table index, A=source set register
+//	IAuxBuild    Dst=aux table index, A=source set register,
+//	             WinLo/WinHi=window of its keys and rows (rule 9)
 //
 // ISetDef with Set == OpAuxRow aliases Dst to auxiliary table A's row
 // for vertex variable V (empty when the vertex has no row).
@@ -142,6 +145,15 @@ type Instr struct {
 	// scanning operand A.
 	NbrA int32
 	NbrB int32
+
+	// WinLo/WinHi, on ISetDef OpIntersect, are its window (clean-up
+	// rule 9): every reader reads only elements above vars[WinLo] and
+	// below vars[WinHi], so the engine cuts both operands to that range
+	// before the merge and the result holds nothing else. On IAuxBuild
+	// they window the table's keys and every row alike. -1 is no bound;
+	// lowering sets both to -1 on every set def and table build.
+	WinLo int32
+	WinHi int32
 
 	Imm int64
 }
@@ -202,8 +214,8 @@ func Lower(p *Program) *Lowered { return LowerWith(p, LowerOpts{}) }
 // The last step is the clean-up pass (clean.go), which changes what
 // executes but never what the program computes.
 func LowerWith(p *Program, opts LowerOpts) *Lowered {
-	l := lower(p, opts)
-	l.clean()
+	l := LowerUnwindowed(p, opts)
+	l.windowIntersections()
 	obsLowerings.Inc()
 	obsCodeLen.Observe(int64(len(l.Code)))
 	return l
@@ -220,6 +232,17 @@ func AuxDecisions(p *Program, opts LowerOpts) []AuxDecision {
 // instruction stream that differential tests compare the cleaned one
 // against. Nothing but tests calls it.
 func LowerUncleaned(p *Program, opts LowerOpts) *Lowered { return lower(p, opts) }
+
+// LowerUnwindowed is LowerWith without rule 9 of the clean-up pass.
+// Windows change kernel work by design, so tests of rules 1–8 compare
+// it, not LowerWith, against LowerUncleaned, and tests of rule 9
+// compare LowerWith against it. Nothing but LowerWith and tests call
+// it.
+func LowerUnwindowed(p *Program, opts LowerOpts) *Lowered {
+	l := lower(p, opts)
+	l.clean()
+	return l
+}
 
 // lower is LowerWith up to, and not including, the clean-up pass.
 func lower(p *Program, opts LowerOpts) *Lowered {
@@ -263,6 +286,7 @@ func lower(p *Program, opts LowerOpts) *Lowered {
 			l.Code = append(l.Code, Instr{
 				Op: ISetDef, Set: n.Op,
 				Dst: int32(n.Dst), A: int32(n.A), B: int32(n.B), V: int32(n.V), Imm: n.Imm,
+				WinLo: -1, WinHi: -1,
 			})
 		case KScalarDef:
 			l.Code = append(l.Code, Instr{
@@ -309,8 +333,9 @@ func lower(p *Program, opts LowerOpts) *Lowered {
 
 // annotateNeighborOperands fills Instr.NbrA/NbrB on the intersect/
 // subtract family (including fused counts) and NbrA on the label
-// filters that have a slice path: the vertex variable whose
-// OpNeighbors definition is the operand's single SSA def site, or -1.
+// filters that have a slice path and on table builds: the vertex
+// variable whose OpNeighbors definition is the operand's single SSA def
+// site, or -1.
 // Runs after fuseCounts so annotations land on the surviving
 // instructions (fusion deletes intersections and trims, never the
 // OpNeighbors defs they read), and again after the clean-up pass, which
@@ -342,45 +367,54 @@ func (l *Lowered) annotateNeighborOperands() {
 			if ins.B >= 0 {
 				ins.NbrB = lookup(ins.B)
 			}
+		case ins.Op == IAuxBuild:
+			ins.NbrA, ins.NbrB = lookup(ins.A), -1
 		}
 	}
 }
 
 // setReads appends the set registers read by instruction ins to dst.
 func setReads(ins *Instr, dst []int32) []int32 {
+	for _, r := range setOperands(ins, make([]*int32, 0, 2)) {
+		dst = append(dst, *r)
+	}
+	return dst
+}
+
+// setOperands appends to dst the fields of instruction ins that hold
+// set registers it reads.
+func setOperands(ins *Instr, dst []*int32) []*int32 {
 	switch ins.Op {
 	case ILoopBegin:
 		if ins.B >= 0 {
-			dst = append(dst, ins.B)
+			dst = append(dst, &ins.B)
 		}
-		return append(dst, ins.A)
+		return append(dst, &ins.A)
 	case ILoopNext:
-		return append(dst, ins.A)
+		return append(dst, &ins.A)
 	case ISetDef:
 		switch ins.Set {
-		case OpAll:
-			return dst
-		case OpIntersect, OpSubtract:
-			return append(dst, ins.A, ins.B)
-		case OpNeighbors:
+		case OpAll, OpNeighbors:
 			return dst
 		case OpAuxRow:
 			return dst // A is a table index, not a set register
+		case OpIntersect, OpSubtract:
+			return append(dst, &ins.A, &ins.B)
 		default: // remove, trims, copy, label filters: unary on A
-			return append(dst, ins.A)
+			return append(dst, &ins.A)
 		}
 	case IScalarDef:
 		switch ins.SOp {
 		case SSize, SCountAbove, SCountBelow:
-			return append(dst, ins.A)
+			return append(dst, &ins.A)
 		}
 	case ICount:
-		dst = append(dst, ins.A)
+		dst = append(dst, &ins.A)
 		if ins.B >= 0 {
-			dst = append(dst, ins.B)
+			dst = append(dst, &ins.B)
 		}
 	case IAuxBuild:
-		return append(dst, ins.A)
+		return append(dst, &ins.A)
 	}
 	return dst
 }
@@ -553,6 +587,24 @@ func (l *Lowered) Disassemble() string {
 	return sb.String()
 }
 
+// orientedNote lists, as a disassembly comment, the operands of a
+// windowed intersection or count that the engine reads as oriented
+// neighbor lists: `  ; s3 = N⁺(v1)`.
+func orientedNote(ins *Instr, lo, hi int32) string {
+	var parts []string
+	for _, op := range [][2]int32{{ins.A, ins.NbrA}, {ins.B, ins.NbrB}} {
+		if r := fmt.Sprintf("s%d", op[0]); op[0] >= 0 {
+			if o := orientedOperand(op[0], op[1], lo, hi); o != r {
+				parts = append(parts, r+" = "+o)
+			}
+		}
+	}
+	if len(parts) == 0 {
+		return ""
+	}
+	return "  ; " + strings.Join(parts, ", ")
+}
+
 func (l *Lowered) operandString(ins *Instr) string {
 	keyList := func() string {
 		parts := make([]string, ins.NKeys)
@@ -575,6 +627,10 @@ func (l *Lowered) operandString(ins *Instr) string {
 			return fmt.Sprintf("s%d = a%d[v%d]", ins.Dst, ins.A, ins.V)
 		}
 		n := Node{Op: ins.Set, A: int(ins.A), B: int(ins.B), V: int(ins.V), Imm: ins.Imm}
+		if windowable(ins) {
+			return fmt.Sprintf("s%d = %s%s%s", ins.Dst, setOpString(&n), windowString(ins.WinLo, ins.WinHi),
+				orientedNote(ins, ins.WinLo, ins.WinHi))
+		}
 		return fmt.Sprintf("s%d = %s", ins.Dst, setOpString(&n))
 	case IScalarDef:
 		n := Node{SOp: ins.SOp, A: int(ins.A), SA: int(ins.SA), SB: int(ins.SB), V: int(ins.V), Imm: ins.Imm}
@@ -600,21 +656,18 @@ func (l *Lowered) operandString(ins *Instr) string {
 		if ins.B >= 0 {
 			expr += fmt.Sprintf(" ∩ s%d", ins.B)
 		}
-		if ins.V >= 0 {
-			expr += fmt.Sprintf(" : x > v%d", ins.V)
-		}
-		if ins.SA >= 0 {
-			expr += fmt.Sprintf(" : x < v%d", ins.SA)
-		}
+		expr += windowString(ins.V, ins.SA)
 		if ins.NKeys > 0 {
 			expr += fmt.Sprintf(" − {%s}", keyList())
 		}
+		imm := ""
 		if ins.Imm != 0 {
-			return fmt.Sprintf("x%d = |%s| − %d", ins.Dst, expr, ins.Imm)
+			imm = fmt.Sprintf(" − %d", ins.Imm)
 		}
-		return fmt.Sprintf("x%d = |%s|", ins.Dst, expr)
+		return fmt.Sprintf("x%d = |%s|%s%s", ins.Dst, expr, imm, orientedNote(ins, ins.V, ins.SA))
 	case IAuxBuild:
-		return fmt.Sprintf("a%d = {v -> N(v) ∩ s%d : v ∈ s%d}", ins.Dst, ins.A, ins.A)
+		return fmt.Sprintf("a%d = {v -> N(v) ∩ s%d : v ∈ s%d}%s%s", ins.Dst, ins.A, ins.A,
+			windowString(ins.WinLo, ins.WinHi), orientedNote(ins, ins.WinLo, ins.WinHi))
 	}
 	return "?"
 }

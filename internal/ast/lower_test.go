@@ -1,6 +1,7 @@
 package ast
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -381,5 +382,40 @@ func TestFuseCountsKeepsConstantMembers(t *testing.T) {
 	if !fused || !slices.Equal(keep, []bool{true, true, false, true}) ||
 		got.A != 1 || got.V != 0 || got.NKeys != 0 || got.Imm != 1 {
 		t.Fatalf("fused %v, kept %v, count %+v; want the trim absorbed into |s1 : x > v0| − 1", fused, keep, got)
+	}
+}
+
+// TestWindowedPrinters: rule 9 windows a clique chain's intersections,
+// and both printers say so: the disassembly with the window and the
+// operand read as an oriented list, the pseudo-code with what runs.
+func TestWindowedPrinters(t *testing.T) {
+	b := NewBuilder(0)
+	g := b.NewGlobal()
+	v0 := b.BeginLoop(b.All(), nil)
+	n0 := b.Neighbors(v0)
+	v1 := b.BeginLoop(b.TrimBelow(n0, v0), nil)
+	n1 := b.Neighbors(v1)
+	c := b.Intersect(n0, n1)
+	v2 := b.BeginLoop(b.TrimBelow(c, v1), nil)
+	b.GlobalAdd(g, b.Size(b.TrimBelow(b.Intersect(c, b.Neighbors(v2)), v2)), 1)
+	b.EndLoop()
+	b.EndLoop()
+	b.EndLoop()
+	l := Lower(b.Finish())
+	dis, pseudo := l.Disassemble(), l.Pseudocode()
+	for _, want := range []string{
+		fmt.Sprintf("s%d = s%d ∩ s%d : x > v%d  ; s%d = N⁺(v%d)\n", c, n0, n1, v1, n1, v1),
+		fmt.Sprintf(" : x > v%d|  ; s", v2),
+		fmt.Sprintf("= N⁺(v%d)\n", v2),
+	} {
+		if !strings.Contains(dis, want) {
+			t.Errorf("disassembly lacks %q:\n%s", want, dis)
+		}
+	}
+	if want := fmt.Sprintf("s%d = s%d ∩ s%d  # runs as s%d ∩ N⁺(v%d) : x > v%d\n", c, n0, n1, n0, v1, v1); !strings.Contains(pseudo, want) {
+		t.Errorf("pseudo-code lacks %q:\n%s", want, pseudo)
+	}
+	if plain := Print(l.Prog); strings.Contains(plain, "runs as") {
+		t.Errorf("Print annotates windows:\n%s", plain)
 	}
 }

@@ -6,9 +6,63 @@ import (
 )
 
 // Print renders a program as indented pseudo-code, the form the paper
-// uses in its figures. It is used by Explain, the slow-query log, the
-// experiments' plan comparisons and golden tests.
-func Print(p *Program) string {
+// uses in its figures. It is used by the experiments' plan comparisons
+// and golden tests; Explain and the slow-query log print
+// Lowered.Pseudocode.
+func Print(p *Program) string { return printProgram(p, nil) }
+
+// Pseudocode renders the lowered form's program as Print does, with
+// each intersection the clean-up pass windowed (rule 9) annotated with
+// what runs: its window, and the operands read as oriented neighbor
+// lists, as in `s4 = s1 ∩ s3  # runs as s1 ∩ N⁺(v1) : x > v1`. The rest
+// is the AST the cost model priced; the disassembly shows what the
+// clean-up pass deleted.
+func (l *Lowered) Pseudocode() string {
+	windowed := map[int]*Instr{}
+	for i := range l.Code {
+		if ins := &l.Code[i]; windowable(ins) && (ins.WinLo >= 0 || ins.WinHi >= 0) {
+			windowed[int(ins.Dst)] = ins
+		}
+	}
+	return printProgram(l.Prog, func(n *Node) string {
+		ins, ok := windowed[n.Dst]
+		if n.Kind != KSetDef || !ok {
+			return ""
+		}
+		return fmt.Sprintf("  # runs as %s ∩ %s%s", orientedOperand(ins.A, ins.NbrA, ins.WinLo, ins.WinHi),
+			orientedOperand(ins.B, ins.NbrB, ins.WinLo, ins.WinHi), windowString(ins.WinLo, ins.WinHi))
+	})
+}
+
+// orientedOperand renders set operand r of a windowed instruction: as
+// N⁺(v)/N⁻(v) when it is the neighbor list of a window bound's own
+// variable v (nbr), which the engine slices in O(1), as its register
+// otherwise.
+func orientedOperand(r, nbr, lo, hi int32) string {
+	switch {
+	case lo >= 0 && nbr == lo:
+		return fmt.Sprintf("N⁺(v%d)", nbr)
+	case hi >= 0 && nbr == hi:
+		return fmt.Sprintf("N⁻(v%d)", nbr)
+	}
+	return fmt.Sprintf("s%d", r)
+}
+
+// windowString renders a window's bounds, " : x > vlo : x < vhi".
+func windowString(lo, hi int32) string {
+	s := ""
+	if lo >= 0 {
+		s += fmt.Sprintf(" : x > v%d", lo)
+	}
+	if hi >= 0 {
+		s += fmt.Sprintf(" : x < v%d", hi)
+	}
+	return s
+}
+
+// printProgram renders p; note, when non-nil, returns a suffix for a
+// node's line.
+func printProgram(p *Program, note func(*Node) string) string {
 	var sb strings.Builder
 	var rec func(n *Node, indent int)
 	ind := func(k int) string { return strings.Repeat("  ", k) }
@@ -31,7 +85,11 @@ func Print(p *Program) string {
 			fmt.Fprintf(&sb, "%s}\n", ind(indent))
 			return
 		case KSetDef:
-			fmt.Fprintf(&sb, "%ss%d = %s\n", ind(indent), n.Dst, setOpString(n))
+			suffix := ""
+			if note != nil {
+				suffix = note(n)
+			}
+			fmt.Fprintf(&sb, "%ss%d = %s%s\n", ind(indent), n.Dst, setOpString(n), suffix)
 		case KScalarDef:
 			fmt.Fprintf(&sb, "%sx%d = %s\n", ind(indent), n.Dst, scalarOpString(n))
 		case KScalarReset:

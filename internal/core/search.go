@@ -778,8 +778,9 @@ func RandomSpec(p *pattern.Pattern, mode Mode, r *rand.Rand) (*Plan, error) {
 }
 
 // PlanPseudocode renders a plan's optimized AST as indented pseudo-code
-// (the notation used in the paper's figures).
-func PlanPseudocode(p *Plan) string { return ast.Print(p.Prog) }
+// (the notation used in the paper's figures), with the windows its
+// bytecode runs its intersections under (Lowered.Pseudocode).
+func PlanPseudocode(p *Plan) string { return p.Lowered().Pseudocode() }
 
 // PlanDisassembly renders the plan's lowered bytecode one instruction
 // per line — the form the VM actually executes.

@@ -150,6 +150,9 @@ func tally(code []ast.Instr) map[string]int {
 			n["trim"]++
 		case ins.Op == ast.ISetDef && ins.Set == ast.OpIntersect:
 			n["intersect"]++
+			if ins.WinLo >= 0 || ins.WinHi >= 0 {
+				n["windowed"]++
+			}
 		}
 	}
 	return n
@@ -302,7 +305,7 @@ func TestCleanExclusions(t *testing.T) {
 			b := ast.NewBuilder(tc.pins)
 			tc.build(b, b.NewGlobal())
 			prog := b.Finish()
-			code := ast.Lower(prog)
+			code := ast.LowerUnwindowed(prog, ast.LowerOpts{})
 			var got []counted
 			for _, ins := range code.Code {
 				if ins.Op == ast.ICount {
@@ -409,7 +412,7 @@ func TestCleanGuards(t *testing.T) {
 			b.EndLoop()
 			b.EndLoop()
 			prog := b.Finish()
-			code := ast.Lower(prog)
+			code := ast.LowerUnwindowed(prog, ast.LowerOpts{})
 			var got []bool
 			for _, ins := range code.Code {
 				if ins.Op == ast.ILoopBegin {
@@ -464,6 +467,17 @@ var trimCases = []struct {
 		b.EndLoop()
 		b.EndLoop()
 	}, map[string]int{"trim": 2}},
+	{"the order reads both ways", func(b *ast.Builder, g int) {
+		v0 := b.BeginLoop(b.All(), nil)
+		n0 := b.Neighbors(v0)
+		v1 := b.BeginLoop(n0, nil)
+		c := b.Intersect(n0, b.Neighbors(v1))
+		v2 := b.BeginLoop(b.TrimAbove(c, v1), nil) // v2 < v1, known from v2's domain
+		b.GlobalAdd(g, b.Size(b.TrimBelow(b.TrimBelow(b.Intersect(c, b.Neighbors(v2)), v2), v1)), 1)
+		b.EndLoop()
+		b.EndLoop()
+		b.EndLoop()
+	}, map[string]int{"trim": 1, "intersect": 1, "count": 1}},
 	{"siblings without an order keep their trims", func(b *ast.Builder, g int) {
 		v0 := b.BeginLoop(b.All(), nil)
 		n0 := b.Neighbors(v0)
@@ -503,6 +517,107 @@ func TestCleanTrimRedirect(t *testing.T) {
 			b := ast.NewBuilder(0)
 			tc.build(b, b.NewGlobal())
 			prog := b.Finish()
+			code := ast.LowerUnwindowed(prog, ast.LowerOpts{})
+			got := tally(code.Code)
+			for op, n := range tc.want {
+				if got[op] != n {
+					t.Fatalf("%d %s instructions, want %d:\n%s", got[op], op, n, code.Disassemble())
+				}
+			}
+			agreeWithTree(t, g, prog, code, nil)
+		})
+	}
+}
+
+// windowCases are hand-built programs for rule 9; want counts
+// instructions of the windowed code.
+var windowCases = []struct {
+	name  string
+	build func(b *ast.Builder, g int)
+	want  map[string]int
+}{
+	{"a clique chain windows every intersection", func(b *ast.Builder, g int) {
+		v0 := b.BeginLoop(b.All(), nil)
+		n0 := b.Neighbors(v0)
+		v1 := b.BeginLoop(b.TrimBelow(n0, v0), nil)
+		c1 := b.Intersect(n0, b.Neighbors(v1))
+		v2 := b.BeginLoop(b.TrimBelow(c1, v1), nil)
+		c2 := b.Intersect(c1, b.Neighbors(v2))
+		v3 := b.BeginLoop(b.TrimBelow(c2, v2), nil)
+		b.GlobalAdd(g, b.Size(b.TrimBelow(b.Intersect(c2, b.Neighbors(v3)), v3)), 1)
+		b.EndLoop()
+		b.EndLoop()
+		b.EndLoop()
+		b.EndLoop()
+	}, map[string]int{"windowed": 2, "trim": 1, "count": 1}},
+	{"upper windows go symmetrically", func(b *ast.Builder, g int) {
+		v0 := b.BeginLoop(b.All(), nil)
+		n0 := b.Neighbors(v0)
+		v1 := b.BeginLoop(b.TrimAbove(n0, v0), nil)
+		c1 := b.Intersect(n0, b.Neighbors(v1))
+		v2 := b.BeginLoop(b.TrimAbove(c1, v1), nil)
+		b.GlobalAdd(g, b.Size(b.TrimAbove(b.Intersect(c1, b.Neighbors(v2)), v2)), 1)
+		b.EndLoop()
+		b.EndLoop()
+		b.EndLoop()
+	}, map[string]int{"windowed": 1, "trim": 1, "count": 1}},
+	{"a whole read rules the window out", func(b *ast.Builder, g int) {
+		v0 := b.BeginLoop(b.All(), nil)
+		n0 := b.Neighbors(v0)
+		v1 := b.BeginLoop(b.TrimBelow(n0, v0), nil)
+		c := b.Intersect(n0, b.Neighbors(v1))
+		v2 := b.BeginLoop(b.TrimBelow(c, v1), nil)
+		b.GlobalAdd(g, b.Size(b.Neighbors(v2)), 1)
+		b.EndLoop()
+		b.GlobalAdd(g, b.Size(c), 1)
+		b.EndLoop()
+		b.EndLoop()
+	}, map[string]int{"windowed": 0, "trim": 2}},
+	{"trims pass both windows on", func(b *ast.Builder, g int) {
+		v0 := b.BeginLoop(b.All(), nil)
+		n0 := b.Neighbors(v0)
+		v1 := b.BeginLoop(n0, nil) // unordered against v0
+		c := b.Intersect(n0, b.Neighbors(v1))
+		v2 := b.BeginLoop(b.TrimAbove(b.TrimBelow(c, v0), v1), nil)
+		b.GlobalAdd(g, b.Size(b.Neighbors(v2)), 1)
+		b.EndLoop()
+		b.EndLoop()
+		b.EndLoop()
+	}, map[string]int{"windowed": 1, "trim": 0}},
+	{"a subtraction reads its operands whole", func(b *ast.Builder, g int) {
+		v0 := b.BeginLoop(b.All(), nil)
+		n0 := b.Neighbors(v0)
+		v1 := b.BeginLoop(n0, nil)
+		c := b.Intersect(b.Neighbors(v1), b.All())
+		b.GlobalAdd(g, b.CountAbove(b.Subtract(c, n0), v1), 1)
+		b.EndLoop()
+		b.EndLoop()
+	}, map[string]int{"windowed": 0}},
+	{"a window too loose for a reader keeps its trim", func(b *ast.Builder, g int) {
+		v0 := b.BeginLoop(b.All(), nil)
+		n0 := b.Neighbors(v0)
+		v1 := b.BeginLoop(n0, nil) // unordered against v0
+		c := b.Intersect(n0, b.Neighbors(v1))
+		v2 := b.BeginLoop(b.TrimBelow(c, v0), nil)
+		b.GlobalAdd(g, b.Size(b.Neighbors(v2)), 1)
+		b.EndLoop()
+		b.GlobalAdd(g, b.CountAbove(c, v1), 1)
+		b.EndLoop()
+		b.EndLoop()
+	}, map[string]int{"windowed": 0, "trim": 1}},
+}
+
+// TestCleanWindows checks rule 9 where it must fire and where it must
+// not, structurally on the windowed code and semantically against the
+// tree evaluator on one and four threads; the programs of rule 6's
+// cases must agree with the tree evaluator windowed too.
+func TestCleanWindows(t *testing.T) {
+	g := graph.RMAT(7, 6, 11)
+	for _, tc := range windowCases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := ast.NewBuilder(0)
+			tc.build(b, b.NewGlobal())
+			prog := b.Finish()
 			code := ast.Lower(prog)
 			got := tally(code.Code)
 			for op, n := range tc.want {
@@ -511,6 +626,14 @@ func TestCleanTrimRedirect(t *testing.T) {
 				}
 			}
 			agreeWithTree(t, g, prog, code, nil)
+		})
+	}
+	for _, tc := range trimCases {
+		t.Run("rule 6: "+tc.name, func(t *testing.T) {
+			b := ast.NewBuilder(0)
+			tc.build(b, b.NewGlobal())
+			prog := b.Finish()
+			agreeWithTree(t, g, prog, ast.Lower(prog), nil)
 		})
 	}
 }
@@ -535,7 +658,7 @@ func TestCleanRules(t *testing.T) {
 			b.EndLoop()
 			b.EndLoop()
 			prog := b.Finish()
-			code := ast.Lower(prog)
+			code := ast.LowerUnwindowed(prog, ast.LowerOpts{})
 			got := tally(code.Code)
 			for op, n := range tc.want {
 				if got[op] != n {
@@ -548,9 +671,10 @@ func TestCleanRules(t *testing.T) {
 }
 
 // TestCleanKeepsSegmentsSplittable: the bytecode clean-up pass only
-// deletes instructions, renames operands and re-fuses counts, so every
-// top-level segment the scheduler may split at depth 1 in the uncleaned
-// stream must stay splittable in the cleaned one. The programs are the
+// deletes instructions, renames operands, re-fuses counts and windows
+// intersections, so every top-level segment the scheduler may split at
+// depth 1 in the uncleaned stream must stay splittable in the cleaned
+// one, with and without rule 9. The programs are the
 // chosen plans of every connected 3–5-vertex pattern — edge-induced,
 // with every shrinkage quotient externalized, and vertex-induced — on a
 // hub R-MAT and a community graph; rule 6 must delete trims in some.
@@ -586,18 +710,23 @@ func TestCleanKeepsSegmentsSplittable(t *testing.T) {
 		splittable, trimmed := 0, 0
 		for _, plan := range plans {
 			raw := ast.LowerUncleaned(plan.Prog, plan.LowerOpts)
-			clean := ast.LowerWith(plan.Prog, plan.LowerOpts)
+			clean := ast.LowerUnwindowed(plan.Prog, plan.LowerOpts)
 			if tally(clean.Code)["trim"] < tally(raw.Code)["trim"] {
 				trimmed++
 			}
-			before, after := analyzeD1(raw), analyzeD1(clean)
+			before := analyzeD1(raw)
+			for _, code := range []*ast.Lowered{clean, ast.LowerWith(plan.Prog, plan.LowerOpts)} {
+				after := analyzeD1(code)
+				for si := range before {
+					if before[si].ok && !after[si].ok {
+						t.Fatalf("%s: segment %d splittable before the clean-up pass, not after\nbefore:\n%s\nafter:\n%s",
+							plan.Desc, si, raw.Disassemble(), code.Disassemble())
+					}
+				}
+			}
 			for si := range before {
 				if before[si].ok {
 					splittable++
-					if !after[si].ok {
-						t.Fatalf("%s: segment %d splittable before the clean-up pass, not after\nbefore:\n%s\nafter:\n%s",
-							plan.Desc, si, raw.Disassemble(), clean.Disassemble())
-					}
 				}
 			}
 		}
@@ -632,7 +761,7 @@ func TestElidedInstructions(t *testing.T) {
 	b.EndLoop()
 	prog := b.Finish()
 	raw := ast.LowerUncleaned(prog, ast.LowerOpts{})
-	clean := ast.Lower(prog)
+	clean := ast.LowerUnwindowed(prog, ast.LowerOpts{})
 	unguarded := *clean
 	unguarded.Code = slices.Clone(clean.Code)
 	guards := 0

@@ -6,7 +6,8 @@ package engine
 // inner mining loops, and all set buffers are preallocated in one
 // per-worker arena sized from a static bound analysis of the instruction
 // stream, so steady-state execution performs no allocations at all.
-// Trims never copy: they alias a window of their operand.
+// Trims never copy: they alias a window of their operand, and so do the
+// operands of windowed intersections and counts.
 
 import (
 	"fmt"
@@ -488,7 +489,8 @@ func (f *vmFrame) exec(start, end int32) bool {
 				// Alias the CSR adjacency directly: zero copies.
 				sets[ins.Dst] = g.Neighbors(vars[ins.V])
 			case ast.OpIntersect:
-				d := f.intersectInto(f.bufs[ins.Dst], sets[ins.A], sets[ins.B], ins.NbrA, ins.NbrB)
+				a, b := f.operands(ins, ins.WinLo, ins.WinHi)
+				d := f.intersectInto(f.bufs[ins.Dst], a, b, ins.NbrA, ins.NbrB)
 				f.bufs[ins.Dst] = d
 				sets[ins.Dst] = d
 			case ast.OpTrimAbove:
@@ -610,6 +612,46 @@ func (f *vmFrame) noteArrayKernel(a, b []uint32) {
 	f.noteKernel(KernelGallop, elems)
 }
 
+// operands returns the set operands A and B (nil without one) of an
+// intersection or count, cut to the window above vars[lo] and below
+// vars[hi] when it has one.
+func (f *vmFrame) operands(ins *ast.Instr, lo, hi int32) (a, b []uint32) {
+	a = f.sets[ins.A]
+	if ins.B >= 0 {
+		b = f.sets[ins.B]
+	}
+	if lo >= 0 || hi >= 0 {
+		a = f.window(a, ins.NbrA, lo, hi)
+		if ins.B >= 0 {
+			b = f.window(b, ins.NbrB, lo, hi)
+		}
+	}
+	return a, b
+}
+
+// window cuts operand s of a windowed intersection, count or table
+// build to the elements above vars[lo] and below vars[hi] (-1: no
+// bound). An operand that is the neighbor list of a bound's own
+// variable (nbr, from ast's NbrA/NbrB, equals it) is the graph's
+// oriented list, an O(1) slice; any other is cut by exponential search
+// from the front, which costs the logarithm of what it skips.
+func (f *vmFrame) window(s []uint32, nbr, lo, hi int32) []uint32 {
+	g, vars := f.sh.g, f.vars
+	switch {
+	case lo >= 0 && nbr == lo:
+		s, lo = g.NeighborsAbove(vars[lo]), -1
+	case hi >= 0 && nbr == hi:
+		s, hi = g.NeighborsBelow(vars[hi]), -1
+	}
+	if lo >= 0 {
+		s = s[vset.Seek(s, 0, vars[lo]+1):]
+	}
+	if hi >= 0 {
+		s = s[:vset.Seek(s, 0, vars[hi])]
+	}
+	return s
+}
+
 // intersectInto evaluates a∩b into dst through the cheapest kernel.
 // Filtering the smaller array through the other operand's hub bitmap
 // row costs O(min) word probes — beating both merge (O(la+lb)) and
@@ -617,6 +659,9 @@ func (f *vmFrame) noteArrayKernel(a, b []uint32) {
 // only the smaller operand has a row, filtering the larger array
 // through it (O(max)) still beats merge but loses to galloping once
 // max ≥ GallopThreshold·min, the same ratio vset.Intersect switches at.
+// A row stays valid when a and b are windows of neighbor lists: both
+// share one window, so filtering either through the other's full row
+// keeps only elements inside it.
 func (f *vmFrame) intersectInto(dst, a, b []uint32, nbrA, nbrB int32) []uint32 {
 	if f.sh.hub != nil {
 		rowA, rowB := f.hubRow(nbrA), f.hubRow(nbrB)
@@ -648,20 +693,16 @@ func (f *vmFrame) subtractInto(dst, a, b []uint32, nbrB int32) []uint32 {
 	return vset.Subtract(dst, a, b)
 }
 
-// intersectCount routes a fused counting intersection. aWindowed marks
-// that a was narrowed by bound slicing, in which case operand A's hub
-// row (which covers the full neighbor set) no longer represents it and
-// is ignored; operand B is never windowed. When both full rows are
-// available and a row's word count undercuts both array lengths, the
-// bitmap×bitmap popcount answers in ceil(|V|/64) word ops flat.
-func (f *vmFrame) intersectCount(a, b []uint32, nbrA, nbrB int32, aWindowed bool) int64 {
+// intersectCount routes a fused counting intersection. windowed marks
+// that a and b were cut to the count's window: a full hub row still
+// filters the other, windowed, operand, but the bitmap×bitmap popcount
+// would count outside the window. Without a window, when both rows are
+// available and a row's word count undercuts both array lengths, that
+// popcount answers in ceil(|V|/64) word ops flat.
+func (f *vmFrame) intersectCount(a, b []uint32, nbrA, nbrB int32, windowed bool) int64 {
 	if f.sh.hub != nil {
-		rowB := f.hubRow(nbrB)
-		var rowA []uint64
-		if !aWindowed {
-			rowA = f.hubRow(nbrA)
-		}
-		if rowA != nil && rowB != nil {
+		rowA, rowB := f.hubRow(nbrA), f.hubRow(nbrB)
+		if !windowed && rowA != nil && rowB != nil {
 			if w := f.sh.hub.Words(); w < len(a) && w < len(b) {
 				f.noteKernel(KernelBitmapCount, int64(w))
 				return vset.AndCount(rowA, rowB)
@@ -685,29 +726,17 @@ func (f *vmFrame) intersectCount(a, b []uint32, nbrA, nbrB int32, aWindowed bool
 
 // execCount evaluates a fused ICount: the size of a windowed (and
 // optionally intersected) set minus excluded members, with no set
-// materialized. Bounds narrow the base as zero-copy subslices. Imm
-// members are excluded without a test: the lowering proved them there.
+// materialized. The window cuts both operands as zero-copy subslices
+// (window). Imm members are excluded without a test: the lowering
+// proved them there.
 func (f *vmFrame) execCount(ins *ast.Instr) int64 {
-	a := f.sets[ins.A]
-	if ins.V >= 0 {
-		a = vset.SliceAbove(a, f.vars[ins.V])
-	}
-	if ins.SA >= 0 {
-		a = vset.SliceBelow(a, f.vars[ins.SA])
-	}
-	var n int64
+	a, b := f.operands(ins, ins.V, ins.SA)
+	n := int64(len(a))
 	if ins.B >= 0 {
-		b := f.sets[ins.B]
-		aWindowed := ins.V >= 0 || ins.SA >= 0
-		n = f.intersectCount(a, b, ins.NbrA, ins.NbrB, aWindowed)
-		if ins.NKeys > 0 {
-			n -= f.exclCount(ins, a, b)
-		}
-	} else {
-		n = int64(len(a))
-		if ins.NKeys > 0 {
-			n -= f.exclCount(ins, a, nil)
-		}
+		n = f.intersectCount(a, b, ins.NbrA, ins.NbrB, ins.V >= 0 || ins.SA >= 0)
+	}
+	if ins.NKeys > 0 {
+		n -= f.exclCount(ins, a, b)
 	}
 	return n - ins.Imm
 }
@@ -749,16 +778,26 @@ func (f *vmFrame) exclCount(ins *ast.Instr, a, b []uint32) int64 {
 // feeds the kernel counters per row, so profiles and the
 // steal-schedule-invariant work totals both see the build's true cost.
 // Under a depth-1 steal the thief replays the build muted (execPrefix),
-// exactly like the other pure prefix definitions.
+// exactly like the other pure prefix definitions. A windowed build
+// (clean-up rule 9) keeps only keys and row elements inside its window:
+// every row lookup's key lies inside it, and every row read reads only
+// inside it.
 func (f *vmFrame) execAuxBuild(ins *ast.Instr) {
 	t := ins.Dst
 	src := f.sets[ins.A]
+	windowed := ins.WinLo >= 0 || ins.WinHi >= 0
+	if windowed {
+		src = f.window(src, ins.NbrA, ins.WinLo, ins.WinHi)
+	}
 	offs := f.auxOffs[t][:0]
 	data := f.auxData[t][:0]
 	g := f.sh.g
 	hub := f.sh.hub
 	for _, v := range src {
 		nb := g.Neighbors(v)
+		if windowed {
+			nb = f.window(nb, -1, ins.WinLo, ins.WinHi)
+		}
 		need := len(nb)
 		if len(src) < need {
 			need = len(src)
@@ -844,7 +883,8 @@ func (f *vmFrame) execSet(ins *ast.Instr) {
 		f.sets[ins.Dst] = vset.SliceAbove(f.sets[ins.A], f.vars[ins.V])
 		return
 	case ast.OpIntersect:
-		dst = f.intersectInto(dst, f.sets[ins.A], f.sets[ins.B], ins.NbrA, ins.NbrB)
+		a, b := f.operands(ins, ins.WinLo, ins.WinHi)
+		dst = f.intersectInto(dst, a, b, ins.NbrA, ins.NbrB)
 	case ast.OpSubtract:
 		dst = f.subtractInto(dst, f.sets[ins.A], f.sets[ins.B], ins.NbrB)
 	case ast.OpRemove:

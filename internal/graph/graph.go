@@ -36,7 +36,11 @@ type Graph struct {
 	// adjacency list in vertex-ID order (2|E| entries).
 	offsets []int64
 	adj     []uint32
-	labels  []uint32 // optional; nil for unlabeled graphs
+	// split[v] is how many neighbors of v have IDs below v: the offset
+	// in N(v) where NeighborsAbove starts. One array per graph, built at
+	// Build and at slab open, shared by shallow copies.
+	split  []uint32
+	labels []uint32 // optional; nil for unlabeled graphs
 	// order maps internal ID to input ID and rank input ID to internal
 	// ID; both have NumVertices entries.
 	order []uint32
@@ -75,6 +79,29 @@ func (g *Graph) Name() string { return g.name }
 // aliases the graph's internal storage and must not be modified.
 func (g *Graph) Neighbors(v uint32) []uint32 {
 	return g.adj[g.offsets[v]:g.offsets[v+1]]
+}
+
+// NeighborsAbove returns N(v) ∩ {x > v}, the oriented neighbor list of
+// v, as a subslice of Neighbors(v) in O(1). It must not be modified.
+func (g *Graph) NeighborsAbove(v uint32) []uint32 {
+	return g.adj[g.offsets[v]+int64(g.split[v]) : g.offsets[v+1]]
+}
+
+// NeighborsBelow returns N(v) ∩ {x < v} as a subslice of Neighbors(v)
+// in O(1). It must not be modified.
+func (g *Graph) NeighborsBelow(v uint32) []uint32 {
+	return g.adj[g.offsets[v] : g.offsets[v]+int64(g.split[v])]
+}
+
+// splitOffsets returns, for every vertex v of a CSR with sorted lists
+// and no self-loops, the number of neighbors of v below v.
+func splitOffsets(offsets []int64, adj []uint32) []uint32 {
+	split := make([]uint32, len(offsets)-1)
+	for v := range split {
+		i, _ := slices.BinarySearch(adj[offsets[v]:offsets[v+1]], uint32(v))
+		split[v] = uint32(i)
+	}
+	return split
 }
 
 // Degree returns deg(v).
@@ -314,6 +341,7 @@ func (b *Builder) Build() (*Graph, error) {
 	g := &Graph{
 		offsets: offsets,
 		adj:     adjOut,
+		split:   splitOffsets(offsets, adjOut),
 		order:   order,
 		rank:    rank,
 		name:    b.name,

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -422,10 +423,28 @@ func TestRootVertexSets(t *testing.T) {
 	}
 }
 
+// requireOrientedLists checks NeighborsAbove and NeighborsBelow of
+// every vertex against slicing its full list by binary search.
+func requireOrientedLists(t *testing.T, what string, g *Graph) {
+	t.Helper()
+	for v := range uint32(g.NumVertices()) {
+		nb := g.Neighbors(v)
+		if got, want := g.NeighborsAbove(v), vset.SliceAbove(nb, v); !slices.Equal(got, want) {
+			t.Fatalf("%s: NeighborsAbove(%d) = %v, want %v", what, v, got, want)
+		}
+		if got, want := g.NeighborsBelow(v), vset.SliceBelow(nb, v); !slices.Equal(got, want) {
+			t.Fatalf("%s: NeighborsBelow(%d) = %v, want %v", what, v, got, want)
+		}
+	}
+}
+
 // FuzzVertexOrder builds a random labeled edge list and checks the
 // (degree, input ID) renumbering: order and rank are inverse
 // bijections, internal degrees never decrease and ties keep input
-// order, and every input edge and label is present under rank.
+// order, and every input edge and label is present under rank. The
+// oriented lists (NeighborsAbove/NeighborsBelow) must match slicing
+// N(v) at v on the heap graph, its slab-mapped twin and a relabelled
+// shallow copy, which shares the heap graph's split offsets.
 func FuzzVertexOrder(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint16(20))
 	f.Add(int64(2), uint8(1), uint16(0))
@@ -482,6 +501,22 @@ func FuzzVertexOrder(f *testing.F) {
 			if got := g.Label(g.rank[x]); got != l {
 				t.Fatalf("input vertex %d: label %d, want %d", x, got, l)
 			}
+		}
+		requireOrientedLists(t, "heap", g)
+		path := filepath.Join(t.TempDir(), "g.slab")
+		if err := g.WriteSlabFile(path); err != nil {
+			t.Fatal(err)
+		}
+		mg, err := OpenMapped(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireOrientedLists(t, "mapped", mg)
+		mg.Close()
+		c := g.WithRandomLabels(3, seed)
+		requireOrientedLists(t, "relabelled copy", c)
+		if len(c.split) > 0 && &c.split[0] != &g.split[0] {
+			t.Fatal("relabelled copy does not share the split offsets")
 		}
 	})
 }

@@ -29,7 +29,9 @@ import (
 //
 // OpenMapped checks the permutation and every offset and neighbor ID
 // once at open, so a corrupted file is rejected with an error instead
-// of making accessors panic later.
+// of making accessors panic later. The split offsets behind
+// NeighborsAbove/NeighborsBelow are derived, not stored: open rebuilds
+// them on the heap, one uint32 per vertex.
 const slabMagic = "DMSLAB03"
 
 // retiredSlabMagics are earlier layouts, recognized only to ask for
@@ -322,6 +324,7 @@ func decodeSlabFile(data []byte) (*Graph, error) {
 	if g.maxDeg, err = checkCSR(g.offsets, g.adj); err != nil {
 		return nil, err
 	}
+	g.split = splitOffsets(g.offsets, g.adj)
 	if n > 0 {
 		g.avgDeg = float64(adjTotal) / float64(n)
 	}

@@ -117,16 +117,16 @@ func pinnedWorkloads() []pinnedWorkload {
 	}
 	return []pinnedWorkload{
 		{name: "motif5-gnp", graph: gnp(220, 0.03, 42), query: motifs(5), want: pinnedFields{
-			count: 344661, instructions: 733914, cache: [3]int64{68, 24, 0},
+			count: 344661, instructions: 716342, cache: [3]int64{68, 24, 0},
 			kernels: map[string]int64{"merge": 80606},
 		}},
 		{name: "motif6-gnp", graph: gnp(110, 0.04, 43), query: motifs(6), want: pinnedFields{
-			count: 226211, instructions: 1808776, cache: [3]int64{394, 144, 0},
+			count: 226211, instructions: 1756194, cache: [3]int64{394, 144, 0},
 			kernels: map[string]int64{"merge": 178890},
 		}},
 		{name: "motif5-rmat", graph: rmat(8, 6, 44), query: motifs(5), want: pinnedFields{
-			count: 13437142, instructions: 10200142, cache: [3]int64{90, 40, 0},
-			kernels: map[string]int64{"gallop": 39878, "merge": 977374},
+			count: 13437142, instructions: 9959860, cache: [3]int64{90, 40, 0},
+			kernels: map[string]int64{"gallop": 35008, "merge": 982244},
 		}},
 		{name: "fsm-gnp-labeled", query: pinnedFSM(40, 2),
 			graph: func() *decomine.Graph { return decomine.GenerateGNP(300, 0.02, 45).WithRandomLabels(3, 45) },
@@ -150,29 +150,29 @@ func pinnedWorkloads() []pinnedWorkload {
 		{name: "motif5-hub-rmat", query: motifs(5),
 			graph: func() *decomine.Graph { return decomine.GenerateRMAT(9, 8, 47).BuildHubIndex(48) },
 			want: pinnedFields{
-				count: 205061107, instructions: 35428396, cache: [3]int64{93, 43, 0},
-				kernels: map[string]int64{"bitmap": 2565546, "bitmap-count": 430366, "gallop": 20300, "merge": 1518566},
+				count: 205061107, instructions: 35397314, cache: [3]int64{93, 43, 0},
+				kernels: map[string]int64{"bitmap": 2565546, "bitmap-count": 430366, "gallop": 20220, "merge": 1518646},
 			}},
 		{name: "motif4-mmap-rmat", graph: rmat(11, 8, 48), query: motifs(4), want: pinnedFields{
-			count: 110482571, instructions: 2549474, cache: [3]int64{24, 10, 0},
-			kernels: map[string]int64{"bitmap": 214888, "bitmap-count": 396, "gallop": 11926, "merge": 219090},
+			count: 110482571, instructions: 2523816, cache: [3]int64{24, 10, 0},
+			kernels: map[string]int64{"bitmap": 214888, "bitmap-count": 396, "gallop": 2854, "merge": 228162},
 		}},
 		{name: "motif6-aux-community", graph: community(768, 6, 16, 49), aux: true,
 			query: func(s *decomine.System) (int64, error) { return s.PseudoCliqueCount(6, 1) },
 			want: pinnedFields{
-				count: 2521995, instructions: 48121134, cache: [3]int64{6, 4, 0},
-				kernels:    map[string]int64{"gallop": 1963612, "merge": 7960184},
-				auxElemsOn: 405887317,
+				count: 2521995, instructions: 44797054, cache: [3]int64{6, 4, 0},
+				kernels:    map[string]int64{"gallop": 66276, "merge": 9857520},
+				auxElemsOn: 167087363,
 			}},
 		{name: "serve-cache-rmat", graph: rmat(9, 6, 50), custom: pinnedServeScript, want: pinnedFields{
 			count: 37026862, instructions: 15331, cache: [3]int64{3, 3, 0},
-			kernels: map[string]int64{"gallop": 419, "merge": 1811},
+			kernels: map[string]int64{"merge": 2230},
 			serve:   [3]int64{8, 4, 1},
 		}},
 		{name: "motif6-batch-community", graph: community(64, 2, 6, 49), custom: pinnedBatchCensus, want: pinnedFields{
-			count: 11193236, instructions: 238158286, cache: [3]int64{3773, 157, 0},
+			count: 11193236, instructions: 228670301, cache: [3]int64{3773, 157, 0},
 			kernels: map[string]int64{"merge": 27481024},
-			batch:   [4]int64{10522193, 217113900, 3374, 130},
+			batch:   [4]int64{10205903, 208258495, 3374, 130},
 		}},
 	}
 }

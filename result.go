@@ -64,18 +64,27 @@ func execStatsFromResult(res *engine.Result) ExecStats {
 			st.Instructions += c
 		}
 	}
-	for k, c := range res.KernelCounts {
-		if c != 0 {
-			if st.Kernels == nil {
-				st.Kernels = map[string]int64{}
-			}
-			st.Kernels[engine.KernelNames[k]] = c
-		}
-	}
+	st.Kernels = kernelMap(res.KernelCounts)
+	st.KernelElems = kernelMap(res.KernelElems)
 	st.Steals = res.Steals
 	st.Splits = res.Splits
 	st.Profile = res.Profile
 	return st
+}
+
+// kernelMap names per-kernel-path counters, omitting zeros; nil when all
+// are zero.
+func kernelMap(per []int64) map[string]int64 {
+	var m map[string]int64
+	for k, c := range per {
+		if c != 0 {
+			if m == nil {
+				m = map[string]int64{}
+			}
+			m[engine.KernelNames[k]] = c
+		}
+	}
+	return m
 }
 
 // CountPattern returns the number of edge-induced embeddings of p under
