@@ -41,7 +41,9 @@ type auxRun struct{ count, elems int64 }
 
 // auxOnOff runs the plan s chooses for r twice through the engine:
 // lowered as the search left it, with the tables the arbiter accepted,
-// and lowered with every table rejected.
+// and lowered with every table rejected. Both sides are list forms
+// (ast.LowerListForm): a local region's word form skips the tables it
+// covers, which would make the two sides' element work the same.
 func auxOnOff(t testing.TB, s *System, r planReq) (on, off auxRun) {
 	t.Helper()
 	e := mustPlan(t, s, r)
@@ -53,7 +55,7 @@ func auxOnOff(t testing.TB, s *System, r planReq) (on, off auxRun) {
 		}
 		return auxRun{count: c, elems: elems}
 	}
-	return run(e.plan.Lowered()), run(ast.LowerWith(e.plan.Prog, rejectAux))
+	return run(ast.LowerListForm(e.plan.Prog, e.plan.LowerOpts)), run(ast.LowerListForm(e.plan.Prog, rejectAux))
 }
 
 func mustPlan(t testing.TB, s *System, r planReq) *planEntry {

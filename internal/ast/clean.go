@@ -86,10 +86,16 @@ package ast
 //     window elements, and every lookup still hits. A windowed
 //     intersection counts as a trim for the order (trimOrder): a loop
 //     over it binds
-//     only values inside its window. Rule 9 runs once, after the rest
-//     reach their fixpoint, and only in LowerWith: LowerUnwindowed is
-//     the stream without it, since windows change kernel work, and can
-//     move a dispatch between merge and gallop, by design.
+//     only values inside its window. An operand whose own window,
+//     trim or table window already implies a bound of a windowed
+//     intersection or count is not cut there (Instr.Flags' Uncut bits):
+//     K5's `s9 = s4 ∩ s21 : x > v1 : x < v2` reads s4, itself windowed
+//     `x > v1`, without a Seek above v1. Rule 9 runs once, after the
+//     rest reach their fixpoint, and only in LowerWith and LowerListForm
+//     (LowerWith without local regions, the stream the window tests
+//     compare): LowerUnwindowed is the stream without it, since windows
+//     change kernel work, and can move a dispatch between merge and
+//     gallop, by design.
 //
 // A straight-line block is a maximal run of instructions entered only
 // at its first one, together with the control instruction ending it
@@ -471,8 +477,9 @@ func (l *Lowered) redirectTrims() bool {
 	return changed
 }
 
-// windowIntersections applies rule 9.
-func (l *Lowered) windowIntersections() {
+// windowIntersections applies rule 9 and returns the windowed code's
+// trim order, which the local-region pass reads too.
+func (l *Lowered) windowIntersections() *trimOrder {
 	sc := newAuxScan(l)
 	o := newTrimOrder(sc)
 	readers := map[int32][]int32{} // set register -> pcs reading it
@@ -633,11 +640,72 @@ func (l *Lowered) windowIntersections() {
 			keep[i] = true
 		}
 		if !l.dropDeadDefs(keep) {
-			return
+			break
 		}
 		l.chargeDeleted(keep)
 		l.compact(keep)
 	}
+	return l.markUncut()
+}
+
+// markUncut sets the Uncut bits of rule 9: on each windowed
+// intersection and windowed count, the operands whose own bounds
+// already imply a bound of the window. It returns the trim order it
+// read.
+func (l *Lowered) markUncut() *trimOrder {
+	sc := newAuxScan(l)
+	o := newTrimOrder(sc)
+	builds := map[int32]int32{} // aux table -> its build's pc
+	for pc := range l.Code {
+		if l.Code[pc].Op == IAuxBuild {
+			builds[l.Code[pc].Dst] = int32(pc)
+		}
+	}
+	// own returns operand x's bound on side (0: lower, 1: upper) and the
+	// pc that reads it, or -1.
+	own := func(x int32, side int) (int32, int32) {
+		d, ok := sc.defPC[x]
+		if !ok {
+			return -1, -1
+		}
+		def := &l.Code[d]
+		switch {
+		case windowable(def):
+			return [2]int32{def.WinLo, def.WinHi}[side], d
+		case def.Set == [2]SetOp{OpTrimBelow, OpTrimAbove}[side]:
+			return def.V, d
+		case def.Set == OpAuxRow:
+			if b, ok := builds[def.A]; ok {
+				return [2]int32{l.Code[b].WinLo, l.Code[b].WinHi}[side], b
+			}
+		}
+		return -1, -1
+	}
+	bits := [2][2]uint8{{UncutLoA, UncutHiA}, {UncutLoB, UncutHiB}}
+	for pc := range l.Code {
+		ins := &l.Code[pc]
+		var win [2]int32
+		switch {
+		case windowable(ins):
+			win = [2]int32{ins.WinLo, ins.WinHi}
+		case ins.Op == ICount:
+			win = [2]int32{ins.V, ins.SA}
+		default:
+			continue
+		}
+		p := int32(pc)
+		for i, x := range [2]int32{ins.A, ins.B} {
+			for side, op := range [2]SetOp{OpTrimBelow, OpTrimAbove} {
+				if x < 0 || win[side] < 0 {
+					continue
+				}
+				if b, d := own(x, side); b >= 0 && o.fixed(b, d, p) && o.implies(b, win[side], p, p, op) {
+					ins.Flags |= bits[i][side]
+				}
+			}
+		}
+	}
+	return o
 }
 
 // windowable reports whether rule 9 may window set def ins: an

@@ -66,6 +66,11 @@ const (
 	// auxiliary-graph pass (aux.go); rows are read through ISetDef
 	// OpAuxRow.
 	IAuxBuild
+	// ILocalBuild opens a local region (local.go): it indexes the members
+	// of set register A by their rank, builds their row masks, and picks
+	// the word form or the list form for the region's instructions under
+	// the current root.
+	ILocalBuild
 	// NumOpcodes is the number of distinct opcodes (sizes counter arrays).
 	NumOpcodes
 )
@@ -73,7 +78,7 @@ const (
 var opNames = [NumOpcodes]string{
 	"loop.begin", "loop.next", "set", "scalar", "reset", "accum",
 	"global.add", "hash.clear", "hash.inc", "hash.get", "cond.skip", "emit",
-	"count", "aux.build",
+	"count", "aux.build", "local.build",
 }
 
 // String returns the disassembler mnemonic of the opcode.
@@ -111,6 +116,10 @@ func (op OpCode) String() string {
 //	             be excluded, subtracted as a constant (clean-up rule 7)
 //	IAuxBuild    Dst=aux table index, A=source set register,
 //	             WinLo/WinHi=window of its keys and rows (rule 9)
+//	ILocalBuild  A=S, the region's index set; WinLo/WinHi=window of the
+//	             members that get a row; Imm=1 when every row is read
+//	             only above its own vertex (rows N⁺(u) ∩ S), 0 for
+//	             whole rows N(u) ∩ S
 //
 // ISetDef with Set == OpAuxRow aliases Dst to auxiliary table A's row
 // for vertex variable V (empty when the vertex has no row).
@@ -118,6 +127,8 @@ type Instr struct {
 	Op  OpCode
 	Set SetOp
 	SOp ScalarOp
+	// Flags holds FlagLocal and the Uncut* bits (see their docs).
+	Flags uint8
 
 	Dst int32
 	A   int32
@@ -158,6 +169,22 @@ type Instr struct {
 	Imm int64
 }
 
+// Instr.Flags bits.
+const (
+	// FlagLocal marks an instruction of a local region (local.go): it
+	// runs in the word form when its root chose the word form at the
+	// region's ILocalBuild, and in the list form otherwise.
+	FlagLocal uint8 = 1 << iota
+	// UncutLoA/UncutHiA/UncutLoB/UncutHiB mark, on a windowed
+	// intersection or count, an operand whose own window or trim already
+	// implies the instruction's lower (Lo) or upper (Hi) bound: the
+	// engine does not cut it there (clean-up rule 9).
+	UncutLoA
+	UncutHiA
+	UncutLoB
+	UncutHiB
+)
+
 // Segment is one root-level statement of the lowered program. The
 // parallel driver iterates segments in order; loop segments are the
 // parallelizable units (the driver binds the loop variable per chunk and
@@ -192,6 +219,9 @@ type Lowered struct {
 	// log.
 	Aux          []AuxTable
 	AuxDecisions []AuxDecision
+	// Local is, per set register, how a local region's word form reads
+	// it (local.go); nil when the program has no local region.
+	Local []LocalKind
 }
 
 // SetRegs returns the set-register file size of the lowered form
@@ -211,11 +241,12 @@ func Lower(p *Program) *Lowered { return LowerWith(p, LowerOpts{}) }
 // conditional offsets are resolved to absolute instruction indices; hash
 // and emit keys are pooled into one shared slice. The program must not
 // be mutated afterwards (the lowered form does not track tree edits).
-// The last step is the clean-up pass (clean.go), which changes what
-// executes but never what the program computes.
+// The last steps are the clean-up pass (clean.go) and the local-region
+// pass (local.go), which change what executes but never what the
+// program computes.
 func LowerWith(p *Program, opts LowerOpts) *Lowered {
 	l := LowerUnwindowed(p, opts)
-	l.windowIntersections()
+	l.localize(l.windowIntersections())
 	obsLowerings.Inc()
 	obsCodeLen.Observe(int64(len(l.Code)))
 	return l
@@ -236,11 +267,23 @@ func LowerUncleaned(p *Program, opts LowerOpts) *Lowered { return lower(p, opts)
 // LowerUnwindowed is LowerWith without rule 9 of the clean-up pass.
 // Windows change kernel work by design, so tests of rules 1–8 compare
 // it, not LowerWith, against LowerUncleaned, and tests of rule 9
-// compare LowerWith against it. Nothing but LowerWith and tests call
-// it.
+// compare LowerListForm, the rule-9 stream without local regions,
+// against it. Nothing but LowerWith, LowerListForm and tests call it.
 func LowerUnwindowed(p *Program, opts LowerOpts) *Lowered {
 	l := lower(p, opts)
 	l.clean()
+	return l
+}
+
+// LowerListForm is LowerWith without the local-region pass (local.go):
+// every instruction runs in the list form on every root. Local regions
+// skip auxiliary table builds and move kernel work between the list
+// kernels and word operations by design, so tests that measure table
+// or window element work compare list forms, and tests of the pass
+// compare LowerWith against it. Nothing but tests calls it.
+func LowerListForm(p *Program, opts LowerOpts) *Lowered {
+	l := LowerUnwindowed(p, opts)
+	l.windowIntersections()
 	return l
 }
 
@@ -332,8 +375,8 @@ func lower(p *Program, opts LowerOpts) *Lowered {
 }
 
 // annotateNeighborOperands fills Instr.NbrA/NbrB on the intersect/
-// subtract family (including fused counts) and NbrA on the label
-// filters that have a slice path and on table builds: the vertex
+// subtract family (including fused counts) and NbrA on trims, on the
+// label filters that have a slice path and on table builds: the vertex
 // variable whose OpNeighbors definition is the operand's single SSA def
 // site, or -1.
 // Runs after fuseCounts so annotations land on the surviving
@@ -360,6 +403,10 @@ func (l *Lowered) annotateNeighborOperands() {
 		case ins.Op == ISetDef && (ins.Set == OpIntersect || ins.Set == OpSubtract):
 			ins.NbrA, ins.NbrB = lookup(ins.A), lookup(ins.B)
 		case ins.Op == ISetDef && (ins.Set == OpFilterLabel || ins.Set == OpFilterLabelOfVar):
+			ins.NbrA, ins.NbrB = lookup(ins.A), -1
+		case ins.Op == ISetDef && (ins.Set == OpTrimBelow || ins.Set == OpTrimAbove):
+			// NbrA == V: a trim of the bound's own neighbor list, which the
+			// graph slices as its oriented list in O(1).
 			ins.NbrA, ins.NbrB = lookup(ins.A), -1
 		case ins.Op == ICount:
 			ins.NbrA = lookup(ins.A)
@@ -413,7 +460,7 @@ func setOperands(ins *Instr, dst []*int32) []*int32 {
 		if ins.B >= 0 {
 			dst = append(dst, &ins.B)
 		}
-	case IAuxBuild:
+	case IAuxBuild, ILocalBuild:
 		return append(dst, &ins.A)
 	}
 	return dst
@@ -577,25 +624,35 @@ func (l *Lowered) KeyVars(ins *Instr) []int32 {
 }
 
 // Disassemble renders the instruction stream one instruction per line,
-// used by Explain and the golden tests.
+// used by Explain and the golden tests. An instruction of a local region
+// carries "·w" on its mnemonic: it runs on words when its root chose the
+// word form (local.go).
 func (l *Lowered) Disassemble() string {
 	var sb strings.Builder
 	for i := range l.Code {
 		ins := &l.Code[i]
-		fmt.Fprintf(&sb, "%03d  %-10s %s\n", i, ins.Op.String(), l.operandString(ins))
+		op := ins.Op.String()
+		if ins.Flags&FlagLocal != 0 {
+			op += "·w"
+		}
+		fmt.Fprintf(&sb, "%03d  %-12s %s\n", i, op, l.operandString(ins))
 	}
 	return sb.String()
 }
 
 // orientedNote lists, as a disassembly comment, the operands of a
 // windowed intersection or count that the engine reads as oriented
-// neighbor lists: `  ; s3 = N⁺(v1)`.
+// neighbor lists, and those it reads uncut because their own bounds
+// already keep them inside the window: `  ; s3 = N⁺(v1), s4 uncut`.
 func orientedNote(ins *Instr, lo, hi int32) string {
 	var parts []string
-	for _, op := range [][2]int32{{ins.A, ins.NbrA}, {ins.B, ins.NbrB}} {
+	for i, op := range [][2]int32{{ins.A, ins.NbrA}, {ins.B, ins.NbrB}} {
 		if r := fmt.Sprintf("s%d", op[0]); op[0] >= 0 {
 			if o := orientedOperand(op[0], op[1], lo, hi); o != r {
 				parts = append(parts, r+" = "+o)
+			}
+			if ins.Flags&([2]uint8{UncutLoA | UncutHiA, UncutLoB | UncutHiB}[i]) != 0 {
+				parts = append(parts, r+" uncut")
 			}
 		}
 	}
@@ -603,6 +660,15 @@ func orientedNote(ins *Instr, lo, hi int32) string {
 		return ""
 	}
 	return "  ; " + strings.Join(parts, ", ")
+}
+
+// localNote renders a set def's word-form reading, as a disassembly
+// comment: `  ; row(v1)` for a register read as a row mask.
+func (l *Lowered) localNote(ins *Instr) string {
+	if int(ins.Dst) < len(l.Local) && l.Local[ins.Dst] == LocalRow {
+		return fmt.Sprintf("  ; row(v%d)", ins.V)
+	}
+	return ""
 }
 
 func (l *Lowered) operandString(ins *Instr) string {
@@ -624,14 +690,19 @@ func (l *Lowered) operandString(ins *Instr) string {
 		return fmt.Sprintf("v%d  back->%03d  ; loop %d", ins.Dst, ins.Off+1, ins.LoopID)
 	case ISetDef:
 		if ins.Set == OpAuxRow {
-			return fmt.Sprintf("s%d = a%d[v%d]", ins.Dst, ins.A, ins.V)
+			return fmt.Sprintf("s%d = a%d[v%d]%s", ins.Dst, ins.A, ins.V, l.localNote(ins))
 		}
 		n := Node{Op: ins.Set, A: int(ins.A), B: int(ins.B), V: int(ins.V), Imm: ins.Imm}
-		if windowable(ins) {
+		switch {
+		case windowable(ins):
 			return fmt.Sprintf("s%d = %s%s%s", ins.Dst, setOpString(&n), windowString(ins.WinLo, ins.WinHi),
 				orientedNote(ins, ins.WinLo, ins.WinHi))
+		case ins.Set == OpTrimBelow && ins.NbrA == ins.V:
+			return fmt.Sprintf("s%d = %s  ; = N⁺(v%d)", ins.Dst, setOpString(&n), ins.V)
+		case ins.Set == OpTrimAbove && ins.NbrA == ins.V:
+			return fmt.Sprintf("s%d = %s  ; = N⁻(v%d)", ins.Dst, setOpString(&n), ins.V)
 		}
-		return fmt.Sprintf("s%d = %s", ins.Dst, setOpString(&n))
+		return fmt.Sprintf("s%d = %s%s", ins.Dst, setOpString(&n), l.localNote(ins))
 	case IScalarDef:
 		n := Node{SOp: ins.SOp, A: int(ins.A), SA: int(ins.SA), SB: int(ins.SB), V: int(ins.V), Imm: ins.Imm}
 		return fmt.Sprintf("x%d = %s", ins.Dst, scalarOpString(&n))
@@ -668,6 +739,13 @@ func (l *Lowered) operandString(ins *Instr) string {
 	case IAuxBuild:
 		return fmt.Sprintf("a%d = {v -> N(v) ∩ s%d : v ∈ s%d}%s%s", ins.Dst, ins.A, ins.A,
 			windowString(ins.WinLo, ins.WinHi), orientedNote(ins, ins.WinLo, ins.WinHi))
+	case ILocalBuild:
+		row := "N(u)"
+		if ins.Imm != 0 {
+			row = "N⁺(u)"
+		}
+		return fmt.Sprintf("S = s%d, rows %s ∩ S : u ∈ S%s", ins.A, row,
+			strings.ReplaceAll(windowString(ins.WinLo, ins.WinHi), "x", "u"))
 	}
 	return "?"
 }

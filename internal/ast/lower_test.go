@@ -412,10 +412,57 @@ func TestWindowedPrinters(t *testing.T) {
 			t.Errorf("disassembly lacks %q:\n%s", want, dis)
 		}
 	}
-	if want := fmt.Sprintf("s%d = s%d ∩ s%d  # runs as s%d ∩ N⁺(v%d) : x > v%d\n", c, n0, n1, n0, v1, v1); !strings.Contains(pseudo, want) {
+	if want := fmt.Sprintf("s%d = s%d ∩ s%d  # runs as s%d ∩ N⁺(v%d) : x > v%d", c, n0, n1, n0, v1, v1); !strings.Contains(pseudo, want) {
 		t.Errorf("pseudo-code lacks %q:\n%s", want, pseudo)
 	}
 	if plain := Print(l.Prog); strings.Contains(plain, "runs as") {
 		t.Errorf("Print annotates windows:\n%s", plain)
+	}
+}
+
+// TestLocalPrinters: the clique chain's levels below N⁺(v0) run on
+// words, and both printers say so: the disassembly with the build, the
+// `·w` mnemonics and the rows, the pseudo-code with S, the masks, the
+// rows and the loops over bits. Print stays the AST alone.
+func TestLocalPrinters(t *testing.T) {
+	b := NewBuilder(0)
+	g := b.NewGlobal()
+	v0 := b.BeginLoop(b.All(), nil)
+	n0 := b.Neighbors(v0)
+	s := b.TrimBelow(n0, v0)
+	v1 := b.BeginLoop(s, nil)
+	n1 := b.Neighbors(v1)
+	c := b.Intersect(n0, n1)
+	v2 := b.BeginLoop(b.TrimBelow(c, v1), nil)
+	b.GlobalAdd(g, b.Size(b.TrimBelow(b.Intersect(c, b.Neighbors(v2)), v2)), 1)
+	b.EndLoop()
+	b.EndLoop()
+	b.EndLoop()
+	l := Lower(b.Finish())
+	dis, pseudo := l.Disassemble(), l.Pseudocode()
+	for _, want := range []string{
+		fmt.Sprintf("local.build  S = s%d, rows N⁺(u) ∩ S : u ∈ S\n", s),
+		fmt.Sprintf("loop.begin·w v%d in s%d", v1, s),
+		fmt.Sprintf("set·w        s%d = N(v%d)  ; row(v%d)\n", n1, v1, v1),
+		fmt.Sprintf("set·w        s%d = s%d ∩ s%d : x > v%d", c, n0, n1, v1),
+		"count·w",
+		fmt.Sprintf("set          s%d = s%d ∩ {x > v%d}  ; = N⁺(v%d)\n", s, n0, v0, v0),
+	} {
+		if !strings.Contains(dis, want) {
+			t.Errorf("disassembly lacks %q:\n%s", want, dis)
+		}
+	}
+	for _, want := range []string{
+		fmt.Sprintf("s%d = s%d ∩ {x > v%d}  # local S, rows N⁺(u) ∩ S\n", s, n0, v0),
+		fmt.Sprintf("for v%d in s%d {  # over bits\n", v1, s),
+		fmt.Sprintf("s%d = N(v%d)  # row(v%d)\n", n1, v1, v1),
+		fmt.Sprintf(": x > v%d  # words\n", v1),
+	} {
+		if !strings.Contains(pseudo, want) {
+			t.Errorf("pseudo-code lacks %q:\n%s", want, pseudo)
+		}
+	}
+	if plain := Print(l.Prog); strings.Contains(plain, "#") {
+		t.Errorf("Print annotates the local region:\n%s", plain)
 	}
 }

@@ -50,4 +50,9 @@ func TestDisassemblerFormatsAllOpcodes(t *testing.T) {
 	if got := l.operandString(&row); !strings.Contains(got, "a1[v3]") {
 		t.Errorf("OpAuxRow rendering lost the table/vertex reference: %q", got)
 	}
+	// ILocalBuild names its set S, the rows it builds and their window.
+	build := Instr{Op: ILocalBuild, A: 2, B: -1, V: 0, SA: -1, SB: -1, WinLo: 0, WinHi: -1, Imm: 1}
+	if got := l.operandString(&build); got != "S = s2, rows N⁺(u) ∩ S : u ∈ S : u > v0" {
+		t.Errorf("ILocalBuild rendering: %q", got)
+	}
 }

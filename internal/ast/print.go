@@ -14,23 +14,57 @@ func Print(p *Program) string { return printProgram(p, nil) }
 // Pseudocode renders the lowered form's program as Print does, with
 // each intersection the clean-up pass windowed (rule 9) annotated with
 // what runs: its window, and the operands read as oriented neighbor
-// lists, as in `s4 = s1 ∩ s3  # runs as s1 ∩ N⁺(v1) : x > v1`. The rest
-// is the AST the cost model priced; the disassembly shows what the
-// clean-up pass deleted.
+// lists, as in `s4 = s1 ∩ s3  # runs as s1 ∩ N⁺(v1) : x > v1`. A local
+// region (local.go) marks its set S (`# local S, rows N⁺(u) ∩ S`), the
+// subsets of S it holds as word masks (`# words`), the neighbor sets it
+// reads as row masks (`# row(v1)`) and the loops that iterate set bits
+// (`# over bits`). The rest is the AST the cost model priced; the
+// disassembly shows what the clean-up pass deleted.
 func (l *Lowered) Pseudocode() string {
 	windowed := map[int]*Instr{}
+	builds := map[int]*Instr{}
+	bits := map[int]bool{} // variables bound by loops over set bits
 	for i := range l.Code {
-		if ins := &l.Code[i]; windowable(ins) && (ins.WinLo >= 0 || ins.WinHi >= 0) {
+		switch ins := &l.Code[i]; {
+		case windowable(ins) && (ins.WinLo >= 0 || ins.WinHi >= 0):
 			windowed[int(ins.Dst)] = ins
+		case ins.Op == ILocalBuild:
+			builds[int(ins.A)] = ins
+		case ins.Op == ILoopBegin && ins.Flags&FlagLocal != 0:
+			bits[int(ins.Dst)] = true
 		}
 	}
+	local := func(r int) LocalKind {
+		if r < len(l.Local) {
+			return l.Local[r]
+		}
+		return LocalNone
+	}
 	return printProgram(l.Prog, func(n *Node) string {
-		ins, ok := windowed[n.Dst]
-		if n.Kind != KSetDef || !ok {
+		if n.Kind == KLoop {
+			if bits[n.Var] {
+				return "  # over bits"
+			}
 			return ""
 		}
-		return fmt.Sprintf("  # runs as %s ∩ %s%s", orientedOperand(ins.A, ins.NbrA, ins.WinLo, ins.WinHi),
-			orientedOperand(ins.B, ins.NbrB, ins.WinLo, ins.WinHi), windowString(ins.WinLo, ins.WinHi))
+		note := ""
+		if ins, ok := windowed[n.Dst]; ok {
+			note = fmt.Sprintf("  # runs as %s ∩ %s%s", orientedOperand(ins.A, ins.NbrA, ins.WinLo, ins.WinHi),
+				orientedOperand(ins.B, ins.NbrB, ins.WinLo, ins.WinHi), windowString(ins.WinLo, ins.WinHi))
+		}
+		switch k := local(n.Dst); {
+		case builds[n.Dst] != nil:
+			row := "N(u)"
+			if builds[n.Dst].Imm != 0 {
+				row = "N⁺(u)"
+			}
+			note += fmt.Sprintf("  # local S, rows %s ∩ S", row)
+		case k == LocalMask:
+			note += "  # words"
+		case k == LocalRow:
+			note += fmt.Sprintf("  # row(v%d)", n.V)
+		}
+		return note
 	})
 }
 
@@ -61,7 +95,7 @@ func windowString(lo, hi int32) string {
 }
 
 // printProgram renders p; note, when non-nil, returns a suffix for a
-// node's line.
+// set def's or a loop's line.
 func printProgram(p *Program, note func(*Node) string) string {
 	var sb strings.Builder
 	var rec func(n *Node, indent int)
@@ -77,6 +111,9 @@ func printProgram(p *Program, note func(*Node) string) string {
 			fmt.Fprintf(&sb, "%sfor v%d in s%d {", ind(indent), n.Var, n.Over)
 			if n.Meta != nil && n.Meta.PrefixCode != "" {
 				fmt.Fprintf(&sb, "  # prefix %s", shortCode(string(n.Meta.PrefixCode)))
+			}
+			if note != nil {
+				sb.WriteString(note(n))
 			}
 			sb.WriteByte('\n')
 			for _, c := range n.Body {

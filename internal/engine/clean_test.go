@@ -154,6 +154,9 @@ func tally(code []ast.Instr) map[string]int {
 				n["windowed"]++
 			}
 		}
+		if ins.Flags&(ast.UncutLoA|ast.UncutHiA|ast.UncutLoB|ast.UncutHiB) != 0 {
+			n["uncut"]++
+		}
 	}
 	return n
 }
@@ -593,6 +596,20 @@ var windowCases = []struct {
 		b.EndLoop()
 		b.EndLoop()
 	}, map[string]int{"windowed": 0}},
+	{"an operand inside the window is not cut", func(b *ast.Builder, g int) {
+		v0 := b.BeginLoop(b.All(), nil)
+		n0 := b.Neighbors(v0)
+		v1 := b.BeginLoop(b.TrimBelow(n0, v0), nil)
+		c1 := b.Intersect(n0, b.Neighbors(v1))
+		v2 := b.BeginLoop(b.TrimBelow(c1, v1), nil)
+		c2 := b.Intersect(c1, b.Neighbors(v2))
+		v3 := b.BeginLoop(b.TrimAbove(b.TrimBelow(c2, v1), v2), nil)
+		b.GlobalAdd(g, b.Size(b.Neighbors(v3)), 1)
+		b.EndLoop()
+		b.EndLoop()
+		b.EndLoop()
+		b.EndLoop()
+	}, map[string]int{"windowed": 2, "uncut": 1}},
 	{"a window too loose for a reader keeps its trim", func(b *ast.Builder, g int) {
 		v0 := b.BeginLoop(b.All(), nil)
 		n0 := b.Neighbors(v0)
@@ -609,8 +626,9 @@ var windowCases = []struct {
 
 // TestCleanWindows checks rule 9 where it must fire and where it must
 // not, structurally on the windowed code and semantically against the
-// tree evaluator on one and four threads; the programs of rule 6's
-// cases must agree with the tree evaluator windowed too.
+// tree evaluator on one and four threads, in the list form and with
+// local regions; the programs of rule 6's cases must agree with the
+// tree evaluator windowed too.
 func TestCleanWindows(t *testing.T) {
 	g := graph.RMAT(7, 6, 11)
 	for _, tc := range windowCases {
@@ -618,7 +636,7 @@ func TestCleanWindows(t *testing.T) {
 			b := ast.NewBuilder(0)
 			tc.build(b, b.NewGlobal())
 			prog := b.Finish()
-			code := ast.Lower(prog)
+			code := ast.LowerListForm(prog, ast.LowerOpts{})
 			got := tally(code.Code)
 			for op, n := range tc.want {
 				if got[op] != n {
@@ -626,6 +644,7 @@ func TestCleanWindows(t *testing.T) {
 				}
 			}
 			agreeWithTree(t, g, prog, code, nil)
+			agreeWithTree(t, g, prog, ast.Lower(prog), nil)
 		})
 	}
 	for _, tc := range trimCases {

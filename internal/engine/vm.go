@@ -25,18 +25,21 @@ import (
 // which data-plane kernel the VM's intersect/subtract dispatch chose.
 // KernelBitmap is the array×bitmap filter (materializing or counting)
 // through a hub's adjacency row; KernelBitmapCount is the bitmap×bitmap
-// popcount (vset.AndCount) when both operands are hub rows.
+// popcount (vset.AndCount) when both operands are hub rows. KernelWords
+// is a word op of a local region's word form (local.go), one element
+// per word read.
 const (
 	KernelMerge = iota
 	KernelGallop
 	KernelBitmap
 	KernelBitmapCount
+	KernelWords
 	NumKernels
 )
 
 // KernelNames maps kernel-path indices to the names used in the obs
 // registry ("engine.kernel.<name>") and in bench reports.
-var KernelNames = [NumKernels]string{"merge", "gallop", "bitmap", "bitmap-count"}
+var KernelNames = [NumKernels]string{"merge", "gallop", "bitmap", "bitmap-count", "words"}
 
 // vmShared is the per-program immutable state shared by every worker
 // frame: the bytecode, the graph, the graph-owned vertex lists that root
@@ -73,6 +76,9 @@ type vmShared struct {
 	// depths[pc] is the static loop depth of each instruction (capped at
 	// profMaxDepth-1), the profiler's depth attribution axis.
 	depths []int8
+	// local is the word form's plan of the program's local regions
+	// (local.go); zero without one.
+	local localPlan
 	// framePool recycles worker frames (register files + arenas) across
 	// runs of this program, so repeated queries allocate nothing.
 	framePool sync.Pool
@@ -115,7 +121,7 @@ func analyzeD1(bc *ast.Lowered) []d1Info {
 		pure := true
 		for pc < seg.End-1 && bc.Code[pc].Op != ast.ILoopBegin {
 			switch bc.Code[pc].Op {
-			case ast.ISetDef, ast.IScalarDef, ast.ICount, ast.IScalarReset, ast.IAuxBuild:
+			case ast.ISetDef, ast.IScalarDef, ast.ICount, ast.IScalarReset, ast.IAuxBuild, ast.ILocalBuild:
 				pc++
 			default:
 				pure = false
@@ -239,6 +245,9 @@ func newVMShared(g *graph.Graph, bc *ast.Lowered) *vmShared {
 	}
 	sh.d1 = analyzeD1(bc)
 	sh.depths = profDepths(bc)
+	if bc.Local != nil {
+		sh.local = newLocalPlan(sh)
+	}
 	return sh
 }
 
@@ -312,10 +321,14 @@ type vmFrame struct {
 	auxData  [][]uint32
 	auxCur   []int
 
+	// loc is the word form's state of the program's local regions
+	// (local.go); nil without one.
+	loc *localState
+
 	// opCounts[op] counts executed instructions per opcode.
 	opCounts [ast.NumOpcodes]int64
 	// kernelCounts[k] counts intersect/subtract dispatches per kernel
-	// path (merge/gallop/bitmap/bitmap-count) and kernelElems[k] the
+	// path (merge/gallop/bitmap/bitmap-count/words) and kernelElems[k] the
 	// elements those dispatches processed (the per-path work measure the
 	// cost models price). mute suspends counting while a thief re-derives
 	// a prefix the owner already executed, so totals stay independent of
@@ -399,6 +412,9 @@ func newVMFrame(sh *vmShared) *vmFrame {
 			off += c
 		}
 	}
+	if sh.bc.Local != nil {
+		f.loc = newLocalState(sh)
+	}
 	if na := len(sh.bc.Aux); na > 0 {
 		f.auxVerts = make([][]uint32, na)
 		f.auxOffs = make([][]int32, na)
@@ -435,6 +451,8 @@ func (f *vmFrame) exec(start, end int32) bool {
 	cur := f.cur
 	counts := &f.opCounts
 	fuel := f.fuel
+	// words: the current root runs its local region in the word form.
+	words := f.loc != nil && f.loc.on
 	for pc := start; pc < end; {
 		fuel--
 		if fuel <= 0 {
@@ -457,6 +475,14 @@ func (f *vmFrame) exec(start, end int32) bool {
 		counts[ins.Op]++
 		switch ins.Op {
 		case ast.ILoopBegin:
+			if words && ins.Flags&ast.FlagLocal != 0 {
+				if f.localBegin(ins, pc) {
+					pc++
+				} else {
+					pc = ins.Off
+				}
+				continue
+			}
 			s := sets[ins.A]
 			if len(s) == 0 {
 				pc = ins.Off
@@ -477,13 +503,22 @@ func (f *vmFrame) exec(start, end int32) bool {
 			id := ins.LoopID
 			s := cur[id]
 			if i := iter[id]; i < len(s) {
-				vars[ins.Dst] = s[i]
+				if words && ins.Flags&ast.FlagLocal != 0 {
+					f.bindRank(ins.Dst, s[i])
+				} else {
+					vars[ins.Dst] = s[i]
+				}
 				iter[id] = i + 1
 				pc = ins.Off + 1
 				continue
 			}
 			pc++
 		case ast.ISetDef:
+			if words && ins.Flags&ast.FlagLocal != 0 {
+				f.localSet(ins)
+				pc++
+				continue
+			}
 			switch ins.Set {
 			case ast.OpNeighbors:
 				// Alias the CSR adjacency directly: zero copies.
@@ -493,10 +528,8 @@ func (f *vmFrame) exec(start, end int32) bool {
 				d := f.intersectInto(f.bufs[ins.Dst], a, b, ins.NbrA, ins.NbrB)
 				f.bufs[ins.Dst] = d
 				sets[ins.Dst] = d
-			case ast.OpTrimAbove:
-				sets[ins.Dst] = vset.SliceBelow(sets[ins.A], vars[ins.V])
-			case ast.OpTrimBelow:
-				sets[ins.Dst] = vset.SliceAbove(sets[ins.A], vars[ins.V])
+			case ast.OpTrimAbove, ast.OpTrimBelow:
+				sets[ins.Dst] = f.trim(ins)
 			case ast.OpAuxRow:
 				sets[ins.Dst] = f.auxRow(ins.A, vars[ins.V])
 			case ast.OpFilterLabel:
@@ -510,6 +543,11 @@ func (f *vmFrame) exec(start, end int32) bool {
 			}
 			pc++
 		case ast.IScalarDef:
+			if words && ins.Flags&ast.FlagLocal != 0 {
+				scalars[ins.Dst] = f.localScalar(ins)
+				pc++
+				continue
+			}
 			switch ins.SOp {
 			case ast.SSize:
 				scalars[ins.Dst] = int64(len(sets[ins.A]))
@@ -558,6 +596,10 @@ func (f *vmFrame) exec(start, end int32) bool {
 			pc++
 		case ast.IAuxBuild:
 			f.execAuxBuild(ins)
+			pc++
+		case ast.ILocalBuild:
+			f.execLocalBuild(ins)
+			words = f.loc.on
 			pc++
 		default:
 			panic(fmt.Sprintf("engine: unknown opcode %d", ins.Op))
@@ -614,19 +656,44 @@ func (f *vmFrame) noteArrayKernel(a, b []uint32) {
 
 // operands returns the set operands A and B (nil without one) of an
 // intersection or count, cut to the window above vars[lo] and below
-// vars[hi] when it has one.
+// vars[hi] when it has one, except where the operand's own bounds
+// already keep it inside (the Uncut flags).
 func (f *vmFrame) operands(ins *ast.Instr, lo, hi int32) (a, b []uint32) {
 	a = f.sets[ins.A]
 	if ins.B >= 0 {
 		b = f.sets[ins.B]
 	}
 	if lo >= 0 || hi >= 0 {
-		a = f.window(a, ins.NbrA, lo, hi)
+		a = f.window(a, ins.NbrA, uncut(ins, ast.UncutLoA, lo), uncut(ins, ast.UncutHiA, hi))
 		if ins.B >= 0 {
-			b = f.window(b, ins.NbrB, lo, hi)
+			b = f.window(b, ins.NbrB, uncut(ins, ast.UncutLoB, lo), uncut(ins, ast.UncutHiB, hi))
 		}
 	}
 	return a, b
+}
+
+// uncut returns bound k, or no bound (-1) when ins carries flag.
+func uncut(ins *ast.Instr, flag uint8, k int32) int32 {
+	if ins.Flags&flag != 0 {
+		return -1
+	}
+	return k
+}
+
+// trim evaluates a trim: the oriented list N⁺(v)/N⁻(v) when it trims
+// the bound's own neighbor list (NbrA == V), a binary-search slice of
+// its operand otherwise.
+func (f *vmFrame) trim(ins *ast.Instr) []uint32 {
+	v := f.vars[ins.V]
+	switch {
+	case ins.NbrA == ins.V && ins.Set == ast.OpTrimBelow:
+		return f.sh.g.NeighborsAbove(v)
+	case ins.NbrA == ins.V:
+		return f.sh.g.NeighborsBelow(v)
+	case ins.Set == ast.OpTrimBelow:
+		return vset.SliceAbove(f.sets[ins.A], v)
+	}
+	return vset.SliceBelow(f.sets[ins.A], v)
 }
 
 // window cuts operand s of a windowed intersection, count or table
@@ -730,6 +797,9 @@ func (f *vmFrame) intersectCount(a, b []uint32, nbrA, nbrB int32, windowed bool)
 // (window). Imm members are excluded without a test: the lowering
 // proved them there.
 func (f *vmFrame) execCount(ins *ast.Instr) int64 {
+	if f.local(ins) {
+		return f.localCount(ins)
+	}
 	a, b := f.operands(ins, ins.V, ins.SA)
 	n := int64(len(a))
 	if ins.B >= 0 {
@@ -783,6 +853,9 @@ func (f *vmFrame) exclCount(ins *ast.Instr, a, b []uint32) int64 {
 // every row lookup's key lies inside it, and every row read reads only
 // inside it.
 func (f *vmFrame) execAuxBuild(ins *ast.Instr) {
+	if f.local(ins) {
+		return // its rows are row masks under the word form
+	}
 	t := ins.Dst
 	src := f.sets[ins.A]
 	windowed := ins.WinLo >= 0 || ins.WinHi >= 0
@@ -864,6 +937,10 @@ func (f *vmFrame) key(ins *ast.Instr) []uint32 {
 }
 
 func (f *vmFrame) execSet(ins *ast.Instr) {
+	if f.local(ins) {
+		f.localSet(ins)
+		return
+	}
 	dst := f.bufs[ins.Dst]
 	switch ins.Set {
 	case ast.OpAll:
@@ -876,11 +953,8 @@ func (f *vmFrame) execSet(ins *ast.Instr) {
 	case ast.OpAuxRow:
 		f.sets[ins.Dst] = f.auxRow(ins.A, f.vars[ins.V])
 		return
-	case ast.OpTrimAbove:
-		f.sets[ins.Dst] = vset.SliceBelow(f.sets[ins.A], f.vars[ins.V])
-		return
-	case ast.OpTrimBelow:
-		f.sets[ins.Dst] = vset.SliceAbove(f.sets[ins.A], f.vars[ins.V])
+	case ast.OpTrimAbove, ast.OpTrimBelow:
+		f.sets[ins.Dst] = f.trim(ins)
 		return
 	case ast.OpIntersect:
 		a, b := f.operands(ins, ins.WinLo, ins.WinHi)
@@ -933,6 +1007,9 @@ func (f *vmFrame) execSet(ins *ast.Instr) {
 }
 
 func (f *vmFrame) execScalar(ins *ast.Instr) int64 {
+	if f.local(ins) {
+		return f.localScalar(ins)
+	}
 	switch ins.SOp {
 	case ast.SSize:
 		return int64(len(f.sets[ins.A]))
@@ -996,6 +1073,8 @@ func (f *vmFrame) execPrefix(start, end int32) {
 			f.scalars[ins.Dst] = f.execCount(ins)
 		case ast.IAuxBuild:
 			f.execAuxBuild(ins)
+		case ast.ILocalBuild:
+			f.execLocalBuild(ins)
 		default:
 			panic(fmt.Sprintf("engine: impure opcode %d in splittable prefix", ins.Op))
 		}
@@ -1031,6 +1110,10 @@ func (f *vmFrame) execD1(i int, v uint32, lo, hi int, elemUnits int64, sched d1S
 	}
 	begin := &f.sh.bc.Code[d1.begin]
 	c := f.sets[begin.A]
+	local := f.local(begin)
+	if local {
+		c = f.localRanks(begin)
+	}
 	if hi < 0 || hi > len(c) {
 		hi = len(c)
 	}
@@ -1042,7 +1125,7 @@ func (f *vmFrame) execD1(i int, v uint32, lo, hi int, elemUnits int64, sched d1S
 		f.elided += f.sh.bc.Code[seg.Start].Imm
 	}
 	lo0 := lo
-	if begin.B >= 0 && len(f.sets[begin.B]) == 0 {
+	if begin.B >= 0 && (local && f.localEmpty(begin.B) || !local && len(f.sets[begin.B]) == 0) {
 		// Guarded and skipped, as exec would (clean-up rule 8).
 		f.elided += int64(d1.next-d1.begin) * int64(hi-lo)
 		lo = hi
@@ -1059,7 +1142,11 @@ func (f *vmFrame) execD1(i int, v uint32, lo, hi int, elemUnits int64, sched d1S
 				continue
 			}
 		}
-		f.vars[begin.Dst] = c[lo]
+		if local {
+			f.bindRank(begin.Dst, c[lo])
+		} else {
+			f.vars[begin.Dst] = c[lo]
+		}
 		f.opCounts[ast.ILoopNext]++
 		if !f.exec(d1.begin+1, d1.next) {
 			ok = false
@@ -1152,6 +1239,9 @@ func (f *vmFrame) resetForJob() {
 		// pin graph or arena memory across queries; offs/data keep their
 		// capacity for reuse.
 		f.auxVerts[i] = nil
+	}
+	if f.loc != nil {
+		f.loc.on, f.loc.ids = false, nil
 	}
 	for _, t := range f.tables {
 		t.Clear()

@@ -32,6 +32,9 @@ func (ix *HubIndex) Row(v uint32) []uint64 {
 	return ix.rows[h*ix.words : (h+1)*ix.words]
 }
 
+// First returns the lowest hub ID: every vertex from it on is a hub.
+func (ix *HubIndex) First() uint32 { return ix.first }
+
 // Threshold returns the minimum degree for a vertex to get a bitmap row.
 func (ix *HubIndex) Threshold() int { return ix.threshold }
 

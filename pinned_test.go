@@ -117,16 +117,16 @@ func pinnedWorkloads() []pinnedWorkload {
 	}
 	return []pinnedWorkload{
 		{name: "motif5-gnp", graph: gnp(220, 0.03, 42), query: motifs(5), want: pinnedFields{
-			count: 344661, instructions: 716342, cache: [3]int64{68, 24, 0},
-			kernels: map[string]int64{"merge": 80606},
+			count: 344661, instructions: 718542, cache: [3]int64{68, 24, 0},
+			kernels: map[string]int64{"merge": 69918, "words": 23432},
 		}},
 		{name: "motif6-gnp", graph: gnp(110, 0.04, 43), query: motifs(6), want: pinnedFields{
-			count: 226211, instructions: 1756194, cache: [3]int64{394, 144, 0},
-			kernels: map[string]int64{"merge": 178890},
+			count: 226211, instructions: 1760594, cache: [3]int64{394, 144, 0},
+			kernels: map[string]int64{"merge": 163342, "words": 34048},
 		}},
 		{name: "motif5-rmat", graph: rmat(8, 6, 44), query: motifs(5), want: pinnedFields{
-			count: 13437142, instructions: 9959860, cache: [3]int64{90, 40, 0},
-			kernels: map[string]int64{"gallop": 35008, "merge": 982244},
+			count: 13437142, instructions: 9962420, cache: [3]int64{90, 40, 0},
+			kernels: map[string]int64{"gallop": 33840, "merge": 922558, "words": 75400},
 		}},
 		{name: "fsm-gnp-labeled", query: pinnedFSM(40, 2),
 			graph: func() *decomine.Graph { return decomine.GenerateGNP(300, 0.02, 45).WithRandomLabels(3, 45) },
@@ -150,19 +150,19 @@ func pinnedWorkloads() []pinnedWorkload {
 		{name: "motif5-hub-rmat", query: motifs(5),
 			graph: func() *decomine.Graph { return decomine.GenerateRMAT(9, 8, 47).BuildHubIndex(48) },
 			want: pinnedFields{
-				count: 205061107, instructions: 35397314, cache: [3]int64{93, 43, 0},
-				kernels: map[string]int64{"bitmap": 2565546, "bitmap-count": 430366, "gallop": 20220, "merge": 1518646},
+				count: 205061107, instructions: 35404482, cache: [3]int64{93, 43, 0},
+				kernels: map[string]int64{"bitmap": 2565546, "bitmap-count": 430366, "gallop": 20132, "merge": 1517718, "words": 2020},
 			}},
 		{name: "motif4-mmap-rmat", graph: rmat(11, 8, 48), query: motifs(4), want: pinnedFields{
-			count: 110482571, instructions: 2523816, cache: [3]int64{24, 10, 0},
-			kernels: map[string]int64{"bitmap": 214888, "bitmap-count": 396, "gallop": 2854, "merge": 228162},
+			count: 110482571, instructions: 2527912, cache: [3]int64{24, 10, 0},
+			kernels: map[string]int64{"bitmap": 214888, "bitmap-count": 396, "gallop": 2792, "merge": 225626, "words": 4692},
 		}},
-		{name: "motif6-aux-community", graph: community(768, 6, 16, 49), aux: true,
+		{name: "motif6-aux-community", graph: community(768, 6, 16, 49), aux: true, elems: true,
 			query: func(s *decomine.System) (int64, error) { return s.PseudoCliqueCount(6, 1) },
 			want: pinnedFields{
-				count: 2521995, instructions: 44797054, cache: [3]int64{6, 4, 0},
-				kernels:    map[string]int64{"gallop": 66276, "merge": 9857520},
-				auxElemsOn: 167087363,
+				count: 2521995, instructions: 44801662, cache: [3]int64{6, 4, 0},
+				kernels:    map[string]int64{"words": 10119876},
+				auxElemsOn: 13195668, elems: 26391336,
 			}},
 		{name: "serve-cache-rmat", graph: rmat(9, 6, 50), custom: pinnedServeScript, want: pinnedFields{
 			count: 37026862, instructions: 15331, cache: [3]int64{3, 3, 0},
@@ -170,9 +170,9 @@ func pinnedWorkloads() []pinnedWorkload {
 			serve:   [3]int64{8, 4, 1},
 		}},
 		{name: "motif6-batch-community", graph: community(64, 2, 6, 49), custom: pinnedBatchCensus, want: pinnedFields{
-			count: 11193236, instructions: 228670301, cache: [3]int64{3773, 157, 0},
-			kernels: map[string]int64{"merge": 27481024},
-			batch:   [4]int64{10205903, 208258495, 3374, 130},
+			count: 11193236, instructions: 228758557, cache: [3]int64{3773, 157, 0},
+			kernels: map[string]int64{"merge": 22698568, "words": 5470412},
+			batch:   [4]int64{10207439, 208343679, 3374, 130},
 		}},
 	}
 }

@@ -2,7 +2,9 @@ package decomine
 
 // Differential tests for windowed intersections (clean-up rule 9 in
 // internal/ast's clean.go): every plan the System chooses runs lowered
-// with windows (LowerWith) and without them (LowerUnwindowed). Globals,
+// with windows (LowerListForm: LowerWith without local regions, whose
+// word form replaces the windowed merges) and without them
+// (LowerUnwindowed). Globals,
 // and for emission plans the multiset of emitted partial embeddings,
 // must be bit-identical on one thread and on four; the windowed run
 // must make as many kernel dispatches and no more instructions or
@@ -70,7 +72,7 @@ func runLowered(t *testing.T, g *Graph, plan *core.Plan, code *ast.Lowered, thre
 func checkWindowedLowering(t *testing.T, g *Graph, plan *core.Plan, name string, threads int) (windowed bool) {
 	t.Helper()
 	plain := ast.LowerUnwindowed(plan.Prog, plan.LowerOpts)
-	win := plan.Lowered()
+	win := ast.LowerListForm(plan.Prog, plan.LowerOpts)
 	want, got := runLowered(t, g, plan, plain, threads), runLowered(t, g, plan, win, threads)
 	if !slices.Equal(got.res.Globals, want.res.Globals) || got.emits != want.emits || got.digest != want.digest {
 		t.Fatalf("%s, %d threads: globals %v, %d emits (digest %x) windowed; %v, %d emits (digest %x) unwindowed\n%s",
