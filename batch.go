@@ -1,6 +1,8 @@
 // Batched multi-pattern execution with cross-query subpattern sharing.
 //
-// A batch compiles every member query up front, canonicalizes the
+// A batch compiles every member query up front, in two plan waves whose
+// plan-cache misses search side by side (planWave): the live needs, then
+// the skip replans and the externalized quotients. It canonicalizes the
 // decomposition subpatterns and shrinkage quotients that appear across
 // the chosen plans into one intra-batch subcount table, and executes
 // each distinct subquery exactly once. Quotients demanded by two or
@@ -108,8 +110,11 @@ type BatchStats struct {
 	// EstimatedCost is the cost-model price of the execution set — what
 	// Admit was offered.
 	EstimatedCost float64
-	// CompileTime aggregates plan-search time spent on plan-cache
-	// misses; ExecTime is the wall-clock of the execution waves.
+	// CompileTime is the summed plan-search time of the plan-cache
+	// misses. The batch plans in waves whose searches run side by side,
+	// so it exceeds the planning phase's wall-clock time whenever a
+	// wave overlaps two searches. ExecTime is the wall-clock of the
+	// execution waves.
 	CompileTime time.Duration
 	ExecTime    time.Duration
 }
@@ -261,22 +266,23 @@ func (s *System) CountPatterns(ps []*Pattern, o BatchOpts) (*BatchResult, error)
 	cacheSpan.SetAttr("hits", cacheHits)
 	cacheSpan.End()
 
-	// Plan every live need and tally shrinkage-quotient
+	// Plan every live need as one wave and tally shrinkage-quotient
 	// demand across the batch.
 	planSpan := o.Span.StartChild("plan")
-	var compileTime time.Duration
+	liveReqs := make([]planReq, len(liveNeeds))
+	for i, c := range liveNeeds {
+		liveReqs[i] = planReq{pat: needPat[c]}
+	}
+	entries, compileTime, err := s.planWave(liveReqs)
+	if err != nil {
+		planSpan.EndErr(err)
+		return nil, err
+	}
 	entry := map[pattern.Code]*planEntry{}
 	refs := map[pattern.Code]int64{}
 	quotPat := map[pattern.Code]*pattern.Pattern{}
-	for _, c := range liveNeeds {
-		e, hit, err := s.planFor(planReq{pat: needPat[c]})
-		if err != nil {
-			planSpan.EndErr(err)
-			return nil, err
-		}
-		if !hit {
-			compileTime += e.stats.EnumerateTime + e.stats.RankTime
-		}
+	for i, c := range liveNeeds {
+		e := entries[i]
 		entry[c] = e
 		for _, sh := range e.plan.Shrink {
 			refs[sh.Code]++
@@ -300,39 +306,30 @@ func (s *System) CountPatterns(ps []*Pattern, o BatchOpts) (*BatchResult, error)
 		}
 	}
 
-	// Replan the needs whose plan enumerates an externalized quotient
-	// with that quotient set skipped. The smaller skip-plan ASTs rank
-	// cheaper, so the search naturally favors decompositions that lean
-	// on the shared quotients.
+	// The second wave. Replan the needs whose plan enumerates an
+	// externalized quotient with that quotient set skipped: the smaller
+	// skip-plan ASTs rank cheaper, so the search naturally favors
+	// decompositions that lean on the shared quotients. Plan the
+	// externalized quotients not already resolved (from the cache, or
+	// as a need themselves) alongside.
 	req := map[pattern.Code]planReq{}
+	var waveCodes []pattern.Code
+	var waveReqs []planReq
 	if len(ext) > 0 {
 		skip := skipKey(ext)
 		for _, c := range liveNeeds {
-			replan := false
 			for _, sh := range entry[c].plan.Shrink {
 				if ext[sh.Code] {
-					replan = true
+					req[c] = planReq{pat: needPat[c], skip: skip}
+					waveCodes = append(waveCodes, c)
+					waveReqs = append(waveReqs, req[c])
 					break
 				}
 			}
-			if !replan {
-				continue
-			}
-			req[c] = planReq{pat: needPat[c], skip: skip}
-			se, hit, err := s.planFor(req[c])
-			if err != nil {
-				planSpan.EndErr(err)
-				return nil, err
-			}
-			if !hit {
-				compileTime += se.stats.EnumerateTime + se.stats.RankTime
-			}
-			entry[c] = se
 		}
 	}
-
 	// The execution set: live needs plus externalized quotients not
-	// already resolved (from the cache, or as a need themselves).
+	// already resolved.
 	allPat := map[pattern.Code]*pattern.Pattern{}
 	for c, p := range needPat {
 		allPat[c] = p
@@ -351,16 +348,18 @@ func (s *System) CountPatterns(ps []*Pattern, o BatchOpts) (*BatchResult, error)
 			cacheHits++
 			continue
 		}
-		e, hit, err := s.planFor(planReq{pat: quotPat[c]})
-		if err != nil {
-			planSpan.EndErr(err)
-			return nil, err
-		}
-		if !hit {
-			compileTime += e.stats.EnumerateTime + e.stats.RankTime
-		}
-		entry[c] = e
+		waveCodes = append(waveCodes, c)
+		waveReqs = append(waveReqs, planReq{pat: quotPat[c]})
 		execCodes = append(execCodes, c)
+	}
+	entries, waveTime, err := s.planWave(waveReqs)
+	if err != nil {
+		planSpan.EndErr(err)
+		return nil, err
+	}
+	compileTime += waveTime
+	for i, c := range waveCodes {
+		entry[c] = entries[i]
 	}
 	planSpan.SetAttr("subqueries", int64(len(execCodes)))
 	planSpan.SetAttr("externalized", int64(len(ext)))
@@ -516,6 +515,38 @@ func (s *System) CountPatterns(ps []*Pattern, o BatchOpts) (*BatchResult, error)
 	obsBatchCacheHits.Add(bs.CacheHits)
 	obsBatchHarvested.Add(bs.Harvested)
 	return out, nil
+}
+
+// planWave plans reqs as one wave: it looks each request up in the plan
+// cache once, in order, then searches the misses side by side through
+// core.Wave, at most threads() at a time. It returns the entries in
+// request order, the summed search time of the misses (which exceeds
+// the wave's wall-clock time when searches overlap), and the first
+// error in request order.
+func (s *System) planWave(reqs []planReq) ([]*planEntry, time.Duration, error) {
+	entries := make([]*planEntry, len(reqs))
+	keys := make([]planReq, len(reqs))
+	var misses []int
+	for i, r := range reqs {
+		keys[i] = r.key()
+		if entries[i] = s.cachedPlan(keys[i]); entries[i] == nil {
+			misses = append(misses, i)
+		}
+	}
+	core.Wave(len(misses), s.threads(), func(k, workers int) {
+		i := misses[k]
+		entries[i] = s.searchPlan(reqs[i], keys[i], workers)
+	})
+	var searchTime time.Duration
+	for _, i := range misses {
+		searchTime += entries[i].stats.EnumerateTime + entries[i].stats.RankTime
+	}
+	for _, e := range entries {
+		if e.err != nil {
+			return nil, 0, e.err
+		}
+	}
+	return entries, searchTime, nil
 }
 
 // sortedCodes returns the map's keys in canonical-code order.

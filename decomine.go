@@ -219,7 +219,6 @@ func (s *System) searchOptions(r planReq) core.SearchOptions {
 		DisableDecomposition: s.opts.DisableDecomposition,
 		DisableCountLastLoop: s.opts.DisableCountLastLoop,
 		MaxCandidates:        s.opts.MaxCandidates,
-		Workers:              s.opts.Threads,
 	}
 	if r.cons != "" {
 		var cons []LabelConstraint
@@ -401,31 +400,49 @@ func (s *System) CacheStats() CacheStats {
 // the cache.
 func (s *System) planFor(r planReq) (e *planEntry, hit bool, err error) {
 	key := r.key()
-	s.mu.Lock()
-	if e, ok := s.planCache[key]; ok {
-		s.mu.Unlock()
-		s.noteCacheHit(e)
+	if e := s.cachedPlan(key); e != nil {
 		return e, true, e.err
 	}
+	e = s.searchPlan(r, key, s.opts.Threads)
+	return e, false, e.err
+}
+
+// cachedPlan looks key up in the plan cache and moves exactly one of
+// the CacheStats counters: a hit (or negative hit) when the entry is
+// there, a miss when it is not and the caller will search.
+func (s *System) cachedPlan(key planReq) *planEntry {
+	s.mu.Lock()
+	e := s.planCache[key]
 	s.mu.Unlock()
+	if e != nil {
+		s.noteCacheHit(e)
+		return e
+	}
 	s.noteCacheMiss()
+	return nil
+}
+
+// searchPlan runs the algorithm search for r on workers goroutines
+// (SearchOptions.Workers) and caches its outcome under key.
+func (s *System) searchPlan(r planReq, key planReq, workers int) *planEntry {
 	var stats core.SearchStats
 	sopts := s.searchOptions(r)
 	sopts.Stats = &stats
+	sopts.Workers = workers
 	best, cands, err := core.Search(r.pat, sopts)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.planCache[key]; ok {
 		// A concurrent search for the same key finished first; keep its
 		// entry so every caller sees one canonical plan.
-		return e, false, e.err
+		return e
 	}
-	e = &planEntry{err: err, stats: stats}
+	e := &planEntry{err: err, stats: stats}
 	if err == nil {
 		e.plan, e.cost, e.cands = best.Plan, best.Cost, len(cands)
 	}
 	s.planCache[key] = e
-	return e, false, err
+	return e
 }
 
 // ExecStats reports bytecode execution counters from an engine run.

@@ -1,26 +1,81 @@
 package ast
 
+import "sync"
+
 // Builder constructs well-formed programs with automatic register
 // allocation. The front-end (internal/core) uses it to generate naive
 // ASTs; Optimize then applies the middle-end passes.
 type Builder struct {
 	prog  *Program
 	stack []*Node // enclosing bodies: root, then open loops/conds
+	// rec and free: the recycler this builder draws its nodes from, and
+	// the free nodes it took from it (returned by Finish).
+	rec  *Recycler
+	free []*Node
 }
 
 // NewBuilder starts a program. numPinned vertex variables are preloaded
 // by the runtime (used by materialization and rooted enumeration); they
 // occupy variable IDs [0, numPinned).
-func NewBuilder(numPinned int) *Builder {
-	root := &Node{Kind: KRoot}
-	return &Builder{
-		prog: &Program{
-			Root:      root,
-			NumVars:   numPinned,
-			NumPinned: numPinned,
-		},
-		stack: []*Node{root},
+func NewBuilder(numPinned int) *Builder { return NewBuilderFrom(numPinned, nil) }
+
+// NewBuilderFrom is NewBuilder drawing its nodes from r's free nodes
+// before it allocates new ones; r may be nil. Finish hands the nodes it
+// did not use back to r.
+func NewBuilderFrom(numPinned int, r *Recycler) *Builder {
+	b := &Builder{rec: r}
+	if r != nil {
+		r.mu.Lock()
+		b.free, r.free = r.free, nil
+		r.mu.Unlock()
 	}
+	root := b.node()
+	root.Kind = KRoot
+	b.prog = &Program{Root: root, NumVars: numPinned, NumPinned: numPinned}
+	b.stack = []*Node{root}
+	return b
+}
+
+// maxFree bounds a recycler's free nodes: free nodes are live heap the
+// garbage collector scans on every cycle, so a recycler keeps about what
+// one search builds between two of its drops.
+const maxFree = 2048
+
+// Recycler holds the nodes of programs nobody reads any more, for later
+// builders to reuse. The algorithm search releases every candidate it
+// drops, so most candidates are built from their predecessors' nodes
+// instead of fresh allocations. Safe for concurrent use.
+type Recycler struct {
+	mu   sync.Mutex
+	free []*Node
+}
+
+// Release hands every node of p to r; a nil r drops them. p, and every
+// slice or pointer taken from its nodes, must not be read afterwards.
+func (r *Recycler) Release(p *Program) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	Walk(p.Root, func(n *Node) {
+		if len(r.free) < maxFree {
+			r.free = append(r.free, n)
+		}
+	})
+	r.mu.Unlock()
+}
+
+// node returns a zeroed node, recycled when the builder holds a free
+// one.
+func (b *Builder) node() *Node {
+	k := len(b.free)
+	if k == 0 {
+		return new(Node)
+	}
+	n := b.free[k-1]
+	b.free = b.free[:k-1]
+	*n = Node{}
+	return n
 }
 
 func (b *Builder) top() *Node { return b.stack[len(b.stack)-1] }
@@ -65,7 +120,9 @@ func (b *Builder) setTableWidth(t, width int) {
 
 func (b *Builder) setDef(op SetOp, a, bb, v int, imm int64) int {
 	dst := b.newSet()
-	b.push(&Node{Kind: KSetDef, Dst: dst, Op: op, A: a, B: bb, V: v, Imm: imm})
+	n := b.node()
+	n.Kind, n.Dst, n.Op, n.A, n.B, n.V, n.Imm = KSetDef, dst, op, a, bb, v, imm
+	b.push(n)
 	return dst
 }
 
@@ -109,7 +166,9 @@ func (b *Builder) FilterLabelNotOfVar(a, v int) int {
 
 func (b *Builder) scalarDef(op ScalarOp, a, sa, sb, v int, imm int64) int {
 	dst := b.newScalar()
-	b.push(&Node{Kind: KScalarDef, Dst: dst, SOp: op, A: a, SA: sa, SB: sb, V: v, Imm: imm})
+	n := b.node()
+	n.Kind, n.Dst, n.SOp, n.A, n.SA, n.SB, n.V, n.Imm = KScalarDef, dst, op, a, sa, sb, v, imm
+	b.push(n)
 	return dst
 }
 
@@ -144,29 +203,41 @@ func (b *Builder) NewAccumulator() int { return b.newScalar() }
 
 // Reset sets the volatile scalar dst to imm.
 func (b *Builder) Reset(dst int, imm int64) {
-	b.push(&Node{Kind: KScalarReset, Dst: dst, Imm: imm})
+	n := b.node()
+	n.Kind, n.Dst, n.Imm = KScalarReset, dst, imm
+	b.push(n)
 }
 
 // Accum adds coeff*src into the volatile scalar dst.
 func (b *Builder) Accum(dst, src int, coeff int64) {
-	b.push(&Node{Kind: KScalarAccum, Dst: dst, SA: src, Imm: coeff})
+	n := b.node()
+	n.Kind, n.Dst, n.SA, n.Imm = KScalarAccum, dst, src, coeff
+	b.push(n)
 }
 
 // GlobalAdd adds coeff*src into global g.
 func (b *Builder) GlobalAdd(g, src int, coeff int64) {
-	b.push(&Node{Kind: KGlobalAdd, Dst: g, SA: src, Imm: coeff})
+	n := b.node()
+	n.Kind, n.Dst, n.SA, n.Imm = KGlobalAdd, g, src, coeff
+	b.push(n)
 }
 
 // --- hash tables ---
 
 // HashClear clears table t (O(1) epoch bump at runtime).
-func (b *Builder) HashClear(t int) { b.push(&Node{Kind: KHashClear, Table: t}) }
+func (b *Builder) HashClear(t int) {
+	n := b.node()
+	n.Kind, n.Table = KHashClear, t
+	b.push(n)
+}
 
 // HashInc adds imm to t[keys].
 func (b *Builder) HashInc(t int, keys []int, imm int64) {
 	b.trackKey(keys)
 	b.setTableWidth(t, len(keys))
-	b.push(&Node{Kind: KHashInc, Table: t, Keys: append([]int(nil), keys...), Imm: imm})
+	n := b.node()
+	n.Kind, n.Table, n.Keys, n.Imm = KHashInc, t, append([]int(nil), keys...), imm
+	b.push(n)
 }
 
 // HashGet defines a fresh volatile scalar holding t[keys] (0 if absent).
@@ -174,7 +245,9 @@ func (b *Builder) HashGet(t int, keys []int) int {
 	b.trackKey(keys)
 	b.setTableWidth(t, len(keys))
 	dst := b.newScalar()
-	b.push(&Node{Kind: KHashGet, Dst: dst, Table: t, Keys: append([]int(nil), keys...)})
+	n := b.node()
+	n.Kind, n.Dst, n.Table, n.Keys = KHashGet, dst, t, append([]int(nil), keys...)
+	b.push(n)
 	return dst
 }
 
@@ -191,7 +264,8 @@ func (b *Builder) trackKey(keys []int) {
 func (b *Builder) BeginLoop(over int, meta *LoopMeta) int {
 	v := b.prog.NumVars
 	b.prog.NumVars++
-	n := &Node{Kind: KLoop, Var: v, Over: over, Meta: meta}
+	n := b.node()
+	n.Kind, n.Var, n.Over, n.Meta = KLoop, v, over, meta
 	b.push(n)
 	b.stack = append(b.stack, n)
 	return v
@@ -207,7 +281,8 @@ func (b *Builder) EndLoop() {
 
 // BeginCond opens an `if scalar > 0` block.
 func (b *Builder) BeginCond(scalar int) {
-	n := &Node{Kind: KCondPos, SA: scalar}
+	n := b.node()
+	n.Kind, n.SA = KCondPos, scalar
 	b.push(n)
 	b.stack = append(b.stack, n)
 }
@@ -223,13 +298,28 @@ func (b *Builder) EndCond() {
 // Emit calls the partial-embedding consumer.
 func (b *Builder) Emit(sub int, keys []int, countScalar int) {
 	b.trackKey(keys)
-	b.push(&Node{Kind: KEmit, Sub: sub, Keys: append([]int(nil), keys...), SA: countScalar})
+	n := b.node()
+	n.Kind, n.Sub, n.Keys, n.SA = KEmit, sub, append([]int(nil), keys...), countScalar
+	b.push(n)
 }
 
-// Finish returns the completed program.
+// Finish returns the completed program, and the free nodes the builder
+// did not use to its recycler.
 func (b *Builder) Finish() *Program {
 	if len(b.stack) != 1 {
 		panic("ast: Finish with open scopes")
+	}
+	if b.rec != nil {
+		// The free list goes back with its capacity, even when empty, so
+		// the next Release appends without growing it.
+		b.rec.mu.Lock()
+		if len(b.rec.free) == 0 {
+			b.rec.free = b.free
+		} else {
+			b.rec.free = append(b.rec.free, b.free...)
+		}
+		b.rec.mu.Unlock()
+		b.free = nil
 	}
 	return b.prog
 }

@@ -1,6 +1,7 @@
 package ast
 
-// The bytecode clean-up pass: the last step of LowerWith. Decomposition
+// The bytecode clean-up pass: the step of LowerWith before the
+// local-region pass (local.go), which runs last. Decomposition
 // plans reach the VM with scalar scaffolding the AST keeps on purpose —
 // a volatile accumulator per subpattern count, one product and global
 // update per shrinkage term, a conditional around each externalized

@@ -1,19 +1,70 @@
 package ast
 
+import "sync"
+
 // Middle-end optimization passes (paper §7.1, Figure 13b). All passes
 // preserve counts: they move or merge only pure SSA definitions and never
 // touch volatile accumulators, hash operations, emissions or loops.
 
 // Optimize runs LICM, CSE and DCE to fixpoint on the program.
 func Optimize(p *Program) {
+	sc := workspaces.Get().(*workspace)
+	defer workspaces.Put(sc)
 	for i := 0; i < 8; i++ { // passes interact; a few rounds reach fixpoint
-		moved := LICM(p)
-		merged := CSE(p)
-		removed := DCE(p)
+		// LICM only moves nodes, so CSE sees the volatile registers it saw.
+		vol := volatileScalars(p, sc)
+		moved := licm(p, sc, vol)
+		merged := cse(p, sc, vol)
+		removed := dce(p, sc)
 		if moved+merged+removed == 0 {
 			return
 		}
 	}
+}
+
+// workspaces holds the passes' working storage between Optimize calls.
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
+
+// workspace is the working storage of the middle-end passes, reused
+// across passes and programs: every buffer is cleared before each use.
+type workspace struct {
+	vol                   []bool
+	usedSet, usedScalar   []bool
+	setAlias, scalarAlias []int
+	setDepth, scalarDepth []int
+	varDepth              []int
+	avail                 []cseDef
+	bodies                [][]*Node // LICM's per-level body buffers
+}
+
+// bools returns buf resized to n falses.
+func bools(buf *[]bool, n int) []bool {
+	if cap(*buf) < n {
+		*buf = make([]bool, n)
+	}
+	*buf = (*buf)[:n]
+	clear(*buf)
+	return *buf
+}
+
+// ints returns buf resized to n zeros.
+func ints(buf *[]int, n int) []int {
+	if cap(*buf) < n {
+		*buf = make([]int, n)
+	}
+	*buf = (*buf)[:n]
+	clear(*buf)
+	return *buf
+}
+
+// filtered ends an in-place rewrite of body whose result is out, on
+// body's array: the tail out no longer covers is cleared, so the array
+// holds no pointer to a node that left it.
+func filtered(body, out []*Node) []*Node {
+	if len(out) < len(body) {
+		clear(body[len(out):])
+	}
+	return out
 }
 
 // pure reports whether a node is a pure SSA definition that can be moved
@@ -26,8 +77,8 @@ func pure(n *Node) bool {
 // nodes (resets, accumulators, hash gets). Pure scalar defs reading them
 // observe time-varying values, so LICM must not move them and CSE must
 // not merge them.
-func volatileScalars(p *Program) []bool {
-	vol := make([]bool, p.NumScalars)
+func volatileScalars(p *Program, sc *workspace) []bool {
+	vol := bools(&sc.vol, p.NumScalars)
 	Walk(p.Root, func(n *Node) {
 		switch n.Kind {
 		case KScalarReset, KScalarAccum, KHashGet:
@@ -69,13 +120,18 @@ func readsVolatile(n *Node, vol []bool) bool {
 // LICM hoists pure definitions out of loops when their operands are
 // independent of the loop. Returns the number of hoisted nodes.
 func LICM(p *Program) int {
+	sc := &workspace{}
+	return licm(p, sc, volatileScalars(p, sc))
+}
+
+// licm is LICM given the program's volatile scalars.
+func licm(p *Program, sc *workspace, vol []bool) int {
 	hoisted := 0
-	vol := volatileScalars(p)
 	// defDepth maps each register to the loop depth at which it is
 	// defined; loop vars get the loop's depth. Pinned vars have depth 0.
-	setDepth := make([]int, p.NumSets)
-	scalarDepth := make([]int, p.NumScalars)
-	varDepth := make([]int, p.NumVars)
+	setDepth := ints(&sc.setDepth, p.NumSets)
+	scalarDepth := ints(&sc.scalarDepth, p.NumScalars)
+	varDepth := ints(&sc.varDepth, p.NumVars)
 
 	// depOf returns the minimal depth a node could live at.
 	depOf := func(n *Node) int {
@@ -126,9 +182,21 @@ func LICM(p *Program) int {
 		n     *Node
 		depth int
 	}
+	// A body is rebuilt in a per-level buffer, then copied back
+	// over its own array, which grows only when hoisted nodes land in it.
+	level := 0
 	var rec func(body []*Node, depth int) ([]*Node, []hoist)
 	rec = func(body []*Node, depth int) ([]*Node, []hoist) {
-		out := make([]*Node, 0, len(body))
+		if level == len(sc.bodies) {
+			sc.bodies = append(sc.bodies, nil)
+		}
+		out := sc.bodies[level][:0]
+		level++
+		defer func() {
+			level--
+			clear(out)
+			sc.bodies[level] = out[:0]
+		}()
 		var up []hoist
 		for _, n := range body {
 			if n.Kind == KLoop {
@@ -183,7 +251,10 @@ func LICM(p *Program) int {
 			}
 			out = append(out, n)
 		}
-		return out, up
+		if len(out) > cap(body) {
+			return append([]*Node(nil), out...), up
+		}
+		return filtered(body, append(body[:0], out...)), up
 	}
 	newBody, stray := rec(p.Root.Body, 0)
 	// Nodes hoisted out of the root body land at its front.
@@ -210,21 +281,35 @@ func registerDepth(n *Node, depth int, setDepth, scalarDepth []int) {
 // canonicalize operand order so PLR compensation copies share work.
 // Returns the number of merged definitions.
 func CSE(p *Program) int {
-	merged := 0
-	vol := volatileScalars(p)
-	setAlias := identity(p.NumSets)
-	scalarAlias := identity(p.NumScalars)
+	sc := &workspace{}
+	return cse(p, sc, volatileScalars(p, sc))
+}
 
-	type key struct {
-		kind Kind
-		op   SetOp
-		sop  ScalarOp
-		a, b int
-		v    int
-		imm  int64
-	}
-	keyOf := func(n *Node) key {
-		k := key{kind: n.Kind}
+// cseKey identifies a pure definition up to register aliasing.
+type cseKey struct {
+	kind Kind
+	op   SetOp
+	sop  ScalarOp
+	a, b int
+	v    int
+	imm  int64
+}
+
+// cseDef is one definition in CSE's scope stack: its key and its
+// canonical dst register.
+type cseDef struct {
+	k   cseKey
+	dst int
+}
+
+// cse is CSE given the program's volatile scalars.
+func cse(p *Program, sc *workspace, vol []bool) int {
+	merged := 0
+	setAlias := identity(&sc.setAlias, p.NumSets)
+	scalarAlias := identity(&sc.scalarAlias, p.NumScalars)
+
+	keyOf := func(n *Node) cseKey {
+		k := cseKey{kind: n.Kind}
 		switch n.Kind {
 		case KSetDef:
 			k.op = n.Op
@@ -275,13 +360,10 @@ func CSE(p *Program) int {
 	// canonical dst register, outermost first. Leaving a scope truncates
 	// it back to where the scope began. Scopes hold a few dozen
 	// definitions, so a linear scan beats a map per scope.
-	type def struct {
-		k   key
-		dst int
-	}
 	var rec func(body []*Node) []*Node
-	avail := make([]def, 0, p.NumSets+p.NumScalars)
-	lookup := func(k key) (int, bool) {
+	avail := sc.avail[:0]
+	defer func() { sc.avail = avail[:0] }()
+	lookup := func(k cseKey) (int, bool) {
 		for i := len(avail) - 1; i >= 0; i-- {
 			if avail[i].k == k {
 				return avail[i].dst, true
@@ -314,7 +396,7 @@ func CSE(p *Program) int {
 		}
 	}
 	rec = func(body []*Node) []*Node {
-		out := make([]*Node, 0, len(body))
+		out := body[:0]
 		for _, n := range body {
 			rewrite(n)
 			if pure(n) && !readsVolatile(n, vol) {
@@ -328,7 +410,7 @@ func CSE(p *Program) int {
 					merged++
 					continue // drop duplicate def
 				}
-				avail = append(avail, def{k, n.Dst})
+				avail = append(avail, cseDef{k, n.Dst})
 			}
 			if n.Kind == KLoop || n.Kind == KCondPos {
 				mark := len(avail)
@@ -337,14 +419,15 @@ func CSE(p *Program) int {
 			}
 			out = append(out, n)
 		}
-		return out
+		return filtered(body, out)
 	}
 	p.Root.Body = rec(p.Root.Body)
 	return merged
 }
 
-func identity(n int) []int {
-	out := make([]int, n)
+// identity returns buf resized to the identity map on n registers.
+func identity(buf *[]int, n int) []int {
+	out := ints(buf, n)
 	for i := range out {
 		out[i] = i
 	}
@@ -353,9 +436,11 @@ func identity(n int) []int {
 
 // DCE removes pure definitions whose results are never used. Returns the
 // number of removed nodes.
-func DCE(p *Program) int {
-	usedSet := make([]bool, p.NumSets)
-	usedScalar := make([]bool, p.NumScalars)
+func DCE(p *Program) int { return dce(p, &workspace{}) }
+
+func dce(p *Program, sc *workspace) int {
+	usedSet := bools(&sc.usedSet, p.NumSets)
+	usedScalar := bools(&sc.usedScalar, p.NumScalars)
 	Walk(p.Root, func(n *Node) {
 		switch n.Kind {
 		case KLoop:
@@ -384,7 +469,7 @@ func DCE(p *Program) int {
 	removed := 0
 	var rec func(body []*Node) []*Node
 	rec = func(body []*Node) []*Node {
-		out := make([]*Node, 0, len(body))
+		out := body[:0]
 		for _, n := range body {
 			if n.Kind == KSetDef && !usedSet[n.Dst] {
 				removed++
@@ -399,7 +484,7 @@ func DCE(p *Program) int {
 			}
 			out = append(out, n)
 		}
-		return out
+		return filtered(body, out)
 	}
 	p.Root.Body = rec(p.Root.Body)
 	return removed

@@ -101,7 +101,11 @@ func iota_(n int) []int {
 }
 
 // GenerateDecomposed instantiates Algorithm 1 for the spec.
-func GenerateDecomposed(spec DecompSpec) (*Plan, error) {
+func GenerateDecomposed(spec DecompSpec) (*Plan, error) { return generateDecomposed(spec, nil) }
+
+// generateDecomposed is GenerateDecomposed building from r's free nodes
+// (r may be nil).
+func generateDecomposed(spec DecompSpec, r *ast.Recycler) (*Plan, error) {
 	d := spec.D
 	nCut := len(d.CutVerts)
 	if err := checkPerm(spec.CutOrder, nCut); err != nil {
@@ -153,7 +157,7 @@ func GenerateDecomposed(spec DecompSpec) (*Plan, error) {
 		}
 	}
 
-	b := ast.NewBuilder(0)
+	b := ast.NewBuilderFrom(0, r)
 	g := newGenCtx(b)
 	g.all()
 	cnt := b.NewGlobal()
@@ -345,6 +349,7 @@ func GenerateDecomposed(spec DecompSpec) (*Plan, error) {
 			copts := candidateOpts{}
 			copts.sameLabelVars, copts.diffLabelVars = filtersFor(pv)
 			if last && countLast != nil {
+				copts.counted = true
 				cand, _ := buildCandidate(g, pat, pv, bind, copts)
 				countLast(b.Size(cand))
 				return

@@ -240,6 +240,8 @@ type genCtx struct {
 	// generation (the optimizer would also CSE them; caching here keeps
 	// naive ASTs small).
 	nbrCache map[int]int
+	// verts is buildCandidate's reusable list of pattern vertices.
+	verts []int
 }
 
 func newGenCtx(b *ast.Builder) *genCtx {
@@ -288,6 +290,9 @@ type candidateOpts struct {
 	// binding order there doubles the merge work of the pseudo-clique
 	// plans (DESIGN "Twin PLR specs are skipped").
 	bindingOrder bool
+	// counted marks a candidate set the caller counts instead of looping
+	// over: it needs no LoopMeta.
+	counted bool
 }
 
 // ConstraintKind discriminates label constraints.
@@ -417,12 +422,13 @@ func ConstraintsDecomposable(cutMask uint32, comps []uint32, constraints []Label
 // buildCandidate emits the candidate-set computation for pattern vertex
 // pv of pat, given bind (pattern vertex -> engine var, -1 if unbound).
 // It returns the candidate set register and the LoopMeta describing the
-// prefix pattern (bound vertices plus pv).
+// prefix pattern (bound vertices plus pv), nil for a counted set.
 func buildCandidate(g *genCtx, pat *pattern.Pattern, pv int, bind []int, opts candidateOpts) (int, *ast.LoopMeta) {
 	b := g.b
-	meta := &ast.LoopMeta{}
+	var meta ast.LoopMeta
 	cand := -1
-	boundVerts := []int{}
+	boundVerts := g.verts[:0]
+	defer func() { g.verts = boundVerts[:0] }()
 	for u := 0; u < pat.NumVertices(); u++ {
 		if bind[u] >= 0 && u != pv {
 			boundVerts = append(boundVerts, u)
@@ -497,14 +503,17 @@ func buildCandidate(g *genCtx, pat *pattern.Pattern, pv int, bind []int, opts ca
 		}
 		cand = b.Remove(cand, bind[u])
 	}
+	if opts.counted {
+		return cand, nil
+	}
 	// Prefix metadata for the cost models.
-	prefixVerts := append(append([]int(nil), boundVerts...), pv)
-	prefix := pat.InducedSub(prefixVerts)
+	boundVerts = append(boundVerts, pv)
+	prefix := pat.InducedSub(boundVerts)
 	if prefix.Connected() && prefix.NumVertices() >= 1 {
 		meta.Prefix = prefix
 		meta.PrefixCode = prefix.Canonical()
 	}
-	return cand, meta
+	return cand, &meta
 }
 
 // DirectSpec describes a non-decomposed (AutoMine-style) algorithm.
@@ -530,7 +539,11 @@ type DirectSpec struct {
 
 // GenerateDirect builds the nested-loop enumeration program for a
 // pattern without decomposition.
-func GenerateDirect(spec DirectSpec) (*Plan, error) {
+func GenerateDirect(spec DirectSpec) (*Plan, error) { return generateDirect(spec, nil) }
+
+// generateDirect is GenerateDirect building from r's free nodes (r may
+// be nil).
+func generateDirect(spec DirectSpec, r *ast.Recycler) (*Plan, error) {
 	p := spec.Pattern
 	n := p.NumVertices()
 	if len(spec.Order) != n {
@@ -539,7 +552,7 @@ func GenerateDirect(spec DirectSpec) (*Plan, error) {
 	if err := checkPerm(spec.Order, n); err != nil {
 		return nil, err
 	}
-	b := ast.NewBuilder(0)
+	b := ast.NewBuilderFrom(0, r)
 	g := newGenCtx(b)
 	g.all() // define V at root scope so every worker frame sees it
 	cnt := b.NewGlobal()
@@ -564,6 +577,7 @@ func GenerateDirect(spec DirectSpec) (*Plan, error) {
 		last := i == n-1
 		if last && spec.Mode == ModeCount && spec.CountLastLoop {
 			clOpts := opts
+			clOpts.counted = true
 			clOpts.sameLabelVars, clOpts.diffLabelVars = constraintFilters(spec.Constraints, pv, func(u int) int { return bind[u] })
 			cand, _ := buildCandidate(g, p, pv, bind, clOpts)
 			x := b.Size(cand)

@@ -67,12 +67,12 @@ type SearchOptions struct {
 	// (candidate enumeration vs cost-model ranking) for query tracing.
 	Stats *SearchStats
 	// Workers is how many goroutines prepare and rank candidates (0 =
-	// GOMAXPROCS; 1 works inline): generation, the middle-end optimizer
-	// and the cost model in the first phase, the auxiliary-graph
-	// arbitration of the candidates that can still win in the second.
-	// Candidates are collected in spec order, every cost is a pure
-	// function of its candidate, and the arbitration bound is taken
-	// after collection, so the result does not depend on it.
+	// GOMAXPROCS; 1 works inline): generation, the middle-end
+	// optimizer, the cost model and the auxiliary-graph arbitration of
+	// the candidates that can still win. Candidates are collected in
+	// spec order, every cost is a pure function of its candidate, and
+	// the arbitration bound is taken after collection, so the result
+	// does not depend on it.
 	Workers int
 	// Mode ModeEmit additionally requires partial-embedding emission.
 }
@@ -93,8 +93,13 @@ type SearchStats struct {
 	Twins         int
 }
 
-// Candidate pairs a generated plan with its estimated cost.
+// Candidate is one ranked candidate: its estimated cost, what its plan
+// is, and the plan itself for the winner.
 type Candidate struct {
+	// Plan is the candidate's optimized plan, set on the winner (the
+	// first candidate of the ranked list) only: Search drops every other
+	// candidate's program once that candidate can no longer win.
+	// Generate rebuilds it.
 	Plan *Plan
 	// Cost is the model cost with the auxiliary-table rank adjustment
 	// folded in (cost.AuxArbiter.RankAdjust) for every candidate that
@@ -103,7 +108,28 @@ type Candidate struct {
 	// already exceeds the winner's. The winner Search returns keeps its
 	// ranked cost when its plan is re-emitted cut-symmetric.
 	Cost float64
+	// Desc is the plan's Desc.
+	Desc string
+
+	spec  candidateSpec
+	model cost.Model
 }
+
+// Generate returns the candidate's plan: Plan when Search kept it, else
+// a fresh build of the same program, optimized and wired to the search's
+// cost model for auxiliary-table arbitration as Search built it.
+func (c *Candidate) Generate() (*Plan, error) {
+	if c.Plan != nil {
+		return c.Plan, nil
+	}
+	plan, _, err := buildPlan(c.spec, c.model, nil)
+	return plan, err
+}
+
+// recyclers hands each search a node recycler that outlives it, so a
+// search starts on the nodes its predecessors on the same processor
+// dropped.
+var recyclers = sync.Pool{New: func() any { return new(ast.Recycler) }}
 
 // Search generates the candidate space for p, costs every distinct
 // candidate, and returns the best plan plus the ranked list of them.
@@ -120,14 +146,26 @@ type Candidate struct {
 //     on opts.Workers goroutines; the calling goroutine collects the
 //     results in spec order and keeps the first MaxCandidates slots.
 //  3. Let m be the cheapest model cost. Only candidates whose
-//     cost.RankFloor is at most m are lowered for the auxiliary-graph
-//     arbiter and get its rank adjustment, again on the workers. Every
-//     other candidate's adjusted cost would exceed m, which is at least
-//     the winner's, so it can neither win nor tie.
+//     cost.RankFloor is at most m rank at their cost with the
+//     auxiliary-graph arbiter's rank adjustment folded in. Every other
+//     candidate's adjusted cost would exceed m, which is at least the
+//     winner's, so it can neither win nor tie, and it ranks at its
+//     model cost.
 //  4. The winner, when it is a decomposed count plan whose cut has a
 //     nontrivial stabilizer, is re-emitted with its cutting set
 //     symmetry-broken (cutSymmetric). The ranked list keeps the ranked
-//     programs.
+//     program of the winner and the cost and description of every
+//     candidate.
+//
+// The arbiter runs on the workers, right after the model cost, for
+// every candidate whose RankFloor is at most the cheapest model cost
+// collected so far: that cost is at least m, so every candidate step 3
+// adjusts is among them (on the 28 six-vertex motifs of the
+// compile6-cold-gnp workload they are 4 % more than step 3 needs). So
+// each candidate's ranked cost is known when it is collected, and a
+// search holds one program: the cheapest so far. Every other program
+// goes, as soon as its candidate is collected, to the recycler the next
+// candidates are built from.
 //
 // A cost depends only on its candidate (the approximate-mining
 // profile's estimates are pure functions of the shape), and m is taken
@@ -147,33 +185,44 @@ func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, []Candidate, er
 
 	searchStart := time.Now()
 	specs := candidateGenerators(p, opts)
+	rec := recyclers.Get().(*ast.Recycler)
+	defer recyclers.Put(rec)
+	// collected is the cheapest model cost collected so far (float64
+	// bits), read by the workers: it only falls, and it never falls
+	// below m.
+	var collected atomic.Uint64
+	collected.Store(math.Float64bits(math.Inf(1)))
 	prepare := func(i int) prepared {
 		if specs[i].twin >= 0 {
 			return prepared{}
 		}
 		start := time.Now()
-		plan, err := specs[i].gen()
+		plan, arb, err := buildPlan(specs[i], opts.Model, rec)
 		if err != nil {
 			return prepared{prepTime: time.Since(start)}
 		}
-		ast.Optimize(plan.Prog)
-		// The winner lowers fully, with this model arbitrating
-		// materialize-vs-recompute, on its first run.
-		arb := cost.AuxDecider(opts.Model, plan.Prog)
-		if arb != nil {
-			plan.LowerOpts.AuxDecide = arb.Decide
-		}
 		rankStart := time.Now()
-		cst := opts.Model.Cost(plan.Prog)
+		c := prepared{plan: plan, cost: opts.Model.Cost(plan.Prog)}
+		c.ranked = c.cost
+		if arb != nil && cost.RankFloor(c.cost) <= math.Min(c.cost, math.Float64frombits(collected.Load())) {
+			// Fold each applied aux table's estimated net gain into the
+			// plan's rank: a plan whose deep loops prune harder through
+			// aux rows outranks the same traversal without them. Only the
+			// verdicts are kept and the bytecode clean-up pass is skipped.
+			c.ranked = arb.RankAdjust(c.cost, ast.AuxDecisions(plan.Prog, plan.LowerOpts))
+		}
 		end := time.Now()
-		return prepared{plan: plan, arb: arb, cost: cst, prepTime: rankStart.Sub(start), rankTime: end.Sub(rankStart)}
+		c.prepTime, c.rankTime = rankStart.Sub(start), end.Sub(rankStart)
+		return c
 	}
 
 	var prepTime, rankTime time.Duration
 	var cands []Candidate
-	var arbs []*cost.AuxArbiter
+	var ranked []float64 // prepared.ranked, by candidate
 	generated := make([]bool, len(specs))
 	slots, twins := 0, 0
+	m := math.Inf(1)
+	best, bestCost := -1, math.Inf(1)
 	collect := func(i int, c prepared) bool {
 		if slots >= maxCand {
 			return false
@@ -193,8 +242,27 @@ func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, []Candidate, er
 		generated[i] = true
 		slots++
 		rankTime += c.rankTime
-		cands = append(cands, Candidate{Plan: c.plan, Cost: c.cost})
-		arbs = append(arbs, c.arb)
+		if c.cost < m {
+			m = c.cost
+			collected.Store(math.Float64bits(m))
+		}
+		k := len(cands)
+		cands = append(cands, Candidate{Cost: c.cost, Desc: c.plan.Desc, spec: specs[i], model: opts.Model})
+		ranked = append(ranked, c.ranked)
+		// The cheapest so far by ranked cost, the first of equal ones,
+		// keeps its program. A ranked cost differs from the ranked
+		// list's Cost only where neither can win (step 3), so this is
+		// the candidate the list ranks first.
+		if best < 0 || c.ranked < bestCost {
+			if best >= 0 {
+				rec.Release(cands[best].Plan.Prog)
+				cands[best].Plan = nil
+			}
+			best, bestCost = k, c.ranked
+			cands[k].Plan = c.plan
+		} else {
+			rec.Release(c.plan.Prog)
+		}
 		return slots < maxCand
 	}
 	workers := opts.Workers
@@ -202,34 +270,6 @@ func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, []Candidate, er
 		workers = runtime.GOMAXPROCS(0)
 	}
 	inOrder(len(specs), workers, prepare, collect)
-	costed := time.Now()
-
-	// Arbitrate auxiliary tables for the candidates that can still win.
-	m := math.Inf(1)
-	for _, c := range cands {
-		if c.Cost < m {
-			m = c.Cost
-		}
-	}
-	var contenders []int
-	for i, c := range cands {
-		if arbs[i] != nil && cost.RankFloor(c.Cost) <= m {
-			contenders = append(contenders, i)
-		}
-	}
-	inOrder(len(contenders), workers, func(k int) float64 {
-		// Fold each applied aux table's estimated net gain into the
-		// plan's rank: a plan whose deep loops prune harder through aux
-		// rows outranks the same traversal without them. Only the
-		// verdicts are kept and the bytecode clean-up pass is skipped:
-		// the bytecode of the losing candidates would dominate the
-		// search's live heap.
-		c := cands[contenders[k]]
-		return arbs[contenders[k]].RankAdjust(c.Cost, ast.AuxDecisions(c.Plan.Prog, c.Plan.LowerOpts))
-	}, func(k int, adjusted float64) bool {
-		cands[contenders[k]].Cost = adjusted
-		return true
-	})
 
 	total := time.Since(searchStart)
 	obsSearches.Inc()
@@ -238,7 +278,7 @@ func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, []Candidate, er
 	if opts.Stats != nil {
 		var enum time.Duration
 		if busy := prepTime + rankTime; busy > 0 {
-			enum = time.Duration(float64(costed.Sub(searchStart)) * float64(prepTime) / float64(busy))
+			enum = time.Duration(float64(total) * float64(prepTime) / float64(busy))
 		}
 		opts.Stats.EnumerateTime = enum
 		opts.Stats.RankTime = total - enum
@@ -248,10 +288,34 @@ func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, []Candidate, er
 	if len(cands) == 0 {
 		return nil, nil, fmt.Errorf("core: no candidates for %s", p)
 	}
+	for k := range cands {
+		// Every candidate with an arbiter and RankFloor(cost) <= m was
+		// arbitrated; for the others ranked is their model cost.
+		if cost.RankFloor(cands[k].Cost) <= m {
+			cands[k].Cost = ranked[k]
+		}
+	}
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].Cost < cands[j].Cost })
-	best := cands[0]
-	best.Plan = cutSymmetric(best.Plan, opts.Model)
-	return &best, cands, nil
+	winner := cands[0]
+	winner.Plan = cutSymmetric(winner.Plan, opts.Model, rec)
+	return &winner, cands, nil
+}
+
+// buildPlan generates a spec's plan from rec's free nodes (rec may be
+// nil), optimizes it, and wires model's auxiliary-graph arbiter into
+// its lowering: the winner lowers fully, with this model arbitrating
+// materialize-vs-recompute, on its first run.
+func buildPlan(spec candidateSpec, model cost.Model, rec *ast.Recycler) (*Plan, *cost.AuxArbiter, error) {
+	plan, err := spec.gen(rec)
+	if err != nil {
+		return nil, nil, err
+	}
+	ast.Optimize(plan.Prog)
+	arb := cost.AuxDecider(model, plan.Prog)
+	if arb != nil {
+		plan.LowerOpts.AuxDecide = arb.Decide
+	}
+	return plan, arb, nil
 }
 
 // cutSymmetric re-emits a decomposed, unconstrained count plan with its
@@ -261,40 +325,49 @@ func Search(p *pattern.Pattern, opts SearchOptions) (*Candidate, []Candidate, er
 // programs: the re-emitted one runs the same body for a subset of the
 // ranked plan's cut tuples, so it does at most the ranked plan's work
 // (DESIGN "Cut symmetry").
-func cutSymmetric(plan *Plan, model cost.Model) *Plan {
+func cutSymmetric(plan *Plan, model cost.Model, rec *ast.Recycler) *Plan {
 	if plan.spec == nil || plan.spec.Mode != ModeCount || len(plan.spec.Constraints) > 0 {
 		return plan
 	}
 	spec := *plan.spec
 	spec.cutSym = true
-	sym, err := GenerateDecomposed(spec)
+	sym, _, err := buildPlan(candidateSpec{decomp: &spec}, model, rec)
 	if err != nil || sym.CutSym == 0 {
+		if sym != nil {
+			rec.Release(sym.Prog)
+		}
 		return plan
-	}
-	ast.Optimize(sym.Prog)
-	if arb := cost.AuxDecider(model, sym.Prog); arb != nil {
-		sym.LowerOpts.AuxDecide = arb.Decide
 	}
 	return sym
 }
 
-// prepared is one costed candidate: its optimized plan, its arbiter,
-// its unadjusted model cost, and the time spent preparing and costing
-// it (nil plan: the generator rejected the spec, or the spec is a twin).
+// prepared is one costed candidate: its optimized plan, its unadjusted
+// model cost, its ranked cost (the arbitrated cost when the arbiter
+// ran, the model cost otherwise), and the time spent preparing and
+// ranking it (nil plan: the generator rejected the spec, or the spec is
+// a twin).
 type prepared struct {
 	plan               *Plan
-	arb                *cost.AuxArbiter
-	cost               float64
+	cost, ranked       float64
 	prepTime, rankTime time.Duration
 }
 
-// candidateSpec is one entry of the search's spec order: its
-// generator and, for a twin, the index of the earlier spec that
-// generates the same program (-1 otherwise). Search never runs a
-// twin's generator.
+// candidateSpec is one entry of the search's spec order: a direct or a
+// decomposition spec and, for a twin, the index of the earlier spec
+// that generates the same program (-1 otherwise). Search never
+// generates a twin.
 type candidateSpec struct {
-	gen  func() (*Plan, error)
-	twin int
+	direct *DirectSpec
+	decomp *DecompSpec
+	twin   int
+}
+
+// gen generates the spec's plan from r's free nodes (r may be nil).
+func (s candidateSpec) gen(r *ast.Recycler) (*Plan, error) {
+	if s.direct != nil {
+		return generateDirect(*s.direct, r)
+	}
+	return generateDecomposed(*s.decomp, r)
 }
 
 // maxOrdersPerChoice caps the matching-order variants per structure
@@ -314,8 +387,10 @@ const maxOrdersPerChoice = 24
 func candidateGenerators(p *pattern.Pattern, opts SearchOptions) []candidateSpec {
 	var specs []candidateSpec
 	if !opts.DisableDirect {
-		for _, order := range matchingOrders(p, maxOrdersPerChoice) {
-			spec := DirectSpec{
+		orders := matchingOrders(p, maxOrdersPerChoice)
+		direct := make([]DirectSpec, len(orders))
+		for i, order := range orders {
+			direct[i] = DirectSpec{
 				Pattern: p,
 				Order:   order,
 				// Emission mode must deliver every matching (the
@@ -327,7 +402,7 @@ func candidateGenerators(p *pattern.Pattern, opts SearchOptions) []candidateSpec
 				Constraints:   opts.Constraints,
 				Mode:          opts.Mode,
 			}
-			specs = append(specs, candidateSpec{gen: func() (*Plan, error) { return GenerateDirect(spec) }, twin: -1})
+			specs = append(specs, candidateSpec{direct: &direct[i], twin: -1})
 		}
 	}
 	// Decomposition plans (edge-induced only).
@@ -351,7 +426,7 @@ func candidateGenerators(p *pattern.Pattern, opts SearchOptions) []candidateSpec
 			}
 			cutSpecs, plrTwin := decompSpecs(d, opts)
 			base := len(specs)
-			for k, spec := range cutSpecs {
+			for k := range cutSpecs {
 				twin := -1
 				switch {
 				case first >= 0:
@@ -364,7 +439,7 @@ func candidateGenerators(p *pattern.Pattern, opts SearchOptions) []candidateSpec
 				case plrTwin[k] >= 0:
 					twin = base + plrTwin[k]
 				}
-				specs = append(specs, candidateSpec{gen: func() (*Plan, error) { return GenerateDecomposed(spec) }, twin: twin})
+				specs = append(specs, candidateSpec{decomp: &cutSpecs[k], twin: twin})
 			}
 		}
 	}
@@ -448,14 +523,51 @@ func inOrder[T any](n, workers int, prepare func(int) T, use func(int, T) bool) 
 			}
 		}()
 	}
+	var zero T
 	for i := 0; i < n; i++ {
 		<-ready[i]
 		ahead <- struct{}{}
-		if !use(i, results[i]) {
+		r := results[i]
+		results[i] = zero // use decides what outlives it
+		if !use(i, r) {
 			break
 		}
 	}
 	close(done)
+	wg.Wait()
+}
+
+// Wave runs search(0..n-1) side by side, at most workers at a time, and
+// returns once every call has. Each call gets the worker count its
+// search may use (SearchOptions.Workers): 1 when the wave holds more
+// than one search, so the wave's concurrency replaces the search's own,
+// and workers when the wave holds a single search. A search's result
+// does not depend on its worker count, so neither does the wave's.
+func Wave(n, workers int, search func(i, workers int)) {
+	if n == 1 {
+		search(0, workers)
+		return
+	}
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			search(i, 1)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				search(i, 1)
+			}
+		}()
+	}
 	wg.Wait()
 }
 
@@ -565,59 +677,74 @@ func decompSpecs(d *decomp.Decomposition, opts SearchOptions) (specs []DecompSpe
 		cutOrders = cutOrders[:maxOrdersPerChoice]
 	}
 
-	subOrders := make([][][]int, len(d.Subpatterns))
+	// The subpattern orders of variant 0 (each subpattern's identity
+	// order) and of variant 1 (each one's degree-greedy order). Variant 1
+	// exists only when every subpattern has a second order: as soon as
+	// one lacks it, variant 1 is dropped, even where other subpatterns
+	// have one.
+	variants := [][][]int{make([][]int, len(d.Subpatterns)), make([][]int, len(d.Subpatterns))}
 	for i, sp := range d.Subpatterns {
-		subOrders[i] = extensionOrders(sp.Pat, nCut, 2)
+		so := extensionOrders(sp.Pat, nCut, 2)
+		variants[0][i] = so[0]
+		if len(so) == 1 {
+			variants = variants[:1]
+		} else if len(variants) == 2 {
+			variants[1][i] = so[1]
+		}
 	}
 	shrinkOrders := make([][]int, len(d.Shrinkages))
 	for j, s := range d.Shrinkages {
 		shrinkOrders[j] = extensionOrders(s.Pat, nCut, 1)[0]
 	}
 
+	plrDepths := []int{0}
+	if !opts.DisablePLR {
+		for k := 2; k <= nCut; k++ {
+			plrDepths = append(plrDepths, k)
+		}
+	}
+	specs = make([]DecompSpec, 0, len(cutOrders)*len(plrDepths)*len(variants))
+	twin = make([]int, 0, cap(specs))
+
 	cutPat := d.CutPattern()
+	// symmetric memoizes, by prefix vertex set, whether the cut subgraph
+	// a PLR prefix spans has a nontrivial automorphism (how many it has
+	// does not depend on the order the prefix lists its vertices in).
+	symmetric := map[uint32]bool{}
 	type twinKey struct {
 		plr     string // plrSpelling
 		variant int    // decides SubOrders
 	}
 	firstOf := map[twinKey]int{}
 	for _, co := range cutOrders {
-		plrDepths := []int{0}
-		if !opts.DisablePLR {
-			for k := 2; k <= nCut; k++ {
-				plrDepths = append(plrDepths, k)
-			}
-		}
 		depth0 := [2]int{-1, -1} // variant -> index of its depth-0 spec
 		// Cross subpattern-order variants (small: <= 2 per subpattern).
 		for _, plr := range plrDepths {
 			var plrKey string // "" when PLR is a no-op at this depth
-			if plr > 0 && len(opts.Constraints) == 0 && len(cutPat.InducedSub(co[:plr]).Automorphisms()) > 1 {
-				plrKey = plrSpelling(cutPat, co, plr)
+			if plr > 0 && len(opts.Constraints) == 0 {
+				var set uint32
+				for _, u := range co[:plr] {
+					set |= 1 << uint(u)
+				}
+				sym, seen := symmetric[set]
+				if !seen {
+					sym = len(cutPat.InducedSub(co[:plr]).Automorphisms()) > 1
+					symmetric[set] = sym
+				}
+				if sym {
+					plrKey = plrSpelling(cutPat, co, plr)
+				}
 			}
-			for variant := 0; variant < 2; variant++ {
+			for variant, subOrders := range variants {
 				spec := DecompSpec{
 					D:               d,
 					CutOrder:        co,
+					SubOrders:       subOrders,
 					PLRDepth:        plr,
 					Mode:            opts.Mode,
 					Constraints:     opts.Constraints,
 					ShrinkOrders:    shrinkOrders,
 					SkipShrinkCodes: opts.SkipShrinkCodes,
-				}
-				ok := true
-				for i := range d.Subpatterns {
-					so := subOrders[i]
-					if variant < len(so) {
-						spec.SubOrders = append(spec.SubOrders, so[variant])
-					} else if variant == 1 && len(so) == 1 {
-						ok = false // no second variant anywhere: skip dup
-						break
-					} else {
-						spec.SubOrders = append(spec.SubOrders, so[0])
-					}
-				}
-				if !ok {
-					continue
 				}
 				t := -1
 				switch {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -81,8 +82,8 @@ func TestSearchRespectsDisables(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range all {
-		if c.Plan.Kind != "direct" {
-			t.Fatalf("decomposition candidate despite disable: %s", c.Plan.Desc)
+		if !strings.HasPrefix(c.Desc, "direct") {
+			t.Fatalf("decomposition candidate despite disable: %s", c.Desc)
 		}
 	}
 	_ = best
@@ -91,8 +92,8 @@ func TestSearchRespectsDisables(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range all2 {
-		if c.Plan.Kind != "decomposed" {
-			t.Fatalf("direct candidate despite disable: %s", c.Plan.Desc)
+		if !strings.HasPrefix(c.Desc, "decomposed") {
+			t.Fatalf("direct candidate despite disable: %s", c.Desc)
 		}
 	}
 	want := bruteTuples(g, p, false) / p.AutomorphismCount()
@@ -298,7 +299,7 @@ func TestSearchMaxCandidatesParallel(t *testing.T) {
 				t.Fatalf("limit %d, %d workers: %d candidates", limit, workers, stats.Candidates)
 			}
 			for _, c := range all {
-				descs[k] = append(descs[k], c.Plan.Desc)
+				descs[k] = append(descs[k], c.Desc)
 			}
 		}
 		if strings.Join(descs[0], "\n") != strings.Join(descs[1], "\n") {
@@ -312,11 +313,14 @@ func TestSearchMaxCandidatesParallel(t *testing.T) {
 // MotifPatterns(6), drawn and ordered by seed 1, on G(240, 0.025) seed
 // 1) with a fresh approximate-mining profile per iteration, as a cold
 // System would: building the profile only samples edges, and every
-// estimate is made inside the timed searches. Workers follow
-// GOMAXPROCS, so -cpu 1,2 compares inline with parallel preparation.
-// ns/candidate divides by the distinct plans ranked, ns/spec by every
-// spec considered, twins included; twins/op counts the specs skipped
-// because an earlier spec generates the same program.
+// estimate is made inside the timed searches. The serial variant runs
+// the searches one after another with workers following GOMAXPROCS, so
+// -cpu 1,2 compares inline with parallel preparation; the wave variant
+// sends them through Wave, side by side at one worker each, the way a
+// batch plans its needs. ns/candidate divides by the distinct plans
+// ranked, ns/spec by every spec considered, twins included; twins/op
+// counts the specs skipped because an earlier spec generates the same
+// program.
 func BenchmarkSearchSixMotifs(b *testing.B) {
 	g := graph.GNP(240, 0.025, 1)
 	all := pattern.ConnectedPatterns(6)
@@ -326,23 +330,39 @@ func BenchmarkSearchSixMotifs(b *testing.B) {
 		pats = append(pats, all[i+draw.Intn(4)])
 	}
 	rand.New(rand.NewSource(1)).Shuffle(len(pats), func(i, j int) { pats[i], pats[j] = pats[j], pats[i] })
-	b.ReportAllocs()
-	cands, specs, twins := 0, 0, 0
-	for i := 0; i < b.N; i++ {
-		model := cost.NewApproxMining(cost.StatsOf(g), sampling.BuildProfile(g, sampling.Options{Seed: 1000}))
-		for _, p := range pats {
-			var stats SearchStats
-			if _, _, err := Search(p, SearchOptions{Model: model, Mode: ModeCount, Stats: &stats}); err != nil {
-				b.Fatal(err)
+	for _, variant := range []struct {
+		name string
+		run  func(n int, search func(i, workers int))
+	}{
+		{"serial", func(n int, search func(i, workers int)) {
+			for i := 0; i < n; i++ {
+				search(i, 0)
 			}
-			cands += stats.Candidates
-			specs += stats.Candidates + stats.Twins
-			twins += stats.Twins
-		}
+		}},
+		{"wave", func(n int, search func(i, workers int)) { Wave(n, runtime.GOMAXPROCS(0), search) }},
+	} {
+		b.Run(variant.name, func(b *testing.B) {
+			b.ReportAllocs()
+			stats := make([]SearchStats, len(pats))
+			cands, specs, twins := 0, 0, 0
+			for i := 0; i < b.N; i++ {
+				model := cost.NewApproxMining(cost.StatsOf(g), sampling.BuildProfile(g, sampling.Options{Seed: 1000}))
+				variant.run(len(pats), func(k, workers int) {
+					if _, _, err := Search(pats[k], SearchOptions{Model: model, Mode: ModeCount, Workers: workers, Stats: &stats[k]}); err != nil {
+						b.Error(err)
+					}
+				})
+				for _, st := range stats {
+					cands += st.Candidates
+					specs += st.Candidates + st.Twins
+					twins += st.Twins
+				}
+			}
+			b.ReportMetric(float64(twins)/float64(b.N), "twins/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cands), "ns/candidate")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(specs), "ns/spec")
+		})
 	}
-	b.ReportMetric(float64(twins)/float64(b.N), "twins/op")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cands), "ns/candidate")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(specs), "ns/spec")
 }
 
 func TestRandomSpecsAreCorrect(t *testing.T) {
@@ -400,7 +420,7 @@ func rankModels(g *graph.Graph) []cost.Model {
 // generated runs one spec's generator.
 func generated(t testing.TB, s candidateSpec) *Plan {
 	t.Helper()
-	plan, err := s.gen()
+	plan, err := s.gen(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +533,7 @@ func TestTwinCutsGenerateIdenticalPrograms(t *testing.T) {
 					if len(opts.Constraints) == 0 {
 						return generated(t, s)
 					}
-					plan, _ := s.gen()
+					plan, _ := s.gen(nil)
 					return plan
 				}
 				first := map[int]*Plan{}
@@ -765,7 +785,7 @@ func referenceBest(t *testing.T, p *pattern.Pattern, opts SearchOptions) (best C
 		if len(cands) == maxCand {
 			break
 		}
-		plan, err := s.gen()
+		plan, err := s.gen(nil)
 		if err != nil {
 			continue
 		}
@@ -819,7 +839,7 @@ func TestSearchWinnerMatchesFullArbitration(t *testing.T) {
 			if ranked := all[0]; ranked.Cost != want.Cost || ranked.Plan.Desc != want.Plan.Desc || ast.Print(ranked.Plan.Prog) != ast.Print(want.Plan.Prog) {
 				t.Errorf("%s, %s: Search ranked %s at %v first, full arbitration %s at %v", p, m.Name(), ranked.Plan.Desc, ranked.Cost, want.Plan.Desc, want.Cost)
 			}
-			sym := cutSymmetric(want.Plan, m)
+			sym := cutSymmetric(want.Plan, m, nil)
 			if best.Cost != want.Cost || best.Plan.Desc != sym.Desc || ast.Print(best.Plan.Prog) != ast.Print(sym.Prog) {
 				t.Errorf("%s, %s: Search picked %s at %v, full arbitration %s at %v", p, m.Name(), best.Plan.Desc, best.Cost, sym.Desc, want.Cost)
 			}
@@ -884,5 +904,43 @@ func TestSearchRejectsDisconnected(t *testing.T) {
 	model := cost.NewLocality(cost.StatsOf(g), 0.25)
 	if _, _, err := Search(pattern.MustParse("0-1,2-3"), SearchOptions{Model: model}); err == nil {
 		t.Fatal("disconnected pattern accepted")
+	}
+}
+
+// TestRecycledProgramsMatchFresh: a program built from a recycler's
+// nodes, released by the program before it, prints and costs the same
+// as one built from fresh nodes, for every candidate spec of every
+// 5-vertex motif in count and emit mode.
+func TestRecycledProgramsMatchFresh(t *testing.T) {
+	model := searchModel(graph.GNP(80, 0.08, 3))
+	rec := new(ast.Recycler)
+	programs := 0
+	for _, p := range pattern.ConnectedPatterns(5) {
+		for _, mode := range []Mode{ModeCount, ModeEmit} {
+			for _, s := range candidateGenerators(p, SearchOptions{Mode: mode}) {
+				if s.twin >= 0 {
+					continue
+				}
+				fresh, _, err := buildPlan(s, model, nil)
+				if err != nil {
+					continue
+				}
+				recycled, _, err := buildPlan(s, model, rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := treeDiff(fresh.Prog, recycled.Prog); d != "" {
+					t.Fatalf("%s %s: recycled program differs: %s", p, fresh.Desc, d)
+				}
+				if a, b := model.Cost(fresh.Prog), model.Cost(recycled.Prog); a != b {
+					t.Fatalf("%s %s: recycled program costs %v, fresh %v", p, fresh.Desc, b, a)
+				}
+				rec.Release(recycled.Prog)
+				programs++
+			}
+		}
+	}
+	if programs == 0 {
+		t.Fatal("no programs built")
 	}
 }

@@ -322,11 +322,17 @@ func Fig19(cfg Config) *Table {
 			if candBudget <= 0 || candBudget > 10*time.Second {
 				candBudget = 10 * time.Second
 			}
-			for i, cand := range cands {
+			for i := range cands {
 				if i >= limit {
 					break
 				}
-				d, _, canceled, err := runPlanBudget(g, cand.Plan, cfg.Threads, candBudget)
+				// Search keeps the winner's program only; the others
+				// are rebuilt, identical to the ranked ones.
+				plan, err := cands[i].Generate()
+				if err != nil {
+					panic(fmt.Sprintf("exp: rebuilding ranked candidate %s: %v", cands[i].Desc, err))
+				}
+				d, _, canceled, err := runPlanBudget(g, plan, cfg.Threads, candBudget)
 				if err == nil && !canceled && d < amOpt {
 					amOpt = d
 				}

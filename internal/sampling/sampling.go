@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"decomine/internal/graph"
@@ -128,6 +129,12 @@ func (p *Profile) estimate(code pattern.Code) float64 {
 // extend one vertex at a time along a connected matching order, weight by
 // the product of candidate-set sizes. The expectation of the weight
 // equals the number of injective tuples matching the pattern.
+//
+// A step's candidates are the common neighbors of the bound vertices
+// adjacent to it, minus the bound vertices themselves. They are read
+// straight from the sample's adjacency rows: a step with one such
+// neighbor copies nothing, and the bound vertices are skipped by
+// position instead of filtered out.
 func (p *Profile) walk(pat *pattern.Pattern, rng *rand.Rand) float64 {
 	order := connectedOrder(pat)
 	if order == nil {
@@ -140,9 +147,23 @@ func (p *Profile) walk(pat *pattern.Pattern, rng *rand.Rand) float64 {
 		return 0
 	}
 	n := pat.NumVertices()
-	bound := make([]uint32, n)
-	var cand []uint32
-	var scratch []uint32
+	// back[i] lists the earlier order positions adjacent to position i,
+	// other[i] the rest. cand lies inside the neighbor lists of the
+	// back[i] vertices, so only the other[i] vertices can be in it.
+	back := make([][]int, n)
+	other := make([][]int, n)
+	for i := 2; i < n; i++ {
+		for j := 0; j < i; j++ {
+			if pat.HasEdge(order[i], order[j]) {
+				back[i] = append(back[i], j)
+			} else {
+				other[i] = append(other[i], j)
+			}
+		}
+	}
+	bound := make([]uint32, n) // by order position
+	skip := make([]int, 0, n)  // positions of bound vertices in cand
+	var bufs [2][]uint32
 	var total float64
 	for trial := 0; trial < p.trials; trial++ {
 		e := edges[rng.Intn(len(edges))]
@@ -151,49 +172,41 @@ func (p *Profile) walk(pat *pattern.Pattern, rng *rand.Rand) float64 {
 			u, v = v, u
 		}
 		weight := 2 * float64(m)
-		bound[order[0]], bound[order[1]] = u, v
+		bound[0], bound[1] = u, v
 		ok := true
 		// The first two pattern vertices must be adjacent (connected
 		// order guarantees it); remaining are sampled from candidates.
-		for i := 2; i < n && ok; i++ {
-			pv := order[i]
-			cand = cand[:0]
-			first := true
-			for j := 0; j < i; j++ {
-				if !pat.HasEdge(pv, order[j]) {
-					continue
+		for i := 2; i < n; i++ {
+			cand := g.Neighbors(bound[back[i][0]])
+			for k, j := range back[i][1:] {
+				if len(cand) == 0 {
+					break
 				}
-				nb := g.Neighbors(bound[order[j]])
-				if first {
-					cand = append(cand[:0], nb...)
-					first = false
-				} else {
-					scratch = vset.Intersect(scratch, cand, nb)
-					cand, scratch = scratch, cand
+				bufs[k%2] = vset.Intersect(bufs[k%2], cand, g.Neighbors(bound[j]))
+				cand = bufs[k%2]
+			}
+			// Distinctness: skip the already-bound vertices (distinct by
+			// construction) at their positions in cand, in ascending order.
+			skip = skip[:0]
+			for _, j := range other[i] {
+				if at := indexOf(cand, bound[j]); at >= 0 {
+					skip = append(skip, at)
 				}
 			}
-			// Distinctness: drop already-bound vertices.
-			k := 0
-			for _, x := range cand {
-				dup := false
-				for j := 0; j < i; j++ {
-					if bound[order[j]] == x {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					cand[k] = x
-					k++
-				}
-			}
-			cand = cand[:k]
-			if len(cand) == 0 {
+			size := len(cand) - len(skip)
+			if size == 0 {
 				ok = false
 				break
 			}
-			weight *= float64(len(cand))
-			bound[pv] = cand[rng.Intn(len(cand))]
+			slices.Sort(skip)
+			weight *= float64(size)
+			at := rng.Intn(size)
+			for _, s := range skip {
+				if s <= at {
+					at++
+				}
+			}
+			bound[i] = cand[at]
 		}
 		if !ok {
 			continue
@@ -204,6 +217,25 @@ func (p *Profile) walk(pat *pattern.Pattern, rng *rand.Rand) float64 {
 		total += weight
 	}
 	return total / float64(p.trials)
+}
+
+// indexOf returns x's position in the ascending set s, or -1. The walk
+// calls it for every bound vertex of every step; slices.BinarySearch,
+// which does not inline, took twice as long there.
+func indexOf(s []uint32, x uint32) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if s[h] < x {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	if lo < len(s) && s[lo] == x {
+		return lo
+	}
+	return -1
 }
 
 // connectedOrder returns a matching order in which every vertex after the
